@@ -8,7 +8,7 @@ reverse Hoelder stability and interior H^2 / L^4 estimate ratios.
 """
 
 from .errors import (ConstructionError, ConvexityError, DomainAbort,
-                     RangeExcursionError, SolveError)
+                     RangeExcursionError)
 from .grid import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    Trajectory, ball_mask, cylinder_average, cylinder_members,
                    cylinder_sum, gradient_sq, hessian_sq, laplacian,

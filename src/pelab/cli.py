@@ -522,14 +522,13 @@ def _sweep_cells(doc: dict) -> list[dict]:
     return cells
 
 
-def _run_cell(base_doc: dict, cell: dict, outdir: Path) -> dict:
+def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dict:
+    """Run one sweep cell; a `seed` axis value beats `seed`, which beats base.seed."""
     doc = json.loads(json.dumps(base_doc))
     if "potential" in cell:
         doc["potential"]["id"] = cell["potential"]
-    if "seed" in cell:
-        doc["seed"] = cell["seed"]
     doc["name"] = cell["label"]
-    cfg = build_config(doc)
+    cfg = build_config(doc, cell.get("seed", seed))
     if "resolution" in cell:
         cfg = with_resolution(cfg, int(cell["resolution"]))
     traj = run(cfg)
@@ -579,7 +578,7 @@ def cmd_sweep(args) -> int:
     def work(i_cell):
         i, cell = i_cell
         try:
-            return i, _run_cell(doc["base"], cell, outdir)
+            return i, _run_cell(doc["base"], cell, outdir, args.seed)
         except Exception as exc:
             return i, {"label": cell["label"], "potential": "", "size": "",
                        "seed": "", "config_hash": "", "terminal_sup": "",

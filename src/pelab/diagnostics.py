@@ -6,10 +6,11 @@ carrying the measured series, the tolerance used, and, on failure, a witness
 forward differences aligned with the solver's Euler step, so in the quadratic
 case the entropy residual cancels to rounding rather than to truncation.
 
-The H^-1 norm solves the discrete zero-Dirichlet Poisson problem; periodic
-trajectories use the whole-domain periodic variant via conjugate gradients on
-the mean-zero subspace (the contraction statement assumes matching boundary
-traces, which periodic wrap-around provides).
+The H^-1 norm solves the discrete zero-Dirichlet Poisson problem exactly by
+diagonalising the 2n+1-point Laplacian with a type-I sine transform (DST-I) on
+the interior; periodic trajectories use the whole-domain periodic variant,
+solved by FFT on the mean-zero subspace (the contraction statement assumes
+matching boundary traces, which periodic wrap-around provides).
 """
 
 from __future__ import annotations
@@ -19,19 +20,15 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.fft as sfft
 
-from .errors import RangeExcursionError, SolveError
-from .grid import (Cylinder, FieldState, GridSpec, Trajectory, cylinder_members,
-                   gradient_sq, hessian_sq, laplacian, vector_norm)
+from .errors import RangeExcursionError
+from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
+                   cylinder_members, gradient_sq, hessian_sq, laplacian, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
                          grad_Phi_field, quadratic)
 from .solver import RunConfig, run
-
-_DIRECT_LIMIT = 200_000
-_solver_cache: dict = {}
 
 
 @dataclass
@@ -74,60 +71,59 @@ def _provenance(*trajs: Trajectory) -> str:
 # ---------------------------------------------------------------------------
 # discrete Poisson problems and the H^-1 norm
 
-def _dirichlet_matrix(grid: GridSpec) -> sp.csr_matrix:
-    """-Laplacian on the interior unknowns, SPD, scaled by 1/h^2."""
-    ks = [m - 2 for m in grid.sizes]
-    eye = [sp.identity(k, format="csr") for k in ks]
-    parts = []
-    for a, k in enumerate(ks):
-        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k), format="csr")
-        factors = [eye[b] if b != a else T for b in range(grid.n)]
-        M = factors[0]
-        for f in factors[1:]:
-            M = sp.kron(M, f, format="csr")
-        parts.append(M)
-    A = parts[0]
-    for M in parts[1:]:
-        A = A + M
-    return (A / (grid.h * grid.h)).tocsr()
+def _laplacian_symbol(grid: GridSpec) -> np.ndarray:
+    """Eigenvalues of the 2n+1-point -Lap on the grid's solve space.
 
-
-def _dirichlet_solve(grid: GridSpec, rhs: np.ndarray, method: str = "auto") -> np.ndarray:
-    """Solve (-Lap) w = rhs on the interior, w = 0 on the boundary layer."""
-    key = (grid.sizes, grid.h, "dirichlet")
-    unknowns = int(np.prod([m - 2 for m in grid.sizes]))
-    if method == "auto":
-        method = "direct" if unknowns <= _DIRECT_LIMIT else "cg"
-    if method == "direct":
-        if key not in _solver_cache:
-            _solver_cache[key] = spla.factorized(_dirichlet_matrix(grid).tocsc())
-        return _solver_cache[key](rhs)
-    A = _solver_cache.setdefault((key, "matrix"), _dirichlet_matrix(grid))
-    w, info = spla.cg(A, rhs, rtol=1e-12, atol=0.0, maxiter=20 * unknowns)
-    if info != 0:
-        resid = float(np.linalg.norm(A @ w - rhs) / max(np.linalg.norm(rhs), 1e-300))
-        raise SolveError(f"Poisson conjugate gradients stopped at relative residual "
-                         f"{resid:.3e}", residual=resid)
-    return w
+    Periodic grids: the DFT modes k = 0..m-1 per axis, with the k = 0 eigenvalue
+    set to inf so that the solve acts on the mean-zero subspace.  Dirichlet
+    grids: the DST-I modes k = 1..m-2 of the interior unknowns.
+    """
+    mu = np.zeros(())
+    for a, m in enumerate(grid.sizes):
+        if grid.periodic:
+            s = np.sin(np.pi * np.arange(m) / m)
+        else:
+            s = np.sin(np.pi * np.arange(1, m - 1) / (2.0 * (m - 1)))
+        shape = [1] * grid.n
+        shape[a] = -1
+        mu = mu + (4.0 / (grid.h * grid.h) * s * s).reshape(shape)
+    if grid.periodic:
+        mu[(0,) * grid.n] = np.inf
+    return mu
 
 
 def _gradient_energy(w_full: np.ndarray, grid: GridSpec) -> float:
-    """Sum over faces of squared forward differences times h^n."""
+    """Sum over faces (wrapping when periodic) of squared forward differences times h^n."""
     total = 0.0
     for a in range(grid.n):
-        if grid.periodic:
-            d = (np.roll(w_full, -1, axis=a) - w_full) / grid.h
-        else:
-            lo = [slice(None)] * grid.n
-            hi = [slice(None)] * grid.n
-            lo[a] = slice(0, -1)
-            hi[a] = slice(1, None)
-            d = (w_full[tuple(hi)] - w_full[tuple(lo)]) / grid.h
+        wrap = {"append": w_full.take([0], axis=a)} if grid.periodic else {}
+        d = np.diff(w_full, axis=a, **wrap) / grid.h
         total += float(np.sum(d * d))
     return total * grid.cell_volume()
 
 
-def h_minus_one_norm(values: np.ndarray, grid: GridSpec, method: str = "auto") -> float:
+def _h_minus_one(values: np.ndarray, grid: GridSpec) -> float:
+    """Solve (-Lap) w = f per component by diagonalising -Lap, return the energy norm.
+
+    FFT on periodic grids, DST-I on the Dirichlet interior (boundary entries of
+    f are ignored and w vanishes on the layer).
+    """
+    comps = _as_components(values, grid)
+    if not np.isfinite(comps).all():
+        raise ValueError("field contains non-finite values")
+    axes = tuple(range(1, grid.n + 1))
+    mu = _laplacian_symbol(grid)
+    if grid.periodic:
+        w = sfft.ifftn(sfft.fftn(comps, axes=axes) / mu, axes=axes).real
+    else:
+        core = (slice(None), *grid.interior_slices)
+        w = np.zeros_like(comps)
+        w[core] = sfft.idstn(sfft.dstn(comps[core], type=1, axes=axes) / mu,
+                             type=1, axes=axes)
+    return math.sqrt(sum(_gradient_energy(wc, grid) for wc in w))
+
+
+def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
     """Energy norm of the solution of the zero-Dirichlet Poisson problem.
 
     Solves Lap w = f on the interior (boundary entries of f are ignored; the
@@ -138,66 +134,25 @@ def h_minus_one_norm(values: np.ndarray, grid: GridSpec, method: str = "auto") -
     if grid.periodic:
         raise ValueError("the H^-1 norm is defined on Dirichlet grids; "
                          "use h_minus_one_norm_periodic for periodic data")
-    values = np.asarray(values, dtype=float)
-    comps = values[None] if values.shape == grid.sizes else values
-    if comps.shape[1:] != grid.sizes:
-        raise ValueError(f"field shape {values.shape} does not match grid {grid.sizes}")
-    if not np.isfinite(comps).all():
-        raise ValueError("field contains non-finite values")
-    core = tuple(slice(1, -1) for _ in range(grid.n))
-    total = 0.0
-    for c in range(comps.shape[0]):
-        rhs = comps[c][core].ravel()
-        w = _dirichlet_solve(grid, rhs, method=method)
-        w_full = np.zeros(grid.sizes)
-        w_full[core] = w.reshape([m - 2 for m in grid.sizes])
-        total += _gradient_energy(w_full, grid)
-    return math.sqrt(total)
+    return _h_minus_one(values, grid)
 
 
 def h_minus_one_norm_periodic(values: np.ndarray, grid: GridSpec) -> float:
-    """Whole-domain periodic H^-1 seminorm on the mean-zero subspace (CG, no FFT)."""
+    """Whole-domain periodic H^-1 seminorm on the mean-zero subspace."""
     if not grid.periodic:
         raise ValueError("periodic variant called on a Dirichlet grid")
-    values = np.asarray(values, dtype=float)
-    comps = values[None] if values.shape == grid.sizes else values
-    npts = grid.num_points
-
-    def matvec(x):
-        return -laplacian(x.reshape(grid.sizes), grid).ravel()
-
-    A = spla.LinearOperator((npts, npts), matvec=matvec)
-    total = 0.0
-    for c in range(comps.shape[0]):
-        b = comps[c] - comps[c].mean()
-        bn = float(np.linalg.norm(b))
-        if bn == 0.0:
-            continue
-        w, info = spla.cg(A, b.ravel(), rtol=1e-12, atol=0.0, maxiter=50 * npts)
-        if info != 0:
-            resid = float(np.linalg.norm(matvec(w) - b.ravel()) / bn)
-            raise SolveError(f"periodic Poisson conjugate gradients stopped at "
-                             f"relative residual {resid:.3e}", residual=resid)
-        total += _gradient_energy(w.reshape(grid.sizes), grid)
-    return math.sqrt(total)
+    return _h_minus_one(values, grid)
 
 
 def poincare_constant(grid: GridSpec) -> float:
-    """Smallest-eigenvalue constant of the discrete Dirichlet Laplacian.
+    """Discrete Poincare constant 1 / sqrt(mu_1) of the Laplacian's solve space.
 
-    The tensor structure makes the smallest eigenvalue exact:
-    mu_1 = sum over axes of (4/h^2) sin^2(pi / (2 (k+1))) with k interior
-    points per axis.  Cached per grid;  h_minus_one_norm(f) <= C_P ||f||_2
-    holds exactly in the discrete setting.
+    mu_1 is the smallest eigenvalue of -Lap: on a Dirichlet grid
+    sum over axes of (4/h^2) sin^2(pi / (2 (m-1))), on a periodic grid the
+    smallest nonzero one.  h_minus_one_norm(f) <= C_P ||f||_2 holds exactly in
+    the discrete setting.
     """
-    key = (grid.sizes, grid.h, "poincare")
-    if key not in _solver_cache:
-        mu = 0.0
-        for m in grid.sizes:
-            k = m - 2
-            mu += 4.0 / (grid.h * grid.h) * math.sin(math.pi / (2.0 * (k + 1))) ** 2
-        _solver_cache[key] = 1.0 / math.sqrt(mu)
-    return _solver_cache[key]
+    return 1.0 / math.sqrt(float(_laplacian_symbol(grid).min()))
 
 
 def l2_norm(values: np.ndarray, grid: GridSpec) -> float:

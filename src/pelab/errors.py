@@ -26,11 +26,3 @@ class RangeExcursionError(DomainAbort):
 
 class ConstructionError(DomainAbort):
     """A constructive procedure (quadrature, inversion, table build) failed its tolerance."""
-
-
-class SolveError(RuntimeError):
-    """An iterative linear solve did not reach the requested residual."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual

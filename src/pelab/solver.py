@@ -418,9 +418,22 @@ def run(config: RunConfig) -> Trajectory:
 
 
 def with_resolution(config: RunConfig, size: int) -> RunConfig:
-    """Same physical run on `size` points per axis (extent preserved)."""
+    """Same physical run with `size` points on axis 0 (every axis extent preserved).
+
+    Each axis's cell count (points when periodic, intervals when Dirichlet) is
+    scaled by the ratio that axis 0's takes; a ratio that leaves some axis a
+    fractional count raises ValueError.
+    """
     g = config.grid
     L = g.extent(0)
     h = L / size if g.periodic else L / (size - 1)
-    grid = GridSpec(n=g.n, sizes=(size,) * g.n, h=h, boundary=g.boundary)
+    shift = 0 if g.periodic else 1
+    sizes = []
+    for a, m in enumerate(g.sizes):
+        cells, rem = divmod((m - shift) * (size - shift), g.sizes[0] - shift)
+        if rem:
+            raise ValueError(f"resolution {size} gives axis {a} a fractional "
+                             f"count of points ({m} points at {g.sizes[0]} on axis 0)")
+        sizes.append(cells + shift)
+    grid = GridSpec(n=g.n, sizes=tuple(sizes), h=h, boundary=g.boundary)
     return replace(config, grid=grid)

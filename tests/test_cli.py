@@ -199,6 +199,20 @@ class TestSweepCommand:
         pos = [float(r["resid_pos_max"]) for r in rows]
         assert pos[0] >= pos[1] >= pos[2]
 
+    def test_seed_flag_overrides_base_seed(self, tmp_path):
+        path = self.sweep_doc(tmp_path, {})
+        rows = {}
+        for seed in ("3", "4"):
+            out = tmp_path / f"s{seed}"
+            assert main(["sweep", path, "--out", str(out), "--seed", seed]) == 0
+            rows[seed] = next(csv.DictReader(open(out / "sw" / "sweep.csv")))
+        assert (rows["3"]["seed"], rows["4"]["seed"]) == ("3", "4")
+        assert rows["3"]["config_hash"] != rows["4"]["config_hash"]
+        path = self.sweep_doc(tmp_path, {"seed": [5]})
+        assert main(["sweep", path, "--out", str(tmp_path / "axis"), "--seed", "3"]) == 0
+        row = next(csv.DictReader(open(tmp_path / "axis" / "sw" / "sweep.csv")))
+        assert row["seed"] == "5"
+
     def test_duplicate_labels_rejected_before_any_run(self, tmp_path):
         path = self.sweep_doc(tmp_path, {"potential": ["cosh", "cosh"]})
         assert main(["sweep", path, "--out", str(tmp_path / "s")]) == 1

@@ -1,7 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    RunConfig, Trajectory, build_entropy,
@@ -15,7 +20,6 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    morrey_report, poincare_constant, quadratic,
                    reverse_holder_report, run, step_diffusion, sup_norm_report,
                    vector_norm)
-from pelab.diagnostics import _dirichlet_matrix
 from pelab.potentials import CoupledCoefficients
 
 
@@ -31,6 +35,43 @@ def stationary(grid, values, n_snaps=6, dt=1e-4, bv=None):
     snaps = tuple(FieldState(grid=grid, values=values.copy(), t=k * dt,
                              boundary_values=bv) for k in range(n_snaps))
     return Trajectory(snapshots=snaps, dt=dt)
+
+
+def laplacian_matrix(grid):
+    """Sparse -Lap (2n+1 points, 1/h^2) on the interior (Dirichlet) or all points (periodic)."""
+    ks = list(grid.sizes) if grid.periodic else [m - 2 for m in grid.sizes]
+    A = sp.csr_matrix((math.prod(ks),) * 2)
+    for a, k in enumerate(ks):
+        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k), format="lil")
+        if grid.periodic:
+            T[0, k - 1] = T[k - 1, 0] = -1.0
+        factors = [T if b == a else sp.identity(j) for b, j in enumerate(ks)]
+        A = A + functools.reduce(sp.kron, factors)
+    return (A / (grid.h * grid.h)).tocsc()
+
+
+def oracle_norm(values, grid):
+    """H^-1 norm by a sparse direct solve: sqrt(sum_c f_c . A^-1 f_c h^n).
+
+    Periodic data are projected onto the mean-zero subspace and the singular
+    system is grounded at the first point.
+    """
+    A = laplacian_matrix(grid)
+    core = tuple(slice(None) if grid.periodic else slice(1, -1) for _ in range(grid.n))
+    comps = np.reshape(values, (-1, *grid.sizes))
+    b = comps[(slice(None), *core)].reshape(len(comps), -1).T
+    if grid.periodic:
+        b = b - b.mean(axis=0)
+        w = np.zeros_like(b)
+        w[1:] = spsolve(A[1:, 1:], b[1:], permc_spec="MMD_AT_PLUS_A").reshape(b[1:].shape)
+    else:
+        w = spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(b.shape)
+    return math.sqrt(float(np.sum(b * w)) * grid.cell_volume())
+
+
+def spectral_norm(values, grid):
+    norm = h_minus_one_norm_periodic if grid.periodic else h_minus_one_norm
+    return norm(values, grid)
 
 
 class TestHMinusOne:
@@ -78,14 +119,33 @@ class TestHMinusOne:
         parts = [h_minus_one_norm(f[c], g) for c in range(2)]
         assert combined == pytest.approx(math.hypot(*parts), rel=1e-12)
 
-    def test_cg_and_direct_agree(self):
+    def test_spectral_matches_sparse_oracle(self):
         rng = np.random.default_rng(3)
-        g = dgrid(17, n=2)
-        f = np.zeros((17, 17))
-        f[1:-1, 1:-1] = rng.standard_normal((15, 15))
-        a = h_minus_one_norm(f, g, method="direct")
-        b = h_minus_one_norm(f, g, method="cg")
-        assert a == pytest.approx(b, rel=1e-10)
+        for g in (dgrid(17, n=2), GridSpec(n=3, sizes=(9, 12, 7), h=0.1, boundary=DIRICHLET)):
+            f = rng.standard_normal(g.sizes)
+            assert h_minus_one_norm(f, g) == pytest.approx(oracle_norm(f, g), rel=1e-12)
+
+    def test_periodic_spectral_matches_sparse_oracle(self):
+        rng = np.random.default_rng(5)
+        g = GridSpec(n=2, sizes=(24, 10), h=1.0 / 24, boundary=PERIODIC)
+        f = rng.standard_normal((2, *g.sizes))
+        got = h_minus_one_norm_periodic(f, g)
+        assert got == pytest.approx(oracle_norm(f, g), rel=1e-12)
+        assert h_minus_one_norm_periodic(f + 3.0, g) == pytest.approx(got, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data(), periodic=st.booleans(),
+           components=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3), sign=st.sampled_from([-1.0, 1.0]))
+    def test_property_oracle_and_homogeneity(self, n, data, periodic, components, seed,
+                                             scale, sign):
+        sizes = tuple(data.draw(st.lists(st.integers(4, 24), min_size=n, max_size=n)))
+        g = GridSpec(n=n, sizes=sizes, h=1.0 / max(sizes),
+                     boundary=PERIODIC if periodic else DIRICHLET)
+        f = np.random.default_rng(seed).standard_normal((components, *sizes))
+        got = spectral_norm(f, g)
+        assert got == pytest.approx(oracle_norm(f, g), rel=1e-12)
+        assert spectral_norm(sign * scale * f, g) == pytest.approx(scale * got, rel=1e-12)
 
     def test_poincare_inequality(self):
         rng = np.random.default_rng(4)
@@ -99,7 +159,7 @@ class TestHMinusOne:
 
     def test_poincare_constant_matches_eigensolve(self):
         for g in (dgrid(16), dgrid(9, n=2)):
-            A = _dirichlet_matrix(g).toarray()
+            A = laplacian_matrix(g).toarray()
             mu1 = float(np.linalg.eigvalsh(A)[0])
             assert poincare_constant(g) == pytest.approx(1.0 / math.sqrt(mu1), rel=1e-12)
 

@@ -288,6 +288,16 @@ class TestRun:
         fine = with_resolution(cfg, 128)
         assert fine.grid.sizes == (128,)
         assert fine.grid.extent(0) == pytest.approx(cfg.grid.extent(0), rel=1e-15)
+        for grid, size, sizes in (
+                (GridSpec(n=2, sizes=(64, 32), h=1.0 / 64, boundary=PERIODIC), 128, (128, 64)),
+                (GridSpec(n=2, sizes=(65, 33), h=1.0 / 64, boundary=DIRICHLET), 129, (129, 65))):
+            fine = with_resolution(self.base(grid=grid), size)
+            assert fine.grid.sizes == sizes
+            for a in range(2):
+                assert fine.grid.extent(a) == pytest.approx(grid.extent(a), rel=1e-15)
+        box = GridSpec(n=2, sizes=(64, 30), h=1.0 / 64, boundary=PERIODIC)
+        with pytest.raises(ValueError, match="fractional"):
+            with_resolution(self.base(grid=box), 80)
 
     def test_snapshot_count_and_spacing(self):
         traj = run(self.base(t_end=0.005, snapshot_every=4))
