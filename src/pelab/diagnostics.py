@@ -24,7 +24,8 @@ import scipy.fft as sfft
 
 from .errors import RangeExcursionError
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
-                   cylinder_members, gradient_sq, hessian_sq, laplacian, vector_norm)
+                   cylinder_members, face_divergence, gradient_sq, hessian_sq,
+                   laplacian, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
                          grad_Phi_field, quadratic)
@@ -157,8 +158,9 @@ def poincare_constant(grid: GridSpec) -> float:
 
 def l2_norm(values: np.ndarray, grid: GridSpec) -> float:
     """Discrete L^2 norm sqrt(sum f^2 h^n) over interior points."""
-    values = np.asarray(values, dtype=float)
-    comps = values[None] if values.shape == grid.sizes else values
+    comps = _as_components(values, grid)
+    if not np.isfinite(comps).all():
+        raise ValueError("field contains non-finite values")
     core = grid.interior_slices
     return math.sqrt(float(np.sum(np.square(comps[(slice(None), *core)])))
                      * grid.cell_volume())
@@ -392,8 +394,6 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
     to the diffusion check instead (the bound c |grad u|^2 <= 0 cannot hold
     for non-constant data without the vanishing flux term).
     """
-    from .solver import _face_divergence
-
     if cc.bounds["sup_Hzz"] == 0.0:
         raise ValueError("H vanishes identically; use the diffusion entropy check")
     spacing = _check_consecutive(traj)
@@ -406,10 +406,10 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
 
     def v_and_A(snap: FieldState):
         r = vector_norm(snap.values)
-        v = np.exp(s * (np.asarray(cc.H(snap.values), dtype=float) + np.zeros_like(r)))
+        v = np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
         A = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r) \
-            + np.sum(np.asarray(cc.c(snap.values), dtype=float)
-                     * np.asarray(cc.H_z(snap.values), dtype=float), axis=0)
+            + np.sum(np.asarray(cc.c(snap.values, r), dtype=float)
+                     * np.asarray(cc.H_z(snap.values, r), dtype=float), axis=0)
         return v, A
 
     def fields():
@@ -417,7 +417,7 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
         for k in range(len(traj.snapshots) - 1):
             v_next, A_next = v_and_A(traj.snapshots[k + 1])
             u = traj.snapshots[k].values
-            div = _face_divergence(A_now, v_now[None], None, None, grid)[0]
+            div = face_divergence(A_now, v_now[None], None, None, grid)[0]
             res = (v_next - v_now) / spacing - div + c * gradient_sq(u, grid)
             yield k, res
             v_now, A_now = v_next, A_next

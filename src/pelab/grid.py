@@ -3,8 +3,9 @@
 Uniform tensor grids in 1, 2 or 3 dimensions with periodic or Dirichlet
 boundaries.  Dirichlet grids carry a one-cell-thick boundary layer; stencil
 outputs are meaningful on the interior only (the boundary ring of a Laplacian
-is returned as zero).  All reductions go through numpy, whose float sums use
-pairwise (tree) summation, which bounds rounding drift deterministically.
+or of the coupled step's `face_divergence` is returned as zero).  All
+reductions go through numpy, whose float sums use pairwise (tree) summation,
+which bounds rounding drift deterministically.
 
 A parabolic cylinder Q(x0, t0, R) is the discrete set of grid points within
 Euclidean distance R of x0, crossed with the snapshot times t satisfying
@@ -144,6 +145,52 @@ def _as_components(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     if values.ndim == grid.n + 1 and values.shape[1:] == grid.sizes:
         return values
     raise ValueError(f"field shape {values.shape} does not match grid {grid.sizes}")
+
+
+def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
+                    extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
+                    grid: GridSpec) -> np.ndarray:
+    """Divergence of (avg coef * D fields + avg extra_coef * D extra_field) over faces.
+
+    `fields` is (N, *sizes); `extra_coef` is (N, *sizes) paired with the scalar
+    `extra_field`.  Face i lies between points i and i+1, the last one wraps to
+    point 0; Dirichlet grids zero the ring, the only points reading that face.
+    Conservative: periodic flux differences telescope, so means are conserved.
+    """
+    h = grid.h
+    coef = scalar_coef[None]
+    out = np.zeros_like(fields)
+    flux = np.empty_like(fields)
+    tmp = np.empty_like(fields)
+    face = np.empty_like(coef)
+    for a in range(1, grid.n + 1):
+        pre = (slice(None),) * a
+        hi, lo = pre + (slice(1, None),), pre + (slice(None, -1),)
+        first, last = pre + (slice(0, 1),), pre + (slice(-1, None),)
+
+        def forward(op, f, res):  # res[i] = op(f[i+1], f[i]), wrapping at the end
+            op(f[hi], f[lo], out=res[lo])
+            op(f[first], f[last], out=res[last])
+
+        forward(np.subtract, fields, flux)
+        flux /= h
+        forward(np.add, coef, face)
+        face *= 0.5
+        flux *= face
+        if extra_field is not None:
+            forward(np.subtract, extra_field[None], face)
+            face /= h
+            forward(np.add, extra_coef, tmp)
+            tmp *= 0.5
+            tmp *= face
+            flux += tmp
+        np.subtract(flux[hi], flux[lo], out=tmp[hi])
+        np.subtract(flux[first], flux[last], out=tmp[first])
+        tmp /= h
+        out += tmp
+    if not grid.periodic:
+        out[:, grid.boundary_mask] = 0.0
+    return out
 
 
 def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:

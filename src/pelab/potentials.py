@@ -22,6 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ConstructionError, ConvexityError, RangeExcursionError
+from .grid import vector_norm
 
 EPS_ZERO = 1e-12     # |z| below this is the origin
 EPS_TAYLOR = 1e-6    # phi'(r)/r switches to phi''(0) below this
@@ -91,15 +92,16 @@ class CoupledCoefficients:
     `a` maps the pointwise norm field r to the scalar coefficient (times the
     identity in the space indices), `c` maps an (N, ...) state to unit radial
     directions, `H` and `H_z` evaluate the scalar coupling function and its
-    gradient on (N, ...) states.  `H_profile`/`dH_profile` expose the radial
-    profile for tables.  `bounds` carries sup norms over [0, r_max] plus the
-    effective diffusivity used for time-step control.
+    gradient on (N, ...) states; `c` and `H_z` optionally take the norm field
+    as well.  `H_profile`/`dH_profile` expose the radial profile for tables.
+    `bounds` carries sup norms over [0, r_max] plus the effective diffusivity
+    used for time-step control.
     """
 
     a: Callable[[np.ndarray], np.ndarray]
-    c: Callable[[np.ndarray], np.ndarray]
+    c: Callable[..., np.ndarray]
     H: Callable[[np.ndarray], np.ndarray]
-    H_z: Callable[[np.ndarray], np.ndarray]
+    H_z: Callable[..., np.ndarray]
     H_profile: Callable[[np.ndarray], np.ndarray]
     dH_profile: Callable[[np.ndarray], np.ndarray]
     bounds: dict
@@ -335,6 +337,31 @@ def cumulative_simpson(f: Callable[[np.ndarray], np.ndarray], x_max: float,
         f"within {max_doublings} refinements")
 
 
+def _uniform_knot_evaluator(spline: CubicSpline) -> Callable[[np.ndarray], np.ndarray]:
+    """`spline.__call__` bit for bit, for knots np.linspace(0, x_max, m + 1).
+
+    The interval is floor(r / width) corrected by one against the real knots,
+    end polynomials extrapolate, and the sum runs in scipy's order
+    0.0 + c3 + c2 s + c1 s^2 + c0 s^3 (so no -0.0 survives, as in scipy).
+    """
+    x, m = spline.x, len(spline.x) - 1
+    width = x[-1] / m
+    lo = np.concatenate([[-np.inf], x[1:-1]])   # no step down from the first interval
+    hi = np.concatenate([x[1:-1], [np.inf]])    # nor up from the last
+    c0, c1, c2, c3 = spline.c + 0.0
+
+    def evaluate(r):
+        r = np.asarray(r, dtype=float)
+        i = np.fmax(np.fmin(np.floor(r / width), m - 1), 0).astype(np.intp)
+        i -= r < lo[i]
+        i += r >= hi[i]
+        s = r - x[i]
+        s2 = s * s
+        return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+    return evaluate
+
+
 # ---------------------------------------------------------------------------
 # entropy construction
 
@@ -360,12 +387,9 @@ def build_entropy(p: RadialPotential, table_size: int = 4096,
     gamma_nodes = cumulative_simpson(integrand, z_max, table_size, quad_tol)
     if np.any(np.diff(gamma_nodes) <= 0.0):
         raise ConstructionError(f"entropy table for '{p.id}' is not strictly increasing")
-    spline = CubicSpline(nodes, gamma_nodes,
-                         bc_type=((1, float(integrand(np.array([0.0]))[0])),
-                                  (1, float(integrand(np.array([z_max]))[0]))))
-
-    def gamma(z):
-        return spline(z)
+    gamma = _uniform_knot_evaluator(CubicSpline(
+        nodes, gamma_nodes, bc_type=((1, float(integrand(np.array([0.0]))[0])),
+                                     (1, float(integrand(np.array([z_max]))[0])))))
 
     def gamma1(z):
         return np.asarray(p.phi2(invert_phi(p, np.asarray(z, dtype=float))), dtype=float)
@@ -400,9 +424,9 @@ def coupled_decomposition(p: RadialPotential, table_size: int = 4096,
     nodes = np.linspace(0.0, p.r_max, table_size + 1)
     integral_nodes = cumulative_simpson(lambda s: radial_slope(p, s),
                                         p.r_max, table_size, quad_tol)
-    islope = CubicSpline(nodes, integral_nodes,
-                         bc_type=((1, float(radial_slope(p, 0.0))),
-                                  (1, float(radial_slope(p, p.r_max)))))
+    islope = _uniform_knot_evaluator(CubicSpline(
+        nodes, integral_nodes, bc_type=((1, float(radial_slope(p, 0.0))),
+                                        (1, float(radial_slope(p, p.r_max))))))
 
     def a_of_r(r):
         return radial_slope(p, r)
@@ -415,18 +439,18 @@ def coupled_decomposition(p: RadialPotential, table_size: int = 4096,
         r = np.asarray(r, dtype=float)
         return np.asarray(p.phi2(r), dtype=float) - radial_slope(p, r)
 
-    def c_dirs(values):
-        r = np.sqrt(np.sum(np.square(values), axis=0))
+    def c_dirs(values, r=None):
+        r = vector_norm(values) if r is None else r
         out = np.zeros_like(values)
         np.divide(values, r[None], out=out, where=(r > EPS_ZERO)[None])
         return out
 
     def H_of_state(values):
-        return H_profile(np.sqrt(np.sum(np.square(values), axis=0)))
+        return H_profile(vector_norm(values))
 
-    def H_z_of_state(values):
-        r = np.sqrt(np.sum(np.square(values), axis=0))
-        return dH_profile(r)[None] * c_dirs(values)
+    def H_z_of_state(values, r=None):
+        r = vector_norm(values) if r is None else r
+        return dH_profile(r)[None] * c_dirs(values, r)
 
     rs = np.linspace(0.0, p.r_max, samples)
     a_s = radial_slope(p, rs)
@@ -465,9 +489,9 @@ def heat_coefficients(r_max: float = 2.0, n_components: int = 1) -> CoupledCoeff
 
     return CoupledCoefficients(
         a=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        c=lambda values: np.zeros_like(values),
+        c=lambda values, r=None: np.zeros_like(values),
         H=zeros_like_state,
-        H_z=lambda values: np.zeros_like(values),
+        H_z=lambda values, r=None: np.zeros_like(values),
         H_profile=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         dH_profile=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         bounds={"sup_a": 1.0, "sup_c": 0.0, "sup_Hzz": 0.0, "inf_H": 0.0,

@@ -2,10 +2,11 @@
 
 One step is a pure function old state -> new state; forward Euler applied to
 the divergence form: the diffusion step computes u + dt * Lap(grad Phi(u)),
-the coupled step differences conservative face fluxes with arithmetically
-averaged coefficients, and the scalar step is the N = 1 reduction with an
-arbitrary increasing nonlinearity.  Range excursions abort, never clamp;
-clamping would silently invalidate every estimate checked downstream.
+the coupled step adds dt times `grid.face_divergence` (conservative face
+fluxes with arithmetically averaged coefficients, all fed by one |u|), and
+the scalar step is the N = 1 reduction with an arbitrary increasing
+nonlinearity.  Range excursions abort, never clamp; clamping would silently
+invalidate every estimate checked downstream.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import RangeExcursionError
-from .grid import FieldState, GridSpec, Trajectory, laplacian, vector_norm
+from .grid import (FieldState, GridSpec, Trajectory, face_divergence, laplacian,
+                   vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow,
                          RadialPotential, certify_window, coupled_decomposition,
                          grad_Phi_field)
@@ -82,61 +84,17 @@ def step_scalar(state: FieldState, g: Callable[[np.ndarray], np.ndarray],
     return _finish_step(state, new, dt)
 
 
-def _face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
-                     extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
-                     grid: GridSpec) -> np.ndarray:
-    """Divergence of (avg coef * D fields + avg extra_coef * D extra_field) over faces.
-
-    `fields` is (N, *sizes); `extra_coef` is (N, *sizes) paired with the scalar
-    `extra_field`.  Conservative: on periodic grids the flux differences
-    telescope, so each component mean is conserved to rounding.
-    """
-    h = grid.h
-    out = np.zeros_like(fields)
-    if grid.periodic:
-        for a in range(grid.n):
-            du = (np.roll(fields, -1, axis=a + 1) - fields) / h
-            af = 0.5 * (scalar_coef + np.roll(scalar_coef, -1, axis=a))
-            flux = af[None] * du
-            if extra_field is not None:
-                dH = (np.roll(extra_field, -1, axis=a) - extra_field) / h
-                cf = 0.5 * (extra_coef + np.roll(extra_coef, -1, axis=a + 1))
-                flux = flux + cf * dH[None]
-            out += (flux - np.roll(flux, 1, axis=a + 1)) / h
-        return out
-    core = tuple(slice(1, -1) for _ in range(grid.n))
-    acc = np.zeros_like(fields[(slice(None), *core)])
-    for a in range(grid.n):
-        lo = list(core)
-        hi = list(core)
-        lo[a] = slice(0, -1)
-        hi[a] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        du = (fields[(slice(None), *hi)] - fields[(slice(None), *lo)]) / h
-        af = 0.5 * (scalar_coef[hi] + scalar_coef[lo])
-        flux = af[None] * du  # flux at every face along axis a, other axes interior
-        if extra_field is not None:
-            dH = (extra_field[hi] - extra_field[lo]) / h
-            cf = 0.5 * (extra_coef[(slice(None), *hi)] + extra_coef[(slice(None), *lo)])
-            flux = flux + cf * dH[None]
-        right = [slice(None)] * (grid.n + 1)
-        left = [slice(None)] * (grid.n + 1)
-        right[a + 1] = slice(1, None)
-        left[a + 1] = slice(0, -1)
-        acc += (flux[tuple(right)] - flux[tuple(left)]) / h
-    out[(slice(None), *core)] = acc
-    return out
-
-
 def step_coupled(state: FieldState, cc: CoupledCoefficients, dt: float) -> FieldState:
-    """One conservative face-flux step of u_t = div(a grad u + c grad H(u))."""
-    _abort_if_outside(state, cc.r_max)
+    """One conservative face-flux step of u_t = div(a grad u + c grad H(u)); |u| once."""
     r = vector_norm(state.values)
+    if float(r.max()) > cc.r_max * (1.0 + 1e-12):
+        _abort_if_outside(state, cc.r_max)
     a_field = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r)
-    h_field = np.asarray(cc.H(state.values), dtype=float) + np.zeros_like(r)
-    c_field = np.asarray(cc.c(state.values), dtype=float)
-    div = _face_divergence(a_field, state.values, c_field, h_field, state.grid)
-    new = state.values + dt * div
+    h_field = np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)
+    c_field = np.asarray(cc.c(state.values, r), dtype=float)
+    new = face_divergence(a_field, state.values, c_field, h_field, state.grid)
+    new *= dt
+    new += state.values
     return _finish_step(state, new, dt)
 
 

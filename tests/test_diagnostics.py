@@ -157,6 +157,16 @@ class TestHMinusOne:
                 f[core] = rng.standard_normal(f[core].shape)
                 assert h_minus_one_norm(f, g) <= cp * l2_norm(f, g) * (1 + 1e-12)
 
+    def test_l2_norm_rejects_mis_shaped_and_non_finite_fields(self):
+        g = pgrid(64)
+        with pytest.raises(ValueError, match="does not match"):
+            l2_norm(np.ones((3, 5)), g)
+        f = np.ones(64)
+        f[10] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            l2_norm(f, g)
+        assert l2_norm(np.ones((2, 64)), g) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
     def test_poincare_constant_matches_eigensolve(self):
         for g in (dgrid(16), dgrid(9, n=2)):
             A = laplacian_matrix(g).toarray()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from pelab import (ConstructionError, ConvexityError, RadialPotential,
                    RangeExcursionError, build_entropy, builtin_ids,
@@ -10,6 +11,8 @@ from pelab import (ConstructionError, ConvexityError, RadialPotential,
                    from_piecewise_poly, get_potential, grad_Phi, grad_Phi_field,
                    heat_coefficients, hessian_Phi, invert_phi, quadratic,
                    quartic, smoothed_porous)
+from pelab.potentials import (_uniform_knot_evaluator, cumulative_simpson,
+                              radial_slope)
 
 ALL_BUILTINS = [quadratic(2.0), cosh_potential(1.0), quartic(1.0), smoothed_porous()]
 
@@ -288,3 +291,70 @@ class TestPiecewisePolynomials:
         assert get_potential("cosh", r_max=0.5).r_max == 0.5
         with pytest.raises(ValueError, match="unknown potential"):
             get_potential("nope")
+
+
+def spline_probes(knots, x_max, seed=0):
+    """Every knot and both float neighbours, the ends, both sides out of range, random draws."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        [0.0, -0.0, x_max * (1.0 + 1e-12), -1e-300, -1e-3, -x_max,
+         1.5 * x_max, 10.0 * x_max],
+        rng.uniform(-0.05 * x_max, 1.05 * x_max, 5000)])
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestUniformKnotEvaluator:
+    """The table evaluator reproduces CubicSpline.__call__ bit for bit."""
+
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_coupled_H_table(self, p):
+        # the integral table exactly as coupled_decomposition builds it
+        nodes = np.linspace(0.0, p.r_max, 4097)
+        spline = CubicSpline(
+            nodes, cumulative_simpson(lambda s: radial_slope(p, s), p.r_max, 4096, 1e-10),
+            bc_type=((1, float(radial_slope(p, 0.0))), (1, float(radial_slope(p, p.r_max)))))
+        r = spline_probes(nodes, p.r_max)
+        assert_bitwise(_uniform_knot_evaluator(spline)(r), spline(r))
+        inside = r[(r >= 0.0) & (r <= p.r_max)]
+        assert_bitwise(coupled_decomposition(p).H_profile(inside),
+                       np.asarray(p.phi1(inside), dtype=float) - spline(inside))
+        for x in (0.0, p.r_max, -1.0, 2.0 * p.r_max):
+            assert_bitwise(_uniform_knot_evaluator(spline)(x), spline(x))
+
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_entropy_gamma_table(self, p):
+        e = build_entropy(p)
+        nodes, gamma_nodes = e.table
+
+        def integrand(z):
+            return np.asarray(p.phi2(invert_phi(p, z)), dtype=float)
+
+        spline = CubicSpline(nodes, gamma_nodes,
+                             bc_type=((1, float(integrand(np.array([0.0]))[0])),
+                                      (1, float(integrand(np.array([e.z_max]))[0]))))
+        z = spline_probes(nodes, e.z_max, seed=1)
+        assert_bitwise(e.gamma(z), spline(z))
+
+    def test_random_tables_and_sizes(self):
+        rng = np.random.default_rng(3)
+        for m in (4, 7, 128, 1000):
+            for x_max in (0.37, 1.0, 2.0, 3.7):
+                knots = np.linspace(0.0, x_max, m + 1)
+                y = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, m))])
+                spline = CubicSpline(knots, y, bc_type=((1, rng.uniform()), (1, rng.uniform())))
+                r = spline_probes(knots, x_max, seed=m)
+                assert_bitwise(_uniform_knot_evaluator(spline)(r), spline(r))
+
+    def test_negative_zero_table_value(self):
+        # scipy's sum starts from 0.0, so a -0.0 knot value evaluates to +0.0
+        knots = np.linspace(0.0, 1.0, 5)
+        spline = CubicSpline(knots, [-0.0, -1.0, -2.0, -3.0, -4.0],
+                             bc_type=((1, -0.0), (1, -0.0)))
+        r = np.array([-0.0, 0.0])
+        assert_bitwise(_uniform_knot_evaluator(spline)(r), spline(r))

@@ -6,14 +6,95 @@ import pytest
 from pelab import (DIRICHLET, PERIODIC, FieldState, GridSpec,
                    RangeExcursionError, RunConfig, cfl_dt, cfl_dt_coupled,
                    certify_window, cosh_potential, coupled_decomposition,
-                   heat_coefficients, initial_field, laplacian, quadratic,
-                   run, step_coupled, step_diffusion, step_scalar,
+                   get_potential, heat_coefficients, initial_field, laplacian,
+                   quadratic, run, step_coupled, step_diffusion, step_scalar,
                    vector_norm, with_resolution)
+from pelab.grid import face_divergence
 from pelab.potentials import EllipticityWindow
+from pelab.solver import _abort_if_outside, _finish_step
 
 
 def pgrid(size, n=1):
     return GridSpec(n=n, sizes=(size,) * n, h=1.0 / size, boundary=PERIODIC)
+
+
+# Frozen copies of the earlier roll-based face divergence and coupled step:
+# the oracle that the one-pass versions must reproduce bit for bit.
+
+def reference_face_divergence(scalar_coef, fields, extra_coef, extra_field, grid):
+    h = grid.h
+    out = np.zeros_like(fields)
+    if grid.periodic:
+        for a in range(grid.n):
+            du = (np.roll(fields, -1, axis=a + 1) - fields) / h
+            af = 0.5 * (scalar_coef + np.roll(scalar_coef, -1, axis=a))
+            flux = af[None] * du
+            if extra_field is not None:
+                dH = (np.roll(extra_field, -1, axis=a) - extra_field) / h
+                cf = 0.5 * (extra_coef + np.roll(extra_coef, -1, axis=a + 1))
+                flux = flux + cf * dH[None]
+            out += (flux - np.roll(flux, 1, axis=a + 1)) / h
+        return out
+    core = tuple(slice(1, -1) for _ in range(grid.n))
+    acc = np.zeros_like(fields[(slice(None), *core)])
+    for a in range(grid.n):
+        lo = list(core)
+        hi = list(core)
+        lo[a] = slice(0, -1)
+        hi[a] = slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        du = (fields[(slice(None), *hi)] - fields[(slice(None), *lo)]) / h
+        af = 0.5 * (scalar_coef[hi] + scalar_coef[lo])
+        flux = af[None] * du
+        if extra_field is not None:
+            dH = (extra_field[hi] - extra_field[lo]) / h
+            cf = 0.5 * (extra_coef[(slice(None), *hi)] + extra_coef[(slice(None), *lo)])
+            flux = flux + cf * dH[None]
+        right = [slice(None)] * (grid.n + 1)
+        left = [slice(None)] * (grid.n + 1)
+        right[a + 1] = slice(1, None)
+        left[a + 1] = slice(0, -1)
+        acc += (flux[tuple(right)] - flux[tuple(left)]) / h
+    out[(slice(None), *core)] = acc
+    return out
+
+
+def reference_step_coupled(state, cc, dt):
+    _abort_if_outside(state, cc.r_max)
+    r = vector_norm(state.values)
+    a_field = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r)
+    h_field = np.asarray(cc.H(state.values), dtype=float) + np.zeros_like(r)
+    c_field = np.asarray(cc.c(state.values), dtype=float)
+    div = reference_face_divergence(a_field, state.values, c_field, h_field, state.grid)
+    new = state.values + dt * div
+    return _finish_step(state, new, dt)
+
+
+# (potential, boundary, sizes, components): 1D, 2D and 3D, both boundary
+# kinds, cubes and anisotropic boxes
+PARITY_CASES = [
+    ("cosh", PERIODIC, (64,), 1),
+    ("quartic", DIRICHLET, (33,), 3),
+    ("porous", PERIODIC, (24, 16), 2),
+    ("cosh", DIRICHLET, (17, 17), 2),
+    ("quartic", PERIODIC, (12, 8, 10), 2),
+    ("porous", DIRICHLET, (9, 13, 11), 1),
+]
+
+
+def parity_state(pid, boundary, sizes, nc, seed=4):
+    p = get_potential(pid)
+    n = len(sizes)
+    h = 1.0 / sizes[0] if boundary == PERIODIC else 1.0 / (sizes[0] - 1)
+    g = GridSpec(n=n, sizes=sizes, h=h, boundary=boundary)
+    u = initial_field(g, nc, {"kind": "bands", "kmax": 3, "amplitude": 0.6 * p.r_max,
+                              "offset": [0.05] * nc}, seed)
+    bv = None
+    if boundary == DIRICHLET:
+        bv = tuple(0.1 * (c + 1) for c in range(nc))
+        for c in range(nc):
+            u[c][g.boundary_mask] = bv[c]
+    return p, FieldState(grid=g, values=u, t=0.0, boundary_values=bv)
 
 
 class TestCflDt:
@@ -206,8 +287,9 @@ class TestRun:
         assert amp == pytest.approx((1 + traj.dt * lam_h) ** traj.meta["steps"], abs=1e-12)
         assert amp == pytest.approx(math.exp(-4 * math.pi ** 2 * 0.01), rel=0.01)
 
-    def test_deterministic_repetition_is_bit_identical(self):
-        a, b = run(self.base()), run(self.base())
+    @pytest.mark.parametrize("system", ["diffusion", "coupled"])
+    def test_deterministic_repetition_is_bit_identical(self, system):
+        a, b = run(self.base(system=system)), run(self.base(system=system))
         assert a.meta["config_hash"] == b.meta["config_hash"]
         for sa, sb in zip(a.snapshots, b.snapshots):
             assert np.array_equal(sa.values, sb.values)
@@ -332,3 +414,54 @@ class TestRun:
         factor = (1 + traj.dt * lam_h) ** traj.meta["steps"]
         u0 = traj.snapshots[0].values
         assert np.abs(traj.final.values - factor * u0).max() < 1e-12
+
+
+class TestCoupledParity:
+    """The one-pass coupled step reproduces the roll-based step bit for bit."""
+
+    @pytest.mark.parametrize("pid,boundary,sizes,nc", PARITY_CASES)
+    def test_multi_step_runs_are_bit_identical(self, pid, boundary, sizes, nc):
+        p, state = parity_state(pid, boundary, sizes, nc)
+        cc = coupled_decomposition(p)
+        dt = cfl_dt_coupled(state.grid, cc, 0.9)
+        new = old = state
+        for _ in range(25):
+            new, old = step_coupled(new, cc, dt), reference_step_coupled(old, cc, dt)
+            assert np.array_equal(new.values, old.values)
+        assert np.abs(new.values - state.values).max() > 0.0
+
+    @pytest.mark.parametrize("pid,boundary,sizes,nc", PARITY_CASES)
+    def test_face_divergence_matches_on_random_coefficients(self, pid, boundary, sizes, nc):
+        _, state = parity_state(pid, boundary, sizes, nc)
+        rng = np.random.default_rng(sum(sizes))
+        g, u = state.grid, state.values
+        a = rng.uniform(0.5, 2.0, g.sizes)
+        c = rng.standard_normal(u.shape)
+        H = rng.standard_normal(g.sizes)
+        got = face_divergence(a, u, c, H, g)
+        assert np.array_equal(got, reference_face_divergence(a, u, c, H, g))
+        # the extra=None path used by the coupled entropy residual
+        got = face_divergence(a, H[None], None, None, g)
+        assert np.array_equal(got, reference_face_divergence(a, H[None], None, None, g))
+        if not g.periodic:
+            assert np.all(got[:, g.boundary_mask] == 0.0)
+
+    def test_heat_coefficients_are_bit_identical(self):
+        _, state = parity_state("cosh", PERIODIC, (20, 12), 2)
+        cc = heat_coefficients(n_components=2)
+        got = step_coupled(state, cc, 1e-5)
+        assert np.array_equal(got.values, reference_step_coupled(state, cc, 1e-5).values)
+
+    def test_range_witness_is_unchanged(self):
+        p, state = parity_state("cosh", PERIODIC, (16, 16), 2)
+        u = state.values.copy()
+        u[:, 5, 9] = 0.9
+        bad = FieldState(grid=state.grid, values=u, t=0.25)
+        cc = coupled_decomposition(p)
+        errors = []
+        for step in (step_coupled, reference_step_coupled):
+            with pytest.raises(RangeExcursionError) as exc:
+                step(bad, cc, 1e-6)
+            errors.append((str(exc.value), exc.value.location, exc.value.t))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == (5, 9)
