@@ -3,9 +3,13 @@
 Uniform tensor grids in 1, 2 or 3 dimensions with periodic or Dirichlet
 boundaries.  Dirichlet grids carry a one-cell-thick boundary layer; stencil
 outputs are meaningful on the interior only (the boundary ring of a Laplacian
-or of the coupled step's `face_divergence` is returned as zero).  All
-reductions go through numpy, whose float sums use pairwise (tree) summation,
-which bounds rounding drift deterministically.
+or of the coupled step's `face_divergence` is returned as zero).  Each
+stencil has one code path for both boundary kinds: neighbours are read by
+slicing with the wrap-around written separately (`hessian_sq` reads a copy
+padded by one wrapped cell), and on Dirichlet grids the ring, the only points
+that read across the wrap, is overwritten afterwards.  All reductions go
+through numpy, whose float sums use pairwise (tree) summation, which bounds
+rounding drift deterministically.
 
 A parabolic cylinder Q(x0, t0, R) is the discrete set of grid points within
 Euclidean distance R of x0, crossed with the snapshot times t satisfying
@@ -102,49 +106,51 @@ class GridSpec:
         return self.h ** self.n
 
 
-def _check_scalar_field(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _as_components(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Promote a finite scalar field to shape (1, *sizes); pass (N, *sizes) through."""
     values = np.asarray(values, dtype=float)
-    if values.shape != grid.sizes:
+    if values.shape == grid.sizes:
+        values = values[None]
+    elif values.ndim != grid.n + 1 or values.shape[1:] != grid.sizes:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.sizes}")
     if not np.isfinite(values).all():
         raise ValueError("field contains non-finite values")
     return values
 
 
+def _laplacian(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Unchecked 2n+1-point Laplacian of each component of an (N, *sizes) array.
+
+    Per axis the neighbour sum f[i-1] + f[i+1] is formed by slicing, the two
+    wrap points written separately, and added to -2n f; the sum is divided
+    by h^2 last.  Dirichlet grids zero the ring, the only points that read
+    across the wrap.
+    """
+    out = -2.0 * grid.n * f
+    nb = np.empty_like(f)
+    for a in range(1, grid.n + 1):
+        pre = (slice(None),) * a
+        np.add(f[pre + (slice(None, -2),)], f[pre + (slice(2, None),)],
+               out=nb[pre + (slice(1, -1),)])
+        np.add(f[pre + (slice(-1, None),)], f[pre + (slice(1, 2),)],
+               out=nb[pre + (slice(0, 1),)])
+        np.add(f[pre + (slice(-2, -1),)], f[pre + (slice(0, 1),)],
+               out=nb[pre + (slice(-1, None),)])
+        out += nb
+    out /= grid.h * grid.h
+    if not grid.periodic:
+        out[:, grid.boundary_mask] = 0.0
+    return out
+
+
 def laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Second-order 2n+1-point Laplacian of a scalar field.
+    """Second-order 2n+1-point Laplacian of a scalar field (or of each component).
 
     Periodic grids are differenced everywhere (wrap-around); Dirichlet grids on
     the interior only, with the boundary ring of the output set to zero.
     """
-    f = _check_scalar_field(values, grid)
-    h2 = grid.h * grid.h
-    if grid.periodic:
-        out = -2.0 * grid.n * f
-        for a in range(grid.n):
-            out += np.roll(f, 1, axis=a) + np.roll(f, -1, axis=a)
-        return out / h2
-    out = np.zeros_like(f)
-    core = tuple(slice(1, -1) for _ in range(grid.n))
-    acc = -2.0 * grid.n * f[core]
-    for a in range(grid.n):
-        up = list(core)
-        dn = list(core)
-        up[a] = slice(2, None)
-        dn[a] = slice(0, -2)
-        acc = acc + f[tuple(up)] + f[tuple(dn)]
-    out[core] = acc / h2
-    return out
-
-
-def _as_components(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Promote a scalar field to shape (1, *sizes); pass (N, *sizes) through."""
-    values = np.asarray(values, dtype=float)
-    if values.shape == grid.sizes:
-        return values[None]
-    if values.ndim == grid.n + 1 and values.shape[1:] == grid.sizes:
-        return values
-    raise ValueError(f"field shape {values.shape} does not match grid {grid.sizes}")
+    out = _laplacian(_as_components(values, grid), grid)
+    return out.reshape(np.shape(values))
 
 
 def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
@@ -196,21 +202,27 @@ def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
 def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Sum over components and axes of squared first differences, |grad u|^2.
 
-    Central differences in the interior; first-order one-sided differences on
-    the Dirichlet boundary ring (lower order, kept only for completeness of
-    boundary diagnostics).
+    Central differences (f[i+1] - f[i-1]) / 2h, wrapping on periodic grids;
+    first-order one-sided differences such as (f[1] - f[0]) / h at the
+    Dirichlet ends (lower order, kept only for completeness of boundary
+    diagnostics).
     """
     comps = _as_components(values, grid)
-    if not np.isfinite(comps).all():
-        raise ValueError("field contains non-finite values")
+    h = grid.h
+    # (end point, upper neighbour, lower neighbour) and the span between them
+    if grid.periodic:
+        ends, span = ((0, 1, -1), (-1, 0, -2)), 2.0 * h
+    else:
+        ends, span = ((0, 1, 0), (-1, -1, -2)), h
     out = np.zeros(grid.sizes)
-    for c in range(comps.shape[0]):
-        f = comps[c]
+    d = np.empty(grid.sizes)
+    for f in comps:
         for a in range(grid.n):
-            if grid.periodic:
-                d = (np.roll(f, -1, axis=a) - np.roll(f, 1, axis=a)) / (2.0 * grid.h)
-            else:
-                d = np.gradient(f, grid.h, axis=a, edge_order=1)
+            pre = (slice(None),) * a
+            d[pre + (slice(1, -1),)] = (f[pre + (slice(2, None),)]
+                                        - f[pre + (slice(None, -2),)]) / (2.0 * h)
+            for end, up, dn in ends:
+                d[pre + (end,)] = (f[pre + (up,)] - f[pre + (dn,)]) / span
             out += d * d
     return out
 
@@ -218,56 +230,31 @@ def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 def hessian_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Sum over components and ordered axis pairs of squared second differences.
 
-    Mixed derivatives use the 4-point cross stencil.  Dirichlet output is
-    meaningful on the interior only (boundary ring zero).
+    Mixed derivatives use the 4-point cross stencil.  Shifts read a copy
+    padded by one wrapped cell per side; Dirichlet output is meaningful on the
+    interior only (boundary ring zero: the ring is all that reads the padding).
     """
     comps = _as_components(values, grid)
     h2 = grid.h * grid.h
+    e = np.eye(grid.n, dtype=int)
+
+    def at(padded, shift):  # f[x + shift] for every grid point x
+        return padded[tuple(slice(1 + s, 1 + s + m) for s, m in zip(shift, grid.sizes))]
+
     out = np.zeros(grid.sizes)
-
-    def shift(f, a, k):
-        return np.roll(f, -k, axis=a)
-
-    if grid.periodic:
-        for c in range(comps.shape[0]):
-            f = comps[c]
-            for a in range(grid.n):
-                daa = (shift(f, a, 1) - 2.0 * f + shift(f, a, -1)) / h2
-                out += daa * daa
-                for b in range(grid.n):
-                    if b == a:
-                        continue
-                    dab = (shift(shift(f, a, 1), b, 1) - shift(shift(f, a, 1), b, -1)
-                           - shift(shift(f, a, -1), b, 1) + shift(shift(f, a, -1), b, -1)) / (4.0 * h2)
-                    out += dab * dab
-        return out
-
-    core = tuple(slice(1, -1) for _ in range(grid.n))
-
-    def sh(a, k):
-        sl = list(core)
-        sl[a] = slice(1 + k, (-1 + k) or None)
-        return tuple(sl)
-
-    def sh2(a, ka, b, kb):
-        sl = list(core)
-        sl[a] = slice(1 + ka, (-1 + ka) or None)
-        sl[b] = slice(1 + kb, (-1 + kb) or None)
-        return tuple(sl)
-
-    acc = np.zeros_like(comps[0][core])
-    for c in range(comps.shape[0]):
-        f = comps[c]
+    for padded in np.pad(comps, [(0, 0)] + [(1, 1)] * grid.n, mode="wrap"):
+        f = at(padded, 0 * e[0])
         for a in range(grid.n):
-            daa = (f[sh(a, 1)] - 2.0 * f[core] + f[sh(a, -1)]) / h2
-            acc += daa * daa
+            daa = (at(padded, e[a]) - 2.0 * f + at(padded, -e[a])) / h2
+            out += daa * daa
             for b in range(grid.n):
                 if b == a:
                     continue
-                dab = (f[sh2(a, 1, b, 1)] - f[sh2(a, 1, b, -1)]
-                       - f[sh2(a, -1, b, 1)] + f[sh2(a, -1, b, -1)]) / (4.0 * h2)
-                acc += dab * dab
-    out[core] = acc
+                dab = (at(padded, e[a] + e[b]) - at(padded, e[a] - e[b])
+                       - at(padded, e[b] - e[a]) + at(padded, -e[a] - e[b])) / (4.0 * h2)
+                out += dab * dab
+    if not grid.periodic:
+        out[grid.boundary_mask] = 0.0
     return out
 
 

@@ -91,16 +91,16 @@ class CoupledCoefficients:
 
     `a` maps the pointwise norm field r to the scalar coefficient (times the
     identity in the space indices), `c` maps an (N, ...) state to unit radial
-    directions, `H` and `H_z` evaluate the scalar coupling function and its
-    gradient on (N, ...) states; `c` and `H_z` optionally take the norm field
-    as well.  `H_profile`/`dH_profile` expose the radial profile for tables.
+    directions, `H_z` evaluates the gradient of the scalar coupling function
+    on (N, ...) states; `c` and `H_z` optionally take the norm field as well.
+    `H_profile`/`dH_profile` give H and its derivative as functions of the
+    norm field r.
     `bounds` carries sup norms over [0, r_max] plus the effective diffusivity
     used for time-step control.
     """
 
     a: Callable[[np.ndarray], np.ndarray]
     c: Callable[..., np.ndarray]
-    H: Callable[[np.ndarray], np.ndarray]
     H_z: Callable[..., np.ndarray]
     H_profile: Callable[[np.ndarray], np.ndarray]
     dH_profile: Callable[[np.ndarray], np.ndarray]
@@ -213,14 +213,9 @@ def from_piecewise_poly(breakpoints, coeffs, r_max: float | None = None,
 def radial_slope(p: RadialPotential, r: np.ndarray) -> np.ndarray:
     """phi'(r)/r with the Taylor extension phi''(0) below EPS_TAYLOR."""
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.full(r.shape, float(p.phi2(0.0)))
-    big = r >= EPS_TAYLOR
-    if big.any():
-        rb = r[big]
-        out[big] = np.asarray(p.phi1(rb), dtype=float) / rb
-    return out[0] if scalar else out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.asarray(p.phi1(r), dtype=float) / r
+    return np.where(r >= EPS_TAYLOR, slope, float(p.phi2(0.0)))[()]
 
 
 def _check_range(p: RadialPotential, r: float) -> None:
@@ -240,9 +235,13 @@ def grad_Phi(p: RadialPotential, z) -> np.ndarray:
     return float(radial_slope(p, r)) * z
 
 
-def grad_Phi_field(p: RadialPotential, values: np.ndarray) -> np.ndarray:
-    """grad_Phi applied pointwise to an (N, *sizes) array (no range check)."""
-    r = np.sqrt(np.sum(np.square(values), axis=0))
+def grad_Phi_field(p: RadialPotential, values: np.ndarray,
+                   r: np.ndarray | None = None) -> np.ndarray:
+    """grad_Phi applied pointwise to an (N, *sizes) array (no range check).
+
+    `r` is the norm field of `values` when the caller already has it.
+    """
+    r = vector_norm(values) if r is None else r
     g = radial_slope(p, r)
     g = np.where(r < EPS_ZERO, 0.0, g)
     return g[None] * values
@@ -445,9 +444,6 @@ def coupled_decomposition(p: RadialPotential, table_size: int = 4096,
         np.divide(values, r[None], out=out, where=(r > EPS_ZERO)[None])
         return out
 
-    def H_of_state(values):
-        return H_profile(vector_norm(values))
-
     def H_z_of_state(values, r=None):
         r = vector_norm(values) if r is None else r
         return dH_profile(r)[None] * c_dirs(values, r)
@@ -475,22 +471,17 @@ def coupled_decomposition(p: RadialPotential, table_size: int = 4096,
         raise ConstructionError(
             f"decomposition ellipticity {lam_A} disagrees with the certified window {window.lam}")
     return CoupledCoefficients(
-        a=a_of_r, c=c_dirs, H=H_of_state, H_z=H_z_of_state,
+        a=a_of_r, c=c_dirs, H_z=H_z_of_state,
         H_profile=H_profile, dH_profile=dH_profile,
         bounds=bounds, lam_a=lam_a, lam_A=lam_A, r_max=p.r_max,
         id=f"{p.id}-coupled")
 
 
-def heat_coefficients(r_max: float = 2.0, n_components: int = 1) -> CoupledCoefficients:
+def heat_coefficients(r_max: float = 2.0) -> CoupledCoefficients:
     """Degenerate coupled system with a = 1 and H = 0 exactly (pure heat flow)."""
-
-    def zeros_like_state(values):
-        return np.zeros(values.shape[1:])
-
     return CoupledCoefficients(
         a=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         c=lambda values, r=None: np.zeros_like(values),
-        H=zeros_like_state,
         H_z=lambda values, r=None: np.zeros_like(values),
         H_profile=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         dH_profile=lambda r: np.zeros_like(np.asarray(r, dtype=float)),

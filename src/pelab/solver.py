@@ -1,11 +1,14 @@
 """Explicit time integration of the diffusion system and its coupled form.
 
-One step is a pure function old state -> new state; forward Euler applied to
-the divergence form: the diffusion step computes u + dt * Lap(grad Phi(u)),
-the coupled step adds dt times `grid.face_divergence` (conservative face
-fluxes with arithmetically averaged coefficients, all fed by one |u|), and
-the scalar step is the N = 1 reduction with an arbitrary increasing
-nonlinearity.  Range excursions abort, never clamp; clamping would silently
+The three systems are three right-hand sides L(u, r) of one forward-Euler
+loop body, u + dt * L(u, r), each fed the norm field r = |u| that the loop
+computes once per step: Lap(grad Phi(u)) for the diffusion system,
+`grid.face_divergence` (conservative face fluxes with arithmetically averaged
+coefficients) for the coupled rewrite, and Lap(g(u)) for the scalar N = 1
+reduction with an arbitrary increasing nonlinearity.  `run` drives the body
+over plain arrays and validates a `FieldState` only for a stored snapshot;
+`step_diffusion`, `step_coupled` and `step_scalar` are one pass of it, state
+in, state out.  Range excursions abort, never clamp; clamping would silently
 invalidate every estimate checked downstream.
 """
 
@@ -20,11 +23,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import RangeExcursionError
-from .grid import (FieldState, GridSpec, Trajectory, face_divergence, laplacian,
+from .grid import (FieldState, GridSpec, Trajectory, _laplacian, face_divergence,
                    vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow,
                          RadialPotential, certify_window, coupled_decomposition,
                          grad_Phi_field)
+
+# L(u, r): the time derivative of u given u and its norm field r = |u|
+RightHandSide = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def cfl_dt(grid: GridSpec, window: EllipticityWindow, sigma: float = 1.0) -> float:
@@ -41,35 +47,59 @@ def cfl_dt_coupled(grid: GridSpec, cc: CoupledCoefficients, sigma: float = 1.0) 
     return sigma * grid.h * grid.h / (2.0 * grid.n * cc.bounds["eff_Lambda"])
 
 
-def _abort_if_outside(state: FieldState, r_max: float) -> None:
-    r = vector_norm(state.values)
+def _abort_if_outside(r: np.ndarray, r_max: float, t: float,
+                      step: int | None = None) -> None:
     worst = float(r.max())
     if worst > r_max * (1.0 + 1e-12):
-        loc = tuple(int(i) for i in np.unravel_index(int(r.argmax()), state.grid.sizes))
+        loc = tuple(int(i) for i in np.unravel_index(int(r.argmax()), r.shape))
         raise RangeExcursionError(
-            f"|u| = {worst} exceeds r_max = {r_max} at {loc}, t = {state.t}",
-            location=loc, t=state.t)
+            f"|u| = {worst} exceeds r_max = {r_max} at {loc}, t = {t}",
+            location=loc, t=t, step=step)
 
 
-def _finish_step(state: FieldState, new: np.ndarray, dt: float) -> FieldState:
-    # states are finite by construction, so non-finite values can only be born here
+def _diffusion_rhs(p: RadialPotential, grid: GridSpec) -> RightHandSide:
+    return lambda u, r: _laplacian(grad_Phi_field(p, u, r), grid)
+
+
+def _scalar_rhs(g: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> RightHandSide:
+    return lambda u, r: _laplacian(np.asarray(g(u[0]), dtype=float)[None], grid)
+
+
+def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec) -> RightHandSide:
+    def rhs(u, r):
+        a_field = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r)
+        h_field = np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)
+        c_field = np.asarray(cc.c(u, r), dtype=float)
+        return face_divergence(a_field, u, c_field, h_field, grid)
+    return rhs
+
+
+def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float,
+           r_max: float, step: int | None = None) -> np.ndarray:
+    """The loop body: range abort on r = |u|, u + dt L(u, r), one finiteness check."""
+    _abort_if_outside(r, r_max, t, step)
+    new = rhs(u, r)
+    new *= dt
+    new += u
+    # u is finite, so non-finite values can only be born here
     if not np.isfinite(new).all():
-        bad = ~np.isfinite(new)
-        loc = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), new.shape))
+        loc = tuple(int(i) for i in np.unravel_index(
+            int((~np.isfinite(new)).argmax()), new.shape))
         raise RangeExcursionError(
             f"step produced a non-finite value at component {loc[0]}, point "
-            f"{loc[1:]}, t = {state.t + dt}", location=loc[1:], t=state.t + dt)
+            f"{loc[1:]}, t = {t + dt}", location=loc[1:], t=t + dt, step=step)
+    return new
+
+
+def _step(state: FieldState, rhs: RightHandSide, dt: float, r_max: float) -> FieldState:
+    new = _euler(rhs, state.values, vector_norm(state.values), state.t, dt, r_max)
     return FieldState(grid=state.grid, values=new, t=state.t + dt,
                       boundary_values=state.boundary_values)
 
 
 def step_diffusion(state: FieldState, p: RadialPotential, dt: float) -> FieldState:
     """One forward-Euler step of u_t = Lap(grad Phi(u))."""
-    _abort_if_outside(state, p.r_max)
-    v = grad_Phi_field(p, state.values)
-    new = state.values + dt * np.stack(
-        [laplacian(v[c], state.grid) for c in range(state.n_components)])
-    return _finish_step(state, new, dt)
+    return _step(state, _diffusion_rhs(p, state.grid), dt, p.r_max)
 
 
 def step_scalar(state: FieldState, g: Callable[[np.ndarray], np.ndarray],
@@ -77,25 +107,12 @@ def step_scalar(state: FieldState, g: Callable[[np.ndarray], np.ndarray],
     """One forward-Euler step of the scalar equation u_t = Lap(g(u))."""
     if state.n_components != 1:
         raise ValueError("the scalar step applies to single-component states")
-    if math.isfinite(r_max):
-        _abort_if_outside(state, r_max)
-    v = np.asarray(g(state.values[0]), dtype=float)
-    new = state.values + dt * laplacian(v, state.grid)[None]
-    return _finish_step(state, new, dt)
+    return _step(state, _scalar_rhs(g, state.grid), dt, r_max)
 
 
 def step_coupled(state: FieldState, cc: CoupledCoefficients, dt: float) -> FieldState:
-    """One conservative face-flux step of u_t = div(a grad u + c grad H(u)); |u| once."""
-    r = vector_norm(state.values)
-    if float(r.max()) > cc.r_max * (1.0 + 1e-12):
-        _abort_if_outside(state, cc.r_max)
-    a_field = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r)
-    h_field = np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)
-    c_field = np.asarray(cc.c(state.values, r), dtype=float)
-    new = face_divergence(a_field, state.values, c_field, h_field, state.grid)
-    new *= dt
-    new += state.values
-    return _finish_step(state, new, dt)
+    """One conservative face-flux step of u_t = div(a grad u + c grad H(u))."""
+    return _step(state, _coupled_rhs(cc, state.grid), dt, cc.r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +339,14 @@ def run(config: RunConfig) -> Trajectory:
     """
     p = config.potential
     window = certify_window(p)
-    cc = None
     if config.system == "coupled":
         cc = coupled_decomposition(p)
         dt_max = cfl_dt_coupled(config.grid, cc, config.cfl_sigma)
+        rhs = _coupled_rhs(cc, config.grid)
     else:
         dt_max = cfl_dt(config.grid, window, config.cfl_sigma)
+        rhs = (_scalar_rhs(p.phi1, config.grid) if config.system == "scalar"
+               else _diffusion_rhs(p, config.grid))
     steps, dt = _plan_steps(config.t_end, dt_max, config.snapshot_every,
                             config.dt_override)
 
@@ -337,27 +356,20 @@ def run(config: RunConfig) -> Trajectory:
         ring = config.grid.boundary_mask
         for c in range(config.n_components):
             values[c][ring] = bv[c if len(bv) > 1 else 0]
-    state = FieldState(grid=config.grid, values=values, t=0.0,
-                       boundary_values=config.boundary_values)
-    _abort_if_outside(state, p.r_max)
-
-    if config.system == "scalar":
-        stepper = lambda s: step_scalar(s, p.phi1, dt, r_max=p.r_max)
-    elif config.system == "coupled":
-        stepper = lambda s: step_coupled(s, cc, dt)
-    else:
-        stepper = lambda s: step_diffusion(s, p, dt)
-
-    snaps = [state]
-    for k in range(steps):
-        try:
-            state = stepper(state)
-        except RangeExcursionError as exc:
-            exc.step = k + 1
-            raise
-        if (k + 1) % config.snapshot_every == 0:
-            snaps.append(state)
-    _abort_if_outside(state, p.r_max)
+    snaps = [FieldState(grid=config.grid, values=values, t=0.0,
+                        boundary_values=config.boundary_values)]
+    # plain arrays from here on; a FieldState is built only for a snapshot
+    u, t = snaps[0].values, 0.0
+    r = vector_norm(u)
+    _abort_if_outside(r, p.r_max, t)
+    for k in range(1, steps + 1):
+        u = _euler(rhs, u, r, t, dt, p.r_max, step=k)
+        t += dt
+        r = vector_norm(u)
+        if k % config.snapshot_every == 0:
+            snaps.append(FieldState(grid=config.grid, values=u, t=t,
+                                    boundary_values=config.boundary_values))
+    _abort_if_outside(r, p.r_max, t)
 
     doc = config.describe()
     meta = {

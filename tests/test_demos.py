@@ -3,16 +3,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
+# every demo, with a line of output that only a complete run prints
+DEMOS = {
+    "contraction_and_boundedness": "sup|u|",
+    "coupled_system": "the degenerate case",
+    "entropy_construction": "cosh closed form check",
+    "heat_oracle": "discrete prediction",
+    "regularity_monitors": "empirical Hoelder seminorm",
+}
 
-def test_coupled_system_demo_runs():
-    # end to end through the coupled step, face_divergence and the coupled
-    # entropy residual, as a user runs it from a checkout
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_runs(demo):
+    # end to end as a user runs it from a checkout
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "coupled_system.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "coupled coefficients" in proc.stdout
+    assert DEMOS[demo] in proc.stdout

@@ -387,7 +387,7 @@ class TestChooseEntropyParams:
     def test_doubling_coupling_quadruples_constant(self):
         base = coupled_decomposition(cosh_potential(1.0))
         doubled = CoupledCoefficients(
-            a=base.a, c=base.c, H=base.H, H_z=base.H_z, H_profile=base.H_profile,
+            a=base.a, c=base.c, H_z=base.H_z, H_profile=base.H_profile,
             dH_profile=base.dH_profile,
             bounds={**base.bounds, "sup_c": 2.0}, lam_a=base.lam_a,
             lam_A=base.lam_A, r_max=base.r_max, id="x2")

@@ -3,7 +3,8 @@ import pytest
 
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    Trajectory, cylinder_average, cylinder_members, cylinder_sum,
-                   gradient_sq, laplacian, read_snapshot, write_snapshot)
+                   gradient_sq, hessian_sq, laplacian, read_snapshot,
+                   write_snapshot)
 
 
 def periodic_grid(size=128, n=1):
@@ -18,6 +19,141 @@ def stationary_trajectory(grid, values, n_snaps=5, dt=1e-4, bv=None):
     snaps = tuple(FieldState(grid=grid, values=values.copy(), t=k * dt,
                              boundary_values=bv) for k in range(n_snaps))
     return Trajectory(snapshots=snaps, dt=dt)
+
+
+# Frozen copies of the earlier stencil twins, np.roll on periodic grids and
+# interior slicing on Dirichlet grids: the oracle for the one-path stencils.
+
+def reference_laplacian(f, grid):
+    h2 = grid.h * grid.h
+    if grid.periodic:
+        out = -2.0 * grid.n * f
+        for a in range(grid.n):
+            out += np.roll(f, 1, axis=a) + np.roll(f, -1, axis=a)
+        return out / h2
+    out = np.zeros_like(f)
+    core = tuple(slice(1, -1) for _ in range(grid.n))
+    acc = -2.0 * grid.n * f[core]
+    for a in range(grid.n):
+        up = list(core)
+        dn = list(core)
+        up[a] = slice(2, None)
+        dn[a] = slice(0, -2)
+        acc = acc + f[tuple(up)] + f[tuple(dn)]
+    out[core] = acc / h2
+    return out
+
+
+def reference_gradient_sq(comps, grid):
+    out = np.zeros(grid.sizes)
+    for c in range(comps.shape[0]):
+        f = comps[c]
+        for a in range(grid.n):
+            if grid.periodic:
+                d = (np.roll(f, -1, axis=a) - np.roll(f, 1, axis=a)) / (2.0 * grid.h)
+            else:
+                d = np.gradient(f, grid.h, axis=a, edge_order=1)
+            out += d * d
+    return out
+
+
+def reference_hessian_sq(comps, grid):
+    h2 = grid.h * grid.h
+    out = np.zeros(grid.sizes)
+
+    def shift(f, a, k):
+        return np.roll(f, -k, axis=a)
+
+    if grid.periodic:
+        for c in range(comps.shape[0]):
+            f = comps[c]
+            for a in range(grid.n):
+                daa = (shift(f, a, 1) - 2.0 * f + shift(f, a, -1)) / h2
+                out += daa * daa
+                for b in range(grid.n):
+                    if b == a:
+                        continue
+                    dab = (shift(shift(f, a, 1), b, 1) - shift(shift(f, a, 1), b, -1)
+                           - shift(shift(f, a, -1), b, 1) + shift(shift(f, a, -1), b, -1)) / (4.0 * h2)
+                    out += dab * dab
+        return out
+
+    core = tuple(slice(1, -1) for _ in range(grid.n))
+
+    def sh(a, k):
+        sl = list(core)
+        sl[a] = slice(1 + k, (-1 + k) or None)
+        return tuple(sl)
+
+    def sh2(a, ka, b, kb):
+        sl = list(core)
+        sl[a] = slice(1 + ka, (-1 + ka) or None)
+        sl[b] = slice(1 + kb, (-1 + kb) or None)
+        return tuple(sl)
+
+    acc = np.zeros_like(comps[0][core])
+    for c in range(comps.shape[0]):
+        f = comps[c]
+        for a in range(grid.n):
+            daa = (f[sh(a, 1)] - 2.0 * f[core] + f[sh(a, -1)]) / h2
+            acc += daa * daa
+            for b in range(grid.n):
+                if b == a:
+                    continue
+                dab = (f[sh2(a, 1, b, 1)] - f[sh2(a, 1, b, -1)]
+                       - f[sh2(a, -1, b, 1)] + f[sh2(a, -1, b, -1)]) / (4.0 * h2)
+                acc += dab * dab
+    out[core] = acc
+    return out
+
+
+# 1D, 2D and 3D, both boundary kinds, cubes and anisotropic boxes
+STENCIL_GRIDS = [
+    GridSpec(n=1, sizes=(128,), h=1.0 / 128, boundary=PERIODIC),
+    GridSpec(n=1, sizes=(129,), h=1.0 / 128, boundary=DIRICHLET),
+    GridSpec(n=2, sizes=(24, 16), h=1.0 / 24, boundary=PERIODIC),
+    GridSpec(n=2, sizes=(17, 17), h=1.0 / 16, boundary=DIRICHLET),
+    GridSpec(n=2, sizes=(9, 21), h=1.0 / 8, boundary=DIRICHLET),
+    GridSpec(n=3, sizes=(12, 8, 10), h=1.0 / 12, boundary=PERIODIC),
+    GridSpec(n=3, sizes=(9, 13, 11), h=1.0 / 8, boundary=DIRICHLET),
+]
+
+
+class TestStencilParity:
+    """One slicing path per stencil reproduces the roll/slice twins."""
+
+    @pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.boundary}-{g.sizes}")
+    def test_laplacian(self, g):
+        rng = np.random.default_rng(sum(g.sizes))
+        u = rng.standard_normal((3, *g.sizes))
+        for f in u:
+            ref = reference_laplacian(f, g)
+            got = laplacian(f, g)
+            if g.periodic:
+                assert np.array_equal(got, ref)
+            else:  # the neighbour pair is summed first now, a reordering
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.all(got[g.boundary_mask] == 0.0)
+        # a component stack is differenced componentwise
+        assert np.array_equal(laplacian(u, g), np.stack([laplacian(f, g) for f in u]))
+
+    @pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.boundary}-{g.sizes}")
+    def test_gradient_sq_and_hessian_sq_are_bit_identical(self, g):
+        rng = np.random.default_rng(sum(g.sizes) + 1)
+        u = rng.standard_normal((2, *g.sizes))
+        assert np.array_equal(gradient_sq(u, g), reference_gradient_sq(u, g))
+        assert np.array_equal(hessian_sq(u, g), reference_hessian_sq(u, g))
+        assert np.array_equal(hessian_sq(u[0], g), reference_hessian_sq(u[:1], g))
+
+    @pytest.mark.parametrize("stencil", [gradient_sq, hessian_sq])
+    def test_validated_like_laplacian(self, stencil):
+        g = periodic_grid(16, n=2)
+        f = np.zeros(g.sizes)
+        f[3, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            stencil(f, g)
+        with pytest.raises(ValueError, match="shape"):
+            stencil(np.zeros((16, 8)), g)
 
 
 class TestGridSpec:

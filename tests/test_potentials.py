@@ -11,8 +11,8 @@ from pelab import (ConstructionError, ConvexityError, RadialPotential,
                    from_piecewise_poly, get_potential, grad_Phi, grad_Phi_field,
                    heat_coefficients, hessian_Phi, invert_phi, quadratic,
                    quartic, smoothed_porous)
-from pelab.potentials import (_uniform_knot_evaluator, cumulative_simpson,
-                              radial_slope)
+from pelab.potentials import (EPS_TAYLOR, _uniform_knot_evaluator,
+                              cumulative_simpson, radial_slope)
 
 ALL_BUILTINS = [quadratic(2.0), cosh_potential(1.0), quartic(1.0), smoothed_porous()]
 
@@ -23,6 +23,41 @@ def pure_quartic():
                            phi1=lambda r: np.asarray(r, float) ** 3,
                            phi2=lambda r: 3.0 * np.asarray(r, float) ** 2,
                            r_max=1.0, id="r4")
+
+
+def reference_radial_slope(p, r):
+    # frozen boolean gather/scatter version, the oracle of the one-pass slope
+    r = np.asarray(r, dtype=float)
+    scalar = r.ndim == 0
+    r = np.atleast_1d(r)
+    out = np.full(r.shape, float(p.phi2(0.0)))
+    big = r >= EPS_TAYLOR
+    if big.any():
+        rb = r[big]
+        out[big] = np.asarray(p.phi1(rb), dtype=float) / rb
+    return out[0] if scalar else out
+
+
+class TestRadialSlope:
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_one_pass_is_bit_identical_to_gather(self, p):
+        rng = np.random.default_rng(11)
+        r = rng.uniform(0.0, p.r_max, (256, 256))
+        r.flat[:8] = [0.0, 1e-300, 1e-7, EPS_TAYLOR, np.nextafter(EPS_TAYLOR, 0.0),
+                      0.5 * p.r_max, p.r_max, 0.0]
+        got, ref = radial_slope(p, r), reference_radial_slope(p, r)
+        # int64 views compare bit patterns, so signed zeros count
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        for x in r.flat[:8]:
+            assert np.float64(radial_slope(p, x)).view(np.int64) \
+                == np.float64(reference_radial_slope(p, x)).view(np.int64)
+
+    def test_grad_Phi_field_takes_the_norm_it_is_given(self):
+        p = cosh_potential(1.0)
+        vals = np.random.default_rng(12).uniform(-0.6, 0.6, (2, 7, 5))
+        vals[:, 0, 0] = 0.0
+        r = np.sqrt(np.sum(np.square(vals), axis=0))
+        assert np.array_equal(grad_Phi_field(p, vals, r), grad_Phi_field(p, vals))
 
 
 class TestGradPhi:
@@ -259,9 +294,9 @@ class TestCoupledDecomposition:
         assert cc.bounds["eff_Lambda"] == pytest.approx(w.Lam, abs=1e-12)
 
     def test_heat_coefficients_are_exactly_trivial(self):
-        cc = heat_coefficients(n_components=2)
+        cc = heat_coefficients()
         v = np.zeros((2, 5))
-        assert np.all(cc.H(v) == 0.0)
+        assert np.all(cc.H_profile(np.linalg.norm(v, axis=0)) == 0.0)
         assert np.all(cc.H_z(v) == 0.0)
         assert cc.bounds["sup_Hzz"] == 0.0
 

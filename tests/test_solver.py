@@ -10,8 +10,10 @@ from pelab import (DIRICHLET, PERIODIC, FieldState, GridSpec,
                    quadratic, run, step_coupled, step_diffusion, step_scalar,
                    vector_norm, with_resolution)
 from pelab.grid import face_divergence
-from pelab.potentials import EllipticityWindow
-from pelab.solver import _abort_if_outside, _finish_step
+from pelab.potentials import EPS_ZERO, EllipticityWindow, RadialPotential
+from pelab.solver import _plan_steps
+from test_grid import reference_laplacian
+from test_potentials import reference_radial_slope
 
 
 def pgrid(size, n=1):
@@ -59,15 +61,95 @@ def reference_face_divergence(scalar_coef, fields, extra_coef, extra_field, grid
     return out
 
 
+# Frozen copy of the earlier per-system steps and time loop: every step
+# validates its input range and builds a checked FieldState, and `run`
+# stamps the step number on a range abort.
+
+def reference_abort_if_outside(state, r_max):
+    r = vector_norm(state.values)
+    worst = float(r.max())
+    if worst > r_max * (1.0 + 1e-12):
+        loc = tuple(int(i) for i in np.unravel_index(int(r.argmax()), state.grid.sizes))
+        raise RangeExcursionError(
+            f"|u| = {worst} exceeds r_max = {r_max} at {loc}, t = {state.t}",
+            location=loc, t=state.t)
+
+
+def reference_finish_step(state, new, dt):
+    if not np.isfinite(new).all():
+        bad = ~np.isfinite(new)
+        loc = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), new.shape))
+        raise RangeExcursionError(
+            f"step produced a non-finite value at component {loc[0]}, point "
+            f"{loc[1:]}, t = {state.t + dt}", location=loc[1:], t=state.t + dt)
+    return FieldState(grid=state.grid, values=new, t=state.t + dt,
+                      boundary_values=state.boundary_values)
+
+
+def reference_step_diffusion(state, p, dt):
+    reference_abort_if_outside(state, p.r_max)
+    r = np.sqrt(np.sum(np.square(state.values), axis=0))
+    g = np.where(r < EPS_ZERO, 0.0, reference_radial_slope(p, r))
+    v = g[None] * state.values
+    new = state.values + dt * np.stack(
+        [reference_laplacian(v[c], state.grid) for c in range(state.n_components)])
+    return reference_finish_step(state, new, dt)
+
+
+def reference_step_scalar(state, g, dt, r_max=math.inf):
+    if math.isfinite(r_max):
+        reference_abort_if_outside(state, r_max)
+    v = np.asarray(g(state.values[0]), dtype=float)
+    new = state.values + dt * reference_laplacian(v, state.grid)[None]
+    return reference_finish_step(state, new, dt)
+
+
 def reference_step_coupled(state, cc, dt):
-    _abort_if_outside(state, cc.r_max)
+    reference_abort_if_outside(state, cc.r_max)
     r = vector_norm(state.values)
     a_field = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r)
-    h_field = np.asarray(cc.H(state.values), dtype=float) + np.zeros_like(r)
+    h_field = np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)
     c_field = np.asarray(cc.c(state.values), dtype=float)
     div = reference_face_divergence(a_field, state.values, c_field, h_field, state.grid)
     new = state.values + dt * div
-    return _finish_step(state, new, dt)
+    return reference_finish_step(state, new, dt)
+
+
+def reference_run(config):
+    """Snapshots of the earlier `run` loop over the frozen steps."""
+    p = config.potential
+    if config.system == "coupled":
+        cc = coupled_decomposition(p)
+        dt_max = cfl_dt_coupled(config.grid, cc, config.cfl_sigma)
+    else:
+        dt_max = cfl_dt(config.grid, certify_window(p), config.cfl_sigma)
+    steps, dt = _plan_steps(config.t_end, dt_max, config.snapshot_every,
+                            config.dt_override)
+    values = initial_field(config.grid, config.n_components, config.initial, config.seed)
+    if not config.grid.periodic:
+        bv = config.boundary_values
+        for c in range(config.n_components):
+            values[c][config.grid.boundary_mask] = bv[c if len(bv) > 1 else 0]
+    state = FieldState(grid=config.grid, values=values, t=0.0,
+                       boundary_values=config.boundary_values)
+    reference_abort_if_outside(state, p.r_max)
+    if config.system == "scalar":
+        stepper = lambda s: reference_step_scalar(s, p.phi1, dt, r_max=p.r_max)
+    elif config.system == "coupled":
+        stepper = lambda s: reference_step_coupled(s, cc, dt)
+    else:
+        stepper = lambda s: reference_step_diffusion(s, p, dt)
+    snaps = [state]
+    for k in range(steps):
+        try:
+            state = stepper(state)
+        except RangeExcursionError as exc:
+            exc.step = k + 1
+            raise
+        if (k + 1) % config.snapshot_every == 0:
+            snaps.append(state)
+    reference_abort_if_outside(state, p.r_max)
+    return snaps
 
 
 # (potential, boundary, sizes, components): 1D, 2D and 3D, both boundary
@@ -152,7 +234,7 @@ class TestSteps:
         u = 0.2 * rng.standard_normal((2, 32))
         s = FieldState(grid=g, values=u, t=0.0)
         dt = 1e-5
-        got = step_coupled(s, heat_coefficients(n_components=2), dt)
+        got = step_coupled(s, heat_coefficients(), dt)
         ref = np.stack([u[c] + dt * laplacian(u[c], g) for c in range(2)])
         assert np.abs(got.values - ref).max() < 1e-14
 
@@ -170,7 +252,7 @@ class TestSteps:
             bv = (0.1, -0.2)
         s = FieldState(grid=g, values=u, t=0.0, boundary_values=bv)
         dt = 1e-5
-        got = step_coupled(s, heat_coefficients(n_components=2), dt)
+        got = step_coupled(s, heat_coefficients(), dt)
         ref = np.stack([u[c] + dt * laplacian(u[c], g) for c in range(2)])
         assert np.abs(got.values - ref).max() < 1e-15
 
@@ -448,7 +530,7 @@ class TestCoupledParity:
 
     def test_heat_coefficients_are_bit_identical(self):
         _, state = parity_state("cosh", PERIODIC, (20, 12), 2)
-        cc = heat_coefficients(n_components=2)
+        cc = heat_coefficients()
         got = step_coupled(state, cc, 1e-5)
         assert np.array_equal(got.values, reference_step_coupled(state, cc, 1e-5).values)
 
@@ -465,3 +547,84 @@ class TestCoupledParity:
             errors.append((str(exc.value), exc.value.location, exc.value.t))
         assert errors[0] == errors[1]
         assert errors[0][1] == (5, 9)
+
+
+def parity_config(system, pid, boundary, sizes, nc, seed=5):
+    p = get_potential(pid)
+    nc = 1 if system == "scalar" else nc
+    h = 1.0 / sizes[0] if boundary == PERIODIC else 1.0 / (sizes[0] - 1)
+    g = GridSpec(n=len(sizes), sizes=sizes, h=h, boundary=boundary)
+    bv = None if boundary == PERIODIC else tuple(0.1 * (c + 1) for c in range(nc))
+    return RunConfig(grid=g, n_components=nc, potential=p, t_end=6.0 * h * h,
+                     system=system, snapshot_every=3, boundary_values=bv,
+                     initial={"kind": "bands", "kmax": 3, "amplitude": 0.6 * p.r_max,
+                              "offset": [0.05] * nc}, seed=seed)
+
+
+def unstable_potential():
+    # phi'' = 1 understates (r + 5 r^3)' = 1 + 15 r^2, so the certified CFL
+    # step is unstable where |u| is large
+    return RadialPotential(phi=lambda r: 0.5 * np.square(r) + 1.25 * np.square(r) ** 2,
+                           phi1=lambda r: np.asarray(r, dtype=float) + 5.0 * np.asarray(r, dtype=float) ** 3,
+                           phi2=lambda r: np.ones_like(np.asarray(r, dtype=float)),
+                           r_max=1.0, id="understated")
+
+
+class TestRunParity:
+    """`run` over plain arrays reproduces the earlier per-step FieldState loop."""
+
+    @pytest.mark.parametrize("system", ["diffusion", "coupled", "scalar"])
+    @pytest.mark.parametrize("pid,boundary,sizes,nc", PARITY_CASES)
+    def test_snapshots_match_the_frozen_loop(self, system, pid, boundary, sizes, nc):
+        cfg = parity_config(system, pid, boundary, sizes, nc)
+        traj, ref = run(cfg), reference_run(cfg)
+        assert len(traj.snapshots) == len(ref) >= 4
+        for got, old in zip(traj.snapshots, ref):
+            assert got.t == old.t
+            assert got.boundary_values == old.boundary_values
+            if boundary == PERIODIC or system == "coupled":
+                assert np.array_equal(got.values, old.values)
+            else:  # only the Dirichlet Laplacian changed its summation order
+                assert np.abs(got.values - old.values).max() <= 1e-13 * np.abs(old.values).max()
+        assert np.abs(traj.final.values - traj.snapshots[0].values).max() > 0.0
+
+    def test_one_field_state_per_snapshot(self, monkeypatch):
+        built = []
+        post_init = FieldState.__post_init__
+        monkeypatch.setattr(FieldState, "__post_init__",
+                            lambda self: (built.append(self.t), post_init(self))[1])
+        for system in ("diffusion", "coupled", "scalar"):
+            built.clear()
+            traj = run(parity_config(system, "cosh", DIRICHLET, (17, 17), 2))
+            assert traj.meta["steps"] > len(traj.snapshots) - 1
+            assert len(built) == len(traj.snapshots)
+
+    @pytest.mark.parametrize("system", ["diffusion", "coupled", "scalar"])
+    def test_mid_run_abort_witness_is_unchanged(self, system):
+        # rounding noise on a near-constant state near r_max grows ~3x a step
+        cfg = RunConfig(grid=pgrid(32), n_components=1, potential=unstable_potential(),
+                        t_end=0.01, system=system, snapshot_every=1,
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.05,
+                                 "offset": [0.9]}, seed=2)
+        witnesses = []
+        for integrate in (run, reference_run):
+            with pytest.raises(RangeExcursionError) as exc:
+                integrate(cfg)
+            e = exc.value
+            witnesses.append((str(e), e.location, e.t, e.step))
+        assert witnesses[0] == witnesses[1]
+        message, location, t, step = witnesses[0]
+        assert "exceeds r_max" in message
+        assert step is not None and 1 < step
+        assert t > 0.0 and len(location) == 1
+
+    def test_non_finite_slope_is_a_range_excursion(self):
+        p = RadialPotential(phi=lambda r: 0.5 * np.square(r),
+                            phi1=lambda r: np.where(np.asarray(r) > 0.3, np.nan, r),
+                            phi2=lambda r: np.ones_like(np.asarray(r, dtype=float)),
+                            r_max=1.0, id="nan-slope")
+        u = np.full((1, 32), 0.5)
+        s = FieldState(grid=pgrid(32), values=u, t=0.0)
+        with pytest.raises(RangeExcursionError, match="non-finite") as exc:
+            step_diffusion(s, p, 1e-5)
+        assert exc.value.location == (0,) and exc.value.t == 1e-5
