@@ -8,9 +8,11 @@ case the entropy residual cancels to rounding rather than to truncation.
 
 The H^-1 norm solves the discrete zero-Dirichlet Poisson problem exactly by
 diagonalising the 2n+1-point Laplacian with a type-I sine transform (DST-I) on
-the interior; periodic trajectories use the whole-domain periodic variant,
-solved by FFT on the mean-zero subspace (the contraction statement assumes
-matching boundary traces, which periodic wrap-around provides).
+the interior, taken per axis as the real FFT `np.fft.rfft` of the odd
+extension; periodic trajectories use the whole-domain periodic variant,
+solved by `np.fft.rfftn`/`irfftn` on the mean-zero subspace (the contraction
+statement assumes matching boundary traces, which periodic wrap-around
+provides).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import RangeExcursionError
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
@@ -103,22 +104,45 @@ def _gradient_energy(w_full: np.ndarray, grid: GridSpec) -> float:
     return total * grid.cell_volume()
 
 
+def _dst1(x: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Unnormalised DST-I along each axis: y_k = 2 sum_j x_j sin(pi (j+1)(k+1) / (m+1)).
+
+    Per axis, the imaginary part of the real FFT of the odd extension
+    [0, -x, 0, x reversed] (length 2(m+1)), bins 1..m.
+    """
+    for a in axes:
+        m = x.shape[a]
+        pre = (slice(None),) * a
+        shape = list(x.shape)
+        shape[a] = 2 * (m + 1)
+        ext = np.empty(shape)
+        ext[pre + (0,)] = 0.0
+        ext[pre + (m + 1,)] = 0.0
+        np.negative(x, out=ext[pre + (slice(1, m + 1),)])
+        ext[pre + (slice(m + 2, None),)] = x[pre + (slice(None, None, -1),)]
+        x = np.fft.rfft(ext, axis=a).imag[pre + (slice(1, m + 1),)]
+    return x
+
+
 def _h_minus_one(values: np.ndarray, grid: GridSpec) -> float:
     """Solve (-Lap) w = f per component by diagonalising -Lap, return the energy norm.
 
-    FFT on periodic grids, DST-I on the Dirichlet interior (boundary entries of
-    f are ignored and w vanishes on the layer).
+    `np.fft.rfftn`/`irfftn` on periodic grids, DST-I (`_dst1`, which is its
+    own inverse up to the factor prod 2(m+1)) on the Dirichlet interior
+    (boundary entries of f are ignored and w vanishes on the layer).
     """
     comps = _as_components(values, grid)
     axes = tuple(range(1, grid.n + 1))
     mu = _laplacian_symbol(grid)
     if grid.periodic:
-        w = sfft.ifftn(sfft.fftn(comps, axes=axes) / mu, axes=axes).real
+        half = mu[..., :grid.sizes[-1] // 2 + 1]   # the bins rfftn keeps
+        w = np.fft.irfftn(np.fft.rfftn(comps, axes=axes) / half,
+                          s=grid.sizes, axes=axes)
     else:
         core = (slice(None), *grid.interior_slices)
+        scale = 1.0 / math.prod(2 * (m - 1) for m in grid.sizes)
         w = np.zeros_like(comps)
-        w[core] = sfft.idstn(sfft.dstn(comps[core], type=1, axes=axes) / mu,
-                             type=1, axes=axes)
+        w[core] = _dst1(_dst1(comps[core], axes) / mu, axes) * scale
     return math.sqrt(sum(_gradient_energy(wc, grid) for wc in w))
 
 

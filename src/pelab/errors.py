@@ -14,7 +14,13 @@ class ConvexityError(DomainAbort):
 
 
 class RangeExcursionError(DomainAbort):
-    """A field left the certified range [0, r_max]."""
+    """A field left the certified range [0, r_max].
+
+    `step` is stamped by the time loop: the step it refused to take when the
+    check before a step fails, and the last step taken (the step count) when
+    the check after the final step fails.  It is None for the initial datum
+    and for single steps.
+    """
 
     def __init__(self, message: str, location=None, t: float | None = None,
                  step: int | None = None):

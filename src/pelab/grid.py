@@ -118,6 +118,14 @@ def _as_components(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return values
 
 
+def _zero_ring(out: np.ndarray, n: int) -> None:
+    """Zero the first and last plane of each of the last n axes of `out`."""
+    for a in range(out.ndim - n, out.ndim):
+        pre = (slice(None),) * a
+        out[pre + (0,)] = 0.0
+        out[pre + (-1,)] = 0.0
+
+
 def _laplacian(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Unchecked 2n+1-point Laplacian of each component of an (N, *sizes) array.
 
@@ -139,7 +147,7 @@ def _laplacian(f: np.ndarray, grid: GridSpec) -> np.ndarray:
         out += nb
     out /= grid.h * grid.h
     if not grid.periodic:
-        out[:, grid.boundary_mask] = 0.0
+        _zero_ring(out, grid.n)
     return out
 
 
@@ -195,7 +203,7 @@ def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
         tmp /= h
         out += tmp
     if not grid.periodic:
-        out[:, grid.boundary_mask] = 0.0
+        _zero_ring(out, grid.n)
     return out
 
 
@@ -254,7 +262,7 @@ def hessian_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
                        - at(padded, e[b] - e[a]) + at(padded, -e[a] - e[b])) / (4.0 * h2)
                 out += dab * dab
     if not grid.periodic:
-        out[grid.boundary_mask] = 0.0
+        _zero_ring(out, grid.n)
     return out
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ConstructionError, ConvexityError, RangeExcursionError
 from .grid import vector_norm
@@ -188,7 +187,8 @@ def from_piecewise_poly(breakpoints, coeffs, r_max: float | None = None,
 
     `breakpoints` are the k+1 knots of k pieces; `coeffs` has one row of
     descending-power coefficients per piece (scipy PPoly layout transposed).
-    Derivatives are exact polynomial derivatives.
+    Derivatives are exact polynomial derivatives; inputs are clipped to the
+    knot range.
     """
     x = np.asarray(breakpoints, dtype=float)
     c = np.asarray(coeffs, dtype=float).T
@@ -196,15 +196,42 @@ def from_piecewise_poly(breakpoints, coeffs, r_max: float | None = None,
         raise ValueError("breakpoints must be strictly increasing with at least 2 entries")
     if c.ndim != 2 or c.shape[1] != len(x) - 1:
         raise ValueError("one coefficient row per polynomial piece required")
-    p = PPoly(c, x)
-    p1 = p.derivative()
-    p2 = p1.derivative()
+    c1 = _derivative_rows(c)
+    c2 = _derivative_rows(c1)
     return RadialPotential(
-        phi=lambda r: p(np.clip(r, x[0], x[-1])),
-        phi1=lambda r: p1(np.clip(r, x[0], x[-1])),
-        phi2=lambda r: p2(np.clip(r, x[0], x[-1])),
+        phi=_piecewise_evaluator(x, c),
+        phi1=_piecewise_evaluator(x, c1),
+        phi2=_piecewise_evaluator(x, c2),
         r_max=float(r_max) if r_max is not None else float(x[-1]),
         id=pid)
+
+
+def _derivative_rows(c: np.ndarray) -> np.ndarray:
+    """Descending-power rows of the piecewise derivative: drop the constant row,
+    scale row j of a degree-d table by d - j (a zero row for constant pieces)."""
+    if len(c) == 1:
+        return np.zeros_like(c)
+    return c[:-1] * np.arange(len(c) - 1, 0, -1, dtype=float)[:, None]
+
+
+def _piecewise_evaluator(x: np.ndarray, c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluate the pieces c (descending powers, one column per interval of the
+    knots x) at r clipped to [x[0], x[-1]], as `PPoly.__call__` does.
+
+    Intervals are half-open [x_i, x_i+1) except the last, which is closed, and
+    the sum runs from 0.0 upwards in powers of s = r - x_i: res + c_k s^k.
+    """
+    def evaluate(r):
+        r = np.clip(np.asarray(r, dtype=float), x[0], x[-1])
+        i = np.minimum(np.searchsorted(x, r, side="right") - 1, len(x) - 2)
+        s = r - x[i]
+        res, z = np.where(np.isnan(s), np.nan, 0.0), 1.0
+        for row in c[::-1]:
+            res = res + row[i] * z
+            z = z * s
+        return res
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +295,18 @@ def certify_window(p: RadialPotential, samples: int = CERT_SAMPLES) -> Elliptici
     """Sample both Hessian eigenvalue branches densely and report their extrema.
 
     Raises ConvexityError naming the offending radius when strict convexity
-    fails anywhere on [0, r_max].
+    fails anywhere on [0, r_max], or the first radius where a branch is not
+    finite.
     """
     rs = np.linspace(0.0, p.r_max, samples)
     branches = np.stack([np.asarray(p.phi2(rs), dtype=float) + np.zeros_like(rs),
                          radial_slope(p, rs)])
+    finite = np.isfinite(branches).all(axis=0)
+    if not finite.all():
+        r_bad = float(rs[int(finite.argmin())])
+        raise ConvexityError(
+            f"potential '{p.id}' has a non-finite Hessian eigenvalue at r = {r_bad}",
+            r=r_bad)
     mins = branches.min(axis=0)
     lam = float(mins.min())
     Lam = float(branches.max())
@@ -336,18 +370,28 @@ def cumulative_simpson(f: Callable[[np.ndarray], np.ndarray], x_max: float,
         f"within {max_doublings} refinements")
 
 
-def _uniform_knot_evaluator(spline: CubicSpline) -> Callable[[np.ndarray], np.ndarray]:
-    """`spline.__call__` bit for bit, for knots np.linspace(0, x_max, m + 1).
+def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
+                            dydx: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Cubic Hermite table through (x, y) with nodal slopes dydx, for knots
+    x = np.linspace(0, x_max, m + 1).
 
-    The interval is floor(r / width) corrected by one against the real knots,
-    end polynomials extrapolate, and the sum runs in scipy's order
-    0.0 + c3 + c2 s + c1 s^2 + c0 s^3 (so no -0.0 survives, as in scipy).
+    The coefficients are `scipy.interpolate.CubicHermiteSpline`'s, and the
+    result is its `__call__` bit for bit: the interval is floor(r / width)
+    corrected by one against the real knots, end polynomials extrapolate, and
+    the sum runs in PPoly's order 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 (so no
+    -0.0 survives).
     """
-    x, m = spline.x, len(spline.x) - 1
+    m = len(x) - 1
     width = x[-1] / m
     lo = np.concatenate([[-np.inf], x[1:-1]])   # no step down from the first interval
     hi = np.concatenate([x[1:-1], [np.inf]])    # nor up from the last
-    c0, c1, c2, c3 = spline.c + 0.0
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c0 = t / dx + 0.0
+    c1 = (slope - dydx[:-1]) / dx - t + 0.0
+    c2 = dydx[:-1] + 0.0
+    c3 = y[:-1] + 0.0
 
     def evaluate(r):
         r = np.asarray(r, dtype=float)
@@ -370,7 +414,9 @@ def build_entropy(p: RadialPotential, table_size: int = 4096,
     """Construct gamma with gamma' = phi'' o (inverse of phi) by quadrature.
 
     The inverse is computed by monotone bisection (1e-12 absolute in r), the
-    integral by adaptive composite Simpson to `quad_tol`, and the identity
+    integral by adaptive composite Simpson to `quad_tol` on `table_size`
+    uniform intervals, and gamma between the nodes is the cubic Hermite table
+    with exact nodal slopes gamma' = phi'' o (inverse of phi).  The identity
     gamma(phi(z)) = phi'(z)^2 / 2 is certified on `check_samples` points of
     [0, r_max]; the measured maximum residual is recorded as `tol`.  A residual
     above `max_residual` signals evaluators inconsistent with their stated
@@ -386,9 +432,7 @@ def build_entropy(p: RadialPotential, table_size: int = 4096,
     gamma_nodes = cumulative_simpson(integrand, z_max, table_size, quad_tol)
     if np.any(np.diff(gamma_nodes) <= 0.0):
         raise ConstructionError(f"entropy table for '{p.id}' is not strictly increasing")
-    gamma = _uniform_knot_evaluator(CubicSpline(
-        nodes, gamma_nodes, bc_type=((1, float(integrand(np.array([0.0]))[0])),
-                                     (1, float(integrand(np.array([z_max]))[0])))))
+    gamma = _uniform_knot_evaluator(nodes, gamma_nodes, integrand(nodes))
 
     def gamma1(z):
         return np.asarray(p.phi2(invert_phi(p, np.asarray(z, dtype=float))), dtype=float)
@@ -416,16 +460,15 @@ def coupled_decomposition(p: RadialPotential, table_size: int = 4096,
 
     a(r) = phi'(r)/r (times the identity), c = unit radial directions, and
     H(r) = phi'(r) - integral_0^r phi'(s)/s ds with the integrand extended by
-    phi''(0) at s = 0.  The reconstruction a*I + c (x) H_z equals the Hessian
-    of Phi.
+    phi''(0) at s = 0; the integral is a cubic Hermite table with exact nodal
+    slopes phi'(s)/s over `table_size` uniform intervals.  The reconstruction
+    a*I + c (x) H_z equals the Hessian of Phi.
     """
     window = certify_window(p, samples)
     nodes = np.linspace(0.0, p.r_max, table_size + 1)
     integral_nodes = cumulative_simpson(lambda s: radial_slope(p, s),
                                         p.r_max, table_size, quad_tol)
-    islope = _uniform_knot_evaluator(CubicSpline(
-        nodes, integral_nodes, bc_type=((1, float(radial_slope(p, 0.0))),
-                                        (1, float(radial_slope(p, p.r_max))))))
+    islope = _uniform_knot_evaluator(nodes, integral_nodes, radial_slope(p, nodes))
 
     def a_of_r(r):
         return radial_slope(p, r)

@@ -369,7 +369,7 @@ def run(config: RunConfig) -> Trajectory:
         if k % config.snapshot_every == 0:
             snaps.append(FieldState(grid=config.grid, values=u, t=t,
                                     boundary_values=config.boundary_values))
-    _abort_if_outside(r, p.r_max, t)
+    _abort_if_outside(r, p.r_max, t, step=steps)
 
     doc = config.describe()
     meta = {

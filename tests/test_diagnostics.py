@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    morrey_report, poincare_constant, quadratic,
                    reverse_holder_report, run, step_diffusion, sup_norm_report,
                    vector_norm)
+from pelab.diagnostics import _dst1, _gradient_energy, _laplacian_symbol
 from pelab.potentials import CoupledCoefficients
 
 
@@ -67,6 +69,22 @@ def oracle_norm(values, grid):
     else:
         w = spsolve(A, b, permc_spec="MMD_AT_PLUS_A").reshape(b.shape)
     return math.sqrt(float(np.sum(b * w)) * grid.cell_volume())
+
+
+def scipy_fft_norm(values, grid):
+    """The H^-1 solve by scipy.fft (fftn on periodic grids, dstn type 1 on the
+    Dirichlet interior): the earlier implementation, kept as an oracle."""
+    comps = np.reshape(values, (-1, *grid.sizes))
+    axes = tuple(range(1, grid.n + 1))
+    mu = _laplacian_symbol(grid)
+    if grid.periodic:
+        w = sfft.ifftn(sfft.fftn(comps, axes=axes) / mu, axes=axes).real
+    else:
+        core = (slice(None), *grid.interior_slices)
+        w = np.zeros_like(comps)
+        w[core] = sfft.idstn(sfft.dstn(comps[core], type=1, axes=axes) / mu,
+                             type=1, axes=axes)
+    return math.sqrt(sum(_gradient_energy(wc, grid) for wc in w))
 
 
 def spectral_norm(values, grid):
@@ -124,6 +142,19 @@ class TestHMinusOne:
         for g in (dgrid(17, n=2), GridSpec(n=3, sizes=(9, 12, 7), h=0.1, boundary=DIRICHLET)):
             f = rng.standard_normal(g.sizes)
             assert h_minus_one_norm(f, g) == pytest.approx(oracle_norm(f, g), rel=1e-12)
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    @pytest.mark.parametrize("sizes", [(129,), (16,), (17,), (24, 10), (13, 21),
+                                       (8, 9, 10), (12, 7, 5)])
+    def test_numpy_transforms_match_scipy_fft(self, boundary, sizes):
+        g = GridSpec(n=len(sizes), sizes=sizes, h=1.0 / max(sizes), boundary=boundary)
+        f = np.random.default_rng(sum(sizes)).standard_normal((2, *sizes))
+        want = scipy_fft_norm(f, g)
+        assert abs(spectral_norm(f, g) - want) <= 1e-13 * want
+        if boundary == DIRICHLET:  # the DST-I itself is scipy's, bit for bit
+            core = f[(slice(None), *g.interior_slices)]
+            axes = tuple(range(1, g.n + 1))
+            assert np.array_equal(_dst1(core, axes), sfft.dstn(core, type=1, axes=axes))
 
     def test_periodic_spectral_matches_sparse_oracle(self):
         rng = np.random.default_rng(5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
 from pelab import (ConstructionError, ConvexityError, RadialPotential,
                    RangeExcursionError, build_entropy, builtin_ids,
@@ -181,6 +181,19 @@ class TestCertifyWindow:
         with pytest.raises(ConvexityError, match="r = 0"):
             certify_window(pure_quartic())
 
+    @pytest.mark.parametrize("branch", ["phi1", "phi2"])
+    def test_non_finite_branch_names_the_first_radius(self, branch):
+        # phi1 or phi2 turns NaN beyond r = 0.3: sample 3001 is the first past it
+        evaluators = {"phi1": lambda r: np.asarray(r, dtype=float) + 0.0,
+                      "phi2": lambda r: np.ones_like(np.asarray(r, dtype=float))}
+        good = evaluators[branch]
+        evaluators[branch] = lambda r: np.where(np.asarray(r) > 0.3, np.nan, good(r))
+        p = RadialPotential(phi=lambda r: 0.5 * np.square(r), **evaluators,
+                            r_max=1.0, id="nan-branch")
+        with pytest.raises(ConvexityError, match="non-finite") as exc:
+            certify_window(p)
+        assert exc.value.r == np.linspace(0.0, 1.0, 10_001)[3001]
+
     def test_window_records_sampling(self):
         w = certify_window(cosh_potential(1.0))
         assert w.samples == 10_001
@@ -317,6 +330,25 @@ class TestPiecewisePolynomials:
         with pytest.raises(ConvexityError, match="r ="):
             certify_window(p)
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
+    def test_matches_ppoly_bit_for_bit(self, degree):
+        rng = np.random.default_rng(degree)
+        for pieces in (1, 2, 7):
+            x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, pieces))])
+            coeffs = rng.standard_normal((pieces, degree + 1))
+            coeffs[0, -2:] = 0.0                    # phi(0) = phi'(0) = 0
+            coeffs[1:, -1] = -0.0                   # the sum starts from +0.0, as in PPoly
+            p = from_piecewise_poly(x, coeffs)
+            want = PPoly(coeffs.T, x)
+            r = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                                [-0.0, -1.0, 2.0 * x[-1], np.inf, -np.inf, np.nan],
+                                rng.uniform(-0.5, x[-1] + 0.5, 2000)])
+            clipped = np.clip(r, x[0], x[-1])       # the potential's domain
+            for got in (p.phi, p.phi1, p.phi2):
+                assert_bitwise(got(r), want(clipped))
+                assert_bitwise(got(x[-1]), want(x[-1]))
+                want = want.derivative()
+
     def test_bad_breakpoints(self):
         with pytest.raises(ValueError, match="breakpoints"):
             from_piecewise_poly([1.0, 0.0], [[0.5, 0.0, 0.0]])
@@ -344,37 +376,56 @@ def assert_bitwise(got, want):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def clamped_spline_table(x, y, dydx):
+    # the earlier tables: a clamped cubic spline with exact end slopes only
+    return CubicSpline(x, y, bc_type=((1, float(dydx[0])), (1, float(dydx[-1]))))
+
+
+def h_table(p):
+    # the integral table and its exact slopes, as coupled_decomposition builds them
+    nodes = np.linspace(0.0, p.r_max, 4097)
+    return (nodes, cumulative_simpson(lambda s: radial_slope(p, s), p.r_max, 4096, 1e-10),
+            radial_slope(p, nodes))
+
+
+def gamma_table(p, e):
+    # the entropy table and its exact slopes, as build_entropy builds them
+    nodes, gamma_nodes = e.table
+    return nodes, gamma_nodes, np.asarray(p.phi2(invert_phi(p, nodes)), dtype=float)
+
+
 class TestUniformKnotEvaluator:
-    """The table evaluator reproduces CubicSpline.__call__ bit for bit."""
+    """The table evaluator reproduces CubicHermiteSpline.__call__ bit for bit."""
 
     @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
     def test_coupled_H_table(self, p):
-        # the integral table exactly as coupled_decomposition builds it
-        nodes = np.linspace(0.0, p.r_max, 4097)
-        spline = CubicSpline(
-            nodes, cumulative_simpson(lambda s: radial_slope(p, s), p.r_max, 4096, 1e-10),
-            bc_type=((1, float(radial_slope(p, 0.0))), (1, float(radial_slope(p, p.r_max)))))
+        nodes, y, dydx = h_table(p)
+        spline = CubicHermiteSpline(nodes, y, dydx)
+        table = _uniform_knot_evaluator(nodes, y, dydx)
         r = spline_probes(nodes, p.r_max)
-        assert_bitwise(_uniform_knot_evaluator(spline)(r), spline(r))
+        assert_bitwise(table(r), spline(r))
         inside = r[(r >= 0.0) & (r <= p.r_max)]
         assert_bitwise(coupled_decomposition(p).H_profile(inside),
                        np.asarray(p.phi1(inside), dtype=float) - spline(inside))
         for x in (0.0, p.r_max, -1.0, 2.0 * p.r_max):
-            assert_bitwise(_uniform_knot_evaluator(spline)(x), spline(x))
+            assert_bitwise(table(x), spline(x))
 
     @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
     def test_entropy_gamma_table(self, p):
         e = build_entropy(p)
-        nodes, gamma_nodes = e.table
-
-        def integrand(z):
-            return np.asarray(p.phi2(invert_phi(p, z)), dtype=float)
-
-        spline = CubicSpline(nodes, gamma_nodes,
-                             bc_type=((1, float(integrand(np.array([0.0]))[0])),
-                                      (1, float(integrand(np.array([e.z_max]))[0]))))
-        z = spline_probes(nodes, e.z_max, seed=1)
+        spline = CubicHermiteSpline(*gamma_table(p, e))
+        z = spline_probes(e.table[0], e.z_max, seed=1)
         assert_bitwise(e.gamma(z), spline(z))
+
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_matches_the_clamped_spline_tables(self, p):
+        # exact nodal slopes in place of the spline's solved ones move both
+        # tables by rounding only (4.4e-16 measured)
+        e = build_entropy(p)
+        for (x, y, dydx), top in ((h_table(p), p.r_max), (gamma_table(p, e), e.z_max)):
+            probes = np.concatenate([x, np.random.default_rng(5).uniform(0.0, top, 5000)])
+            old = clamped_spline_table(x, y, dydx)(probes)
+            assert np.abs(_uniform_knot_evaluator(x, y, dydx)(probes) - old).max() <= 1e-14
 
     def test_random_tables_and_sizes(self):
         rng = np.random.default_rng(3)
@@ -382,14 +433,16 @@ class TestUniformKnotEvaluator:
             for x_max in (0.37, 1.0, 2.0, 3.7):
                 knots = np.linspace(0.0, x_max, m + 1)
                 y = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, m))])
-                spline = CubicSpline(knots, y, bc_type=((1, rng.uniform()), (1, rng.uniform())))
+                dydx = rng.uniform(-1.0, 2.0, m + 1)
                 r = spline_probes(knots, x_max, seed=m)
-                assert_bitwise(_uniform_knot_evaluator(spline)(r), spline(r))
+                assert_bitwise(_uniform_knot_evaluator(knots, y, dydx)(r),
+                               CubicHermiteSpline(knots, y, dydx)(r))
 
     def test_negative_zero_table_value(self):
-        # scipy's sum starts from 0.0, so a -0.0 knot value evaluates to +0.0
+        # the sum starts from 0.0, so a -0.0 knot value evaluates to +0.0
         knots = np.linspace(0.0, 1.0, 5)
-        spline = CubicSpline(knots, [-0.0, -1.0, -2.0, -3.0, -4.0],
-                             bc_type=((1, -0.0), (1, -0.0)))
+        y = np.array([-0.0, -1.0, -2.0, -3.0, -4.0])
+        dydx = np.full(5, -0.0)
         r = np.array([-0.0, 0.0])
-        assert_bitwise(_uniform_knot_evaluator(spline)(r), spline(r))
+        assert_bitwise(_uniform_knot_evaluator(knots, y, dydx)(r),
+                       CubicHermiteSpline(knots, y, dydx)(r))

@@ -618,6 +618,23 @@ class TestRunParity:
         assert step is not None and 1 < step
         assert t > 0.0 and len(location) == 1
 
+    def test_excursion_after_the_last_step_stamps_the_step_count(self):
+        # the state after 14 steps leaves the range: a 14-step run catches it in
+        # the end-of-run check (the last step taken), a 15-step run in the
+        # check before step 15 (the step refused)
+        p = unstable_potential()
+        dt = cfl_dt(pgrid(32), certify_window(p), 0.9)   # the run's own CFL step
+        witnesses = []
+        for steps in (14, 15):
+            cfg = RunConfig(grid=pgrid(32), n_components=1, potential=p,
+                            t_end=steps * dt, dt_override=dt, system="diffusion",
+                            initial={"kind": "bands", "kmax": 3, "amplitude": 0.05,
+                                     "offset": [0.9]}, seed=2)
+            with pytest.raises(RangeExcursionError, match="exceeds r_max") as exc:
+                run(cfg)
+            witnesses.append((exc.value.location, exc.value.step))
+        assert witnesses == [((27,), 14), ((27,), 15)]
+
     def test_non_finite_slope_is_a_range_excursion(self):
         p = RadialPotential(phi=lambda r: 0.5 * np.square(r),
                             phi1=lambda r: np.where(np.asarray(r) > 0.3, np.nan, r),
