@@ -10,9 +10,9 @@ reverse Hoelder stability and interior H^2 / L^4 estimate ratios.
 from .errors import (ConstructionError, ConvexityError, DomainAbort,
                      RangeExcursionError)
 from .grid import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
-                   Trajectory, ball_mask, cylinder_average, cylinder_members,
-                   cylinder_sum, gradient_sq, hessian_sq, laplacian,
-                   read_snapshot, vector_norm, write_snapshot)
+                   Trajectory, cylinder_integral, cylinder_members, gradient_sq,
+                   hessian_sq, laplacian, read_snapshot, vector_norm,
+                   write_snapshot)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, builtin_ids,
                          certify_window, coupled_decomposition,

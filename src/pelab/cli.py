@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
@@ -27,14 +28,14 @@ import numpy as np
 from .diagnostics import (CheckReport, calibrate_residual_constant,
                           choose_entropy_params, contraction_report,
                           entropy_residual_coupled, entropy_residual_diffusion,
-                          estimate_ratio_report, morrey_report,
+                          estimate_ratio_report, morrey_profile, morrey_report,
                           reverse_holder_report, sup_norm_report)
 from .errors import DomainAbort
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, read_snapshot,
                    vector_norm, write_snapshot)
 from .potentials import (build_entropy, certify_window, coupled_decomposition,
                          from_piecewise_poly, get_potential)
-from .solver import RunConfig, run, with_resolution
+from .solver import RunConfig, run, step_diffusion, with_resolution
 
 
 class UsageError(Exception):
@@ -142,6 +143,13 @@ def _shrink_ok(pos_coarse: float, pos_fine: float, scale: float) -> bool:
     return pos_fine <= max(0.5 * pos_coarse, floor)
 
 
+def _ladder(base: RunConfig, sizes):
+    """Yield (config, trajectory) per size, running each rung only when asked for it."""
+    for size in sizes:
+        cfg = with_resolution(base, size)
+        yield cfg, run(cfg)
+
+
 def _check_contraction(params: dict, seed: int) -> CheckReport:
     base = build_config(params["config"], seed)
     run0 = run(replace(base, initial=params["initial0"], name=base.name + "-a"))
@@ -185,14 +193,13 @@ def _check_entropy(params: dict, seed: int, coupled: bool) -> CheckReport:
     passed = True
     witness = None
     prev_pos = None
-    for size in sizes:
-        cfg = with_resolution(base, size)
-        traj = run(cfg)
+    for size, (cfg, traj) in zip(sizes, _ladder(base, sizes)):
         tau = K * (cfg.grid.h ** 2 + traj.dt)
         if coupled:
             rep = entropy_residual_coupled(traj, cc, pars.s, pars.c, tau=tau)
         else:
             rep = entropy_residual_diffusion(traj, pot, ent, window, tau=tau)
+        del traj  # free this rung before the next one runs
         per_size.append({"size": size, **{k: rep.values[k] for k in
                                           ("max_pos", "p99_pos", "max_abs", "h", "dt", "tau")}})
         if not rep.passed:
@@ -222,42 +229,49 @@ def _check_morrey(params: dict, seed: int) -> CheckReport:
     return morrey_report(traj, pts, radii, name=params["name"])
 
 
+def _pair_sizes(params: dict) -> list:
+    sizes = params.get("sizes", [128, 256])
+    if len(sizes) != 2:
+        raise UsageError(f"'{params['name']}' takes exactly two sizes (coarse, fine), "
+                         f"got {sizes}")
+    return sizes
+
+
+def _coarse_then_fine(params: dict, base: RunConfig, sizes: list, report,
+                      key: str) -> CheckReport:
+    """The fine rung's report, judged against the coarse rung's `key` value."""
+    rungs = _ladder(base, sizes)
+    coarse = report(next(rungs)[1])
+    rep = report(next(rungs)[1], reference=coarse.values[key], name=params["name"])
+    rep.values[f"{key}_coarse"] = coarse.values[key]
+    rep.values["sizes"] = sizes
+    return rep
+
+
 def _check_reverse_holder(params: dict, seed: int) -> CheckReport:
     base = build_config(params["config"], seed)
-    sizes = params.get("sizes", [128, 256])
+    sizes = _pair_sizes(params)
     R = params["R"]
     t0 = params.get("t0", base.t_end)
     centers = _seeded_points(with_resolution(base, sizes[0]).grid,
                              params.get("cylinders", 20), seed + 2, margin=0.0)
     cyls = [Cylinder(center=c, t0=t0, R=R) for c in centers]
-    rep_coarse = reverse_holder_report(run(with_resolution(base, sizes[0])), cyls,
-                                       p=params.get("p", 2.5))
-    rep = reverse_holder_report(run(with_resolution(base, sizes[1])), cyls,
-                                p=params.get("p", 2.5),
-                                reference=rep_coarse.values["max_ratio"],
-                                name=params["name"])
-    rep.values["max_ratio_coarse"] = rep_coarse.values["max_ratio"]
-    rep.values["sizes"] = sizes
-    return rep
+    return _coarse_then_fine(
+        params, base, sizes, lambda traj, **kw: reverse_holder_report(
+            traj, cyls, p=params.get("p", 2.5), **kw), "max_ratio")
 
 
 def _check_estimate_ratios(params: dict, seed: int) -> CheckReport:
     base = build_config(params["config"], seed)
-    sizes = params.get("sizes", [128, 256])
+    sizes = _pair_sizes(params)
     t0 = params["t0"]
     centers = _seeded_points(with_resolution(base, sizes[0]).grid,
                              params.get("cylinders", 3), seed + 3)
     pairs = [(Cylinder(center=c, t0=t0, R=params["r"]),
               Cylinder(center=c, t0=t0, R=params["R"])) for c in centers]
-    coarse = estimate_ratio_report(run(with_resolution(base, sizes[0])),
-                                   base.potential, pairs)
-    rep = estimate_ratio_report(run(with_resolution(base, sizes[1])),
-                                base.potential, pairs,
-                                reference=coarse.values["maxima"],
-                                name=params["name"])
-    rep.values["maxima_coarse"] = coarse.values["maxima"]
-    rep.values["sizes"] = sizes
-    return rep
+    return _coarse_then_fine(
+        params, base, sizes, lambda traj, **kw: estimate_ratio_report(
+            traj, base.potential, pairs, **kw), "maxima")
 
 
 def _check_tampered_sup(params: dict, seed: int) -> CheckReport:
@@ -273,8 +287,6 @@ def _check_tampered_sup(params: dict, seed: int) -> CheckReport:
 
 def _check_tampered_contraction(params: dict, seed: int) -> CheckReport:
     """Negative control: anti-diffuse one run mid-way (a flipped-dt step)."""
-    from .solver import step_diffusion
-
     base = build_config(params["config"], seed)
     run0 = run(replace(base, initial=params["initial0"], name=base.name + "-a"))
     run1 = run(replace(base, initial=params["initial1"], name=base.name + "-b"))
@@ -456,7 +468,8 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> li
             rep = _CHECKS[kind](check, seed)
         except Exception as exc:  # crashes are recorded as failures, suite continues
             rep = CheckReport(name=check["name"], passed=False,
-                              values={"error": f"{type(exc).__name__}: {exc}"})
+                              values={"error": f"{type(exc).__name__}: {exc}",
+                                      "traceback": traceback.format_exc()})
         rpath = outdir / f"{rep.name}.report.json"
         rpath.write_text(json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n")
         files.append(rpath.name)
@@ -522,6 +535,11 @@ def _sweep_cells(doc: dict) -> list[dict]:
     return cells
 
 
+_SWEEP_FIELDS = ("label", "potential", "size", "seed", "config_hash", "terminal_sup",
+                 "resid_pos_max", "resid_abs_max", "morrey_16h", "morrey_8h",
+                 "morrey_4h", "error")
+
+
 def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dict:
     """Run one sweep cell; a `seed` axis value beats `seed`, which beats base.seed."""
     doc = json.loads(json.dumps(base_doc))
@@ -533,18 +551,11 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
         cfg = with_resolution(cfg, int(cell["resolution"]))
     traj = run(cfg)
     save_trajectory(traj, outdir / cell["label"])
-    row = {
-        "label": cell["label"],
-        "potential": cfg.potential.id,
-        "size": cfg.grid.sizes[0],
-        "seed": cfg.seed,
-        "config_hash": traj.meta["config_hash"],
-        "terminal_sup": float(vector_norm(traj.final.values).max()),
-        "resid_pos_max": "",
-        "resid_abs_max": "",
-        "morrey_16h": "", "morrey_8h": "", "morrey_4h": "",
-        "error": "",
-    }
+    row = dict.fromkeys(_SWEEP_FIELDS, "")
+    row.update(label=cell["label"], potential=cfg.potential.id,
+               size=cfg.grid.sizes[0], seed=cfg.seed,
+               config_hash=traj.meta["config_hash"],
+               terminal_sup=float(vector_norm(traj.final.values).max()))
     pot = cfg.potential
     if cfg.snapshot_every == 1 and cfg.system == "diffusion":
         rep = entropy_residual_diffusion(traj, pot, build_entropy(pot),
@@ -554,12 +565,8 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
     try:
         h = cfg.grid.h
         center = tuple(0.5 * cfg.grid.extent(a) for a in range(cfg.grid.n))
-        prof = dict()
-        from .diagnostics import morrey_profile
-        for R, v in morrey_profile(traj, (center, cfg.t_end), [16 * h, 8 * h, 4 * h]):
-            prof[round(R / h)] = v
-        row["morrey_16h"], row["morrey_8h"], row["morrey_4h"] = \
-            prof.get(16, ""), prof.get(8, ""), prof.get(4, "")
+        prof = morrey_profile(traj, (center, cfg.t_end), [16 * h, 8 * h, 4 * h])
+        row["morrey_16h"], row["morrey_8h"], row["morrey_4h"] = (v for _, v in prof)
     except ValueError:
         pass  # cylinder does not fit this cell's box; leave blank
     return row
@@ -580,21 +587,15 @@ def cmd_sweep(args) -> int:
         try:
             return i, _run_cell(doc["base"], cell, outdir, args.seed)
         except Exception as exc:
-            return i, {"label": cell["label"], "potential": "", "size": "",
-                       "seed": "", "config_hash": "", "terminal_sup": "",
-                       "resid_pos_max": "", "resid_abs_max": "",
-                       "morrey_16h": "", "morrey_8h": "", "morrey_4h": "",
+            return i, {**dict.fromkeys(_SWEEP_FIELDS, ""), "label": cell["label"],
                        "error": f"{type(exc).__name__}: {exc}"}
 
     with ThreadPoolExecutor(max_workers=workers) as ex:
         for i, row in ex.map(work, enumerate(cells)):
             rows[i] = row
 
-    fields = ["label", "potential", "size", "seed", "config_hash", "terminal_sup",
-              "resid_pos_max", "resid_abs_max", "morrey_16h", "morrey_8h",
-              "morrey_4h", "error"]
     with open(outdir / "sweep.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
+        w = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
         w.writeheader()
         for row in rows:
             w.writerow(row)

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import RangeExcursionError
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
-                   cylinder_members, face_divergence, gradient_sq, hessian_sq,
+                   cylinder_integral, face_divergence, gradient_sq, hessian_sq,
                    laplacian, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
@@ -453,10 +454,6 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
 # ---------------------------------------------------------------------------
 # Morrey decay
 
-def grad_sq_functional(snap: FieldState) -> np.ndarray:
-    return gradient_sq(snap.values, snap.grid)
-
-
 def morrey_profile(traj: Trajectory, point: tuple, radii: Sequence[float],
                    g: Callable[[FieldState], np.ndarray] | None = None,
                    exponent: float | None = None) -> list[tuple[float, float]]:
@@ -468,16 +465,15 @@ def morrey_profile(traj: Trajectory, point: tuple, radii: Sequence[float],
     as noise.
     """
     x0, t0 = point
-    g = g or grad_sq_functional
+    g = g or (lambda snap: gradient_sq(snap.values, snap.grid))
     expo = traj.grid.n if exponent is None else float(exponent)
+    cell = traj.grid.cell_volume() * traj.snapshot_dt
     out = []
     for R in sorted(radii, reverse=True):
         if R < 4.0 * traj.grid.h * (1.0 - 1e-12):
             raise ValueError(f"radius {R} is below the 4h = {4 * traj.grid.h} floor")
         q = Cylinder(center=tuple(x0), t0=float(t0), R=float(R))
-        mask, idx = cylinder_members(traj, q)
-        cell = traj.grid.cell_volume() * traj.snapshot_dt
-        total = sum(float(np.sum(np.asarray(g(traj.snapshots[k]))[mask])) for k in idx)
+        total, _ = cylinder_integral(traj, q, lambda k: g(traj.snapshots[k]))
         out.append((float(R), total * cell / R ** expo))
     return out
 
@@ -509,24 +505,8 @@ def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[flo
 # reverse Hoelder and the interior estimate ratios
 
 def _grad2_cache(traj: Trajectory) -> Callable[[int], np.ndarray]:
-    cache: dict[int, np.ndarray] = {}
-
-    def get(k: int) -> np.ndarray:
-        if k not in cache:
-            cache[k] = gradient_sq(traj.snapshots[k].values, traj.grid)
-        return cache[k]
-
-    return get
-
-
-def _cyl_mean(traj: Trajectory, q: Cylinder, field_at: Callable[[int], np.ndarray],
-              power: float = 1.0) -> float:
-    mask, idx = cylinder_members(traj, q)
-    total = 0.0
-    for k in idx:
-        f = field_at(k)[mask]
-        total += float(np.sum(f if power == 1.0 else np.power(f, power)))
-    return total / (float(mask.sum()) * len(idx))
+    """|grad u|^2 of snapshot k, computed once per snapshot."""
+    return cache(lambda k: gradient_sq(traj.snapshots[k].values, traj.grid))
 
 
 def reverse_holder_report(traj: Trajectory, cylinders: Sequence[Cylinder],
@@ -547,11 +527,13 @@ def reverse_holder_report(traj: Trajectory, cylinders: Sequence[Cylinder],
     skipped = 0
     for q in cylinders:
         big = Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R)
-        rhs2 = _cyl_mean(traj, big, grad2)
+        total, count = cylinder_integral(traj, big, grad2)
+        rhs2 = total / count
         if rhs2 <= 1e-30:
             skipped += 1
             continue
-        lhs = _cyl_mean(traj, q, grad2, power=0.5 * p) ** (1.0 / p)
+        total, count = cylinder_integral(traj, q, grad2, power=0.5 * p)
+        lhs = (total / count) ** (1.0 / p)
         ratios.append(lhs / math.sqrt(rhs2))
     max_ratio = max(ratios) if ratios else float("nan")
     if reference is None:
@@ -587,32 +569,17 @@ def estimate_ratio_report(traj: Trajectory, p: RadialPotential,
     cell = grid.cell_volume() * spacing
     grad2 = _grad2_cache(traj)
 
-    ut2_cache: dict[int, np.ndarray] = {}
-
+    @cache
     def ut2(k: int) -> np.ndarray:
-        if k not in ut2_cache:
-            if k + 1 >= len(traj.snapshots):
-                raise ValueError("u_t forward difference needs a successor snapshot; "
-                                 "place the small cylinder before the final time")
-            d = (traj.snapshots[k + 1].values - traj.snapshots[k].values) / spacing
-            ut2_cache[k] = np.sum(d * d, axis=0)
-        return ut2_cache[k]
+        if k + 1 >= len(traj.snapshots):
+            raise ValueError("u_t forward difference needs a successor snapshot; "
+                             "place the small cylinder before the final time")
+        d = (traj.snapshots[k + 1].values - traj.snapshots[k].values) / spacing
+        return np.sum(d * d, axis=0)
 
-    hess_cache: dict[int, np.ndarray] = {}
-
+    @cache
     def hess2(k: int) -> np.ndarray:
-        if k not in hess_cache:
-            v = grad_Phi_field(p, traj.snapshots[k].values)
-            hess_cache[k] = hessian_sq(v, grid)
-        return hess_cache[k]
-
-    def integral(q: Cylinder, field_at, power=1.0) -> float:
-        mask, idx = cylinder_members(traj, q)
-        total = 0.0
-        for k in idx:
-            f = field_at(k)[mask]
-            total += float(np.sum(f if power == 1.0 else np.power(f, power)))
-        return total * cell
+        return hessian_sq(grad_Phi_field(p, traj.snapshots[k].values), grid)
 
     sup_u = max(float(vector_norm(s.values).max()) for s in traj.snapshots)
     per_pair = []
@@ -620,10 +587,10 @@ def estimate_ratio_report(traj: Trajectory, p: RadialPotential,
         if small.R >= big.R:
             raise ValueError("nested pairs need r < R")
         gap2 = (big.R - small.R) ** 2
-        i_grad = integral(big, grad2)
-        i_t = integral(small, ut2)
-        i_hess = integral(small, hess2)
-        i_l4 = integral(small, grad2, power=2.0)
+        i_grad = cylinder_integral(traj, big, grad2)[0] * cell
+        i_t = cylinder_integral(traj, small, ut2)[0] * cell
+        i_hess = cylinder_integral(traj, small, hess2)[0] * cell
+        i_l4 = cylinder_integral(traj, small, grad2, power=2.0)[0] * cell
         if i_grad == 0.0:
             ratios = {"ratio_time": 0.0 if i_t == 0.0 else math.inf,
                       "ratio_hess": 0.0 if i_hess == 0.0 else math.inf,

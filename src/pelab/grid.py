@@ -86,21 +86,11 @@ class GridSpec:
         mask.setflags(write=False)
         return mask
 
-    @cached_property
-    def interior_mask(self) -> np.ndarray:
-        mask = ~self.boundary_mask
-        mask.setflags(write=False)
-        return mask
-
     @property
     def interior_slices(self) -> tuple[slice, ...]:
         if self.periodic:
             return tuple(slice(None) for _ in range(self.n))
         return tuple(slice(1, -1) for _ in range(self.n))
-
-    @property
-    def num_points(self) -> int:
-        return int(np.prod(self.sizes))
 
     def cell_volume(self) -> float:
         return self.h ** self.n
@@ -397,7 +387,7 @@ class Cylinder:
             raise ValueError("cylinder radius must be positive")
 
 
-def ball_mask(grid: GridSpec, center: Sequence[float], R: float) -> np.ndarray:
+def _ball_mask(grid: GridSpec, center: Sequence[float], R: float) -> np.ndarray:
     """Grid points within Euclidean distance R of the center.
 
     Periodic axes measure minimal-image distance tied to the axis extent.
@@ -430,7 +420,7 @@ def cylinder_members(traj: Trajectory, q: Cylinder) -> tuple[np.ndarray, np.ndar
     fewer than two snapshots intersect the time window.
     """
     grid = traj.grid
-    mask = ball_mask(grid, q.center, q.R)
+    mask = _ball_mask(grid, q.center, q.R)
     if not mask.any():
         raise ValueError(f"ball of radius {q.R} around {q.center} contains no grid point")
     for a in range(grid.n):
@@ -452,37 +442,23 @@ def cylinder_members(traj: Trajectory, q: Cylinder) -> tuple[np.ndarray, np.ndar
     return mask, idx
 
 
-def cylinder_sum(traj: Trajectory, q: Cylinder,
-                 g: Callable[[FieldState], np.ndarray]) -> float:
-    """Space-time integral of g over the cylinder: sum of g times h^n * snapshot spacing."""
-    mask, idx = cylinder_members(traj, q)
-    cell = traj.grid.cell_volume() * traj.snapshot_dt
-    total = 0.0
-    for k in idx:
-        gk = np.asarray(g(traj.snapshots[k]), dtype=float)
-        if gk.shape != traj.grid.sizes:
-            raise ValueError("g must evaluate to a scalar field on the grid")
-        total += float(np.sum(gk[mask]))
-    return total * cell
+def cylinder_integral(traj: Trajectory, q: Cylinder, field_at: Callable[[int], np.ndarray],
+                      power: float = 1.0) -> tuple[float, int]:
+    """Point sum of field_at(k)**power over the discrete cylinder, and its point count.
 
-
-def cylinder_average(traj: Trajectory, q: Cylinder,
-                     g: Callable[[FieldState], np.ndarray]) -> float:
-    """Space-time average of g over the discrete cylinder.
-
-    The integral (point sum times h^n times snapshot spacing) divided by the
-    discrete cylinder volume (point count times the same cell measure).
+    `field_at` maps a snapshot index to a scalar field on the grid; `power` is
+    applied to the values inside the ball.  The integral is the sum times
+    h^n times the snapshot spacing, the average the sum over the count.
     """
     mask, idx = cylinder_members(traj, q)
-    cell = traj.grid.cell_volume() * traj.snapshot_dt
-    volume = float(mask.sum()) * len(idx) * cell
     total = 0.0
     for k in idx:
-        gk = np.asarray(g(traj.snapshots[k]), dtype=float)
-        if gk.shape != traj.grid.sizes:
-            raise ValueError("g must evaluate to a scalar field on the grid")
-        total += float(np.sum(gk[mask]))
-    return total * cell / volume
+        f = np.asarray(field_at(k), dtype=float)
+        if f.shape != traj.grid.sizes:
+            raise ValueError("field_at must evaluate to a scalar field on the grid")
+        f = f[mask]
+        total += float(np.sum(f if power == 1.0 else np.power(f, power)))
+    return total, int(mask.sum()) * len(idx)
 
 
 # Snapshot file format, bit-exact:

@@ -53,8 +53,7 @@ class EllipticityWindow:
     """Certified two-sided Hessian bounds lam <= Lam on [0, r_max].
 
     `samples` and `spacing` record the certification density so downstream
-    checks can tighten it; `margin` is the safety inflation applied (none by
-    default, the raw sampled extrema are reported).
+    checks can tighten it; the raw sampled extrema are reported, uninflated.
     """
 
     lam: float
@@ -62,7 +61,6 @@ class EllipticityWindow:
     r_max: float
     samples: int
     spacing: float
-    margin: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.lam <= self.Lam < math.inf):

@@ -140,6 +140,32 @@ class TestVerifyCommand:
         rep2 = json.loads((tmp_path / "v" / "crash" / "fine.report.json").read_text())
         assert rep2["passed"] is True
 
+    def test_crash_report_keeps_the_traceback(self, tmp_path):
+        doc = heat_doc(size=64, t_end=0.002)
+        suite = write_doc(tmp_path, {"name": "crash", "checks": [
+            {"name": "tiny-radius", "kind": "morrey", "radii_h": [2], "config": doc},
+        ]}, "suite.json")
+        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
+        rep = json.loads((tmp_path / "v" / "crash" / "tiny-radius.report.json").read_text())
+        assert rep["passed"] is False
+        assert rep["values"]["error"].startswith("ValueError: radius")
+        assert "in morrey_profile" in rep["values"]["traceback"]
+
+    @pytest.mark.parametrize("kind,extra", [
+        ("reverse-holder", {"R": 0.05}),
+        ("estimate-ratios", {"r": 0.05, "R": 0.1, "t0": 0.0015}),
+    ])
+    def test_refinement_pair_takes_exactly_two_sizes(self, tmp_path, kind, extra):
+        suite = write_doc(tmp_path, {"name": "pair", "checks": [
+            {"name": "three", "kind": kind, "sizes": [32, 64, 128],
+             "config": heat_doc(size=32, t_end=0.002), **extra},
+        ]}, "suite.json")
+        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
+        rep = json.loads((tmp_path / "v" / "pair" / "three.report.json").read_text())
+        assert rep["passed"] is False
+        assert rep["values"]["error"] == ("UsageError: 'three' takes exactly two sizes "
+                                          "(coarse, fine), got [32, 64, 128]")
+
     def test_negative_control_suite_fails_with_witnesses(self, tmp_path):
         assert main(["verify", "negative-control", "--out", str(tmp_path / "v")]) == 1
         vdir = tmp_path / "v" / "negative-control"

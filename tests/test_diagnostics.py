@@ -13,7 +13,8 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    RunConfig, Trajectory, build_entropy,
                    calibrate_residual_constant, certify_window,
                    choose_entropy_params, contraction_report,
-                   cosh_potential, coupled_decomposition,
+                   cosh_potential, coupled_decomposition, cylinder_integral,
+                   cylinder_members,
                    entropy_residual_coupled, entropy_residual_diffusion,
                    estimate_ratio_report, gradient_sq, h_minus_one_norm,
                    h_minus_one_norm_periodic, heat_coefficients,
@@ -650,6 +651,128 @@ class TestEstimateRatios:
                   Cylinder(center=(0.5,), t0=traj.times[-1], R=16 * g.h))]
         with pytest.raises(ValueError, match="successor"):
             estimate_ratio_report(traj, p, pairs)
+
+
+# Frozen copies of the cylinder loops that `cylinder_integral` replaced: the
+# sum inside `morrey_profile`, `_cyl_mean` of `reverse_holder_report` and the
+# `integral` closure of `estimate_ratio_report`.  The monitors must reproduce
+# them bit for bit.
+
+def reference_morrey_profile(traj, point, radii, g, expo):
+    x0, t0 = point
+    out = []
+    for R in sorted(radii, reverse=True):
+        q = Cylinder(center=tuple(x0), t0=float(t0), R=float(R))
+        mask, idx = cylinder_members(traj, q)
+        cell = traj.grid.cell_volume() * traj.snapshot_dt
+        total = sum(float(np.sum(np.asarray(g(traj.snapshots[k]))[mask])) for k in idx)
+        out.append((float(R), total * cell / R ** expo))
+    return out
+
+
+def reference_cyl_mean(traj, q, field_at, power=1.0):
+    mask, idx = cylinder_members(traj, q)
+    total = 0.0
+    for k in idx:
+        f = field_at(k)[mask]
+        total += float(np.sum(f if power == 1.0 else np.power(f, power)))
+    return total / (float(mask.sum()) * len(idx))
+
+
+def reference_integral(traj, q, field_at, power=1.0):
+    cell = traj.grid.cell_volume() * traj.snapshot_dt
+    mask, idx = cylinder_members(traj, q)
+    total = 0.0
+    for k in idx:
+        f = field_at(k)[mask]
+        total += float(np.sum(f if power == 1.0 else np.power(f, power)))
+    return total * cell
+
+
+class TestCylinderIntegralParity:
+    @pytest.fixture(scope="class", params=[(1, PERIODIC), (1, DIRICHLET),
+                                           (2, PERIODIC), (2, DIRICHLET)],
+                    ids=["1d-periodic", "1d-dirichlet", "2d-periodic", "2d-dirichlet"])
+    def traj(self, request):
+        n, boundary = request.param
+        m = 64 if n == 1 else 32
+        grid = (pgrid if boundary == PERIODIC else dgrid)(m + (boundary == DIRICHLET), n)
+        initial = ({"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 3}
+                   if boundary == PERIODIC else
+                   {"kind": "mode", "k": [1] * n, "amplitude": 0.5})
+        return run(RunConfig(grid=grid, n_components=2, potential=cosh_potential(1.0),
+                             t_end=0.01, snapshot_every=2, initial=initial, seed=3))
+
+    @staticmethod
+    def center(traj):
+        return (0.45, 0.55)[:traj.grid.n]
+
+    @pytest.mark.parametrize("power", [1.0, 1.25, 2.0])
+    def test_integral_matches_the_frozen_loops(self, traj, power):
+        def grad2(k):
+            return gradient_sq(traj.snapshots[k].values, traj.grid)
+
+        cell = traj.grid.cell_volume() * traj.snapshot_dt
+        for R in (0.0625, 0.125, 0.25):
+            q = Cylinder(center=self.center(traj), t0=traj.times[-2], R=R)
+            total, count = cylinder_integral(traj, q, grad2, power)
+            assert total / count == reference_cyl_mean(traj, q, grad2, power)
+            assert total * cell == reference_integral(traj, q, grad2, power)
+
+    def test_morrey_profile_matches_the_frozen_loop(self, traj):
+        point = (self.center(traj), traj.times[-1])
+        radii = [0.23, 0.13]  # not powers of two, so 1/R^n rounds
+        grad = lambda s: gradient_sq(s.values, s.grid)  # noqa: E731
+        assert morrey_profile(traj, point, radii) == \
+            reference_morrey_profile(traj, point, radii, grad, traj.grid.n)
+        g4 = lambda s: gradient_sq(s.values, s.grid) ** 2  # noqa: E731
+        assert morrey_profile(traj, point, radii, g=g4, exponent=traj.grid.n - 2) == \
+            reference_morrey_profile(traj, point, radii, g4, traj.grid.n - 2)
+
+    @pytest.mark.parametrize("p", [2.5, 4.0])  # L^p power 1.25 and 2
+    def test_reverse_holder_matches_the_frozen_mean(self, traj, p):
+        cyls = [Cylinder(center=self.center(traj), t0=t0, R=0.0625)
+                for t0 in traj.times[-3:]]
+
+        def grad2(k):
+            return gradient_sq(traj.snapshots[k].values, traj.grid)
+
+        expected = []
+        for q in cyls:
+            big = Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R)
+            rhs2 = reference_cyl_mean(traj, big, grad2)
+            lhs = reference_cyl_mean(traj, q, grad2, power=0.5 * p) ** (1.0 / p)
+            expected.append(lhs / math.sqrt(rhs2))
+        rep = reverse_holder_report(traj, cyls, p=p)
+        assert np.array_equal(rep.values["ratios"], np.array(expected))
+
+    def test_estimate_ratios_match_the_frozen_integral(self, traj):
+        from pelab import grad_Phi_field, hessian_sq
+        p = cosh_potential(1.0)
+        small = Cylinder(center=self.center(traj), t0=traj.times[-2], R=0.125)
+        big = Cylinder(center=self.center(traj), t0=traj.times[-2], R=0.25)
+        rep = estimate_ratio_report(traj, p, [(small, big)])
+        spacing = traj.snapshot_dt
+
+        def grad2(k):
+            return gradient_sq(traj.snapshots[k].values, traj.grid)
+
+        def ut2(k):
+            d = (traj.snapshots[k + 1].values - traj.snapshots[k].values) / spacing
+            return np.sum(d * d, axis=0)
+
+        def hess2(k):
+            return hessian_sq(grad_Phi_field(p, traj.snapshots[k].values), traj.grid)
+
+        i_grad = reference_integral(traj, big, grad2)
+        i_l4 = reference_integral(traj, small, grad2, power=2.0)
+        gap2 = (big.R - small.R) ** 2
+        sup_u = max(float(vector_norm(s.values).max()) for s in traj.snapshots)
+        assert rep.values["pairs"] == [{
+            "r": small.R, "R": big.R,
+            "ratio_time": reference_integral(traj, small, ut2) * gap2 / i_grad,
+            "ratio_hess": reference_integral(traj, small, hess2) * gap2 / i_grad,
+            "ratio_l4": i_l4 * gap2 / (sup_u * sup_u * i_grad)}]
 
 
 class TestHolderSeminorm:
