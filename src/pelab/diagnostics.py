@@ -105,24 +105,39 @@ def _gradient_energy(w_full: np.ndarray, grid: GridSpec) -> float:
     return total * grid.cell_volume()
 
 
-def _dst1(x: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+def _dst1(x: np.ndarray, axes: Sequence[int], work: tuple | None = None) -> np.ndarray:
     """Unnormalised DST-I along each axis: y_k = 2 sum_j x_j sin(pi (j+1)(k+1) / (m+1)).
 
     Per axis, the imaginary part of the real FFT of the odd extension
-    [0, -x, 0, x reversed] (length 2(m+1)), bins 1..m.
+    [0, -x, 0, x reversed] (length 2(m+1)), bins 1..m.  `work` is a pair of
+    flat float and complex buffers (`_dst1_work`) that hold every axis's
+    extension and spectrum; the result is a view into the complex one, valid
+    until the buffers are used again.
     """
+    ext_buf, spec_buf = work or _dst1_work(x.shape, axes)
     for a in axes:
         m = x.shape[a]
         pre = (slice(None),) * a
         shape = list(x.shape)
         shape[a] = 2 * (m + 1)
-        ext = np.empty(shape)
+        ext = ext_buf[:math.prod(shape)].reshape(shape)
         ext[pre + (0,)] = 0.0
         ext[pre + (m + 1,)] = 0.0
         np.negative(x, out=ext[pre + (slice(1, m + 1),)])
         ext[pre + (slice(m + 2, None),)] = x[pre + (slice(None, None, -1),)]
-        x = np.fft.rfft(ext, axis=a).imag[pre + (slice(1, m + 1),)]
+        shape[a] = m + 2
+        spec = spec_buf[:math.prod(shape)].reshape(shape)
+        x = np.fft.rfft(ext, axis=a, out=spec).imag[pre + (slice(1, m + 1),)]
     return x
+
+
+def _dst1_work(shape: Sequence[int], axes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat buffers for the largest odd extension and spectrum of `_dst1` over `axes`."""
+    def size(a, length):
+        return math.prod(shape) // shape[a] * length
+
+    return (np.empty(max(size(a, 2 * (shape[a] + 1)) for a in axes)),
+            np.empty(max(size(a, shape[a] + 2) for a in axes), dtype=complex))
 
 
 def _h_minus_one(values: np.ndarray, grid: GridSpec) -> float:
@@ -130,7 +145,8 @@ def _h_minus_one(values: np.ndarray, grid: GridSpec) -> float:
 
     `np.fft.rfftn`/`irfftn` on periodic grids, DST-I (`_dst1`, which is its
     own inverse up to the factor prod 2(m+1)) on the Dirichlet interior
-    (boundary entries of f are ignored and w vanishes on the layer).
+    (boundary entries of f are ignored and w vanishes on the layer); the
+    forward and inverse DST-I share one pair of buffers.
     """
     comps = _as_components(values, grid)
     axes = tuple(range(1, grid.n + 1))
@@ -142,8 +158,11 @@ def _h_minus_one(values: np.ndarray, grid: GridSpec) -> float:
     else:
         core = (slice(None), *grid.interior_slices)
         scale = 1.0 / math.prod(2 * (m - 1) for m in grid.sizes)
+        work = _dst1_work(comps[core].shape, axes)
         w = np.zeros_like(comps)
-        w[core] = _dst1(_dst1(comps[core], axes) / mu, axes) * scale
+        coef = _dst1(comps[core], axes, work)
+        coef /= mu
+        np.multiply(_dst1(coef, axes, work), scale, out=w[core])
     return math.sqrt(sum(_gradient_energy(wc, grid) for wc in w))
 
 

@@ -7,7 +7,10 @@ or of the coupled step's `face_divergence` is returned as zero).  Each
 stencil has one code path for both boundary kinds: neighbours are read by
 slicing with the wrap-around written separately (`hessian_sq` reads a copy
 padded by one wrapped cell), and on Dirichlet grids the ring, the only points
-that read across the wrap, is overwritten afterwards.  All reductions go
+that read across the wrap, is overwritten afterwards.  The private kernels
+`_laplacian` and `_face_divergence` skip the input checks; the latter works
+in buffers its caller owns (the coupled step's per-run workspace), so a
+coupled step allocates only the new state.  All reductions go
 through numpy, whose float sums use pairwise (tree) summation, which bounds
 rounding drift deterministically.
 
@@ -151,29 +154,32 @@ def laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out.reshape(np.shape(values))
 
 
-def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
-                    extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
-                    grid: GridSpec) -> np.ndarray:
-    """Divergence of (avg coef * D fields + avg extra_coef * D extra_field) over faces.
+def _face_divergence(coef: np.ndarray, fields: np.ndarray,
+                     extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
+                     grid: GridSpec, out: np.ndarray, flux: np.ndarray,
+                     tmp: np.ndarray, face: np.ndarray) -> np.ndarray:
+    """Unchecked face divergence, added to `out`, in the caller's buffers.
 
-    `fields` is (N, *sizes); `extra_coef` is (N, *sizes) paired with the scalar
-    `extra_field`.  Face i lies between points i and i+1, the last one wraps to
-    point 0; Dirichlet grids zero the ring, the only points reading that face.
-    Conservative: periodic flux differences telescope, so means are conserved.
+    `flux` and `tmp` are C-contiguous arrays shaped like `fields`, `face` one
+    shaped like a component (a strided buffer raises); none is read before it
+    is written.  A neighbour along an axis is a fixed shift of the flattened
+    array, so each difference is one contiguous pass (numpy copies strided
+    operands through buffers of its own) whose entries that cross the wrap
+    are then overwritten by the wrap plane.  The order of operations is the
+    roll-based original's, except that the exact 0.5 of the extra
+    coefficient's face average multiplies the scalar difference of
+    `extra_field` instead of the N-component sum.
     """
     h = grid.h
-    coef = scalar_coef[None]
-    out = np.zeros_like(fields)
-    flux = np.empty_like(fields)
-    tmp = np.empty_like(fields)
-    face = np.empty_like(coef)
+    coef, face = coef[None], face[None]
     for a in range(1, grid.n + 1):
+        shift = math.prod(grid.sizes[a:])   # one step along the axis, flattened
         pre = (slice(None),) * a
-        hi, lo = pre + (slice(1, None),), pre + (slice(None, -1),)
         first, last = pre + (slice(0, 1),), pre + (slice(-1, None),)
 
         def forward(op, f, res):  # res[i] = op(f[i+1], f[i]), wrapping at the end
-            op(f[hi], f[lo], out=res[lo])
+            flat = f.reshape(-1)
+            op(flat[shift:], flat[:-shift], out=res.reshape(-1, copy=False)[:-shift])
             op(f[first], f[last], out=res[last])
 
         forward(np.subtract, fields, flux)
@@ -184,17 +190,37 @@ def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
         if extra_field is not None:
             forward(np.subtract, extra_field[None], face)
             face /= h
+            face *= 0.5
             forward(np.add, extra_coef, tmp)
-            tmp *= 0.5
             tmp *= face
             flux += tmp
-        np.subtract(flux[hi], flux[lo], out=tmp[hi])
+        # tmp[i] = flux[i] - flux[i-1], wrapping at the start
+        flat = flux.reshape(-1, copy=False)
+        np.subtract(flat[shift:], flat[:-shift], out=tmp.reshape(-1, copy=False)[shift:])
         np.subtract(flux[first], flux[last], out=tmp[first])
         tmp /= h
         out += tmp
     if not grid.periodic:
         _zero_ring(out, grid.n)
     return out
+
+
+def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
+                    extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
+                    grid: GridSpec) -> np.ndarray:
+    """Divergence of (avg coef * D fields + avg extra_coef * D extra_field) over faces.
+
+    `fields` is (N, *sizes); `extra_coef` is (N, *sizes) paired with the scalar
+    `extra_field`.  Face i lies between points i and i+1, the last one wraps to
+    point 0; Dirichlet grids zero the ring, the only points reading that face.
+    Conservative: periodic flux differences telescope, so means are conserved.
+    The buffers are allocated here; the coupled step passes its own to
+    `_face_divergence`.
+    """
+    shape = np.shape(fields)
+    return _face_divergence(scalar_coef, fields, extra_coef, extra_field, grid,
+                            np.zeros(shape), np.empty(shape), np.empty(shape),
+                            np.empty(shape[1:]))
 
 
 def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -92,6 +92,10 @@ class CoupledCoefficients:
     on (N, ...) states; `c` and `H_z` optionally take the norm field as well.
     `H_profile`/`dH_profile` give H and its derivative as functions of the
     norm field r.
+    The coupled step fills its workspace through two buffered calls:
+    `c(values, r, out=)` and `H_profile(r, out=, work=, a_out=)`, where `work`
+    is four float scratch arrays shaped like r and `a_out`, when given,
+    receives a(r) from the same evaluation; left out, each buffer is fresh.
     `bounds` carries sup norms over [0, r_max] plus the effective diffusivity
     used for time-step control.
     """
@@ -99,7 +103,7 @@ class CoupledCoefficients:
     a: Callable[[np.ndarray], np.ndarray]
     c: Callable[..., np.ndarray]
     H_z: Callable[..., np.ndarray]
-    H_profile: Callable[[np.ndarray], np.ndarray]
+    H_profile: Callable[..., np.ndarray]
     dH_profile: Callable[[np.ndarray], np.ndarray]
     bounds: dict
     lam_a: float
@@ -369,7 +373,7 @@ def cumulative_simpson(f: Callable[[np.ndarray], np.ndarray], x_max: float,
 
 
 def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
-                            dydx: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+                            dydx: np.ndarray) -> Callable[..., np.ndarray]:
     """Cubic Hermite table through (x, y) with nodal slopes dydx, for knots
     x = np.linspace(0, x_max, m + 1).
 
@@ -378,6 +382,10 @@ def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
     corrected by one against the real knots, end polynomials extrapolate, and
     the sum runs in PPoly's order 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 (so no
     -0.0 survives).
+
+    `evaluate(r, out=None, work=None)` writes into `out` and uses `work`, four
+    float arrays shaped like r, as scratch (two of them reinterpreted as
+    intp); buffers left out are allocated, so both calls run the same code.
     """
     m = len(x) - 1
     width = x[-1] / m
@@ -391,14 +399,29 @@ def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
     c2 = dydx[:-1] + 0.0
     c3 = y[:-1] + 0.0
 
-    def evaluate(r):
+    def evaluate(r, out=None, work=None):
         r = np.asarray(r, dtype=float)
-        i = np.fmax(np.fmin(np.floor(r / width), m - 1), 0).astype(np.intp)
-        i -= r < lo[i]
-        i += r >= hi[i]
-        s = r - x[i]
-        s2 = s * s
-        return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+        out = np.empty_like(r) if out is None else out
+        s, s2, term, index = work or [np.empty_like(r) for _ in range(4)]
+        i, flag = index.view(np.intp), term.view(np.intp)
+        # table.take(i, out=, mode="clip") gathers; "raise" would buffer `out`
+        np.divide(r, width, out=s)
+        np.floor(s, out=s)
+        np.fmin(s, m - 1, out=s)
+        np.fmax(s, 0, out=s)
+        np.copyto(i, s, casting="unsafe")
+        np.less(r, lo.take(i, out=s, mode="clip"), out=flag)
+        i -= flag
+        np.greater_equal(r, hi.take(i, out=s, mode="clip"), out=flag)
+        i += flag
+        np.subtract(r, x.take(i, out=s, mode="clip"), out=s)
+        np.multiply(s, s, out=s2)
+        c3.take(i, out=out, mode="clip")
+        out += np.multiply(c2.take(i, out=term, mode="clip"), s, out=term)
+        out += np.multiply(c1.take(i, out=term, mode="clip"), s2, out=term)
+        s2 *= s
+        out += np.multiply(c0.take(i, out=term, mode="clip"), s2, out=term)
+        return out
 
     return evaluate
 
@@ -467,21 +490,30 @@ def coupled_decomposition(p: RadialPotential, table_size: int = 4096,
     integral_nodes = cumulative_simpson(lambda s: radial_slope(p, s),
                                         p.r_max, table_size, quad_tol)
     islope = _uniform_knot_evaluator(nodes, integral_nodes, radial_slope(p, nodes))
+    phi2_0 = float(p.phi2(0.0))
 
     def a_of_r(r):
         return radial_slope(p, r)
 
-    def H_profile(r):
+    def H_profile(r, out=None, work=None, a_out=None):
         r = np.asarray(r, dtype=float)
-        return np.asarray(p.phi1(r), dtype=float) - islope(r)
+        phi1 = np.asarray(p.phi1(r), dtype=float)
+        out = islope(r, out, work)
+        np.subtract(phi1, out, out=out)
+        if a_out is not None:  # radial_slope(p, r), from the same phi'(r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(phi1, r, out=a_out)
+            np.copyto(a_out, phi2_0, where=~(r >= EPS_TAYLOR))
+        return out
 
     def dH_profile(r):
         r = np.asarray(r, dtype=float)
         return np.asarray(p.phi2(r), dtype=float) - radial_slope(p, r)
 
-    def c_dirs(values, r=None):
+    def c_dirs(values, r=None, out=None):
         r = vector_norm(values) if r is None else r
-        out = np.zeros_like(values)
+        out = np.empty_like(values) if out is None else out
+        out.fill(0.0)
         np.divide(values, r[None], out=out, where=(r > EPS_ZERO)[None])
         return out
 
@@ -520,11 +552,21 @@ def coupled_decomposition(p: RadialPotential, table_size: int = 4096,
 
 def heat_coefficients(r_max: float = 2.0) -> CoupledCoefficients:
     """Degenerate coupled system with a = 1 and H = 0 exactly (pure heat flow)."""
+    def filled(like, value, out=None):
+        out = np.empty_like(np.asarray(like, dtype=float)) if out is None else out
+        out.fill(value)
+        return out
+
+    def H_profile(r, out=None, work=None, a_out=None):
+        if a_out is not None:
+            a_out.fill(1.0)
+        return filled(r, 0.0, out)
+
     return CoupledCoefficients(
-        a=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        c=lambda values, r=None: np.zeros_like(values),
+        a=lambda r: filled(r, 1.0),
+        c=lambda values, r=None, out=None: filled(values, 0.0, out),
         H_z=lambda values, r=None: np.zeros_like(values),
-        H_profile=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        H_profile=H_profile,
         dH_profile=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         bounds={"sup_a": 1.0, "sup_c": 0.0, "sup_Hzz": 0.0, "inf_H": 0.0,
                 "sup_H": 0.0, "eff_Lambda": 1.0},

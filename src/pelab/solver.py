@@ -8,8 +8,11 @@ coefficients) for the coupled rewrite, and Lap(g(u)) for the scalar N = 1
 reduction with an arbitrary increasing nonlinearity.  `run` drives the body
 over plain arrays and validates a `FieldState` only for a stored snapshot;
 `step_diffusion`, `step_coupled` and `step_scalar` are one pass of it, state
-in, state out.  Range excursions abort, never clamp; clamping would silently
-invalidate every estimate checked downstream.
+in, state out.  The coupled right-hand side keeps one workspace per closure
+(built once by `run`, once per call of `step_coupled`) for its face fluxes,
+directions and coefficient fields, so its steps allocate only the new state.
+Range excursions abort, never clamp; clamping would silently invalidate every
+estimate checked downstream.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RangeExcursionError
-from .grid import (FieldState, GridSpec, Trajectory, _laplacian, face_divergence,
+from .grid import (FieldState, GridSpec, Trajectory, _face_divergence, _laplacian,
                    vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow,
                          RadialPotential, certify_window, coupled_decomposition,
@@ -66,11 +69,26 @@ def _scalar_rhs(g: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> RightH
 
 
 def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec) -> RightHandSide:
+    """The coupled right-hand side over one workspace, made by its first call.
+
+    The workspace holds the face fluxes and their differences (`flux`,
+    `tmp`) and the directions c, each shaped like the state, and the face
+    average, a(r) and H(r), each a scalar field; the H table borrows
+    `flux[0]`, `tmp[0]`, `c[0]` and the face field as scratch before they
+    are filled.  Every call rewrites all of it, so only the returned
+    derivative, which becomes the new state, is allocated per step.  Each
+    closure owns its workspace: one per run, never shared across threads.
+    """
+    ws = []
+
     def rhs(u, r):
-        a_field = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r)
-        h_field = np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)
-        c_field = np.asarray(cc.c(u, r), dtype=float)
-        return face_divergence(a_field, u, c_field, h_field, grid)
+        if not ws:
+            ws.extend([np.empty_like(u) for _ in range(3)]
+                      + [np.empty_like(r) for _ in range(3)])
+        flux, tmp, c, face, a, H = ws
+        cc.H_profile(r, out=H, work=(flux[0], tmp[0], c[0], face), a_out=a)
+        cc.c(u, r, out=c)
+        return _face_divergence(a, u, c, H, grid, np.zeros_like(u), flux, tmp, face)
     return rhs
 
 

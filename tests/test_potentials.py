@@ -446,3 +446,80 @@ class TestUniformKnotEvaluator:
         r = np.array([-0.0, 0.0])
         assert_bitwise(_uniform_knot_evaluator(knots, y, dydx)(r),
                        CubicHermiteSpline(knots, y, dydx)(r))
+
+
+def fresh_work(shape):
+    return [np.empty(shape) for _ in range(4)]
+
+
+class TestBufferedEvaluator:
+    """The buffered call of the table evaluator, as the coupled step makes it."""
+
+    @pytest.mark.parametrize("shape", [(40, 30), (9, 11, 13)])
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_multi_dimensional_fields_match_the_spline(self, p, shape):
+        nodes, y, dydx = h_table(p)
+        spline = CubicHermiteSpline(nodes, y, dydx)
+        table = _uniform_knot_evaluator(nodes, y, dydx)
+        probes = spline_probes(nodes, p.r_max, seed=len(shape))
+        r = probes[np.random.default_rng(7).integers(0, len(probes), math.prod(shape))]
+        r = r.reshape(shape)
+        r.flat[:4] = [0.0, nodes[17], -0.25 * p.r_max, 3.0 * p.r_max]  # origin, knot, outside
+        out = np.empty(shape)
+        got = table(r, out=out, work=fresh_work(shape))
+        assert got is out
+        assert_bitwise(out, spline(r))
+        assert_bitwise(table(r), spline(r))   # the allocating call
+
+    def test_buffers_reused_across_calls(self):
+        p = cosh_potential(1.0)
+        nodes, y, dydx = h_table(p)
+        spline = CubicHermiteSpline(nodes, y, dydx)
+        table = _uniform_knot_evaluator(nodes, y, dydx)
+        rng = np.random.default_rng(11)
+        out, work = np.full((32, 24), np.nan), fresh_work((32, 24))
+        for r in (rng.uniform(0.0, 1.0, (32, 24)), np.zeros((32, 24)),
+                  np.broadcast_to(nodes[:24], (32, 24)).copy(),
+                  rng.uniform(-1.0, 2.0, (32, 24))):
+            table(r, out=out, work=work)
+            assert_bitwise(out, spline(r))
+
+    def test_scalar_inputs(self):
+        nodes, y, dydx = h_table(quartic(1.0))
+        spline = CubicHermiteSpline(nodes, y, dydx)
+        table = _uniform_knot_evaluator(nodes, y, dydx)
+        for x in (0.0, nodes[5], 1.0, -0.5, 4.0):
+            assert_bitwise(table(x), spline(x))
+            assert_bitwise(table(np.float64(x), out=np.empty(()), work=fresh_work(())),
+                           spline(x))
+
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_H_profile_fills_H_and_a_from_one_call(self, p):
+        cc = coupled_decomposition(p)
+        r = np.random.default_rng(2).uniform(0.0, p.r_max, (3, 20, 10))
+        r[0, 0, :3] = [0.0, 1e-9, p.r_max]   # origin, the Taylor branch of a, the end
+        H, a = np.empty_like(r), np.full_like(r, np.nan)
+        assert cc.H_profile(r, out=H, work=fresh_work(r.shape), a_out=a) is H
+        assert_bitwise(H, cc.H_profile(r))
+        assert_bitwise(a, cc.a(r))
+        assert_bitwise(a, radial_slope(p, r))
+
+    def test_heat_coefficients_fill_buffers(self):
+        cc = heat_coefficients()
+        r = np.random.default_rng(1).uniform(0.0, 2.0, (6, 5))
+        H, a = np.full_like(r, np.nan), np.full_like(r, np.nan)
+        assert cc.H_profile(r, out=H, work=fresh_work(r.shape), a_out=a) is H
+        assert np.all(H == 0.0) and np.all(a == 1.0)
+        c = np.full((2, 6, 5), np.nan)
+        assert cc.c(np.ones((2, 6, 5)), r, out=c) is c
+        assert np.all(c == 0.0)
+
+    def test_directions_fill_a_dirty_buffer(self):
+        cc = coupled_decomposition(cosh_potential(1.0))
+        u = np.random.default_rng(4).uniform(-0.5, 0.5, (2, 7, 9))
+        u[:, 3, 4] = 0.0                     # |u| = 0: the direction is zero
+        r = np.sqrt(np.sum(u * u, axis=0))
+        c = np.full_like(u, np.nan)
+        assert cc.c(u, r, out=c) is c
+        assert_bitwise(c, cc.c(u, r))
+        assert np.all(c[:, 3, 4] == 0.0)

@@ -1,4 +1,8 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from pelab import (DIRICHLET, PERIODIC, FieldState, GridSpec,
                    vector_norm, with_resolution)
 from pelab.grid import face_divergence
 from pelab.potentials import EPS_ZERO, EllipticityWindow, RadialPotential
-from pelab.solver import _plan_steps
+from pelab.solver import _coupled_rhs, _euler, _plan_steps
 from test_grid import reference_laplacian
 from test_potentials import reference_radial_slope
 
@@ -588,6 +592,19 @@ class TestRunParity:
                 assert np.abs(got.values - old.values).max() <= 1e-13 * np.abs(old.values).max()
         assert np.abs(traj.final.values - traj.snapshots[0].values).max() > 0.0
 
+    def test_coupled_run_at_the_benchmarked_shape(self):
+        # 256^2 with N = 2, the coupled run of the verify-2d benchmark: the
+        # size at which every temporary of the frozen step came from fresh
+        # pages, and the workspace is reused across several steps
+        cfg = parity_config("coupled", "cosh", PERIODIC, (256, 256), 2)
+        cfg = replace(cfg, t_end=cfg.t_end / 6)
+        traj, ref = run(cfg), reference_run(cfg)
+        assert traj.meta["steps"] >= 6 and len(traj.snapshots) == len(ref)
+        for got, old in zip(traj.snapshots, ref):
+            assert got.t == old.t
+            assert np.array_equal(got.values, old.values)
+        assert np.abs(traj.final.values - traj.snapshots[0].values).max() > 0.0
+
     def test_one_field_state_per_snapshot(self, monkeypatch):
         built = []
         post_init = FieldState.__post_init__
@@ -645,3 +662,59 @@ class TestRunParity:
         with pytest.raises(RangeExcursionError, match="non-finite") as exc:
             step_diffusion(s, p, 1e-5)
         assert exc.value.location == (0,) and exc.value.t == 1e-5
+
+
+def assert_same_snapshots(a, b):
+    assert len(a.snapshots) == len(b.snapshots)
+    for x, y in zip(a.snapshots, b.snapshots):
+        assert x.t == y.t
+        assert np.array_equal(x.values, y.values)
+
+
+class TestCoupledWorkspace:
+    """One workspace per coupled right-hand side: reused by its steps, owned by its run."""
+
+    def test_warm_step_allocates_less_than_three_states(self):
+        p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
+        cc = coupled_decomposition(p)
+        rhs, dt = _coupled_rhs(cc, state.grid), cfl_dt_coupled(state.grid, cc, 0.9)
+        u = _euler(rhs, state.values, vector_norm(state.values), 0.0, dt, cc.r_max)
+        r = vector_norm(u)
+        tracemalloc.start()
+        try:
+            new = _euler(rhs, u, r, dt, dt, cc.r_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the new state, phi'(r) and numpy's own iteration buffers; the
+        # one-pass step before the workspace peaked at 8.5 states
+        assert peak <= 3 * u.nbytes
+        ref = reference_step_coupled(FieldState(grid=state.grid, values=u, t=dt), cc, dt)
+        assert np.array_equal(new, ref.values)
+
+    def test_concurrent_runs_match_sequential_runs(self):
+        # two different configs at once, then each config twice at once
+        configs = [parity_config("coupled", "cosh", PERIODIC, (96, 80), 2),
+                   parity_config("coupled", "quartic", DIRICHLET, (65, 49), 3, seed=7)]
+        sequential = [run(cfg) for cfg in configs]
+        order = [0, 1, 0, 0, 1, 1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # switch threads often, so steps interleave
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                concurrent = list(pool.map(run, [configs[k] for k in order]))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, k in zip(concurrent, order):
+            assert_same_snapshots(got, sequential[k])
+
+    def test_rerun_in_one_process_is_bit_identical(self):
+        cfg = parity_config("coupled", "porous", PERIODIC, (24, 16), 2)
+        first = run(cfg)
+        assert_same_snapshots(run(cfg), first)
+        # a fresh single step from the same state reproduces the run's step
+        dt = first.dt
+        state = first.snapshots[0]
+        for _ in range(cfg.snapshot_every):
+            state = step_coupled(state, coupled_decomposition(cfg.potential), dt)
+        assert np.array_equal(state.values, first.snapshots[1].values)
