@@ -65,5 +65,5 @@ print()
 print("== empirical Hoelder seminorm (alpha = 1/2) of the terminal state")
 for traj in (coarse, fine):
     g = traj.grid
-    sn = holder_seminorm(traj.final, 0.5, (2 * g.h, 0.25), seed=3)
+    sn = holder_seminorm(traj.final, 0.5, (2 * g.h, 0.25))
     print(f"   size {g.sizes[0]:4d}: seminorm = {sn:.4f}")

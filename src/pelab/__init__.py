@@ -27,9 +27,8 @@ from .diagnostics import (CheckReport, CoupledEntropyParams,
                           calibrate_residual_constant, choose_entropy_params,
                           contraction_report, entropy_residual_coupled,
                           entropy_residual_diffusion, estimate_ratio_report,
-                          h_minus_one_norm, h_minus_one_norm_periodic,
-                          holder_seminorm, l2_norm, morrey_profile,
-                          morrey_report, poincare_constant,
+                          h_minus_one_norm, holder_seminorm, l2_norm,
+                          morrey_profile, morrey_report, poincare_constant,
                           reverse_holder_report, sup_norm_report)
 
 __version__ = "0.1.0"

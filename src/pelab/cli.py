@@ -55,12 +55,12 @@ def build_grid(doc: dict) -> GridSpec:
 
 
 def build_potential(doc: dict):
-    if "table" in doc:
-        t = doc["table"]
-        return from_piecewise_poly(t["breakpoints"], t["coeffs"],
-                                   r_max=doc.get("r_max", t.get("r_max")),
-                                   pid=doc.get("id", "table"))
     try:
+        if "table" in doc:
+            t = doc["table"]
+            return from_piecewise_poly(t["breakpoints"], t["coeffs"],
+                                       r_max=doc.get("r_max", t.get("r_max")),
+                                       pid=doc.get("id", "table"))
         return get_potential(doc["id"], r_max=doc.get("r_max"))
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad potential section: {exc}") from exc
@@ -418,7 +418,10 @@ _BUILTIN_SUITES = {
 def cmd_run(args) -> int:
     doc = _load_json(args.config)
     cfg = build_config(doc, args.seed)
-    traj = run(cfg)
+    try:
+        traj = run(cfg)
+    except ValueError as exc:  # an initial section or dt_override run() cannot honour
+        raise UsageError(f"bad run config: {exc}") from exc
     outdir = Path(args.out) / cfg.name
     save_trajectory(traj, outdir)
     print(f"wrote {len(traj.snapshots)} snapshots to {outdir}")
@@ -614,16 +617,14 @@ def cmd_sweep(args) -> int:
 # entropy tables
 
 def cmd_entropy(args) -> int:
-    try:
-        if args.table:
-            tdoc = _load_json(args.table)
-            pot = from_piecewise_poly(tdoc["breakpoints"], tdoc["coeffs"],
-                                      r_max=args.r_max or tdoc.get("r_max"),
-                                      pid=tdoc.get("id", "table"))
-        else:
-            pot = get_potential(args.potential, r_max=args.r_max)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    if args.table:
+        table = _load_json(args.table)
+        doc = {"table": table, "id": table.get("id", "table")}
+    else:
+        doc = {"id": args.potential}
+    if args.r_max is not None:
+        doc["r_max"] = args.r_max
+    pot = build_potential(doc)
     window = certify_window(pot)
     ent = build_entropy(pot)
     cc = coupled_decomposition(pot)

@@ -6,13 +6,15 @@ carrying the measured series, the tolerance used, and, on failure, a witness
 forward differences aligned with the solver's Euler step, so in the quadratic
 case the entropy residual cancels to rounding rather than to truncation.
 
-The H^-1 norm solves the discrete zero-Dirichlet Poisson problem exactly by
-diagonalising the 2n+1-point Laplacian with a type-I sine transform (DST-I) on
-the interior, taken per axis as the real FFT `np.fft.rfft` of the odd
-extension; periodic trajectories use the whole-domain periodic variant,
-solved by `np.fft.rfftn`/`irfftn` on the mean-zero subspace (the contraction
-statement assumes matching boundary traces, which periodic wrap-around
-provides).
+One `h_minus_one_norm` serves both boundary kinds.  It solves the discrete
+Poisson problem exactly by diagonalising the 2n+1-point Laplacian: with a
+type-I sine transform (DST-I) on a Dirichlet interior, taken per axis as the
+real FFT `np.fft.rfft` of the odd extension, and with `np.fft.rfftn`/`irfftn`
+on the mean-zero subspace of a periodic grid (the contraction statement
+assumes matching boundary traces, which periodic wrap-around provides).
+
+The Hoelder seminorm is exact: every point pair with separation in the band,
+one integer offset at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +34,7 @@ from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
                          grad_Phi_field, quadratic)
-from .solver import RunConfig, run
+from .solver import RunConfig, _abort_if_outside, run
 
 
 @dataclass
@@ -140,13 +143,16 @@ def _dst1_work(shape: Sequence[int], axes: Sequence[int]) -> tuple[np.ndarray, n
             np.empty(max(size(a, shape[a] + 2) for a in axes), dtype=complex))
 
 
-def _h_minus_one(values: np.ndarray, grid: GridSpec) -> float:
-    """Solve (-Lap) w = f per component by diagonalising -Lap, return the energy norm.
+def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
+    """Energy norm sqrt(sum |grad w|^2 h^n) of the solution of -Lap w = f.
 
-    `np.fft.rfftn`/`irfftn` on periodic grids, DST-I (`_dst1`, which is its
-    own inverse up to the factor prod 2(m+1)) on the Dirichlet interior
-    (boundary entries of f are ignored and w vanishes on the layer); the
-    forward and inverse DST-I share one pair of buffers.
+    Solved per component by diagonalising -Lap.  Dirichlet grids: DST-I
+    (`_dst1`, which is its own inverse up to the factor prod 2(m+1)) on the
+    interior, the forward and inverse transforms sharing one pair of buffers;
+    boundary entries of f are ignored and w vanishes on the layer.  Periodic
+    grids: `np.fft.rfftn`/`irfftn` on the mean-zero subspace, a seminorm over
+    the whole domain.  Vector inputs return the root of the sum of the
+    squared component norms.
     """
     comps = _as_components(values, grid)
     axes = tuple(range(1, grid.n + 1))
@@ -164,27 +170,6 @@ def _h_minus_one(values: np.ndarray, grid: GridSpec) -> float:
         coef /= mu
         np.multiply(_dst1(coef, axes, work), scale, out=w[core])
     return math.sqrt(sum(_gradient_energy(wc, grid) for wc in w))
-
-
-def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
-    """Energy norm of the solution of the zero-Dirichlet Poisson problem.
-
-    Solves Lap w = f on the interior (boundary entries of f are ignored; the
-    caller supplies data vanishing on the layer) and returns
-    sqrt(sum |grad w|^2 h^n).  Vector inputs return the root of the sum of the
-    squared component norms.
-    """
-    if grid.periodic:
-        raise ValueError("the H^-1 norm is defined on Dirichlet grids; "
-                         "use h_minus_one_norm_periodic for periodic data")
-    return _h_minus_one(values, grid)
-
-
-def h_minus_one_norm_periodic(values: np.ndarray, grid: GridSpec) -> float:
-    """Whole-domain periodic H^-1 seminorm on the mean-zero subspace."""
-    if not grid.periodic:
-        raise ValueError("periodic variant called on a Dirichlet grid")
-    return _h_minus_one(values, grid)
 
 
 def poincare_constant(grid: GridSpec) -> float:
@@ -236,9 +221,8 @@ def contraction_report(traj0: Trajectory, traj1: Trajectory,
     """
     _require_matched(traj0, traj1)
     grid = traj0.grid
-    norm = h_minus_one_norm_periodic if grid.periodic else h_minus_one_norm
     times = traj0.times
-    d = np.array([norm(traj1.snapshots[k].values - traj0.snapshots[k].values, grid)
+    d = np.array([h_minus_one_norm(traj1.snapshots[k].values - traj0.snapshots[k].values, grid)
                   for k in range(len(times))])
 
     witness = None
@@ -299,42 +283,55 @@ def sup_norm_report(traj: Trajectory, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # entropy subsolution residuals
 
-def _check_consecutive(traj: Trajectory) -> float:
+def _residual_report(traj: Trajectory, r_max: float, at: Callable[[FieldState], np.ndarray],
+                     spatial: Callable[[np.ndarray, FieldState], np.ndarray], coef: float,
+                     tau: float | None, name: str, extra: dict) -> CheckReport:
+    """Positive part of (q_next - q_now)/dt - spatial(q_now) + coef |grad u|^2 per pair.
+
+    q = at(snapshot); spatial(q, snapshot) is the spatial operator applied at
+    the earlier snapshot of a consecutive pair.  A snapshot with |u| beyond
+    r_max aborts with the location and time of the first offender.  The
+    report carries the maximum and 99th percentile of the positive part, the
+    maximum magnitude, and `extra`; with tau = None it always passes.
+    """
     spacing = traj.snapshot_dt
     if abs(spacing - traj.dt) > 1e-9 * traj.dt:
         raise ValueError("residual checks need consecutive snapshots "
                          "(snapshot_every = 1 over the checked span)")
     if len(traj.snapshots) < 2:
         raise ValueError("residual checks need at least two snapshots")
-    return spacing
+    for snap in traj.snapshots:
+        _abort_if_outside(vector_norm(snap.values), r_max, snap.t)
 
-
-def _positive_part_stats(res_fields, grid: GridSpec, times) -> tuple[dict, dict | None]:
+    grid, times = traj.grid, traj.times
     core = grid.interior_slices
-    max_pos = 0.0
-    max_abs = 0.0
+    max_pos = max_abs = 0.0
     pos_pool = []
     witness = None
-    pairs = 0
-    for k, res in res_fields:
-        r = res[core]
-        pairs += 1
-        max_abs = max(max_abs, float(np.abs(r).max()))
-        pos = r[r > 0.0]
+    q_now = at(traj.snapshots[0])
+    for k in range(len(traj.snapshots) - 1):
+        q_next = at(traj.snapshots[k + 1])
+        snap = traj.snapshots[k]
+        res = ((q_next - q_now) / spacing - spatial(q_now, snap)
+               + coef * gradient_sq(snap.values, grid))[core]
+        max_abs = max(max_abs, float(np.abs(res).max()))
+        pos = res[res > 0.0]
         if pos.size:
             pos_pool.append(pos)
             m = float(pos.max())
             if m > max_pos:
                 max_pos = m
-                loc = tuple(int(i) for i in np.unravel_index(int(r.argmax()), r.shape))
-                witness = {"pair": k, "t": float(times[k]), "location": loc,
-                           "value": m}
+                loc = tuple(int(i) for i in np.unravel_index(int(res.argmax()), res.shape))
+                witness = {"pair": k, "t": float(times[k]), "location": loc, "value": m}
+        q_now = q_next
     pooled = np.concatenate(pos_pool) if pos_pool else np.zeros(1)
-    stats = {"max_pos": max_pos,
-             "p99_pos": float(np.percentile(pooled, 99.0)),
-             "max_abs": max_abs,
-             "pairs": pairs}
-    return stats, witness
+    stats = {"max_pos": max_pos, "p99_pos": float(np.percentile(pooled, 99.0)),
+             "max_abs": max_abs, "pairs": len(traj.snapshots) - 1,
+             "h": grid.h, "dt": traj.dt, "tau": tau, **extra}
+    passed = True if tau is None else max_pos <= tau
+    return CheckReport(name=name, passed=passed, tolerance=tau,
+                       provenance=_provenance(traj), values=stats,
+                       witness=None if passed else witness)
 
 
 def entropy_residual_diffusion(traj: Trajectory, p: RadialPotential,
@@ -347,34 +344,11 @@ def entropy_residual_diffusion(traj: Trajectory, p: RadialPotential,
     scheme error and must stay below tau = K (h^2 + dt) and shrink under
     refinement.  With tau = None the report is informational (always passes).
     """
-    spacing = _check_consecutive(traj)
-    grid = traj.grid
-    lam2 = window.lam * window.lam
-
-    worst = max(float(vector_norm(s.values).max()) for s in traj.snapshots)
-    if worst > p.r_max * (1.0 + 1e-12):
-        raise RangeExcursionError(
-            f"entropy range exceeded: |u| reaches {worst} > r_max = {p.r_max}")
-
-    def fields():
-        r_now = vector_norm(traj.snapshots[0].values)
-        phi_now = np.asarray(p.phi(r_now), dtype=float)
-        for k in range(len(traj.snapshots) - 1):
-            nxt = traj.snapshots[k + 1]
-            phi_next = np.asarray(p.phi(vector_norm(nxt.values)), dtype=float)
-            u = traj.snapshots[k].values
-            res = ((phi_next - phi_now) / spacing
-                   - laplacian(np.asarray(ent.gamma(phi_now), dtype=float), grid)
-                   + lam2 * gradient_sq(u, grid))
-            yield k, res
-            phi_now = phi_next
-
-    stats, witness = _positive_part_stats(fields(), grid, traj.times)
-    stats.update({"h": grid.h, "dt": traj.dt, "tau": tau})
-    passed = True if tau is None else stats["max_pos"] <= tau
-    return CheckReport(name=name, passed=passed, tolerance=tau,
-                       provenance=_provenance(traj), values=stats,
-                       witness=None if passed else witness)
+    return _residual_report(
+        traj, p.r_max,
+        lambda snap: np.asarray(p.phi(vector_norm(snap.values)), dtype=float),
+        lambda q, snap: laplacian(np.asarray(ent.gamma(q), dtype=float), traj.grid),
+        window.lam * window.lam, tau, name, {})
 
 
 def calibrate_residual_constant(config: RunConfig) -> float:
@@ -436,38 +410,19 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
     """
     if cc.bounds["sup_Hzz"] == 0.0:
         raise ValueError("H vanishes identically; use the diffusion entropy check")
-    spacing = _check_consecutive(traj)
-    grid = traj.grid
 
-    worst = max(float(vector_norm(snap.values).max()) for snap in traj.snapshots)
-    if worst > cc.r_max * (1.0 + 1e-12):
-        raise RangeExcursionError(
-            f"entropy range exceeded: |u| reaches {worst} > r_max = {cc.r_max}")
-
-    def v_and_A(snap: FieldState):
+    def v(snap: FieldState) -> np.ndarray:
         r = vector_norm(snap.values)
-        v = np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
+        return np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
+
+    def div_A_grad(v_now: np.ndarray, snap: FieldState) -> np.ndarray:
+        r = vector_norm(snap.values)
         A = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r) \
             + np.sum(np.asarray(cc.c(snap.values, r), dtype=float)
                      * np.asarray(cc.H_z(snap.values, r), dtype=float), axis=0)
-        return v, A
+        return face_divergence(A, v_now[None], None, None, traj.grid)[0]
 
-    def fields():
-        v_now, A_now = v_and_A(traj.snapshots[0])
-        for k in range(len(traj.snapshots) - 1):
-            v_next, A_next = v_and_A(traj.snapshots[k + 1])
-            u = traj.snapshots[k].values
-            div = face_divergence(A_now, v_now[None], None, None, grid)[0]
-            res = (v_next - v_now) / spacing - div + c * gradient_sq(u, grid)
-            yield k, res
-            v_now, A_now = v_next, A_next
-
-    stats, witness = _positive_part_stats(fields(), grid, traj.times)
-    stats.update({"h": grid.h, "dt": traj.dt, "tau": tau, "s": s, "c": c})
-    passed = True if tau is None else stats["max_pos"] <= tau
-    return CheckReport(name=name, passed=passed, tolerance=tau,
-                       provenance=_provenance(traj), values=stats,
-                       witness=None if passed else witness)
+    return _residual_report(traj, cc.r_max, v, div_A_grad, c, tau, name, {"s": s, "c": c})
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +599,18 @@ def estimate_ratio_report(traj: Trajectory, p: RadialPotential,
 # ---------------------------------------------------------------------------
 # empirical Hoelder seminorm
 
-def holder_seminorm(snap: FieldState, alpha: float, band: tuple[float, float],
-                    n_pairs: int = 10_000, seed: int = 0) -> float:
-    """Max of |u(x) - u(y)| / |x - y|^alpha over point pairs with |x-y| in the band.
+def holder_seminorm(snap: FieldState, alpha: float, band: tuple[float, float]) -> float:
+    """Max of |u(x) - u(y)| / |x - y|^alpha over all point pairs with |x-y| in the band.
 
-    Exhaustive over all pairs on small grids (every axis at most 64 points in
-    one or two dimensions); seeded random pairs otherwise.  Used comparatively
-    across resolutions: a bounded seminorm under refinement is the empirical
-    regularity signal.
+    Exact: one vectorised pass per integer offset k (one of each pair +-k)
+    with |k| h in the band, by `np.roll` when periodic and over the pairs
+    inside the box when Dirichlet.  All pairs of one offset share the
+    distance |k| h, so band membership does not depend on coordinate
+    rounding (the band's ends take its validation's relative slack 1e-12).
+    The cost grows with (offsets in the band) x points: about
+    (pi/2) (band[1]/h)^2 offsets in 2D, (2 pi/3) (band[1]/h)^3 in 3D.
+    Used comparatively across resolutions: a bounded seminorm under
+    refinement is the empirical regularity signal.
     """
     grid = snap.grid
     lo, hi = band
@@ -660,44 +619,19 @@ def holder_seminorm(snap: FieldState, alpha: float, band: tuple[float, float],
         raise ValueError(f"band {band} must lie within [2h, extent/4] = "
                          f"[{2 * grid.h}, {0.25 * L}]")
 
-    flat = snap.values.reshape(snap.n_components, -1)
-    coords = np.stack(np.meshgrid(*[grid.coords(a) for a in range(grid.n)],
-                                  indexing="ij"), axis=-1).reshape(-1, grid.n)
-    npts = coords.shape[0]
-
-    def quotient(ii, jj):
-        d = coords[ii] - coords[jj]
-        for a in range(grid.n):
-            if grid.periodic:
-                La = grid.extent(a)
-                d[:, a] -= La * np.round(d[:, a] / La)
-        dist = np.sqrt(np.sum(d * d, axis=1))
-        keep = (dist >= lo) & (dist <= hi)
-        if not keep.any():
-            return 0.0, 0
-        du = flat[:, ii[keep]] - flat[:, jj[keep]]
-        num = np.sqrt(np.sum(du * du, axis=0))
-        return float((num / dist[keep] ** alpha).max()), int(keep.sum())
-
-    exhaustive = max(grid.sizes) <= 64 and grid.n <= 2
-    if exhaustive:
-        best = 0.0
-        for i in range(npts - 1):
-            jj = np.arange(i + 1, npts)
-            ii = np.full_like(jj, i)
-            q, _ = quotient(ii, jj)
-            best = max(best, q)
-        return best
-
-    rng = np.random.default_rng(seed)
+    u = snap.values
+    axes = tuple(range(1, grid.n + 1))
+    kmax = int(hi * (1.0 + 1e-12) / grid.h)
     best = 0.0
-    collected = 0
-    for _ in range(200):
-        ii = rng.integers(0, npts, size=4 * n_pairs)
-        jj = rng.integers(0, npts, size=4 * n_pairs)
-        q, kept = quotient(ii, jj)
-        best = max(best, q)
-        collected += kept
-        if collected >= n_pairs:
-            break
+    for k in product(range(-kmax, kmax + 1), repeat=grid.n):
+        dist = grid.h * math.sqrt(sum(c * c for c in k))
+        if k < (0,) * grid.n or not lo * (1.0 - 1e-12) <= dist <= hi * (1.0 + 1e-12):
+            continue
+        if grid.periodic:   # u(x + k) - u(x), wrapping
+            du = np.roll(u, [-c for c in k], axis=axes) - u
+        else:               # the pairs x, x + k that both lie in the box
+            ahead = tuple(slice(max(c, 0), m + min(c, 0)) for c, m in zip(k, grid.sizes))
+            behind = tuple(slice(max(-c, 0), m + min(-c, 0)) for c, m in zip(k, grid.sizes))
+            du = u[(slice(None), *ahead)] - u[(slice(None), *behind)]
+        best = max(best, float(np.sqrt(np.sum(du * du, axis=0)).max()) / dist ** alpha)
     return best

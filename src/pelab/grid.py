@@ -4,15 +4,18 @@ Uniform tensor grids in 1, 2 or 3 dimensions with periodic or Dirichlet
 boundaries.  Dirichlet grids carry a one-cell-thick boundary layer; stencil
 outputs are meaningful on the interior only (the boundary ring of a Laplacian
 or of the coupled step's `face_divergence` is returned as zero).  Each
-stencil has one code path for both boundary kinds: neighbours are read by
-slicing with the wrap-around written separately (`hessian_sq` reads a copy
-padded by one wrapped cell), and on Dirichlet grids the ring, the only points
-that read across the wrap, is overwritten afterwards.  The private kernels
-`_laplacian` and `_face_divergence` skip the input checks; the latter works
-in buffers its caller owns (the coupled step's per-run workspace), so a
-coupled step allocates only the new state.  All reductions go
-through numpy, whose float sums use pairwise (tree) summation, which bounds
-rounding drift deterministically.
+stencil has one code path for both boundary kinds: a neighbour along an axis
+is read by one primitive, `_shifted`, a contiguous pass over the flattened
+array with the wrapped plane written separately (`hessian_sq`, whose mixed
+differences need diagonal neighbours, reads a copy padded by one wrapped
+cell), and on Dirichlet grids the ring, the only points that read across the
+wrap, is overwritten afterwards.  The private kernels `_laplacian` and
+`_face_divergence` skip the input checks; the latter works in buffers its
+caller owns (the coupled step's per-run workspace), so a coupled step
+allocates only the new state.  All reductions go through numpy, whose float
+sums use pairwise (tree) summation, which bounds rounding drift
+deterministically.  `_dist2`, the minimal-image squared distance to a point,
+serves both the cylinder balls and the bump initial data.
 
 A parabolic cylinder Q(x0, t0, R) is the discrete set of grid points within
 Euclidean distance R of x0, crossed with the snapshot times t satisfying
@@ -119,25 +122,44 @@ def _zero_ring(out: np.ndarray, n: int) -> None:
         out[pre + (-1,)] = 0.0
 
 
+def _shifted(op, f: np.ndarray, axis: int, k1: int, k2: int,
+             out: np.ndarray) -> np.ndarray:
+    """out[x] = op(f[x + k1 e], f[x + k2 e]) along `axis`, wrapping, for k1, k2 in -1..1.
+
+    A neighbour along an axis is a fixed shift of the flattened array, so the
+    bulk is one contiguous pass (numpy copies strided operands through
+    buffers of its own) whose entries that cross the wrap are then
+    overwritten by the planes read across it.  `out` must be C-contiguous
+    (a strided buffer raises); `f` may be any layout.
+    """
+    s = math.prod(f.shape[axis + 1:])   # one step along the axis, flattened
+    lo, hi = int(k1 < 0 or k2 < 0), int(k1 > 0 or k2 > 0)
+    n = f.size - (lo + hi) * s            # entries that read no wrapped plane
+    a1, a2, b = (lo + k1) * s, (lo + k2) * s, lo * s
+    if not out.flags.c_contiguous:   # the flat view below would be a copy
+        raise ValueError("_shifted needs a C-contiguous output buffer")
+    flat, flat_out = f.ravel(), out.ravel()
+    op(flat[a1:a1 + n], flat[a2:a2 + n], out=flat_out[b:b + n])
+    m = f.shape[axis]
+    pre = (slice(None),) * axis
+    for i in (0,) * lo + (m - 1,) * hi:   # the first and/or the last plane
+        j1, j2 = (i + k1) % m, (i + k2) % m
+        op(f[pre + (slice(j1, j1 + 1),)], f[pre + (slice(j2, j2 + 1),)],
+           out=out[pre + (slice(i, i + 1),)])
+    return out
+
+
 def _laplacian(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Unchecked 2n+1-point Laplacian of each component of an (N, *sizes) array.
 
-    Per axis the neighbour sum f[i-1] + f[i+1] is formed by slicing, the two
-    wrap points written separately, and added to -2n f; the sum is divided
-    by h^2 last.  Dirichlet grids zero the ring, the only points that read
-    across the wrap.
+    Per axis the neighbour sum f[i-1] + f[i+1] (`_shifted`) is added to
+    -2n f; the sum is divided by h^2 last.  Dirichlet grids zero the ring,
+    the only points that read across the wrap.
     """
     out = -2.0 * grid.n * f
-    nb = np.empty_like(f)
+    nb = np.empty(f.shape)
     for a in range(1, grid.n + 1):
-        pre = (slice(None),) * a
-        np.add(f[pre + (slice(None, -2),)], f[pre + (slice(2, None),)],
-               out=nb[pre + (slice(1, -1),)])
-        np.add(f[pre + (slice(-1, None),)], f[pre + (slice(1, 2),)],
-               out=nb[pre + (slice(0, 1),)])
-        np.add(f[pre + (slice(-2, -1),)], f[pre + (slice(0, 1),)],
-               out=nb[pre + (slice(-1, None),)])
-        out += nb
+        out += _shifted(np.add, f, a, -1, 1, nb)
     out /= grid.h * grid.h
     if not grid.periodic:
         _zero_ring(out, grid.n)
@@ -162,42 +184,27 @@ def _face_divergence(coef: np.ndarray, fields: np.ndarray,
 
     `flux` and `tmp` are C-contiguous arrays shaped like `fields`, `face` one
     shaped like a component (a strided buffer raises); none is read before it
-    is written.  A neighbour along an axis is a fixed shift of the flattened
-    array, so each difference is one contiguous pass (numpy copies strided
-    operands through buffers of its own) whose entries that cross the wrap
-    are then overwritten by the wrap plane.  The order of operations is the
-    roll-based original's, except that the exact 0.5 of the extra
-    coefficient's face average multiplies the scalar difference of
-    `extra_field` instead of the N-component sum.
+    is written.  Forward and backward differences are `_shifted` passes.  The
+    order of operations is the roll-based original's, except that the exact
+    0.5 of the extra coefficient's face average multiplies the scalar
+    difference of `extra_field` instead of the N-component sum.
     """
     h = grid.h
     coef, face = coef[None], face[None]
     for a in range(1, grid.n + 1):
-        shift = math.prod(grid.sizes[a:])   # one step along the axis, flattened
-        pre = (slice(None),) * a
-        first, last = pre + (slice(0, 1),), pre + (slice(-1, None),)
-
-        def forward(op, f, res):  # res[i] = op(f[i+1], f[i]), wrapping at the end
-            flat = f.reshape(-1)
-            op(flat[shift:], flat[:-shift], out=res.reshape(-1, copy=False)[:-shift])
-            op(f[first], f[last], out=res[last])
-
-        forward(np.subtract, fields, flux)
+        _shifted(np.subtract, fields, a, 1, 0, flux)   # flux[i] = f[i+1] - f[i]
         flux /= h
-        forward(np.add, coef, face)
+        _shifted(np.add, coef, a, 1, 0, face)
         face *= 0.5
         flux *= face
         if extra_field is not None:
-            forward(np.subtract, extra_field[None], face)
+            _shifted(np.subtract, extra_field[None], a, 1, 0, face)
             face /= h
             face *= 0.5
-            forward(np.add, extra_coef, tmp)
+            _shifted(np.add, extra_coef, a, 1, 0, tmp)
             tmp *= face
             flux += tmp
-        # tmp[i] = flux[i] - flux[i-1], wrapping at the start
-        flat = flux.reshape(-1, copy=False)
-        np.subtract(flat[shift:], flat[:-shift], out=tmp.reshape(-1, copy=False)[shift:])
-        np.subtract(flux[first], flux[last], out=tmp[first])
+        _shifted(np.subtract, flux, a, 0, -1, tmp)     # tmp[i] = flux[i] - flux[i-1]
         tmp /= h
         out += tmp
     if not grid.periodic:
@@ -233,20 +240,16 @@ def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     comps = _as_components(values, grid)
     h = grid.h
-    # (end point, upper neighbour, lower neighbour) and the span between them
-    if grid.periodic:
-        ends, span = ((0, 1, -1), (-1, 0, -2)), 2.0 * h
-    else:
-        ends, span = ((0, 1, 0), (-1, -1, -2)), h
     out = np.zeros(grid.sizes)
     d = np.empty(grid.sizes)
     for f in comps:
         for a in range(grid.n):
-            pre = (slice(None),) * a
-            d[pre + (slice(1, -1),)] = (f[pre + (slice(2, None),)]
-                                        - f[pre + (slice(None, -2),)]) / (2.0 * h)
-            for end, up, dn in ends:
-                d[pre + (end,)] = (f[pre + (up,)] - f[pre + (dn,)]) / span
+            _shifted(np.subtract, f, a, 1, -1, d)
+            d /= 2.0 * h
+            if not grid.periodic:
+                pre = (slice(None),) * a
+                d[pre + (0,)] = (f[pre + (1,)] - f[pre + (0,)]) / h
+                d[pre + (-1,)] = (f[pre + (-1,)] - f[pre + (-2,)]) / h
             out += d * d
     return out
 
@@ -413,13 +416,13 @@ class Cylinder:
             raise ValueError("cylinder radius must be positive")
 
 
-def _ball_mask(grid: GridSpec, center: Sequence[float], R: float) -> np.ndarray:
-    """Grid points within Euclidean distance R of the center.
+def _dist2(grid: GridSpec, center: Sequence[float]) -> np.ndarray:
+    """Squared Euclidean distance of every grid point to the center.
 
     Periodic axes measure minimal-image distance tied to the axis extent.
     """
     if len(center) != grid.n:
-        raise ValueError("center dimension does not match the grid")
+        raise ValueError(f"center {tuple(center)} does not match the grid dimension {grid.n}")
     dist2 = np.zeros(grid.sizes)
     for a in range(grid.n):
         d = grid.coords(a) - float(center[a])
@@ -429,7 +432,7 @@ def _ball_mask(grid: GridSpec, center: Sequence[float], R: float) -> np.ndarray:
         shape = [1] * grid.n
         shape[a] = grid.sizes[a]
         dist2 = dist2 + (d * d).reshape(shape)
-    return dist2 <= R * R * (1.0 + 1e-12)
+    return dist2
 
 
 def _window_indices(traj: Trajectory, t0: float, R: float) -> np.ndarray:
@@ -446,7 +449,7 @@ def cylinder_members(traj: Trajectory, q: Cylinder) -> tuple[np.ndarray, np.ndar
     fewer than two snapshots intersect the time window.
     """
     grid = traj.grid
-    mask = _ball_mask(grid, q.center, q.R)
+    mask = _dist2(grid, q.center) <= q.R * q.R * (1.0 + 1e-12)
     if not mask.any():
         raise ValueError(f"ball of radius {q.R} around {q.center} contains no grid point")
     for a in range(grid.n):
@@ -522,6 +525,8 @@ def read_snapshot(path) -> FieldState:
     h, t = struct.unpack_from("<dd", raw, off)
     off += 16
     count = nc * int(np.prod(sizes))
+    if len(raw) != off + 8 * count:
+        raise ValueError(f"{path}: {len(raw)} bytes where the header implies {off + 8 * count}")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).astype(float)
     values = values.reshape((nc, *sizes))
     grid = GridSpec(n=n, sizes=tuple(sizes), h=h,

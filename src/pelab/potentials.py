@@ -27,6 +27,8 @@ EPS_ZERO = 1e-12     # |z| below this is the origin
 EPS_TAYLOR = 1e-6    # phi'(r)/r switches to phi''(0) below this
 
 CERT_SAMPLES = 10_001   # 1e4 uniform intervals plus endpoints
+TABLE_SIZE = 4096       # uniform intervals of the gamma and H tables
+QUAD_TOL = 1e-10        # Simpson budget of a table's cumulative integral
 
 
 @dataclass(frozen=True)
@@ -293,14 +295,14 @@ def hessian_Phi(p: RadialPotential, z) -> np.ndarray:
     return g * np.eye(n) + (float(p.phi2(r)) - g) * np.outer(zh, zh)
 
 
-def certify_window(p: RadialPotential, samples: int = CERT_SAMPLES) -> EllipticityWindow:
+def certify_window(p: RadialPotential) -> EllipticityWindow:
     """Sample both Hessian eigenvalue branches densely and report their extrema.
 
     Raises ConvexityError naming the offending radius when strict convexity
     fails anywhere on [0, r_max], or the first radius where a branch is not
     finite.
     """
-    rs = np.linspace(0.0, p.r_max, samples)
+    rs = np.linspace(0.0, p.r_max, CERT_SAMPLES)
     branches = np.stack([np.asarray(p.phi2(rs), dtype=float) + np.zeros_like(rs),
                          radial_slope(p, rs)])
     finite = np.isfinite(branches).all(axis=0)
@@ -318,18 +320,18 @@ def certify_window(p: RadialPotential, samples: int = CERT_SAMPLES) -> Elliptici
             f"potential '{p.id}' is not strictly convex: Hessian eigenvalue "
             f"{lam} at r = {r_bad}", r=r_bad)
     return EllipticityWindow(lam=lam, Lam=Lam, r_max=p.r_max,
-                             samples=samples, spacing=p.r_max / (samples - 1))
+                             samples=CERT_SAMPLES, spacing=p.r_max / (CERT_SAMPLES - 1))
 
 
 # ---------------------------------------------------------------------------
 # quadrature and inversion helpers
 
-def invert_phi(p: RadialPotential, targets: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Monotone bisection of phi on [0, r_max] to absolute tolerance in r."""
+def invert_phi(p: RadialPotential, targets: np.ndarray) -> np.ndarray:
+    """Monotone bisection of phi on [0, r_max] to absolute tolerance 1e-12 in r."""
     t = np.atleast_1d(np.asarray(targets, dtype=float))
     lo = np.zeros_like(t)
     hi = np.full_like(t, p.r_max)
-    iters = max(1, math.ceil(math.log2(max(p.r_max / tol, 2.0)))) + 2
+    iters = max(1, math.ceil(math.log2(max(p.r_max / 1e-12, 2.0)))) + 2
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         below = np.asarray(p.phi(mid), dtype=float) < t
@@ -340,17 +342,18 @@ def invert_phi(p: RadialPotential, targets: np.ndarray, tol: float = 1e-12) -> n
 
 
 def cumulative_simpson(f: Callable[[np.ndarray], np.ndarray], x_max: float,
-                       segments: int, tol: float, max_doublings: int = 10) -> np.ndarray:
+                       segments: int, tol: float) -> np.ndarray:
     """Cumulative integral of f on uniform segments of [0, x_max] by composite Simpson.
 
-    The panel count per segment doubles globally until the per-segment
-    Richardson error estimate meets the budget tol/segments.  Returns the
-    cumulative values at the segment endpoints (length segments + 1).
+    The panel count per segment doubles globally, at most 10 times, until
+    the per-segment Richardson error estimate meets the budget tol/segments.
+    Returns the cumulative values at the segment endpoints (length
+    segments + 1).
     """
     m = segments
     panels = 1
     prev = None
-    for _ in range(max_doublings):
+    for _ in range(10):
         pts = 2 * m * panels + 1
         x = np.linspace(0.0, x_max, pts)
         fx = np.asarray(f(x), dtype=float) + np.zeros(pts)
@@ -369,7 +372,7 @@ def cumulative_simpson(f: Callable[[np.ndarray], np.ndarray], x_max: float,
         panels *= 2
     raise ConstructionError(
         f"composite Simpson quadrature did not reach tolerance {tol} "
-        f"within {max_doublings} refinements")
+        f"within 10 refinements")
 
 
 def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
@@ -429,19 +432,17 @@ def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
 # ---------------------------------------------------------------------------
 # entropy construction
 
-def build_entropy(p: RadialPotential, table_size: int = 4096,
-                  quad_tol: float = 1e-10, check_samples: int = 1001,
-                  max_residual: float = 1e-6) -> EntropyData:
+def build_entropy(p: RadialPotential) -> EntropyData:
     """Construct gamma with gamma' = phi'' o (inverse of phi) by quadrature.
 
-    The inverse is computed by monotone bisection (1e-12 absolute in r), the
-    integral by adaptive composite Simpson to `quad_tol` on `table_size`
-    uniform intervals, and gamma between the nodes is the cubic Hermite table
-    with exact nodal slopes gamma' = phi'' o (inverse of phi).  The identity
-    gamma(phi(z)) = phi'(z)^2 / 2 is certified on `check_samples` points of
-    [0, r_max]; the measured maximum residual is recorded as `tol`.  A residual
-    above `max_residual` signals evaluators inconsistent with their stated
-    derivatives and raises ConstructionError.
+    The inverse is computed by monotone bisection (`invert_phi`), the
+    integral by adaptive composite Simpson to QUAD_TOL on TABLE_SIZE uniform
+    intervals, and gamma between the nodes is the cubic Hermite table with
+    exact nodal slopes gamma' = phi'' o (inverse of phi).  The identity
+    gamma(phi(z)) = phi'(z)^2 / 2 is certified on 1001 points of [0, r_max];
+    the measured maximum residual is recorded as `tol`.  A residual above
+    1e-6 signals evaluators inconsistent with their stated derivatives and
+    raises ConstructionError.
     """
     certify_window(p)
     z_max = float(p.phi(p.r_max))
@@ -449,8 +450,8 @@ def build_entropy(p: RadialPotential, table_size: int = 4096,
     def integrand(z):
         return np.asarray(p.phi2(invert_phi(p, z)), dtype=float)
 
-    nodes = np.linspace(0.0, z_max, table_size + 1)
-    gamma_nodes = cumulative_simpson(integrand, z_max, table_size, quad_tol)
+    nodes = np.linspace(0.0, z_max, TABLE_SIZE + 1)
+    gamma_nodes = cumulative_simpson(integrand, z_max, TABLE_SIZE, QUAD_TOL)
     if np.any(np.diff(gamma_nodes) <= 0.0):
         raise ConstructionError(f"entropy table for '{p.id}' is not strictly increasing")
     gamma = _uniform_knot_evaluator(nodes, gamma_nodes, integrand(nodes))
@@ -458,14 +459,14 @@ def build_entropy(p: RadialPotential, table_size: int = 4096,
     def gamma1(z):
         return np.asarray(p.phi2(invert_phi(p, np.asarray(z, dtype=float))), dtype=float)
 
-    rs = np.linspace(0.0, p.r_max, check_samples)
+    rs = np.linspace(0.0, p.r_max, 1001)
     resid = np.abs(gamma(np.asarray(p.phi(rs), dtype=float))
                    - 0.5 * np.square(np.asarray(p.phi1(rs), dtype=float)))
     tol = float(resid.max())
-    if tol > max_residual:
+    if tol > 1e-6:
         r_bad = float(rs[int(resid.argmax())])
         raise ConstructionError(
-            f"entropy identity residual {tol:.3e} exceeds {max_residual:.1e} at "
+            f"entropy identity residual {tol:.3e} exceeds 1.0e-06 at "
             f"z = {r_bad}: evaluators of '{p.id}' are inconsistent with their derivatives")
     return EntropyData(gamma=gamma, gamma1=gamma1, tol=tol, z_max=z_max,
                        table=(nodes, gamma_nodes))
@@ -474,21 +475,20 @@ def build_entropy(p: RadialPotential, table_size: int = 4096,
 # ---------------------------------------------------------------------------
 # strongly coupled decomposition
 
-def coupled_decomposition(p: RadialPotential, table_size: int = 4096,
-                          quad_tol: float = 1e-10,
-                          samples: int = CERT_SAMPLES) -> CoupledCoefficients:
+def coupled_decomposition(p: RadialPotential) -> CoupledCoefficients:
     """Rewrite the radial diffusion system in strongly coupled form.
 
     a(r) = phi'(r)/r (times the identity), c = unit radial directions, and
     H(r) = phi'(r) - integral_0^r phi'(s)/s ds with the integrand extended by
     phi''(0) at s = 0; the integral is a cubic Hermite table with exact nodal
-    slopes phi'(s)/s over `table_size` uniform intervals.  The reconstruction
-    a*I + c (x) H_z equals the Hessian of Phi.
+    slopes phi'(s)/s over TABLE_SIZE uniform intervals.  The bounds are
+    sampled on the CERT_SAMPLES points of the certified window.  The
+    reconstruction a*I + c (x) H_z equals the Hessian of Phi.
     """
-    window = certify_window(p, samples)
-    nodes = np.linspace(0.0, p.r_max, table_size + 1)
+    window = certify_window(p)
+    nodes = np.linspace(0.0, p.r_max, TABLE_SIZE + 1)
     integral_nodes = cumulative_simpson(lambda s: radial_slope(p, s),
-                                        p.r_max, table_size, quad_tol)
+                                        p.r_max, TABLE_SIZE, QUAD_TOL)
     islope = _uniform_knot_evaluator(nodes, integral_nodes, radial_slope(p, nodes))
     phi2_0 = float(p.phi2(0.0))
 
@@ -521,7 +521,7 @@ def coupled_decomposition(p: RadialPotential, table_size: int = 4096,
         r = vector_norm(values) if r is None else r
         return dH_profile(r)[None] * c_dirs(values, r)
 
-    rs = np.linspace(0.0, p.r_max, samples)
+    rs = np.linspace(0.0, p.r_max, CERT_SAMPLES)
     a_s = radial_slope(p, rs)
     phi2_s = np.asarray(p.phi2(rs), dtype=float) + np.zeros_like(rs)
     deta = phi2_s - a_s                      # radial derivative of the H profile

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import RangeExcursionError
-from .grid import (FieldState, GridSpec, Trajectory, _face_divergence, _laplacian,
-                   vector_norm)
+from .grid import (FieldState, GridSpec, Trajectory, _dist2, _face_divergence,
+                   _laplacian, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow,
                          RadialPotential, certify_window, coupled_decomposition,
                          grad_Phi_field)
@@ -150,24 +150,17 @@ def _unit_direction(direction, n_components: int) -> np.ndarray:
     return d / norm
 
 
-def _axis_grids(grid: GridSpec) -> list[np.ndarray]:
-    out = []
-    for a in range(grid.n):
-        shape = [1] * grid.n
-        shape[a] = grid.sizes[a]
-        out.append(grid.coords(a).reshape(shape))
-    return out
-
-
-def _mode_field(grid: GridSpec, k, phase: float) -> np.ndarray:
+def _mode_field(grid: GridSpec, k, phases) -> np.ndarray:
+    """Separable sine: one wavenumber (or one for all axes) and one phase per axis."""
     ks = [int(v) for v in (k if hasattr(k, "__len__") else [k] * grid.n)]
     if len(ks) != grid.n:
         raise ValueError("one wavenumber per axis required")
     f = np.ones(grid.sizes)
-    for a, x in enumerate(_axis_grids(grid)):
+    for a in range(grid.n):
+        x = grid.coords(a).reshape([-1 if b == a else 1 for b in range(grid.n)])
         L = grid.extent(a)
         if grid.periodic:
-            f = f * np.sin(2.0 * np.pi * ks[a] * x / L + phase)
+            f = f * np.sin(2.0 * np.pi * ks[a] * x / L + phases[a])
         else:
             if ks[a] < 1:
                 raise ValueError("Dirichlet modes need wavenumbers >= 1")
@@ -176,14 +169,7 @@ def _mode_field(grid: GridSpec, k, phase: float) -> np.ndarray:
 
 
 def _bump_field(grid: GridSpec, center, width: float) -> np.ndarray:
-    d2 = np.zeros(grid.sizes)
-    for a, x in enumerate(_axis_grids(grid)):
-        d = x - float(center[a])
-        if grid.periodic:
-            L = grid.extent(a)
-            d = d - L * np.round(d / L)
-        d2 = d2 + d * d
-    return np.exp(-d2 / (2.0 * width * width))
+    return np.exp(-_dist2(grid, center) / (2.0 * width * width))
 
 
 def initial_field(grid: GridSpec, n_components: int, spec: dict, seed: int) -> np.ndarray:
@@ -209,7 +195,8 @@ def initial_field(grid: GridSpec, n_components: int, spec: dict, seed: int) -> n
 
     if kind == "mode":
         d = _unit_direction(spec.get("direction"), n_components)
-        f = _mode_field(grid, spec.get("k", [1] * grid.n), float(spec.get("phase", 0.0)))
+        f = _mode_field(grid, spec.get("k", [1] * grid.n),
+                        [float(spec.get("phase", 0.0))] * grid.n)
         return amp * d.reshape((n_components,) + (1,) * grid.n) * f[None]
 
     if kind == "bands":
@@ -223,15 +210,7 @@ def initial_field(grid: GridSpec, n_components: int, spec: dict, seed: int) -> n
             for kidx in modes:
                 coeff = float(rng.standard_normal())
                 phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n)
-                f = np.ones(grid.sizes)
-                for a, x in enumerate(_axis_grids(grid)):
-                    L = grid.extent(a)
-                    ka = kidx[a] + 1
-                    if grid.periodic:
-                        f = f * np.sin(2.0 * np.pi * ka * x / L + phases[a])
-                    else:
-                        f = f * np.sin(np.pi * ka * x / L)
-                fields[c] += coeff * f
+                fields[c] += coeff * _mode_field(grid, [k + 1 for k in kidx], phases)
                 l1[c] += abs(coeff)
         scale = amp / math.sqrt(float(np.sum(l1 * l1)))
         fields *= scale

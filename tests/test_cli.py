@@ -59,6 +59,19 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "r_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("initial, message", [
+        ({"kind": "spiral"}, "unknown initial-data kind 'spiral'"),
+        ({"kind": "bump", "center": [0.5, 0.5]}, "does not match the grid dimension 1"),
+    ])
+    def test_initial_section_errors_are_usage_errors(self, tmp_path, capsys, initial, message):
+        doc = heat_doc()
+        doc["initial"] = initial
+        cfg = write_doc(tmp_path, doc)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad run config: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_doc(tmp_path, heat_doc(t_end=0.002))
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0

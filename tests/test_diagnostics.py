@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
-                   RunConfig, Trajectory, build_entropy,
+                   RangeExcursionError, RunConfig, Trajectory, build_entropy,
                    calibrate_residual_constant, certify_window,
                    choose_entropy_params, contraction_report,
                    cosh_potential, coupled_decomposition, cylinder_integral,
                    cylinder_members,
                    entropy_residual_coupled, entropy_residual_diffusion,
                    estimate_ratio_report, gradient_sq, h_minus_one_norm,
-                   h_minus_one_norm_periodic, heat_coefficients,
-                   holder_seminorm, l2_norm, laplacian, morrey_profile,
-                   morrey_report, poincare_constant, quadratic,
+                   heat_coefficients, holder_seminorm, initial_field, l2_norm,
+                   laplacian, morrey_profile, morrey_report, poincare_constant,
+                   quadratic,
                    reverse_holder_report, run, step_diffusion, sup_norm_report,
                    vector_norm)
 from pelab.diagnostics import _dst1, _gradient_energy, _laplacian_symbol
@@ -88,11 +88,6 @@ def scipy_fft_norm(values, grid):
     return math.sqrt(sum(_gradient_energy(wc, grid) for wc in w))
 
 
-def spectral_norm(values, grid):
-    norm = h_minus_one_norm_periodic if grid.periodic else h_minus_one_norm
-    return norm(values, grid)
-
-
 class TestHMinusOne:
     def test_zero_field(self):
         assert h_minus_one_norm(np.zeros((1, 65)), dgrid(65)) == 0.0
@@ -151,7 +146,7 @@ class TestHMinusOne:
         g = GridSpec(n=len(sizes), sizes=sizes, h=1.0 / max(sizes), boundary=boundary)
         f = np.random.default_rng(sum(sizes)).standard_normal((2, *sizes))
         want = scipy_fft_norm(f, g)
-        assert abs(spectral_norm(f, g) - want) <= 1e-13 * want
+        assert abs(h_minus_one_norm(f, g) - want) <= 1e-13 * want
         if boundary == DIRICHLET:  # the DST-I itself is scipy's, bit for bit
             core = f[(slice(None), *g.interior_slices)]
             axes = tuple(range(1, g.n + 1))
@@ -161,9 +156,9 @@ class TestHMinusOne:
         rng = np.random.default_rng(5)
         g = GridSpec(n=2, sizes=(24, 10), h=1.0 / 24, boundary=PERIODIC)
         f = rng.standard_normal((2, *g.sizes))
-        got = h_minus_one_norm_periodic(f, g)
+        got = h_minus_one_norm(f, g)
         assert got == pytest.approx(oracle_norm(f, g), rel=1e-12)
-        assert h_minus_one_norm_periodic(f + 3.0, g) == pytest.approx(got, rel=1e-12)
+        assert h_minus_one_norm(f + 3.0, g) == pytest.approx(got, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 3), data=st.data(), periodic=st.booleans(),
@@ -175,9 +170,9 @@ class TestHMinusOne:
         g = GridSpec(n=n, sizes=sizes, h=1.0 / max(sizes),
                      boundary=PERIODIC if periodic else DIRICHLET)
         f = np.random.default_rng(seed).standard_normal((components, *sizes))
-        got = spectral_norm(f, g)
+        got = h_minus_one_norm(f, g)
         assert got == pytest.approx(oracle_norm(f, g), rel=1e-12)
-        assert spectral_norm(sign * scale * f, g) == pytest.approx(scale * got, rel=1e-12)
+        assert h_minus_one_norm(sign * scale * f, g) == pytest.approx(scale * got, rel=1e-12)
 
     def test_poincare_inequality(self):
         rng = np.random.default_rng(4)
@@ -209,14 +204,8 @@ class TestHMinusOne:
         g = pgrid(64)
         f = np.sin(2 * np.pi * g.coords(0))
         mu_h = 4.0 / g.h ** 2 * math.sin(math.pi * g.h) ** 2
-        got = h_minus_one_norm_periodic(f, g)
+        got = h_minus_one_norm(f, g)
         assert got ** 2 == pytest.approx(0.5 / mu_h, rel=1e-9)
-
-    def test_periodic_rejects_dirichlet_and_vice_versa(self):
-        with pytest.raises(ValueError):
-            h_minus_one_norm(np.zeros((1, 64)), pgrid(64))
-        with pytest.raises(ValueError):
-            h_minus_one_norm_periodic(np.zeros((1, 65)), dgrid(65))
 
 
 def dirichlet_run(pot, size, init, t_end=0.02, every=10, seed=1):
@@ -387,6 +376,26 @@ class TestEntropyResiduals:
         traj = stationary(g, np.full((1, 32), 0.2), dt=1e-5)
         with pytest.raises(ValueError, match="diffusion entropy check"):
             entropy_residual_coupled(traj, heat_coefficients(), 1.0, 0.5)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_range_abort_names_the_first_offending_snapshot(self, coupled):
+        p = cosh_potential(1.0)
+        g = pgrid(32)
+        vals = [np.full((1, 32), 0.5) for _ in range(4)]
+        vals[2][0, 7] = 1.25      # first offender: snapshot 2, point 7
+        vals[3][0, 3] = 1.5       # a larger one later must not be the witness
+        traj = Trajectory(snapshots=tuple(FieldState(grid=g, values=v, t=k * 1e-5)
+                                          for k, v in enumerate(vals)), dt=1e-5)
+        with pytest.raises(RangeExcursionError, match=r"\(7,\), t = 2e-05") as exc:
+            if coupled:
+                cc = coupled_decomposition(p)
+                pars = choose_entropy_params(cc, 1, 1)
+                entropy_residual_coupled(traj, cc, pars.s, pars.c)
+            else:
+                entropy_residual_diffusion(traj, p, build_entropy(p), certify_window(p))
+        assert exc.value.location == (7,)
+        assert exc.value.t == 2e-5
+        assert "1.25" in str(exc.value)
 
     @pytest.mark.parametrize("pid", ["quadratic", "cosh", "quartic", "porous"])
     def test_positive_part_never_grows_under_refinement(self, pid):
@@ -775,6 +784,60 @@ class TestCylinderIntegralParity:
             "ratio_l4": i_l4 * gap2 / (sup_u * sup_u * i_grad)}]
 
 
+def frozen_holder_seminorm(snap, alpha, band, n_pairs=10_000, seed=0):
+    """The earlier holder_seminorm, kept as an oracle: an exhaustive per-point
+    loop over coordinate differences when every axis has at most 64 points and
+    n <= 2, a seeded random sample of pairs (a lower bound) otherwise."""
+    grid = snap.grid
+    lo, hi = band
+    flat = snap.values.reshape(snap.n_components, -1)
+    coords = np.stack(np.meshgrid(*[grid.coords(a) for a in range(grid.n)],
+                                  indexing="ij"), axis=-1).reshape(-1, grid.n)
+    npts = coords.shape[0]
+
+    def quotient(ii, jj):
+        d = coords[ii] - coords[jj]
+        for a in range(grid.n):
+            if grid.periodic:
+                La = grid.extent(a)
+                d[:, a] -= La * np.round(d[:, a] / La)
+        dist = np.sqrt(np.sum(d * d, axis=1))
+        keep = (dist >= lo) & (dist <= hi)
+        if not keep.any():
+            return 0.0, 0
+        du = flat[:, ii[keep]] - flat[:, jj[keep]]
+        num = np.sqrt(np.sum(du * du, axis=0))
+        return float((num / dist[keep] ** alpha).max()), int(keep.sum())
+
+    if max(grid.sizes) <= 64 and grid.n <= 2:
+        best = 0.0
+        for i in range(npts - 1):
+            jj = np.arange(i + 1, npts)
+            best = max(best, quotient(np.full_like(jj, i), jj)[0])
+        return best
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    collected = 0
+    for _ in range(200):
+        q, kept = quotient(rng.integers(0, npts, size=4 * n_pairs),
+                           rng.integers(0, npts, size=4 * n_pairs))
+        best = max(best, q)
+        collected += kept
+        if collected >= n_pairs:
+            break
+    return best
+
+
+def bands_state(grid, n_components, seed):
+    values = initial_field(grid, n_components, {"kind": "bands", "kmax": 4,
+                                                "amplitude": 0.8}, seed)
+    bv = None
+    if not grid.periodic:
+        values[:, grid.boundary_mask] = 0.0
+        bv = (0.0,) * n_components
+    return FieldState(grid=grid, values=values, t=0.0, boundary_values=bv)
+
+
 class TestHolderSeminorm:
     def test_constant_field(self):
         g = pgrid(64)
@@ -814,9 +877,79 @@ class TestHolderSeminorm:
         with pytest.raises(ValueError, match="band"):
             holder_seminorm(s, 0.5, (0.5 * g.h, 0.1))
 
-    def test_sampled_path_on_large_grid(self):
+    def test_large_grid_sine_bounds(self):
         g = pgrid(128)
         u = np.sin(2 * np.pi * g.coords(0))[None]
         s = FieldState(grid=g, values=u, t=0.0)
-        got = holder_seminorm(s, 0.5, (2 * g.h, 0.25), n_pairs=5000, seed=3)
+        got = holder_seminorm(s, 0.5, (2 * g.h, 0.25))
         assert 0.5 <= got <= 2 * np.pi * 0.5 + 1e-9
+
+    @pytest.mark.parametrize("grid, n_components, alpha", [
+        (pgrid(64), 1, 0.5), (pgrid(64), 1, 0.7),
+        (GridSpec(n=1, sizes=(64,), h=1.0 / 64, boundary=DIRICHLET), 2, 0.5),
+        (GridSpec(n=1, sizes=(64,), h=1.0 / 64, boundary=DIRICHLET), 2, 0.7),
+        (pgrid(64, n=2), 2, 0.5),
+        (GridSpec(n=2, sizes=(32, 32), h=1.0 / 32, boundary=DIRICHLET), 2, 0.5),
+        (GridSpec(n=2, sizes=(32, 32), h=1.0 / 32, boundary=DIRICHLET), 2, 0.7),
+    ])
+    def test_equals_frozen_exhaustive_loop_on_exact_coordinates(self, grid, n_components,
+                                                                 alpha):
+        # h = 2^-k: coordinate differences are exact multiples of h, so the
+        # old per-point loop saw every pair of the band
+        s = bands_state(grid, n_components, seed=21)
+        L = min(grid.extent(a) for a in range(grid.n))
+        band = (2 * grid.h, 0.25 * L)
+        got, want = holder_seminorm(s, alpha, band), frozen_holder_seminorm(s, alpha, band)
+        if alpha == 0.5:   # |x - y|^(1/2) is a correctly rounded square root on both paths
+            assert got == want
+        else:              # numpy's vectorised power and libm's pow may differ by an ulp
+            assert got == pytest.approx(want, rel=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("grid, n_components", [
+        (pgrid(128, n=2), 1),
+        (GridSpec(n=3, sizes=(16, 16, 16), h=1.0 / 16, boundary=PERIODIC), 3),
+        (GridSpec(n=2, sizes=(96, 96), h=1.0 / 95, boundary=DIRICHLET), 2),
+    ])
+    def test_never_below_the_frozen_sampled_path(self, grid, n_components):
+        s = bands_state(grid, n_components, seed=22)
+        band = (2 * grid.h, 0.25 * min(grid.extent(a) for a in range(grid.n)))
+        assert holder_seminorm(s, 0.5, band) >= frozen_holder_seminorm(s, 0.5, band, seed=3)
+
+    def test_band_edge_pairs_are_all_counted(self):
+        # h = 1/47: x[i+2] - x[i] rounds below 2h for 18 of the 46 offset-2
+        # pairs, among them both pairs of point 32, which the old loop dropped
+        g = dgrid(48)
+        u = np.zeros((1, 48))
+        u[0, 32] = 1.0
+        s = FieldState(grid=g, values=u, t=0.0, boundary_values=(0.0,))
+        band = (2 * g.h, 0.25)
+        got = holder_seminorm(s, 0.5, band)
+        assert got == (2 * g.h) ** -0.5
+        assert frozen_holder_seminorm(s, 0.5, band) < got
+        # a pair loop over integer separations on random data
+        v = np.random.default_rng(23).standard_normal(48)
+        v[[0, -1]] = 0.0
+        s = FieldState(grid=g, values=v[None], t=0.0, boundary_values=(0.0,))
+        want = max(abs(v[i + k] - v[i]) / (k * g.h) ** 0.5
+                   for k in range(2, 12) for i in range(48 - k))
+        assert holder_seminorm(s, 0.5, band) == want
+
+    def test_separates_smooth_solution_from_planted_jump(self):
+        # cosh flow of bands data to t = 0.02: the smooth solution's seminorm
+        # (alpha = 1/2, band [2h, 1/4]) stays flat under refinement, while a
+        # planted jump 0.25 tanh((x - 1/2)/h) grows like h^(-1/2)
+        smooth, jump = [], []
+        for m in (128, 256, 512):
+            cfg = RunConfig(grid=pgrid(m), n_components=1, potential=cosh_potential(1.0),
+                            t_end=0.02, snapshot_every=100, seed=11,
+                            initial={"kind": "bands", "kmax": 3, "amplitude": 0.5})
+            fin = run(cfg).final
+            g = fin.grid
+            band = (2 * g.h, 0.25)
+            planted = fin.values + 0.25 * np.tanh((g.coords(0) - 0.5) / g.h)
+            smooth.append(holder_seminorm(fin, 0.5, band))
+            jump.append(holder_seminorm(FieldState(grid=g, values=planted, t=fin.t), 0.5, band))
+        assert max(smooth) / min(smooth) < 1.01 and max(smooth) < 0.1
+        for coarse, fine in zip(jump, jump[1:]):
+            assert fine / coarse == pytest.approx(math.sqrt(2.0), rel=0.03)
+        assert jump[0] > 30 * smooth[0]

@@ -479,3 +479,14 @@ class TestSnapshotFiles:
         back = read_snapshot(tmp_path / "s.pelb")
         assert back.grid == g
         assert np.array_equal(back.values, s.values)
+
+    @pytest.mark.parametrize("change", ["trailing", "truncated"])
+    def test_wrong_length_rejected_with_path(self, tmp_path, change):
+        g = GridSpec(n=1, sizes=(4,), h=0.25, boundary=PERIODIC)
+        path = tmp_path / "s.pelb"
+        write_snapshot(path, FieldState(grid=g, values=np.zeros((1, 4)), t=0.0))
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(24) if change == "trailing" else raw[:-8])
+        with pytest.raises(ValueError, match="bytes where the header implies 67") as exc:
+            read_snapshot(path)
+        assert str(path) in str(exc.value)

@@ -15,8 +15,8 @@ PUBLIC = {
     "coupled_decomposition", "cylinder_integral", "cylinder_members",
     "entropy_residual_coupled", "entropy_residual_diffusion",
     "estimate_ratio_report", "from_piecewise_poly", "get_potential", "grad_Phi",
-    "grad_Phi_field", "gradient_sq", "h_minus_one_norm",
-    "h_minus_one_norm_periodic", "heat_coefficients", "hessian_Phi",
+    "grad_Phi_field", "gradient_sq", "h_minus_one_norm", "heat_coefficients",
+    "hessian_Phi",
     "hessian_sq", "holder_seminorm", "initial_field", "invert_phi", "l2_norm",
     "laplacian", "morrey_profile", "morrey_report", "poincare_constant",
     "quadratic", "quartic", "radial_slope", "read_snapshot",
@@ -31,3 +31,24 @@ def test_public_names_are_pinned():
     names = {n for n, v in vars(pelab).items()
              if not n.startswith("_") and not inspect.ismodule(v)}
     assert names == PUBLIC
+
+
+# Parameter lists pinned so that a knob that only ever took one value, or a
+# second entry point of one concept, does not come back unnoticed.
+PARAMETERS = {
+    "build_entropy": ("p",),
+    "coupled_decomposition": ("p",),
+    "certify_window": ("p",),
+    "invert_phi": ("p", "targets"),
+    "cumulative_simpson": ("f", "x_max", "segments", "tol"),
+    "holder_seminorm": ("snap", "alpha", "band"),
+    "h_minus_one_norm": ("values", "grid"),
+}
+
+
+def test_parameter_lists_are_pinned():
+    from pelab.potentials import cumulative_simpson
+
+    for name, want in PARAMETERS.items():
+        fn = cumulative_simpson if name == "cumulative_simpson" else getattr(pelab, name)
+        assert tuple(inspect.signature(fn).parameters) == want, name
