@@ -17,9 +17,8 @@ from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, builtin_ids,
                          certify_window, coupled_decomposition,
                          cosh_potential, from_piecewise_poly, get_potential,
-                         grad_Phi, grad_Phi_field, heat_coefficients,
-                         hessian_Phi, invert_phi, quadratic, quartic,
-                         radial_slope, smoothed_porous)
+                         grad_Phi, grad_Phi_field, hessian_Phi, invert_phi,
+                         quadratic, quartic, radial_slope, smoothed_porous)
 from .solver import (RunConfig, cfl_dt, cfl_dt_coupled, config_hash,
                      initial_field, run, step_coupled, step_diffusion,
                      step_scalar, with_resolution)
@@ -28,7 +27,7 @@ from .diagnostics import (CheckReport, CoupledEntropyParams,
                           contraction_report, entropy_residual_coupled,
                           entropy_residual_diffusion, estimate_ratio_report,
                           h_minus_one_norm, holder_seminorm, l2_norm,
-                          morrey_profile, morrey_report, poincare_constant,
-                          reverse_holder_report, sup_norm_report)
+                          morrey_profile, morrey_report, reverse_holder_report,
+                          sup_norm_report)
 
 __version__ = "0.1.0"

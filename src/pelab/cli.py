@@ -707,31 +707,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    common.add_argument("--threads", type=int, default=0,
-                        help="worker threads for sweeps (0 = all cores)")
+    # one parent per flag, so that a subcommand accepts only the flags it reads
+    out, seed, threads = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    out.add_argument("--out", default="out", help="output directory (default: out)")
+    seed.add_argument("--seed", type=int, default=None, help="override the config seed")
+    threads.add_argument("--threads", type=int, default=0,
+                         help="worker threads for sweeps (0 = all cores)")
 
     parser = _Parser(prog="pelab",
                      description="diffusion-system laboratory: runs, checks, sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common],
+    p_run = sub.add_parser("run", parents=[out, seed],
                            help="integrate one configuration")
     p_run.add_argument("config", help="path to a run config JSON")
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[out, seed],
                               help="run a verification suite")
     p_verify.add_argument("suite",
                           help=f"suite JSON path or one of {sorted(_BUILTIN_SUITES)}")
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[out, seed, threads],
                              help="run a parameter sweep")
     p_sweep.add_argument("sweep", help="path to a sweep JSON")
 
-    p_ent = sub.add_parser("entropy", parents=[common],
+    p_ent = sub.add_parser("entropy", parents=[out],
                            help="certify a potential and export tables")
     p_ent.add_argument("potential", nargs="?", default="cosh",
                        help="built-in potential id")
@@ -739,8 +739,7 @@ def _build_parser() -> _Parser:
     p_ent.add_argument("--table", default=None,
                        help="piecewise-polynomial potential JSON instead of an id")
 
-    p_rep = sub.add_parser("report", parents=[common],
-                           help="summarize manifests under a directory")
+    p_rep = sub.add_parser("report", help="summarize manifests under a directory")
     p_rep.add_argument("directory")
     return parser
 

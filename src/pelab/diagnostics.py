@@ -6,12 +6,13 @@ carrying the measured series, the tolerance used, and, on failure, a witness
 forward differences aligned with the solver's Euler step, so in the quadratic
 case the entropy residual cancels to rounding rather than to truncation.
 
-One `h_minus_one_norm` serves both boundary kinds.  It solves the discrete
-Poisson problem exactly by diagonalising the 2n+1-point Laplacian: with a
-type-I sine transform (DST-I) on a Dirichlet interior, taken per axis as the
-real FFT `np.fft.rfft` of the odd extension, and with `np.fft.rfftn`/`irfftn`
-on the mean-zero subspace of a periodic grid (the contraction statement
-assumes matching boundary traces, which periodic wrap-around provides).
+One `h_minus_one_norm` serves both boundary kinds through one spectral sum:
+the energy of the discrete Poisson solution is a Parseval sum of |f_k|^2 over
+the symbol of the periodic 2n+1-point Laplacian, taken with `np.fft.rfftn`.
+A periodic grid sums over its own modes on the mean-zero subspace (the
+contraction statement assumes matching boundary traces, which periodic
+wrap-around provides); a Dirichlet grid sums over the odd extension of its
+interior, whose periodic modes are the type-I sine (DST-I) modes.
 
 The Hoelder seminorm is exact: every point pair with separation in the band,
 one integer offset at a time.
@@ -77,110 +78,49 @@ def _provenance(*trajs: Trajectory) -> str:
 # ---------------------------------------------------------------------------
 # discrete Poisson problems and the H^-1 norm
 
-def _laplacian_symbol(grid: GridSpec) -> np.ndarray:
-    """Eigenvalues of the 2n+1-point -Lap on the grid's solve space.
+def _laplacian_symbol(sizes: Sequence[int], h: float) -> np.ndarray:
+    """Eigenvalues of the periodic 2n+1-point -Lap on the bins `np.fft.rfftn` keeps.
 
-    Periodic grids: the DFT modes k = 0..m-1 per axis, with the k = 0 eigenvalue
-    set to inf so that the solve acts on the mean-zero subspace.  Dirichlet
-    grids: the DST-I modes k = 1..m-2 of the interior unknowns.
+    The DFT modes k = 0..m-1 per axis, k = 0..m//2 on the last; the k = 0
+    eigenvalue is inf, so that the mean drops out.
     """
     mu = np.zeros(())
-    for a, m in enumerate(grid.sizes):
-        if grid.periodic:
-            s = np.sin(np.pi * np.arange(m) / m)
-        else:
-            s = np.sin(np.pi * np.arange(1, m - 1) / (2.0 * (m - 1)))
-        shape = [1] * grid.n
+    for a, m in enumerate(sizes):
+        s = np.sin(np.pi * np.arange(m // 2 + 1 if a == len(sizes) - 1 else m) / m)
+        shape = [1] * len(sizes)
         shape[a] = -1
-        mu = mu + (4.0 / (grid.h * grid.h) * s * s).reshape(shape)
-    if grid.periodic:
-        mu[(0,) * grid.n] = np.inf
+        mu = mu + (4.0 / (h * h) * s * s).reshape(shape)
+    mu[(0,) * len(sizes)] = np.inf
     return mu
-
-
-def _gradient_energy(w_full: np.ndarray, grid: GridSpec) -> float:
-    """Sum over faces (wrapping when periodic) of squared forward differences times h^n."""
-    total = 0.0
-    for a in range(grid.n):
-        wrap = {"append": w_full.take([0], axis=a)} if grid.periodic else {}
-        d = np.diff(w_full, axis=a, **wrap) / grid.h
-        total += float(np.sum(d * d))
-    return total * grid.cell_volume()
-
-
-def _dst1(x: np.ndarray, axes: Sequence[int], work: tuple | None = None) -> np.ndarray:
-    """Unnormalised DST-I along each axis: y_k = 2 sum_j x_j sin(pi (j+1)(k+1) / (m+1)).
-
-    Per axis, the imaginary part of the real FFT of the odd extension
-    [0, -x, 0, x reversed] (length 2(m+1)), bins 1..m.  `work` is a pair of
-    flat float and complex buffers (`_dst1_work`) that hold every axis's
-    extension and spectrum; the result is a view into the complex one, valid
-    until the buffers are used again.
-    """
-    ext_buf, spec_buf = work or _dst1_work(x.shape, axes)
-    for a in axes:
-        m = x.shape[a]
-        pre = (slice(None),) * a
-        shape = list(x.shape)
-        shape[a] = 2 * (m + 1)
-        ext = ext_buf[:math.prod(shape)].reshape(shape)
-        ext[pre + (0,)] = 0.0
-        ext[pre + (m + 1,)] = 0.0
-        np.negative(x, out=ext[pre + (slice(1, m + 1),)])
-        ext[pre + (slice(m + 2, None),)] = x[pre + (slice(None, None, -1),)]
-        shape[a] = m + 2
-        spec = spec_buf[:math.prod(shape)].reshape(shape)
-        x = np.fft.rfft(ext, axis=a, out=spec).imag[pre + (slice(1, m + 1),)]
-    return x
-
-
-def _dst1_work(shape: Sequence[int], axes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat buffers for the largest odd extension and spectrum of `_dst1` over `axes`."""
-    def size(a, length):
-        return math.prod(shape) // shape[a] * length
-
-    return (np.empty(max(size(a, 2 * (shape[a] + 1)) for a in axes)),
-            np.empty(max(size(a, shape[a] + 2) for a in axes), dtype=complex))
 
 
 def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
     """Energy norm sqrt(sum |grad w|^2 h^n) of the solution of -Lap w = f.
 
-    Solved per component by diagonalising -Lap.  Dirichlet grids: DST-I
-    (`_dst1`, which is its own inverse up to the factor prod 2(m+1)) on the
-    interior, the forward and inverse transforms sharing one pair of buffers;
-    boundary entries of f are ignored and w vanishes on the layer.  Periodic
-    grids: `np.fft.rfftn`/`irfftn` on the mean-zero subspace, a seminorm over
-    the whole domain.  Vector inputs return the root of the sum of the
-    squared component norms.
+    By summation by parts the energy is <f, w> h^n, which Parseval turns into
+    h^n / M sum_k |f_k|^2 / mu_k over the M-point DFT, with no inverse
+    transform.  Periodic grids: the mean-zero subspace, a seminorm over the
+    whole domain.  Dirichlet grids: the interior v, odd-extended along each
+    axis to [0, v, 0, -v reversed], whose periodic modes are the DST-I modes
+    of v; the extension holds 2^n copies of the energy.  Boundary entries of
+    f are ignored and w vanishes on the layer.  Vector inputs return the root
+    of the sum of the squared component norms.
     """
     comps = _as_components(values, grid)
     axes = tuple(range(1, grid.n + 1))
-    mu = _laplacian_symbol(grid)
-    if grid.periodic:
-        half = mu[..., :grid.sizes[-1] // 2 + 1]   # the bins rfftn keeps
-        w = np.fft.irfftn(np.fft.rfftn(comps, axes=axes) / half,
-                          s=grid.sizes, axes=axes)
-    else:
-        core = (slice(None), *grid.interior_slices)
-        scale = 1.0 / math.prod(2 * (m - 1) for m in grid.sizes)
-        work = _dst1_work(comps[core].shape, axes)
-        w = np.zeros_like(comps)
-        coef = _dst1(comps[core], axes, work)
-        coef /= mu
-        np.multiply(_dst1(coef, axes, work), scale, out=w[core])
-    return math.sqrt(sum(_gradient_energy(wc, grid) for wc in w))
-
-
-def poincare_constant(grid: GridSpec) -> float:
-    """Discrete Poincare constant 1 / sqrt(mu_1) of the Laplacian's solve space.
-
-    mu_1 is the smallest eigenvalue of -Lap: on a Dirichlet grid
-    sum over axes of (4/h^2) sin^2(pi / (2 (m-1))), on a periodic grid the
-    smallest nonzero one.  h_minus_one_norm(f) <= C_P ||f||_2 holds exactly in
-    the discrete setting.
-    """
-    return 1.0 / math.sqrt(float(_laplacian_symbol(grid).min()))
+    copies = 1
+    if not grid.periodic:
+        comps = comps[(slice(None), *grid.interior_slices)]
+        for a in axes:
+            zero = np.zeros_like(comps.take([0], axis=a))
+            comps = np.concatenate([zero, comps, zero, -np.flip(comps, axis=a)], axis=a)
+        copies = 2 ** grid.n
+    spec = np.fft.rfftn(comps, axes=axes)
+    mu = _laplacian_symbol(comps.shape[1:], grid.h)
+    energy = (np.square(spec.real) + np.square(spec.imag)) / mu
+    m = comps.shape[-1]
+    energy[..., 1:(m + 1) // 2] *= 2.0   # the bins whose conjugates rfftn drops
+    return math.sqrt(float(energy.sum()) * grid.cell_volume() / (comps[0].size * copies))
 
 
 def l2_norm(values: np.ndarray, grid: GridSpec) -> float:

@@ -512,6 +512,9 @@ def write_snapshot(path, state: FieldState) -> None:
 def read_snapshot(path) -> FieldState:
     with open(path, "rb") as fh:
         raw = fh.read()
+    head = struct.calcsize("<4sIBBB")
+    if len(raw) < head:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {head}-byte header")
     magic, version, n, nc, bflag = struct.unpack_from("<4sIBBB", raw, 0)
     if magic != _MAGIC:
         raise ValueError(f"{path}: not a snapshot file (bad magic {magic!r})")
@@ -519,11 +522,11 @@ def read_snapshot(path) -> FieldState:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     if bflag not in (0, 1):
         raise ValueError(f"{path}: unknown boundary flag {bflag}")
-    off = struct.calcsize("<4sIBBB")
-    sizes = np.frombuffer(raw, dtype="<u8", count=n, offset=off).astype(int)
-    off += 8 * n
-    h, t = struct.unpack_from("<dd", raw, off)
-    off += 16
+    off = head + 8 * n + 16
+    if len(raw) < off:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {off}-byte header")
+    sizes = np.frombuffer(raw, dtype="<u8", count=n, offset=head).astype(int)
+    h, t = struct.unpack_from("<dd", raw, head + 8 * n)
     count = nc * int(np.prod(sizes))
     if len(raw) != off + 8 * count:
         raise ValueError(f"{path}: {len(raw)} bytes where the header implies {off + 8 * count}")

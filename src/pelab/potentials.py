@@ -549,25 +549,3 @@ def coupled_decomposition(p: RadialPotential) -> CoupledCoefficients:
         bounds=bounds, lam_a=lam_a, lam_A=lam_A, r_max=p.r_max,
         id=f"{p.id}-coupled")
 
-
-def heat_coefficients(r_max: float = 2.0) -> CoupledCoefficients:
-    """Degenerate coupled system with a = 1 and H = 0 exactly (pure heat flow)."""
-    def filled(like, value, out=None):
-        out = np.empty_like(np.asarray(like, dtype=float)) if out is None else out
-        out.fill(value)
-        return out
-
-    def H_profile(r, out=None, work=None, a_out=None):
-        if a_out is not None:
-            a_out.fill(1.0)
-        return filled(r, 0.0, out)
-
-    return CoupledCoefficients(
-        a=lambda r: filled(r, 1.0),
-        c=lambda values, r=None, out=None: filled(values, 0.0, out),
-        H_z=lambda values, r=None: np.zeros_like(values),
-        H_profile=H_profile,
-        dH_profile=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        bounds={"sup_a": 1.0, "sup_c": 0.0, "sup_Hzz": 0.0, "inf_H": 0.0,
-                "sup_H": 0.0, "eff_Lambda": 1.0},
-        lam_a=1.0, lam_A=1.0, r_max=r_max, id="heat")

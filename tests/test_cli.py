@@ -313,3 +313,17 @@ class TestUsage:
 
     def test_unknown_flag(self, tmp_path):
         assert main(["run", "x.json", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "cosh", "--seed", "3", "--threads", "9"],
+        ["entropy", "cosh", "--threads", "9"],
+        ["run", "{dir}/cfg.json", "--threads", "2"],
+        ["verify", "paper-core", "--threads", "2"],
+        ["report", "{dir}", "--out", "X", "--threads", "2"],
+        ["report", "{dir}", "--out", "X"],
+        ["report", "{dir}", "--seed", "1"],
+    ], ids=lambda argv: "-".join(argv[:1] + [a for a in argv if a.startswith("--")]))
+    def test_flags_a_command_never_reads_are_rejected(self, tmp_path, capsys, argv):
+        assert main([a.format(dir=tmp_path) for a in argv]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

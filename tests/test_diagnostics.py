@@ -17,12 +17,10 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    cylinder_members,
                    entropy_residual_coupled, entropy_residual_diffusion,
                    estimate_ratio_report, gradient_sq, h_minus_one_norm,
-                   heat_coefficients, holder_seminorm, initial_field, l2_norm,
-                   laplacian, morrey_profile, morrey_report, poincare_constant,
-                   quadratic,
+                   holder_seminorm, initial_field, l2_norm, laplacian,
+                   morrey_profile, morrey_report, quadratic,
                    reverse_holder_report, run, step_diffusion, sup_norm_report,
                    vector_norm)
-from pelab.diagnostics import _dst1, _gradient_energy, _laplacian_symbol
 from pelab.potentials import CoupledCoefficients
 
 
@@ -72,12 +70,42 @@ def oracle_norm(values, grid):
     return math.sqrt(float(np.sum(b * w)) * grid.cell_volume())
 
 
+def frozen_laplacian_symbol(grid):
+    """Eigenvalues of the 2n+1-point -Lap on the solve space: the DFT modes of a
+    periodic grid (k = 0 set to inf), the DST-I modes k = 1..m-2 of a Dirichlet
+    interior.  A frozen copy of the earlier implementation."""
+    mu = np.zeros(())
+    for a, m in enumerate(grid.sizes):
+        if grid.periodic:
+            s = np.sin(np.pi * np.arange(m) / m)
+        else:
+            s = np.sin(np.pi * np.arange(1, m - 1) / (2.0 * (m - 1)))
+        shape = [1] * grid.n
+        shape[a] = -1
+        mu = mu + (4.0 / (grid.h * grid.h) * s * s).reshape(shape)
+    if grid.periodic:
+        mu[(0,) * grid.n] = np.inf
+    return mu
+
+
+def frozen_gradient_energy(w_full, grid):
+    """Sum over faces (wrapping when periodic) of squared forward differences
+    times h^n.  A frozen copy of the earlier implementation."""
+    total = 0.0
+    for a in range(grid.n):
+        wrap = {"append": w_full.take([0], axis=a)} if grid.periodic else {}
+        d = np.diff(w_full, axis=a, **wrap) / grid.h
+        total += float(np.sum(d * d))
+    return total * grid.cell_volume()
+
+
 def scipy_fft_norm(values, grid):
     """The H^-1 solve by scipy.fft (fftn on periodic grids, dstn type 1 on the
-    Dirichlet interior): the earlier implementation, kept as an oracle."""
+    Dirichlet interior) and the face gradient energy of the solution: the
+    earlier implementation, kept as an oracle."""
     comps = np.reshape(values, (-1, *grid.sizes))
     axes = tuple(range(1, grid.n + 1))
-    mu = _laplacian_symbol(grid)
+    mu = frozen_laplacian_symbol(grid)
     if grid.periodic:
         w = sfft.ifftn(sfft.fftn(comps, axes=axes) / mu, axes=axes).real
     else:
@@ -85,7 +113,7 @@ def scipy_fft_norm(values, grid):
         w = np.zeros_like(comps)
         w[core] = sfft.idstn(sfft.dstn(comps[core], type=1, axes=axes) / mu,
                              type=1, axes=axes)
-    return math.sqrt(sum(_gradient_energy(wc, grid) for wc in w))
+    return math.sqrt(sum(frozen_gradient_energy(wc, grid) for wc in w))
 
 
 class TestHMinusOne:
@@ -147,10 +175,15 @@ class TestHMinusOne:
         f = np.random.default_rng(sum(sizes)).standard_normal((2, *sizes))
         want = scipy_fft_norm(f, g)
         assert abs(h_minus_one_norm(f, g) - want) <= 1e-13 * want
-        if boundary == DIRICHLET:  # the DST-I itself is scipy's, bit for bit
-            core = f[(slice(None), *g.interior_slices)]
-            axes = tuple(range(1, g.n + 1))
-            assert np.array_equal(_dst1(core, axes), sfft.dstn(core, type=1, axes=axes))
+
+    @pytest.mark.parametrize("sizes", [(17, 12), (9, 8, 11)])
+    def test_dirichlet_ignores_boundary_entries(self, sizes):
+        g = GridSpec(n=len(sizes), sizes=sizes, h=1.0 / max(sizes), boundary=DIRICHLET)
+        rng = np.random.default_rng(len(sizes))
+        f = rng.standard_normal((2, *sizes))
+        base = h_minus_one_norm(f, g)
+        f[:, g.boundary_mask] = 1e6 * rng.standard_normal((2, int(g.boundary_mask.sum())))
+        assert h_minus_one_norm(f, g) == base
 
     def test_periodic_spectral_matches_sparse_oracle(self):
         rng = np.random.default_rng(5)
@@ -175,9 +208,10 @@ class TestHMinusOne:
         assert h_minus_one_norm(sign * scale * f, g) == pytest.approx(scale * got, rel=1e-12)
 
     def test_poincare_inequality(self):
+        # C_P = 1 / sqrt(mu_1), mu_1 the smallest eigenvalue of the interior -Lap
         rng = np.random.default_rng(4)
         for g in (dgrid(33), dgrid(17, n=2)):
-            cp = poincare_constant(g)
+            cp = 1.0 / math.sqrt(float(np.linalg.eigvalsh(laplacian_matrix(g).toarray())[0]))
             for _ in range(5):
                 f = np.zeros(g.sizes)
                 core = tuple(slice(1, -1) for _ in range(g.n))
@@ -193,12 +227,6 @@ class TestHMinusOne:
         with pytest.raises(ValueError, match="non-finite"):
             l2_norm(f, g)
         assert l2_norm(np.ones((2, 64)), g) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-    def test_poincare_constant_matches_eigensolve(self):
-        for g in (dgrid(16), dgrid(9, n=2)):
-            A = laplacian_matrix(g).toarray()
-            mu1 = float(np.linalg.eigvalsh(A)[0])
-            assert poincare_constant(g) == pytest.approx(1.0 / math.sqrt(mu1), rel=1e-12)
 
     def test_periodic_variant_mode_oracle(self):
         g = pgrid(64)
@@ -375,7 +403,7 @@ class TestEntropyResiduals:
         g = pgrid(32)
         traj = stationary(g, np.full((1, 32), 0.2), dt=1e-5)
         with pytest.raises(ValueError, match="diffusion entropy check"):
-            entropy_residual_coupled(traj, heat_coefficients(), 1.0, 0.5)
+            entropy_residual_coupled(traj, coupled_decomposition(quadratic()), 1.0, 0.5)
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_range_abort_names_the_first_offending_snapshot(self, coupled):
@@ -420,7 +448,7 @@ class TestEntropyResiduals:
 
 class TestChooseEntropyParams:
     def test_trivial_H(self):
-        pars = choose_entropy_params(heat_coefficients(), 2, 3)
+        pars = choose_entropy_params(coupled_decomposition(quadratic()), 2, 3)
         assert pars.s == 1.0
         assert pars.c == pytest.approx(0.5, abs=1e-15)
         assert pars.big_c == 0.0

@@ -490,3 +490,15 @@ class TestSnapshotFiles:
         with pytest.raises(ValueError, match="bytes where the header implies 67") as exc:
             read_snapshot(path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("cut, header", [(6, 11), (15, 35), (22, 35), (30, 35)],
+                             ids=["head", "sizes", "h", "t"])
+    def test_cut_header_rejected_with_path(self, tmp_path, cut, header):
+        g = GridSpec(n=1, sizes=(4,), h=0.25, boundary=PERIODIC)
+        path = tmp_path / "s.pelb"
+        write_snapshot(path, FieldState(grid=g, values=np.zeros((1, 4)), t=0.0))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=f"{cut} bytes, shorter than the "
+                                             f"{header}-byte header") as exc:
+            read_snapshot(path)
+        assert str(path) in str(exc.value)

@@ -9,8 +9,8 @@ from pelab import (ConstructionError, ConvexityError, RadialPotential,
                    RangeExcursionError, build_entropy, builtin_ids,
                    certify_window, coupled_decomposition, cosh_potential,
                    from_piecewise_poly, get_potential, grad_Phi, grad_Phi_field,
-                   heat_coefficients, hessian_Phi, invert_phi, quadratic,
-                   quartic, smoothed_porous)
+                   hessian_Phi, invert_phi, quadratic, quartic,
+                   smoothed_porous)
 from pelab.potentials import (EPS_TAYLOR, _uniform_knot_evaluator,
                               cumulative_simpson, radial_slope)
 
@@ -306,10 +306,12 @@ class TestCoupledDecomposition:
         assert cc.lam_A == pytest.approx(w.lam, abs=1e-12)
         assert cc.bounds["eff_Lambda"] == pytest.approx(w.Lam, abs=1e-12)
 
-    def test_heat_coefficients_are_exactly_trivial(self):
-        cc = heat_coefficients()
-        v = np.zeros((2, 5))
-        assert np.all(cc.H_profile(np.linalg.norm(v, axis=0)) == 0.0)
+    def test_quadratic_decomposition_is_exactly_trivial(self):
+        cc = coupled_decomposition(quadratic())
+        v = np.random.default_rng(6).uniform(-1.0, 1.0, (2, 5))
+        v[:, 0] = 0.0
+        r = np.linalg.norm(v, axis=0)
+        assert np.all(cc.H_profile(r) == 0.0) and np.all(cc.a(r) == 1.0)
         assert np.all(cc.H_z(v) == 0.0)
         assert cc.bounds["sup_Hzz"] == 0.0
 
@@ -503,16 +505,6 @@ class TestBufferedEvaluator:
         assert_bitwise(H, cc.H_profile(r))
         assert_bitwise(a, cc.a(r))
         assert_bitwise(a, radial_slope(p, r))
-
-    def test_heat_coefficients_fill_buffers(self):
-        cc = heat_coefficients()
-        r = np.random.default_rng(1).uniform(0.0, 2.0, (6, 5))
-        H, a = np.full_like(r, np.nan), np.full_like(r, np.nan)
-        assert cc.H_profile(r, out=H, work=fresh_work(r.shape), a_out=a) is H
-        assert np.all(H == 0.0) and np.all(a == 1.0)
-        c = np.full((2, 6, 5), np.nan)
-        assert cc.c(np.ones((2, 6, 5)), r, out=c) is c
-        assert np.all(c == 0.0)
 
     def test_directions_fill_a_dirty_buffer(self):
         cc = coupled_decomposition(cosh_potential(1.0))

@@ -15,11 +15,10 @@ PUBLIC = {
     "coupled_decomposition", "cylinder_integral", "cylinder_members",
     "entropy_residual_coupled", "entropy_residual_diffusion",
     "estimate_ratio_report", "from_piecewise_poly", "get_potential", "grad_Phi",
-    "grad_Phi_field", "gradient_sq", "h_minus_one_norm", "heat_coefficients",
-    "hessian_Phi",
+    "grad_Phi_field", "gradient_sq", "h_minus_one_norm", "hessian_Phi",
     "hessian_sq", "holder_seminorm", "initial_field", "invert_phi", "l2_norm",
-    "laplacian", "morrey_profile", "morrey_report", "poincare_constant",
-    "quadratic", "quartic", "radial_slope", "read_snapshot",
+    "laplacian", "morrey_profile", "morrey_report", "quadratic", "quartic",
+    "radial_slope", "read_snapshot",
     "reverse_holder_report", "run", "smoothed_porous", "step_coupled",
     "step_diffusion", "step_scalar", "sup_norm_report", "vector_norm",
     "with_resolution", "write_snapshot",

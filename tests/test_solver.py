@@ -10,9 +10,9 @@ import pytest
 from pelab import (DIRICHLET, PERIODIC, FieldState, GridSpec,
                    RangeExcursionError, RunConfig, cfl_dt, cfl_dt_coupled,
                    certify_window, cosh_potential, coupled_decomposition,
-                   get_potential, heat_coefficients, initial_field, laplacian,
-                   quadratic, run, step_coupled, step_diffusion, step_scalar,
-                   vector_norm, with_resolution)
+                   get_potential, initial_field, laplacian, quadratic, run,
+                   step_coupled, step_diffusion, step_scalar, vector_norm,
+                   with_resolution)
 from pelab.grid import face_divergence
 from pelab.potentials import EPS_ZERO, EllipticityWindow, RadialPotential
 from pelab.solver import _coupled_rhs, _euler, _plan_steps
@@ -231,19 +231,19 @@ class TestSteps:
         ref = u[0] + dt * (np.roll(u[0], 1) - 2 * u[0] + np.roll(u[0], -1)) / g.h ** 2
         assert np.abs(got.values[0] - ref).max() < 1e-15
 
-    def test_heat_coefficients_step_is_componentwise_heat(self):
+    def test_quadratic_coupled_step_is_componentwise_heat(self):
         # a = I, H = 0: the face fluxes telescope to the central stencil exactly
         rng = np.random.default_rng(0)
         g = pgrid(32)
         u = 0.2 * rng.standard_normal((2, 32))
         s = FieldState(grid=g, values=u, t=0.0)
         dt = 1e-5
-        got = step_coupled(s, heat_coefficients(), dt)
+        got = step_coupled(s, coupled_decomposition(quadratic()), dt)
         ref = np.stack([u[c] + dt * laplacian(u[c], g) for c in range(2)])
         assert np.abs(got.values - ref).max() < 1e-14
 
     @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
-    def test_heat_coefficients_step_two_dimensional(self, boundary):
+    def test_quadratic_coupled_step_two_dimensional(self, boundary):
         rng = np.random.default_rng(8)
         size = 12
         h = 1.0 / size if boundary == PERIODIC else 1.0 / (size - 1)
@@ -256,7 +256,7 @@ class TestSteps:
             bv = (0.1, -0.2)
         s = FieldState(grid=g, values=u, t=0.0, boundary_values=bv)
         dt = 1e-5
-        got = step_coupled(s, heat_coefficients(), dt)
+        got = step_coupled(s, coupled_decomposition(quadratic()), dt)
         ref = np.stack([u[c] + dt * laplacian(u[c], g) for c in range(2)])
         assert np.abs(got.values - ref).max() < 1e-15
 
@@ -532,9 +532,9 @@ class TestCoupledParity:
         if not g.periodic:
             assert np.all(got[:, g.boundary_mask] == 0.0)
 
-    def test_heat_coefficients_are_bit_identical(self):
+    def test_quadratic_coupled_step_is_bit_identical(self):
         _, state = parity_state("cosh", PERIODIC, (20, 12), 2)
-        cc = heat_coefficients()
+        cc = coupled_decomposition(quadratic())
         got = step_coupled(state, cc, 1e-5)
         assert np.array_equal(got.values, reference_step_coupled(state, cc, 1e-5).values)
 
