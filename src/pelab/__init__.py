@@ -10,7 +10,7 @@ reverse Hoelder stability and interior H^2 / L^4 estimate ratios.
 from .errors import (ConstructionError, ConvexityError, DomainAbort,
                      RangeExcursionError)
 from .grid import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
-                   Trajectory, cylinder_integral, cylinder_members, gradient_sq,
+                   Trajectory, cylinder_integrals, cylinder_members, gradient_sq,
                    hessian_sq, laplacian, read_snapshot, vector_norm,
                    write_snapshot)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,

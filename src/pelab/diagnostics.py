@@ -14,15 +14,17 @@ contraction statement assumes matching boundary traces, which periodic
 wrap-around provides); a Dirichlet grid sums over the odd extension of its
 interior, whose periodic modes are the type-I sine (DST-I) modes.
 
-The Hoelder seminorm is exact: every point pair with separation in the band,
-one integer offset at a time.
+The cylinder monitors (Morrey, reverse Hoelder, estimate ratios) make one
+`grid.cylinder_integrals` pass per field over the union of their windows, so
+each snapshot's field is computed once and dropped; nothing is memoised.  The
+Hoelder seminorm is exact: every point pair with separation in the band, one
+integer offset at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import RangeExcursionError
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
-                   cylinder_integral, face_divergence, gradient_sq, hessian_sq,
+                   cylinder_integrals, face_divergence, gradient_sq, hessian_sq,
                    laplacian, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
@@ -382,14 +384,13 @@ def morrey_profile(traj: Trajectory, point: tuple, radii: Sequence[float],
     g = g or (lambda snap: gradient_sq(snap.values, snap.grid))
     expo = traj.grid.n if exponent is None else float(exponent)
     cell = traj.grid.cell_volume() * traj.snapshot_dt
-    out = []
-    for R in sorted(radii, reverse=True):
+    radii = sorted(radii, reverse=True)
+    for R in radii:
         if R < 4.0 * traj.grid.h * (1.0 - 1e-12):
             raise ValueError(f"radius {R} is below the 4h = {4 * traj.grid.h} floor")
-        q = Cylinder(center=tuple(x0), t0=float(t0), R=float(R))
-        total, _ = cylinder_integral(traj, q, lambda k: g(traj.snapshots[k]))
-        out.append((float(R), total * cell / R ** expo))
-    return out
+    terms = [(Cylinder(center=tuple(x0), t0=float(t0), R=float(R)), 1.0) for R in radii]
+    sums = cylinder_integrals(traj, terms, lambda k: g(traj.snapshots[k]))
+    return [(float(R), total * cell / R ** expo) for R, (total, _) in zip(radii, sums)]
 
 
 def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[float],
@@ -418,11 +419,6 @@ def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[flo
 # ---------------------------------------------------------------------------
 # reverse Hoelder and the interior estimate ratios
 
-def _grad2_cache(traj: Trajectory) -> Callable[[int], np.ndarray]:
-    """|grad u|^2 of snapshot k, computed once per snapshot."""
-    return cache(lambda k: gradient_sq(traj.snapshots[k].values, traj.grid))
-
-
 def reverse_holder_report(traj: Trajectory, cylinders: Sequence[Cylinder],
                           p: float = 2.5, reference: float | None = None,
                           rel_change: float = 0.2,
@@ -436,19 +432,17 @@ def reverse_holder_report(traj: Trajectory, cylinders: Sequence[Cylinder],
     """
     if p <= 2.0:
         raise ValueError("the exponent must exceed 2")
-    grad2 = _grad2_cache(traj)
-    ratios = []
-    skipped = 0
-    for q in cylinders:
-        big = Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R)
-        total, count = cylinder_integral(traj, big, grad2)
-        rhs2 = total / count
+    terms = [term for q in cylinders
+             for term in ((Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R), 1.0), (q, 0.5 * p))]
+    sums = cylinder_integrals(traj, terms,
+                              lambda k: gradient_sq(traj.snapshots[k].values, traj.grid))
+    ratios, skipped = [], 0
+    for (total4, count4), (total, count) in zip(sums[::2], sums[1::2]):
+        rhs2 = total4 / count4
         if rhs2 <= 1e-30:
             skipped += 1
             continue
-        total, count = cylinder_integral(traj, q, grad2, power=0.5 * p)
-        lhs = (total / count) ** (1.0 / p)
-        ratios.append(lhs / math.sqrt(rhs2))
+        ratios.append((total / count) ** (1.0 / p) / math.sqrt(rhs2))
     max_ratio = max(ratios) if ratios else float("nan")
     if reference is None:
         passed = True
@@ -481,9 +475,10 @@ def estimate_ratio_report(traj: Trajectory, p: RadialPotential,
     grid = traj.grid
     spacing = traj.snapshot_dt
     cell = grid.cell_volume() * spacing
-    grad2 = _grad2_cache(traj)
+    if any(small.R >= big.R for small, big in pairs):
+        raise ValueError("nested pairs need r < R")
+    smalls = [(small, 1.0) for small, _ in pairs]
 
-    @cache
     def ut2(k: int) -> np.ndarray:
         if k + 1 >= len(traj.snapshots):
             raise ValueError("u_t forward difference needs a successor snapshot; "
@@ -491,20 +486,19 @@ def estimate_ratio_report(traj: Trajectory, p: RadialPotential,
         d = (traj.snapshots[k + 1].values - traj.snapshots[k].values) / spacing
         return np.sum(d * d, axis=0)
 
-    @cache
-    def hess2(k: int) -> np.ndarray:
-        return hessian_sq(grad_Phi_field(p, traj.snapshots[k].values), grid)
-
+    # one pass per field: |grad u|^2 on Q_R and, squared, on Q_r; |u_t|^2; |grad^2 gradPhi|^2
+    nested = [term for small, big in pairs for term in ((big, 1.0), (small, 2.0))]
+    grad = cylinder_integrals(traj, nested,
+                              lambda k: gradient_sq(traj.snapshots[k].values, grid))
+    ut = cylinder_integrals(traj, smalls, ut2)
+    hess = cylinder_integrals(
+        traj, smalls, lambda k: hessian_sq(grad_Phi_field(p, traj.snapshots[k].values), grid))
     sup_u = max(float(vector_norm(s.values).max()) for s in traj.snapshots)
     per_pair = []
-    for small, big in pairs:
-        if small.R >= big.R:
-            raise ValueError("nested pairs need r < R")
+    for j, (small, big) in enumerate(pairs):
         gap2 = (big.R - small.R) ** 2
-        i_grad = cylinder_integral(traj, big, grad2)[0] * cell
-        i_t = cylinder_integral(traj, small, ut2)[0] * cell
-        i_hess = cylinder_integral(traj, small, hess2)[0] * cell
-        i_l4 = cylinder_integral(traj, small, grad2, power=2.0)[0] * cell
+        i_grad, i_l4 = grad[2 * j][0] * cell, grad[2 * j + 1][0] * cell
+        i_t, i_hess = ut[j][0] * cell, hess[j][0] * cell
         if i_grad == 0.0:
             ratios = {"ratio_time": 0.0 if i_t == 0.0 else math.inf,
                       "ratio_hess": 0.0 if i_hess == 0.0 else math.inf,

@@ -19,7 +19,8 @@ serves both the cylinder balls and the bump initial data.
 
 A parabolic cylinder Q(x0, t0, R) is the discrete set of grid points within
 Euclidean distance R of x0, crossed with the snapshot times t satisfying
-t0 - R^2 < t <= t0.
+t0 - R^2 < t <= t0.  `cylinder_integrals`, the one cylinder loop, reads each
+snapshot's field once for all its cylinders, in one pass and with no memo.
 """
 
 from __future__ import annotations
@@ -471,23 +472,30 @@ def cylinder_members(traj: Trajectory, q: Cylinder) -> tuple[np.ndarray, np.ndar
     return mask, idx
 
 
-def cylinder_integral(traj: Trajectory, q: Cylinder, field_at: Callable[[int], np.ndarray],
-                      power: float = 1.0) -> tuple[float, int]:
-    """Point sum of field_at(k)**power over the discrete cylinder, and its point count.
+def cylinder_integrals(traj: Trajectory, terms: Sequence[tuple[Cylinder, float]],
+                       field_at: Callable[[int], np.ndarray]) -> list[tuple[float, int]]:
+    """Point sum of field_at(k)**power over each (cylinder, power) term, and its point count.
 
-    `field_at` maps a snapshot index to a scalar field on the grid; `power` is
-    applied to the values inside the ball.  The integral is the sum times
-    h^n times the snapshot spacing, the average the sum over the count.
+    `field_at` maps a snapshot index to a scalar field on the grid.  Once
+    every term is validated, one time-ordered pass over the union of the
+    windows evaluates `field_at` once per snapshot, holding one field at a
+    time; each term adds its ball's values, raised to its power, in snapshot
+    order.  An integral is a sum times h^n times the snapshot spacing.
     """
-    mask, idx = cylinder_members(traj, q)
-    total = 0.0
-    for k in idx:
+    members = [cylinder_members(traj, q) for q, _ in terms]
+    inside = np.zeros((len(terms), len(traj.snapshots)), dtype=bool)
+    for row, (_, idx) in zip(inside, members):
+        row[idx] = True
+    totals = [0.0] * len(terms)
+    for k in np.nonzero(inside.any(axis=0))[0]:
         f = np.asarray(field_at(k), dtype=float)
         if f.shape != traj.grid.sizes:
             raise ValueError("field_at must evaluate to a scalar field on the grid")
-        f = f[mask]
-        total += float(np.sum(f if power == 1.0 else np.power(f, power)))
-    return total, int(mask.sum()) * len(idx)
+        for i in np.nonzero(inside[:, k])[0]:
+            v, power = f[members[i][0]], terms[i][1]
+            totals[i] += float(np.sum(v if power == 1.0 else np.power(v, power)))
+        del f, v   # before the next snapshot's field is built
+    return [(total, int(mask.sum()) * len(idx)) for total, (mask, idx) in zip(totals, members)]
 
 
 # Snapshot file format, bit-exact:
@@ -522,26 +530,27 @@ def read_snapshot(path) -> FieldState:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     if bflag not in (0, 1):
         raise ValueError(f"{path}: unknown boundary flag {bflag}")
+    if nc == 0:
+        raise ValueError(f"{path}: the header declares 0 components")
     off = head + 8 * n + 16
     if len(raw) < off:
         raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {off}-byte header")
     sizes = np.frombuffer(raw, dtype="<u8", count=n, offset=head).astype(int)
     h, t = struct.unpack_from("<dd", raw, head + 8 * n)
-    count = nc * int(np.prod(sizes))
+    try:
+        grid = GridSpec(n, tuple(sizes), h, PERIODIC if bflag == 0 else DIRICHLET)
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid grid in the header: {exc}") from exc
+    count = nc * math.prod(grid.sizes)
     if len(raw) != off + 8 * count:
         raise ValueError(f"{path}: {len(raw)} bytes where the header implies {off + 8 * count}")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).astype(float)
-    values = values.reshape((nc, *sizes))
-    grid = GridSpec(n=n, sizes=tuple(sizes), h=h,
-                    boundary=PERIODIC if bflag == 0 else DIRICHLET)
+    values = values.reshape((nc, *grid.sizes))
     bv = None
     if not grid.periodic:
-        ring = grid.boundary_mask
-        bv = []
-        for c in range(nc):
-            vals = values[c][ring]
-            if vals.size and np.any(vals != vals.flat[0]):
-                raise ValueError(f"{path}: boundary layer of component {c} is not constant")
-            bv.append(float(vals.flat[0]))
-        bv = tuple(bv)
+        ring = values[:, grid.boundary_mask]
+        uneven = np.nonzero((ring != ring[:, :1]).any(axis=1))[0]
+        if uneven.size:
+            raise ValueError(f"{path}: boundary layer of component {uneven[0]} is not constant")
+        bv = tuple(float(v) for v in ring[:, 0])
     return FieldState(grid=grid, values=values, t=t, boundary_values=bv)

@@ -1,18 +1,18 @@
 """Explicit time integration of the diffusion system and its coupled form.
 
-The three systems are three right-hand sides L(u, r) of one forward-Euler
-loop body, u + dt * L(u, r), each fed the norm field r = |u| that the loop
-computes once per step: Lap(grad Phi(u)) for the diffusion system,
-`grid.face_divergence` (conservative face fluxes with arithmetically averaged
-coefficients) for the coupled rewrite, and Lap(g(u)) for the scalar N = 1
-reduction with an arbitrary increasing nonlinearity.  `run` drives the body
-over plain arrays and validates a `FieldState` only for a stored snapshot;
-`step_diffusion`, `step_coupled` and `step_scalar` are one pass of it, state
-in, state out.  The coupled right-hand side keeps one workspace per closure
-(built once by `run`, once per call of `step_coupled`) for its face fluxes,
-directions and coefficient fields, so its steps allocate only the new state.
-Range excursions abort, never clamp; clamping would silently invalidate every
-estimate checked downstream.
+`run` integrates two systems, two right-hand sides L(u, r) of one
+forward-Euler loop body, u + dt * L(u, r), fed the norm field r = |u| that the
+loop computes once per step: Lap(grad Phi(u)) for the diffusion system (for
+N = 1, u_t = Lap(phi'(|u|) sgn u)) and `grid.face_divergence` (conservative
+face fluxes with arithmetically averaged coefficients) for the coupled
+rewrite.  `run` drives the body over plain arrays and validates a
+`FieldState` only for a stored snapshot; `step_diffusion` and `step_coupled`
+are one pass of it, and `step_scalar` (Lap(g(u)) for an increasing g) is kept
+to test the scalar reduction of aligned data.  The coupled right-hand side
+keeps one workspace per closure (built once by `run`, once per call of
+`step_coupled`) for its face fluxes, directions and coefficient fields, so
+its steps allocate only the new state.  Range excursions abort, never clamp;
+clamping would silently invalidate every estimate checked downstream.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ class RunConfig:
     n_components: int
     potential: RadialPotential
     t_end: float
-    system: str = "diffusion"            # diffusion | coupled | scalar
+    system: str = "diffusion"            # diffusion | coupled
     cfl_sigma: float = 0.9
     snapshot_every: int = 1
     initial: dict = field(default_factory=lambda: {"kind": "mode"})
@@ -278,10 +278,8 @@ class RunConfig:
             raise ValueError("between 1 and 8 components are supported")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
-        if self.system not in ("diffusion", "coupled", "scalar"):
-            raise ValueError(f"unknown system '{self.system}'")
-        if self.system == "scalar" and self.n_components != 1:
-            raise ValueError("the scalar system has exactly one component")
+        if self.system not in ("diffusion", "coupled"):
+            raise ValueError(f"unknown system '{self.system}' (diffusion or coupled)")
         if not self.grid.periodic and self.boundary_values is None:
             object.__setattr__(self, "boundary_values", (0.0,) * self.n_components)
 
@@ -342,8 +340,7 @@ def run(config: RunConfig) -> Trajectory:
         rhs = _coupled_rhs(cc, config.grid)
     else:
         dt_max = cfl_dt(config.grid, window, config.cfl_sigma)
-        rhs = (_scalar_rhs(p.phi1, config.grid) if config.system == "scalar"
-               else _diffusion_rhs(p, config.grid))
+        rhs = _diffusion_rhs(p, config.grid)
     steps, dt = _plan_steps(config.t_end, dt_max, config.snapshot_every,
                             config.dt_override)
 

@@ -72,6 +72,15 @@ class TestRunCommand:
         assert err.startswith("error: bad run config: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_scalar_system_is_a_usage_error(self, tmp_path, capsys):
+        doc = heat_doc()
+        doc["system"] = "scalar"
+        cfg = write_doc(tmp_path, doc)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad run config: ") and "unknown system 'scalar'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_doc(tmp_path, heat_doc(t_end=0.002))
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    RangeExcursionError, RunConfig, Trajectory, build_entropy,
                    calibrate_residual_constant, certify_window,
                    choose_entropy_params, contraction_report,
-                   cosh_potential, coupled_decomposition, cylinder_integral,
+                   cosh_potential, coupled_decomposition, cylinder_integrals,
                    cylinder_members,
                    entropy_residual_coupled, entropy_residual_diffusion,
                    estimate_ratio_report, gradient_sq, h_minus_one_norm,
@@ -690,7 +691,7 @@ class TestEstimateRatios:
             estimate_ratio_report(traj, p, pairs)
 
 
-# Frozen copies of the cylinder loops that `cylinder_integral` replaced: the
+# Frozen copies of the cylinder loops that `cylinder_integrals` replaced: the
 # sum inside `morrey_profile`, `_cyl_mean` of `reverse_holder_report` and the
 # `integral` closure of `estimate_ratio_report`.  The monitors must reproduce
 # them bit for bit.
@@ -752,7 +753,28 @@ class TestCylinderIntegralParity:
         cell = traj.grid.cell_volume() * traj.snapshot_dt
         for R in (0.0625, 0.125, 0.25):
             q = Cylinder(center=self.center(traj), t0=traj.times[-2], R=R)
-            total, count = cylinder_integral(traj, q, grad2, power)
+            [(total, count)] = cylinder_integrals(traj, [(q, power)], grad2)
+            assert total / count == reference_cyl_mean(traj, q, grad2, power)
+            assert total * cell == reference_integral(traj, q, grad2, power)
+
+    def test_one_multi_term_call_matches_the_frozen_loops(self, traj):
+        # windows ending at three times, nested and disjoint balls, four powers
+        def grad2(k):
+            return gradient_sq(traj.snapshots[k].values, traj.grid)
+
+        c = self.center(traj)
+        mid = traj.times[len(traj.snapshots) // 2]
+        terms = [(Cylinder(center=c, t0=traj.times[-2], R=0.25), 1.0),
+                 (Cylinder(center=c, t0=traj.times[-2], R=0.0625), 1.25),
+                 (Cylinder(center=tuple(1.0 - x for x in c), t0=mid, R=0.125), 2.0),
+                 (Cylinder(center=c, t0=traj.times[-1], R=0.0625), 1.0),
+                 (Cylinder(center=c, t0=mid, R=0.0625), 0.5)]
+        cell = traj.grid.cell_volume() * traj.snapshot_dt
+        got = cylinder_integrals(traj, terms, grad2)
+        assert len(got) == len(terms)
+        for (total, count), (q, power) in zip(got, terms):
+            mask, idx = cylinder_members(traj, q)
+            assert count == mask.sum() * len(idx)
             assert total / count == reference_cyl_mean(traj, q, grad2, power)
             assert total * cell == reference_integral(traj, q, grad2, power)
 
@@ -810,6 +832,113 @@ class TestCylinderIntegralParity:
             "ratio_time": reference_integral(traj, small, ut2) * gap2 / i_grad,
             "ratio_hess": reference_integral(traj, small, hess2) * gap2 / i_grad,
             "ratio_l4": i_l4 * gap2 / (sup_u * sup_u * i_grad)}]
+
+
+def drifting(grid, n_snaps, dt):
+    """A trajectory whose field shrinks by 0.2% per snapshot (nonzero u_t)."""
+    base = initial_field(grid, 2, {"kind": "bands", "kmax": 3, "amplitude": 0.4}, 7)
+    return Trajectory(snapshots=tuple(FieldState(grid=grid, values=base * (1.0 - 0.002 * k),
+                                                 t=k * dt) for k in range(n_snaps)), dt=dt)
+
+
+class TestOnePassPerWindow:
+    """Each cylinder monitor evaluates a field once per snapshot in the union of its
+    windows, and holds no field past its snapshot."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return drifting(pgrid(32, n=2), 80, 1e-3)   # times 0 .. 0.079, h = 1/32
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """(cylinders, snapshots read) of every `cylinder_integrals` call of a monitor."""
+        from pelab import diagnostics
+        real, calls = diagnostics.cylinder_integrals, []
+
+        def spy(traj, terms, field_at):
+            read = []
+            calls.append(([q for q, _ in terms], read))
+            return real(traj, terms, lambda k: (read.append(int(k)), field_at(k))[1])
+
+        monkeypatch.setattr(diagnostics, "cylinder_integrals", spy)
+        return calls
+
+    @staticmethod
+    def union(traj, cylinders):
+        return sorted(set().union(*(cylinder_members(traj, q)[1].tolist() for q in cylinders)))
+
+    def test_morrey_evaluates_g_once_per_snapshot(self, traj):
+        read = []
+
+        def g(snap):
+            read.append(snap.t)
+            return gradient_sq(snap.values, snap.grid)
+
+        h, t0 = traj.grid.h, traj.times[-5]
+        prof = morrey_profile(traj, ((0.5, 0.5), t0), [4 * h, 8 * h, 6 * h], g=g)
+        assert [R for R, _ in prof] == [8 * h, 6 * h, 4 * h]
+        window = cylinder_members(traj, Cylinder(center=(0.5, 0.5), t0=t0, R=8 * h))[1]
+        assert 0 < window[0] and window[-1] == len(traj.snapshots) - 5   # a strict part
+        assert read == [traj.snapshots[k].t for k in window]
+
+    def test_reverse_holder_reads_each_snapshot_once(self, traj, passes):
+        cyls = [Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.1) for k in (40, 60)]
+        rep = reverse_holder_report(traj, cyls)
+        assert len(rep.values["ratios"]) == 2
+        [(cylinders, read)] = passes
+        bigs = [Cylinder(center=q.center, t0=q.t0, R=4 * q.R) for q in cyls]
+        assert cylinders == [bigs[0], cyls[0], bigs[1], cyls[1]]
+        assert read == self.union(traj, cyls + bigs) == list(range(61))
+
+    def test_estimate_ratios_read_each_snapshot_once_per_field(self, traj, passes):
+        pairs = [(Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.1),
+                  Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.2)) for k in (70, 50)]
+        estimate_ratio_report(traj, cosh_potential(1.0), pairs)
+        smalls, bigs = [s for s, _ in pairs], [b for _, b in pairs]
+        assert [c for c, _ in passes] == [[bigs[0], smalls[0], bigs[1], smalls[1]],
+                                          smalls, smalls]   # |grad u|^2, |u_t|^2, hessian
+        assert passes[0][1] == self.union(traj, bigs)
+        assert 0 < passes[0][1][0] and passes[0][1][-1] == 70
+        inner = self.union(traj, smalls)
+        assert len(inner) < inner[-1] - inner[0] + 1   # two disjoint windows
+        assert [read for _, read in passes[1:]] == [inner, inner]
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """One 2D 64^2 N = 2 run, stored every 4th step and every step."""
+        cfg = RunConfig(grid=pgrid(64, n=2), n_components=2, potential=cosh_potential(1.0),
+                        t_end=0.01, snapshot_every=4, seed=5,
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5})
+        sparse = run(cfg)
+        dense = run(replace(cfg, snapshot_every=1, dt_override=sparse.dt))
+        assert len(dense.snapshots) - 1 == 4 * (len(sparse.snapshots) - 1)
+        return sparse, dense
+
+    @pytest.mark.parametrize("monitor", ["reverse-holder", "estimate-ratios"])
+    def test_peak_memory_does_not_grow_with_the_snapshot_count(self, runs, monitor):
+        import tracemalloc
+        t0 = runs[0].times[-2]   # a snapshot time of both runs
+
+        def report(traj):
+            if monitor == "reverse-holder":
+                return reverse_holder_report(traj, [Cylinder((0.5, 0.5), t0, 0.1)])
+            return estimate_ratio_report(traj, cosh_potential(1.0),
+                                         [(Cylinder((0.5, 0.5), t0, 0.1),
+                                           Cylinder((0.5, 0.5), t0, 0.2))])
+
+        peaks = []
+        for traj in runs:
+            report(traj)   # warm: cached tables and grid masks
+            tracemalloc.start()
+            try:
+                report(traj)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        field = 64 * 64 * 8
+        # a few fields of allocator noise; a memo of one field per snapshot
+        # would add 3/4 of the dense run's snapshots, over 200 fields
+        assert peaks[1] - peaks[0] < 4 * field, peaks
 
 
 def frozen_holder_seminorm(snap, alpha, band, n_pairs=10_000, seed=0):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
-                   Trajectory, cylinder_integral, cylinder_members, gradient_sq,
+                   Trajectory, cylinder_integrals, cylinder_members, gradient_sq,
                    hessian_sq, laplacian, read_snapshot, write_snapshot)
 
 
@@ -293,7 +293,7 @@ class TestHessianSq:
 
 
 def cylinder_mean(traj, q, field):
-    total, count = cylinder_integral(traj, q, lambda k: field)
+    [(total, count)] = cylinder_integrals(traj, [(q, 1.0)], lambda k: field)
     return total / count
 
 
@@ -334,7 +334,7 @@ class TestCylinders:
                     direct += field[j]
             cell = g.h * traj.snapshot_dt
             direct *= cell
-            total, count = cylinder_integral(traj, q, g2)
+            [(total, count)] = cylinder_integrals(traj, [(q, 1.0)], g2)
             assert count == mask.sum() * len(idx)
             assert total * cell == pytest.approx(direct, rel=1e-14)
             vol = mask.sum() * len(idx) * cell
@@ -346,7 +346,7 @@ class TestCylinders:
         q = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
         mask, idx = cylinder_members(traj, q)
         field = np.random.default_rng(8).uniform(0.0, 2.0, size=g.sizes)
-        total, _ = cylinder_integral(traj, q, lambda k: field, power=1.5)
+        [(total, _)] = cylinder_integrals(traj, [(q, 1.5)], lambda k: field)
         assert total == pytest.approx(len(idx) * np.sum(field[mask] ** 1.5), rel=1e-14)
 
     def test_monotone_under_domination(self):
@@ -363,7 +363,19 @@ class TestCylinders:
         traj = stationary_trajectory(g, np.zeros((1, 32)), n_snaps=4)
         q = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
         with pytest.raises(ValueError, match="scalar field on the grid"):
-            cylinder_integral(traj, q, lambda k: np.zeros((1, 32)))
+            cylinder_integrals(traj, [(q, 1.0)], lambda k: np.zeros((1, 32)))
+
+    def test_every_term_is_validated_before_any_field(self):
+        g = periodic_grid(32)
+        traj = stationary_trajectory(g, np.zeros((1, 32)), n_snaps=4)
+        good = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
+        late = Cylinder(center=(0.25,), t0=traj.times[0], R=0.001)   # one snapshot
+        read = []
+        with pytest.raises(ValueError, match="intersects only 1 snapshots"):
+            cylinder_integrals(traj, [(good, 1.0), (late, 1.0)],
+                               lambda k: read.append(k) or np.ones(g.sizes))
+        assert read == []
+        assert cylinder_integrals(traj, [], lambda k: read.append(k)) == [] and read == []
 
     def test_ball_wraps_around_periodic_boundary(self):
         g = periodic_grid(64)
@@ -385,7 +397,8 @@ class TestCylinders:
                 dy = min(abs(j / 32 - 0.5), 1 - abs(j / 32 - 0.5))
                 count += dx * dx + dy * dy <= 0.13 ** 2 * (1 + 1e-12)
         assert mask.sum() == count
-        assert cylinder_integral(traj, q, lambda k: np.ones(g.sizes))[1] == count * len(idx)
+        assert cylinder_integrals(traj, [(q, 1.0)], lambda k: np.ones(g.sizes))[0][1] == \
+            count * len(idx)
         assert cylinder_mean(traj, q, np.ones(g.sizes)) == pytest.approx(1.0, abs=1e-15)
 
     def test_errors_name_the_failed_bound(self):
@@ -500,5 +513,45 @@ class TestSnapshotFiles:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match=f"{cut} bytes, shorter than the "
                                              f"{header}-byte header") as exc:
+            read_snapshot(path)
+        assert str(path) in str(exc.value)
+
+    @staticmethod
+    def raw_snapshot(n, nc, sizes, h=0.25, bflag=0, values=None):
+        import struct
+        count = nc * int(np.prod(sizes))
+        body = np.zeros(count) if values is None else np.asarray(values, dtype="<f8")
+        return (struct.pack("<4sIBBB", b"PELB", 1, n, nc, bflag)
+                + np.asarray(sizes, dtype="<u8").tobytes()
+                + struct.pack("<dd", h, 0.0) + body.tobytes())
+
+    def test_zero_components_rejected_with_path(self, tmp_path):
+        path = tmp_path / "s.pelb"
+        path.write_bytes(self.raw_snapshot(1, 0, (8,)))
+        with pytest.raises(ValueError, match="declares 0 components") as exc:
+            read_snapshot(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("n, sizes, h, message", [
+        (4, (4, 4, 4, 4), 0.25, "spatial dimension must be 1, 2 or 3, got 4"),
+        (2, (8, 3), 0.25, "every axis needs at least 4 points"),
+        (1, (8,), -0.25, "spacing must be a positive finite number"),
+    ], ids=["n=4", "short-axis", "negative-h"])
+    def test_invalid_header_grid_rejected_with_path(self, tmp_path, n, sizes, h, message):
+        path = tmp_path / "s.pelb"
+        path.write_bytes(self.raw_snapshot(n, 1, sizes, h=h))
+        with pytest.raises(ValueError, match=message) as exc:
+            read_snapshot(path)
+        assert str(exc.value).startswith(f"{path}: invalid grid in the header: ")
+
+    def test_uneven_boundary_layer_names_the_component(self, tmp_path):
+        g = dirichlet_grid(8)
+        path = tmp_path / "s.pelb"
+        write_snapshot(path, FieldState(grid=g, values=np.full((2, 8), 0.5), t=0.0,
+                                        boundary_values=(0.5, 0.5)))
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.float64(0.25).tobytes()   # the last point of component 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="component 1 is not constant") as exc:
             read_snapshot(path)
         assert str(path) in str(exc.value)

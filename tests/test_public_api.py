@@ -12,7 +12,7 @@ PUBLIC = {
     "build_entropy", "builtin_ids", "calibrate_residual_constant",
     "certify_window", "cfl_dt", "cfl_dt_coupled", "choose_entropy_params",
     "config_hash", "contraction_report", "cosh_potential",
-    "coupled_decomposition", "cylinder_integral", "cylinder_members",
+    "coupled_decomposition", "cylinder_integrals", "cylinder_members",
     "entropy_residual_coupled", "entropy_residual_diffusion",
     "estimate_ratio_report", "from_piecewise_poly", "get_potential", "grad_Phi",
     "grad_Phi_field", "gradient_sq", "h_minus_one_norm", "hessian_Phi",
@@ -42,6 +42,7 @@ PARAMETERS = {
     "cumulative_simpson": ("f", "x_max", "segments", "tol"),
     "holder_seminorm": ("snap", "alpha", "band"),
     "h_minus_one_norm": ("values", "grid"),
+    "cylinder_integrals": ("traj", "terms", "field_at"),
 }
 
 

@@ -137,9 +137,7 @@ def reference_run(config):
     state = FieldState(grid=config.grid, values=values, t=0.0,
                        boundary_values=config.boundary_values)
     reference_abort_if_outside(state, p.r_max)
-    if config.system == "scalar":
-        stepper = lambda s: reference_step_scalar(s, p.phi1, dt, r_max=p.r_max)
-    elif config.system == "coupled":
+    if config.system == "coupled":
         stepper = lambda s: reference_step_coupled(s, cc, dt)
     else:
         stepper = lambda s: reference_step_diffusion(s, p, dt)
@@ -295,6 +293,22 @@ class TestSteps:
             step_diffusion(FieldState(grid=g, values=u, t=0.0), p, 1e-5)
         assert exc.value.location == (7,)
 
+    @pytest.mark.parametrize("pid,boundary,sizes,nc", PARITY_CASES)
+    def test_step_scalar_matches_the_frozen_step(self, pid, boundary, sizes, nc):
+        # the reduction's scalar step, no longer reachable through `run`
+        p, state = parity_state(pid, boundary, sizes, 1)
+        dt = cfl_dt(state.grid, certify_window(p), 0.9)
+        new = old = state
+        for _ in range(6):
+            new = step_scalar(new, p.phi1, dt, r_max=p.r_max)
+            old = reference_step_scalar(old, p.phi1, dt, r_max=p.r_max)
+            assert new.t == old.t
+            if boundary == PERIODIC:
+                assert np.array_equal(new.values, old.values)
+            else:  # only the Dirichlet Laplacian changed its summation order
+                assert np.abs(new.values - old.values).max() <= 1e-13 * np.abs(old.values).max()
+        assert np.abs(new.values - state.values).max() > 0.0
+
     def test_nan_production_aborts(self):
         # an absurd dt overflows the update into non-finite territory
         p = quadratic(1e160)
@@ -445,6 +459,23 @@ class TestRun:
         for s in traj.snapshots:
             assert s.values[0, 0] == 0.0 and s.values[0, -1] == 0.0
 
+    @pytest.mark.parametrize("n_components", [1, 2])
+    def test_scalar_system_is_rejected(self, n_components):
+        with pytest.raises(ValueError, match="unknown system 'scalar' "
+                                             r"\(diffusion or coupled\)"):
+            self.base(system="scalar", n_components=n_components)
+
+    def test_single_component_diffusion_is_odd_for_a_table_potential(self):
+        # for N = 1 the diffusion system is u_t = Lap(phi'(|u|) sgn u): odd data
+        # stay odd, also for a table potential defined on r >= 0 only
+        from pelab import from_piecewise_poly
+        table = from_piecewise_poly([0.0, 2.0], [[0.5, 0.0, 0.0]], r_max=2.0)
+        traj = run(self.base(potential=table, t_end=0.01,
+                             initial={"kind": "mode", "k": [1], "amplitude": 0.5}))
+        u = traj.final.values[0]
+        assert u.max() == pytest.approx(0.3367, abs=1e-4)
+        assert u.min() == -u.max()
+
     def test_dt_override_validation(self):
         with pytest.raises(ValueError, match="divide"):
             run(self.base(t_end=0.005, dt_override=0.0049999))
@@ -555,7 +586,6 @@ class TestCoupledParity:
 
 def parity_config(system, pid, boundary, sizes, nc, seed=5):
     p = get_potential(pid)
-    nc = 1 if system == "scalar" else nc
     h = 1.0 / sizes[0] if boundary == PERIODIC else 1.0 / (sizes[0] - 1)
     g = GridSpec(n=len(sizes), sizes=sizes, h=h, boundary=boundary)
     bv = None if boundary == PERIODIC else tuple(0.1 * (c + 1) for c in range(nc))
@@ -577,7 +607,7 @@ def unstable_potential():
 class TestRunParity:
     """`run` over plain arrays reproduces the earlier per-step FieldState loop."""
 
-    @pytest.mark.parametrize("system", ["diffusion", "coupled", "scalar"])
+    @pytest.mark.parametrize("system", ["diffusion", "coupled"])
     @pytest.mark.parametrize("pid,boundary,sizes,nc", PARITY_CASES)
     def test_snapshots_match_the_frozen_loop(self, system, pid, boundary, sizes, nc):
         cfg = parity_config(system, pid, boundary, sizes, nc)
@@ -610,13 +640,13 @@ class TestRunParity:
         post_init = FieldState.__post_init__
         monkeypatch.setattr(FieldState, "__post_init__",
                             lambda self: (built.append(self.t), post_init(self))[1])
-        for system in ("diffusion", "coupled", "scalar"):
+        for system in ("diffusion", "coupled"):
             built.clear()
             traj = run(parity_config(system, "cosh", DIRICHLET, (17, 17), 2))
             assert traj.meta["steps"] > len(traj.snapshots) - 1
             assert len(built) == len(traj.snapshots)
 
-    @pytest.mark.parametrize("system", ["diffusion", "coupled", "scalar"])
+    @pytest.mark.parametrize("system", ["diffusion", "coupled"])
     def test_mid_run_abort_witness_is_unchanged(self, system):
         # rounding noise on a near-constant state near r_max grows ~3x a step
         cfg = RunConfig(grid=pgrid(32), n_components=1, potential=unstable_potential(),
