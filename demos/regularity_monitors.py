@@ -33,7 +33,7 @@ coarse, fine = make_run(128), make_run(256)
 print("== Morrey quotients at three interior points (size 128)")
 h = coarse.grid.h
 for x0 in (0.31, 0.52, 0.74):
-    prof = morrey_profile(coarse, ((x0,), 0.02), [16 * h, 8 * h, 4 * h])
+    prof = morrey_profile(coarse, [((x0,), 0.02)], [16 * h, 8 * h, 4 * h])[0]
     line = "   x0 = %.2f:  " % x0
     line += "  ".join(f"R={R / h:4.0f}h -> {v:.3e}" for R, v in prof)
     print(line)

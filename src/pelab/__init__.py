@@ -19,15 +19,13 @@ from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          cosh_potential, from_piecewise_poly, get_potential,
                          grad_Phi, grad_Phi_field, hessian_Phi, invert_phi,
                          quadratic, quartic, radial_slope, smoothed_porous)
-from .solver import (RunConfig, cfl_dt, cfl_dt_coupled, config_hash,
-                     initial_field, run, step_coupled, step_diffusion,
-                     step_scalar, with_resolution)
+from .solver import (RunConfig, cfl_dt, config_hash, initial_field, run,
+                     step_diffusion, with_resolution)
 from .diagnostics import (CheckReport, CoupledEntropyParams,
                           calibrate_residual_constant, choose_entropy_params,
                           contraction_report, entropy_residual_coupled,
                           entropy_residual_diffusion, estimate_ratio_report,
-                          h_minus_one_norm, holder_seminorm, l2_norm,
-                          morrey_profile, morrey_report, reverse_holder_report,
-                          sup_norm_report)
+                          h_minus_one_norm, holder_seminorm, morrey_profile,
+                          morrey_report, reverse_holder_report, sup_norm_report)
 
 __version__ = "0.1.0"

@@ -71,6 +71,7 @@ def build_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         grid = build_grid(doc["grid"])
         pot = build_potential(doc["potential"])
         bv = doc.get("boundary_values")
+        dt = doc.get("dt_override")
         return RunConfig(
             grid=grid,
             n_components=int(doc.get("components", 1)),
@@ -82,7 +83,7 @@ def build_config(doc: dict, seed_override: int | None = None) -> RunConfig:
             initial=doc.get("initial", {"kind": "mode"}),
             seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
             boundary_values=tuple(bv) if bv is not None else None,
-            dt_override=doc.get("dt_override"),
+            dt_override=float(dt) if dt is not None else None,
             name=doc.get("name", "run"))
     except UsageError:
         raise
@@ -568,7 +569,7 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
     try:
         h = cfg.grid.h
         center = tuple(0.5 * cfg.grid.extent(a) for a in range(cfg.grid.n))
-        prof = morrey_profile(traj, (center, cfg.t_end), [16 * h, 8 * h, 4 * h])
+        prof = morrey_profile(traj, [(center, cfg.t_end)], [16 * h, 8 * h, 4 * h])[0]
         row["morrey_16h"], row["morrey_8h"], row["morrey_4h"] = (v for _, v in prof)
     except ValueError:
         pass  # cylinder does not fit this cell's box; leave blank
@@ -576,6 +577,8 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 0:
+        raise UsageError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
     doc = _load_json(args.sweep)
     if "base" not in doc:
         raise UsageError("sweep file needs a 'base' run config")

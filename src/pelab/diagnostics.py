@@ -125,14 +125,6 @@ def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
     return math.sqrt(float(energy.sum()) * grid.cell_volume() / (comps[0].size * copies))
 
 
-def l2_norm(values: np.ndarray, grid: GridSpec) -> float:
-    """Discrete L^2 norm sqrt(sum f^2 h^n) over interior points."""
-    comps = _as_components(values, grid)
-    core = grid.interior_slices
-    return math.sqrt(float(np.sum(np.square(comps[(slice(None), *core)])))
-                     * grid.cell_volume())
-
-
 # ---------------------------------------------------------------------------
 # contraction
 
@@ -370,17 +362,18 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
 # ---------------------------------------------------------------------------
 # Morrey decay
 
-def morrey_profile(traj: Trajectory, point: tuple, radii: Sequence[float],
+def morrey_profile(traj: Trajectory, points: Sequence[tuple], radii: Sequence[float],
                    g: Callable[[FieldState], np.ndarray] | None = None,
-                   exponent: float | None = None) -> list[tuple[float, float]]:
+                   exponent: float | None = None) -> list[list[tuple[float, float]]]:
     """Scaled cylinder integrals R^-exponent * iint_{Q(x0,t0,R)} g, largest R first.
 
-    `point` is (x0 coordinates, t0); the default g is |grad u|^2 with the
-    default exponent n.  The variant g = |grad u|^4 with exponent n - 2 probes
-    the singular-set bound of bounded solutions.  Radii below 4h are rejected
-    as noise.
+    One profile per point of `points`, each point (x0 coordinates, t0), all
+    from one `cylinder_integrals` pass, so g is evaluated once per snapshot
+    in the union of the windows.  The default g is |grad u|^2 with the
+    default exponent n.  The variant g = |grad u|^4 with exponent n - 2
+    probes the singular-set bound of bounded solutions.  Radii below 4h are
+    rejected as noise.
     """
-    x0, t0 = point
     g = g or (lambda snap: gradient_sq(snap.values, snap.grid))
     expo = traj.grid.n if exponent is None else float(exponent)
     cell = traj.grid.cell_volume() * traj.snapshot_dt
@@ -388,9 +381,13 @@ def morrey_profile(traj: Trajectory, point: tuple, radii: Sequence[float],
     for R in radii:
         if R < 4.0 * traj.grid.h * (1.0 - 1e-12):
             raise ValueError(f"radius {R} is below the 4h = {4 * traj.grid.h} floor")
-    terms = [(Cylinder(center=tuple(x0), t0=float(t0), R=float(R)), 1.0) for R in radii]
+    terms = [(Cylinder(center=tuple(x0), t0=float(t0), R=float(R)), 1.0)
+             for x0, t0 in points for R in radii]
     sums = cylinder_integrals(traj, terms, lambda k: g(traj.snapshots[k]))
-    return [(float(R), total * cell / R ** expo) for R, (total, _) in zip(radii, sums)]
+    m = len(radii)
+    return [[(float(R), total * cell / R ** expo)
+             for R, (total, _) in zip(radii, sums[i * m:(i + 1) * m])]
+            for i in range(len(points))]
 
 
 def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[float],
@@ -400,8 +397,7 @@ def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[flo
     profiles = []
     witness = None
     passed = True
-    for pt in points:
-        prof = morrey_profile(traj, pt, radii, g=g)
+    for pt, prof in zip(points, morrey_profile(traj, points, radii, g=g)):
         profiles.append({"point": list(pt[0]), "t0": pt[1],
                          "radii": [r for r, _ in prof],
                          "values": [v for _, v in prof]})

@@ -6,10 +6,10 @@ outputs are meaningful on the interior only (the boundary ring of a Laplacian
 or of the coupled step's `face_divergence` is returned as zero).  Each
 stencil has one code path for both boundary kinds: a neighbour along an axis
 is read by one primitive, `_shifted`, a contiguous pass over the flattened
-array with the wrapped plane written separately (`hessian_sq`, whose mixed
-differences need diagonal neighbours, reads a copy padded by one wrapped
-cell), and on Dirichlet grids the ring, the only points that read across the
-wrap, is overwritten afterwards.  The private kernels `_laplacian` and
+array with the wrapped plane written separately (the diagonal neighbours of
+`hessian_sq`'s mixed differences are shifts of shifts), and on Dirichlet
+grids the ring, the only points that read across the wrap, is overwritten
+afterwards.  The private kernels `_laplacian` and
 `_face_divergence` skip the input checks; the latter works in buffers its
 caller owns (the coupled step's per-run workspace), so a coupled step
 allocates only the new state.  All reductions go through numpy, whose float
@@ -258,28 +258,30 @@ def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 def hessian_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Sum over components and ordered axis pairs of squared second differences.
 
-    Mixed derivatives use the 4-point cross stencil.  Shifts read a copy
-    padded by one wrapped cell per side; Dirichlet output is meaningful on the
-    interior only (boundary ring zero: the ring is all that reads the padding).
+    Mixed derivatives use the 4-point cross stencil, whose diagonal
+    neighbours are shifts of shifts; every neighbour is a `_shifted` copy.
+    Dirichlet output is meaningful on the interior only (boundary ring zero:
+    the ring is all that reads across the wrap).
     """
     comps = _as_components(values, grid)
     h2 = grid.h * grid.h
-    e = np.eye(grid.n, dtype=int)
-
-    def at(padded, shift):  # f[x + shift] for every grid point x
-        return padded[tuple(slice(1 + s, 1 + s + m) for s, m in zip(shift, grid.sizes))]
-
+    copy = lambda x, _, out: np.copyto(out, x)   # with k1 = k2 = k: f[x + k e]
+    plus, minus, pp, pm, mp, mm = (np.empty(grid.sizes) for _ in range(6))
     out = np.zeros(grid.sizes)
-    for padded in np.pad(comps, [(0, 0)] + [(1, 1)] * grid.n, mode="wrap"):
-        f = at(padded, 0 * e[0])
+    for f in comps:
         for a in range(grid.n):
-            daa = (at(padded, e[a]) - 2.0 * f + at(padded, -e[a])) / h2
+            _shifted(copy, f, a, 1, 1, plus)
+            _shifted(copy, f, a, -1, -1, minus)
+            daa = (plus - 2.0 * f + minus) / h2
             out += daa * daa
             for b in range(grid.n):
                 if b == a:
                     continue
-                dab = (at(padded, e[a] + e[b]) - at(padded, e[a] - e[b])
-                       - at(padded, e[b] - e[a]) + at(padded, -e[a] - e[b])) / (4.0 * h2)
+                _shifted(copy, plus, b, 1, 1, pp)
+                _shifted(copy, plus, b, -1, -1, pm)
+                _shifted(copy, minus, b, 1, 1, mp)
+                _shifted(copy, minus, b, -1, -1, mm)
+                dab = ((pp - pm) - mp + mm) / (4.0 * h2)
                 out += dab * dab
     if not grid.periodic:
         _zero_ring(out, grid.n)

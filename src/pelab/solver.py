@@ -5,14 +5,14 @@ forward-Euler loop body, u + dt * L(u, r), fed the norm field r = |u| that the
 loop computes once per step: Lap(grad Phi(u)) for the diffusion system (for
 N = 1, u_t = Lap(phi'(|u|) sgn u)) and `grid.face_divergence` (conservative
 face fluxes with arithmetically averaged coefficients) for the coupled
-rewrite.  `run` drives the body over plain arrays and validates a
-`FieldState` only for a stored snapshot; `step_diffusion` and `step_coupled`
-are one pass of it, and `step_scalar` (Lap(g(u)) for an increasing g) is kept
-to test the scalar reduction of aligned data.  The coupled right-hand side
-keeps one workspace per closure (built once by `run`, once per call of
-`step_coupled`) for its face fluxes, directions and coefficient fields, so
-its steps allocate only the new state.  Range excursions abort, never clamp;
-clamping would silently invalidate every estimate checked downstream.
+rewrite.  One CFL bound serves both, given the system's effective
+diffusivity.  `run` drives the body over plain arrays and validates a
+`FieldState` only for a stored snapshot; `step_diffusion` is one pass of it,
+state in, state out.  The coupled right-hand side keeps one workspace per
+closure (built once by `run`) for its face fluxes, directions and
+coefficient fields, so its steps allocate only the new state.  Range
+excursions abort, never clamp; clamping would silently invalidate every
+estimate checked downstream.
 """
 
 from __future__ import annotations
@@ -28,26 +28,22 @@ import numpy as np
 from .errors import RangeExcursionError
 from .grid import (FieldState, GridSpec, Trajectory, _dist2, _face_divergence,
                    _laplacian, vector_norm)
-from .potentials import (CoupledCoefficients, EllipticityWindow,
-                         RadialPotential, certify_window, coupled_decomposition,
-                         grad_Phi_field)
+from .potentials import (CoupledCoefficients, RadialPotential, certify_window,
+                         coupled_decomposition, grad_Phi_field)
 
 # L(u, r): the time derivative of u given u and its norm field r = |u|
 RightHandSide = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def cfl_dt(grid: GridSpec, window: EllipticityWindow, sigma: float = 1.0) -> float:
-    """Stable explicit step: sigma * h^2 / (2 n Lambda)."""
+def cfl_dt(grid: GridSpec, Lam: float, sigma: float = 1.0) -> float:
+    """Stable explicit step sigma * h^2 / (2 n Lam) for an effective diffusivity Lam.
+
+    `run` passes the certified window's Lam for the diffusion system and
+    sup(a + |c| |H_z|) for the coupled one.
+    """
     if not (0.0 < sigma <= 1.0):
         raise ValueError(f"cfl safety factor must be in (0, 1], got {sigma}")
-    return sigma * grid.h * grid.h / (2.0 * grid.n * window.Lam)
-
-
-def cfl_dt_coupled(grid: GridSpec, cc: CoupledCoefficients, sigma: float = 1.0) -> float:
-    """Coupled-step bound with sup(a + |c| |H_z|) as the effective diffusivity."""
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError(f"cfl safety factor must be in (0, 1], got {sigma}")
-    return sigma * grid.h * grid.h / (2.0 * grid.n * cc.bounds["eff_Lambda"])
+    return sigma * grid.h * grid.h / (2.0 * grid.n * Lam)
 
 
 def _abort_if_outside(r: np.ndarray, r_max: float, t: float,
@@ -62,10 +58,6 @@ def _abort_if_outside(r: np.ndarray, r_max: float, t: float,
 
 def _diffusion_rhs(p: RadialPotential, grid: GridSpec) -> RightHandSide:
     return lambda u, r: _laplacian(grad_Phi_field(p, u, r), grid)
-
-
-def _scalar_rhs(g: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> RightHandSide:
-    return lambda u, r: _laplacian(np.asarray(g(u[0]), dtype=float)[None], grid)
 
 
 def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec) -> RightHandSide:
@@ -109,28 +101,12 @@ def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float
     return new
 
 
-def _step(state: FieldState, rhs: RightHandSide, dt: float, r_max: float) -> FieldState:
-    new = _euler(rhs, state.values, vector_norm(state.values), state.t, dt, r_max)
-    return FieldState(grid=state.grid, values=new, t=state.t + dt,
-                      boundary_values=state.boundary_values)
-
-
 def step_diffusion(state: FieldState, p: RadialPotential, dt: float) -> FieldState:
     """One forward-Euler step of u_t = Lap(grad Phi(u))."""
-    return _step(state, _diffusion_rhs(p, state.grid), dt, p.r_max)
-
-
-def step_scalar(state: FieldState, g: Callable[[np.ndarray], np.ndarray],
-                dt: float, r_max: float = math.inf) -> FieldState:
-    """One forward-Euler step of the scalar equation u_t = Lap(g(u))."""
-    if state.n_components != 1:
-        raise ValueError("the scalar step applies to single-component states")
-    return _step(state, _scalar_rhs(g, state.grid), dt, r_max)
-
-
-def step_coupled(state: FieldState, cc: CoupledCoefficients, dt: float) -> FieldState:
-    """One conservative face-flux step of u_t = div(a grad u + c grad H(u))."""
-    return _step(state, _coupled_rhs(cc, state.grid), dt, cc.r_max)
+    new = _euler(_diffusion_rhs(p, state.grid), state.values,
+                 vector_norm(state.values), state.t, dt, p.r_max)
+    return FieldState(grid=state.grid, values=new, t=state.t + dt,
+                      boundary_values=state.boundary_values)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +312,10 @@ def run(config: RunConfig) -> Trajectory:
     window = certify_window(p)
     if config.system == "coupled":
         cc = coupled_decomposition(p)
-        dt_max = cfl_dt_coupled(config.grid, cc, config.cfl_sigma)
+        dt_max = cfl_dt(config.grid, cc.bounds["eff_Lambda"], config.cfl_sigma)
         rhs = _coupled_rhs(cc, config.grid)
     else:
-        dt_max = cfl_dt(config.grid, window, config.cfl_sigma)
+        dt_max = cfl_dt(config.grid, window.Lam, config.cfl_sigma)
         rhs = _diffusion_rhs(p, config.grid)
     steps, dt = _plan_steps(config.t_end, dt_max, config.snapshot_every,
                             config.dt_override)

@@ -19,9 +19,10 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    entropy_residual_coupled, entropy_residual_diffusion,
                    estimate_ratio_report, initial_field, morrey_profile,
                    quadratic, quartic, run, reverse_holder_report,
-                   smoothed_porous, step_diffusion, step_scalar,
-                   sup_norm_report, with_resolution)
+                   smoothed_porous, step_diffusion, sup_norm_report,
+                   with_resolution)
 from pelab.cli import main
+from test_solver import reference_step_scalar
 
 COSH = cosh_potential(1.0)
 
@@ -177,7 +178,7 @@ def test_06_morrey_decay():
     worst = 0.0
     for _ in range(10):
         x0 = float(rng.uniform(0.2, 0.8))
-        prof = morrey_profile(traj, ((x0,), 0.02), [16 * h, 8 * h, 4 * h])
+        prof = morrey_profile(traj, [((x0,), 0.02)], [16 * h, 8 * h, 4 * h])[0]
         big, small = prof[0][1], prof[-1][1]
         assert small <= 0.5 * big
         worst = max(worst, small / big)
@@ -234,7 +235,7 @@ def test_09_rotational_equivariance():
     u0 = initial_field(g, 2, {"kind": "bands", "kmax": 3, "amplitude": 0.5,
                               "seed": 9}, 9)
     from pelab import cfl_dt
-    dt = cfl_dt(g, certify_window(COSH), 0.9)
+    dt = cfl_dt(g, certify_window(COSH).Lam, 0.9)
     sa = FieldState(grid=g, values=u0, t=0.0)
     sb = FieldState(grid=g, values=np.einsum("ij,j...->i...", R, u0), t=0.0)
     worst = 0.0
@@ -257,14 +258,14 @@ def test_10_scalar_reduction():
                                    "seed": 5}, 5)
     assert U.min() > 0.2
     from pelab import cfl_dt
-    dt_max = cfl_dt(g, certify_window(p), 0.9)
+    dt_max = cfl_dt(g, certify_window(p).Lam, 0.9)
     steps = math.ceil(0.01 / dt_max)
     dt = 0.01 / steps
     vec = FieldState(grid=g, values=np.stack([U[0] * e[0], U[0] * e[1]]), t=0.0)
     sca = FieldState(grid=g, values=U.copy(), t=0.0)
     for _ in range(steps):
         vec = step_diffusion(vec, p, dt)
-        sca = step_scalar(sca, p.phi1, dt, r_max=p.r_max)
+        sca = reference_step_scalar(sca, p.phi1, dt, r_max=p.r_max)
     ref = np.stack([sca.values[0] * e[0], sca.values[0] * e[1]])
     diff = float(np.abs(vec.values - ref).max())
     assert diff <= 1e-12

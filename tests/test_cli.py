@@ -81,6 +81,15 @@ class TestRunCommand:
         assert err.startswith("error: bad run config: ") and "unknown system 'scalar'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_non_numeric_dt_override_is_a_usage_error(self, tmp_path, capsys):
+        doc = heat_doc()
+        doc["dt_override"] = "abc"
+        cfg = write_doc(tmp_path, doc)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad run config: ") and "'abc'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_doc(tmp_path, heat_doc(t_end=0.002))
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
@@ -246,6 +255,21 @@ class TestSweepCommand:
         assert len(rows) == 3
         pos = [float(r["resid_pos_max"]) for r in rows]
         assert pos[0] >= pos[1] >= pos[2]
+
+    @pytest.mark.parametrize("threads", ["-1", "-2"])
+    def test_negative_thread_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     threads):
+        from pelab import cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        path = self.sweep_doc(tmp_path, {})
+        assert main(["sweep", path, "--out", str(tmp_path / "s"), "--threads", threads]) == 1
+        assert f"--threads must be 0 (all cores) or positive, got {threads}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_seed_flag_overrides_base_seed(self, tmp_path):
         path = self.sweep_doc(tmp_path, {})

@@ -18,7 +18,7 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    cylinder_members,
                    entropy_residual_coupled, entropy_residual_diffusion,
                    estimate_ratio_report, gradient_sq, h_minus_one_norm,
-                   holder_seminorm, initial_field, l2_norm, laplacian,
+                   holder_seminorm, initial_field, laplacian,
                    morrey_profile, morrey_report, quadratic,
                    reverse_holder_report, run, step_diffusion, sup_norm_report,
                    vector_norm)
@@ -217,17 +217,8 @@ class TestHMinusOne:
                 f = np.zeros(g.sizes)
                 core = tuple(slice(1, -1) for _ in range(g.n))
                 f[core] = rng.standard_normal(f[core].shape)
-                assert h_minus_one_norm(f, g) <= cp * l2_norm(f, g) * (1 + 1e-12)
-
-    def test_l2_norm_rejects_mis_shaped_and_non_finite_fields(self):
-        g = pgrid(64)
-        with pytest.raises(ValueError, match="does not match"):
-            l2_norm(np.ones((3, 5)), g)
-        f = np.ones(64)
-        f[10] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            l2_norm(f, g)
-        assert l2_norm(np.ones((2, 64)), g) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+                l2 = math.sqrt(float(np.sum(f * f)) * g.cell_volume())
+                assert h_minus_one_norm(f, g) <= cp * l2 * (1 + 1e-12)
 
     def test_periodic_variant_mode_oracle(self):
         g = pgrid(64)
@@ -480,8 +471,8 @@ class TestMorrey:
     def test_zero_integrand(self):
         g = pgrid(64)
         traj = stationary(g, np.zeros((1, 64)), n_snaps=40, dt=1e-4)
-        prof = morrey_profile(traj, ((0.5,), traj.times[-1]), [16 * g.h, 8 * g.h],
-                              g=lambda s: np.zeros(g.sizes))
+        [prof] = morrey_profile(traj, [((0.5,), traj.times[-1])], [16 * g.h, 8 * g.h],
+                                g=lambda s: np.zeros(g.sizes))
         assert all(v == 0.0 for _, v in prof)
 
     def test_linear_profile_closed_form(self):
@@ -499,7 +490,7 @@ class TestMorrey:
             from pelab import cylinder_members
             mask, idx = cylinder_members(traj, q)
             expected = a * a * mask.sum() * len(idx) * gp.h * traj.snapshot_dt / R
-            prof = morrey_profile(traj, ((0.25,), t0), [R])
+            [prof] = morrey_profile(traj, [((0.25,), t0)], [R])
             assert prof[0][1] == pytest.approx(expected, rel=1e-13)
             got[R] = prof[0][1]
         # halving R quarters the quotient up to discrete-count granularity
@@ -514,7 +505,7 @@ class TestMorrey:
                                  "seed": 11}, seed=11)
         traj = run(cfg)
         h = traj.grid.h
-        prof = morrey_profile(traj, ((0.37,), 0.02), [16 * h, 8 * h, 4 * h])
+        [prof] = morrey_profile(traj, [((0.37,), 0.02)], [16 * h, 8 * h, 4 * h])
         vals = [v for _, v in prof]
         assert vals[0] > vals[1] > vals[2]
 
@@ -531,8 +522,8 @@ class TestMorrey:
             FieldState(grid=s.grid, values=np.einsum("ij,j...->i...", R, s.values),
                        t=s.t) for s in traj.snapshots), dt=traj.dt)
         h = traj.grid.h
-        a = morrey_profile(traj, ((0.5,), 0.01), [8 * h, 4 * h])
-        b = morrey_profile(rot, ((0.5,), 0.01), [8 * h, 4 * h])
+        [a] = morrey_profile(traj, [((0.5,), 0.01)], [8 * h, 4 * h])
+        [b] = morrey_profile(rot, [((0.5,), 0.01)], [8 * h, 4 * h])
         for (_, va), (_, vb) in zip(a, b):
             assert va == pytest.approx(vb, abs=1e-10)
 
@@ -540,7 +531,7 @@ class TestMorrey:
         g = pgrid(64)
         traj = stationary(g, np.zeros((1, 64)), n_snaps=10)
         with pytest.raises(ValueError, match="4h"):
-            morrey_profile(traj, ((0.5,), traj.times[-1]), [2 * g.h])
+            morrey_profile(traj, [((0.5,), traj.times[-1])], [2 * g.h])
 
     def test_report_aggregates_points(self):
         g = pgrid(64)
@@ -560,8 +551,8 @@ class TestMorrey:
         traj = run(cfg)
         g = traj.grid
         g4 = lambda s: gradient_sq(s.values, s.grid) ** 2
-        prof = morrey_profile(traj, ((0.4,), 0.02), [16 * g.h, 8 * g.h, 4 * g.h],
-                              g=g4, exponent=g.n - 2)
+        [prof] = morrey_profile(traj, [((0.4,), 0.02)], [16 * g.h, 8 * g.h, 4 * g.h],
+                                g=g4, exponent=g.n - 2)
         vals = [v for _, v in prof]
         assert all(v >= 0 for v in vals)
         assert vals[-1] < vals[0]
@@ -782,11 +773,11 @@ class TestCylinderIntegralParity:
         point = (self.center(traj), traj.times[-1])
         radii = [0.23, 0.13]  # not powers of two, so 1/R^n rounds
         grad = lambda s: gradient_sq(s.values, s.grid)  # noqa: E731
-        assert morrey_profile(traj, point, radii) == \
-            reference_morrey_profile(traj, point, radii, grad, traj.grid.n)
+        assert morrey_profile(traj, [point], radii) == \
+            [reference_morrey_profile(traj, point, radii, grad, traj.grid.n)]
         g4 = lambda s: gradient_sq(s.values, s.grid) ** 2  # noqa: E731
-        assert morrey_profile(traj, point, radii, g=g4, exponent=traj.grid.n - 2) == \
-            reference_morrey_profile(traj, point, radii, g4, traj.grid.n - 2)
+        assert morrey_profile(traj, [point], radii, g=g4, exponent=traj.grid.n - 2) == \
+            [reference_morrey_profile(traj, point, radii, g4, traj.grid.n - 2)]
 
     @pytest.mark.parametrize("p", [2.5, 4.0])  # L^p power 1.25 and 2
     def test_reverse_holder_matches_the_frozen_mean(self, traj, p):
@@ -875,11 +866,36 @@ class TestOnePassPerWindow:
             return gradient_sq(snap.values, snap.grid)
 
         h, t0 = traj.grid.h, traj.times[-5]
-        prof = morrey_profile(traj, ((0.5, 0.5), t0), [4 * h, 8 * h, 6 * h], g=g)
+        [prof] = morrey_profile(traj, [((0.5, 0.5), t0)], [4 * h, 8 * h, 6 * h], g=g)
         assert [R for R, _ in prof] == [8 * h, 6 * h, 4 * h]
         window = cylinder_members(traj, Cylinder(center=(0.5, 0.5), t0=t0, R=8 * h))[1]
         assert 0 < window[0] and window[-1] == len(traj.snapshots) - 5   # a strict part
         assert read == [traj.snapshots[k].t for k in window]
+
+    def test_morrey_report_reads_each_snapshot_once_over_all_points(self, traj, passes):
+        # three points whose windows overlap in part: one pass over their union,
+        # not one per point, with each profile that of the frozen loop
+        read = []
+
+        def g(snap):
+            read.append(snap.t)
+            return gradient_sq(snap.values, snap.grid)
+
+        h = traj.grid.h
+        points = [((0.5, 0.5), traj.times[70]), ((0.25, 0.75), traj.times[40]),
+                  ((0.7, 0.3), traj.times[70])]
+        radii = [4 * h, 8 * h]
+        rep = morrey_report(traj, points, radii, g=g)
+        [(cylinders, passed)] = passes
+        assert len(cylinders) == len(points) * len(radii)
+        window = self.union(traj, cylinders)
+        assert passed == window == list(range(71))   # one point alone reads 71
+        assert read == [traj.snapshots[k].t for k in window]
+        grad = lambda s: gradient_sq(s.values, s.grid)  # noqa: E731
+        for (x0, t0), prof in zip(points, rep.values["profiles"]):
+            ref = reference_morrey_profile(traj, (x0, t0), radii, grad, traj.grid.n)
+            assert (prof["point"], prof["t0"]) == (list(x0), t0)
+            assert list(zip(prof["radii"], prof["values"])) == ref
 
     def test_reverse_holder_reads_each_snapshot_once(self, traj, passes):
         cyls = [Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.1) for k in (40, 60)]

@@ -10,17 +10,17 @@ PUBLIC = {
     "EllipticityWindow", "EntropyData", "FieldState", "GridSpec", "PERIODIC",
     "RadialPotential", "RangeExcursionError", "RunConfig", "Trajectory",
     "build_entropy", "builtin_ids", "calibrate_residual_constant",
-    "certify_window", "cfl_dt", "cfl_dt_coupled", "choose_entropy_params",
+    "certify_window", "cfl_dt", "choose_entropy_params",
     "config_hash", "contraction_report", "cosh_potential",
     "coupled_decomposition", "cylinder_integrals", "cylinder_members",
     "entropy_residual_coupled", "entropy_residual_diffusion",
     "estimate_ratio_report", "from_piecewise_poly", "get_potential", "grad_Phi",
     "grad_Phi_field", "gradient_sq", "h_minus_one_norm", "hessian_Phi",
-    "hessian_sq", "holder_seminorm", "initial_field", "invert_phi", "l2_norm",
+    "hessian_sq", "holder_seminorm", "initial_field", "invert_phi",
     "laplacian", "morrey_profile", "morrey_report", "quadratic", "quartic",
     "radial_slope", "read_snapshot",
-    "reverse_holder_report", "run", "smoothed_porous", "step_coupled",
-    "step_diffusion", "step_scalar", "sup_norm_report", "vector_norm",
+    "reverse_holder_report", "run", "smoothed_porous", "step_diffusion",
+    "sup_norm_report", "vector_norm",
     "with_resolution", "write_snapshot",
 }
 
@@ -43,6 +43,8 @@ PARAMETERS = {
     "holder_seminorm": ("snap", "alpha", "band"),
     "h_minus_one_norm": ("values", "grid"),
     "cylinder_integrals": ("traj", "terms", "field_at"),
+    "cfl_dt": ("grid", "Lam", "sigma"),
+    "morrey_profile": ("traj", "points", "radii", "g", "exponent"),
 }
 
 

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from pelab import (DIRICHLET, PERIODIC, FieldState, GridSpec,
-                   RangeExcursionError, RunConfig, cfl_dt, cfl_dt_coupled,
-                   certify_window, cosh_potential, coupled_decomposition,
-                   get_potential, initial_field, laplacian, quadratic, run,
-                   step_coupled, step_diffusion, step_scalar, vector_norm,
-                   with_resolution)
-from pelab.grid import face_divergence
-from pelab.potentials import EPS_ZERO, EllipticityWindow, RadialPotential
+                   RangeExcursionError, RunConfig, cfl_dt, certify_window,
+                   cosh_potential, coupled_decomposition, get_potential,
+                   initial_field, laplacian, quadratic, run, step_diffusion,
+                   vector_norm, with_resolution)
+from pelab.grid import _laplacian, face_divergence
+from pelab.potentials import EPS_ZERO, RadialPotential
 from pelab.solver import _coupled_rhs, _euler, _plan_steps
 from test_grid import reference_laplacian
 from test_potentials import reference_radial_slope
@@ -22,6 +21,14 @@ from test_potentials import reference_radial_slope
 
 def pgrid(size, n=1):
     return GridSpec(n=n, sizes=(size,) * n, h=1.0 / size, boundary=PERIODIC)
+
+
+def coupled_step(state, cc, dt):
+    """One coupled step, state in, state out: the loop body over a fresh workspace."""
+    new = _euler(_coupled_rhs(cc, state.grid), state.values, vector_norm(state.values),
+                 state.t, dt, cc.r_max)
+    return FieldState(grid=state.grid, values=new, t=state.t + dt,
+                      boundary_values=state.boundary_values)
 
 
 # Frozen copies of the earlier roll-based face divergence and coupled step:
@@ -124,9 +131,9 @@ def reference_run(config):
     p = config.potential
     if config.system == "coupled":
         cc = coupled_decomposition(p)
-        dt_max = cfl_dt_coupled(config.grid, cc, config.cfl_sigma)
+        dt_max = cfl_dt(config.grid, cc.bounds["eff_Lambda"], config.cfl_sigma)
     else:
-        dt_max = cfl_dt(config.grid, certify_window(p), config.cfl_sigma)
+        dt_max = cfl_dt(config.grid, certify_window(p).Lam, config.cfl_sigma)
     steps, dt = _plan_steps(config.t_end, dt_max, config.snapshot_every,
                             config.dt_override)
     values = initial_field(config.grid, config.n_components, config.initial, config.seed)
@@ -184,19 +191,15 @@ def parity_state(pid, boundary, sizes, nc, seed=4):
 class TestCflDt:
     def test_worked_example(self):
         g = GridSpec(n=1, sizes=(128,), h=1.0 / 128, boundary=PERIODIC)
-        w = EllipticityWindow(lam=1.0, Lam=2.0, r_max=1.0, samples=2, spacing=1.0)
-        assert cfl_dt(g, w, 0.9) == pytest.approx(0.9 / (4 * 16384), rel=1e-14)
+        assert cfl_dt(g, 2.0, 0.9) == pytest.approx(0.9 / (4 * 16384), rel=1e-14)
 
     def test_two_dimensional(self):
         g = GridSpec(n=2, sizes=(10, 10), h=0.1, boundary=PERIODIC)
-        w = EllipticityWindow(lam=1.0, Lam=1.0, r_max=1.0, samples=2, spacing=1.0)
-        assert cfl_dt(g, w, 1.0) == pytest.approx(0.0025, rel=1e-14)
+        assert cfl_dt(g, 1.0, 1.0) == pytest.approx(0.0025, rel=1e-14)
 
     def test_doubling_Lambda_halves_dt(self):
         g = pgrid(64)
-        w1 = EllipticityWindow(lam=1.0, Lam=1.0, r_max=1.0, samples=2, spacing=1.0)
-        w2 = EllipticityWindow(lam=1.0, Lam=2.0, r_max=1.0, samples=2, spacing=1.0)
-        assert cfl_dt(g, w1, 0.5) == pytest.approx(2 * cfl_dt(g, w2, 0.5), rel=1e-14)
+        assert cfl_dt(g, 1.0, 0.5) == pytest.approx(2 * cfl_dt(g, 2.0, 0.5), rel=1e-14)
 
     def test_coupled_effective_diffusivity_matches_window(self):
         # for the radial decomposition a + |c||H_z| = phi'' pointwise
@@ -204,7 +207,8 @@ class TestCflDt:
         g = pgrid(64)
         cc = coupled_decomposition(p)
         w = certify_window(p)
-        assert cfl_dt_coupled(g, cc, 0.9) == pytest.approx(cfl_dt(g, w, 0.9), rel=1e-12)
+        assert cfl_dt(g, cc.bounds["eff_Lambda"], 0.9) == \
+            pytest.approx(cfl_dt(g, w.Lam, 0.9), rel=1e-12)
 
 
 class TestSteps:
@@ -215,7 +219,7 @@ class TestSteps:
         out = step_diffusion(s, p, 1e-5)
         assert np.array_equal(out.values, s.values)
         cc = coupled_decomposition(p)
-        out2 = step_coupled(s, cc, 1e-5)
+        out2 = coupled_step(s, cc, 1e-5)
         assert np.abs(out2.values - s.values).max() < 1e-16
 
     def test_quadratic_step_equals_heat_stencil(self):
@@ -224,7 +228,7 @@ class TestSteps:
         g = pgrid(64)
         x = g.coords(0)
         u = (0.5 * np.sin(2 * np.pi * x))[None]
-        dt = cfl_dt(g, certify_window(p), 0.9)
+        dt = cfl_dt(g, certify_window(p).Lam, 0.9)
         got = step_diffusion(FieldState(grid=g, values=u, t=0.0), p, dt)
         ref = u[0] + dt * (np.roll(u[0], 1) - 2 * u[0] + np.roll(u[0], -1)) / g.h ** 2
         assert np.abs(got.values[0] - ref).max() < 1e-15
@@ -236,7 +240,7 @@ class TestSteps:
         u = 0.2 * rng.standard_normal((2, 32))
         s = FieldState(grid=g, values=u, t=0.0)
         dt = 1e-5
-        got = step_coupled(s, coupled_decomposition(quadratic()), dt)
+        got = coupled_step(s, coupled_decomposition(quadratic()), dt)
         ref = np.stack([u[c] + dt * laplacian(u[c], g) for c in range(2)])
         assert np.abs(got.values - ref).max() < 1e-14
 
@@ -254,19 +258,9 @@ class TestSteps:
             bv = (0.1, -0.2)
         s = FieldState(grid=g, values=u, t=0.0, boundary_values=bv)
         dt = 1e-5
-        got = step_coupled(s, coupled_decomposition(quadratic()), dt)
+        got = coupled_step(s, coupled_decomposition(quadratic()), dt)
         ref = np.stack([u[c] + dt * laplacian(u[c], g) for c in range(2)])
         assert np.abs(got.values - ref).max() < 1e-15
-
-    def test_scalar_identity_is_heat(self):
-        g = pgrid(32)
-        rng = np.random.default_rng(1)
-        u = 0.3 * rng.standard_normal((1, 32))
-        s = FieldState(grid=g, values=u, t=0.0)
-        dt = 1e-5
-        got = step_scalar(s, lambda v: v, dt)
-        ref = u[0] + dt * laplacian(u[0], g)
-        assert np.abs(got.values[0] - ref).max() < 1e-16
 
     def test_aligned_data_reduces_to_scalar(self):
         # u = U e evolves as e times the scalar flow with nonlinearity phi'
@@ -277,10 +271,10 @@ class TestSteps:
                                        "seed": 5}, 5)
         vec = FieldState(grid=g, values=np.stack([U[0] * e[0], U[0] * e[1]]), t=0.0)
         sca = FieldState(grid=g, values=U.copy(), t=0.0)
-        dt = cfl_dt(g, certify_window(p), 0.9)
+        dt = cfl_dt(g, certify_window(p).Lam, 0.9)
         for _ in range(200):
             vec = step_diffusion(vec, p, dt)
-            sca = step_scalar(sca, p.phi1, dt, r_max=p.r_max)
+            sca = reference_step_scalar(sca, p.phi1, dt, r_max=p.r_max)
         ref = np.stack([sca.values[0] * e[0], sca.values[0] * e[1]])
         assert np.abs(vec.values - ref).max() <= 1e-13
 
@@ -295,30 +289,27 @@ class TestSteps:
 
     @pytest.mark.parametrize("pid,boundary,sizes,nc", PARITY_CASES)
     def test_step_scalar_matches_the_frozen_step(self, pid, boundary, sizes, nc):
-        # the reduction's scalar step, no longer reachable through `run`
+        # the scalar flow u_t = Lap(phi'(u)) is the one-component diffusion step;
+        # that step forms phi'(|u|) u/|u|, not phi'(u), so it agrees to rounding
         p, state = parity_state(pid, boundary, sizes, 1)
-        dt = cfl_dt(state.grid, certify_window(p), 0.9)
+        dt = cfl_dt(state.grid, certify_window(p).Lam, 0.9)
         new = old = state
         for _ in range(6):
-            new = step_scalar(new, p.phi1, dt, r_max=p.r_max)
+            new = step_diffusion(new, p, dt)
             old = reference_step_scalar(old, p.phi1, dt, r_max=p.r_max)
             assert new.t == old.t
-            if boundary == PERIODIC:
-                assert np.array_equal(new.values, old.values)
-            else:  # only the Dirichlet Laplacian changed its summation order
-                assert np.abs(new.values - old.values).max() <= 1e-13 * np.abs(old.values).max()
+            assert np.abs(new.values - old.values).max() <= 1e-13 * np.abs(old.values).max()
         assert np.abs(new.values - state.values).max() > 0.0
 
     def test_nan_production_aborts(self):
         # an absurd dt overflows the update into non-finite territory
-        p = quadratic(1e160)
         g = pgrid(32)
         u = initial_field(g, 1, {"kind": "mode", "amplitude": 1.0}, 0)
-        s = FieldState(grid=g, values=u, t=0.0)
+        rhs = lambda u, r: _laplacian(u * 1e150, g)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RangeExcursionError, match="non-finite"):
                 for _ in range(400):
-                    s = step_scalar(s, lambda v: v * 1e150, 1e3)
+                    u = _euler(rhs, u, vector_norm(u), 0.0, 1e3, math.inf)
 
 
 class TestInitialData:
@@ -441,7 +432,7 @@ class TestRun:
         g = pgrid(64)
         u0 = initial_field(g, 2, {"kind": "bands", "kmax": 3, "amplitude": 0.5,
                                   "seed": 9}, 9)
-        dt = cfl_dt(g, certify_window(p), 0.9)
+        dt = cfl_dt(g, certify_window(p).Lam, 0.9)
         sa = FieldState(grid=g, values=u0, t=0.0)
         sb = FieldState(grid=g, values=np.einsum("ij,j...->i...", R, u0), t=0.0)
         for _ in range(150):
@@ -540,10 +531,10 @@ class TestCoupledParity:
     def test_multi_step_runs_are_bit_identical(self, pid, boundary, sizes, nc):
         p, state = parity_state(pid, boundary, sizes, nc)
         cc = coupled_decomposition(p)
-        dt = cfl_dt_coupled(state.grid, cc, 0.9)
+        dt = cfl_dt(state.grid, cc.bounds["eff_Lambda"], 0.9)
         new = old = state
         for _ in range(25):
-            new, old = step_coupled(new, cc, dt), reference_step_coupled(old, cc, dt)
+            new, old = coupled_step(new, cc, dt), reference_step_coupled(old, cc, dt)
             assert np.array_equal(new.values, old.values)
         assert np.abs(new.values - state.values).max() > 0.0
 
@@ -566,7 +557,7 @@ class TestCoupledParity:
     def test_quadratic_coupled_step_is_bit_identical(self):
         _, state = parity_state("cosh", PERIODIC, (20, 12), 2)
         cc = coupled_decomposition(quadratic())
-        got = step_coupled(state, cc, 1e-5)
+        got = coupled_step(state, cc, 1e-5)
         assert np.array_equal(got.values, reference_step_coupled(state, cc, 1e-5).values)
 
     def test_range_witness_is_unchanged(self):
@@ -576,7 +567,7 @@ class TestCoupledParity:
         bad = FieldState(grid=state.grid, values=u, t=0.25)
         cc = coupled_decomposition(p)
         errors = []
-        for step in (step_coupled, reference_step_coupled):
+        for step in (coupled_step, reference_step_coupled):
             with pytest.raises(RangeExcursionError) as exc:
                 step(bad, cc, 1e-6)
             errors.append((str(exc.value), exc.value.location, exc.value.t))
@@ -670,7 +661,7 @@ class TestRunParity:
         # the end-of-run check (the last step taken), a 15-step run in the
         # check before step 15 (the step refused)
         p = unstable_potential()
-        dt = cfl_dt(pgrid(32), certify_window(p), 0.9)   # the run's own CFL step
+        dt = cfl_dt(pgrid(32), certify_window(p).Lam, 0.9)   # the run's own CFL step
         witnesses = []
         for steps in (14, 15):
             cfg = RunConfig(grid=pgrid(32), n_components=1, potential=p,
@@ -707,7 +698,7 @@ class TestCoupledWorkspace:
     def test_warm_step_allocates_less_than_three_states(self):
         p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
         cc = coupled_decomposition(p)
-        rhs, dt = _coupled_rhs(cc, state.grid), cfl_dt_coupled(state.grid, cc, 0.9)
+        rhs, dt = _coupled_rhs(cc, state.grid), cfl_dt(state.grid, cc.bounds["eff_Lambda"], 0.9)
         u = _euler(rhs, state.values, vector_norm(state.values), 0.0, dt, cc.r_max)
         r = vector_norm(u)
         tracemalloc.start()
@@ -746,5 +737,5 @@ class TestCoupledWorkspace:
         dt = first.dt
         state = first.snapshots[0]
         for _ in range(cfg.snapshot_every):
-            state = step_coupled(state, coupled_decomposition(cfg.potential), dt)
+            state = coupled_step(state, coupled_decomposition(cfg.potential), dt)
         assert np.array_equal(state.values, first.snapshots[1].values)
