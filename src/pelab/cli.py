@@ -35,7 +35,7 @@ from .grid import (Cylinder, FieldState, GridSpec, Trajectory, read_snapshot,
                    vector_norm, write_snapshot)
 from .potentials import (build_entropy, certify_window, coupled_decomposition,
                          from_piecewise_poly, get_potential)
-from .solver import RunConfig, run, step_diffusion, with_resolution
+from .solver import RunConfig, config_hash, run, step_diffusion, with_resolution
 
 
 class UsageError(Exception):
@@ -144,14 +144,14 @@ def _shrink_ok(pos_coarse: float, pos_fine: float, scale: float) -> bool:
     return pos_fine <= max(0.5 * pos_coarse, floor)
 
 
-def _ladder(base: RunConfig, sizes):
+def _ladder(base: RunConfig, sizes, run):
     """Yield (config, trajectory) per size, running each rung only when asked for it."""
     for size in sizes:
         cfg = with_resolution(base, size)
         yield cfg, run(cfg)
 
 
-def _check_contraction(params: dict, seed: int) -> CheckReport:
+def _check_contraction(params: dict, seed: int, run) -> CheckReport:
     base = build_config(params["config"], seed)
     run0 = run(replace(base, initial=params["initial0"], name=base.name + "-a"))
     run1 = run(replace(base, initial=params["initial1"], name=base.name + "-b"))
@@ -171,12 +171,12 @@ def _check_contraction(params: dict, seed: int) -> CheckReport:
     return rep
 
 
-def _check_sup_norm(params: dict, seed: int) -> CheckReport:
+def _check_sup_norm(params: dict, seed: int, run) -> CheckReport:
     traj = run(build_config(params["config"], seed))
     return sup_norm_report(traj, name=params["name"])
 
 
-def _check_entropy(params: dict, seed: int, coupled: bool) -> CheckReport:
+def _check_entropy(params: dict, seed: int, run, coupled: bool) -> CheckReport:
     base = build_config(params["config"], seed)
     if base.snapshot_every != 1:
         raise UsageError("entropy residual checks need snapshot_every = 1")
@@ -194,7 +194,7 @@ def _check_entropy(params: dict, seed: int, coupled: bool) -> CheckReport:
     passed = True
     witness = None
     prev_pos = None
-    for size, (cfg, traj) in zip(sizes, _ladder(base, sizes)):
+    for size, (cfg, traj) in zip(sizes, _ladder(base, sizes, run)):
         tau = K * (cfg.grid.h ** 2 + traj.dt)
         if coupled:
             rep = entropy_residual_coupled(traj, cc, pars.s, pars.c, tau=tau)
@@ -219,7 +219,7 @@ def _check_entropy(params: dict, seed: int, coupled: bool) -> CheckReport:
                        values=values, witness=witness)
 
 
-def _check_morrey(params: dict, seed: int) -> CheckReport:
+def _check_morrey(params: dict, seed: int, run) -> CheckReport:
     cfg = build_config(params["config"], seed)
     traj = run(cfg)
     h = cfg.grid.h
@@ -238,10 +238,10 @@ def _pair_sizes(params: dict) -> list:
     return sizes
 
 
-def _coarse_then_fine(params: dict, base: RunConfig, sizes: list, report,
+def _coarse_then_fine(params: dict, base: RunConfig, sizes: list, run, report,
                       key: str) -> CheckReport:
     """The fine rung's report, judged against the coarse rung's `key` value."""
-    rungs = _ladder(base, sizes)
+    rungs = _ladder(base, sizes, run)
     coarse = report(next(rungs)[1])
     rep = report(next(rungs)[1], reference=coarse.values[key], name=params["name"])
     rep.values[f"{key}_coarse"] = coarse.values[key]
@@ -249,7 +249,7 @@ def _coarse_then_fine(params: dict, base: RunConfig, sizes: list, report,
     return rep
 
 
-def _check_reverse_holder(params: dict, seed: int) -> CheckReport:
+def _check_reverse_holder(params: dict, seed: int, run) -> CheckReport:
     base = build_config(params["config"], seed)
     sizes = _pair_sizes(params)
     R = params["R"]
@@ -258,11 +258,11 @@ def _check_reverse_holder(params: dict, seed: int) -> CheckReport:
                              params.get("cylinders", 20), seed + 2, margin=0.0)
     cyls = [Cylinder(center=c, t0=t0, R=R) for c in centers]
     return _coarse_then_fine(
-        params, base, sizes, lambda traj, **kw: reverse_holder_report(
+        params, base, sizes, run, lambda traj, **kw: reverse_holder_report(
             traj, cyls, p=params.get("p", 2.5), **kw), "max_ratio")
 
 
-def _check_estimate_ratios(params: dict, seed: int) -> CheckReport:
+def _check_estimate_ratios(params: dict, seed: int, run) -> CheckReport:
     base = build_config(params["config"], seed)
     sizes = _pair_sizes(params)
     t0 = params["t0"]
@@ -271,11 +271,11 @@ def _check_estimate_ratios(params: dict, seed: int) -> CheckReport:
     pairs = [(Cylinder(center=c, t0=t0, R=params["r"]),
               Cylinder(center=c, t0=t0, R=params["R"])) for c in centers]
     return _coarse_then_fine(
-        params, base, sizes, lambda traj, **kw: estimate_ratio_report(
+        params, base, sizes, run, lambda traj, **kw: estimate_ratio_report(
             traj, base.potential, pairs, **kw), "maxima")
 
 
-def _check_tampered_sup(params: dict, seed: int) -> CheckReport:
+def _check_tampered_sup(params: dict, seed: int, run) -> CheckReport:
     """Negative control: inflate the final snapshot, expecting a witnessed failure."""
     traj = run(build_config(params["config"], seed))
     last = traj.snapshots[-1]
@@ -286,7 +286,7 @@ def _check_tampered_sup(params: dict, seed: int) -> CheckReport:
     return sup_norm_report(tampered, name=params["name"])
 
 
-def _check_tampered_contraction(params: dict, seed: int) -> CheckReport:
+def _check_tampered_contraction(params: dict, seed: int, run) -> CheckReport:
     """Negative control: anti-diffuse one run mid-way (a flipped-dt step)."""
     base = build_config(params["config"], seed)
     run0 = run(replace(base, initial=params["initial0"], name=base.name + "-a"))
@@ -301,11 +301,24 @@ def _check_tampered_contraction(params: dict, seed: int) -> CheckReport:
                               name=params["name"])
 
 
+def _shared_run(memo: dict):
+    """`run` through `memo`, keyed on the resolved config without its name; a hit
+    shares the stored snapshots and dt under this config's own meta."""
+    def shared(cfg: RunConfig) -> Trajectory:
+        doc = cfg.describe()
+        key = config_hash({**doc, "name": None})
+        traj = memo[key] = memo.get(key) or run(cfg)
+        return replace(traj, meta={**traj.meta, "config": doc,
+                                   "config_hash": config_hash(doc), "name": cfg.name})
+    return shared
+
+
+# check kind -> f(params, seed, run), where `run` integrates a RunConfig
 _CHECKS = {
     "contraction": _check_contraction,
     "sup-norm": _check_sup_norm,
-    "entropy-diffusion": lambda p, s: _check_entropy(p, s, coupled=False),
-    "entropy-coupled": lambda p, s: _check_entropy(p, s, coupled=True),
+    "entropy-diffusion": lambda p, s, r: _check_entropy(p, s, r, coupled=False),
+    "entropy-coupled": lambda p, s, r: _check_entropy(p, s, r, coupled=True),
     "morrey": _check_morrey,
     "reverse-holder": _check_reverse_holder,
     "estimate-ratios": _check_estimate_ratios,
@@ -464,12 +477,19 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> li
     outdir.mkdir(parents=True, exist_ok=True)
     reports = []
     files = []
-    for check in suite.get("checks", []):
+    # consecutive checks whose configs differ at most in `name` share one memo
+    checks = suite.get("checks", [])
+    bare = [{**c["config"], "name": None} if isinstance(c.get("config"), dict) else object()
+            for c in checks]
+    for i, check in enumerate(checks):
         kind = check.get("kind")
         if kind not in _CHECKS:
             raise UsageError(f"unknown check kind '{kind}' in '{check['name']}'")
+        if i == 0 or bare[i] != bare[i - 1]:
+            memo = {}   # a new group: the last group's runs are dropped
+        shared = bare[i] in bare[max(i - 1, 0):i] + bare[i + 1:i + 2]
         try:
-            rep = _CHECKS[kind](check, seed)
+            rep = _CHECKS[kind](check, seed, _shared_run(memo) if shared else run)
         except Exception as exc:  # crashes are recorded as failures, suite continues
             rep = CheckReport(name=check["name"], passed=False,
                               values={"error": f"{type(exc).__name__}: {exc}",

@@ -80,12 +80,15 @@ def _provenance(*trajs: Trajectory) -> str:
 # ---------------------------------------------------------------------------
 # discrete Poisson problems and the H^-1 norm
 
-def _laplacian_symbol(sizes: Sequence[int], h: float) -> np.ndarray:
+def _laplacian_symbol(grid: GridSpec) -> np.ndarray:
     """Eigenvalues of the periodic 2n+1-point -Lap on the bins `np.fft.rfftn` keeps.
 
-    The DFT modes k = 0..m-1 per axis, k = 0..m//2 on the last; the k = 0
-    eigenvalue is inf, so that the mean drops out.
+    The grid transformed is `grid` itself when periodic and the odd extension
+    of a Dirichlet grid's interior (2m - 2 points an axis) otherwise.  The DFT
+    modes k = 0..m-1 per axis, k = 0..m//2 on the last; the k = 0 eigenvalue
+    is inf, so that the mean drops out.
     """
+    sizes, h = [m if grid.periodic else 2 * m - 2 for m in grid.sizes], grid.h
     mu = np.zeros(())
     for a, m in enumerate(sizes):
         s = np.sin(np.pi * np.arange(m // 2 + 1 if a == len(sizes) - 1 else m) / m)
@@ -108,6 +111,11 @@ def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
     f are ignored and w vanishes on the layer.  Vector inputs return the root
     of the sum of the squared component norms.
     """
+    return _h_minus_one_norm(values, grid, _laplacian_symbol(grid))
+
+
+def _h_minus_one_norm(values: np.ndarray, grid: GridSpec, mu: np.ndarray) -> float:
+    """`h_minus_one_norm` over the grid's `_laplacian_symbol` mu, built by the caller."""
     comps = _as_components(values, grid)
     axes = tuple(range(1, grid.n + 1))
     copies = 1
@@ -118,7 +126,6 @@ def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
             comps = np.concatenate([zero, comps, zero, -np.flip(comps, axis=a)], axis=a)
         copies = 2 ** grid.n
     spec = np.fft.rfftn(comps, axes=axes)
-    mu = _laplacian_symbol(comps.shape[1:], grid.h)
     energy = (np.square(spec.real) + np.square(spec.imag)) / mu
     m = comps.shape[-1]
     energy[..., 1:(m + 1) // 2] *= 2.0   # the bins whose conjugates rfftn drops
@@ -156,8 +163,9 @@ def contraction_report(traj0: Trajectory, traj1: Trajectory,
     _require_matched(traj0, traj1)
     grid = traj0.grid
     times = traj0.times
-    d = np.array([h_minus_one_norm(traj1.snapshots[k].values - traj0.snapshots[k].values, grid)
-                  for k in range(len(times))])
+    mu = _laplacian_symbol(grid)   # one symbol for every snapshot
+    d = np.array([_h_minus_one_norm(traj1.snapshots[k].values - traj0.snapshots[k].values,
+                                    grid, mu) for k in range(len(times))])
 
     witness = None
     monotone = True

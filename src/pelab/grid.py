@@ -6,16 +6,17 @@ outputs are meaningful on the interior only (the boundary ring of a Laplacian
 or of the coupled step's `face_divergence` is returned as zero).  Each
 stencil has one code path for both boundary kinds: a neighbour along an axis
 is read by one primitive, `_shifted`, a contiguous pass over the flattened
-array with the wrapped plane written separately (the diagonal neighbours of
-`hessian_sq`'s mixed differences are shifts of shifts), and on Dirichlet
-grids the ring, the only points that read across the wrap, is overwritten
-afterwards.  The private kernels `_laplacian` and
-`_face_divergence` skip the input checks; the latter works in buffers its
-caller owns (the coupled step's per-run workspace), so a coupled step
-allocates only the new state.  All reductions go through numpy, whose float
-sums use pairwise (tree) summation, which bounds rounding drift
-deterministically.  `_dist2`, the minimal-image squared distance to a point,
-serves both the cylinder balls and the bump initial data.
+array with the wrapped planes written by one more call (the diagonal
+neighbours of `hessian_sq`'s mixed differences are shifts of shifts, and it
+works in place on four scratch fields), and on Dirichlet grids the ring, the
+only points that read across the wrap, is overwritten afterwards.  The
+private kernels `_laplacian` and `_face_divergence` skip the input checks
+and work in buffers their caller owns (`_laplacian`'s neighbour sum, as
+`work=`, and all of `_face_divergence`'s).  All reductions go through
+numpy, whose float sums use pairwise (tree) summation, which bounds
+rounding drift deterministically.  `_dist2`, the minimal-image squared
+distance to a point, serves both the cylinder balls and the bump initial
+data.
 
 A parabolic cylinder Q(x0, t0, R) is the discrete set of grid points within
 Euclidean distance R of x0, crossed with the snapshot times t satisfying
@@ -141,24 +142,28 @@ def _shifted(op, f: np.ndarray, axis: int, k1: int, k2: int,
         raise ValueError("_shifted needs a C-contiguous output buffer")
     flat, flat_out = f.ravel(), out.ravel()
     op(flat[a1:a1 + n], flat[a2:a2 + n], out=flat_out[b:b + n])
-    m = f.shape[axis]
-    pre = (slice(None),) * axis
-    for i in (0,) * lo + (m - 1,) * hi:   # the first and/or the last plane
+    m, pre = f.shape[axis], (slice(None),) * axis
+    if lo and hi:   # planes 0 and m - 1 in one call, reading (m-1, m-2) or (1, 0)
+        j = {-1: slice(m - 1, m - 3, -1), 1: slice(1, None, -1)}
+        op(f[pre + (j[k1],)], f[pre + (j[k2],)], out=out[pre + (slice(None, None, m - 1),)])
+    elif lo or hi:  # the first or the last plane
+        i = 0 if lo else m - 1
         j1, j2 = (i + k1) % m, (i + k2) % m
         op(f[pre + (slice(j1, j1 + 1),)], f[pre + (slice(j2, j2 + 1),)],
            out=out[pre + (slice(i, i + 1),)])
     return out
 
 
-def _laplacian(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _laplacian(f: np.ndarray, grid: GridSpec, work: np.ndarray | None = None) -> np.ndarray:
     """Unchecked 2n+1-point Laplacian of each component of an (N, *sizes) array.
 
-    Per axis the neighbour sum f[i-1] + f[i+1] (`_shifted`) is added to
+    Per axis the neighbour sum f[i-1] + f[i+1] (`_shifted`, into `work`, a
+    C-contiguous buffer shaped like f, allocated when left out) is added to
     -2n f; the sum is divided by h^2 last.  Dirichlet grids zero the ring,
     the only points that read across the wrap.
     """
     out = -2.0 * grid.n * f
-    nb = np.empty(f.shape)
+    nb = np.empty(f.shape) if work is None else work
     for a in range(1, grid.n + 1):
         out += _shifted(np.add, f, a, -1, 1, nb)
     out /= grid.h * grid.h
@@ -266,23 +271,26 @@ def hessian_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     comps = _as_components(values, grid)
     h2 = grid.h * grid.h
     copy = lambda x, _, out: np.copyto(out, x)   # with k1 = k2 = k: f[x + k e]
-    plus, minus, pp, pm, mp, mm = (np.empty(grid.sizes) for _ in range(6))
+    plus, minus, d, nb = (np.empty(grid.sizes) for _ in range(4))
     out = np.zeros(grid.sizes)
     for f in comps:
         for a in range(grid.n):
             _shifted(copy, f, a, 1, 1, plus)
             _shifted(copy, f, a, -1, -1, minus)
-            daa = (plus - 2.0 * f + minus) / h2
-            out += daa * daa
+            np.subtract(plus, np.multiply(2.0, f, out=d), out=d)   # daa, in place
+            d += minus
+            d /= h2
+            out += np.multiply(d, d, out=d)
             for b in range(grid.n):
                 if b == a:
                     continue
-                _shifted(copy, plus, b, 1, 1, pp)
-                _shifted(copy, plus, b, -1, -1, pm)
-                _shifted(copy, minus, b, 1, 1, mp)
-                _shifted(copy, minus, b, -1, -1, mm)
-                dab = ((pp - pm) - mp + mm) / (4.0 * h2)
-                out += dab * dab
+                # dab = ((pp - pm) - mp + mm) / (4 h^2), one diagonal at a time
+                _shifted(copy, plus, b, 1, 1, d)
+                d -= _shifted(copy, plus, b, -1, -1, nb)
+                d -= _shifted(copy, minus, b, 1, 1, nb)
+                d += _shifted(copy, minus, b, -1, -1, nb)
+                d /= 4.0 * h2
+                out += np.multiply(d, d, out=d)
     if not grid.periodic:
         _zero_ring(out, grid.n)
     return out
@@ -290,7 +298,7 @@ def hessian_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def vector_norm(values: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean norm over the component axis of an (N, *sizes) array."""
-    return np.sqrt(np.sum(np.square(values), axis=0))
+    return np.sqrt(np.add.reduce(np.square(values), axis=0))   # np.sum's reduction
 
 
 @dataclass(frozen=True)

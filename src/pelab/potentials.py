@@ -9,7 +9,10 @@ directions c, and H(r) = phi'(r) - integral of phi'(s)/s.
 
 Radial formulas are evaluated with two guards: |z| below 1e-12 is treated as
 zero, and phi'(r)/r is replaced by its Taylor value phi''(0) for r < 1e-6 to
-avoid catastrophic cancellation.
+avoid catastrophic cancellation (the quotient divides by max(r, 1e-6), so
+never by zero).  `radial_slope` and `grad_Phi_field` write into buffers
+given as `out=`/`work=`, the diffusion step's workspace; left out, the same
+code runs on fresh ones.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class RadialPotential:
     phi2: Callable[[np.ndarray], np.ndarray]
     r_max: float
     id: str = "custom"
+    table: tuple = field(default=(), repr=False)   # a table's (breakpoints, rows)
 
     def __post_init__(self):
         if not (self.r_max > 0.0 and math.isfinite(self.r_max)):
@@ -207,7 +211,7 @@ def from_piecewise_poly(breakpoints, coeffs, r_max: float | None = None,
         phi1=_piecewise_evaluator(x, c1),
         phi2=_piecewise_evaluator(x, c2),
         r_max=float(r_max) if r_max is not None else float(x[-1]),
-        id=pid)
+        id=pid, table=(tuple(x.tolist()), tuple(map(tuple, c.T.tolist()))))
 
 
 def _derivative_rows(c: np.ndarray) -> np.ndarray:
@@ -241,12 +245,18 @@ def _piecewise_evaluator(x: np.ndarray, c: np.ndarray) -> Callable[[np.ndarray],
 # ---------------------------------------------------------------------------
 # radial calculus
 
-def radial_slope(p: RadialPotential, r: np.ndarray) -> np.ndarray:
-    """phi'(r)/r with the Taylor extension phi''(0) below EPS_TAYLOR."""
+def radial_slope(p: RadialPotential, r: np.ndarray, out: np.ndarray | None = None,
+                 mask: np.ndarray | None = None) -> np.ndarray:
+    """phi'(r)/r with the Taylor extension phi''(0) below EPS_TAYLOR.
+
+    `out` (float) and `mask` (bool), shaped like r, are allocated when left out.
+    """
     r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.asarray(p.phi1(r), dtype=float) / r
-    return np.where(r >= EPS_TAYLOR, slope, float(p.phi2(0.0)))[()]
+    out = np.maximum(r, EPS_TAYLOR, out=np.empty_like(r) if out is None else out)
+    np.divide(np.asarray(p.phi1(r), dtype=float), out, out=out)
+    taylor = np.greater_equal(r, EPS_TAYLOR, out=np.empty(r.shape, bool) if mask is None else mask)
+    np.copyto(out, float(p.phi2(0.0)), where=np.logical_not(taylor, out=taylor))
+    return out if out.ndim else out[()]
 
 
 def _check_range(p: RadialPotential, r: float) -> None:
@@ -266,16 +276,18 @@ def grad_Phi(p: RadialPotential, z) -> np.ndarray:
     return float(radial_slope(p, r)) * z
 
 
-def grad_Phi_field(p: RadialPotential, values: np.ndarray,
-                   r: np.ndarray | None = None) -> np.ndarray:
+def grad_Phi_field(p: RadialPotential, values: np.ndarray, r: np.ndarray | None = None,
+                   out: np.ndarray | None = None, work=None) -> np.ndarray:
     """grad_Phi applied pointwise to an (N, *sizes) array (no range check).
 
-    `r` is the norm field of `values` when the caller already has it.
+    `r` is the norm field of `values` when the caller already has it; `out`
+    and `work`, `radial_slope`'s two buffers, are allocated when left out.
     """
     r = vector_norm(values) if r is None else r
-    g = radial_slope(p, r)
-    g = np.where(r < EPS_ZERO, 0.0, g)
-    return g[None] * values
+    slope, mask = work or (None, None)
+    g = radial_slope(p, r, slope, mask)
+    np.copyto(g, 0.0, where=np.less(r, EPS_ZERO, out=mask))
+    return np.multiply(g, values, out=out)
 
 
 def hessian_Phi(p: RadialPotential, z) -> np.ndarray:
@@ -501,8 +513,7 @@ def coupled_decomposition(p: RadialPotential) -> CoupledCoefficients:
         out = islope(r, out, work)
         np.subtract(phi1, out, out=out)
         if a_out is not None:  # radial_slope(p, r), from the same phi'(r)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(phi1, r, out=a_out)
+            np.divide(phi1, np.maximum(r, EPS_TAYLOR, out=a_out), out=a_out)
             np.copyto(a_out, phi2_0, where=~(r >= EPS_TAYLOR))
         return out
 

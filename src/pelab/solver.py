@@ -8,9 +8,11 @@ face fluxes with arithmetically averaged coefficients) for the coupled
 rewrite.  One CFL bound serves both, given the system's effective
 diffusivity.  `run` drives the body over plain arrays and validates a
 `FieldState` only for a stored snapshot; `step_diffusion` is one pass of it,
-state in, state out.  The coupled right-hand side keeps one workspace per
-closure (built once by `run`) for its face fluxes, directions and
-coefficient fields, so its steps allocate only the new state.  Range
+state in, state out.  Each right-hand side keeps one workspace per closure
+(built once by `run`): grad Phi(u), a neighbour sum, the slope field and a
+mask for the diffusion system, face fluxes, directions and coefficient
+fields for the coupled one.  A step then allocates only the new state and
+what the potential's evaluators return.  Range
 excursions abort, never clamp; clamping would silently invalidate every
 estimate checked downstream.
 """
@@ -57,19 +59,25 @@ def _abort_if_outside(r: np.ndarray, r_max: float, t: float,
 
 
 def _diffusion_rhs(p: RadialPotential, grid: GridSpec) -> RightHandSide:
-    return lambda u, r: _laplacian(grad_Phi_field(p, u, r), grid)
+    """Lap(grad Phi(u)) over one workspace, made by its first call and owned by
+    the closure: grad Phi(u), the neighbour sum, the slope field and one mask."""
+    ws = []
+
+    def rhs(u, r):
+        if not ws:
+            ws.extend([np.empty_like(u), np.empty_like(u), np.empty_like(r),
+                       np.empty(r.shape, bool)])
+        return _laplacian(grad_Phi_field(p, u, r, ws[0], ws[2:]), grid, ws[1])
+    return rhs
 
 
 def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec) -> RightHandSide:
     """The coupled right-hand side over one workspace, made by its first call.
 
-    The workspace holds the face fluxes and their differences (`flux`,
-    `tmp`) and the directions c, each shaped like the state, and the face
-    average, a(r) and H(r), each a scalar field; the H table borrows
-    `flux[0]`, `tmp[0]`, `c[0]` and the face field as scratch before they
-    are filled.  Every call rewrites all of it, so only the returned
-    derivative, which becomes the new state, is allocated per step.  Each
-    closure owns its workspace: one per run, never shared across threads.
+    The face fluxes and their differences (`flux`, `tmp`) and the directions
+    c, each shaped like the state, and the face average, a(r) and H(r); the
+    H table borrows `flux[0]`, `tmp[0]`, `c[0]` and the face field as scratch
+    before they are filled.  One per run, never shared across threads.
     """
     ws = []
 
@@ -256,16 +264,24 @@ class RunConfig:
             raise ValueError("snapshot_every must be at least 1")
         if self.system not in ("diffusion", "coupled"):
             raise ValueError(f"unknown system '{self.system}' (diffusion or coupled)")
+        if not isinstance(self.initial, dict):
+            raise TypeError(f"initial must be an object, got {self.initial!r}")
+        if not isinstance(self.name, str):
+            raise TypeError(f"name must be a string, got {self.name!r}")
         if not self.grid.periodic and self.boundary_values is None:
             object.__setattr__(self, "boundary_values", (0.0,) * self.n_components)
 
     def describe(self) -> dict:
         """Canonical JSON-able description; the content hash is taken over this."""
+        pot = {"id": self.potential.id, "r_max": self.potential.r_max}
+        if self.potential.table:   # built-in ids are described by id and r_max
+            x, rows = self.potential.table
+            pot["table"] = {"breakpoints": list(x), "coeffs": [list(c) for c in rows]}
         return {
             "grid": {"sizes": list(self.grid.sizes), "h": self.grid.h,
                      "boundary": self.grid.boundary},
             "components": self.n_components,
-            "potential": {"id": self.potential.id, "r_max": self.potential.r_max},
+            "potential": pot,
             "system": self.system,
             "t_end": self.t_end,
             "cfl_sigma": self.cfl_sigma,

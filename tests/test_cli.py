@@ -1,10 +1,13 @@
 import csv
+import gc
 import json
+import weakref
 
 import pytest
 
-from pelab import read_snapshot
-from pelab.cli import load_trajectory, main
+import pelab.cli as cli
+from pelab import config_hash, read_snapshot
+from pelab.cli import load_trajectory, main, paper_core_suite, run_suite
 
 
 def heat_doc(name="heat-sin", size=128, t_end=0.01):
@@ -89,6 +92,52 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: bad run config: ") and "'abc'" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("initial", 5, "initial must be an object, got 5"),
+        ("initial", [1], "initial must be an object, got [1]"),
+        ("name", 7, "name must be a string, got 7"),
+    ])
+    def test_mistyped_initial_and_name_are_usage_errors(self, tmp_path, capsys, key, value,
+                                                        message):
+        doc = heat_doc()
+        doc[key] = value
+        cfg = write_doc(tmp_path, doc)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad run config: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_table_potentials_hash_their_tables(self, tmp_path):
+        hashes, dts = [], []
+        for a in (0.5, 1.0):
+            doc = heat_doc(size=32, t_end=0.002)
+            doc["potential"] = {"r_max": 2.0, "table": {"breakpoints": [0.0, 2.0],
+                                                        "coeffs": [[a, 0.0, 0.0]]}}
+            cfg = write_doc(tmp_path, doc, f"cfg{a}.json")
+            assert main(["run", cfg, "--out", str(tmp_path / str(a))]) == 0
+            manifest = json.loads((tmp_path / str(a) / "heat-sin" / "manifest.json").read_text())
+            assert manifest["potential_id"] == "table"
+            assert manifest["config"]["potential"]["table"] == {
+                "breakpoints": [0.0, 2.0], "coeffs": [[a, 0.0, 0.0]]}
+            hashes.append(manifest["config_hash"])
+            dts.append(manifest["dt"])
+        assert dts[0] != dts[1] and hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize("pid, digest", [
+        ("quadratic", "4338171fc862204c8575c2492b6f7047c26a602deb4440d7d8ffd8ebada114b2"),
+        ("cosh", "84c2c729e3c2c0347946b8a26426aaa4cb8a038a9ae68a9685e65943aa9dc558"),
+        ("quartic", "ffd04d99422517832ef66812349183bf36e6729f4e0e72191b37e44bc0672886"),
+        ("porous", "8441da2c30c727799f7a1c64591969bd11b413ba9ef3103a410aa0316f85e5b4"),
+    ])
+    def test_built_in_hashes_are_unchanged(self, pid, digest):
+        # built-in ids are described by id and r_max alone, as before tables
+        # entered the description
+        doc = heat_doc()
+        doc["potential"] = {"id": pid}
+        described = cli.build_config(doc).describe()
+        assert set(described["potential"]) == {"id", "r_max"}
+        assert config_hash(described) == digest
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_doc(tmp_path, heat_doc(t_end=0.002))
@@ -220,6 +269,70 @@ class TestVerifyCommand:
 
     def test_unknown_suite_name(self, tmp_path):
         assert main(["verify", str(tmp_path / "ghost.json")]) == 1
+
+
+def counting_runs(monkeypatch):
+    """Record the name-free hash of every config `cli.run` integrates."""
+    keys, real = [], cli.run
+
+    def counted(cfg):
+        keys.append(config_hash({**cfg.describe(), "name": None}))
+        return real(cfg)
+    monkeypatch.setattr(cli, "run", counted)
+    return keys
+
+
+class TestSuiteMemo:
+    """Consecutive checks whose configs differ at most in `name` share one memo."""
+
+    def test_one_run_per_distinct_config_and_an_unchanged_tree(self, tmp_path, monkeypatch):
+        suite = paper_core_suite(64)
+        keys = counting_runs(monkeypatch)
+        run_suite(suite, tmp_path / "all", 3)
+        # contraction 4, sup-norm 2, entropy 2 x 2 rungs (their calibration runs
+        # go through diagnostics), morrey's 64 and the 128 that reverse-holder
+        # and estimate-ratios share with it and each other
+        assert len(keys) == 12 == len(set(keys))
+        keys.clear()
+        summary = list(csv.reader(open(tmp_path / "all" / "summary.csv")))
+        for i, check in enumerate(suite["checks"]):
+            alone = tmp_path / check["name"]
+            run_suite({**suite, "checks": [check]}, alone, 3)
+            files = {f.name for f in alone.iterdir()} - {"summary.csv", "suite_manifest.json"}
+            assert files and all((alone / f).read_bytes() == (tmp_path / "all" / f).read_bytes()
+                                 for f in files)
+            assert list(csv.reader(open(alone / "summary.csv")))[1] == summary[i + 1]
+        assert len(keys) == 15   # the three shared runs, each run alone
+
+    def test_singletons_run_uncached_and_a_group_is_dropped_when_it_ends(
+            self, tmp_path, monkeypatch):
+        made, real = [], cli.run   # a weak reference to every trajectory integrated
+
+        def tracked(cfg):
+            traj = real(cfg)
+            made.append(weakref.ref(traj))
+            return traj
+        monkeypatch.setattr(cli, "run", tracked)
+        seen = {}   # check name -> (handed the plain run?, which earlier runs are alive)
+        for kind, check in list(cli._CHECKS.items()):
+            def spy(params, seed, run, check=check):
+                gc.collect()
+                seen[params["name"]] = (run is tracked, [r() is not None for r in made])
+                return check(params, seed, run)
+            monkeypatch.setitem(cli._CHECKS, kind, spy)
+        shared = heat_doc(size=32, t_end=0.002)
+        run_suite({"name": "memo", "checks": [
+            {"name": "ent", "kind": "entropy-diffusion", "sizes": [16, 32],
+             "config": {**shared, "snapshot_every": 1}},
+            {"name": "a", "kind": "sup-norm", "config": {**shared, "name": "a"}},
+            {"name": "b", "kind": "tampered-sup", "config": {**shared, "name": "b"}},
+            {"name": "c", "kind": "sup-norm", "config": heat_doc(size=64, t_end=0.002)},
+        ]}, tmp_path / "v", 1)
+        assert seen["ent"][0] and seen["c"][0]   # uncached
+        assert not seen["a"][0] and not seen["b"][0]
+        assert len(made) == 4   # the entropy check's 2 rungs, one run for a and b, c's
+        assert seen["b"][1] == [False, False, True]    # each rung freed; a's run kept
+        assert seen["c"][1] == [False, False, False]   # dropped when the group ended
 
 
 class TestSweepCommand:

@@ -287,6 +287,28 @@ class TestContraction:
         assert rep.passed
 
 
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_one_symbol_per_report(self, boundary, monkeypatch):
+        import pelab.diagnostics as diagnostics
+
+        p = cosh_potential(1.0)
+        g = pgrid(32, n=2) if boundary == PERIODIC else dgrid(17, n=2)
+        mk = lambda seed: run(RunConfig(
+            grid=g, n_components=2, potential=p, t_end=0.004, snapshot_every=1,
+            initial={"kind": "bands", "kmax": 2, "amplitude": 0.4}, seed=seed))
+        ta, tb = mk(1), mk(2)
+        built = []
+        symbol = diagnostics._laplacian_symbol
+        monkeypatch.setattr(diagnostics, "_laplacian_symbol",
+                            lambda grid: (built.append(grid), symbol(grid))[1])
+        rep = contraction_report(ta, tb, certify_window(p))
+        assert len(built) == 1 and len(ta.snapshots) > 5
+        # the same numbers as the norm taken snapshot by snapshot
+        want = [h_minus_one_norm(b.values - a.values, g)
+                for a, b in zip(ta.snapshots, tb.snapshots)]
+        assert np.array_equal(rep.values["d"], want)
+
+
 class TestSupNorm:
     def test_constant_state_equality(self):
         g = pgrid(32)

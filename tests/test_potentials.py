@@ -52,6 +52,29 @@ class TestRadialSlope:
             assert np.float64(radial_slope(p, x)).view(np.int64) \
                 == np.float64(reference_radial_slope(p, x)).view(np.int64)
 
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_buffered_forms_match_the_allocating_calls(self, p):
+        rng = np.random.default_rng(13)
+        vals = rng.uniform(-0.5, 0.5, (2, 9, 7)) * p.r_max
+        vals[:, 0, :3] = [[0.0, 1e-300, 1e-7], [0.0, 0.0, 0.0]]   # origin, tiny, Taylor
+        r = np.sqrt(np.sum(np.square(vals), axis=0))
+        slope, mask = np.full_like(r, np.nan), np.ones(r.shape, bool)
+        assert radial_slope(p, r, slope, mask) is slope
+        assert np.array_equal(slope.view(np.int64), reference_radial_slope(p, r).view(np.int64))
+        out = np.full_like(vals, np.nan)
+        assert grad_Phi_field(p, vals, r, out, (slope, mask)) is out
+        assert np.array_equal(out.view(np.int64), grad_Phi_field(p, vals).view(np.int64))
+        # a NaN radius takes the Taylor value, as in the frozen gather
+        assert radial_slope(p, np.nan) == reference_radial_slope(p, np.nan) == float(p.phi2(0.0))
+
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_no_division_by_zero(self, p):
+        r = np.array([0.0, 0.0, 1e-300, 0.5 * p.r_max])
+        with np.errstate(divide="raise", invalid="raise"):
+            got = radial_slope(p, r)
+            grad_Phi_field(p, np.stack([r, 0.0 * r]))
+        assert np.array_equal(got, reference_radial_slope(p, r))
+
     def test_grad_Phi_field_takes_the_norm_it_is_given(self):
         p = cosh_potential(1.0)
         vals = np.random.default_rng(12).uniform(-0.6, 0.6, (2, 7, 5))

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -9,12 +10,13 @@ import pytest
 
 from pelab import (DIRICHLET, PERIODIC, FieldState, GridSpec,
                    RangeExcursionError, RunConfig, cfl_dt, certify_window,
-                   cosh_potential, coupled_decomposition, get_potential,
+                   cosh_potential, coupled_decomposition, from_piecewise_poly,
+                   get_potential,
                    initial_field, laplacian, quadratic, run, step_diffusion,
                    vector_norm, with_resolution)
 from pelab.grid import _laplacian, face_divergence
 from pelab.potentials import EPS_ZERO, RadialPotential
-from pelab.solver import _coupled_rhs, _euler, _plan_steps
+from pelab.solver import _coupled_rhs, _diffusion_rhs, _euler, _plan_steps
 from test_grid import reference_laplacian
 from test_potentials import reference_radial_slope
 
@@ -97,14 +99,26 @@ def reference_finish_step(state, new, dt):
                       boundary_values=state.boundary_values)
 
 
-def reference_step_diffusion(state, p, dt):
+def reference_step_diffusion(state, p, dt, lap=reference_laplacian):
     reference_abort_if_outside(state, p.r_max)
     r = np.sqrt(np.sum(np.square(state.values), axis=0))
     g = np.where(r < EPS_ZERO, 0.0, reference_radial_slope(p, r))
     v = g[None] * state.values
     new = state.values + dt * np.stack(
-        [reference_laplacian(v[c], state.grid) for c in range(state.n_components)])
+        [lap(v[c], state.grid) for c in range(state.n_components)])
     return reference_finish_step(state, new, dt)
+
+
+def ring_laplacian(f, grid):
+    """The periodic roll Laplacian with the ring zeroed: the summation order of
+    the one-path `_laplacian` on both boundary kinds, neighbour pair first."""
+    out = -2.0 * grid.n * f
+    for a in range(grid.n):
+        out += np.roll(f, 1, axis=a) + np.roll(f, -1, axis=a)
+    out /= grid.h * grid.h
+    if not grid.periodic:
+        out[grid.boundary_mask] = 0.0
+    return out
 
 
 def reference_step_scalar(state, g, dt, r_max=math.inf):
@@ -126,7 +140,7 @@ def reference_step_coupled(state, cc, dt):
     return reference_finish_step(state, new, dt)
 
 
-def reference_run(config):
+def reference_run(config, lap=reference_laplacian):
     """Snapshots of the earlier `run` loop over the frozen steps."""
     p = config.potential
     if config.system == "coupled":
@@ -147,7 +161,7 @@ def reference_run(config):
     if config.system == "coupled":
         stepper = lambda s: reference_step_coupled(s, cc, dt)
     else:
-        stepper = lambda s: reference_step_diffusion(s, p, dt)
+        stepper = lambda s: reference_step_diffusion(s, p, dt, lap)
     snaps = [state]
     for k in range(steps):
         try:
@@ -739,3 +753,80 @@ class TestCoupledWorkspace:
         for _ in range(cfg.snapshot_every):
             state = coupled_step(state, coupled_decomposition(cfg.potential), dt)
         assert np.array_equal(state.values, first.snapshots[1].values)
+
+
+def table_quartic():
+    # phi = r^2/2 + r^4/4 on [0, 1] as a one-piece table
+    return from_piecewise_poly([0.0, 1.0], [[0.25, 0.0, 0.5, 0.0, 0.0]], pid="table-quartic")
+
+
+class TestDiffusionWorkspace:
+    """One workspace per diffusion right-hand side: grad Phi(u), the neighbour
+    sum, the slope field and one mask, reused by every step of its run."""
+
+    @pytest.mark.parametrize("pid", ["quadratic", "cosh", "quartic", "porous", "table"])
+    @pytest.mark.parametrize("boundary,sizes,nc", [
+        (PERIODIC, (64,), 1), (DIRICHLET, (33,), 3), (PERIODIC, (24, 16), 2),
+        (DIRICHLET, (17, 17), 2), (PERIODIC, (12, 8, 10), 2), (DIRICHLET, (9, 13, 11), 1)])
+    def test_run_is_bitwise_the_frozen_loop(self, pid, boundary, sizes, nc):
+        cfg = parity_config("diffusion", "quartic" if pid == "table" else pid,
+                            boundary, sizes, nc)
+        if pid == "table":
+            cfg = replace(cfg, potential=table_quartic())
+        # periodic: the frozen roll loop itself; Dirichlet: the same loop with
+        # the neighbour pair summed first, the order of the parent's stencil
+        ref = reference_run(cfg, reference_laplacian if boundary == PERIODIC
+                            else ring_laplacian)
+        traj = run(cfg)
+        assert len(traj.snapshots) == len(ref) >= 4
+        for got, old in zip(traj.snapshots, ref):
+            assert got.t == old.t
+            assert np.array_equal(got.values, old.values)
+        assert np.abs(traj.final.values - traj.snapshots[0].values).max() > 0.0
+
+    def test_warm_step_allocates_little_more_than_the_new_state(self):
+        p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
+        rhs, dt = _diffusion_rhs(p, state.grid), cfl_dt(state.grid, certify_window(p).Lam, 0.9)
+        u = _euler(rhs, state.values, vector_norm(state.values), 0.0, dt, p.r_max)
+        r = vector_norm(u)
+        tracemalloc.start()
+        try:
+            new = _euler(rhs, u, r, dt, dt, p.r_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the new state, phi'(r) (half a state here) and the finiteness mask;
+        # the step before the workspace peaked at 3.04 states
+        assert peak <= 1.5 * u.nbytes
+        ref = reference_step_diffusion(FieldState(grid=state.grid, values=u, t=dt), p, dt)
+        assert np.array_equal(new, ref.values)
+
+    def test_concurrent_runs_match_sequential_runs(self):
+        configs = [parity_config("diffusion", "cosh", PERIODIC, (96, 80), 2),
+                   parity_config("diffusion", "quartic", DIRICHLET, (65, 49), 3, seed=7)]
+        sequential = [run(cfg) for cfg in configs]
+        order = [0, 1, 0, 0, 1, 1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # switch threads often, so steps interleave
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                concurrent = list(pool.map(run, [configs[k] for k in order]))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, k in zip(concurrent, order):
+            assert_same_snapshots(got, sequential[k])
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    def test_no_runtime_warning_where_u_vanishes(self, boundary):
+        g = pgrid(32) if boundary == PERIODIC else GridSpec(
+            n=1, sizes=(33,), h=1.0 / 32, boundary=DIRICHLET)
+        cfg = RunConfig(grid=g, n_components=2, potential=cosh_potential(), t_end=0.002,
+                        initial={"kind": "mode", "k": [1], "amplitude": 0.5}, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="raise", invalid="raise"):
+                traj = run(cfg)
+        # sin(0) = 0 on the first point, and the Dirichlet ring holds 0 throughout
+        assert vector_norm(traj.snapshots[0].values)[0] == 0.0
+        if boundary == DIRICHLET:
+            assert vector_norm(traj.final.values)[0] == 0.0
