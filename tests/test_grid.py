@@ -4,6 +4,7 @@ import pytest
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    Trajectory, cylinder_integrals, cylinder_members, gradient_sq,
                    hessian_sq, laplacian, read_snapshot, write_snapshot)
+from pelab.grid import _shifted
 
 
 def periodic_grid(size=128, n=1):
@@ -143,6 +144,22 @@ class TestStencilParity:
         assert np.array_equal(gradient_sq(u, g), reference_gradient_sq(u, g))
         assert np.array_equal(hessian_sq(u, g), reference_hessian_sq(u, g))
         assert np.array_equal(hessian_sq(u[0], g), reference_hessian_sq(u[:1], g))
+
+    @pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.boundary}-{g.sizes}")
+    def test_shifted_pairs_every_neighbour_with_its_wrap(self, g):
+        # op(f[x + k1 e], f[x + k2 e]) for every ordered pair, with a
+        # non-commutative op, against np.roll; the wrapped planes included
+        rng = np.random.default_rng(sum(g.sizes) + 2)
+        u = rng.standard_normal((2, *g.sizes))
+        out = np.empty_like(u)
+        for axis in range(1, g.n + 1):
+            for k1 in (-1, 0, 1):
+                for k2 in (-1, 0, 1):
+                    if k1 == k2 == 0:
+                        continue
+                    _shifted(np.subtract, u, axis, k1, k2, out)
+                    want = np.roll(u, -k1, axis=axis) - np.roll(u, -k2, axis=axis)
+                    assert np.array_equal(out, want), (axis, k1, k2)
 
     @pytest.mark.parametrize("stencil", [gradient_sq, hessian_sq])
     def test_validated_like_laplacian(self, stencil):
