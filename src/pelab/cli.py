@@ -67,7 +67,15 @@ def build_potential(doc: dict):
 
 
 def build_config(doc: dict, seed_override: int | None = None) -> RunConfig:
+    known = {"": {"grid", "potential", "components", "t_end", "system", "cfl_sigma", "seed",
+                  "snapshot_every", "initial", "boundary_values", "dt_override", "name"},
+             "grid": {"sizes", "h", "boundary"}, "potential": {"id", "r_max", "table"}}
     try:
+        sections = {"": doc, **{s: doc[s] for s in ("grid", "potential") if s in doc}}
+        unknown = sorted(f"{s}.{k}".lstrip(".") for s, d in sections.items()
+                         if isinstance(d, dict) for k in d if k not in known[s])
+        if unknown:
+            raise UsageError(f"bad run config: unknown key(s) {unknown}")
         grid = build_grid(doc["grid"])
         pot = build_potential(doc["potential"])
         bv = doc.get("boundary_values")

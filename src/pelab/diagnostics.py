@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import RangeExcursionError
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
-                   cylinder_integrals, face_divergence, gradient_sq, hessian_sq,
-                   laplacian, vector_norm)
+                   _face_divergence, _gradient_sq, _laplacian, _shift_plans,
+                   cylinder_integrals, gradient_sq, hessian_sq, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
                          grad_Phi_field, quadratic)
@@ -225,15 +225,17 @@ def sup_norm_report(traj: Trajectory, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # entropy subsolution residuals
 
-def _residual_report(traj: Trajectory, r_max: float, at: Callable[[FieldState], np.ndarray],
-                     spatial: Callable[[np.ndarray, FieldState], np.ndarray], coef: float,
-                     tau: float | None, name: str, extra: dict) -> CheckReport:
+def _residual_report(traj: Trajectory, r_max: float,
+                     at: Callable[[FieldState, np.ndarray], np.ndarray],
+                     spatial: Callable[[np.ndarray, FieldState, np.ndarray], np.ndarray],
+                     coef: float, tau: float | None, name: str, extra: dict) -> CheckReport:
     """Positive part of (q_next - q_now)/dt - spatial(q_now) + coef |grad u|^2 per pair.
 
-    q = at(snapshot); spatial(q, snapshot) is the spatial operator applied at
-    the earlier snapshot of a consecutive pair.  A snapshot with |u| beyond
-    r_max aborts with the location and time of the first offender.  The
-    report carries the maximum and 99th percentile of the positive part, the
+    q = at(snapshot, r); spatial(q, snapshot, r) is the spatial operator
+    applied at the earlier snapshot of a consecutive pair, r = |u| computed
+    once per snapshot.  A snapshot with |u| beyond r_max aborts, in time
+    order, with the location and time of the first offender.  The report
+    carries the maximum and 99th percentile of the positive part, the
     maximum magnitude, and `extra`; with tau = None it always passes.
     """
     spacing = traj.snapshot_dt
@@ -242,20 +244,22 @@ def _residual_report(traj: Trajectory, r_max: float, at: Callable[[FieldState], 
                          "(snapshot_every = 1 over the checked span)")
     if len(traj.snapshots) < 2:
         raise ValueError("residual checks need at least two snapshots")
-    for snap in traj.snapshots:
-        _abort_if_outside(vector_norm(snap.values), r_max, snap.t)
+    norm = lambda snap: _abort_if_outside(vector_norm(snap.values), r_max, snap.t)
 
     grid, times = traj.grid, traj.times
     core = grid.interior_slices
+    plans = _shift_plans(grid, (1, -1))   # the snapshots are validated: unchecked kernels
     max_pos = max_abs = 0.0
     pos_pool = []
     witness = None
-    q_now = at(traj.snapshots[0])
+    r_now = norm(traj.snapshots[0])
+    q_now = at(traj.snapshots[0], r_now)
     for k in range(len(traj.snapshots) - 1):
-        q_next = at(traj.snapshots[k + 1])
+        r_next = norm(traj.snapshots[k + 1])
+        q_next = at(traj.snapshots[k + 1], r_next)
         snap = traj.snapshots[k]
-        res = ((q_next - q_now) / spacing - spatial(q_now, snap)
-               + coef * gradient_sq(snap.values, grid))[core]
+        res = ((q_next - q_now) / spacing - spatial(q_now, snap, r_now)
+               + coef * _gradient_sq(snap.values, grid, plans))[core]
         max_abs = max(max_abs, float(np.abs(res).max()))
         pos = res[res > 0.0]
         if pos.size:
@@ -265,7 +269,7 @@ def _residual_report(traj: Trajectory, r_max: float, at: Callable[[FieldState], 
                 max_pos = m
                 loc = tuple(int(i) for i in np.unravel_index(int(res.argmax()), res.shape))
                 witness = {"pair": k, "t": float(times[k]), "location": loc, "value": m}
-        q_now = q_next
+        q_now, r_now = q_next, r_next
     pooled = np.concatenate(pos_pool) if pos_pool else np.zeros(1)
     stats = {"max_pos": max_pos, "p99_pos": float(np.percentile(pooled, 99.0)),
              "max_abs": max_abs, "pairs": len(traj.snapshots) - 1,
@@ -286,10 +290,11 @@ def entropy_residual_diffusion(traj: Trajectory, p: RadialPotential,
     scheme error and must stay below tau = K (h^2 + dt) and shrink under
     refinement.  With tau = None the report is informational (always passes).
     """
+    plans = _shift_plans(traj.grid, (-1, 1))
     return _residual_report(
-        traj, p.r_max,
-        lambda snap: np.asarray(p.phi(vector_norm(snap.values)), dtype=float),
-        lambda q, snap: laplacian(np.asarray(ent.gamma(q), dtype=float), traj.grid),
+        traj, p.r_max, lambda snap, r: np.asarray(p.phi(r), dtype=float),
+        lambda q, snap, r: _laplacian(np.asarray(ent.gamma(q), dtype=float), traj.grid,
+                                      plans=plans),
         window.lam * window.lam, tau, name, {})
 
 
@@ -353,16 +358,18 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
     if cc.bounds["sup_Hzz"] == 0.0:
         raise ValueError("H vanishes identically; use the diffusion entropy check")
 
-    def v(snap: FieldState) -> np.ndarray:
-        r = vector_norm(snap.values)
+    g = traj.grid
+    plans = _shift_plans(g, (1, 0), (0, -1))
+
+    def v(snap: FieldState, r: np.ndarray) -> np.ndarray:
         return np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
 
-    def div_A_grad(v_now: np.ndarray, snap: FieldState) -> np.ndarray:
-        r = vector_norm(snap.values)
+    def div_A_grad(v_now: np.ndarray, snap: FieldState, r: np.ndarray) -> np.ndarray:
         A = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r) \
             + np.sum(np.asarray(cc.c(snap.values, r), dtype=float)
                      * np.asarray(cc.H_z(snap.values, r), dtype=float), axis=0)
-        return face_divergence(A, v_now[None], None, None, traj.grid)[0]
+        return _face_divergence(A, v_now, None, None, g, np.zeros(g.sizes), np.empty(g.sizes),
+                                np.empty(g.sizes), np.empty(g.sizes), plans)
 
     return _residual_report(traj, cc.r_max, v, div_A_grad, c, tau, name, {"s": s, "c": c})
 

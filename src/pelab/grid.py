@@ -6,13 +6,14 @@ outputs are meaningful on the interior only (the boundary ring of a Laplacian
 or of the coupled step's `face_divergence` is returned as zero).  Each
 stencil has one code path for both boundary kinds: a neighbour along an axis
 is read by one primitive, `_shifted`, a contiguous pass over the flattened
-array with the wrapped planes written by one more call (the diagonal
-neighbours of `hessian_sq`'s mixed differences are shifts of shifts, and it
-works in place on four scratch fields), and on Dirichlet grids the ring, the
-only points that read across the wrap, is overwritten afterwards.  The
-private kernels `_laplacian` and `_face_divergence` skip the input checks
-and work in buffers their caller owns (`_laplacian`'s neighbour sum, as
-`work=`, and all of `_face_divergence`'s).  All reductions go through
+array with the wrapped planes written by one more call, over a step plan
+(`_shift_plans`: per axis and shift, the index arithmetic worked out once,
+for any component count; a run makes its plans once).  The diagonal
+neighbours of `hessian_sq`'s mixed differences are shifts of shifts, and on
+Dirichlet grids the ring, the only points that read across the wrap, is
+overwritten afterwards.  The private kernels `_laplacian`, `_face_divergence`
+and `_gradient_sq` skip the input checks and take their caller's plans and
+buffers.  All reductions go through
 numpy, whose float sums use pairwise (tree) summation, which bounds
 rounding drift deterministically.  `_dist2`, the minimal-image squared
 distance to a point, serves both the cylinder balls and the bump initial
@@ -84,21 +85,13 @@ class GridSpec:
         """Boolean mask of the one-cell boundary layer (all False when periodic)."""
         mask = np.zeros(self.sizes, dtype=bool)
         if not self.periodic:
-            for a in range(self.n):
-                lo = [slice(None)] * self.n
-                hi = [slice(None)] * self.n
-                lo[a] = 0
-                hi[a] = self.sizes[a] - 1
-                mask[tuple(lo)] = True
-                mask[tuple(hi)] = True
+            _fill_ring(mask, self.n, True)
         mask.setflags(write=False)
         return mask
 
     @property
     def interior_slices(self) -> tuple[slice, ...]:
-        if self.periodic:
-            return tuple(slice(None) for _ in range(self.n))
-        return tuple(slice(1, -1) for _ in range(self.n))
+        return (slice(None) if self.periodic else slice(1, -1),) * self.n
 
     def cell_volume(self) -> float:
         return self.h ** self.n
@@ -116,59 +109,65 @@ def _as_components(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return values
 
 
-def _zero_ring(out: np.ndarray, n: int) -> None:
-    """Zero the first and last plane of each of the last n axes of `out`."""
+def _fill_ring(out: np.ndarray, n: int, value=0.0) -> None:
+    """Set the first and last plane of each of the last n axes of `out` to `value`."""
     for a in range(out.ndim - n, out.ndim):
-        pre = (slice(None),) * a
-        out[pre + (0,)] = 0.0
-        out[pre + (-1,)] = 0.0
+        out[(slice(None),) * a + (slice(None, None, out.shape[a] - 1),)] = value
 
 
-def _shifted(op, f: np.ndarray, axis: int, k1: int, k2: int,
-             out: np.ndarray) -> np.ndarray:
-    """out[x] = op(f[x + k1 e], f[x + k2 e]) along `axis`, wrapping, for k1, k2 in -1..1.
+def _shift_plans(grid: GridSpec, *pairs: tuple[int, int]) -> list[tuple]:
+    """Per grid axis, the plan of `_shifted` for each (k1, k2) of `pairs`: the
+    bulk pass's flat offsets and the count of entries it leaves to the wrapped
+    planes, then those planes' indices counted from the last axis, so that one
+    plan serves a field and any stack of components on the grid."""
+    def plan(axis, k1, k2):
+        m, s = grid.sizes[axis], math.prod(grid.sizes[axis + 1:])   # s: one step, flattened
+        lo, hi = int(k1 < 0 or k2 < 0), int(k1 > 0 or k2 > 0)
+        if lo and hi:   # planes 0 and m - 1 in one call, reading (m-1, m-2) or (1, 0)
+            j = {-1: slice(m - 1, m - 3, -1), 1: slice(1, None, -1)}
+            planes = j[k1], j[k2], slice(None, None, m - 1)
+        else:           # the first or the last plane
+            i = 0 if lo else m - 1
+            j1, j2 = (i + k1) % m, (i + k2) % m
+            planes = slice(j1, j1 + 1), slice(j2, j2 + 1), slice(i, i + 1)
+        post = (slice(None),) * (grid.n - 1 - axis)
+        return ((lo + k1) * s, (lo + k2) * s, lo * s, (lo + hi) * s,
+                *((..., p) + post for p in planes))
+    return [tuple(plan(a, k1, k2) for k1, k2 in pairs) for a in range(grid.n)]
 
-    A neighbour along an axis is a fixed shift of the flattened array, so the
-    bulk is one contiguous pass (numpy copies strided operands through
-    buffers of its own) whose entries that cross the wrap are then
-    overwritten by the planes read across it.  `out` must be C-contiguous
-    (a strided buffer raises); `f` may be any layout.
+
+def _shifted(op, f: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
+    """out[x] = op(f[x + k1 e], f[x + k2 e]) along one axis, wrapping, for k1, k2 in -1..1.
+
+    `plan` comes from `_shift_plans`: one contiguous pass over the flattened
+    array, then the planes read across the wrap overwrite the entries that
+    crossed it.  `out` must be C-contiguous (a strided buffer raises), `f` not.
     """
-    s = math.prod(f.shape[axis + 1:])   # one step along the axis, flattened
-    lo, hi = int(k1 < 0 or k2 < 0), int(k1 > 0 or k2 > 0)
-    n = f.size - (lo + hi) * s            # entries that read no wrapped plane
-    a1, a2, b = (lo + k1) * s, (lo + k2) * s, lo * s
+    a1, a2, b, wrapped, p1, p2, po = plan
     if not out.flags.c_contiguous:   # the flat view below would be a copy
         raise ValueError("_shifted needs a C-contiguous output buffer")
-    flat, flat_out = f.ravel(), out.ravel()
-    op(flat[a1:a1 + n], flat[a2:a2 + n], out=flat_out[b:b + n])
-    m, pre = f.shape[axis], (slice(None),) * axis
-    if lo and hi:   # planes 0 and m - 1 in one call, reading (m-1, m-2) or (1, 0)
-        j = {-1: slice(m - 1, m - 3, -1), 1: slice(1, None, -1)}
-        op(f[pre + (j[k1],)], f[pre + (j[k2],)], out=out[pre + (slice(None, None, m - 1),)])
-    elif lo or hi:  # the first or the last plane
-        i = 0 if lo else m - 1
-        j1, j2 = (i + k1) % m, (i + k2) % m
-        op(f[pre + (slice(j1, j1 + 1),)], f[pre + (slice(j2, j2 + 1),)],
-           out=out[pre + (slice(i, i + 1),)])
+    flat, n = f.ravel(), f.size - wrapped
+    op(flat[a1:a1 + n], flat[a2:a2 + n], out=out.ravel()[b:b + n])
+    op(f[p1], f[p2], out=out[po])
     return out
 
 
-def _laplacian(f: np.ndarray, grid: GridSpec, work: np.ndarray | None = None) -> np.ndarray:
+def _laplacian(f: np.ndarray, grid: GridSpec, work: np.ndarray | None = None,
+               plans: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Unchecked 2n+1-point Laplacian of each component of an (N, *sizes) array.
 
-    Per axis the neighbour sum f[i-1] + f[i+1] (`_shifted`, into `work`, a
-    C-contiguous buffer shaped like f, allocated when left out) is added to
-    -2n f; the sum is divided by h^2 last.  Dirichlet grids zero the ring,
-    the only points that read across the wrap.
+    Per axis the neighbour sum f[i-1] + f[i+1] (`_shifted` into `work`) is
+    added to -2n f (in `out`); the sum is divided by h^2 last.  Dirichlet
+    grids zero the ring, the only points that read across the wrap.  Buffers
+    (C-contiguous, shaped like f) and `plans` left out are made here.
     """
-    out = -2.0 * grid.n * f
+    out = np.multiply(f, -2.0 * grid.n, out=out)
     nb = np.empty(f.shape) if work is None else work
-    for a in range(1, grid.n + 1):
-        out += _shifted(np.add, f, a, -1, 1, nb)
+    for (plan,) in plans or _shift_plans(grid, (-1, 1)):
+        out += _shifted(np.add, f, plan, nb)
     out /= grid.h * grid.h
     if not grid.periodic:
-        _zero_ring(out, grid.n)
+        _fill_ring(out, grid.n)
     return out
 
 
@@ -185,36 +184,35 @@ def laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _face_divergence(coef: np.ndarray, fields: np.ndarray,
                      extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
                      grid: GridSpec, out: np.ndarray, flux: np.ndarray,
-                     tmp: np.ndarray, face: np.ndarray) -> np.ndarray:
+                     tmp: np.ndarray, face: np.ndarray, plans: list | None = None) -> np.ndarray:
     """Unchecked face divergence, added to `out`, in the caller's buffers.
 
     `flux` and `tmp` are C-contiguous arrays shaped like `fields`, `face` one
     shaped like a component (a strided buffer raises); none is read before it
-    is written.  Forward and backward differences are `_shifted` passes.  The
-    order of operations is the roll-based original's, except that the exact
-    0.5 of the extra coefficient's face average multiplies the scalar
-    difference of `extra_field` instead of the N-component sum.
+    is written.  Forward and backward differences are `_shifted` passes (over
+    `plans` when given).  The order of operations is the roll-based original's,
+    except that the exact 0.5 of the extra coefficient's face average
+    multiplies the scalar difference of `extra_field`, not the N-component sum.
     """
     h = grid.h
-    coef, face = coef[None], face[None]
-    for a in range(1, grid.n + 1):
-        _shifted(np.subtract, fields, a, 1, 0, flux)   # flux[i] = f[i+1] - f[i]
+    for fwd, bwd in plans or _shift_plans(grid, (1, 0), (0, -1)):
+        _shifted(np.subtract, fields, fwd, flux)   # flux[i] = f[i+1] - f[i]
         flux /= h
-        _shifted(np.add, coef, a, 1, 0, face)
+        _shifted(np.add, coef, fwd, face)
         face *= 0.5
         flux *= face
         if extra_field is not None:
-            _shifted(np.subtract, extra_field[None], a, 1, 0, face)
+            _shifted(np.subtract, extra_field, fwd, face)
             face /= h
             face *= 0.5
-            _shifted(np.add, extra_coef, a, 1, 0, tmp)
+            _shifted(np.add, extra_coef, fwd, tmp)
             tmp *= face
             flux += tmp
-        _shifted(np.subtract, flux, a, 0, -1, tmp)     # tmp[i] = flux[i] - flux[i-1]
+        _shifted(np.subtract, flux, bwd, tmp)      # tmp[i] = flux[i] - flux[i-1]
         tmp /= h
         out += tmp
     if not grid.periodic:
-        _zero_ring(out, grid.n)
+        _fill_ring(out, grid.n)
     return out
 
 
@@ -236,6 +234,23 @@ def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
                             np.empty(shape[1:]))
 
 
+def _gradient_sq(comps: np.ndarray, grid: GridSpec, plans: list | None = None) -> np.ndarray:
+    """Unchecked `gradient_sq` of an (N, *sizes) array (over `plans` when given)."""
+    h = grid.h
+    out = np.zeros(grid.sizes)
+    d = np.empty(grid.sizes)
+    for f in comps:
+        for a, (plan,) in enumerate(plans or _shift_plans(grid, (1, -1))):
+            _shifted(np.subtract, f, plan, d)
+            d /= 2.0 * h
+            if not grid.periodic:
+                pre = (slice(None),) * a
+                d[pre + (0,)] = (f[pre + (1,)] - f[pre + (0,)]) / h
+                d[pre + (-1,)] = (f[pre + (-1,)] - f[pre + (-2,)]) / h
+            out += d * d
+    return out
+
+
 def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Sum over components and axes of squared first differences, |grad u|^2.
 
@@ -244,20 +259,7 @@ def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     Dirichlet ends (lower order, kept only for completeness of boundary
     diagnostics).
     """
-    comps = _as_components(values, grid)
-    h = grid.h
-    out = np.zeros(grid.sizes)
-    d = np.empty(grid.sizes)
-    for f in comps:
-        for a in range(grid.n):
-            _shifted(np.subtract, f, a, 1, -1, d)
-            d /= 2.0 * h
-            if not grid.periodic:
-                pre = (slice(None),) * a
-                d[pre + (0,)] = (f[pre + (1,)] - f[pre + (0,)]) / h
-                d[pre + (-1,)] = (f[pre + (-1,)] - f[pre + (-2,)]) / h
-            out += d * d
-    return out
+    return _gradient_sq(_as_components(values, grid), grid)
 
 
 def hessian_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -271,34 +273,35 @@ def hessian_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     comps = _as_components(values, grid)
     h2 = grid.h * grid.h
     copy = lambda x, _, out: np.copyto(out, x)   # with k1 = k2 = k: f[x + k e]
+    plans = _shift_plans(grid, (1, 1), (-1, -1))
     plus, minus, d, nb = (np.empty(grid.sizes) for _ in range(4))
     out = np.zeros(grid.sizes)
     for f in comps:
-        for a in range(grid.n):
-            _shifted(copy, f, a, 1, 1, plus)
-            _shifted(copy, f, a, -1, -1, minus)
+        for a, (fwd, bwd) in enumerate(plans):
+            _shifted(copy, f, fwd, plus)
+            _shifted(copy, f, bwd, minus)
             np.subtract(plus, np.multiply(2.0, f, out=d), out=d)   # daa, in place
             d += minus
             d /= h2
             out += np.multiply(d, d, out=d)
-            for b in range(grid.n):
-                if b == a:
-                    continue
+            for fwd, bwd in plans[:a] + plans[a + 1:]:
                 # dab = ((pp - pm) - mp + mm) / (4 h^2), one diagonal at a time
-                _shifted(copy, plus, b, 1, 1, d)
-                d -= _shifted(copy, plus, b, -1, -1, nb)
-                d -= _shifted(copy, minus, b, 1, 1, nb)
-                d += _shifted(copy, minus, b, -1, -1, nb)
+                _shifted(copy, plus, fwd, d)
+                d -= _shifted(copy, plus, bwd, nb)
+                d -= _shifted(copy, minus, fwd, nb)
+                d += _shifted(copy, minus, bwd, nb)
                 d /= 4.0 * h2
                 out += np.multiply(d, d, out=d)
     if not grid.periodic:
-        _zero_ring(out, grid.n)
+        _fill_ring(out, grid.n)
     return out
 
 
-def vector_norm(values: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean norm over the component axis of an (N, *sizes) array."""
-    return np.sqrt(np.add.reduce(np.square(values), axis=0))   # np.sum's reduction
+def vector_norm(values: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise Euclidean norm over the component axis of an (N, *sizes) array;
+    given buffers take the norm (`out`) and the squares (`work`)."""
+    return np.sqrt(np.add.reduce(np.square(values, out=work), axis=0, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -493,6 +496,7 @@ def cylinder_integrals(traj: Trajectory, terms: Sequence[tuple[Cylinder, float]]
     order.  An integral is a sum times h^n times the snapshot spacing.
     """
     members = [cylinder_members(traj, q) for q, _ in terms]
+    balls = [np.flatnonzero(mask) for mask, _ in members]   # the C-order gather of mask
     inside = np.zeros((len(terms), len(traj.snapshots)), dtype=bool)
     for row, (_, idx) in zip(inside, members):
         row[idx] = True
@@ -501,11 +505,12 @@ def cylinder_integrals(traj: Trajectory, terms: Sequence[tuple[Cylinder, float]]
         f = np.asarray(field_at(k), dtype=float)
         if f.shape != traj.grid.sizes:
             raise ValueError("field_at must evaluate to a scalar field on the grid")
+        flat = f.ravel()
         for i in np.nonzero(inside[:, k])[0]:
-            v, power = f[members[i][0]], terms[i][1]
-            totals[i] += float(np.sum(v if power == 1.0 else np.power(v, power)))
-        del f, v   # before the next snapshot's field is built
-    return [(total, int(mask.sum()) * len(idx)) for total, (mask, idx) in zip(totals, members)]
+            v, power = flat.take(balls[i]), terms[i][1]
+            totals[i] += float(np.add.reduce(v if power == 1.0 else np.power(v, power)))
+        del f, flat, v   # before the next snapshot's field is built
+    return [(total, len(ball) * len(idx)) for total, ball, (_, idx) in zip(totals, balls, members)]
 
 
 # Snapshot file format, bit-exact:
@@ -521,10 +526,7 @@ def write_snapshot(path, state: FieldState) -> None:
     scalars = struct.pack("<dd", grid.h, state.t)
     body = np.ascontiguousarray(state.values, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(sizes)
-        fh.write(scalars)
-        fh.write(body)
+        fh.writelines((head, sizes, scalars, body))
 
 
 def read_snapshot(path) -> FieldState:

@@ -52,6 +52,7 @@ class RadialPotential:
             raise ValueError(f"potential '{self.id}' is not normalized: phi(0) != 0")
         if abs(float(self.phi1(0.0))) > 1e-12:
             raise ValueError(f"potential '{self.id}' must have phi'(0) = 0")
+        object.__setattr__(self, "phi2_0", float(self.phi2(0.0)))   # phi''(0), once
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def radial_slope(p: RadialPotential, r: np.ndarray, out: np.ndarray | None = Non
     out = np.maximum(r, EPS_TAYLOR, out=np.empty_like(r) if out is None else out)
     np.divide(np.asarray(p.phi1(r), dtype=float), out, out=out)
     taylor = np.greater_equal(r, EPS_TAYLOR, out=np.empty(r.shape, bool) if mask is None else mask)
-    np.copyto(out, float(p.phi2(0.0)), where=np.logical_not(taylor, out=taylor))
+    np.copyto(out, p.phi2_0, where=np.logical_not(taylor, out=taylor))
     return out if out.ndim else out[()]
 
 
@@ -301,7 +302,7 @@ def hessian_Phi(p: RadialPotential, z) -> np.ndarray:
     r = float(np.sqrt(np.sum(z * z)))
     _check_range(p, r)
     if r < EPS_ZERO:
-        return float(p.phi2(0.0)) * np.eye(n)
+        return p.phi2_0 * np.eye(n)
     g = float(radial_slope(p, r))
     zh = z / r
     return g * np.eye(n) + (float(p.phi2(r)) - g) * np.outer(zh, zh)
@@ -502,10 +503,6 @@ def coupled_decomposition(p: RadialPotential) -> CoupledCoefficients:
     integral_nodes = cumulative_simpson(lambda s: radial_slope(p, s),
                                         p.r_max, TABLE_SIZE, QUAD_TOL)
     islope = _uniform_knot_evaluator(nodes, integral_nodes, radial_slope(p, nodes))
-    phi2_0 = float(p.phi2(0.0))
-
-    def a_of_r(r):
-        return radial_slope(p, r)
 
     def H_profile(r, out=None, work=None, a_out=None):
         r = np.asarray(r, dtype=float)
@@ -514,7 +511,7 @@ def coupled_decomposition(p: RadialPotential) -> CoupledCoefficients:
         np.subtract(phi1, out, out=out)
         if a_out is not None:  # radial_slope(p, r), from the same phi'(r)
             np.divide(phi1, np.maximum(r, EPS_TAYLOR, out=a_out), out=a_out)
-            np.copyto(a_out, phi2_0, where=~(r >= EPS_TAYLOR))
+            np.copyto(a_out, p.phi2_0, where=~(r >= EPS_TAYLOR))
         return out
 
     def dH_profile(r):
@@ -555,7 +552,7 @@ def coupled_decomposition(p: RadialPotential) -> CoupledCoefficients:
         raise ConstructionError(
             f"decomposition ellipticity {lam_A} disagrees with the certified window {window.lam}")
     return CoupledCoefficients(
-        a=a_of_r, c=c_dirs, H_z=H_z_of_state,
+        a=lambda r: radial_slope(p, r), c=c_dirs, H_z=H_z_of_state,
         H_profile=H_profile, dH_profile=dH_profile,
         bounds=bounds, lam_a=lam_a, lam_A=lam_A, r_max=p.r_max,
         id=f"{p.id}-coupled")

@@ -1,20 +1,22 @@
 """Explicit time integration of the diffusion system and its coupled form.
 
 `run` integrates two systems, two right-hand sides L(u, r) of one
-forward-Euler loop body, u + dt * L(u, r), fed the norm field r = |u| that the
-loop computes once per step: Lap(grad Phi(u)) for the diffusion system (for
-N = 1, u_t = Lap(phi'(|u|) sgn u)) and `grid.face_divergence` (conservative
-face fluxes with arithmetically averaged coefficients) for the coupled
-rewrite.  One CFL bound serves both, given the system's effective
-diffusivity.  `run` drives the body over plain arrays and validates a
-`FieldState` only for a stored snapshot; `step_diffusion` is one pass of it,
-state in, state out.  Each right-hand side keeps one workspace per closure
-(built once by `run`): grad Phi(u), a neighbour sum, the slope field and a
-mask for the diffusion system, face fluxes, directions and coefficient
-fields for the coupled one.  A step then allocates only the new state and
-what the potential's evaluators return.  Range
-excursions abort, never clamp; clamping would silently invalidate every
-estimate checked downstream.
+forward-Euler loop body, u + dt * L(u, r): Lap(grad Phi(u)) for the
+diffusion system (for N = 1, u_t = Lap(phi'(|u|) sgn u)) and
+`grid.face_divergence` (conservative face fluxes with arithmetically
+averaged coefficients) for the coupled rewrite.  The body then computes the
+new norm field r = |u| once; its maximum is the step's one reduction, and
+one test of it serves both aborts (range and finiteness).  One CFL bound
+serves both systems, given the effective diffusivity.  `run` drives the body
+over plain arrays and validates a `FieldState` only for a stored snapshot;
+`step_diffusion` is one pass of it, state in, state out.  Each right-hand
+side keeps one workspace per closure, built by its first call, with the
+run's step plan and output buffer: grad Phi(u), a neighbour sum, the slope
+field and a mask for the diffusion system, face fluxes, directions and
+coefficient fields for the coupled one.  A step then allocates only the new
+state and what the potential's evaluators return.  Range excursions abort,
+never clamp; clamping would silently invalidate every estimate checked
+downstream.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import RangeExcursionError
 from .grid import (FieldState, GridSpec, Trajectory, _dist2, _face_divergence,
-                   _laplacian, vector_norm)
+                   _laplacian, _shift_plans, vector_norm)
 from .potentials import (CoupledCoefficients, RadialPotential, certify_window,
                          coupled_decomposition, grad_Phi_field)
 
@@ -49,63 +51,79 @@ def cfl_dt(grid: GridSpec, Lam: float, sigma: float = 1.0) -> float:
 
 
 def _abort_if_outside(r: np.ndarray, r_max: float, t: float,
-                      step: int | None = None) -> None:
+                      step: int | None = None) -> np.ndarray:
+    """The norm field r, once checked against r_max."""
     worst = float(r.max())
     if worst > r_max * (1.0 + 1e-12):
         loc = tuple(int(i) for i in np.unravel_index(int(r.argmax()), r.shape))
         raise RangeExcursionError(
             f"|u| = {worst} exceeds r_max = {r_max} at {loc}, t = {t}",
             location=loc, t=t, step=step)
+    return r
 
 
 def _diffusion_rhs(p: RadialPotential, grid: GridSpec) -> RightHandSide:
     """Lap(grad Phi(u)) over one workspace, made by its first call and owned by
-    the closure: grad Phi(u), the neighbour sum, the slope field and one mask."""
+    the closure: grad Phi(u), the neighbour sum, the slope field, one mask,
+    the output and the step plan."""
     ws = []
 
     def rhs(u, r):
         if not ws:
             ws.extend([np.empty_like(u), np.empty_like(u), np.empty_like(r),
-                       np.empty(r.shape, bool)])
-        return _laplacian(grad_Phi_field(p, u, r, ws[0], ws[2:]), grid, ws[1])
+                       np.empty(r.shape, bool), np.empty_like(u), _shift_plans(grid, (-1, 1))])
+        g, nb, slope, mask, out, plans = ws
+        return _laplacian(grad_Phi_field(p, u, r, g, (slope, mask)), grid, nb, plans, out)
     return rhs
 
 
 def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec) -> RightHandSide:
     """The coupled right-hand side over one workspace, made by its first call.
 
-    The face fluxes and their differences (`flux`, `tmp`) and the directions
-    c, each shaped like the state, and the face average, a(r) and H(r); the
-    H table borrows `flux[0]`, `tmp[0]`, `c[0]` and the face field as scratch
-    before they are filled.  One per run, never shared across threads.
+    The face fluxes and their differences, the directions c and the output,
+    each shaped like the state, the face average, a(r), H(r) and the step
+    plan; the H table borrows `flux[0]`, `tmp[0]`, `c[0]` and the face field
+    as scratch before they are filled.  One per run, never shared.
     """
     ws = []
 
     def rhs(u, r):
         if not ws:
-            ws.extend([np.empty_like(u) for _ in range(3)]
-                      + [np.empty_like(r) for _ in range(3)])
-        flux, tmp, c, face, a, H = ws
+            ws.extend([np.empty_like(u) for _ in range(4)] + [np.empty_like(r) for _ in range(3)]
+                      + [_shift_plans(grid, (1, 0), (0, -1))])
+        flux, tmp, c, out, face, a, H, plans = ws
         cc.H_profile(r, out=H, work=(flux[0], tmp[0], c[0], face), a_out=a)
         cc.c(u, r, out=c)
-        return _face_divergence(a, u, c, H, grid, np.zeros_like(u), flux, tmp, face)
+        out.fill(0.0)
+        return _face_divergence(a, u, c, H, grid, out, flux, tmp, face, plans)
     return rhs
 
 
 def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float,
-           r_max: float, step: int | None = None) -> np.ndarray:
-    """The loop body: range abort on r = |u|, u + dt L(u, r), one finiteness check."""
-    _abort_if_outside(r, r_max, t, step)
-    new = rhs(u, r)
-    new *= dt
-    new += u
-    # u is finite, so non-finite values can only be born here
-    if not np.isfinite(new).all():
-        loc = tuple(int(i) for i in np.unravel_index(
-            int((~np.isfinite(new)).argmax()), new.shape))
-        raise RangeExcursionError(
-            f"step produced a non-finite value at component {loc[0]}, point "
-            f"{loc[1:]}, t = {t + dt}", location=loc[1:], t=t + dt, step=step)
+           r_max: float, step: int | None = None, steps: int | None = None) -> np.ndarray:
+    """The loop body: new = u + dt L(u, r), then r = |new| (squared in L's buffer).
+
+    max r is a step's one reduction: NaN or inf in new makes it NaN or inf, so
+    one test serves both aborts, told apart only when it fails.  A non-finite
+    value is stamped with this step; an excursion, raised only in a run of
+    `steps` steps, with the next (or the last).  A lone step checks u first.
+    """
+    if steps is None:
+        _abort_if_outside(r, r_max, t, step)
+    L = rhs(u, r)
+    L *= dt
+    new = np.add(L, u)
+    worst = vector_norm(new, r, L).max()
+    if not worst < math.inf or worst > r_max * (1.0 + 1e-12):
+        # u is finite, so non-finite values can only be born here
+        if not np.isfinite(new).all():
+            loc = tuple(int(i) for i in np.unravel_index(
+                int((~np.isfinite(new)).argmax()), new.shape))
+            raise RangeExcursionError(
+                f"step produced a non-finite value at component {loc[0]}, point "
+                f"{loc[1:]}, t = {t + dt}", location=loc[1:], t=t + dt, step=step)
+        if steps is not None:
+            _abort_if_outside(r, r_max, t + dt, min(step + 1, steps))
     return new
 
 
@@ -122,9 +140,7 @@ def step_diffusion(state: FieldState, p: RadialPotential, dt: float) -> FieldSta
 
 def _unit_direction(direction, n_components: int) -> np.ndarray:
     if direction is None:
-        d = np.zeros(n_components)
-        d[0] = 1.0
-        return d
+        return np.eye(n_components)[0]
     d = np.asarray(direction, dtype=float)
     if d.shape != (n_components,):
         raise ValueError(f"direction must have {n_components} entries")
@@ -218,11 +234,8 @@ def initial_field(grid: GridSpec, n_components: int, spec: dict, seed: int) -> n
         c2 = spec.get("center2", tuple(0.75 * grid.extent(a) for a in range(grid.n)))
         w = float(spec.get("width", grid.extent(0) / 10.0))
         d1 = _unit_direction(spec.get("direction1"), n_components)
-        if n_components > 1 and "direction2" not in spec:
-            d2 = np.zeros(n_components)
-            d2[1] = 1.0
-        else:
-            d2 = _unit_direction(spec.get("direction2"), n_components)
+        d2 = (np.eye(n_components)[1] if n_components > 1 and "direction2" not in spec
+              else _unit_direction(spec.get("direction2"), n_components))
         f1 = _bump_field(grid, c1, w)
         f2 = _bump_field(grid, c2, w)
         out = (d1.reshape((n_components,) + (1,) * grid.n) * f1[None]
@@ -346,16 +359,13 @@ def run(config: RunConfig) -> Trajectory:
                         boundary_values=config.boundary_values)]
     # plain arrays from here on; a FieldState is built only for a snapshot
     u, t = snaps[0].values, 0.0
-    r = vector_norm(u)
-    _abort_if_outside(r, p.r_max, t)
-    for k in range(1, steps + 1):
-        u = _euler(rhs, u, r, t, dt, p.r_max, step=k)
+    r = _abort_if_outside(vector_norm(u), p.r_max, t)
+    for k in range(1, steps + 1):   # each step checks the state it makes
+        u = _euler(rhs, u, r, t, dt, p.r_max, k, steps)
         t += dt
-        r = vector_norm(u)
         if k % config.snapshot_every == 0:
             snaps.append(FieldState(grid=config.grid, values=u, t=t,
                                     boundary_values=config.boundary_values))
-    _abort_if_outside(r, p.r_max, t, step=steps)
 
     doc = config.describe()
     meta = {

@@ -108,6 +108,37 @@ class TestRunCommand:
         assert err.startswith("error: bad run config: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, shown", [
+        (None, "tend", "tend"), ("grid", "bogus", "grid.bogus"),
+        ("potential", "typo", "potential.typo")])
+    def test_unknown_keys_are_usage_errors(self, tmp_path, capsys, section, key, shown):
+        doc = heat_doc()
+        (doc[section] if section else doc)[key] = 1
+        cfg = write_doc(tmp_path, doc)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad run config: unknown key(s) ['{shown}']\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_every_unknown_key_is_named_at_once(self, tmp_path, capsys):
+        doc = heat_doc()
+        doc.update(tend=0.1, bogus=True)
+        doc["grid"]["bogus"] = 1
+        doc["potential"]["typo"] = "x"
+        cfg = write_doc(tmp_path, doc)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: bad run config: unknown key(s) "
+                                           "['bogus', 'grid.bogus', 'potential.typo', 'tend']\n")
+
+    def test_built_in_suites_and_the_initial_section_use_no_unknown_key(self, tmp_path):
+        # `initial` is not checked here: its `seed` key is still carried as it was
+        for suite in (paper_core_suite(64), cli.negative_control_suite(64)):
+            for check in suite["checks"]:
+                cli.build_config(check["config"])
+        doc = heat_doc()
+        doc["initial"]["seed"] = 99
+        assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+
     def test_table_potentials_hash_their_tables(self, tmp_path):
         hashes, dts = [], []
         for a in (0.5, 1.0):

@@ -3,8 +3,10 @@ import pytest
 
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    Trajectory, cylinder_integrals, cylinder_members, gradient_sq,
-                   hessian_sq, laplacian, read_snapshot, write_snapshot)
-from pelab.grid import _shifted
+                   hessian_sq, laplacian, read_snapshot, vector_norm,
+                   write_snapshot)
+from pelab.grid import (_face_divergence, _gradient_sq, _laplacian, _shift_plans,
+                        _shifted, face_divergence)
 
 
 def periodic_grid(size=128, n=1):
@@ -157,9 +159,32 @@ class TestStencilParity:
                 for k2 in (-1, 0, 1):
                     if k1 == k2 == 0:
                         continue
-                    _shifted(np.subtract, u, axis, k1, k2, out)
+                    (plan,), = _shift_plans(g, (k1, k2))[axis - 1:axis]
+                    _shifted(np.subtract, u, plan, out)
                     want = np.roll(u, -k1, axis=axis) - np.roll(u, -k2, axis=axis)
                     assert np.array_equal(out, want), (axis, k1, k2)
+
+    @pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.boundary}-{g.sizes}")
+    def test_a_plan_reused_across_calls_equals_the_plan_free_result(self, g):
+        # plans built once, buffers reused, ten fresh fields: every call equals
+        # the public stencil, which builds its plans inline
+        rng = np.random.default_rng(sum(g.sizes) + 3)
+        shape = (2, *g.sizes)
+        lap_plans, grad_plans = _shift_plans(g, (-1, 1)), _shift_plans(g, (1, -1))
+        face_plans = _shift_plans(g, (1, 0), (0, -1))
+        pair = grad_plans[-1][0]
+        work, out, shifted = np.empty(shape), np.empty(shape), np.empty(shape)
+        flux, tmp, face = np.empty(shape), np.empty(shape), np.empty(g.sizes)
+        for _ in range(10):
+            u = rng.standard_normal(shape)
+            a, c, H = rng.uniform(0.5, 2.0, g.sizes), rng.standard_normal(shape), \
+                rng.standard_normal(g.sizes)
+            assert np.array_equal(_laplacian(u, g, work, lap_plans, out), laplacian(u, g))
+            assert np.array_equal(_gradient_sq(u, g, grad_plans), gradient_sq(u, g))
+            got = _face_divergence(a, u, c, H, g, np.zeros(shape), flux, tmp, face, face_plans)
+            assert np.array_equal(got, face_divergence(a, u, c, H, g))
+            want = np.roll(u, -1, axis=g.n) - np.roll(u, 1, axis=g.n)
+            assert np.array_equal(_shifted(np.subtract, u, pair, shifted), want)
 
     @pytest.mark.parametrize("stencil", [gradient_sq, hessian_sq])
     def test_validated_like_laplacian(self, stencil):
@@ -170,6 +195,20 @@ class TestStencilParity:
             stencil(f, g)
         with pytest.raises(ValueError, match="shape"):
             stencil(np.zeros((16, 8)), g)
+
+
+class TestVectorNorm:
+    @pytest.mark.parametrize("sizes", [(33,), (9, 12), (5, 4, 6)])
+    def test_buffered_norm_is_the_allocating_one_bit_for_bit(self, sizes):
+        # the square into `work`, the component sum into `out`, the root in place
+        rng = np.random.default_rng(len(sizes))
+        out, work = np.full(sizes, np.nan), np.full((8, *sizes), np.nan)
+        for nc in range(1, 9):
+            u = rng.standard_normal((nc, *sizes)) * 10.0 ** rng.integers(-160, 150, (nc, *sizes))
+            want = np.sqrt(np.sum(np.square(u), axis=0))
+            assert np.array_equal(vector_norm(u), want)
+            got = vector_norm(u, out, work[:nc])
+            assert got is out and np.array_equal(got, want)
 
 
 class TestGridSpec:

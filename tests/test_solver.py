@@ -14,7 +14,9 @@ from pelab import (DIRICHLET, PERIODIC, FieldState, GridSpec,
                    get_potential,
                    initial_field, laplacian, quadratic, run, step_diffusion,
                    vector_norm, with_resolution)
-from pelab.grid import _laplacian, face_divergence
+import pelab.grid as grid_module
+import pelab.solver as solver
+from pelab.grid import _laplacian, _shift_plans, face_divergence
 from pelab.potentials import EPS_ZERO, RadialPotential
 from pelab.solver import _coupled_rhs, _diffusion_rhs, _euler, _plan_steps
 from test_grid import reference_laplacian
@@ -830,3 +832,111 @@ class TestDiffusionWorkspace:
         assert vector_norm(traj.snapshots[0].values)[0] == 0.0
         if boundary == DIRICHLET:
             assert vector_norm(traj.final.values)[0] == 0.0
+
+
+def tamper(monkeypatch, system, value, at_call=5, where=(1, 7)):
+    """Make the run's right-hand side write `value` at `where` on its `at_call`-th call."""
+    name = "_coupled_rhs" if system == "coupled" else "_diffusion_rhs"
+    make = getattr(solver, name)
+
+    def factory(coefficients, grid):
+        rhs, calls = make(coefficients, grid), []
+
+        def tampered(u, r):
+            L = rhs(u, r)
+            calls.append(None)
+            if len(calls) == at_call:
+                L[where] = value
+            return L
+        return tampered
+    monkeypatch.setattr(solver, name, factory)
+
+
+class TestStepAborts:
+    """One reduction per step serves both aborts, and each raises the error of
+    the earlier loop: class, message, location, t and step."""
+
+    @pytest.mark.parametrize("system, witness", [
+        ("diffusion", ("|u| = 1.0171272198485186 exceeds r_max = 1.0 at (27,), "
+                       "t = 0.0010218978102189782", (27,), 0.0010218978102189782, 15)),
+        ("coupled", ("|u| = 1.0137644467496127 exceeds r_max = 1.0 at (28,), "
+                     "t = 0.004342629482071713", (28,), 0.004342629482071713, 110)),
+    ])
+    def test_range_excursion_is_pinned(self, system, witness):
+        cfg = RunConfig(grid=pgrid(32), n_components=1, potential=unstable_potential(),
+                        t_end=0.01, system=system, snapshot_every=1,
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.05,
+                                 "offset": [0.9]}, seed=2)
+        with pytest.raises(RangeExcursionError) as exc:
+            run(cfg)
+        e = exc.value
+        assert type(e) is RangeExcursionError
+        assert (str(e), e.location, e.t, e.step) == witness
+
+    @pytest.mark.parametrize("system", ["diffusion", "coupled"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_aborts_at_the_step_that_made_it(self, monkeypatch, system,
+                                                              value):
+        tamper(monkeypatch, system, value)
+        p = cosh_potential()
+        dt = 0.5 * cfl_dt(pgrid(32), certify_window(p).Lam, 0.9)
+        cfg = RunConfig(grid=pgrid(32), n_components=2, potential=p, t_end=10 * dt,
+                        dt_override=dt, system=system, snapshot_every=1,
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5}, seed=3)
+        with pytest.raises(RangeExcursionError) as exc:
+            run(cfg)
+        t = 0.0
+        for _ in range(5):   # the loop's own accumulation of the time
+            t += dt
+        e = exc.value
+        assert type(e) is RangeExcursionError
+        assert str(e) == f"step produced a non-finite value at component 1, point (7,), t = {t}"
+        assert (e.location, e.t, e.step) == ((7,), t, 5)
+
+    def test_a_single_step_checks_its_input_and_not_its_range_after(self):
+        # step_diffusion refuses a state outside the range, but returns a step
+        # that leaves it (the anti-diffusing control relies on no check after)
+        p, g = cosh_potential(), pgrid(32)
+        u = np.full((1, 32), 0.99)
+        u[0, 5] = 0.5
+        new = step_diffusion(FieldState(grid=g, values=u, t=0.0), p, -1e-3)
+        assert vector_norm(new.values).max() > p.r_max
+        with pytest.raises(RangeExcursionError, match="exceeds r_max") as exc:
+            step_diffusion(new, p, 1e-6)
+        assert exc.value.step is None and exc.value.t == -1e-3
+
+
+# (sizes, components): the smallest legal axis, 4 points, beside larger ones,
+# so that each plan case runs: the first plane (backward differences), the
+# last plane (forward differences) and both (the Laplacian's neighbour sum)
+SMALL_AXES = [((4,), 1), ((4,), 2), ((4, 6), 2), ((7, 4), 1), ((4, 4, 4), 2), ((5, 4, 6), 1)]
+
+
+class TestStepPlans:
+    """Plans made once per run leave every snapshot bitwise the frozen loop's."""
+
+    @pytest.mark.parametrize("system", ["diffusion", "coupled"])
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    @pytest.mark.parametrize("sizes, nc", SMALL_AXES + [((64,), 1), ((17, 17), 2)])
+    def test_run_is_bitwise_the_frozen_loop(self, system, boundary, sizes, nc):
+        cfg = parity_config(system, "cosh", boundary, sizes, nc)
+        lap = reference_laplacian if boundary == PERIODIC else ring_laplacian
+        traj, ref = run(cfg), reference_run(cfg, lap)
+        assert len(traj.snapshots) == len(ref) >= 3
+        for got, old in zip(traj.snapshots, ref):
+            assert got.t == old.t
+            assert np.array_equal(got.values, old.values)
+        assert np.abs(traj.final.values - traj.snapshots[0].values).max() > 0.0
+
+    @pytest.mark.parametrize("system, pairs", [("diffusion", ((-1, 1),)),
+                                               ("coupled", ((1, 0), (0, -1)))])
+    def test_plans_are_made_once_per_run(self, monkeypatch, system, pairs):
+        made = []
+        counted = lambda *args: made.append(args[1:]) or _shift_plans(*args)
+        for module in (grid_module, solver):
+            monkeypatch.setattr(module, "_shift_plans", counted)
+        traj = run(parity_config(system, "cosh", DIRICHLET, (9, 13, 11), 2))
+        assert traj.meta["steps"] > 1
+        # the Laplacian's neighbour sum, or the face divergence's forward and
+        # backward differences, for the whole run
+        assert made == [pairs]
