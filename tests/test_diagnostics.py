@@ -22,6 +22,7 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    morrey_profile, morrey_report, quadratic,
                    reverse_holder_report, run, step_diffusion, sup_norm_report,
                    vector_norm)
+from pelab.grid import face_divergence
 from pelab.potentials import CoupledCoefficients
 
 
@@ -458,6 +459,60 @@ class TestEntropyResiduals:
             pos[size] = (rep.values["max_pos"], rep.values["max_abs"])
         floor = 1e-12 * max(1.0, pos[64][1])
         assert pos[64][0] <= max(0.5 * pos[32][0], floor)
+
+
+def frozen_residuals(traj, q_of, spatial, coef):
+    """The residual pass before the shared norms: per pair, through the checked
+    public stencils, each norm computed again where it is needed."""
+    spacing, core = traj.snapshot_dt, traj.grid.interior_slices
+    snaps = traj.snapshots
+    return [((q_of(snaps[k + 1]) - q_of(snaps[k])) / spacing - spatial(q_of(snaps[k]), snaps[k])
+             + coef * gradient_sq(snaps[k].values, traj.grid))[core]
+            for k in range(len(snaps) - 1)]
+
+
+class TestResidualPassParity:
+    """One norm per snapshot and the unchecked kernels leave both residual
+    reports bit for bit the earlier pass's."""
+
+    @pytest.mark.parametrize("boundary, sizes, nc", [
+        (PERIODIC, (64,), 1), (DIRICHLET, (33,), 1), (PERIODIC, (16, 12), 2),
+        (DIRICHLET, (13, 9), 2)])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_reports_equal_the_frozen_pass(self, boundary, sizes, nc, coupled):
+        p = cosh_potential(1.0)
+        h = 1.0 / sizes[0] if boundary == PERIODIC else 1.0 / (sizes[0] - 1)
+        g = GridSpec(n=len(sizes), sizes=sizes, h=h, boundary=boundary)
+        cfg = RunConfig(grid=g, n_components=nc, potential=p, t_end=12 * h * h,
+                        system="coupled" if coupled else "diffusion", snapshot_every=1,
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.17,
+                                 "offset": [0.6] * nc}, seed=4,
+                        boundary_values=None if boundary == PERIODIC else (0.3,) * nc)
+        traj = run(cfg)
+        if coupled:
+            cc = coupled_decomposition(p)
+            pars = choose_entropy_params(cc, g.n, nc)
+            rep = entropy_residual_coupled(traj, cc, pars.s, pars.c)
+
+            def spatial(v_now, snap):
+                r = vector_norm(snap.values)
+                A = np.asarray(cc.a(r)) + np.zeros_like(r) + np.sum(
+                    cc.c(snap.values, r) * cc.H_z(snap.values, r), axis=0)
+                return face_divergence(A, v_now[None], None, None, g)[0]
+            res = frozen_residuals(
+                traj, lambda snap: np.exp(pars.s * (cc.H_profile(vector_norm(snap.values))
+                                                    + np.zeros(g.sizes))), spatial, pars.c)
+        else:
+            ent, window = build_entropy(p), certify_window(p)
+            rep = entropy_residual_diffusion(traj, p, ent, window)
+            res = frozen_residuals(
+                traj, lambda snap: p.phi(vector_norm(snap.values)),
+                lambda q, snap: laplacian(ent.gamma(q), g), window.lam ** 2)
+        pos = np.concatenate([x[x > 0.0] for x in res] + [np.zeros(0)])
+        assert rep.values["max_pos"] == (pos.max() if pos.size else 0.0)
+        assert rep.values["p99_pos"] == np.percentile(pos if pos.size else np.zeros(1), 99.0)
+        assert rep.values["max_abs"] == max(np.abs(x).max() for x in res) > 0.0
+        assert rep.witness is None and rep.values["pairs"] == len(res) >= 10
 
 
 class TestChooseEntropyParams:
