@@ -31,8 +31,8 @@ from .diagnostics import (CheckReport, calibrate_residual_constant,
                           estimate_ratio_report, morrey_profile, morrey_report,
                           reverse_holder_report, sup_norm_report)
 from .errors import DomainAbort
-from .grid import (Cylinder, FieldState, GridSpec, Trajectory, read_snapshot,
-                   vector_norm, write_snapshot)
+from .grid import (Cylinder, GridSpec, Trajectory, read_snapshot, vector_norm,
+                   write_snapshot)
 from .potentials import (build_entropy, certify_window, coupled_decomposition,
                          from_piecewise_poly, get_potential)
 from .solver import RunConfig, config_hash, run, step_diffusion, with_resolution
@@ -66,16 +66,29 @@ def build_potential(doc: dict):
         raise UsageError(f"bad potential section: {exc}") from exc
 
 
+def _check_keys(doc: dict, known: dict, what: str) -> None:
+    """UsageError naming every key that `known` does not list, at the top level
+    of `doc` (section "") and in each of its sections that `known` names."""
+    sections = {"": doc, **{s: doc[s] for s in known if s and s in doc}}
+    unknown = sorted(f"{s}.{k}".lstrip(".") for s, d in sections.items()
+                     if isinstance(d, dict) for k in d if k not in known[s])
+    if unknown:
+        raise UsageError(f"bad {what}: unknown key(s) {unknown}")
+
+
+def _path_name(name, what: str) -> str:
+    """`name`, if it is one plain path component; UsageError otherwise."""
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise UsageError(f"{what} {name!r} is not one plain path component")
+    return name
+
+
 def build_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     known = {"": {"grid", "potential", "components", "t_end", "system", "cfl_sigma", "seed",
                   "snapshot_every", "initial", "boundary_values", "dt_override", "name"},
              "grid": {"sizes", "h", "boundary"}, "potential": {"id", "r_max", "table"}}
     try:
-        sections = {"": doc, **{s: doc[s] for s in ("grid", "potential") if s in doc}}
-        unknown = sorted(f"{s}.{k}".lstrip(".") for s, d in sections.items()
-                         if isinstance(d, dict) for k in d if k not in known[s])
-        if unknown:
-            raise UsageError(f"bad run config: unknown key(s) {unknown}")
+        _check_keys(doc, known, "run config")
         grid = build_grid(doc["grid"])
         pot = build_potential(doc["potential"])
         bv = doc.get("boundary_values")
@@ -159,10 +172,10 @@ def _ladder(base: RunConfig, sizes, run):
         yield cfg, run(cfg)
 
 
-def _check_contraction(params: dict, seed: int, run) -> CheckReport:
+def _check_contraction(params: dict, seed: int, run, plant=lambda traj: traj) -> CheckReport:
     base = build_config(params["config"], seed)
     run0 = run(replace(base, initial=params["initial0"], name=base.name + "-a"))
-    run1 = run(replace(base, initial=params["initial1"], name=base.name + "-b"))
+    run1 = plant(run(replace(base, initial=params["initial1"], name=base.name + "-b")))
     rep = contraction_report(run0, run1, certify_window(base.potential),
                              name=params["name"])
     target = params.get("decay_ratio_target")
@@ -179,8 +192,8 @@ def _check_contraction(params: dict, seed: int, run) -> CheckReport:
     return rep
 
 
-def _check_sup_norm(params: dict, seed: int, run) -> CheckReport:
-    traj = run(build_config(params["config"], seed))
+def _check_sup_norm(params: dict, seed: int, run, plant=lambda traj: traj) -> CheckReport:
+    traj = plant(run(build_config(params["config"], seed)))
     return sup_norm_report(traj, name=params["name"])
 
 
@@ -193,21 +206,20 @@ def _check_entropy(params: dict, seed: int, run, coupled: bool) -> CheckReport:
     if K is None:
         K = calibrate_residual_constant(with_resolution(base, sizes[0]))
     pot = base.potential
-    window = certify_window(pot)
-    ent = None if coupled else build_entropy(pot)
-    cc = coupled_decomposition(pot) if coupled else None
     if coupled:
+        cc = coupled_decomposition(pot)
         pars = choose_entropy_params(cc, base.grid.n, base.n_components)
+        extra = {"s": pars.s, "c": pars.c}
+        report = lambda traj, tau: entropy_residual_coupled(traj, cc, pars.s, pars.c, tau=tau)
+    else:
+        ent, window, extra = build_entropy(pot), certify_window(pot), {}
+        report = lambda traj, tau: entropy_residual_diffusion(traj, pot, ent, window, tau=tau)
     per_size = []
     passed = True
     witness = None
     prev_pos = None
     for size, (cfg, traj) in zip(sizes, _ladder(base, sizes, run)):
-        tau = K * (cfg.grid.h ** 2 + traj.dt)
-        if coupled:
-            rep = entropy_residual_coupled(traj, cc, pars.s, pars.c, tau=tau)
-        else:
-            rep = entropy_residual_diffusion(traj, pot, ent, window, tau=tau)
+        rep = report(traj, K * (cfg.grid.h ** 2 + traj.dt))
         del traj  # free this rung before the next one runs
         per_size.append({"size": size, **{k: rep.values[k] for k in
                                           ("max_pos", "p99_pos", "max_abs", "h", "dt", "tau")}})
@@ -220,11 +232,8 @@ def _check_entropy(params: dict, seed: int, run, coupled: bool) -> CheckReport:
             witness = witness or {"refinement": {"coarse_pos": prev_pos,
                                                  "fine_pos": rep.values["max_pos"]}}
         prev_pos = rep.values["max_pos"]
-    values = {"K": K, "per_size": per_size}
-    if coupled:
-        values.update({"s": pars.s, "c": pars.c})
     return CheckReport(name=params["name"], passed=passed, tolerance={"K": K},
-                       values=values, witness=witness)
+                       values={"K": K, "per_size": per_size, **extra}, witness=witness)
 
 
 def _check_morrey(params: dict, seed: int, run) -> CheckReport:
@@ -283,30 +292,23 @@ def _check_estimate_ratios(params: dict, seed: int, run) -> CheckReport:
             traj, base.potential, pairs, **kw), "maxima")
 
 
-def _check_tampered_sup(params: dict, seed: int, run) -> CheckReport:
-    """Negative control: inflate the final snapshot, expecting a witnessed failure."""
-    traj = run(build_config(params["config"], seed))
-    last = traj.snapshots[-1]
-    bad = FieldState(grid=last.grid, values=last.values * 1.5, t=last.t,
-                     boundary_values=last.boundary_values)
-    tampered = Trajectory(snapshots=traj.snapshots[:-1] + (bad,), dt=traj.dt,
-                          meta=traj.meta)
-    return sup_norm_report(tampered, name=params["name"])
+# the negative controls' plants: Trajectory -> Trajectory, run before the monitor
+
+def _inflate_final(traj: Trajectory) -> Trajectory:
+    """The final snapshot times 1.5: the sup-norm bound must fail."""
+    bad = replace(traj.final, values=traj.final.values * 1.5)
+    return replace(traj, snapshots=traj.snapshots[:-1] + (bad,))
 
 
-def _check_tampered_contraction(params: dict, seed: int, run) -> CheckReport:
-    """Negative control: anti-diffuse one run mid-way (a flipped-dt step)."""
-    base = build_config(params["config"], seed)
-    run0 = run(replace(base, initial=params["initial0"], name=base.name + "-a"))
-    run1 = run(replace(base, initial=params["initial1"], name=base.name + "-b"))
-    k = len(run1.snapshots) // 2
-    snaps = list(run1.snapshots)
-    bumped = step_diffusion(snaps[k], base.potential, -40 * run1.dt)
-    snaps[k] = FieldState(grid=bumped.grid, values=bumped.values, t=snaps[k].t,
-                          boundary_values=bumped.boundary_values)
-    tampered = Trajectory(snapshots=tuple(snaps), dt=run1.dt, meta=run1.meta)
-    return contraction_report(run0, tampered, certify_window(base.potential),
-                              name=params["name"])
+def _anti_diffuse_middle(traj: Trajectory) -> Trajectory:
+    """The middle snapshot after one diffusion step of -40 dt (a flipped-dt step):
+    the contraction distance must grow.  The potential is the run's own."""
+    k = len(traj.snapshots) // 2
+    snap = traj.snapshots[k]
+    bumped = step_diffusion(snap, build_potential(traj.meta["config"]["potential"]),
+                            -40 * traj.dt)
+    return replace(traj, snapshots=traj.snapshots[:k] + (replace(bumped, t=snap.t),)
+                   + traj.snapshots[k + 1:])
 
 
 def _shared_run(memo: dict):
@@ -330,8 +332,9 @@ _CHECKS = {
     "morrey": _check_morrey,
     "reverse-holder": _check_reverse_holder,
     "estimate-ratios": _check_estimate_ratios,
-    "tampered-sup": _check_tampered_sup,
-    "tampered-contraction": _check_tampered_contraction,
+    "tampered-sup": lambda p, s, r: _check_sup_norm(p, s, r, plant=_inflate_final),
+    "tampered-contraction": lambda p, s, r: _check_contraction(p, s, r,
+                                                               plant=_anti_diffuse_middle),
 }
 
 
@@ -412,7 +415,6 @@ def negative_control_suite(size: int = 64) -> dict:
     return {
         "name": "negative-control",
         "seed": 5,
-        "expect_failures": True,
         "checks": [
             {"name": "injected-sup-growth", "kind": "tampered-sup",
              "config": {"grid": grid, "components": 1, "potential": cosh,
@@ -440,11 +442,11 @@ _BUILTIN_SUITES = {
 def cmd_run(args) -> int:
     doc = _load_json(args.config)
     cfg = build_config(doc, args.seed)
+    outdir = Path(args.out) / _path_name(cfg.name, "run name")
     try:
         traj = run(cfg)
     except ValueError as exc:  # an initial section or dt_override run() cannot honour
         raise UsageError(f"bad run config: {exc}") from exc
-    outdir = Path(args.out) / cfg.name
     save_trajectory(traj, outdir)
     print(f"wrote {len(traj.snapshots)} snapshots to {outdir}")
     return 0
@@ -481,6 +483,8 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> li
     names = [c.get("name") for c in suite.get("checks", [])]
     if len(names) != len(set(names)) or None in names:
         raise UsageError("check names must be present and unique")
+    for name in names:
+        _path_name(name, "check name")
     seed = int(seed_override if seed_override is not None else suite.get("seed", 0))
     outdir.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -529,7 +533,8 @@ def cmd_verify(args) -> int:
         suite = _BUILTIN_SUITES[args.suite]()
     else:
         suite = _load_json(args.suite)
-    outdir = Path(args.out) / suite.get("name", "suite")
+    _check_keys(suite, {"": {"name", "seed", "checks"}}, "suite")
+    outdir = Path(args.out) / _path_name(suite.get("name", "suite"), "suite name")
     reports = run_suite(suite, outdir, args.seed)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -559,7 +564,7 @@ def _sweep_cells(doc: dict) -> list[dict]:
             str(pot),
             f"n{cell['resolution']}" if "resolution" in cell else "",
             f"s{cell['seed']}" if "seed" in cell else ""])) or "cell"
-        cells.append({"label": label, **cell})
+        cells.append({"label": _path_name(label, "cell label"), **cell})
     labels = [c["label"] for c in cells]
     if len(labels) != len(set(labels)):
         dup = sorted({x for x in labels if labels.count(x) > 1})
@@ -575,7 +580,8 @@ _SWEEP_FIELDS = ("label", "potential", "size", "seed", "config_hash", "terminal_
 def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dict:
     """Run one sweep cell; a `seed` axis value beats `seed`, which beats base.seed."""
     doc = json.loads(json.dumps(base_doc))
-    if "potential" in cell:
+    if "potential" in cell:   # a named potential replaces a table, keeping r_max
+        doc["potential"].pop("table", None)
         doc["potential"]["id"] = cell["potential"]
     doc["name"] = cell["label"]
     cfg = build_config(doc, cell.get("seed", seed))
@@ -608,25 +614,23 @@ def cmd_sweep(args) -> int:
     if args.threads < 0:
         raise UsageError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
     doc = _load_json(args.sweep)
+    _check_keys(doc, {"": {"name", "base", "axes"}}, "sweep")
     if "base" not in doc:
         raise UsageError("sweep file needs a 'base' run config")
     cells = _sweep_cells(doc)
-    outdir = Path(args.out) / doc.get("name", "sweep")
+    outdir = Path(args.out) / _path_name(doc.get("name", "sweep"), "sweep name")
     outdir.mkdir(parents=True, exist_ok=True)
     workers = args.threads if args.threads > 0 else None
-    rows = [None] * len(cells)
 
-    def work(i_cell):
-        i, cell = i_cell
+    def work(cell):
         try:
-            return i, _run_cell(doc["base"], cell, outdir, args.seed)
+            return _run_cell(doc["base"], cell, outdir, args.seed)
         except Exception as exc:
-            return i, {**dict.fromkeys(_SWEEP_FIELDS, ""), "label": cell["label"],
-                       "error": f"{type(exc).__name__}: {exc}"}
+            return {**dict.fromkeys(_SWEEP_FIELDS, ""), "label": cell["label"],
+                    "error": f"{type(exc).__name__}: {exc}"}
 
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        for i, row in ex.map(work, enumerate(cells)):
-            rows[i] = row
+        rows = list(ex.map(work, cells))   # in the order of the cells
 
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
@@ -656,6 +660,7 @@ def cmd_entropy(args) -> int:
     if args.r_max is not None:
         doc["r_max"] = args.r_max
     pot = build_potential(doc)
+    _path_name(pot.id, "potential id")
     window = certify_window(pot)
     ent = build_entropy(pot)
     cc = coupled_decomposition(pot)
@@ -663,9 +668,9 @@ def cmd_entropy(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     zs = np.linspace(0.0, ent.z_max, 257)
-    rs_of_z = np.linspace(0.0, pot.r_max, 257)
-    resid = np.abs(np.asarray(ent.gamma(np.asarray(pot.phi(rs_of_z), dtype=float)))
-                   - 0.5 * np.square(np.asarray(pot.phi1(rs_of_z), dtype=float)))
+    rs = np.linspace(0.0, pot.r_max, 257)
+    resid = np.abs(np.asarray(ent.gamma(np.asarray(pot.phi(rs), dtype=float)))
+                   - 0.5 * np.square(np.asarray(pot.phi1(rs), dtype=float)))
     with open(outdir / f"{pot.id}_entropy.csv", "w", newline="") as fh:
         fh.write(f"potential,{pot.id},lam,{window.lam:.17g},Lam,{window.Lam:.17g},"
                  f"identity_tol,{ent.tol:.3e}\n")
@@ -674,7 +679,6 @@ def cmd_entropy(args) -> int:
         for z, rr in zip(zs, resid):
             w.writerow([f"{z:.17g}", f"{float(ent.gamma(z)):.17g}", f"{rr:.3e}"])
 
-    rs = np.linspace(0.0, pot.r_max, 257)
     a_s = np.asarray(cc.a(rs), dtype=float)
     H_s = np.asarray(cc.H_profile(rs), dtype=float)
     dH = np.asarray(cc.dH_profile(rs), dtype=float)

@@ -16,9 +16,10 @@ interior, whose periodic modes are the type-I sine (DST-I) modes.
 
 The cylinder monitors (Morrey, reverse Hoelder, estimate ratios) make one
 `grid.cylinder_integrals` pass per field over the union of their windows, so
-each snapshot's field is computed once and dropped; nothing is memoised.  The
-Hoelder seminorm is exact: every point pair with separation in the band, one
-integer offset at a time.
+each snapshot's field is computed once and dropped; nothing is memoised.
+Their |grad u|^2 is the unchecked `_gradient_sq`, over one plan per report.
+The Hoelder seminorm is exact: every point pair with separation in the band,
+one integer offset at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import RangeExcursionError
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
                    _face_divergence, _gradient_sq, _laplacian, _shift_plans,
-                   cylinder_integrals, gradient_sq, hessian_sq, vector_norm)
+                   cylinder_integrals, hessian_sq, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
                          grad_Phi_field, quadratic)
@@ -389,7 +390,9 @@ def morrey_profile(traj: Trajectory, points: Sequence[tuple], radii: Sequence[fl
     probes the singular-set bound of bounded solutions.  Radii below 4h are
     rejected as noise.
     """
-    g = g or (lambda snap: gradient_sq(snap.values, snap.grid))
+    if g is None:
+        plans = _shift_plans(traj.grid, (1, -1))
+        g = lambda snap: _gradient_sq(snap.values, traj.grid, plans)
     expo = traj.grid.n if exponent is None else float(exponent)
     cell = traj.grid.cell_volume() * traj.snapshot_dt
     radii = sorted(radii, reverse=True)
@@ -445,8 +448,9 @@ def reverse_holder_report(traj: Trajectory, cylinders: Sequence[Cylinder],
         raise ValueError("the exponent must exceed 2")
     terms = [term for q in cylinders
              for term in ((Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R), 1.0), (q, 0.5 * p))]
-    sums = cylinder_integrals(traj, terms,
-                              lambda k: gradient_sq(traj.snapshots[k].values, traj.grid))
+    plans = _shift_plans(traj.grid, (1, -1))
+    sums = cylinder_integrals(
+        traj, terms, lambda k: _gradient_sq(traj.snapshots[k].values, traj.grid, plans))
     ratios, skipped = [], 0
     for (total4, count4), (total, count) in zip(sums[::2], sums[1::2]):
         rhs2 = total4 / count4
@@ -499,8 +503,9 @@ def estimate_ratio_report(traj: Trajectory, p: RadialPotential,
 
     # one pass per field: |grad u|^2 on Q_R and, squared, on Q_r; |u_t|^2; |grad^2 gradPhi|^2
     nested = [term for small, big in pairs for term in ((big, 1.0), (small, 2.0))]
+    plans = _shift_plans(grid, (1, -1))
     grad = cylinder_integrals(traj, nested,
-                              lambda k: gradient_sq(traj.snapshots[k].values, grid))
+                              lambda k: _gradient_sq(traj.snapshots[k].values, grid, plans))
     ut = cylinder_integrals(traj, smalls, ut2)
     hess = cylinder_integrals(
         traj, smalls, lambda k: hessian_sq(grad_Phi_field(p, traj.snapshots[k].values), grid))

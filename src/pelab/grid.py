@@ -1,23 +1,22 @@
 """Discrete domains, fields, stencil calculus and parabolic-cylinder bookkeeping.
 
 Uniform tensor grids in 1, 2 or 3 dimensions with periodic or Dirichlet
-boundaries.  Dirichlet grids carry a one-cell-thick boundary layer; stencil
-outputs are meaningful on the interior only (the boundary ring of a Laplacian
-or of the coupled step's `face_divergence` is returned as zero).  Each
+boundaries.  Dirichlet grids carry a one-cell-thick boundary layer.  Each
 stencil has one code path for both boundary kinds: a neighbour along an axis
 is read by one primitive, `_shifted`, a contiguous pass over the flattened
 array with the wrapped planes written by one more call, over a step plan
 (`_shift_plans`: per axis and shift, the index arithmetic worked out once,
 for any component count; a run makes its plans once).  The diagonal
-neighbours of `hessian_sq`'s mixed differences are shifts of shifts, and on
-Dirichlet grids the ring, the only points that read across the wrap, is
-overwritten afterwards.  The private kernels `_laplacian`, `_face_divergence`
-and `_gradient_sq` skip the input checks and take their caller's plans and
-buffers.  All reductions go through
-numpy, whose float sums use pairwise (tree) summation, which bounds
-rounding drift deterministically.  `_dist2`, the minimal-image squared
-distance to a point, serves both the cylinder balls and the bump initial
-data.
+neighbours of `hessian_sq`'s mixed differences are shifts of shifts.  One
+boundary rule serves every stencil (`laplacian`, `gradient_sq`, `hessian_sq`
+and `face_divergence`): on Dirichlet grids the ring, the only points that
+read across the wrap, is set to zero afterwards by `_fill_ring`, so stencil
+outputs are meaningful on the interior only.  The private kernels
+`_laplacian`, `_face_divergence` and `_gradient_sq` skip the input checks
+and take their caller's plans and buffers.  All reductions go through numpy,
+whose float sums use pairwise (tree) summation, which bounds rounding drift
+deterministically.  `_dist2`, the minimal-image squared distance to a point,
+serves both the cylinder balls and the bump initial data.
 
 A parabolic cylinder Q(x0, t0, R) is the discrete set of grid points within
 Euclidean distance R of x0, crossed with the snapshot times t satisfying
@@ -236,18 +235,16 @@ def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
 
 def _gradient_sq(comps: np.ndarray, grid: GridSpec, plans: list | None = None) -> np.ndarray:
     """Unchecked `gradient_sq` of an (N, *sizes) array (over `plans` when given)."""
-    h = grid.h
+    plans = plans or _shift_plans(grid, (1, -1))
     out = np.zeros(grid.sizes)
     d = np.empty(grid.sizes)
     for f in comps:
-        for a, (plan,) in enumerate(plans or _shift_plans(grid, (1, -1))):
+        for (plan,) in plans:
             _shifted(np.subtract, f, plan, d)
-            d /= 2.0 * h
-            if not grid.periodic:
-                pre = (slice(None),) * a
-                d[pre + (0,)] = (f[pre + (1,)] - f[pre + (0,)]) / h
-                d[pre + (-1,)] = (f[pre + (-1,)] - f[pre + (-2,)]) / h
+            d /= 2.0 * grid.h
             out += d * d
+    if not grid.periodic:
+        _fill_ring(out, grid.n)
     return out
 
 
@@ -255,9 +252,8 @@ def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Sum over components and axes of squared first differences, |grad u|^2.
 
     Central differences (f[i+1] - f[i-1]) / 2h, wrapping on periodic grids;
-    first-order one-sided differences such as (f[1] - f[0]) / h at the
-    Dirichlet ends (lower order, kept only for completeness of boundary
-    diagnostics).
+    Dirichlet grids on the interior only, with the boundary ring of the
+    output set to zero.
     """
     return _gradient_sq(_as_components(values, grid), grid)
 

@@ -83,7 +83,6 @@ class EntropyData:
     """
 
     gamma: Callable[[np.ndarray], np.ndarray]
-    gamma1: Callable[[np.ndarray], np.ndarray]
     tol: float
     z_max: float
     table: tuple = field(repr=False, default=())
@@ -246,6 +245,16 @@ def _piecewise_evaluator(x: np.ndarray, c: np.ndarray) -> Callable[[np.ndarray],
 # ---------------------------------------------------------------------------
 # radial calculus
 
+def _slope(phi1, r: np.ndarray, phi2_0: float, out: np.ndarray,
+           mask: np.ndarray | None = None) -> np.ndarray:
+    """`radial_slope` from phi1 = phi'(r) into `out`, for it, the H table and
+    `grad_Phi_field`; `mask` (bool, shaped like r) is allocated when left out."""
+    np.divide(np.asarray(phi1, dtype=float), np.maximum(r, EPS_TAYLOR, out=out), out=out)
+    taylor = np.greater_equal(r, EPS_TAYLOR, out=np.empty(r.shape, bool) if mask is None else mask)
+    np.copyto(out, phi2_0, where=np.logical_not(taylor, out=taylor))
+    return out
+
+
 def radial_slope(p: RadialPotential, r: np.ndarray, out: np.ndarray | None = None,
                  mask: np.ndarray | None = None) -> np.ndarray:
     """phi'(r)/r with the Taylor extension phi''(0) below EPS_TAYLOR.
@@ -253,10 +262,7 @@ def radial_slope(p: RadialPotential, r: np.ndarray, out: np.ndarray | None = Non
     `out` (float) and `mask` (bool), shaped like r, are allocated when left out.
     """
     r = np.asarray(r, dtype=float)
-    out = np.maximum(r, EPS_TAYLOR, out=np.empty_like(r) if out is None else out)
-    np.divide(np.asarray(p.phi1(r), dtype=float), out, out=out)
-    taylor = np.greater_equal(r, EPS_TAYLOR, out=np.empty(r.shape, bool) if mask is None else mask)
-    np.copyto(out, p.phi2_0, where=np.logical_not(taylor, out=taylor))
+    out = _slope(p.phi1(r), r, p.phi2_0, np.empty_like(r) if out is None else out, mask)
     return out if out.ndim else out[()]
 
 
@@ -282,11 +288,11 @@ def grad_Phi_field(p: RadialPotential, values: np.ndarray, r: np.ndarray | None 
     """grad_Phi applied pointwise to an (N, *sizes) array (no range check).
 
     `r` is the norm field of `values` when the caller already has it; `out`
-    and `work`, `radial_slope`'s two buffers, are allocated when left out.
+    and `work`, the slope field and a bool mask, are allocated when left out.
     """
     r = vector_norm(values) if r is None else r
-    slope, mask = work or (None, None)
-    g = radial_slope(p, r, slope, mask)
+    slope, mask = work or (np.empty_like(r), None)
+    g = _slope(p.phi1(r), r, p.phi2_0, slope, mask)
     np.copyto(g, 0.0, where=np.less(r, EPS_ZERO, out=mask))
     return np.multiply(g, values, out=out)
 
@@ -469,9 +475,6 @@ def build_entropy(p: RadialPotential) -> EntropyData:
         raise ConstructionError(f"entropy table for '{p.id}' is not strictly increasing")
     gamma = _uniform_knot_evaluator(nodes, gamma_nodes, integrand(nodes))
 
-    def gamma1(z):
-        return np.asarray(p.phi2(invert_phi(p, np.asarray(z, dtype=float))), dtype=float)
-
     rs = np.linspace(0.0, p.r_max, 1001)
     resid = np.abs(gamma(np.asarray(p.phi(rs), dtype=float))
                    - 0.5 * np.square(np.asarray(p.phi1(rs), dtype=float)))
@@ -481,8 +484,7 @@ def build_entropy(p: RadialPotential) -> EntropyData:
         raise ConstructionError(
             f"entropy identity residual {tol:.3e} exceeds 1.0e-06 at "
             f"z = {r_bad}: evaluators of '{p.id}' are inconsistent with their derivatives")
-    return EntropyData(gamma=gamma, gamma1=gamma1, tol=tol, z_max=z_max,
-                       table=(nodes, gamma_nodes))
+    return EntropyData(gamma=gamma, tol=tol, z_max=z_max, table=(nodes, gamma_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +512,7 @@ def coupled_decomposition(p: RadialPotential) -> CoupledCoefficients:
         out = islope(r, out, work)
         np.subtract(phi1, out, out=out)
         if a_out is not None:  # radial_slope(p, r), from the same phi'(r)
-            np.divide(phi1, np.maximum(r, EPS_TAYLOR, out=a_out), out=a_out)
-            np.copyto(a_out, p.phi2_0, where=~(r >= EPS_TAYLOR))
+            _slope(phi1, r, p.phi2_0, a_out)
         return out
 
     def dH_profile(r):
@@ -546,14 +547,9 @@ def coupled_decomposition(p: RadialPotential) -> CoupledCoefficients:
         "sup_H": float(H_s.max()),
         "eff_Lambda": float((a_s + np.abs(deta)).max()),
     }
-    lam_a = float(a_s.min())
-    lam_A = float(np.minimum(a_s, phi2_s).min())
-    if abs(lam_A - window.lam) > 1e-9 * window.lam:
-        raise ConstructionError(
-            f"decomposition ellipticity {lam_A} disagrees with the certified window {window.lam}")
     return CoupledCoefficients(
         a=lambda r: radial_slope(p, r), c=c_dirs, H_z=H_z_of_state,
         H_profile=H_profile, dH_profile=dH_profile,
-        bounds=bounds, lam_a=lam_a, lam_A=lam_A, r_max=p.r_max,
+        bounds=bounds, lam_a=float(a_s.min()), lam_A=window.lam, r_max=p.r_max,
         id=f"{p.id}-coupled")
 

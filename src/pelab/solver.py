@@ -10,7 +10,7 @@ one test of it serves both aborts (range and finiteness).  One CFL bound
 serves both systems, given the effective diffusivity.  `run` drives the body
 over plain arrays and validates a `FieldState` only for a stored snapshot;
 `step_diffusion` is one pass of it, state in, state out.  Each right-hand
-side keeps one workspace per closure, built by its first call, with the
+side is made for one state shape and builds its workspace with it, with the
 run's step plan and output buffer: grad Phi(u), a neighbour sum, the slope
 field and a mask for the diffusion system, face fluxes, directions and
 coefficient fields for the coupled one.  A step then allocates only the new
@@ -62,36 +62,32 @@ def _abort_if_outside(r: np.ndarray, r_max: float, t: float,
     return r
 
 
-def _diffusion_rhs(p: RadialPotential, grid: GridSpec) -> RightHandSide:
-    """Lap(grad Phi(u)) over one workspace, made by its first call and owned by
-    the closure: grad Phi(u), the neighbour sum, the slope field, one mask,
-    the output and the step plan."""
-    ws = []
+def _diffusion_rhs(p: RadialPotential, grid: GridSpec, shape: tuple) -> RightHandSide:
+    """Lap(grad Phi(u)) for states of `shape` over one workspace, made here and
+    owned by the closure: grad Phi(u), the neighbour sum, the slope field, one
+    mask, the output and the step plan."""
+    g, nb, out = (np.empty(shape) for _ in range(3))
+    slope, mask = np.empty(shape[1:]), np.empty(shape[1:], bool)
+    plans = _shift_plans(grid, (-1, 1))
 
     def rhs(u, r):
-        if not ws:
-            ws.extend([np.empty_like(u), np.empty_like(u), np.empty_like(r),
-                       np.empty(r.shape, bool), np.empty_like(u), _shift_plans(grid, (-1, 1))])
-        g, nb, slope, mask, out, plans = ws
         return _laplacian(grad_Phi_field(p, u, r, g, (slope, mask)), grid, nb, plans, out)
     return rhs
 
 
-def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec) -> RightHandSide:
-    """The coupled right-hand side over one workspace, made by its first call.
+def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec, shape: tuple) -> RightHandSide:
+    """The coupled right-hand side for states of `shape` over one workspace, made here.
 
     The face fluxes and their differences, the directions c and the output,
     each shaped like the state, the face average, a(r), H(r) and the step
     plan; the H table borrows `flux[0]`, `tmp[0]`, `c[0]` and the face field
     as scratch before they are filled.  One per run, never shared.
     """
-    ws = []
+    flux, tmp, c, out = (np.empty(shape) for _ in range(4))
+    face, a, H = (np.empty(shape[1:]) for _ in range(3))
+    plans = _shift_plans(grid, (1, 0), (0, -1))
 
     def rhs(u, r):
-        if not ws:
-            ws.extend([np.empty_like(u) for _ in range(4)] + [np.empty_like(r) for _ in range(3)]
-                      + [_shift_plans(grid, (1, 0), (0, -1))])
-        flux, tmp, c, out, face, a, H, plans = ws
         cc.H_profile(r, out=H, work=(flux[0], tmp[0], c[0], face), a_out=a)
         cc.c(u, r, out=c)
         out.fill(0.0)
@@ -129,7 +125,7 @@ def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float
 
 def step_diffusion(state: FieldState, p: RadialPotential, dt: float) -> FieldState:
     """One forward-Euler step of u_t = Lap(grad Phi(u))."""
-    new = _euler(_diffusion_rhs(p, state.grid), state.values,
+    new = _euler(_diffusion_rhs(p, state.grid, state.values.shape), state.values,
                  vector_norm(state.values), state.t, dt, p.r_max)
     return FieldState(grid=state.grid, values=new, t=state.t + dt,
                       boundary_values=state.boundary_values)
@@ -339,13 +335,14 @@ def run(config: RunConfig) -> Trajectory:
     """
     p = config.potential
     window = certify_window(p)
+    shape = (config.n_components, *config.grid.sizes)
     if config.system == "coupled":
         cc = coupled_decomposition(p)
         dt_max = cfl_dt(config.grid, cc.bounds["eff_Lambda"], config.cfl_sigma)
-        rhs = _coupled_rhs(cc, config.grid)
+        rhs = _coupled_rhs(cc, config.grid, shape)
     else:
         dt_max = cfl_dt(config.grid, window.Lam, config.cfl_sigma)
-        rhs = _diffusion_rhs(p, config.grid)
+        rhs = _diffusion_rhs(p, config.grid, shape)
     steps, dt = _plan_steps(config.t_end, dt_max, config.snapshot_every,
                             config.dt_override)
 

@@ -3,6 +3,7 @@ import gc
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 import pelab.cli as cli
@@ -433,6 +434,148 @@ class TestSweepCommand:
         path = self.sweep_doc(tmp_path, {"potential": ["cosh", "cosh"]})
         assert main(["sweep", path, "--out", str(tmp_path / "s")]) == 1
         assert not (tmp_path / "s" / "sw").exists()
+
+
+BAD_NAMES = ["", ".", "..", "a/b", "a\\b", "../escaped"]
+TABLE_QUAD = {"id": "tab-quad", "r_max": 2.0,
+              "table": {"breakpoints": [0.0, 2.0], "coeffs": [[0.5, 0.0, 0.0]]}}
+
+
+def forbid_runs(monkeypatch):
+    def no_run(cfg):
+        raise AssertionError(f"run '{cfg.name}' started")
+    monkeypatch.setattr(cli, "run", no_run)
+
+
+def small_check(name="sup"):
+    return {"name": name, "kind": "sup-norm", "config": heat_doc(size=32, t_end=0.001)}
+
+
+class TestNamesThatBecomePaths:
+    """Every name that becomes a path is one plain path component; any other
+    name exits 1 before anything runs or is written."""
+
+    def rejected(self, capsys, monkeypatch, argv, tmp_path, what):
+        forbid_runs(monkeypatch)
+        assert main(argv + ["--out", str(tmp_path / "box" / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {what} ")
+        assert not (tmp_path / "box").exists()
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_run_name(self, tmp_path, capsys, monkeypatch, name):
+        cfg = write_doc(tmp_path, heat_doc(name=name, size=32, t_end=0.001))
+        self.rejected(capsys, monkeypatch, ["run", cfg], tmp_path, "run name")
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_suite_name(self, tmp_path, capsys, monkeypatch, name):
+        suite = write_doc(tmp_path, {"name": name, "checks": [small_check()]}, "suite.json")
+        self.rejected(capsys, monkeypatch, ["verify", suite], tmp_path, "suite name")
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_check_name(self, tmp_path, capsys, monkeypatch, name):
+        suite = write_doc(tmp_path, {"name": "s", "checks": [small_check(name)]}, "suite.json")
+        self.rejected(capsys, monkeypatch, ["verify", suite], tmp_path, "check name")
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_sweep_name(self, tmp_path, capsys, monkeypatch, name):
+        sweep = write_doc(tmp_path, {"name": name, "base": heat_doc(size=32, t_end=0.001)},
+                          "sweep.json")
+        self.rejected(capsys, monkeypatch, ["sweep", sweep], tmp_path, "sweep name")
+
+    @pytest.mark.parametrize("name", BAD_NAMES[1:])   # an empty id labels the cell "cell"
+    def test_sweep_cell_label(self, tmp_path, capsys, monkeypatch, name):
+        sweep = write_doc(tmp_path, {"name": "sw", "base": heat_doc(size=32, t_end=0.001),
+                                     "axes": {"potential": ["cosh", name]}}, "sweep.json")
+        self.rejected(capsys, monkeypatch, ["sweep", sweep], tmp_path, "cell label")
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_entropy_potential_id(self, tmp_path, capsys, monkeypatch, name):
+        table = write_doc(tmp_path, {**TABLE_QUAD["table"], "id": name}, "table.json")
+        monkeypatch.setattr(cli, "certify_window", lambda p: pytest.fail("certified"))
+        self.rejected(capsys, monkeypatch, ["entropy", "--table", table], tmp_path,
+                      "potential id")
+
+    def test_plain_names_with_dots_and_dashes_still_work(self, tmp_path):
+        cfg = write_doc(tmp_path, heat_doc(name="..heat.v2-", size=32, t_end=0.001))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "..heat.v2-" / "manifest.json").exists()
+
+
+class TestTopLevelKeys:
+    """Suites and sweeps reject unknown top-level keys before anything runs."""
+
+    def test_a_suite_typo_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        forbid_runs(monkeypatch)
+        suite = write_doc(tmp_path, {"name": "s", "chekcs": [small_check()]}, "suite.json")
+        assert main(["verify", suite, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: bad suite: unknown key(s) ['chekcs']\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_sweep_typo_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        forbid_runs(monkeypatch)
+        sweep = write_doc(tmp_path, {"name": "sw", "base": heat_doc(size=32, t_end=0.001),
+                                     "axis": {"seed": [1, 2]}, "nmae": "x"}, "sweep.json")
+        assert main(["sweep", sweep, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: bad sweep: unknown key(s) ['axis', 'nmae']\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_built_in_suites_use_only_known_keys(self):
+        for suite in (paper_core_suite(64), cli.negative_control_suite(64)):
+            assert set(suite) == {"name", "seed", "checks"}
+
+
+class TestSweepPotentialAxis:
+    def test_a_named_potential_replaces_a_table_base(self, tmp_path):
+        base = {**heat_doc(size=32, t_end=0.002), "potential": TABLE_QUAD}
+        sweep = write_doc(tmp_path, {"name": "sw", "base": base,
+                                     "axes": {"potential": ["quadratic", "cosh"]}}, "sweep.json")
+        assert main(["sweep", sweep, "--out", str(tmp_path / "s")]) == 0
+        rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
+        assert [r["potential"] for r in rows] == ["quadratic", "cosh"]
+        assert rows[0]["terminal_sup"] != rows[1]["terminal_sup"]
+        for row in rows:
+            manifest = json.loads((tmp_path / "s" / "sw" / row["label"] / "manifest.json")
+                                  .read_text())
+            assert manifest["config"]["potential"] == {"id": row["potential"], "r_max": 2.0}
+
+    def test_a_table_base_without_a_potential_axis_runs_its_table(self, tmp_path):
+        base = {**heat_doc(size=32, t_end=0.002), "potential": TABLE_QUAD}
+        sweep = write_doc(tmp_path, {"name": "sw", "base": base, "axes": {"seed": [1]}},
+                          "sweep.json")
+        assert main(["sweep", sweep, "--out", str(tmp_path / "s")]) == 0
+        manifest = json.loads((tmp_path / "s" / "sw" / "tab-quad-s1" / "manifest.json")
+                              .read_text())
+        assert manifest["potential_id"] == "tab-quad"
+        assert manifest["config"]["potential"]["table"]["coeffs"] == [[0.5, 0.0, 0.0]]
+
+
+class TestPlantedControls:
+    """Each negative control is a plant handed to its monitor's own check."""
+
+    def test_the_controls_keep_their_witnesses(self, tmp_path):
+        reports = run_suite(cli.negative_control_suite(), tmp_path / "v")
+        assert [(rep.name, rep.passed) for rep in reports] == [
+            ("injected-sup-growth", False), ("injected-contraction-growth", False)]
+        assert reports[0].to_json()["witness"] == {
+            "snapshot": 18, "t": 0.004999999999999994, "sup": 0.5370786701110297,
+            "bound": 0.4929844032305154, "location": [29]}
+        assert reports[1].to_json()["witness"] == {
+            "step": 14, "t": 0.009999999999999981, "d_prev": 0.10702541310743577,
+            "d_next": 0.10709459864855937}
+
+    def test_a_plant_leaves_the_run_it_is_given_alone(self):
+        cfg = cli.build_config(cli.negative_control_suite()["checks"][1]["config"], 5)
+        traj = cli.run(cfg)
+        before = [s.values.copy() for s in traj.snapshots]
+        for plant, k in ((cli._inflate_final, -1), (cli._anti_diffuse_middle,
+                                                     len(traj.snapshots) // 2)):
+            planted = plant(traj)
+            assert planted.meta is traj.meta and planted.dt == traj.dt
+            assert planted.times.tolist() == traj.times.tolist()
+            changed = [i for i, (a, b) in enumerate(zip(planted.snapshots, traj.snapshots))
+                       if not np.array_equal(a.values, b.values)]
+            assert changed == [k % len(traj.snapshots)]
+        assert all(np.array_equal(s.values, b) for s, b in zip(traj.snapshots, before))
 
 
 class TestEntropyCommand:

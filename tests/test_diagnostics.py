@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -1203,3 +1205,54 @@ class TestHolderSeminorm:
         for coarse, fine in zip(jump, jump[1:]):
             assert fine / coarse == pytest.approx(math.sqrt(2.0), rel=0.03)
         assert jump[0] > 30 * smooth[0]
+
+
+class TestOneGradientPath:
+    """The cylinder monitors take |grad u|^2 from the unchecked kernel, over one
+    step plan per report, never from the checked public `gradient_sq`."""
+
+    def test_paper_core_makes_no_public_call_and_one_plan_per_report(self, tmp_path,
+                                                                     monkeypatch):
+        import pelab.grid as grid_module
+        from pelab import diagnostics
+        from pelab.cli import paper_core_suite, run_suite
+        public, plans = [], {diagnostics: Counter(), grid_module: Counter()}
+        real_grad, real_plans = grid_module.gradient_sq, grid_module._shift_plans
+
+        def counted_grad(values, grid):
+            public.append(None)
+            return real_grad(values, grid)
+
+        def counting_plans(module):
+            def counted(grid, *pairs):
+                if pairs == ((1, -1),):
+                    plans[module][sys._getframe(1).f_code.co_name] += 1
+                return real_plans(grid, *pairs)
+            return counted
+
+        for module in (diagnostics, grid_module):
+            monkeypatch.setattr(module, "gradient_sq", counted_grad, raising=False)
+            monkeypatch.setattr(module, "_shift_plans", counting_plans(module))
+        reports = run_suite(paper_core_suite(64), tmp_path / "v", 11)
+        assert all(rep.passed for rep in reports)
+        assert public == [] and plans[grid_module] == {}   # no kernel call makes its own
+        # morrey: one report; reverse-holder and estimate-ratios: coarse and fine;
+        # the entropy residuals: two rungs and one calibration per check
+        assert plans[diagnostics] == {"morrey_profile": 1, "reverse_holder_report": 2,
+                                      "estimate_ratio_report": 2, "_residual_report": 6}
+
+    def test_dirichlet_balls_never_read_the_ring(self):
+        # the kernel zeroes the Dirichlet ring; a validated ball stays h inside it,
+        # so every monitor equals its value over the public stencil
+        g = dgrid(33, n=2)
+        base = initial_field(g, 2, {"kind": "mode", "k": [1, 2], "amplitude": 0.4}, 7)
+        base[:, g.boundary_mask] = 0.0
+        traj = Trajectory(snapshots=tuple(
+            FieldState(grid=g, values=base * (1.0 - 0.01 * k), t=k * 1e-3,
+                       boundary_values=(0.0, 0.0)) for k in range(12)), dt=1e-3)
+        pts = [((0.5, 0.5), 0.011), ((0.3, 0.6), 0.011)]
+        radii = [8 * g.h, 4 * g.h]
+        public = lambda s: gradient_sq(s.values, s.grid)  # noqa: E731
+        got = morrey_profile(traj, pts, radii)
+        assert got == morrey_profile(traj, pts, radii, g=public)
+        assert min(v for prof in got for _, v in prof) > 0.0

