@@ -3,7 +3,9 @@
 Subcommands: run, verify, sweep, entropy, report.  Configs and reports are
 JSON, series are CSV, snapshots use the binary format of the grid module.
 Outputs are byte-identical for identical configs and seeds (no timestamps),
-so golden-file comparisons work.
+so golden-file comparisons work.  A sweep cell writes each snapshot and feeds
+it to its monitors as `run` makes it, so its memory does not grow with the
+step count; the costliest cells start first.
 
 Exit codes: 0 success / all checks passed, 1 usage or config error (including
 failed checks), 2 domain abort (range excursion, convexity or construction
@@ -16,26 +18,29 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (CheckReport, calibrate_residual_constant,
-                          choose_entropy_params, contraction_report,
+from .diagnostics import (CheckReport, _diffusion_fold, _morrey,
+                          calibrate_residual_constant, choose_entropy_params, contraction_report,
                           entropy_residual_coupled, entropy_residual_diffusion,
-                          estimate_ratio_report, morrey_profile, morrey_report,
+                          estimate_ratio_report, morrey_report,
                           reverse_holder_report, sup_norm_report)
 from .errors import DomainAbort
-from .grid import (Cylinder, GridSpec, Trajectory, read_snapshot, vector_norm,
-                   write_snapshot)
+from .grid import (Cylinder, GridSpec, Trajectory, _CylinderFold, read_snapshot,
+                   vector_norm, write_snapshot)
 from .potentials import (build_entropy, certify_window, coupled_decomposition,
                          from_piecewise_poly, get_potential)
-from .solver import RunConfig, config_hash, run, step_diffusion, with_resolution
+from .solver import (RunConfig, _planned, config_hash, run, step_diffusion,
+                     with_resolution)
 
 
 class UsageError(Exception):
@@ -125,17 +130,39 @@ def _load_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # trajectory persistence
 
-def save_trajectory(traj: Trajectory, outdir: Path) -> dict:
+@contextmanager
+def _snapshot_writer(outdir: Path):
+    """The one snapshot writer: yields write(snapshot), which writes a run's next
+    snapshot to outdir/snap_NNNNNN.pelb, and manifest(meta), which lists them.
+    An exception in the block removes every file written and every directory
+    made, so that each snapshot on disk belongs to a manifest."""
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     names = []
-    for k, snap in enumerate(traj.snapshots):
-        fname = f"snap_{k:06d}.pelb"
-        write_snapshot(outdir / fname, snap)
-        names.append(fname)
-    manifest = {"kind": "run", **traj.meta, "snapshots": names}
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return manifest
+
+    def write(snap):
+        names.append(f"snap_{len(names):06d}.pelb")
+        write_snapshot(outdir / names[-1], snap)
+
+    def manifest(meta: dict) -> dict:
+        doc = {"kind": "run", **meta, "snapshots": names}
+        (outdir / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        return doc
+    try:
+        yield write, manifest
+    except BaseException:
+        for name in ["manifest.json", *names]:
+            (outdir / name).unlink(missing_ok=True)
+        for d in made:   # innermost first
+            d.rmdir()
+        raise
+
+
+def save_trajectory(traj: Trajectory, outdir: Path) -> dict:
+    with _snapshot_writer(outdir) as (write, manifest):
+        for snap in traj.snapshots:
+            write(snap)
+        return manifest(traj.meta)
 
 
 def load_trajectory(manifest_path) -> Trajectory:
@@ -443,12 +470,13 @@ def cmd_run(args) -> int:
     doc = _load_json(args.config)
     cfg = build_config(doc, args.seed)
     outdir = Path(args.out) / _path_name(cfg.name, "run name")
-    try:
-        traj = run(cfg)
-    except ValueError as exc:  # an initial section or dt_override run() cannot honour
-        raise UsageError(f"bad run config: {exc}") from exc
-    save_trajectory(traj, outdir)
-    print(f"wrote {len(traj.snapshots)} snapshots to {outdir}")
+    with _snapshot_writer(outdir) as (write, manifest):
+        try:
+            traj = run(cfg, write)
+        except ValueError as exc:  # an initial section or dt_override run() cannot honour
+            raise UsageError(f"bad run config: {exc}") from exc
+        count = len(manifest(traj.meta)["snapshots"])
+    print(f"wrote {count} snapshots to {outdir}")
     return 0
 
 
@@ -577,8 +605,8 @@ _SWEEP_FIELDS = ("label", "potential", "size", "seed", "config_hash", "terminal_
                  "morrey_4h", "error")
 
 
-def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dict:
-    """Run one sweep cell; a `seed` axis value beats `seed`, which beats base.seed."""
+def _cell_config(base_doc: dict, cell: dict, seed: int | None) -> RunConfig:
+    """A sweep cell's config; a `seed` axis value beats `seed`, which beats base.seed."""
     doc = json.loads(json.dumps(base_doc))
     if "potential" in cell:   # a named potential replaces a table, keeping r_max
         doc["potential"].pop("table", None)
@@ -587,26 +615,45 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
     cfg = build_config(doc, cell.get("seed", seed))
     if "resolution" in cell:
         cfg = with_resolution(cfg, int(cell["resolution"]))
-    traj = run(cfg)
-    save_trajectory(traj, outdir / cell["label"])
-    row = dict.fromkeys(_SWEEP_FIELDS, "")
-    row.update(label=cell["label"], potential=cfg.potential.id,
-               size=cfg.grid.sizes[0], seed=cfg.seed,
-               config_hash=traj.meta["config_hash"],
-               terminal_sup=float(vector_norm(traj.final.values).max()))
-    pot = cfg.potential
+    return cfg
+
+
+def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dict:
+    """Run one sweep cell, writing each snapshot and feeding it to the monitors as it comes."""
+    cfg = _cell_config(base_doc, cell, seed)
+    grid, pot = cfg.grid, cfg.potential
+    residual = morrey = None
     if cfg.snapshot_every == 1 and cfg.system == "diffusion":
-        rep = entropy_residual_diffusion(traj, pot, build_entropy(pot),
-                                         certify_window(pot))
-        row["resid_pos_max"] = rep.values["max_pos"]
-        row["resid_abs_max"] = rep.values["max_abs"]
+        residual = _diffusion_fold(grid, pot, build_entropy(pot), certify_window(pot))
     try:
-        h = cfg.grid.h
-        center = tuple(0.5 * cfg.grid.extent(a) for a in range(cfg.grid.n))
-        prof = morrey_profile(traj, [(center, cfg.t_end)], [16 * h, 8 * h, 4 * h])[0]
-        row["morrey_16h"], row["morrey_8h"], row["morrey_4h"] = (v for _, v in prof)
+        center = tuple(0.5 * grid.extent(a) for a in range(grid.n))
+        terms, g, profiles = _morrey(grid, [(center, cfg.t_end)], [16 * grid.h, 8 * grid.h,
+                                                                   4 * grid.h])
+        morrey = _CylinderFold(grid, terms, lambda k, snap: g(snap))
     except ValueError:
-        pass  # cylinder does not fit this cell's box; leave blank
+        pass  # the cylinder does not fit this cell's box; leave its columns blank
+    folds = [f for f in (residual, morrey) if f is not None]
+    with _snapshot_writer(outdir / cell["label"]) as (write, manifest):
+        def observe(snap):
+            write(snap)
+            for fold in folds:
+                fold.feed(snap)
+
+        traj = run(cfg, observe)
+        manifest(traj.meta)
+        row = dict.fromkeys(_SWEEP_FIELDS, "")
+        row.update(label=cell["label"], potential=pot.id, size=grid.sizes[0], seed=cfg.seed,
+                   config_hash=traj.meta["config_hash"],
+                   terminal_sup=float(vector_norm(traj.final.values).max()))
+        if residual is not None:
+            stats = residual.stats()
+            row["resid_pos_max"], row["resid_abs_max"] = stats["max_pos"], stats["max_abs"]
+        if morrey is not None:
+            try:
+                [prof] = profiles(morrey.result(), morrey.spacing)
+                row["morrey_16h"], row["morrey_8h"], row["morrey_4h"] = (v for _, v in prof)
+            except ValueError:
+                pass  # fewer than two snapshots in the window; leave blank
     return row
 
 
@@ -620,7 +667,8 @@ def cmd_sweep(args) -> int:
     cells = _sweep_cells(doc)
     outdir = Path(args.out) / _path_name(doc.get("name", "sweep"), "sweep name")
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = args.threads if args.threads > 0 else None
+    workers = args.threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                               else os.cpu_count() or 1)
 
     def work(cell):
         try:
@@ -629,8 +677,18 @@ def cmd_sweep(args) -> int:
             return {**dict.fromkeys(_SWEEP_FIELDS, ""), "label": cell["label"],
                     "error": f"{type(exc).__name__}: {exc}"}
 
+    def cost(cell):   # planned steps x points x components
+        try:
+            cfg = _cell_config(doc["base"], cell, args.seed)
+            _, _, steps, _ = _planned(cfg)
+            return steps * math.prod(cfg.grid.sizes) * cfg.n_components
+        except Exception:
+            return 0   # the cell's run reports the error, as `work` does
+
+    # costliest first (longest processing time); ties, and the rows, in cell order
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        rows = list(ex.map(work, cells))   # in the order of the cells
+        futures = {c["label"]: ex.submit(work, c) for c in sorted(cells, key=lambda c: -cost(c))}
+    rows = [futures[c["label"]].result() for c in cells]
 
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)

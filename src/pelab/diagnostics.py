@@ -16,7 +16,10 @@ interior, whose periodic modes are the type-I sine (DST-I) modes.
 
 The cylinder monitors (Morrey, reverse Hoelder, estimate ratios) make one
 `grid.cylinder_integrals` pass per field over the union of their windows, so
-each snapshot's field is computed once and dropped; nothing is memoised.
+each snapshot's field is computed once and dropped; nothing is memoised.  The
+residual loop (`_ResidualFold`) and the cylinder loop (`grid._CylinderFold`)
+take one snapshot at a time: a monitor called with a `Trajectory` feeds them
+its snapshots, and a sweep cell feeds them each snapshot as its run makes it.
 Their |grad u|^2 is the unchecked `_gradient_sq`, over one plan per report.
 The Hoelder seminorm is exact: every point pair with separation in the band,
 one integer offset at a time.
@@ -226,59 +229,82 @@ def sup_norm_report(traj: Trajectory, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # entropy subsolution residuals
 
-def _residual_report(traj: Trajectory, r_max: float,
-                     at: Callable[[FieldState, np.ndarray], np.ndarray],
-                     spatial: Callable[[np.ndarray, FieldState, np.ndarray], np.ndarray],
-                     coef: float, tau: float | None, name: str, extra: dict) -> CheckReport:
-    """Positive part of (q_next - q_now)/dt - spatial(q_now) + coef |grad u|^2 per pair.
+class _ResidualFold:
+    """The one residual loop, fed snapshots in time order.
 
-    q = at(snapshot, r); spatial(q, snapshot, r) is the spatial operator
-    applied at the earlier snapshot of a consecutive pair, r = |u| computed
-    once per snapshot.  A snapshot with |u| beyond r_max aborts, in time
-    order, with the location and time of the first offender.  The report
-    carries the maximum and 99th percentile of the positive part, the
-    maximum magnitude, and `extra`; with tau = None it always passes.
+    Per consecutive pair, the positive part of (q_next - q_now)/spacing -
+    spatial(q_now) + coef |grad u|^2 with q = at(snapshot, r), spatial(q,
+    snapshot, r) applied at the earlier snapshot, r = |u| computed once per
+    snapshot and spacing that of the first pair.  A snapshot with |u| beyond
+    r_max aborts with the location and time of the first offender.  Holds the
+    last snapshot's q and r and pools the positive values for their 99th
+    percentile; `stats` raises if fewer than two snapshots were fed.
     """
-    spacing = traj.snapshot_dt
-    if abs(spacing - traj.dt) > 1e-9 * traj.dt:
+
+    def __init__(self, grid: GridSpec, r_max: float,
+                 at: Callable[[FieldState, np.ndarray], np.ndarray],
+                 spatial: Callable[[np.ndarray, FieldState, np.ndarray], np.ndarray],
+                 coef: float):
+        self.grid, self.r_max, self.at, self.spatial, self.coef = grid, r_max, at, spatial, coef
+        self.plans = _shift_plans(grid, (1, -1))   # validated snapshots: unchecked kernels
+        self.max_pos = self.max_abs = 0.0
+        self.pool, self.witness, self.last, self.pairs, self.spacing = [], None, None, 0, None
+
+    def feed(self, snap: FieldState) -> None:
+        r_next = _abort_if_outside(vector_norm(snap.values), self.r_max, snap.t)
+        q_next = self.at(snap, r_next)
+        if self.last is not None:
+            now, r_now, q_now = self.last
+            if self.pairs == 0:
+                self.spacing = snap.t - now.t
+            res = ((q_next - q_now) / self.spacing - self.spatial(q_now, now, r_now)
+                   + self.coef * _gradient_sq(now.values, self.grid, self.plans)
+                   )[self.grid.interior_slices]
+            self.max_abs = max(self.max_abs, float(np.abs(res).max()))
+            pos = res[res > 0.0]
+            if pos.size:
+                self.pool.append(pos)
+                m = float(pos.max())
+                if m > self.max_pos:
+                    self.max_pos = m
+                    loc = tuple(int(i) for i in np.unravel_index(int(res.argmax()), res.shape))
+                    self.witness = {"pair": self.pairs, "t": now.t, "location": loc, "value": m}
+            self.pairs += 1
+        self.last = (snap, r_next, q_next)
+
+    def stats(self) -> dict:
+        if not self.pairs:
+            raise ValueError("residual checks need at least two snapshots")
+        pooled = np.concatenate(self.pool) if self.pool else np.zeros(1)
+        return {"max_pos": self.max_pos, "p99_pos": float(np.percentile(pooled, 99.0)),
+                "max_abs": self.max_abs, "pairs": self.pairs}
+
+
+def _residual_report(traj: Trajectory, fold: _ResidualFold, tau: float | None,
+                     name: str, extra: dict) -> CheckReport:
+    """Feed a stored trajectory to `fold`; the report carries the maximum and 99th
+    percentile of the positive part, the maximum magnitude, and `extra`; with
+    tau = None it always passes."""
+    if abs(traj.snapshot_dt - traj.dt) > 1e-9 * traj.dt:
         raise ValueError("residual checks need consecutive snapshots "
                          "(snapshot_every = 1 over the checked span)")
-    if len(traj.snapshots) < 2:
-        raise ValueError("residual checks need at least two snapshots")
-    norm = lambda snap: _abort_if_outside(vector_norm(snap.values), r_max, snap.t)
-
-    grid, times = traj.grid, traj.times
-    core = grid.interior_slices
-    plans = _shift_plans(grid, (1, -1))   # the snapshots are validated: unchecked kernels
-    max_pos = max_abs = 0.0
-    pos_pool = []
-    witness = None
-    r_now = norm(traj.snapshots[0])
-    q_now = at(traj.snapshots[0], r_now)
-    for k in range(len(traj.snapshots) - 1):
-        r_next = norm(traj.snapshots[k + 1])
-        q_next = at(traj.snapshots[k + 1], r_next)
-        snap = traj.snapshots[k]
-        res = ((q_next - q_now) / spacing - spatial(q_now, snap, r_now)
-               + coef * _gradient_sq(snap.values, grid, plans))[core]
-        max_abs = max(max_abs, float(np.abs(res).max()))
-        pos = res[res > 0.0]
-        if pos.size:
-            pos_pool.append(pos)
-            m = float(pos.max())
-            if m > max_pos:
-                max_pos = m
-                loc = tuple(int(i) for i in np.unravel_index(int(res.argmax()), res.shape))
-                witness = {"pair": k, "t": float(times[k]), "location": loc, "value": m}
-        q_now, r_now = q_next, r_next
-    pooled = np.concatenate(pos_pool) if pos_pool else np.zeros(1)
-    stats = {"max_pos": max_pos, "p99_pos": float(np.percentile(pooled, 99.0)),
-             "max_abs": max_abs, "pairs": len(traj.snapshots) - 1,
-             "h": grid.h, "dt": traj.dt, "tau": tau, **extra}
-    passed = True if tau is None else max_pos <= tau
+    for snap in traj.snapshots:
+        fold.feed(snap)
+    stats = {**fold.stats(), "h": traj.grid.h, "dt": traj.dt, "tau": tau, **extra}
+    passed = True if tau is None else fold.max_pos <= tau
     return CheckReport(name=name, passed=passed, tolerance=tau,
                        provenance=_provenance(traj), values=stats,
-                       witness=None if passed else witness)
+                       witness=None if passed else fold.witness)
+
+
+def _diffusion_fold(grid: GridSpec, p: RadialPotential, ent: EntropyData,
+                    window: EllipticityWindow) -> _ResidualFold:
+    """The residual fold of `entropy_residual_diffusion`."""
+    plans = _shift_plans(grid, (-1, 1))
+    return _ResidualFold(
+        grid, p.r_max, lambda snap, r: np.asarray(p.phi(r), dtype=float),
+        lambda q, snap, r: _laplacian(np.asarray(ent.gamma(q), dtype=float), grid, plans=plans),
+        window.lam * window.lam)
 
 
 def entropy_residual_diffusion(traj: Trajectory, p: RadialPotential,
@@ -291,12 +317,7 @@ def entropy_residual_diffusion(traj: Trajectory, p: RadialPotential,
     scheme error and must stay below tau = K (h^2 + dt) and shrink under
     refinement.  With tau = None the report is informational (always passes).
     """
-    plans = _shift_plans(traj.grid, (-1, 1))
-    return _residual_report(
-        traj, p.r_max, lambda snap, r: np.asarray(p.phi(r), dtype=float),
-        lambda q, snap, r: _laplacian(np.asarray(ent.gamma(q), dtype=float), traj.grid,
-                                      plans=plans),
-        window.lam * window.lam, tau, name, {})
+    return _residual_report(traj, _diffusion_fold(traj.grid, p, ent, window), tau, name, {})
 
 
 def calibrate_residual_constant(config: RunConfig) -> float:
@@ -372,11 +393,37 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
         return _face_divergence(A, v_now, None, None, g, np.zeros(g.sizes), np.empty(g.sizes),
                                 np.empty(g.sizes), np.empty(g.sizes), plans)
 
-    return _residual_report(traj, cc.r_max, v, div_A_grad, c, tau, name, {"s": s, "c": c})
+    return _residual_report(traj, _ResidualFold(g, cc.r_max, v, div_A_grad, c), tau, name,
+                            {"s": s, "c": c})
 
 
 # ---------------------------------------------------------------------------
 # Morrey decay
+
+def _morrey(grid: GridSpec, points: Sequence[tuple], radii: Sequence[float],
+            g: Callable[[FieldState], np.ndarray] | None = None,
+            exponent: float | None = None):
+    """`morrey_profile` on a grid: its terms, one cylinder per point and radius,
+    largest R first, its g, and profiles(sums, spacing), which scales the
+    terms' (sum, count) pairs into one profile per point."""
+    if g is None:
+        plans = _shift_plans(grid, (1, -1))
+        g = lambda snap: _gradient_sq(snap.values, grid, plans)
+    expo = grid.n if exponent is None else float(exponent)
+    radii = sorted(radii, reverse=True)
+    for R in radii:
+        if R < 4.0 * grid.h * (1.0 - 1e-12):
+            raise ValueError(f"radius {R} is below the 4h = {4 * grid.h} floor")
+    terms = [(Cylinder(center=tuple(x0), t0=float(t0), R=float(R)), 1.0)
+             for x0, t0 in points for R in radii]
+
+    def profiles(sums, spacing):
+        cell, m = grid.cell_volume() * spacing, len(radii)
+        return [[(float(R), total * cell / R ** expo)
+                 for R, (total, _) in zip(radii, sums[i * m:(i + 1) * m])]
+                for i in range(len(points))]
+    return terms, g, profiles
+
 
 def morrey_profile(traj: Trajectory, points: Sequence[tuple], radii: Sequence[float],
                    g: Callable[[FieldState], np.ndarray] | None = None,
@@ -390,22 +437,9 @@ def morrey_profile(traj: Trajectory, points: Sequence[tuple], radii: Sequence[fl
     probes the singular-set bound of bounded solutions.  Radii below 4h are
     rejected as noise.
     """
-    if g is None:
-        plans = _shift_plans(traj.grid, (1, -1))
-        g = lambda snap: _gradient_sq(snap.values, traj.grid, plans)
-    expo = traj.grid.n if exponent is None else float(exponent)
-    cell = traj.grid.cell_volume() * traj.snapshot_dt
-    radii = sorted(radii, reverse=True)
-    for R in radii:
-        if R < 4.0 * traj.grid.h * (1.0 - 1e-12):
-            raise ValueError(f"radius {R} is below the 4h = {4 * traj.grid.h} floor")
-    terms = [(Cylinder(center=tuple(x0), t0=float(t0), R=float(R)), 1.0)
-             for x0, t0 in points for R in radii]
-    sums = cylinder_integrals(traj, terms, lambda k: g(traj.snapshots[k]))
-    m = len(radii)
-    return [[(float(R), total * cell / R ** expo)
-             for R, (total, _) in zip(radii, sums[i * m:(i + 1) * m])]
-            for i in range(len(points))]
+    terms, g, profiles = _morrey(traj.grid, points, radii, g, exponent)
+    return profiles(cylinder_integrals(traj, terms, lambda k: g(traj.snapshots[k])),
+                    traj.snapshot_dt)
 
 
 def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[float],

@@ -20,8 +20,9 @@ serves both the cylinder balls and the bump initial data.
 
 A parabolic cylinder Q(x0, t0, R) is the discrete set of grid points within
 Euclidean distance R of x0, crossed with the snapshot times t satisfying
-t0 - R^2 < t <= t0.  `cylinder_integrals`, the one cylinder loop, reads each
-snapshot's field once for all its cylinders, in one pass and with no memo.
+t0 - R^2 < t <= t0.  `_CylinderFold`, the one cylinder loop, is fed one
+snapshot at a time and reads each snapshot's field once for all its
+cylinders, with no memo; `cylinder_integrals` feeds it a stored trajectory.
 """
 
 from __future__ import annotations
@@ -445,20 +446,8 @@ def _dist2(grid: GridSpec, center: Sequence[float]) -> np.ndarray:
     return dist2
 
 
-def _window_indices(traj: Trajectory, t0: float, R: float) -> np.ndarray:
-    times = traj.times
-    slack = 1e-12 * max(1.0, abs(t0))
-    lo = t0 - R * R
-    return np.nonzero((times > lo - slack) & (times <= t0 + slack))[0]
-
-
-def cylinder_members(traj: Trajectory, q: Cylinder) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (ball mask, snapshot indices) of a cylinder inside a trajectory.
-
-    Raises with the failed bound spelled out if the ball leaves the domain or
-    fewer than two snapshots intersect the time window.
-    """
-    grid = traj.grid
+def _ball(grid: GridSpec, q: Cylinder) -> np.ndarray:
+    """The validated ball mask of a cylinder; raises if it leaves the domain."""
     mask = _dist2(grid, q.center) <= q.R * q.R * (1.0 + 1e-12)
     if not mask.any():
         raise ValueError(f"ball of radius {q.R} around {q.center} contains no grid point")
@@ -473,12 +462,72 @@ def cylinder_members(traj: Trajectory, q: Cylinder) -> tuple[np.ndarray, np.ndar
                 raise ValueError(
                     f"ball [{q.center[a] - q.R}, {q.center[a] + q.R}] on axis {a} "
                     f"leaves the interior (h, {L - grid.h})")
-    idx = _window_indices(traj, q.t0, q.R)
-    if len(idx) < 2:
+    return mask
+
+
+def _in_window(t, q: Cylinder):
+    """Whether the time t (a float or an array of them) lies in (t0 - R^2, t0], with slack."""
+    slack = 1e-12 * max(1.0, abs(q.t0))
+    return (t > q.t0 - q.R * q.R - slack) & (t <= q.t0 + slack)
+
+
+def _require_two(q: Cylinder, count: int) -> None:
+    if count < 2:
         raise ValueError(
-            f"time window ({q.t0 - q.R ** 2}, {q.t0}] intersects only {len(idx)} "
+            f"time window ({q.t0 - q.R ** 2}, {q.t0}] intersects only {count} "
             f"snapshots; at least 2 are required")
+
+
+def cylinder_members(traj: Trajectory, q: Cylinder) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (ball mask, snapshot indices) of a cylinder inside a trajectory.
+
+    Raises with the failed bound spelled out if the ball leaves the domain or
+    fewer than two snapshots intersect the time window.
+    """
+    mask = _ball(traj.grid, q)
+    idx = np.nonzero(_in_window(traj.times, q))[0]
+    _require_two(q, len(idx))
     return mask, idx
+
+
+class _CylinderFold:
+    """The one cylinder loop, fed snapshots in time order: `cylinder_integrals` per snapshot.
+
+    `field(k, snapshot)` is evaluated once per snapshot that some window
+    holds, k counting the snapshots fed.  The balls are validated on
+    construction, the windows by `result`.  `spacing` is the time between
+    the first two snapshots.
+    """
+
+    def __init__(self, grid: GridSpec, terms: Sequence[tuple[Cylinder, float]],
+                 field: Callable[[int, FieldState], np.ndarray]):
+        self.grid, self.terms, self.field = grid, list(terms), field
+        self.balls = [np.flatnonzero(_ball(grid, q)) for q, _ in self.terms]  # C-order gather
+        self.totals, self.counts = [0.0] * len(self.terms), [0] * len(self.terms)
+        self.k, self.t0, self.spacing = 0, None, None
+
+    def feed(self, snap: FieldState) -> None:
+        k, self.k = self.k, self.k + 1
+        if k == 0:
+            self.t0 = snap.t
+        elif k == 1:
+            self.spacing = snap.t - self.t0
+        inside = [i for i, (q, _) in enumerate(self.terms) if _in_window(snap.t, q)]
+        if inside:
+            f = np.asarray(self.field(k, snap), dtype=float)
+            if f.shape != self.grid.sizes:
+                raise ValueError("field_at must evaluate to a scalar field on the grid")
+            flat = f.ravel()
+            for i in inside:
+                v, power = flat.take(self.balls[i]), self.terms[i][1]
+                self.totals[i] += float(np.add.reduce(v if power == 1.0 else np.power(v, power)))
+                self.counts[i] += 1
+
+    def result(self) -> list[tuple[float, int]]:
+        for (q, _), count in zip(self.terms, self.counts):
+            _require_two(q, count)
+        return [(total, len(ball) * count)
+                for total, ball, count in zip(self.totals, self.balls, self.counts)]
 
 
 def cylinder_integrals(traj: Trajectory, terms: Sequence[tuple[Cylinder, float]],
@@ -486,27 +535,16 @@ def cylinder_integrals(traj: Trajectory, terms: Sequence[tuple[Cylinder, float]]
     """Point sum of field_at(k)**power over each (cylinder, power) term, and its point count.
 
     `field_at` maps a snapshot index to a scalar field on the grid.  Once
-    every term is validated, one time-ordered pass over the union of the
-    windows evaluates `field_at` once per snapshot, holding one field at a
-    time; each term adds its ball's values, raised to its power, in snapshot
-    order.  An integral is a sum times h^n times the snapshot spacing.
+    every term is validated, one `_CylinderFold` pass evaluates `field_at`
+    once per snapshot in the union of the windows, holding one field at a
+    time.  An integral is a sum times h^n times the snapshot spacing.
     """
-    members = [cylinder_members(traj, q) for q, _ in terms]
-    balls = [np.flatnonzero(mask) for mask, _ in members]   # the C-order gather of mask
-    inside = np.zeros((len(terms), len(traj.snapshots)), dtype=bool)
-    for row, (_, idx) in zip(inside, members):
-        row[idx] = True
-    totals = [0.0] * len(terms)
-    for k in np.nonzero(inside.any(axis=0))[0]:
-        f = np.asarray(field_at(k), dtype=float)
-        if f.shape != traj.grid.sizes:
-            raise ValueError("field_at must evaluate to a scalar field on the grid")
-        flat = f.ravel()
-        for i in np.nonzero(inside[:, k])[0]:
-            v, power = flat.take(balls[i]), terms[i][1]
-            totals[i] += float(np.add.reduce(v if power == 1.0 else np.power(v, power)))
-        del f, flat, v   # before the next snapshot's field is built
-    return [(total, len(ball) * len(idx)) for total, ball, (_, idx) in zip(totals, balls, members)]
+    for q, _ in terms:
+        cylinder_members(traj, q)
+    fold = _CylinderFold(traj.grid, terms, lambda k, snap: field_at(k))
+    for snap in traj.snapshots:
+        fold.feed(snap)
+    return fold.result()
 
 
 # Snapshot file format, bit-exact:

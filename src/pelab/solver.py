@@ -9,7 +9,8 @@ new norm field r = |u| once; its maximum is the step's one reduction, and
 one test of it serves both aborts (range and finiteness).  One CFL bound
 serves both systems, given the effective diffusivity.  `run` drives the body
 over plain arrays and validates a `FieldState` only for a stored snapshot;
-`step_diffusion` is one pass of it, state in, state out.  Each right-hand
+`step_diffusion` is one pass of it, state in, state out; an observer given to
+`run` receives each stored snapshot as it is made.  Each right-hand
 side is made for one state shape and builds its workspace with it, with the
 run's step plan and output buffer: grad Phi(u), a neighbour sum, the slope
 field and a mask for the diffusion system, face fluxes, directions and
@@ -327,24 +328,31 @@ def _plan_steps(t_end: float, dt_max: float, snapshot_every: int,
     return steps, t_end / steps
 
 
-def run(config: RunConfig) -> Trajectory:
+def _planned(config: RunConfig):
+    """(window, coupled rewrite or None, steps, dt) of a run: `_plan_steps` under the
+    CFL bound of its system's effective diffusivity."""
+    window = certify_window(config.potential)
+    cc = coupled_decomposition(config.potential) if config.system == "coupled" else None
+    dt_max = cfl_dt(config.grid, window.Lam if cc is None else cc.bounds["eff_Lambda"],
+                    config.cfl_sigma)
+    steps, dt = _plan_steps(config.t_end, dt_max, config.snapshot_every, config.dt_override)
+    return window, cc, steps, dt
+
+
+def run(config: RunConfig,
+        observe: Callable[[FieldState], None] | None = None) -> Trajectory:
     """Integrate to t_end, storing a snapshot every `snapshot_every` steps.
 
-    Deterministic given the seed; the manifest in `meta` records the potential,
-    its certified window, dt and the content hash of the configuration.
+    With `observe`, each stored snapshot, t = 0 included, is handed to it in
+    time order and only the final one is kept.  Deterministic given the seed;
+    the manifest in `meta` records the potential, its certified window, dt
+    and the content hash of the configuration.
     """
     p = config.potential
-    window = certify_window(p)
+    window, cc, steps, dt = _planned(config)
     shape = (config.n_components, *config.grid.sizes)
-    if config.system == "coupled":
-        cc = coupled_decomposition(p)
-        dt_max = cfl_dt(config.grid, cc.bounds["eff_Lambda"], config.cfl_sigma)
-        rhs = _coupled_rhs(cc, config.grid, shape)
-    else:
-        dt_max = cfl_dt(config.grid, window.Lam, config.cfl_sigma)
-        rhs = _diffusion_rhs(p, config.grid, shape)
-    steps, dt = _plan_steps(config.t_end, dt_max, config.snapshot_every,
-                            config.dt_override)
+    rhs = (_diffusion_rhs(p, config.grid, shape) if cc is None
+           else _coupled_rhs(cc, config.grid, shape))
 
     values = initial_field(config.grid, config.n_components, config.initial, config.seed)
     if not config.grid.periodic:
@@ -352,17 +360,21 @@ def run(config: RunConfig) -> Trajectory:
         ring = config.grid.boundary_mask
         for c in range(config.n_components):
             values[c][ring] = bv[c if len(bv) > 1 else 0]
-    snaps = [FieldState(grid=config.grid, values=values, t=0.0,
-                        boundary_values=config.boundary_values)]
+    snaps = []
+    keep = snaps.append if observe is None else observe
+    snap = FieldState(grid=config.grid, values=values, t=0.0,
+                      boundary_values=config.boundary_values)
     # plain arrays from here on; a FieldState is built only for a snapshot
-    u, t = snaps[0].values, 0.0
+    u, t = snap.values, 0.0
     r = _abort_if_outside(vector_norm(u), p.r_max, t)
+    keep(snap)
     for k in range(1, steps + 1):   # each step checks the state it makes
         u = _euler(rhs, u, r, t, dt, p.r_max, k, steps)
         t += dt
         if k % config.snapshot_every == 0:
-            snaps.append(FieldState(grid=config.grid, values=u, t=t,
-                                    boundary_values=config.boundary_values))
+            snap = FieldState(grid=config.grid, values=u, t=t,
+                              boundary_values=config.boundary_values)
+            keep(snap)
 
     doc = config.describe()
     meta = {
@@ -377,7 +389,7 @@ def run(config: RunConfig) -> Trajectory:
         "system": config.system,
         "name": config.name,
     }
-    return Trajectory(snapshots=tuple(snaps), dt=dt, meta=meta)
+    return Trajectory(snapshots=tuple(snaps) or (snap,), dt=dt, meta=meta)
 
 
 def with_resolution(config: RunConfig, size: int) -> RunConfig:

@@ -549,6 +549,203 @@ class TestSweepPotentialAxis:
         assert manifest["config"]["potential"]["table"]["coeffs"] == [[0.5, 0.0, 0.0]]
 
 
+def frozen_run_cell(base_doc, cell, outdir, seed):
+    """The sweep cell as it was composed before cells streamed, kept as an oracle:
+    run, then save_trajectory, then entropy_residual_diffusion, then morrey_profile."""
+    from pelab import (build_entropy, certify_window, entropy_residual_diffusion,
+                       morrey_profile, run, vector_norm, with_resolution)
+    doc = json.loads(json.dumps(base_doc))
+    if "potential" in cell:
+        doc["potential"].pop("table", None)
+        doc["potential"]["id"] = cell["potential"]
+    doc["name"] = cell["label"]
+    cfg = cli.build_config(doc, cell.get("seed", seed))
+    if "resolution" in cell:
+        cfg = with_resolution(cfg, int(cell["resolution"]))
+    traj = run(cfg)
+    cli.save_trajectory(traj, outdir / cell["label"])
+    row = dict.fromkeys(cli._SWEEP_FIELDS, "")
+    row.update(label=cell["label"], potential=cfg.potential.id,
+               size=cfg.grid.sizes[0], seed=cfg.seed,
+               config_hash=traj.meta["config_hash"],
+               terminal_sup=float(vector_norm(traj.final.values).max()))
+    pot = cfg.potential
+    if cfg.snapshot_every == 1 and cfg.system == "diffusion":
+        rep = entropy_residual_diffusion(traj, pot, build_entropy(pot), certify_window(pot))
+        row["resid_pos_max"] = rep.values["max_pos"]
+        row["resid_abs_max"] = rep.values["max_abs"]
+    try:
+        h = cfg.grid.h
+        center = tuple(0.5 * cfg.grid.extent(a) for a in range(cfg.grid.n))
+        prof = morrey_profile(traj, [(center, cfg.t_end)], [16 * h, 8 * h, 4 * h])[0]
+        row["morrey_16h"], row["morrey_8h"], row["morrey_4h"] = (v for _, v in prof)
+    except ValueError:
+        pass
+    return row
+
+
+def tree(root):
+    """Relative path -> bytes of every file under root."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+            if f.is_file()}
+
+
+def orphans(root):
+    """Snapshot files under root that no manifest.json beside them lists."""
+    listed = {m.parent / name for m in root.rglob("manifest.json")
+              for name in json.loads(m.read_text())["snapshots"]}
+    return sorted(str(f) for f in root.rglob("*.pelb") if f not in listed)
+
+
+def cell_base(sizes, boundary="periodic", **extra):
+    h = 1.0 / (sizes[0] if boundary == "periodic" else sizes[0] - 1)
+    return {"name": "cell", "grid": {"sizes": sizes, "h": h, "boundary": boundary},
+            "components": 1, "potential": {"id": "cosh", "r_max": 1.0}, "t_end": 0.003,
+            "snapshot_every": 1, "seed": 7,
+            "initial": {"kind": "bands", "kmax": 3, "amplitude": 0.5}, **extra}
+
+
+class TestStreamedSweepCells:
+    """A cell writes and folds each snapshot as `run` hands it over, so its memory
+    stays flat; the cells start costliest first; outputs are those of the cell
+    that stored its whole trajectory."""
+
+    @pytest.mark.parametrize("base, axes", [
+        (cell_base([64]), {"potential": ["quadratic", "cosh", "quartic"]}),
+        (cell_base([48, 48]), {"potential": ["quadratic", "quartic"]}),
+        (cell_base([65], "dirichlet", initial={"kind": "mode", "k": [1], "amplitude": 0.5}),
+         {}),
+        (cell_base([48], t_end=0.01), {"resolution": [48, 64]}),
+        (cell_base([48], components=2, system="coupled", snapshot_every=3), {"seed": [1, 2]}),
+        (cell_base([16]), {}),   # 16h = 1: the Morrey cylinder does not fit
+    ], ids=["1d-periodic", "2d-periodic", "1d-dirichlet", "resolution", "coupled",
+            "no-morrey"])
+    def test_cells_equal_the_frozen_composition_byte_for_byte(self, tmp_path, base, axes):
+        doc = {"name": "sw", "base": base, "axes": axes}
+        assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
+                     str(tmp_path / "s"), "--threads", "2"]) == 0
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        rows = [frozen_run_cell(base, cell, oracle, None) for cell in cli._sweep_cells(doc)]
+        got = tmp_path / "s" / "sw"
+        assert list(csv.DictReader(open(got / "sweep.csv"))) == \
+            [{k: str(v) for k, v in row.items()} for row in rows]
+        assert {k: v for k, v in tree(got).items() if not k.startswith("sweep")} == tree(oracle)
+        blank = [row["morrey_4h"] == "" for row in rows]
+        assert all(blank) if base["grid"]["sizes"] == [16] else not any(blank)
+        resid = [row["resid_pos_max"] == "" for row in rows]
+        assert all(resid) if base.get("system") == "coupled" else not any(resid)
+
+    def test_a_cells_peak_memory_does_not_grow_with_the_step_count(self, tmp_path):
+        import tracemalloc
+        peaks = []
+        for t_end in (0.002, 0.004):   # 57 and 113 steps at 64^2
+            base = cell_base([64, 64], t_end=t_end)
+            cli._run_cell(base, {"label": "warm"}, tmp_path, None)   # cached tables
+            tracemalloc.start()
+            try:
+                cli._run_cell(base, {"label": f"t{t_end}"}, tmp_path, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        field = 64 * 64 * 8
+        # a few fields of allocator noise; a stored trajectory would add 56 fields
+        assert peaks[1] - peaks[0] < 4 * field, peaks
+
+    def test_cells_start_costliest_first_and_rows_keep_cell_order(self, tmp_path,
+                                                                  monkeypatch):
+        from concurrent.futures import Future
+        submitted = []
+
+        class InOrder:   # runs each cell when it is submitted
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, cell):
+                submitted.append(cell["label"])
+                future = Future()
+                future.set_result(fn(cell))
+                return future
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", InOrder)
+        doc = {"name": "sw", "base": cell_base([32], t_end=0.002),
+               "axes": {"resolution": [32, 64], "potential": ["nope", "cosh"],
+                        "seed": [1, 2]}}
+        assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
+                     str(tmp_path / "s")]) == 1
+        labels = [c["label"] for c in cli._sweep_cells(doc)]
+        # 64 points cost 8 times 32 (twice the points, four times the steps);
+        # equal costs keep cell order and an unknown potential cannot be planned
+        assert submitted == ["cosh-n64-s1", "cosh-n64-s2", "cosh-n32-s1", "cosh-n32-s2",
+                             "nope-n32-s1", "nope-n32-s2", "nope-n64-s1", "nope-n64-s2"]
+        rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
+        assert [r["label"] for r in rows] == labels
+        assert [bool(r["error"]) for r in rows] == [label.startswith("nope") for label in labels]
+        assert rows[0]["error"].startswith("UsageError: bad potential section: unknown")
+
+    @pytest.mark.parametrize("threads, affinity, expected", [
+        ("0", {0, 1, 2}, 3), ("0", None, 7), ("5", {0, 1, 2}, 5)])
+    def test_zero_threads_means_the_usable_cpus(self, tmp_path, monkeypatch, threads,
+                                                affinity, expected):
+        from concurrent.futures import ThreadPoolExecutor
+        import os
+        seen = []
+
+        def recording(max_workers):
+            seen.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        doc = {"name": "sw", "base": cell_base([16], t_end=0.001), "axes": {}}
+        assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
+                     str(tmp_path / "s"), "--threads", threads]) == 0
+        assert seen == [expected]
+
+    @staticmethod
+    def failing_third_write(monkeypatch, cell_dir):
+        real = cli.write_snapshot
+
+        def flaky(path, snap):
+            if path.parent.name == cell_dir and path.name == "snap_000002.pelb":
+                path.write_bytes(b"partial")
+                raise OSError("disk full")
+            real(path, snap)
+
+        monkeypatch.setattr(cli, "write_snapshot", flaky)
+
+    def test_a_failed_cell_leaves_no_snapshot_and_keeps_its_error_row(self, tmp_path,
+                                                                      monkeypatch):
+        self.failing_third_write(monkeypatch, "cosh")
+        doc = {"name": "sw", "base": cell_base([32]),
+               "axes": {"potential": ["quadratic", "cosh"]}}
+        assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
+                     str(tmp_path / "s"), "--threads", "2"]) == 1
+        rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
+        assert [(r["label"], r["error"]) for r in rows] == [
+            ("quadratic", ""), ("cosh", "OSError: disk full")]
+        assert not (tmp_path / "s" / "sw" / "cosh").exists()
+        assert (tmp_path / "s" / "sw" / "quadratic" / "manifest.json").exists()
+        assert orphans(tmp_path / "s") == []
+
+    def test_a_failed_run_leaves_no_snapshot(self, tmp_path, monkeypatch):
+        self.failing_third_write(monkeypatch, "heat-sin")
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", write_doc(tmp_path, heat_doc()), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+        assert orphans(tmp_path) == []
+
+
 class TestPlantedControls:
     """Each negative control is a plant handed to its monitor's own check."""
 

@@ -1226,7 +1226,7 @@ class TestOneGradientPath:
         def counting_plans(module):
             def counted(grid, *pairs):
                 if pairs == ((1, -1),):
-                    plans[module][sys._getframe(1).f_code.co_name] += 1
+                    plans[module][sys._getframe(1).f_code.co_qualname] += 1
                 return real_plans(grid, *pairs)
             return counted
 
@@ -1237,9 +1237,10 @@ class TestOneGradientPath:
         assert all(rep.passed for rep in reports)
         assert public == [] and plans[grid_module] == {}   # no kernel call makes its own
         # morrey: one report; reverse-holder and estimate-ratios: coarse and fine;
-        # the entropy residuals: two rungs and one calibration per check
-        assert plans[diagnostics] == {"morrey_profile": 1, "reverse_holder_report": 2,
-                                      "estimate_ratio_report": 2, "_residual_report": 6}
+        # the entropy residual folds: two rungs and one calibration per check
+        assert plans[diagnostics] == {"_morrey": 1, "reverse_holder_report": 2,
+                                      "estimate_ratio_report": 2,
+                                      "_ResidualFold.__init__": 6}
 
     def test_dirichlet_balls_never_read_the_ring(self):
         # the kernel zeroes the Dirichlet ring; a validated ball stays h inside it,

@@ -440,6 +440,31 @@ class TestCylinders:
         assert read == []
         assert cylinder_integrals(traj, [], lambda k: read.append(k)) == [] and read == []
 
+    def test_a_fed_fold_checks_the_windows_after_the_pass(self):
+        # streamed snapshots have no times ahead: the balls are checked first, the
+        # windows at the end, with the message of cylinder_members
+        from pelab.grid import _CylinderFold
+        g = periodic_grid(32)
+        traj = stationary_trajectory(g, np.zeros((1, 32)), n_snaps=4)
+        good = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
+        late = Cylinder(center=(0.25,), t0=traj.times[0], R=0.001)   # one snapshot
+        with pytest.raises(ValueError, match="periodic extent"):
+            _CylinderFold(g, [(good, 1.0), (Cylinder(center=(0.5,), t0=0.0, R=0.6), 1.0)],
+                          lambda k, snap: np.ones(g.sizes))
+        read = []
+        fold = _CylinderFold(g, [(good, 1.0), (late, 1.0)],
+                             lambda k, snap: read.append(k) or np.ones(g.sizes))
+        for snap in traj.snapshots:
+            fold.feed(snap)
+        assert read == [0, 1, 2, 3] and fold.spacing == traj.snapshot_dt
+        with pytest.raises(ValueError, match="intersects only 1 snapshots"):
+            fold.result()
+        fold = _CylinderFold(g, [(good, 1.0)], lambda k, snap: np.ones(g.sizes))
+        for snap in traj.snapshots:
+            fold.feed(snap)
+        assert fold.result() == cylinder_integrals(traj, [(good, 1.0)],
+                                                   lambda k: np.ones(g.sizes))
+
     def test_ball_wraps_around_periodic_boundary(self):
         g = periodic_grid(64)
         traj = stationary_trajectory(g, np.zeros((1, 64)), n_snaps=4)

@@ -382,6 +382,19 @@ class TestRun:
         assert len(traj.snapshots) == 1
         assert traj.snapshots[0].t == 0.0
 
+    @pytest.mark.parametrize("system, boundary", [("diffusion", PERIODIC),
+                                                  ("coupled", DIRICHLET)])
+    def test_an_observer_sees_every_snapshot_and_run_keeps_the_final(self, system,
+                                                                      boundary):
+        cfg = self.base(system=system, grid=GridSpec(n=1, sizes=(65,), h=1 / 64,
+                                                     boundary=boundary))
+        stored, seen = run(cfg), []
+        streamed = run(cfg, seen.append)
+        assert [s.t for s in seen] == stored.times.tolist() and seen[0].t == 0.0
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(seen, stored.snapshots))
+        assert streamed.snapshots == (seen[-1],)
+        assert streamed.dt == stored.dt and streamed.meta == stored.meta
+
     def test_heat_mode_decay_oracle(self):
         cfg = self.base(size=128, potential=quadratic(2.0), t_end=0.01,
                         snapshot_every=8,
