@@ -30,10 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (CheckReport, _diffusion_fold, _morrey,
-                          calibrate_residual_constant, choose_entropy_params, contraction_report,
-                          entropy_residual_coupled, entropy_residual_diffusion,
-                          estimate_ratio_report, morrey_report,
-                          reverse_holder_report, sup_norm_report)
+                          calibrate_residual_constant, choose_entropy_params,
+                          contraction_report, entropy_residual_coupled,
+                          entropy_residual_diffusion, estimate_ratio_report,
+                          morrey_report, reverse_holder_report, sup_norm_report)
 from .errors import DomainAbort
 from .grid import (Cylinder, GridSpec, Trajectory, _CylinderFold, read_snapshot,
                    vector_norm, write_snapshot)

@@ -465,10 +465,10 @@ def _ball(grid: GridSpec, q: Cylinder) -> np.ndarray:
     return mask
 
 
-def _in_window(t, q: Cylinder):
-    """Whether the time t (a float or an array of them) lies in (t0 - R^2, t0], with slack."""
+def _window(q: Cylinder) -> tuple[float, float]:
+    """(a, b) such that a snapshot time t lies in the window (t0 - R^2, t0] iff a < t <= b."""
     slack = 1e-12 * max(1.0, abs(q.t0))
-    return (t > q.t0 - q.R * q.R - slack) & (t <= q.t0 + slack)
+    return q.t0 - q.R * q.R - slack, q.t0 + slack
 
 
 def _require_two(q: Cylinder, count: int) -> None:
@@ -484,8 +484,8 @@ def cylinder_members(traj: Trajectory, q: Cylinder) -> tuple[np.ndarray, np.ndar
     Raises with the failed bound spelled out if the ball leaves the domain or
     fewer than two snapshots intersect the time window.
     """
-    mask = _ball(traj.grid, q)
-    idx = np.nonzero(_in_window(traj.times, q))[0]
+    mask, (a, b), times = _ball(traj.grid, q), _window(q), traj.times
+    idx = np.nonzero((times > a) & (times <= b))[0]
     _require_two(q, len(idx))
     return mask, idx
 
@@ -503,16 +503,18 @@ class _CylinderFold:
                  field: Callable[[int, FieldState], np.ndarray]):
         self.grid, self.terms, self.field = grid, list(terms), field
         self.balls = [np.flatnonzero(_ball(grid, q)) for q, _ in self.terms]  # C-order gather
+        self.windows = [_window(q) for q, _ in self.terms]
         self.totals, self.counts = [0.0] * len(self.terms), [0] * len(self.terms)
         self.k, self.t0, self.spacing = 0, None, None
 
     def feed(self, snap: FieldState) -> None:
-        k, self.k = self.k, self.k + 1
+        k, t = self.k, snap.t
+        self.k += 1
         if k == 0:
-            self.t0 = snap.t
+            self.t0 = t
         elif k == 1:
-            self.spacing = snap.t - self.t0
-        inside = [i for i, (q, _) in enumerate(self.terms) if _in_window(snap.t, q)]
+            self.spacing = t - self.t0
+        inside = [i for i, (a, b) in enumerate(self.windows) if a < t <= b]
         if inside:
             f = np.asarray(self.field(k, snap), dtype=float)
             if f.shape != self.grid.sizes:
@@ -535,13 +537,14 @@ def cylinder_integrals(traj: Trajectory, terms: Sequence[tuple[Cylinder, float]]
     """Point sum of field_at(k)**power over each (cylinder, power) term, and its point count.
 
     `field_at` maps a snapshot index to a scalar field on the grid.  Once
-    every term is validated, one `_CylinderFold` pass evaluates `field_at`
-    once per snapshot in the union of the windows, holding one field at a
-    time.  An integral is a sum times h^n times the snapshot spacing.
+    every ball and, the times being known, every window is validated, one
+    `_CylinderFold` pass evaluates `field_at` once per snapshot in the union
+    of the windows, holding one field at a time.  An integral is a sum times
+    h^n times the snapshot spacing.
     """
-    for q, _ in terms:
-        cylinder_members(traj, q)
-    fold = _CylinderFold(traj.grid, terms, lambda k, snap: field_at(k))
+    fold, times = _CylinderFold(traj.grid, terms, lambda k, snap: field_at(k)), traj.times
+    for (q, _), (a, b) in zip(fold.terms, fold.windows):
+        _require_two(q, np.count_nonzero((times > a) & (times <= b)))
     for snap in traj.snapshots:
         fold.feed(snap)
     return fold.result()
