@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -133,29 +134,31 @@ def _load_json(path: str) -> dict:
 @contextmanager
 def _snapshot_writer(outdir: Path):
     """The one snapshot writer: yields write(snapshot), which writes a run's next
-    snapshot to outdir/snap_NNNNNN.pelb, and manifest(meta), which lists them.
-    An exception in the block removes every file written and every directory
-    made, so that each snapshot on disk belongs to a manifest."""
-    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
+    snapshot as snap_NNNNNN.pelb, and manifest(meta), which lists them.  They
+    go to a fresh sibling of `outdir`, made at the first snapshot, that
+    replaces `outdir` when the block ends; an exception removes the sibling
+    instead and leaves `outdir` as it was."""
+    partial = outdir.with_name(f".{outdir.name}.partial")
     names = []
 
     def write(snap):
+        if not names:
+            shutil.rmtree(partial, ignore_errors=True)   # left by a killed run
+            partial.mkdir(parents=True)
         names.append(f"snap_{len(names):06d}.pelb")
-        write_snapshot(outdir / names[-1], snap)
+        write_snapshot(partial / names[-1], snap)
 
     def manifest(meta: dict) -> dict:
         doc = {"kind": "run", **meta, "snapshots": names}
-        (outdir / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        (partial / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return doc
     try:
         yield write, manifest
     except BaseException:
-        for name in ["manifest.json", *names]:
-            (outdir / name).unlink(missing_ok=True)
-        for d in made:   # innermost first
-            d.rmdir()
+        shutil.rmtree(partial, ignore_errors=True)
         raise
+    shutil.rmtree(outdir, ignore_errors=True)
+    partial.rename(outdir)
 
 
 def save_trajectory(traj: Trajectory, outdir: Path) -> dict:
@@ -659,7 +662,7 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
 
 def cmd_sweep(args) -> int:
     if args.threads < 0:
-        raise UsageError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
+        raise UsageError(f"--threads must be 0 (the usable CPUs) or positive, got {args.threads}")
     doc = _load_json(args.sweep)
     _check_keys(doc, {"": {"name", "base", "axes"}}, "sweep")
     if "base" not in doc:
@@ -680,8 +683,7 @@ def cmd_sweep(args) -> int:
     def cost(cell):   # planned steps x points x components
         try:
             cfg = _cell_config(doc["base"], cell, args.seed)
-            _, _, steps, _ = _planned(cfg)
-            return steps * math.prod(cfg.grid.sizes) * cfg.n_components
+            return _planned(cfg)[2] * math.prod(cfg.grid.sizes) * cfg.n_components
         except Exception:
             return 0   # the cell's run reports the error, as `work` does
 
@@ -805,7 +807,7 @@ def _build_parser() -> _Parser:
     out.add_argument("--out", default="out", help="output directory (default: out)")
     seed.add_argument("--seed", type=int, default=None, help="override the config seed")
     threads.add_argument("--threads", type=int, default=0,
-                         help="worker threads for sweeps (0 = all cores)")
+                         help="worker threads for sweeps (0 = the usable CPUs)")
 
     parser = _Parser(prog="pelab",
                      description="diffusion-system laboratory: runs, checks, sweeps")

@@ -412,7 +412,7 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
         path = self.sweep_doc(tmp_path, {})
         assert main(["sweep", path, "--out", str(tmp_path / "s"), "--threads", threads]) == 1
-        assert f"--threads must be 0 (all cores) or positive, got {threads}" \
+        assert f"--threads must be 0 (the usable CPUs) or positive, got {threads}" \
             in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
@@ -717,7 +717,7 @@ class TestStreamedSweepCells:
         real = cli.write_snapshot
 
         def flaky(path, snap):
-            if path.parent.name == cell_dir and path.name == "snap_000002.pelb":
+            if path.parent.name == f".{cell_dir}.partial" and path.name == "snap_000002.pelb":
                 path.write_bytes(b"partial")
                 raise OSError("disk full")
             real(path, snap)
@@ -742,8 +742,40 @@ class TestStreamedSweepCells:
         self.failing_third_write(monkeypatch, "heat-sin")
         with pytest.raises(OSError, match="disk full"):
             main(["run", write_doc(tmp_path, heat_doc()), "--out", str(tmp_path / "out")])
-        assert not (tmp_path / "out").exists()
+        assert list((tmp_path / "out").iterdir()) == []
         assert orphans(tmp_path) == []
+
+    def test_a_failed_rerun_leaves_the_earlier_run_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["run", write_doc(tmp_path, heat_doc()), "--out", str(out)]) == 0
+        before = tree(out)
+        bad = {**heat_doc(), "dt_override": 0.003}   # does not divide t_end = 0.01
+        assert main(["run", write_doc(tmp_path, bad), "--out", str(out)]) == 1
+        assert tree(out) == before
+        self.failing_third_write(monkeypatch, "heat-sin")
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", write_doc(tmp_path, heat_doc(t_end=0.02)), "--out", str(out)])
+        assert tree(out) == before and [p.name for p in out.iterdir()] == ["heat-sin"]
+
+    def test_a_rerun_replaces_the_earlier_run_whole(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", write_doc(tmp_path, heat_doc(t_end=0.02)), "--out", str(out)]) == 0
+        assert main(["run", write_doc(tmp_path, heat_doc()), "--out", str(out)]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["run", write_doc(tmp_path, heat_doc()), "--out", str(fresh)]) == 0
+        assert tree(out) == tree(fresh)   # no snapshot of the longer run is left over
+
+    def test_a_failed_cell_rerun_leaves_the_earlier_cell_as_it_was(self, tmp_path,
+                                                                   monkeypatch):
+        doc = write_doc(tmp_path, {"name": "sw", "base": cell_base([32]),
+                                   "axes": {"potential": ["quadratic", "cosh"]}}, "sweep.json")
+        assert main(["sweep", doc, "--out", str(tmp_path / "s"), "--threads", "2"]) == 0
+        before = tree(tmp_path / "s" / "sw" / "cosh")
+        self.failing_third_write(monkeypatch, "cosh")
+        assert main(["sweep", doc, "--out", str(tmp_path / "s"), "--threads", "2"]) == 1
+        assert tree(tmp_path / "s" / "sw" / "cosh") == before
+        assert sorted(p.name for p in (tmp_path / "s" / "sw").iterdir()) == [
+            "cosh", "quadratic", "sweep.csv", "sweep_manifest.json"]
 
 
 class TestPlantedControls:
