@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -72,14 +73,18 @@ def build_potential(doc: dict):
         raise UsageError(f"bad potential section: {exc}") from exc
 
 
-def _check_keys(doc: dict, known: dict, what: str) -> None:
+def _check_keys(doc: dict, known: dict, what: str, required=()) -> None:
     """UsageError naming every key that `known` does not list, at the top level
-    of `doc` (section "") and in each of its sections that `known` names."""
+    of `doc` (section "") and in each of its sections that `known` names, and
+    every key of `required` that the top level lacks."""
     sections = {"": doc, **{s: doc[s] for s in known if s and s in doc}}
     unknown = sorted(f"{s}.{k}".lstrip(".") for s, d in sections.items()
                      if isinstance(d, dict) for k in d if k not in known[s])
-    if unknown:
-        raise UsageError(f"bad {what}: unknown key(s) {unknown}")
+    missing = sorted(k for k in required if k not in doc)
+    problems = [f"{label} key(s) {keys}" for label, keys in
+                (("unknown", unknown), ("missing", missing)) if keys]
+    if problems:
+        raise UsageError(f"bad {what}: {', '.join(problems)}")
 
 
 def _path_name(name, what: str) -> str:
@@ -161,13 +166,6 @@ def _snapshot_writer(outdir: Path):
     partial.rename(outdir)
 
 
-def save_trajectory(traj: Trajectory, outdir: Path) -> dict:
-    with _snapshot_writer(outdir) as (write, manifest):
-        for snap in traj.snapshots:
-            write(snap)
-        return manifest(traj.meta)
-
-
 def load_trajectory(manifest_path) -> Trajectory:
     mpath = Path(manifest_path)
     manifest = json.loads(mpath.read_text())
@@ -202,37 +200,33 @@ def _ladder(base: RunConfig, sizes, run):
         yield cfg, run(cfg)
 
 
-def _check_contraction(params: dict, seed: int, run, plant=lambda traj: traj) -> CheckReport:
-    base = build_config(params["config"], seed)
-    run0 = run(replace(base, initial=params["initial0"], name=base.name + "-a"))
-    run1 = plant(run(replace(base, initial=params["initial1"], name=base.name + "-b")))
-    rep = contraction_report(run0, run1, certify_window(base.potential),
-                             name=params["name"])
-    target = params.get("decay_ratio_target")
-    if target is not None:
+def _check_contraction(run, seed, plant=lambda traj: traj, /, *, name, config, initial0,
+                       initial1, decay_ratio_target=None, decay_ratio_rtol=0.02) -> CheckReport:
+    base = build_config(config, seed)
+    run0 = run(replace(base, initial=initial0, name=base.name + "-a"))
+    run1 = plant(run(replace(base, initial=initial1, name=base.name + "-b")))
+    rep = contraction_report(run0, run1, certify_window(base.potential), name=name)
+    if decay_ratio_target is not None:
         d = rep.values["d"]
         measured = float(d[-1] / d[0]) if d[0] > 0 else float("nan")
-        rtol = params.get("decay_ratio_rtol", 0.02)
-        ok = math.isfinite(measured) and abs(measured - target) <= rtol * target
+        target, rtol = decay_ratio_target, decay_ratio_rtol
         rep.values["decay_ratio"] = measured
         rep.values["decay_ratio_target"] = target
-        if not ok:
+        if not (math.isfinite(measured) and abs(measured - target) <= rtol * target):
             rep.passed = False
             rep.witness = {"decay_ratio": measured, "target": target, "rtol": rtol}
     return rep
 
 
-def _check_sup_norm(params: dict, seed: int, run, plant=lambda traj: traj) -> CheckReport:
-    traj = plant(run(build_config(params["config"], seed)))
-    return sup_norm_report(traj, name=params["name"])
+def _check_sup_norm(run, seed, plant=lambda traj: traj, /, *, name, config) -> CheckReport:
+    return sup_norm_report(plant(run(build_config(config, seed))), name=name)
 
 
-def _check_entropy(params: dict, seed: int, run, coupled: bool) -> CheckReport:
-    base = build_config(params["config"], seed)
+def _check_entropy(run, seed, coupled: bool, /, *, name, config, sizes=(64, 128),
+                   K=None) -> CheckReport:
+    base = build_config(config, seed)
     if base.snapshot_every != 1:
         raise UsageError("entropy residual checks need snapshot_every = 1")
-    sizes = params.get("sizes", [64, 128])
-    K = params.get("K")
     if K is None:
         K = calibrate_residual_constant(with_resolution(base, sizes[0]))
     pot = base.potential
@@ -262,64 +256,53 @@ def _check_entropy(params: dict, seed: int, run, coupled: bool) -> CheckReport:
             witness = witness or {"refinement": {"coarse_pos": prev_pos,
                                                  "fine_pos": rep.values["max_pos"]}}
         prev_pos = rep.values["max_pos"]
-    return CheckReport(name=params["name"], passed=passed, tolerance={"K": K},
+    return CheckReport(name=name, passed=passed, tolerance={"K": K},
                        values={"K": K, "per_size": per_size, **extra}, witness=witness)
 
 
-def _check_morrey(params: dict, seed: int, run) -> CheckReport:
-    cfg = build_config(params["config"], seed)
-    traj = run(cfg)
-    h = cfg.grid.h
-    t0 = params.get("t0", cfg.t_end)
-    pts = [(xy, t0) for xy in _seeded_points(cfg.grid, params.get("points", 10),
-                                             seed + 1)]
-    radii = [m * h for m in params.get("radii_h", [16, 8, 4])]
-    return morrey_report(traj, pts, radii, name=params["name"])
+def _check_morrey(run, seed, /, *, name, config, t0=None, points=10,
+                  radii_h=(16, 8, 4)) -> CheckReport:
+    cfg = build_config(config, seed)
+    t0 = cfg.t_end if t0 is None else t0
+    pts = [(xy, t0) for xy in _seeded_points(cfg.grid, points, seed + 1)]
+    return morrey_report(run(cfg), pts, [m * cfg.grid.h for m in radii_h], name=name)
 
 
-def _pair_sizes(params: dict) -> list:
-    sizes = params.get("sizes", [128, 256])
+def _coarse_then_fine(name: str, base: RunConfig, sizes, run, monitor, key: str) -> CheckReport:
+    """The fine rung's report, judged against the coarse rung's `key` value.
+    `monitor(grid)` is the report function of both rungs, set up on the coarse grid."""
     if len(sizes) != 2:
-        raise UsageError(f"'{params['name']}' takes exactly two sizes (coarse, fine), "
-                         f"got {sizes}")
-    return sizes
-
-
-def _coarse_then_fine(params: dict, base: RunConfig, sizes: list, run, report,
-                      key: str) -> CheckReport:
-    """The fine rung's report, judged against the coarse rung's `key` value."""
+        raise UsageError(f"'{name}' takes exactly two sizes (coarse, fine), got {sizes}")
+    report = monitor(with_resolution(base, sizes[0]).grid)
     rungs = _ladder(base, sizes, run)
     coarse = report(next(rungs)[1])
-    rep = report(next(rungs)[1], reference=coarse.values[key], name=params["name"])
+    rep = report(next(rungs)[1], reference=coarse.values[key], name=name)
     rep.values[f"{key}_coarse"] = coarse.values[key]
     rep.values["sizes"] = sizes
     return rep
 
 
-def _check_reverse_holder(params: dict, seed: int, run) -> CheckReport:
-    base = build_config(params["config"], seed)
-    sizes = _pair_sizes(params)
-    R = params["R"]
-    t0 = params.get("t0", base.t_end)
-    centers = _seeded_points(with_resolution(base, sizes[0]).grid,
-                             params.get("cylinders", 20), seed + 2, margin=0.0)
-    cyls = [Cylinder(center=c, t0=t0, R=R) for c in centers]
-    return _coarse_then_fine(
-        params, base, sizes, run, lambda traj, **kw: reverse_holder_report(
-            traj, cyls, p=params.get("p", 2.5), **kw), "max_ratio")
+def _check_reverse_holder(run, seed, /, *, name, config, R, t0=None, sizes=(128, 256),
+                          cylinders=20, p=2.5) -> CheckReport:
+    base = build_config(config, seed)
+    t0 = base.t_end if t0 is None else t0
+
+    def monitor(grid):
+        cyls = [Cylinder(center=c, t0=t0, R=R)
+                for c in _seeded_points(grid, cylinders, seed + 2, margin=0.0)]
+        return lambda traj, **kw: reverse_holder_report(traj, cyls, p=p, **kw)
+    return _coarse_then_fine(name, base, sizes, run, monitor, "max_ratio")
 
 
-def _check_estimate_ratios(params: dict, seed: int, run) -> CheckReport:
-    base = build_config(params["config"], seed)
-    sizes = _pair_sizes(params)
-    t0 = params["t0"]
-    centers = _seeded_points(with_resolution(base, sizes[0]).grid,
-                             params.get("cylinders", 3), seed + 3)
-    pairs = [(Cylinder(center=c, t0=t0, R=params["r"]),
-              Cylinder(center=c, t0=t0, R=params["R"])) for c in centers]
-    return _coarse_then_fine(
-        params, base, sizes, run, lambda traj, **kw: estimate_ratio_report(
-            traj, base.potential, pairs, **kw), "maxima")
+def _check_estimate_ratios(run, seed, /, *, name, config, r, R, t0, sizes=(128, 256),
+                           cylinders=3) -> CheckReport:
+    base = build_config(config, seed)
+
+    def monitor(grid):
+        pairs = [(Cylinder(center=c, t0=t0, R=r), Cylinder(center=c, t0=t0, R=R))
+                 for c in _seeded_points(grid, cylinders, seed + 3)]
+        return lambda traj, **kw: estimate_ratio_report(traj, base.potential, pairs, **kw)
+    return _coarse_then_fine(name, base, sizes, run, monitor, "maxima")
 
 
 # the negative controls' plants: Trajectory -> Trajectory, run before the monitor
@@ -353,19 +336,33 @@ def _shared_run(memo: dict):
     return shared
 
 
-# check kind -> f(params, seed, run), where `run` integrates a RunConfig
+# check kind -> (function, *leading), called as function(run, seed, *leading, **keys)
+# with `run` integrating a RunConfig; the keyword-only parameters declare the kind's
+# keys and defaults, and the leading ones hold what a suite cannot set.
 _CHECKS = {
-    "contraction": _check_contraction,
-    "sup-norm": _check_sup_norm,
-    "entropy-diffusion": lambda p, s, r: _check_entropy(p, s, r, coupled=False),
-    "entropy-coupled": lambda p, s, r: _check_entropy(p, s, r, coupled=True),
-    "morrey": _check_morrey,
-    "reverse-holder": _check_reverse_holder,
-    "estimate-ratios": _check_estimate_ratios,
-    "tampered-sup": lambda p, s, r: _check_sup_norm(p, s, r, plant=_inflate_final),
-    "tampered-contraction": lambda p, s, r: _check_contraction(p, s, r,
-                                                               plant=_anti_diffuse_middle),
+    "contraction": (_check_contraction,),
+    "sup-norm": (_check_sup_norm,),
+    "entropy-diffusion": (_check_entropy, False),
+    "entropy-coupled": (_check_entropy, True),
+    "morrey": (_check_morrey,),
+    "reverse-holder": (_check_reverse_holder,),
+    "estimate-ratios": (_check_estimate_ratios,),
+    "tampered-sup": (_check_sup_norm, _inflate_final),
+    "tampered-contraction": (_check_contraction, _anti_diffuse_middle),
 }
+
+
+def _bind_check(check: dict):
+    """The check's (function, leading arguments, keys) from _CHECKS; a UsageError
+    names the check and every unknown or missing key."""
+    kind = check.get("kind")
+    if not isinstance(kind, str) or kind not in _CHECKS:
+        raise UsageError(f"unknown check kind '{kind}' in '{check['name']}'")
+    fn, *leading = _CHECKS[kind]
+    keys = [p for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
+    _check_keys(check, {"": {p.name for p in keys} | {"kind"}}, f"check '{check['name']}'",
+                required=[p.name for p in keys if p.default is p.empty])
+    return fn, leading, {k: v for k, v in check.items() if k != "kind"}
 
 
 # ---------------------------------------------------------------------------
@@ -483,22 +480,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _write_series_csv(path: Path, report: CheckReport) -> bool:
-    values = report.values
-    series = None
-    if "d" in values and "times" in values:
-        series = ("t,d", zip(values["times"], values["d"]))
-    elif "sup" in values and "times" in values:
-        series = ("t,sup,bound", zip(values["times"], values["sup"], values["bound"]))
-    elif "profiles" in values:
-        rows = []
-        for prof in values["profiles"]:
-            for R, v in zip(prof["radii"], prof["values"]):
-                rows.append((prof["t0"], R, v))
-        series = ("t0,R,quotient", iter(rows))
-    if series is None:
-        return False
-    header, rows = series
+def _write_series_csv(path: Path, report: CheckReport) -> None:
+    header, rows = report.series
     tol = report.tolerance if isinstance(report.tolerance, (int, float)) else ""
     with open(path, "w", newline="") as fh:
         fh.write(f"check,{report.name},config_hash,{report.provenance},tolerance,{tol}\n")
@@ -507,42 +490,39 @@ def _write_series_csv(path: Path, report: CheckReport) -> bool:
         for row in rows:
             w.writerow([f"{x:.17g}" if isinstance(x, (float, np.floating)) else x
                         for x in row])
-    return True
 
 
 def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> list[CheckReport]:
-    names = [c.get("name") for c in suite.get("checks", [])]
+    checks = suite.get("checks", [])
+    names = [c.get("name") for c in checks]
     if len(names) != len(set(names)) or None in names:
         raise UsageError("check names must be present and unique")
     for name in names:
         _path_name(name, "check name")
+    bound = [_bind_check(c) for c in checks]   # every check, before any file or run
     seed = int(seed_override if seed_override is not None else suite.get("seed", 0))
     outdir.mkdir(parents=True, exist_ok=True)
     reports = []
     files = []
     # consecutive checks whose configs differ at most in `name` share one memo
-    checks = suite.get("checks", [])
-    bare = [{**c["config"], "name": None} if isinstance(c.get("config"), dict) else object()
+    bare = [{**c["config"], "name": None} if isinstance(c["config"], dict) else object()
             for c in checks]
-    for i, check in enumerate(checks):
-        kind = check.get("kind")
-        if kind not in _CHECKS:
-            raise UsageError(f"unknown check kind '{kind}' in '{check['name']}'")
+    for i, (fn, leading, keys) in enumerate(bound):
         if i == 0 or bare[i] != bare[i - 1]:
             memo = {}   # a new group: the last group's runs are dropped
         shared = bare[i] in bare[max(i - 1, 0):i] + bare[i + 1:i + 2]
         try:
-            rep = _CHECKS[kind](check, seed, _shared_run(memo) if shared else run)
+            rep = fn(_shared_run(memo) if shared else run, seed, *leading, **keys)
         except Exception as exc:  # crashes are recorded as failures, suite continues
-            rep = CheckReport(name=check["name"], passed=False,
+            rep = CheckReport(name=keys["name"], passed=False,
                               values={"error": f"{type(exc).__name__}: {exc}",
                                       "traceback": traceback.format_exc()})
         rpath = outdir / f"{rep.name}.report.json"
         rpath.write_text(json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n")
         files.append(rpath.name)
-        spath = outdir / f"{rep.name}.series.csv"
-        if _write_series_csv(spath, rep):
-            files.append(spath.name)
+        if rep.series is not None:
+            files.append(f"{rep.name}.series.csv")
+            _write_series_csv(outdir / files[-1], rep)
         reports.append(rep)
     with open(outdir / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)

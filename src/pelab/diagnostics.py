@@ -54,6 +54,7 @@ class CheckReport:
     tolerance: float | dict | None = None
     provenance: str = ""
     witness: dict | None = None
+    series: tuple[str, list] | None = None   # (CSV header, rows); not in to_json
 
     def to_json(self) -> dict:
         def conv(x):
@@ -193,7 +194,8 @@ def contraction_report(traj0: Trajectory, traj1: Trajectory,
         provenance=_provenance(traj0, traj1), witness=witness,
         values={"times": times, "d": d, "monotone": monotone,
                 "weighted_monotone": weighted_monotone,
-                "lam": window.lam, "rate_fit": rate})
+                "lam": window.lam, "rate_fit": rate},
+        series=("t,d", list(zip(times, d))))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +225,8 @@ def sup_norm_report(traj: Trajectory, tol: float = 1e-10,
     return CheckReport(name=name, passed=passed, tolerance=tol,
                        provenance=_provenance(traj),
                        values={"times": traj.times, "sup": np.array(sups),
-                               "bound": np.array(bounds)}, witness=witness)
+                               "bound": np.array(bounds)}, witness=witness,
+                       series=("t,sup,bound", list(zip(traj.times, sups, bounds))))
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +450,14 @@ def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[flo
                   decay_factor: float = 0.5, name: str = "morrey") -> CheckReport:
     """Decay check: the smallest-R quotient is at most `decay_factor` times the largest-R one."""
     profiles = []
+    rows = []
     witness = None
     passed = True
     for pt, prof in zip(points, morrey_profile(traj, points, radii, g=g)):
         profiles.append({"point": list(pt[0]), "t0": pt[1],
                          "radii": [r for r, _ in prof],
                          "values": [v for _, v in prof]})
+        rows.extend((pt[1], r, v) for r, v in prof)
         largest, smallest = prof[0][1], prof[-1][1]
         ok = smallest <= decay_factor * largest or (largest == 0.0 and smallest == 0.0)
         if passed and not ok:
@@ -460,8 +465,8 @@ def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[flo
             witness = {"point": list(pt[0]), "t0": pt[1],
                        "value_smallest_R": smallest, "value_largest_R": largest}
     return CheckReport(name=name, passed=passed, tolerance=decay_factor,
-                       provenance=_provenance(traj),
-                       values={"profiles": profiles}, witness=witness)
+                       provenance=_provenance(traj), values={"profiles": profiles},
+                       witness=witness, series=("t0,R,quotient", rows))
 
 
 # ---------------------------------------------------------------------------

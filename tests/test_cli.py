@@ -1,7 +1,12 @@
 import csv
+import functools
 import gc
+import importlib.util
 import json
+import sys
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +256,11 @@ class TestVerifyCommand:
         assert rep["passed"] is False and "error" in rep["values"]
         rep2 = json.loads((tmp_path / "v" / "crash" / "fine.report.json").read_text())
         assert rep2["passed"] is True
+        # a crashed check writes no series file; the sup-norm series of the other one
+        manifest = json.loads((tmp_path / "v" / "crash" / "suite_manifest.json").read_text())
+        assert manifest["files"] == ["boom.report.json", "fine.report.json",
+                                     "fine.series.csv", "summary.csv"]
+        assert not (tmp_path / "v" / "crash" / "boom.series.csv").exists()
 
     def test_crash_report_keeps_the_traceback(self, tmp_path):
         doc = heat_doc(size=64, t_end=0.002)
@@ -346,12 +356,13 @@ class TestSuiteMemo:
             return traj
         monkeypatch.setattr(cli, "run", tracked)
         seen = {}   # check name -> (handed the plain run?, which earlier runs are alive)
-        for kind, check in list(cli._CHECKS.items()):
-            def spy(params, seed, run, check=check):
+        for kind, (check, *leading) in list(cli._CHECKS.items()):
+            @functools.wraps(check)   # the spy declares the keys its check declares
+            def spy(run, seed, *lead, check=check, **keys):
                 gc.collect()
-                seen[params["name"]] = (run is tracked, [r() is not None for r in made])
-                return check(params, seed, run)
-            monkeypatch.setitem(cli._CHECKS, kind, spy)
+                seen[keys["name"]] = (run is tracked, [r() is not None for r in made])
+                return check(run, seed, *lead, **keys)
+            monkeypatch.setitem(cli._CHECKS, kind, (spy, *leading))
         shared = heat_doc(size=32, t_end=0.002)
         run_suite({"name": "memo", "checks": [
             {"name": "ent", "kind": "entropy-diffusion", "sizes": [16, 32],
@@ -524,6 +535,157 @@ class TestTopLevelKeys:
             assert set(suite) == {"name", "seed", "checks"}
 
 
+CONTRACTION_KEYS = {"initial0": {"kind": "mode", "k": [1], "amplitude": 0.5},
+                    "initial1": {"kind": "mode", "k": [1], "amplitude": 0.3}}
+# kind -> (its required keys besides `name` and `config`, the key the missing-key test drops)
+EVERY_KIND = {
+    "contraction": (CONTRACTION_KEYS, "initial1"),
+    "sup-norm": ({}, "config"),
+    "entropy-diffusion": ({}, "config"),
+    "entropy-coupled": ({}, "config"),
+    "morrey": ({}, "config"),
+    "reverse-holder": ({"R": 0.05}, "R"),
+    "estimate-ratios": ({"r": 0.05, "R": 0.1, "t0": 0.0005}, "t0"),
+    "tampered-sup": ({}, "config"),
+    "tampered-contraction": (CONTRACTION_KEYS, "initial0"),
+}
+
+
+class TestCheckKeys:
+    """A check kind's keys are the keyword-only parameters of its function; every
+    check of a suite is bound to them before anything runs or is written."""
+
+    def rejected(self, tmp_path, capsys, monkeypatch, suite, err):
+        keys = counting_runs(monkeypatch)
+        path = write_doc(tmp_path, suite, "suite.json")
+        assert main(["verify", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists() and keys == []
+
+    def test_every_kind_is_covered(self):
+        assert set(EVERY_KIND) == set(cli._CHECKS)
+
+    @pytest.mark.parametrize("kind", sorted(EVERY_KIND))
+    def test_an_unknown_key(self, tmp_path, capsys, monkeypatch, kind):
+        check = {**small_check("c"), "kind": kind, **EVERY_KIND[kind][0], "bogus": 1}
+        self.rejected(tmp_path, capsys, monkeypatch, {"name": "s", "checks": [check]},
+                      "error: bad check 'c': unknown key(s) ['bogus']\n")
+
+    @pytest.mark.parametrize("kind", sorted(EVERY_KIND))
+    def test_a_missing_required_key(self, tmp_path, capsys, monkeypatch, kind):
+        extra, dropped = EVERY_KIND[kind]
+        check = {**small_check("c"), "kind": kind, **extra}
+        del check[dropped]
+        self.rejected(tmp_path, capsys, monkeypatch, {"name": "s", "checks": [check]},
+                      f"error: bad check 'c': missing key(s) ['{dropped}']\n")
+
+    def test_every_problem_of_a_check_is_named_at_once(self, tmp_path, capsys, monkeypatch):
+        check = {**small_check("c"), "kind": "estimate-ratios", "rr": 0.05, "R": 0.1,
+                 "cylindres": 3}
+        self.rejected(tmp_path, capsys, monkeypatch, {"name": "s", "checks": [check]},
+                      "error: bad check 'c': unknown key(s) ['cylindres', 'rr'], "
+                      "missing key(s) ['r', 't0']\n")
+
+    def test_the_misspelt_morrey_keys_of_paper_core(self, tmp_path, capsys, monkeypatch):
+        suite = paper_core_suite(64)
+        morrey = next(c for c in suite["checks"] if c["kind"] == "morrey")
+        morrey["pointz"] = morrey.pop("points")
+        morrey["radii"] = [16, 8, 4]
+        self.rejected(tmp_path, capsys, monkeypatch, suite,
+                      "error: bad check 'morrey': unknown key(s) ['pointz', 'radii']\n")
+
+    @pytest.mark.parametrize("kind", ["sup_norm", ["sup-norm"], None])
+    def test_a_bad_kind_after_valid_checks_leaves_nothing(self, tmp_path, capsys,
+                                                          monkeypatch, kind):
+        suite = paper_core_suite(64)
+        suite["checks"][3]["kind"] = kind
+        self.rejected(tmp_path, capsys, monkeypatch, suite,
+                      f"error: unknown check kind '{kind}' in 'boundedness-bands'\n")
+
+    @pytest.mark.parametrize("suite", [paper_core_suite(64), paper_core_suite(128),
+                                       cli.negative_control_suite()],
+                             ids=["paper-core-64", "paper-core-128", "negative-control"])
+    def test_the_built_in_suites_bind(self, suite):
+        for check in suite["checks"]:
+            fn, leading, keys = cli._bind_check(check)
+            assert (fn, *leading) == cli._CHECKS[check["kind"]]
+            assert keys == {k: v for k, v in check.items() if k != "kind"}
+
+    @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
+    def test_the_benchmark_documents_bind(self, monkeypatch, tiny):
+        # read only: a kind change must not make a benchmark workload exit 1
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)    # leave perfbench/ as it is
+        spec.loader.exec_module(workloads)
+        for w in workloads.WORKLOADS.values():
+            doc = w.document(7, tiny)
+            if w.command == "verify":
+                cli._check_keys(doc, {"": {"name", "seed", "checks"}}, "suite")
+                for check in doc["checks"]:
+                    cli._bind_check(check)
+                    cli.build_config(check["config"])
+            else:
+                cli._check_keys(doc, {"": {"name", "base", "axes"}}, "sweep")
+                cli.build_config(doc["base"])
+                cli._sweep_cells(doc)
+
+
+def frozen_write_series_csv(path, report):
+    """The series writer as it was when it picked a report's series from its values,
+    kept as an oracle."""
+    values = report.values
+    series = None
+    if "d" in values and "times" in values:
+        series = ("t,d", zip(values["times"], values["d"]))
+    elif "sup" in values and "times" in values:
+        series = ("t,sup,bound", zip(values["times"], values["sup"], values["bound"]))
+    elif "profiles" in values:
+        rows = []
+        for prof in values["profiles"]:
+            for R, v in zip(prof["radii"], prof["values"]):
+                rows.append((prof["t0"], R, v))
+        series = ("t0,R,quotient", iter(rows))
+    if series is None:
+        return False
+    header, rows = series
+    tol = report.tolerance if isinstance(report.tolerance, (int, float)) else ""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"check,{report.name},config_hash,{report.provenance},tolerance,{tol}\n")
+        fh.write(header + "\n")
+        w = csv.writer(fh)
+        for row in rows:
+            w.writerow([f"{x:.17g}" if isinstance(x, (float, np.floating)) else x
+                        for x in row])
+    return True
+
+
+class TestSeries:
+    """Each report sets its own series; the writer reads nothing else."""
+
+    def test_the_series_files_are_those_picked_from_the_values(self, tmp_path):
+        reports = {tmp_path / "v" / "paper-core": run_suite(paper_core_suite(64),
+                                                            tmp_path / "v" / "paper-core"),
+                   tmp_path / "v" / "neg": run_suite(cli.negative_control_suite(),
+                                                     tmp_path / "v" / "neg")}
+        written = []
+        for outdir, reps in reports.items():
+            for rep in reps:
+                got = outdir / f"{rep.name}.series.csv"
+                assert frozen_write_series_csv(tmp_path / "oracle.csv", rep) == got.exists()
+                if got.exists():
+                    written.append(rep.name)
+                    assert got.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+                    cli._write_series_csv(tmp_path / "bare.csv", replace(rep, values={}))
+                    assert (tmp_path / "bare.csv").read_bytes() == got.read_bytes()
+        assert written == ["contraction-cosh", "contraction-heat-rate", "boundedness-bump",
+                           "boundedness-bands", "morrey", "injected-sup-growth",
+                           "injected-contraction-growth"]
+        assert all("series" not in rep.to_json() for reps in reports.values() for rep in reps)
+
+
 class TestSweepPotentialAxis:
     def test_a_named_potential_replaces_a_table_base(self, tmp_path):
         base = {**heat_doc(size=32, t_end=0.002), "potential": TABLE_QUAD}
@@ -551,9 +713,10 @@ class TestSweepPotentialAxis:
 
 def frozen_run_cell(base_doc, cell, outdir, seed):
     """The sweep cell as it was composed before cells streamed, kept as an oracle:
-    run, then save_trajectory, then entropy_residual_diffusion, then morrey_profile."""
+    run, then write every snapshot and the manifest, then entropy_residual_diffusion,
+    then morrey_profile."""
     from pelab import (build_entropy, certify_window, entropy_residual_diffusion,
-                       morrey_profile, run, vector_norm, with_resolution)
+                       morrey_profile, run, vector_norm, with_resolution, write_snapshot)
     doc = json.loads(json.dumps(base_doc))
     if "potential" in cell:
         doc["potential"].pop("table", None)
@@ -563,7 +726,13 @@ def frozen_run_cell(base_doc, cell, outdir, seed):
     if "resolution" in cell:
         cfg = with_resolution(cfg, int(cell["resolution"]))
     traj = run(cfg)
-    cli.save_trajectory(traj, outdir / cell["label"])
+    cell_dir = outdir / cell["label"]
+    cell_dir.mkdir(parents=True)
+    names = [f"snap_{k:06d}.pelb" for k in range(len(traj.snapshots))]
+    for name, snap in zip(names, traj.snapshots):
+        write_snapshot(cell_dir / name, snap)
+    (cell_dir / "manifest.json").write_text(json.dumps(
+        {"kind": "run", **traj.meta, "snapshots": names}, sort_keys=True, indent=2) + "\n")
     row = dict.fromkeys(cli._SWEEP_FIELDS, "")
     row.update(label=cell["label"], potential=cfg.potential.id,
                size=cfg.grid.sizes[0], seed=cfg.seed,
