@@ -35,7 +35,7 @@ def make(size, system, init):
 
 
 print("== solver consistency: coupled vs diffusion terminal sup difference")
-init = {"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 3}
+init = {"kind": "bands", "kmax": 3, "amplitude": 0.5}
 errs = {}
 for size in (64, 128, 256):
     td, tc = make(size, "diffusion", init), make(size, "coupled", init)
@@ -45,7 +45,7 @@ print(f"   shrink 128 -> 256: {errs[128] / errs[256]:.2f}x (second order)")
 print()
 
 print("== coupled entropy residual, data bounded away from zero")
-offset = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "seed": 11, "offset": [0.8]}
+offset = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "offset": [0.8]}
 for size in (64, 128):
     traj = make(size, "coupled", offset)
     rep = entropy_residual_coupled(traj, cc, pars.s, pars.c)

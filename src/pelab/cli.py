@@ -37,12 +37,12 @@ from .diagnostics import (CheckReport, _diffusion_fold, _morrey,
                           entropy_residual_diffusion, estimate_ratio_report,
                           morrey_report, reverse_holder_report, sup_norm_report)
 from .errors import DomainAbort
-from .grid import (Cylinder, GridSpec, Trajectory, _CylinderFold, read_snapshot,
-                   vector_norm, write_snapshot)
+from .grid import (Cylinder, GridSpec, Trajectory, _CylinderFold, vector_norm,
+                   write_snapshot)
 from .potentials import (build_entropy, certify_window, coupled_decomposition,
                          from_piecewise_poly, get_potential)
-from .solver import (RunConfig, _planned, config_hash, run, step_diffusion,
-                     with_resolution)
+from .solver import (RunConfig, _initial_family, _planned, config_hash, run,
+                     step_diffusion, with_resolution)
 
 
 class UsageError(Exception):
@@ -87,6 +87,12 @@ def _check_keys(doc: dict, known: dict, what: str, required=()) -> None:
         raise UsageError(f"bad {what}: {', '.join(problems)}")
 
 
+def _keywords(fn) -> dict:
+    """Name -> default of fn's keyword-only parameters: a check kind's or a family's keys."""
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values()
+            if p.kind is p.KEYWORD_ONLY}
+
+
 def _path_name(name, what: str) -> str:
     """`name`, if it is one plain path component; UsageError otherwise."""
     if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
@@ -99,6 +105,9 @@ def build_config(doc: dict, seed_override: int | None = None) -> RunConfig:
                   "snapshot_every", "initial", "boundary_values", "dt_override", "name"},
              "grid": {"sizes", "h", "boundary"}, "potential": {"id", "r_max", "table"}}
     try:
+        initial = doc["initial"] if "initial" in doc else {"kind": "mode"}
+        if isinstance(initial, dict):   # the keys of its family's function
+            known["initial"] = {"kind", *_keywords(_initial_family(initial)[0])}
         _check_keys(doc, known, "run config")
         grid = build_grid(doc["grid"])
         pot = build_potential(doc["potential"])
@@ -112,7 +121,7 @@ def build_config(doc: dict, seed_override: int | None = None) -> RunConfig:
             system=doc.get("system", "diffusion"),
             cfl_sigma=float(doc.get("cfl_sigma", 0.9)),
             snapshot_every=int(doc.get("snapshot_every", 1)),
-            initial=doc.get("initial", {"kind": "mode"}),
+            initial=initial,
             seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
             boundary_values=tuple(bv) if bv is not None else None,
             dt_override=float(dt) if dt is not None else None,
@@ -166,14 +175,6 @@ def _snapshot_writer(outdir: Path):
     partial.rename(outdir)
 
 
-def load_trajectory(manifest_path) -> Trajectory:
-    mpath = Path(manifest_path)
-    manifest = json.loads(mpath.read_text())
-    snaps = tuple(read_snapshot(mpath.parent / f) for f in manifest["snapshots"])
-    meta = {k: v for k, v in manifest.items() if k not in ("snapshots", "kind")}
-    return Trajectory(snapshots=snaps, dt=manifest["dt"], meta=meta)
-
-
 # ---------------------------------------------------------------------------
 # verification checks
 
@@ -202,10 +203,10 @@ def _ladder(base: RunConfig, sizes, run):
 
 def _check_contraction(run, seed, plant=lambda traj: traj, /, *, name, config, initial0,
                        initial1, decay_ratio_target=None, decay_ratio_rtol=0.02) -> CheckReport:
-    base = build_config(config, seed)
-    run0 = run(replace(base, initial=initial0, name=base.name + "-a"))
-    run1 = plant(run(replace(base, initial=initial1, name=base.name + "-b")))
-    rep = contraction_report(run0, run1, certify_window(base.potential), name=name)
+    base0, base1 = (build_config({**config, "initial": i}, seed) for i in (initial0, initial1))
+    run0 = run(replace(base0, name=base0.name + "-a"))
+    run1 = plant(run(replace(base1, name=base1.name + "-b")))
+    rep = contraction_report(run0, run1, certify_window(base0.potential), name=name)
     if decay_ratio_target is not None:
         d = rep.values["d"]
         measured = float(d[-1] / d[0]) if d[0] > 0 else float("nan")
@@ -359,9 +360,9 @@ def _bind_check(check: dict):
     if not isinstance(kind, str) or kind not in _CHECKS:
         raise UsageError(f"unknown check kind '{kind}' in '{check['name']}'")
     fn, *leading = _CHECKS[kind]
-    keys = [p for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
-    _check_keys(check, {"": {p.name for p in keys} | {"kind"}}, f"check '{check['name']}'",
-                required=[p.name for p in keys if p.default is p.empty])
+    keys = _keywords(fn)
+    _check_keys(check, {"": {*keys, "kind"}}, f"check '{check['name']}'",
+                required=[k for k, default in keys.items() if default is inspect.Parameter.empty])
     return fn, leading, {k: v for k, v in check.items() if k != "kind"}
 
 
@@ -378,9 +379,8 @@ def paper_core_suite(size: int = 128) -> dict:
 
     cosh = {"id": "cosh", "r_max": 1.0}
     quad = {"id": "quadratic", "r_max": 2.0}
-    bands = {"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 11}
-    offset_bands = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "seed": 11,
-                    "offset": [0.8]}
+    bands = {"kind": "bands", "kmax": 3, "amplitude": 0.5}
+    offset_bands = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "offset": [0.8]}
     return {
         "name": "paper-core",
         "seed": 11,
@@ -389,7 +389,7 @@ def paper_core_suite(size: int = 128) -> dict:
              "config": {"grid": dgrid(size), "components": 1, "potential": cosh,
                         "t_end": 0.05, "snapshot_every": 25, "name": "contraction-cosh"},
              "initial0": {"kind": "mode", "k": [1], "amplitude": 0.5},
-             "initial1": {"kind": "bands", "kmax": 3, "amplitude": 0.4, "seed": 7}},
+             "initial1": {"kind": "bands", "kmax": 3, "amplitude": 0.4}},
             {"name": "contraction-heat-rate", "kind": "contraction",
              "config": {"grid": dgrid(size), "components": 1, "potential": quad,
                         "t_end": 0.05, "snapshot_every": 25, "name": "contraction-heat"},
@@ -446,8 +446,7 @@ def negative_control_suite(size: int = 64) -> dict:
             {"name": "injected-sup-growth", "kind": "tampered-sup",
              "config": {"grid": grid, "components": 1, "potential": cosh,
                         "t_end": 0.005, "snapshot_every": 4, "name": "neg-sup",
-                        "initial": {"kind": "bands", "kmax": 2, "amplitude": 0.5,
-                                    "seed": 3}}},
+                        "initial": {"kind": "bands", "kmax": 2, "amplitude": 0.5}}},
             {"name": "injected-contraction-growth", "kind": "tampered-contraction",
              "config": {"grid": dgrid, "components": 1, "potential": cosh,
                         "t_end": 0.02, "snapshot_every": 10, "name": "neg-contr"},
@@ -494,11 +493,13 @@ def _write_series_csv(path: Path, report: CheckReport) -> None:
 
 def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> list[CheckReport]:
     checks = suite.get("checks", [])
-    names = [c.get("name") for c in checks]
-    if len(names) != len(set(names)) or None in names:
-        raise UsageError("check names must be present and unique")
-    for name in names:
-        _path_name(name, "check name")
+    for check in checks:   # each an object with a plain name, before any name is compared
+        if not isinstance(check, dict):
+            raise UsageError(f"check {check!r} is not an object")
+        _path_name(check.get("name"), "check name")
+    names = [c["name"] for c in checks]
+    if len(names) != len(set(names)):
+        raise UsageError(f"check names must be unique, got {names}")
     bound = [_bind_check(c) for c in checks]   # every check, before any file or run
     seed = int(seed_override if seed_override is not None else suite.get("seed", 0))
     outdir.mkdir(parents=True, exist_ok=True)

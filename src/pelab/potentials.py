@@ -10,9 +10,9 @@ directions c, and H(r) = phi'(r) - integral of phi'(s)/s.
 Radial formulas are evaluated with two guards: |z| below 1e-12 is treated as
 zero, and phi'(r)/r is replaced by its Taylor value phi''(0) for r < 1e-6 to
 avoid catastrophic cancellation (the quotient divides by max(r, 1e-6), so
-never by zero).  `radial_slope` and `grad_Phi_field` write into buffers
-given as `out=`/`work=`, the diffusion step's workspace; left out, the same
-code runs on fresh ones.
+never by zero).  `grad_Phi_field` writes into buffers given as
+`out=`/`work=`, the diffusion step's workspace; left out, the same code runs
+on fresh ones.
 """
 
 from __future__ import annotations
@@ -255,14 +255,10 @@ def _slope(phi1, r: np.ndarray, phi2_0: float, out: np.ndarray,
     return out
 
 
-def radial_slope(p: RadialPotential, r: np.ndarray, out: np.ndarray | None = None,
-                 mask: np.ndarray | None = None) -> np.ndarray:
-    """phi'(r)/r with the Taylor extension phi''(0) below EPS_TAYLOR.
-
-    `out` (float) and `mask` (bool), shaped like r, are allocated when left out.
-    """
+def radial_slope(p: RadialPotential, r: np.ndarray) -> np.ndarray:
+    """phi'(r)/r with the Taylor extension phi''(0) below EPS_TAYLOR."""
     r = np.asarray(r, dtype=float)
-    out = _slope(p.phi1(r), r, p.phi2_0, np.empty_like(r) if out is None else out, mask)
+    out = _slope(p.phi1(r), r, p.phi2_0, np.empty_like(r))
     return out if out.ndim else out[()]
 
 

@@ -133,18 +133,17 @@ def step_diffusion(state: FieldState, p: RadialPotential, dt: float) -> FieldSta
 
 
 # ---------------------------------------------------------------------------
-# initial data
+# initial data: one function per family, whose keyword-only parameters are its keys
 
-def _unit_direction(direction, n_components: int) -> np.ndarray:
-    if direction is None:
-        return np.eye(n_components)[0]
-    d = np.asarray(direction, dtype=float)
+def _unit_direction(direction, grid: GridSpec, n_components: int, axis: int = 0):
+    """`direction` normalised (by default e_axis), shaped to broadcast over grid axes."""
+    d = np.eye(n_components)[axis] if direction is None else np.asarray(direction, dtype=float)
     if d.shape != (n_components,):
         raise ValueError(f"direction must have {n_components} entries")
     norm = float(np.sqrt(np.sum(d * d)))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    return d / norm
+    return (d / norm).reshape((n_components,) + (1,) * grid.n)
 
 
 def _mode_field(grid: GridSpec, k, phases) -> np.ndarray:
@@ -156,91 +155,95 @@ def _mode_field(grid: GridSpec, k, phases) -> np.ndarray:
     for a in range(grid.n):
         x = grid.coords(a).reshape([-1 if b == a else 1 for b in range(grid.n)])
         L = grid.extent(a)
-        if grid.periodic:
-            f = f * np.sin(2.0 * np.pi * ks[a] * x / L + phases[a])
-        else:
-            if ks[a] < 1:
-                raise ValueError("Dirichlet modes need wavenumbers >= 1")
-            f = f * np.sin(np.pi * ks[a] * x / L)
+        if not grid.periodic and ks[a] < 1:
+            raise ValueError("Dirichlet modes need wavenumbers >= 1")
+        f = f * np.sin(2.0 * np.pi * ks[a] * x / L + phases[a] if grid.periodic
+                       else np.pi * ks[a] * x / L)
     return f
 
 
-def _bump_field(grid: GridSpec, center, width: float) -> np.ndarray:
+def _bump_field(grid: GridSpec, center, width: float, at: float) -> np.ndarray:
+    """A radial Gaussian about `center`, or about the point at `at` of every axis."""
+    center = tuple(at * grid.extent(a) for a in range(grid.n)) if center is None else center
     return np.exp(-_dist2(grid, center) / (2.0 * width * width))
 
 
+def constant(grid, n_components, rng, /, *, amplitude=0.5, value=None) -> np.ndarray:
+    """`value` at every point, or `amplitude` in every component."""
+    vals = np.full(n_components, float(amplitude)) if value is None else np.asarray(value, float)
+    if vals.shape != (n_components,):
+        raise ValueError(f"constant value must have {n_components} entries")
+    return vals.reshape((n_components,) + (1,) * grid.n) * np.ones(grid.sizes)
+
+
+def mode(grid, n_components, rng, /, *, amplitude=0.5, k=1, phase=0.0,
+         direction=None) -> np.ndarray:
+    """A separable sine, wavenumber `k` on every axis or one per axis."""
+    amp, d = float(amplitude), _unit_direction(direction, grid, n_components)
+    return amp * d * _mode_field(grid, k, [float(phase)] * grid.n)[None]
+
+
+def bands(grid, n_components, rng, /, *, amplitude=0.5, kmax=3, offset=None) -> np.ndarray:
+    """Seeded sum of the modes 1..kmax per axis, sup |u| <= amplitude at any resolution."""
+    amp, kmax = float(amplitude), int(kmax)
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    fields = np.zeros((n_components, *grid.sizes))
+    l1 = np.zeros(n_components)
+    for c in range(n_components):
+        for kidx in np.ndindex(*([kmax] * grid.n)):
+            coeff = float(rng.standard_normal())
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n)
+            fields[c] += coeff * _mode_field(grid, [k + 1 for k in kidx], phases)
+            l1[c] += abs(coeff)
+    fields *= amp / math.sqrt(float(np.sum(l1 * l1)))
+    if offset is not None:
+        off = np.asarray(offset, dtype=float)
+        if off.shape != (n_components,):
+            raise ValueError(f"offset must have {n_components} entries")
+        fields += off.reshape((n_components,) + (1,) * grid.n)
+    return fields
+
+
+def bump(grid, n_components, rng, /, *, amplitude=0.5, direction=None, center=None,
+         width=None) -> np.ndarray:
+    """A radial Gaussian, by default at the box centre with width extent/8."""
+    amp, d = float(amplitude), _unit_direction(direction, grid, n_components)
+    w = float(grid.extent(0) / 8.0 if width is None else width)
+    return amp * d * _bump_field(grid, center, w, 0.5)[None]
+
+
+def two_bump(grid, n_components, rng, /, *, amplitude=0.5, center1=None, center2=None,
+             width=None, direction1=None, direction2=None) -> np.ndarray:
+    """Gaussians of width extent/10 at 1/4 and 3/4 of the box, along the first and
+    second axes of R^N (the first when N = 1) unless directed; sup |u| = amplitude."""
+    amp, w = float(amplitude), float(grid.extent(0) / 10.0 if width is None else width)
+    d1 = _unit_direction(direction1, grid, n_components)
+    d2 = _unit_direction(direction2, grid, n_components, min(1, n_components - 1))
+    out = (d1 * _bump_field(grid, center1, w, 0.25)[None]
+           + d2 * _bump_field(grid, center2, w, 0.75)[None])
+    sup = float(vector_norm(out).max())
+    return out * (amp / sup) if sup > 0 else out
+
+
+_FAMILIES = {f.__name__: f for f in (constant, mode, bands, bump, two_bump)}
+
+
+def _initial_family(spec: dict):
+    """(family, its keys) of an initial-data section; the kind defaults to "mode"."""
+    keys = dict(spec)
+    kind = keys.pop("kind", "mode")
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise ValueError(f"unknown initial-data kind '{kind}'")
+    return _FAMILIES[kind], keys
+
+
 def initial_field(grid: GridSpec, n_components: int, spec: dict, seed: int) -> np.ndarray:
-    """Named reproducible initial-data families.
-
-    kinds: "mode" (separable sine), "bands" (seeded band-limited sum, sup-norm
-    bounded by the amplitude independent of resolution), "bump" (radial
-    Gaussian), "two_bump" (colliding pair), "constant".  Random draws depend
-    only on the seed and the family parameters, never on the grid, so one seed
-    denotes one continuum datum across resolutions.
-    """
-    kind = spec.get("kind", "mode")
-    amp = float(spec.get("amplitude", 0.5))
-    rng = np.random.default_rng(seed)
-    centers_default = tuple(0.5 * grid.extent(a) for a in range(grid.n))
-
-    if kind == "constant":
-        vals = np.asarray(spec.get("value", [amp] * n_components), dtype=float)
-        if vals.shape != (n_components,):
-            raise ValueError(f"constant value must have {n_components} entries")
-        return np.broadcast_to(vals.reshape((n_components,) + (1,) * grid.n),
-                               (n_components, *grid.sizes)).copy()
-
-    if kind == "mode":
-        d = _unit_direction(spec.get("direction"), n_components)
-        f = _mode_field(grid, spec.get("k", [1] * grid.n),
-                        [float(spec.get("phase", 0.0))] * grid.n)
-        return amp * d.reshape((n_components,) + (1,) * grid.n) * f[None]
-
-    if kind == "bands":
-        kmax = int(spec.get("kmax", 3))
-        if kmax < 1:
-            raise ValueError("kmax must be at least 1")
-        modes = [tuple(idx) for idx in np.ndindex(*([kmax] * grid.n))]
-        fields = np.zeros((n_components, *grid.sizes))
-        l1 = np.zeros(n_components)
-        for c in range(n_components):
-            for kidx in modes:
-                coeff = float(rng.standard_normal())
-                phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n)
-                fields[c] += coeff * _mode_field(grid, [k + 1 for k in kidx], phases)
-                l1[c] += abs(coeff)
-        scale = amp / math.sqrt(float(np.sum(l1 * l1)))
-        fields *= scale
-        offset = spec.get("offset")
-        if offset is not None:
-            off = np.asarray(offset, dtype=float)
-            if off.shape != (n_components,):
-                raise ValueError(f"offset must have {n_components} entries")
-            fields += off.reshape((n_components,) + (1,) * grid.n)
-        return fields
-
-    if kind == "bump":
-        d = _unit_direction(spec.get("direction"), n_components)
-        center = spec.get("center", centers_default)
-        width = float(spec.get("width", grid.extent(0) / 8.0))
-        f = _bump_field(grid, center, width)
-        return amp * d.reshape((n_components,) + (1,) * grid.n) * f[None]
-
-    if kind == "two_bump":
-        c1 = spec.get("center1", tuple(0.25 * grid.extent(a) for a in range(grid.n)))
-        c2 = spec.get("center2", tuple(0.75 * grid.extent(a) for a in range(grid.n)))
-        w = float(spec.get("width", grid.extent(0) / 10.0))
-        d1 = _unit_direction(spec.get("direction1"), n_components)
-        d2 = (np.eye(n_components)[1] if n_components > 1 and "direction2" not in spec
-              else _unit_direction(spec.get("direction2"), n_components))
-        f1 = _bump_field(grid, c1, w)
-        f2 = _bump_field(grid, c2, w)
-        out = (d1.reshape((n_components,) + (1,) * grid.n) * f1[None]
-               + d2.reshape((n_components,) + (1,) * grid.n) * f2[None])
-        sup = float(vector_norm(out).max())
-        return out * (amp / sup) if sup > 0 else out
-
-    raise ValueError(f"unknown initial-data kind '{kind}'")
+    """The state `spec` names: its `kind` (default "mode") picks a family, its other
+    keys are the family's.  Draws depend on the seed and those keys, never on the
+    grid, so one seed denotes one continuum datum across resolutions."""
+    family, keys = _initial_family(spec)
+    return family(grid, n_components, np.random.default_rng(seed), **keys)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def dgrid(size):
     return GridSpec(n=1, sizes=(size,), h=1.0 / (size - 1), boundary=DIRICHLET)
 
 
-BANDS = {"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 11}
+BANDS = {"kind": "bands", "kmax": 3, "amplitude": 0.5}
 
 
 def test_01_heat_oracle():
@@ -92,7 +92,7 @@ def test_03_h1_contraction():
 
     rep = contraction_report(drun(COSH, {"kind": "mode", "k": [1], "amplitude": 0.5}),
                              drun(COSH, {"kind": "bands", "kmax": 3,
-                                         "amplitude": 0.4, "seed": 7}),
+                                         "amplitude": 0.4}),
                              certify_window(COSH), rel_tol=1e-10)
     assert rep.passed
 
@@ -134,8 +134,7 @@ def test_05_entropy_subsolution_residuals():
                          system=system, t_end=0.01, cfl_sigma=0.9,
                          snapshot_every=1, initial=init, seed=11)
 
-    offset_bands = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "seed": 11,
-                    "offset": [0.8]}
+    offset_bands = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "offset": [0.8]}
     K = calibrate_residual_constant(with_resolution(base("diffusion", BANDS), 64))
     ent, window = build_entropy(COSH), certify_window(COSH)
     cc = coupled_decomposition(COSH)
@@ -232,8 +231,7 @@ def test_09_rotational_equivariance():
     th = 1.23456
     R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     g = pgrid(128)
-    u0 = initial_field(g, 2, {"kind": "bands", "kmax": 3, "amplitude": 0.5,
-                              "seed": 9}, 9)
+    u0 = initial_field(g, 2, {"kind": "bands", "kmax": 3, "amplitude": 0.5}, 9)
     from pelab import cfl_dt
     dt = cfl_dt(g, certify_window(COSH).Lam, 0.9)
     sa = FieldState(grid=g, values=u0, t=0.0)
@@ -254,8 +252,7 @@ def test_10_scalar_reduction():
     p = cosh_potential(1.5)
     g = pgrid(128)
     e = np.array([0.6, 0.8]) / math.hypot(0.6, 0.8)
-    U = 0.6 + initial_field(g, 1, {"kind": "bands", "kmax": 3, "amplitude": 0.3,
-                                   "seed": 5}, 5)
+    U = 0.6 + initial_field(g, 1, {"kind": "bands", "kmax": 3, "amplitude": 0.3}, 5)
     assert U.min() > 0.2
     from pelab import cfl_dt
     dt_max = cfl_dt(g, certify_window(p).Lam, 0.9)
@@ -276,7 +273,7 @@ def test_10_scalar_reduction():
 def test_11_coupled_diffusion_consistency():
     """Terminal sup difference between the coupled and diffusion solvers
     shrinks at least 3.5x under h-halving."""
-    init = {"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 3}
+    init = {"kind": "bands", "kmax": 3, "amplitude": 0.5}
     errs = []
     for size in (128, 256):
         kw = dict(grid=pgrid(size), n_components=1, potential=COSH, t_end=0.01,
@@ -301,7 +298,7 @@ def test_12_cli_determinism(tmp_path):
         "t_end": 0.005,
         "snapshot_every": 8,
         "seed": 123,
-        "initial": {"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 123},
+        "initial": {"kind": "bands", "kmax": 3, "amplitude": 0.5},
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))

@@ -13,7 +13,7 @@ import pytest
 
 import pelab.cli as cli
 from pelab import config_hash, read_snapshot
-from pelab.cli import load_trajectory, main, paper_core_suite, run_suite
+from pelab.cli import main, paper_core_suite, run_suite
 
 
 def heat_doc(name="heat-sin", size=128, t_end=0.01):
@@ -56,9 +56,11 @@ class TestRunCommand:
         assert manifest["potential_id"] == "quadratic"
         snap = read_snapshot(outdir / manifest["snapshots"][0])
         assert snap.values.shape == (1, 128)
-        traj = load_trajectory(outdir / "manifest.json")
-        assert len(traj.snapshots) == len(manifest["snapshots"])
-        assert traj.meta["config_hash"] == manifest["config_hash"]
+        snaps = [read_snapshot(outdir / f) for f in manifest["snapshots"]]
+        listed = ["manifest.json", *manifest["snapshots"]]
+        assert sorted(p.name for p in outdir.iterdir()) == listed
+        assert [s.t for s in snaps] == sorted(s.t for s in snaps)
+        assert snaps[0].t == 0.0 and snaps[-1].t == pytest.approx(0.01)
 
     def test_range_excursion_exits_2(self, tmp_path, capsys):
         doc = heat_doc()
@@ -131,19 +133,37 @@ class TestRunCommand:
         doc.update(tend=0.1, bogus=True)
         doc["grid"]["bogus"] = 1
         doc["potential"]["typo"] = "x"
+        doc["initial"]["seed"] = 99
         cfg = write_doc(tmp_path, doc)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == ("error: bad run config: unknown key(s) "
-                                           "['bogus', 'grid.bogus', 'potential.typo', 'tend']\n")
+                                           "['bogus', 'grid.bogus', 'initial.seed', "
+                                           "'potential.typo', 'tend']\n")
 
-    def test_built_in_suites_and_the_initial_section_use_no_unknown_key(self, tmp_path):
-        # `initial` is not checked here: its `seed` key is still carried as it was
+    def test_built_in_suites_and_the_initial_section_use_no_unknown_key(self, tmp_path, capsys):
+        # a run has one seed, its `seed` or --seed: a `seed` inside `initial` is refused
         for suite in (paper_core_suite(64), cli.negative_control_suite(64)):
             for check in suite["checks"]:
+                for initial in [check[k] for k in ("initial0", "initial1") if k in check]:
+                    cli.build_config({**check["config"], "initial": initial})
                 cli.build_config(check["config"])
         doc = heat_doc()
         doc["initial"]["seed"] = 99
-        assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+        assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: bad run config: unknown key(s) "
+                                           "['initial.seed']\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["constant", "mode", "bands", "bump", "two_bump", None])
+    def test_an_unknown_initial_key_is_a_usage_error(self, tmp_path, capsys, kind, monkeypatch):
+        # the keys of `initial` are its family's keyword-only parameters (`mode` by default)
+        forbid_runs(monkeypatch)
+        doc = heat_doc()
+        doc["initial"] = {"kmaxx": 3} if kind is None else {"kind": kind, "kmaxx": 3}
+        assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: bad run config: unknown key(s) "
+                                           "['initial.kmaxx']\n")
+        assert not (tmp_path / "out").exists()
 
     def test_table_potentials_hash_their_tables(self, tmp_path):
         hashes, dts = [], []
@@ -220,7 +240,7 @@ class TestRunCommand:
 
     def test_seed_override_changes_hash(self, tmp_path):
         doc = heat_doc(t_end=0.002)
-        doc["initial"] = {"kind": "bands", "kmax": 2, "amplitude": 0.4, "seed": 1}
+        doc["initial"] = {"kind": "bands", "kmax": 2, "amplitude": 0.4}
         cfg = write_doc(tmp_path, doc)
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
         assert main(["run", cfg, "--seed", "99", "--out", str(tmp_path / "b")]) == 0
@@ -312,6 +332,33 @@ class TestVerifyCommand:
     def test_unknown_suite_name(self, tmp_path):
         assert main(["verify", str(tmp_path / "ghost.json")]) == 1
 
+    @pytest.mark.parametrize("entry, message", [
+        (5, "error: check 5 is not an object\n"),
+        ({"name": ["a"], "kind": "sup-norm", "config": {}},
+         "error: check name ['a'] is not one plain path component\n"),
+    ])
+    def test_a_malformed_checks_entry_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       entry, message):
+        forbid_runs(monkeypatch)
+        suite = write_doc(tmp_path, {"name": "s", "checks": [small_check(), entry]}, "s.json")
+        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("section", ["initial0", "initial1"])
+    def test_a_typo_in_contractions_data_fails_that_check(self, tmp_path, section):
+        checks = [{"name": "contr", "kind": "contraction", **CONTRACTION_KEYS,
+                   "config": heat_doc(size=32, t_end=0.001)}, small_check("fine")]
+        checks[0][section] = {**checks[0][section], "ampiltude": 0.4}
+        suite = write_doc(tmp_path, {"name": "s", "checks": checks}, "suite.json")
+        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
+        rep = json.loads((tmp_path / "v" / "s" / "contr.report.json").read_text())
+        assert rep["passed"] is False
+        # each datum is built as the run config's `initial`, under its family's keys
+        assert rep["values"]["error"] == ("UsageError: bad run config: unknown key(s) "
+                                          "['initial.ampiltude']")
+        assert json.loads((tmp_path / "v" / "s" / "fine.report.json").read_text())["passed"]
+
 
 def counting_runs(monkeypatch):
     """Record the name-free hash of every config `cli.run` integrates."""
@@ -390,7 +437,7 @@ class TestSweepCommand:
                 "t_end": 0.01,
                 "snapshot_every": 1,
                 "seed": 11,
-                "initial": {"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 11},
+                "initial": {"kind": "bands", "kmax": 3, "amplitude": 0.5},
             },
             "axes": axes,
         }, "sweep.json")
@@ -627,6 +674,9 @@ class TestCheckKeys:
                 for check in doc["checks"]:
                     cli._bind_check(check)
                     cli.build_config(check["config"])
+                    # contraction's data, each under the strict keys of its family
+                    for initial in [check[k] for k in ("initial0", "initial1") if k in check]:
+                        cli.build_config({**check["config"], "initial": initial})
             else:
                 cli._check_keys(doc, {"": {"name", "base", "axes"}}, "sweep")
                 cli.build_config(doc["base"])

@@ -284,7 +284,7 @@ class TestContraction:
         g = pgrid(64)
         mk = lambda seed: run(RunConfig(
             grid=g, n_components=1, potential=p, t_end=0.01, snapshot_every=10,
-            initial={"kind": "bands", "kmax": 2, "amplitude": 0.4, "seed": seed},
+            initial={"kind": "bands", "kmax": 2, "amplitude": 0.4},
             seed=seed))
         rep = contraction_report(mk(1), mk(2), certify_window(p))
         assert rep.passed
@@ -333,7 +333,7 @@ class TestSupNorm:
 
 class TestEntropyResiduals:
     def make_run(self, size=64, system="diffusion", init=None, sigma=0.9):
-        init = init or {"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 11}
+        init = init or {"kind": "bands", "kmax": 3, "amplitude": 0.5}
         cfg = RunConfig(grid=pgrid(size), n_components=1,
                         potential=cosh_potential(1.0), system=system, t_end=0.005,
                         cfl_sigma=sigma, snapshot_every=1, initial=init, seed=11)
@@ -351,8 +351,7 @@ class TestEntropyResiduals:
         q = quadratic(2.0)
         cfg = RunConfig(grid=pgrid(64), n_components=1, potential=q, t_end=0.005,
                         snapshot_every=1, cfl_sigma=0.9,
-                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5,
-                                 "seed": 11}, seed=11)
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5}, seed=11)
         traj = run(cfg)
         rep = entropy_residual_diffusion(traj, q, build_entropy(q), certify_window(q))
         h, dt = traj.grid.h, traj.dt
@@ -363,8 +362,7 @@ class TestEntropyResiduals:
     def test_cosh_passes_its_calibrated_tolerance(self):
         cfg = RunConfig(grid=pgrid(64), n_components=1, potential=cosh_potential(1.0),
                         t_end=0.005, snapshot_every=1, cfl_sigma=0.9,
-                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5,
-                                 "seed": 11}, seed=11)
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5}, seed=11)
         K = calibrate_residual_constant(cfg)
         traj = run(cfg)
         p = cosh_potential(1.0)
@@ -407,8 +405,7 @@ class TestEntropyResiduals:
         assert rep.values["max_abs"] < 1e-12
 
     def test_coupled_residual_on_offset_run(self):
-        init = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "seed": 11,
-                "offset": [0.8]}
+        init = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "offset": [0.8]}
         traj = self.make_run(system="coupled", init=init)
         p = cosh_potential(1.0)
         cc = coupled_decomposition(p)
@@ -453,7 +450,7 @@ class TestEntropyResiduals:
             cfg = RunConfig(grid=pgrid(size), n_components=1, potential=pot,
                             t_end=0.002, cfl_sigma=0.9, snapshot_every=1,
                             initial={"kind": "bands", "kmax": 2,
-                                     "amplitude": 0.4 * pot.r_max, "seed": 2},
+                                     "amplitude": 0.4 * pot.r_max},
                             seed=2)
             traj = run(cfg)
             rep = entropy_residual_diffusion(traj, pot, build_entropy(pot),
@@ -580,8 +577,7 @@ class TestMorrey:
         p = cosh_potential(1.0)
         cfg = RunConfig(grid=pgrid(128), n_components=1, potential=p, t_end=0.02,
                         snapshot_every=8, cfl_sigma=0.9,
-                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5,
-                                 "seed": 11}, seed=11)
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5}, seed=11)
         traj = run(cfg)
         h = traj.grid.h
         [prof] = morrey_profile(traj, [((0.37,), 0.02)], [16 * h, 8 * h, 4 * h])
@@ -592,8 +588,7 @@ class TestMorrey:
         p = cosh_potential(1.0)
         cfg = RunConfig(grid=pgrid(64), n_components=2, potential=p, t_end=0.01,
                         snapshot_every=8, cfl_sigma=0.9,
-                        initial={"kind": "bands", "kmax": 2, "amplitude": 0.5,
-                                 "seed": 4}, seed=4)
+                        initial={"kind": "bands", "kmax": 2, "amplitude": 0.5}, seed=4)
         traj = run(cfg)
         th = 1.1
         R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
@@ -625,8 +620,7 @@ class TestMorrey:
         p = cosh_potential(1.0)
         cfg = RunConfig(grid=pgrid(128), n_components=1, potential=p, t_end=0.02,
                         snapshot_every=8, cfl_sigma=0.9,
-                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5,
-                                 "seed": 11}, seed=11)
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5}, seed=11)
         traj = run(cfg)
         g = traj.grid
         g4 = lambda s: gradient_sq(s.values, s.grid) ** 2
@@ -664,7 +658,7 @@ class TestReverseHolder:
             return run(RunConfig(grid=pgrid(size), n_components=1, potential=p,
                                  t_end=0.02, snapshot_every=8, cfl_sigma=0.9,
                                  initial={"kind": "bands", "kmax": 3,
-                                          "amplitude": 0.5, "seed": 11}, seed=11))
+                                          "amplitude": 0.5}, seed=11))
 
         rng = np.random.default_rng(7)
         cyls = [Cylinder(center=(float(rng.uniform(0, 1)),), t0=0.02, R=0.032)
@@ -742,7 +736,7 @@ class TestEstimateRatios:
             return run(RunConfig(grid=pgrid(size), n_components=1, potential=p,
                                  t_end=0.02, snapshot_every=8, cfl_sigma=0.9,
                                  initial={"kind": "bands", "kmax": 3,
-                                          "amplitude": 0.5, "seed": 11}, seed=11))
+                                          "amplitude": 0.5}, seed=11))
 
         pairs = [(Cylinder(center=(0.45,), t0=0.018, R=0.05),
                   Cylinder(center=(0.45,), t0=0.018, R=0.1))]
@@ -805,7 +799,7 @@ class TestCylinderIntegralParity:
         n, boundary = request.param
         m = 64 if n == 1 else 32
         grid = (pgrid if boundary == PERIODIC else dgrid)(m + (boundary == DIRICHLET), n)
-        initial = ({"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 3}
+        initial = ({"kind": "bands", "kmax": 3, "amplitude": 0.5}
                    if boundary == PERIODIC else
                    {"kind": "mode", "k": [1] * n, "amplitude": 0.5})
         return run(RunConfig(grid=grid, n_components=2, potential=cosh_potential(1.0),

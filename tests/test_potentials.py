@@ -11,7 +11,7 @@ from pelab import (ConstructionError, ConvexityError, RadialPotential,
                    from_piecewise_poly, get_potential, grad_Phi, grad_Phi_field,
                    hessian_Phi, invert_phi, quadratic, quartic,
                    smoothed_porous)
-from pelab.potentials import (EPS_TAYLOR, EPS_ZERO, _uniform_knot_evaluator,
+from pelab.potentials import (EPS_TAYLOR, EPS_ZERO, _slope, _uniform_knot_evaluator,
                               cumulative_simpson, radial_slope)
 
 ALL_BUILTINS = [quadratic(2.0), cosh_potential(1.0), quartic(1.0), smoothed_porous()]
@@ -58,8 +58,9 @@ class TestRadialSlope:
         vals = rng.uniform(-0.5, 0.5, (2, 9, 7)) * p.r_max
         vals[:, 0, :3] = [[0.0, 1e-300, 1e-7], [0.0, 0.0, 0.0]]   # origin, tiny, Taylor
         r = np.sqrt(np.sum(np.square(vals), axis=0))
+        # the step's buffers: `_slope` fills the slope field and its mask in place
         slope, mask = np.full_like(r, np.nan), np.ones(r.shape, bool)
-        assert radial_slope(p, r, slope, mask) is slope
+        assert _slope(p.phi1(r), r, p.phi2_0, slope, mask) is slope
         assert np.array_equal(slope.view(np.int64), reference_radial_slope(p, r).view(np.int64))
         out = np.full_like(vals, np.nan)
         assert grad_Phi_field(p, vals, r, out, (slope, mask)) is out

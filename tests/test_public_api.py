@@ -45,6 +45,8 @@ PARAMETERS = {
     "cylinder_integrals": ("traj", "terms", "field_at"),
     "cfl_dt": ("grid", "Lam", "sigma"),
     "morrey_profile": ("traj", "points", "radii", "g", "exponent"),
+    "radial_slope": ("p", "r"),
+    "initial_field": ("grid", "n_components", "spec", "seed"),
 }
 
 

@@ -1,9 +1,12 @@
+import inspect
 import math
+import re
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from pelab import (DIRICHLET, PERIODIC, FieldState, GridSpec,
                    vector_norm, with_resolution)
 import pelab.grid as grid_module
 import pelab.solver as solver
-from pelab.grid import _laplacian, _shift_plans, face_divergence
+from pelab.grid import _dist2, _laplacian, _shift_plans, face_divergence
 from pelab.potentials import EPS_ZERO, RadialPotential
 from pelab.solver import _coupled_rhs, _diffusion_rhs, _euler, _plan_steps
 from test_grid import reference_laplacian
@@ -283,8 +286,7 @@ class TestSteps:
         p = cosh_potential(1.5)
         g = pgrid(128)
         e = np.array([0.6, 0.8]) / math.hypot(0.6, 0.8)
-        U = 0.6 + initial_field(g, 1, {"kind": "bands", "kmax": 3, "amplitude": 0.3,
-                                       "seed": 5}, 5)
+        U = 0.6 + initial_field(g, 1, {"kind": "bands", "kmax": 3, "amplitude": 0.3}, 5)
         vec = FieldState(grid=g, values=np.stack([U[0] * e[0], U[0] * e[1]]), t=0.0)
         sca = FieldState(grid=g, values=U.copy(), t=0.0)
         dt = cfl_dt(g, certify_window(p).Lam, 0.9)
@@ -330,7 +332,7 @@ class TestSteps:
 
 class TestInitialData:
     def test_bands_are_resolution_independent(self):
-        spec = {"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 9}
+        spec = {"kind": "bands", "kmax": 3, "amplitude": 0.5}
         coarse = initial_field(pgrid(64), 2, spec, 9)
         fine = initial_field(pgrid(128), 2, spec, 9)
         assert np.array_equal(coarse, fine[:, ::2])
@@ -338,13 +340,12 @@ class TestInitialData:
     def test_bands_sup_bounded_by_amplitude(self):
         for seed in (1, 2, 3):
             u = initial_field(pgrid(64, n=2), 3,
-                              {"kind": "bands", "kmax": 2, "amplitude": 0.4,
-                               "seed": seed}, seed)
+                              {"kind": "bands", "kmax": 2, "amplitude": 0.4}, seed)
             assert vector_norm(u).max() <= 0.4 + 1e-12
 
     def test_offset_bands(self):
         u = initial_field(pgrid(64), 1, {"kind": "bands", "kmax": 2,
-                                         "amplitude": 0.1, "seed": 1,
+                                         "amplitude": 0.1,
                                          "offset": [0.8]}, 1)
         assert 0.7 <= np.abs(u).min() and np.abs(u).max() <= 0.9 + 1e-12
 
@@ -368,11 +369,187 @@ class TestInitialData:
             initial_field(pgrid(8), 1, {"kind": "wavelet"}, 0)
 
 
+# A frozen copy of `initial_field` as it was when it read each family's keys
+# through `spec.get` in one if-chain: the oracle that the family functions must
+# reproduce bit for bit.
+
+def frozen_unit_direction(direction, n_components: int) -> np.ndarray:
+    if direction is None:
+        return np.eye(n_components)[0]
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (n_components,):
+        raise ValueError(f"direction must have {n_components} entries")
+    norm = float(np.sqrt(np.sum(d * d)))
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    return d / norm
+
+
+def frozen_mode_field(grid: GridSpec, k, phases) -> np.ndarray:
+    """Separable sine: one wavenumber (or one for all axes) and one phase per axis."""
+    ks = [int(v) for v in (k if hasattr(k, "__len__") else [k] * grid.n)]
+    if len(ks) != grid.n:
+        raise ValueError("one wavenumber per axis required")
+    f = np.ones(grid.sizes)
+    for a in range(grid.n):
+        x = grid.coords(a).reshape([-1 if b == a else 1 for b in range(grid.n)])
+        L = grid.extent(a)
+        if grid.periodic:
+            f = f * np.sin(2.0 * np.pi * ks[a] * x / L + phases[a])
+        else:
+            if ks[a] < 1:
+                raise ValueError("Dirichlet modes need wavenumbers >= 1")
+            f = f * np.sin(np.pi * ks[a] * x / L)
+    return f
+
+
+def frozen_bump_field(grid: GridSpec, center, width: float) -> np.ndarray:
+    return np.exp(-_dist2(grid, center) / (2.0 * width * width))
+
+
+def frozen_initial_field(grid: GridSpec, n_components: int, spec: dict, seed: int) -> np.ndarray:
+    kind = spec.get("kind", "mode")
+    amp = float(spec.get("amplitude", 0.5))
+    rng = np.random.default_rng(seed)
+    centers_default = tuple(0.5 * grid.extent(a) for a in range(grid.n))
+
+    if kind == "constant":
+        vals = np.asarray(spec.get("value", [amp] * n_components), dtype=float)
+        if vals.shape != (n_components,):
+            raise ValueError(f"constant value must have {n_components} entries")
+        return np.broadcast_to(vals.reshape((n_components,) + (1,) * grid.n),
+                               (n_components, *grid.sizes)).copy()
+
+    if kind == "mode":
+        d = frozen_unit_direction(spec.get("direction"), n_components)
+        f = frozen_mode_field(grid, spec.get("k", [1] * grid.n),
+                              [float(spec.get("phase", 0.0))] * grid.n)
+        return amp * d.reshape((n_components,) + (1,) * grid.n) * f[None]
+
+    if kind == "bands":
+        kmax = int(spec.get("kmax", 3))
+        if kmax < 1:
+            raise ValueError("kmax must be at least 1")
+        modes = [tuple(idx) for idx in np.ndindex(*([kmax] * grid.n))]
+        fields = np.zeros((n_components, *grid.sizes))
+        l1 = np.zeros(n_components)
+        for c in range(n_components):
+            for kidx in modes:
+                coeff = float(rng.standard_normal())
+                phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n)
+                fields[c] += coeff * frozen_mode_field(grid, [k + 1 for k in kidx], phases)
+                l1[c] += abs(coeff)
+        scale = amp / math.sqrt(float(np.sum(l1 * l1)))
+        fields *= scale
+        offset = spec.get("offset")
+        if offset is not None:
+            off = np.asarray(offset, dtype=float)
+            if off.shape != (n_components,):
+                raise ValueError(f"offset must have {n_components} entries")
+            fields += off.reshape((n_components,) + (1,) * grid.n)
+        return fields
+
+    if kind == "bump":
+        d = frozen_unit_direction(spec.get("direction"), n_components)
+        center = spec.get("center", centers_default)
+        width = float(spec.get("width", grid.extent(0) / 8.0))
+        f = frozen_bump_field(grid, center, width)
+        return amp * d.reshape((n_components,) + (1,) * grid.n) * f[None]
+
+    if kind == "two_bump":
+        c1 = spec.get("center1", tuple(0.25 * grid.extent(a) for a in range(grid.n)))
+        c2 = spec.get("center2", tuple(0.75 * grid.extent(a) for a in range(grid.n)))
+        w = float(spec.get("width", grid.extent(0) / 10.0))
+        d1 = frozen_unit_direction(spec.get("direction1"), n_components)
+        d2 = (np.eye(n_components)[1] if n_components > 1 and "direction2" not in spec
+              else frozen_unit_direction(spec.get("direction2"), n_components))
+        f1 = frozen_bump_field(grid, c1, w)
+        f2 = frozen_bump_field(grid, c2, w)
+        out = (d1.reshape((n_components,) + (1,) * grid.n) * f1[None]
+               + d2.reshape((n_components,) + (1,) * grid.n) * f2[None])
+        sup = float(vector_norm(out).max())
+        return out * (amp / sup) if sup > 0 else out
+
+    raise ValueError(f"unknown initial-data kind '{kind}'")
+
+
+def parity_grid(n, boundary):
+    sizes = [(16,), (8, 6), (6, 5, 4)][n - 1]
+    if boundary == DIRICHLET:
+        sizes = tuple(m + 1 for m in sizes)
+    return GridSpec(n=n, sizes=sizes, h=1.0 / sizes[0], boundary=boundary)
+
+
+def parity_specs(family, n, nc):
+    """The family's defaults, then explicit keys, for a grid of n axes and nc components."""
+    direction, other = [1.0, -2.0, 0.5][:nc], [0.3, 0.4, -1.0][:nc]
+    return {
+        "constant": [{"kind": "constant"},
+                     {"kind": "constant", "amplitude": 0.3, "value": other}],
+        "mode": [{}, {"kind": "mode"}, {"kind": "mode", "k": 2},
+                 {"kind": "mode", "k": [a + 1 for a in range(n)], "phase": 0.3,
+                  "amplitude": 0.7, "direction": direction}],
+        "bands": [{"kind": "bands"},
+                  {"kind": "bands", "kmax": 2, "amplitude": 0.4, "offset": other}],
+        "bump": [{"kind": "bump"},
+                 {"kind": "bump", "amplitude": 0.8, "width": 0.1, "center": [0.3] * n,
+                  "direction": direction}],
+        "two_bump": [{"kind": "two_bump"},
+                     {"kind": "two_bump", "amplitude": 0.6, "width": 0.15,
+                      "center1": [0.2] * n, "center2": [0.6] * n, "direction1": other,
+                      "direction2": direction}],
+    }[family]
+
+
+class TestInitialFamilyParity:
+    """Each family returns the frozen `initial_field`'s array bit for bit: 1D, 2D
+    and 3D grids, both boundary kinds, N = 1..3, two seeds, defaults and explicit keys."""
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(solver._FAMILIES))
+    def test_bitwise_equal_to_the_frozen_initial_field(self, family, n, boundary):
+        g = parity_grid(n, boundary)
+        cases = 0
+        for nc in (1, 2, 3):
+            for seed in (0, 11):
+                for spec in parity_specs(family, n, nc):
+                    got = initial_field(g, nc, spec, seed)
+                    want = frozen_initial_field(g, nc, spec, seed)
+                    assert got.shape == want.shape == (nc, *g.sizes)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), spec
+                    cases += 1
+        assert cases >= 12
+
+    def test_the_matrix_covers_every_key_of_every_family(self):
+        for family, fn in solver._FAMILIES.items():
+            keys = {k for spec in parity_specs(family, 2, 2) for k in spec} - {"kind"}
+            declared = {p.name for p in inspect.signature(fn).parameters.values()
+                        if p.kind is p.KEYWORD_ONLY}
+            assert keys == declared, family
+
+    def test_the_readme_table_lists_each_familys_keys_and_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        for family, fn in solver._FAMILIES.items():
+            [row] = re.findall(rf"^  \| `{family}` \| (.*) \|$", readme, re.M)
+            listed = dict(re.findall(r"`(\w+)` \(([^,:)]+)", row))
+            declared = {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                        if p.kind is p.KEYWORD_ONLY}
+            assert list(listed) == list(declared), family
+            for key, default in declared.items():
+                assert listed[key] == ("none" if default is None else repr(default)), key
+
+    @pytest.mark.parametrize("family", sorted(solver._FAMILIES))
+    def test_an_unknown_key_is_refused(self, family):
+        with pytest.raises(TypeError, match="'seed'"):
+            initial_field(pgrid(8), 1, {"kind": family, "seed": 3}, 3)
+
+
 class TestRun:
     def base(self, size=64, **kw):
         args = dict(grid=pgrid(size), n_components=1, potential=cosh_potential(1.0),
                     t_end=0.005, cfl_sigma=0.9, snapshot_every=4,
-                    initial={"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 7},
+                    initial={"kind": "bands", "kmax": 3, "amplitude": 0.5},
                     seed=7)
         args.update(kw)
         return RunConfig(**args)
@@ -418,7 +595,7 @@ class TestRun:
         for system in ("diffusion", "coupled"):
             traj = run(self.base(system=system, n_components=2, t_end=0.01,
                                  initial={"kind": "bands", "kmax": 2,
-                                          "amplitude": 0.4, "seed": 3}))
+                                          "amplitude": 0.4}))
             m0 = traj.snapshots[0].values.mean(axis=1)
             mT = traj.final.values.mean(axis=1)
             assert np.abs(mT - m0).max() <= 1e-13, system
@@ -435,7 +612,7 @@ class TestRun:
 
     def test_coupled_diffusion_consistency_refines(self):
         errs = []
-        init = {"kind": "bands", "kmax": 3, "amplitude": 0.5, "seed": 3}
+        init = {"kind": "bands", "kmax": 3, "amplitude": 0.5}
         for size in (128, 256):
             td = run(self.base(size=size, t_end=0.01, snapshot_every=1,
                                initial=init, seed=3))
@@ -459,8 +636,7 @@ class TestRun:
         R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         p = cosh_potential(1.0)
         g = pgrid(64)
-        u0 = initial_field(g, 2, {"kind": "bands", "kmax": 3, "amplitude": 0.5,
-                                  "seed": 9}, 9)
+        u0 = initial_field(g, 2, {"kind": "bands", "kmax": 3, "amplitude": 0.5}, 9)
         dt = cfl_dt(g, certify_window(p).Lam, 0.9)
         sa = FieldState(grid=g, values=u0, t=0.0)
         sb = FieldState(grid=g, values=np.einsum("ij,j...->i...", R, u0), t=0.0)
@@ -530,8 +706,7 @@ class TestRun:
         cfg = RunConfig(grid=pgrid(32, n=2), n_components=2,
                         potential=cosh_potential(1.0), t_end=0.002,
                         cfl_sigma=0.9, snapshot_every=4,
-                        initial={"kind": "bands", "kmax": 2, "amplitude": 0.5,
-                                 "seed": 6}, seed=6)
+                        initial={"kind": "bands", "kmax": 2, "amplitude": 0.5}, seed=6)
         traj = run(cfg)
         sups = [vector_norm(s.values).max() for s in traj.snapshots]
         assert all(b <= a + 1e-10 for a, b in zip(sups, sups[1:]))
