@@ -26,16 +26,15 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (CheckReport, _diffusion_fold, _morrey,
-                          calibrate_residual_constant, choose_entropy_params,
-                          contraction_report, entropy_residual_coupled,
-                          entropy_residual_diffusion, estimate_ratio_report,
-                          morrey_report, reverse_holder_report, sup_norm_report)
+from .diagnostics import (CheckReport, _ContractionFold, _coupled_fold, _diffusion_fold,
+                          _morrey, _SupFold, calibrate_residual_constant,
+                          choose_entropy_params, estimate_ratio_report, morrey_report,
+                          reverse_holder_report)
 from .errors import DomainAbort
 from .grid import (Cylinder, GridSpec, Trajectory, _CylinderFold, vector_norm,
                    write_snapshot)
@@ -194,19 +193,15 @@ def _shrink_ok(pos_coarse: float, pos_fine: float, scale: float) -> bool:
     return pos_fine <= max(0.5 * pos_coarse, floor)
 
 
-def _ladder(base: RunConfig, sizes, run):
-    """Yield (config, trajectory) per size, running each rung only when asked for it."""
-    for size in sizes:
-        cfg = with_resolution(base, size)
-        yield cfg, run(cfg)
-
-
-def _check_contraction(run, seed, plant=lambda traj: traj, /, *, name, config, initial0,
+def _check_contraction(run, seed, plant=lambda cfg, obs: obs, /, *, name, config, initial0,
                        initial1, decay_ratio_target=None, decay_ratio_rtol=0.02) -> CheckReport:
+    if "initial" in config:   # the runs start from initial0 and initial1
+        raise UsageError(f"'{name}': a contraction config takes no 'initial'")
     base0, base1 = (build_config({**config, "initial": i}, seed) for i in (initial0, initial1))
-    run0 = run(replace(base0, name=base0.name + "-a"))
-    run1 = plant(run(replace(base1, name=base1.name + "-b")))
-    rep = contraction_report(run0, run1, certify_window(base0.potential), name=name)
+    fold = _ContractionFold(run(replace(base0, name=base0.name + "-a")),
+                            certify_window(base0.potential))
+    cfg1 = replace(base1, name=base1.name + "-b")
+    rep = fold.report(run(cfg1, plant(cfg1, fold.feed)), name)
     if decay_ratio_target is not None:
         d = rep.values["d"]
         measured = float(d[-1] / d[0]) if d[0] > 0 else float("nan")
@@ -219,8 +214,10 @@ def _check_contraction(run, seed, plant=lambda traj: traj, /, *, name, config, i
     return rep
 
 
-def _check_sup_norm(run, seed, plant=lambda traj: traj, /, *, name, config) -> CheckReport:
-    return sup_norm_report(plant(run(build_config(config, seed))), name=name)
+def _check_sup_norm(run, seed, plant=lambda cfg, obs: obs, /, *, name, config) -> CheckReport:
+    cfg = build_config(config, seed)
+    fold = _SupFold()
+    return fold.report(run(cfg, plant(cfg, fold.feed)), name)
 
 
 def _check_entropy(run, seed, coupled: bool, /, *, name, config, sizes=(64, 128),
@@ -235,28 +232,29 @@ def _check_entropy(run, seed, coupled: bool, /, *, name, config, sizes=(64, 128)
         cc = coupled_decomposition(pot)
         pars = choose_entropy_params(cc, base.grid.n, base.n_components)
         extra = {"s": pars.s, "c": pars.c}
-        report = lambda traj, tau: entropy_residual_coupled(traj, cc, pars.s, pars.c, tau=tau)
+        residual = lambda grid: _coupled_fold(grid, cc, pars.s, pars.c)
     else:
         ent, window, extra = build_entropy(pot), certify_window(pot), {}
-        report = lambda traj, tau: entropy_residual_diffusion(traj, pot, ent, window, tau=tau)
+        residual = lambda grid: _diffusion_fold(grid, pot, ent, window)
     per_size = []
     passed = True
     witness = None
     prev_pos = None
-    for size, (cfg, traj) in zip(sizes, _ladder(base, sizes, run)):
-        rep = report(traj, K * (cfg.grid.h ** 2 + traj.dt))
-        del traj  # free this rung before the next one runs
-        per_size.append({"size": size, **{k: rep.values[k] for k in
-                                          ("max_pos", "p99_pos", "max_abs", "h", "dt", "tau")}})
-        if not rep.passed:
+    for size in sizes:   # each rung folded as it runs
+        cfg = with_resolution(base, size)
+        fold = residual(cfg.grid)
+        dt = run(cfg, fold.feed).dt
+        tau = K * (cfg.grid.h ** 2 + dt)
+        stats = fold.stats()
+        per_size.append({"size": size, **{k: stats[k] for k in ("max_pos", "p99_pos", "max_abs")},
+                         "h": cfg.grid.h, "dt": dt, "tau": tau})
+        if not fold.max_pos <= tau:
             passed = False
-            witness = witness or rep.witness
-        if prev_pos is not None and not _shrink_ok(prev_pos, rep.values["max_pos"],
-                                                   rep.values["max_abs"]):
+            witness = witness or fold.witness
+        if prev_pos is not None and not _shrink_ok(prev_pos, fold.max_pos, fold.max_abs):
             passed = False
-            witness = witness or {"refinement": {"coarse_pos": prev_pos,
-                                                 "fine_pos": rep.values["max_pos"]}}
-        prev_pos = rep.values["max_pos"]
+            witness = witness or {"refinement": {"coarse_pos": prev_pos, "fine_pos": fold.max_pos}}
+        prev_pos = fold.max_pos
     return CheckReport(name=name, passed=passed, tolerance={"K": K},
                        values={"K": K, "per_size": per_size, **extra}, witness=witness)
 
@@ -274,10 +272,10 @@ def _coarse_then_fine(name: str, base: RunConfig, sizes, run, monitor, key: str)
     `monitor(grid)` is the report function of both rungs, set up on the coarse grid."""
     if len(sizes) != 2:
         raise UsageError(f"'{name}' takes exactly two sizes (coarse, fine), got {sizes}")
-    report = monitor(with_resolution(base, sizes[0]).grid)
-    rungs = _ladder(base, sizes, run)
-    coarse = report(next(rungs)[1])
-    rep = report(next(rungs)[1], reference=coarse.values[key], name=name)
+    coarse_cfg = with_resolution(base, sizes[0])
+    report = monitor(coarse_cfg.grid)
+    coarse = report(run(coarse_cfg))   # its run freed before the fine one starts
+    rep = report(run(with_resolution(base, sizes[1])), reference=coarse.values[key], name=name)
     rep.values[f"{key}_coarse"] = coarse.values[key]
     rep.values["sizes"] = sizes
     return rep
@@ -306,39 +304,46 @@ def _check_estimate_ratios(run, seed, /, *, name, config, r, R, t0, sizes=(128, 
     return _coarse_then_fine(name, base, sizes, run, monitor, "maxima")
 
 
-# the negative controls' plants: Trajectory -> Trajectory, run before the monitor
+# the negative controls' plants: plant(config, observe) -> the observer the run is handed
 
-def _inflate_final(traj: Trajectory) -> Trajectory:
+def _inflate_final(cfg: RunConfig, observe):
     """The final snapshot times 1.5: the sup-norm bound must fail."""
-    bad = replace(traj.final, values=traj.final.values * 1.5)
-    return replace(traj, snapshots=traj.snapshots[:-1] + (bad,))
+    final, seen = _planned(cfg)[2] // cfg.snapshot_every, count()
+
+    def planted(snap):
+        observe(replace(snap, values=snap.values * 1.5) if next(seen) == final else snap)
+    return planted
 
 
-def _anti_diffuse_middle(traj: Trajectory) -> Trajectory:
+def _anti_diffuse_middle(cfg: RunConfig, observe):
     """The middle snapshot after one diffusion step of -40 dt (a flipped-dt step):
     the contraction distance must grow.  The potential is the run's own."""
-    k = len(traj.snapshots) // 2
-    snap = traj.snapshots[k]
-    bumped = step_diffusion(snap, build_potential(traj.meta["config"]["potential"]),
-                            -40 * traj.dt)
-    return replace(traj, snapshots=traj.snapshots[:k] + (replace(bumped, t=snap.t),)
-                   + traj.snapshots[k + 1:])
+    _, _, steps, dt = _planned(cfg)
+    middle, seen = (steps // cfg.snapshot_every + 1) // 2, count()
+
+    def planted(snap):
+        if next(seen) == middle:
+            snap = replace(step_diffusion(snap, cfg.potential, -40 * dt), t=snap.t)
+        observe(snap)
+    return planted
 
 
 def _shared_run(memo: dict):
-    """`run` through `memo`, keyed on the resolved config without its name; a hit
-    shares the stored snapshots and dt under this config's own meta."""
-    def shared(cfg: RunConfig) -> Trajectory:
+    """`run` through `memo`, keyed on the resolved config without its name, replaying the
+    stored snapshots into `observe`; a hit shares them and dt under this config's meta."""
+    def shared(cfg: RunConfig, observe=lambda snap: None) -> Trajectory:
         doc = cfg.describe()
         key = config_hash({**doc, "name": None})
         traj = memo[key] = memo.get(key) or run(cfg)
+        for snap in traj.snapshots:
+            observe(snap)
         return replace(traj, meta={**traj.meta, "config": doc,
                                    "config_hash": config_hash(doc), "name": cfg.name})
     return shared
 
 
 # check kind -> (function, *leading), called as function(run, seed, *leading, **keys)
-# with `run` integrating a RunConfig; the keyword-only parameters declare the kind's
+# with `run(config, observe=None)`; the keyword-only parameters declare the kind's
 # keys and defaults, and the leading ones hold what a suite cannot set.
 _CHECKS = {
     "contraction": (_check_contraction,),
@@ -493,6 +498,8 @@ def _write_series_csv(path: Path, report: CheckReport) -> None:
 
 def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> list[CheckReport]:
     checks = suite.get("checks", [])
+    if not isinstance(checks, list):
+        raise UsageError(f"suite checks must be a list, got {checks!r}")
     for check in checks:   # each an object with a plain name, before any name is compared
         if not isinstance(check, dict):
             raise UsageError(f"check {check!r} is not an object")
@@ -592,14 +599,15 @@ _SWEEP_FIELDS = ("label", "potential", "size", "seed", "config_hash", "terminal_
 def _cell_config(base_doc: dict, cell: dict, seed: int | None) -> RunConfig:
     """A sweep cell's config; a `seed` axis value beats `seed`, which beats base.seed."""
     doc = json.loads(json.dumps(base_doc))
-    if "potential" in cell:   # a named potential replaces a table, keeping r_max
-        doc["potential"].pop("table", None)
-        doc["potential"]["id"] = cell["potential"]
-    doc["name"] = cell["label"]
-    cfg = build_config(doc, cell.get("seed", seed))
-    if "resolution" in cell:
-        cfg = with_resolution(cfg, int(cell["resolution"]))
-    return cfg
+    try:
+        if "potential" in cell:   # a named potential replaces a table, keeping r_max
+            doc["potential"].pop("table", None)
+            doc["potential"]["id"] = cell["potential"]
+        doc["name"] = cell["label"]
+        cfg = build_config(doc, cell.get("seed", seed))
+        return with_resolution(cfg, int(cell["resolution"])) if "resolution" in cell else cfg
+    except (KeyError, TypeError, ValueError) as exc:   # a UsageError passes as it is
+        raise UsageError(f"bad sweep cell '{cell['label']}': {exc}") from exc
 
 
 def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dict:
@@ -649,8 +657,9 @@ def cmd_sweep(args) -> int:
     if "base" not in doc:
         raise UsageError("sweep file needs a 'base' run config")
     cells = _sweep_cells(doc)
+    configs = {c["label"]: _cell_config(doc["base"], c, args.seed) for c in cells}
     outdir = Path(args.out) / _path_name(doc.get("name", "sweep"), "sweep name")
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(parents=True, exist_ok=True)   # every cell's config built first
     workers = args.threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                                else os.cpu_count() or 1)
 
@@ -663,7 +672,7 @@ def cmd_sweep(args) -> int:
 
     def cost(cell):   # planned steps x points x components
         try:
-            cfg = _cell_config(doc["base"], cell, args.seed)
+            cfg = configs[cell["label"]]
             return _planned(cfg)[2] * math.prod(cfg.grid.sizes) * cfg.n_components
         except Exception:
             return 0   # the cell's run reports the error, as `work` does

@@ -1,10 +1,10 @@
 """Numerical verification of the quantitative estimates satisfied by the flow.
 
-Every monitor is a pure function of trajectories and returns a CheckReport
-carrying the measured series, the tolerance used, and, on failure, a witness
-(location / time / radius).  Discrete time derivatives of snapshots are
-forward differences aligned with the solver's Euler step, so in the quadratic
-case the entropy residual cancels to rounding rather than to truncation.
+Every monitor returns a CheckReport carrying the measured series, the
+tolerance used, and, on failure, a witness (location / time / radius).
+Discrete time derivatives of snapshots are forward differences aligned with
+the solver's Euler step, so in the quadratic case the entropy residual
+cancels to rounding rather than to truncation.
 
 One `h_minus_one_norm` serves both boundary kinds through one spectral sum:
 the energy of the discrete Poisson solution is a Parseval sum of |f_k|^2 over
@@ -17,9 +17,11 @@ interior, whose periodic modes are the type-I sine (DST-I) modes.
 The cylinder monitors (Morrey, reverse Hoelder, estimate ratios) make one
 `grid.cylinder_integrals` pass per field over the union of their windows, so
 each snapshot's field is computed once and dropped; nothing is memoised.  The
-residual loop (`_ResidualFold`) and the cylinder loop (`grid._CylinderFold`)
-take one snapshot at a time: a monitor called with a `Trajectory` feeds them
-its snapshots, and a sweep cell feeds them each snapshot as its run makes it.
+sup-norm loop (`_SupFold`), the contraction loop (`_ContractionFold`, against
+a stored reference run), the residual loop (`_ResidualFold`) and the cylinder
+loop (`grid._CylinderFold`) take one snapshot at a time: a monitor called with
+a `Trajectory` feeds them its snapshots, and `pelab verify` and a sweep cell
+feed them each snapshot as its run makes it.
 Their |grad u|^2 is the unchecked `_gradient_sq`, over one plan per report.
 The Hoelder seminorm is exact: every point pair with separation in the band,
 one integer offset at a time.
@@ -140,19 +142,61 @@ def _h_minus_one_norm(values: np.ndarray, grid: GridSpec, mu: np.ndarray) -> flo
 # ---------------------------------------------------------------------------
 # contraction
 
-def _require_matched(traj0: Trajectory, traj1: Trajectory) -> None:
-    if traj0.grid != traj1.grid:
-        raise ValueError("mismatched runs: grids differ")
-    if traj0.n_components != traj1.n_components:
-        raise ValueError("mismatched runs: component counts differ")
-    if abs(traj0.dt - traj1.dt) > 1e-12 * max(traj0.dt, traj1.dt):
-        raise ValueError("mismatched runs: time steps differ")
-    if len(traj0.snapshots) != len(traj1.snapshots) or \
-            np.max(np.abs(traj0.times - traj1.times)) > 1e-9 * max(traj0.times[-1], 1e-300):
-        raise ValueError("mismatched runs: snapshot times differ")
-    if not traj0.grid.periodic:
-        if traj0.snapshots[0].boundary_values != traj1.snapshots[0].boundary_values:
+class _ContractionFold:
+    """The contraction loop: fed a run's snapshots in time order, the H^-1
+    distance of each to the reference run's snapshot of the same index, over
+    one Laplacian symbol.  A snapshot the reference cannot match raises."""
+
+    def __init__(self, ref: Trajectory, window: EllipticityWindow, rel_tol: float = 1e-10):
+        self.ref, self.window, self.rel_tol = ref, window, rel_tol
+        self.mu, self.d = _laplacian_symbol(ref.grid), []
+
+    def feed(self, snap: FieldState) -> None:
+        ref, k = self.ref, len(self.d)
+        if snap.grid != ref.grid:
+            raise ValueError("mismatched runs: grids differ")
+        if snap.n_components != ref.n_components:
+            raise ValueError("mismatched runs: component counts differ")
+        if k >= len(ref.snapshots) or \
+                abs(snap.t - ref.snapshots[k].t) > 1e-9 * max(ref.final.t, 1e-300):
+            raise ValueError("mismatched runs: snapshot times differ")
+        if k == 0 and not ref.grid.periodic and \
+                snap.boundary_values != ref.snapshots[0].boundary_values:
             raise ValueError("mismatched runs: boundary data differ")
+        self.d.append(_h_minus_one_norm(snap.values - ref.snapshots[k].values, ref.grid, self.mu))
+
+    def report(self, other: Trajectory, name: str) -> CheckReport:
+        """The verdict on the snapshots fed, of the run `other` (its dt and provenance)."""
+        ref, rel_tol, lam = self.ref, self.rel_tol, self.window.lam
+        if abs(ref.dt - other.dt) > 1e-12 * max(ref.dt, other.dt):
+            raise ValueError("mismatched runs: time steps differ")
+        if len(self.d) != len(ref.snapshots):
+            raise ValueError("mismatched runs: snapshot times differ")
+        times, d = ref.times, np.array(self.d)
+
+        witness = None
+        for k in range(len(d) - 1):
+            if d[k + 1] - d[k] > rel_tol * d[k]:
+                witness = {"step": k + 1, "t": float(times[k + 1]),
+                           "d_prev": float(d[k]), "d_next": float(d[k + 1])}
+                break
+        monotone = witness is None
+
+        weighted = np.exp(2.0 * lam * (times - times[0])) * d * d
+        weighted_monotone = bool(np.all(np.diff(weighted) <= rel_tol * weighted[:-1]))
+
+        rate = float("nan")
+        alive = d > max(d[0], 1e-300) * 1e-12
+        if alive.sum() >= 2 and d[0] > 0:
+            rate = float(np.polyfit(times[alive], np.log(d[alive]), 1)[0])
+
+        return CheckReport(
+            name=name, passed=monotone, tolerance=rel_tol,
+            provenance=_provenance(ref, other), witness=witness,
+            values={"times": times, "d": d, "monotone": monotone,
+                    "weighted_monotone": weighted_monotone,
+                    "lam": lam, "rate_fit": rate},
+            series=("t,d", list(zip(times, d))))
 
 
 def contraction_report(traj0: Trajectory, traj1: Trajectory,
@@ -165,68 +209,53 @@ def contraction_report(traj0: Trajectory, traj1: Trajectory,
     and the best-fit decay exponent are recorded as information only; no sign
     of the exponent is asserted.
     """
-    _require_matched(traj0, traj1)
-    grid = traj0.grid
-    times = traj0.times
-    mu = _laplacian_symbol(grid)   # one symbol for every snapshot
-    d = np.array([_h_minus_one_norm(traj1.snapshots[k].values - traj0.snapshots[k].values,
-                                    grid, mu) for k in range(len(times))])
-
-    witness = None
-    monotone = True
-    for k in range(len(d) - 1):
-        if d[k + 1] - d[k] > rel_tol * d[k]:
-            monotone = False
-            witness = {"step": k + 1, "t": float(times[k + 1]),
-                       "d_prev": float(d[k]), "d_next": float(d[k + 1])}
-            break
-
-    weighted = np.exp(2.0 * window.lam * (times - times[0])) * d * d
-    weighted_monotone = bool(np.all(np.diff(weighted) <= rel_tol * weighted[:-1]))
-
-    rate = float("nan")
-    alive = d > max(d[0], 1e-300) * 1e-12
-    if alive.sum() >= 2 and d[0] > 0:
-        rate = float(np.polyfit(times[alive], np.log(d[alive]), 1)[0])
-
-    return CheckReport(
-        name=name, passed=monotone, tolerance=rel_tol,
-        provenance=_provenance(traj0, traj1), witness=witness,
-        values={"times": times, "d": d, "monotone": monotone,
-                "weighted_monotone": weighted_monotone,
-                "lam": window.lam, "rate_fit": rate},
-        series=("t,d", list(zip(times, d))))
+    fold = _ContractionFold(traj0, window, rel_tol)
+    for snap in traj1.snapshots:
+        fold.feed(snap)
+    return fold.report(traj1, name)
 
 
 # ---------------------------------------------------------------------------
 # boundedness
 
+class _SupFold:
+    """The sup-norm loop, fed snapshots in time order: sup |u| of each against
+    max(initial sup, running boundary sup) + tol; the first excess is the witness."""
+
+    def __init__(self, tol: float = 1e-10):
+        self.tol, self.times, self.sups, self.bounds = tol, [], [], []
+        self.witness, self.boundary_running = None, 0.0
+
+    def feed(self, snap: FieldState) -> None:
+        r = vector_norm(snap.values)
+        s = float(r.max())
+        self.boundary_running = max(self.boundary_running, snap.boundary_sup())
+        bound = max(self.sups[0] if self.sups else s, self.boundary_running)
+        if self.witness is None and s > bound + self.tol:
+            loc = tuple(int(i) for i in np.unravel_index(int(r.argmax()), snap.grid.sizes))
+            self.witness = {"snapshot": len(self.sups), "t": float(snap.t), "sup": s,
+                            "bound": bound, "location": loc}
+        self.times.append(snap.t)
+        self.sups.append(s)
+        self.bounds.append(bound)
+
+    def report(self, traj: Trajectory, name: str) -> CheckReport:
+        """The verdict on the snapshots fed, of the run `traj` (its provenance)."""
+        times = np.array(self.times)
+        return CheckReport(name=name, passed=self.witness is None, tolerance=self.tol,
+                           provenance=_provenance(traj),
+                           values={"times": times, "sup": np.array(self.sups),
+                                   "bound": np.array(self.bounds)}, witness=self.witness,
+                           series=("t,sup,bound", list(zip(times, self.sups, self.bounds))))
+
+
 def sup_norm_report(traj: Trajectory, tol: float = 1e-10,
                     name: str = "sup-norm") -> CheckReport:
     """sup |u(t)| <= max(initial sup, running boundary sup) + tol, per snapshot."""
-    sups = []
-    bounds = []
-    witness = None
-    passed = True
-    boundary_running = 0.0
-    initial_sup = float(vector_norm(traj.snapshots[0].values).max())
-    for k, snap in enumerate(traj.snapshots):
-        boundary_running = max(boundary_running, snap.boundary_sup())
-        r = vector_norm(snap.values)
-        s = float(r.max())
-        bound = max(initial_sup, boundary_running)
-        sups.append(s)
-        bounds.append(bound)
-        if passed and s > bound + tol:
-            passed = False
-            loc = tuple(int(i) for i in np.unravel_index(int(r.argmax()), traj.grid.sizes))
-            witness = {"snapshot": k, "t": float(snap.t), "sup": s,
-                       "bound": bound, "location": loc}
-    return CheckReport(name=name, passed=passed, tolerance=tol,
-                       provenance=_provenance(traj),
-                       values={"times": traj.times, "sup": np.array(sups),
-                               "bound": np.array(bounds)}, witness=witness,
-                       series=("t,sup,bound", list(zip(traj.times, sups, bounds))))
+    fold = _SupFold(tol)
+    for snap in traj.snapshots:
+        fold.feed(snap)
+    return fold.report(traj, name)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +363,9 @@ def calibrate_residual_constant(config: RunConfig) -> float:
     amp = float(config.initial.get("amplitude", 0.5))
     q = quadratic(r_max=max(2.0, 2.0 * amp))
     cfg = replace(config, potential=q, system="diffusion", snapshot_every=1)
-    traj = run(cfg)
-    rep = entropy_residual_diffusion(traj, q, build_entropy(q), certify_window(q))
-    h, dt = traj.grid.h, traj.dt
-    return rep.values["max_abs"] / (h * h + dt)
+    fold = _diffusion_fold(cfg.grid, q, build_entropy(q), certify_window(q))
+    dt, h = run(cfg, fold.feed).dt, cfg.grid.h
+    return fold.stats()["max_abs"] / (h * h + dt)
 
 
 @dataclass(frozen=True)
@@ -370,6 +398,25 @@ def choose_entropy_params(cc: CoupledCoefficients, n_dim: int,
     return CoupledEntropyParams(s=s, c=c, eps=eps, big_c=big_c, lam=lam)
 
 
+def _coupled_fold(grid: GridSpec, cc: CoupledCoefficients, s: float, c: float) -> _ResidualFold:
+    """The residual fold of `entropy_residual_coupled`."""
+    if cc.bounds["sup_Hzz"] == 0.0:
+        raise ValueError("H vanishes identically; use the diffusion entropy check")
+    plans = _shift_plans(grid, (1, 0), (0, -1))
+
+    def v(snap: FieldState, r: np.ndarray) -> np.ndarray:
+        return np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
+
+    def div_A_grad(v_now: np.ndarray, snap: FieldState, r: np.ndarray) -> np.ndarray:
+        A = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r) \
+            + np.sum(np.asarray(cc.c(snap.values, r), dtype=float)
+                     * np.asarray(cc.H_z(snap.values, r), dtype=float), axis=0)
+        return _face_divergence(A, v_now, None, None, grid, np.zeros(grid.sizes),
+                                np.empty(grid.sizes), np.empty(grid.sizes),
+                                np.empty(grid.sizes), plans)
+    return _ResidualFold(grid, cc.r_max, v, div_A_grad, c)
+
+
 def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
                              s: float, c: float, tau: float | None = None,
                              name: str = "entropy-coupled") -> CheckReport:
@@ -380,23 +427,7 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
     to the diffusion check instead (the bound c |grad u|^2 <= 0 cannot hold
     for non-constant data without the vanishing flux term).
     """
-    if cc.bounds["sup_Hzz"] == 0.0:
-        raise ValueError("H vanishes identically; use the diffusion entropy check")
-
-    g = traj.grid
-    plans = _shift_plans(g, (1, 0), (0, -1))
-
-    def v(snap: FieldState, r: np.ndarray) -> np.ndarray:
-        return np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
-
-    def div_A_grad(v_now: np.ndarray, snap: FieldState, r: np.ndarray) -> np.ndarray:
-        A = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r) \
-            + np.sum(np.asarray(cc.c(snap.values, r), dtype=float)
-                     * np.asarray(cc.H_z(snap.values, r), dtype=float), axis=0)
-        return _face_divergence(A, v_now, None, None, g, np.zeros(g.sizes), np.empty(g.sizes),
-                                np.empty(g.sizes), np.empty(g.sizes), plans)
-
-    return _residual_report(traj, _ResidualFold(g, cc.r_max, v, div_A_grad, c), tau, name,
+    return _residual_report(traj, _coupled_fold(traj.grid, cc, s, c), tau, name,
                             {"s": s, "c": c})
 
 

@@ -2,6 +2,7 @@ import csv
 import functools
 import gc
 import importlib.util
+import inspect
 import json
 import sys
 import weakref
@@ -348,7 +349,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("section", ["initial0", "initial1"])
     def test_a_typo_in_contractions_data_fails_that_check(self, tmp_path, section):
         checks = [{"name": "contr", "kind": "contraction", **CONTRACTION_KEYS,
-                   "config": heat_doc(size=32, t_end=0.001)}, small_check("fine")]
+                   "config": contraction_config()}, small_check("fine")]
         checks[0][section] = {**checks[0][section], "ampiltude": 0.4}
         suite = write_doc(tmp_path, {"name": "s", "checks": checks}, "suite.json")
         assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
@@ -359,14 +360,43 @@ class TestVerifyCommand:
                                           "['initial.ampiltude']")
         assert json.loads((tmp_path / "v" / "s" / "fine.report.json").read_text())["passed"]
 
+    @pytest.mark.parametrize("kind", ["contraction", "tampered-contraction"])
+    def test_an_initial_in_a_contractions_config_is_refused_before_any_run(
+            self, tmp_path, monkeypatch, kind):
+        # both runs start from initial0 and initial1, so nothing would read it
+        keys = counting_runs(monkeypatch)
+        bump = {"kind": "bump", "amplitude": 0.9, "width": 0.05}
+        checks = [{"name": "contr", "kind": kind, **CONTRACTION_KEYS,
+                   "config": {**contraction_config(), "initial": bump}}]
+        suite = write_doc(tmp_path, {"name": "s", "checks": checks}, "suite.json")
+        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
+        rep = json.loads((tmp_path / "v" / "s" / "contr.report.json").read_text())
+        assert rep["passed"] is False and keys == []
+        assert rep["values"]["error"] == ("UsageError: 'contr': a contraction config "
+                                          "takes no 'initial'")
+
+    @pytest.mark.parametrize("checks", [5, "sup", {"name": "a", "kind": "sup-norm"}, None])
+    def test_checks_that_are_not_a_list_are_a_usage_error(self, tmp_path, capsys,
+                                                          monkeypatch, checks):
+        forbid_runs(monkeypatch)
+        suite = write_doc(tmp_path, {"name": "x", "checks": checks}, "s.json")
+        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
+        assert capsys.readouterr().err == f"error: suite checks must be a list, got {checks!r}\n"
+        assert not (tmp_path / "v").exists()
+
+
+def contraction_config():
+    """A contraction check's config: both runs take their data from initial0 and initial1."""
+    return {k: v for k, v in heat_doc(size=32, t_end=0.001).items() if k != "initial"}
+
 
 def counting_runs(monkeypatch):
     """Record the name-free hash of every config `cli.run` integrates."""
     keys, real = [], cli.run
 
-    def counted(cfg):
+    def counted(cfg, observe=None):
         keys.append(config_hash({**cfg.describe(), "name": None}))
-        return real(cfg)
+        return real(cfg, observe)
     monkeypatch.setattr(cli, "run", counted)
     return keys
 
@@ -393,13 +423,34 @@ class TestSuiteMemo:
             assert list(csv.reader(open(alone / "summary.csv")))[1] == summary[i + 1]
         assert len(keys) == 15   # the three shared runs, each run alone
 
+    def test_a_shared_run_is_replayed_into_each_streaming_check(self, tmp_path, monkeypatch):
+        keys = counting_runs(monkeypatch)
+        config = cell_base([32], t_end=0.002, snapshot_every=2)
+        bare = {k: v for k, v in config.items() if k != "initial"}
+        entropy = {"kind": "entropy-diffusion", "sizes": [16, 32],
+                   "config": {**config, "snapshot_every": 1}}
+        checks = [{"name": "a", "kind": "sup-norm", "config": config},
+                  {"name": "b", "kind": "tampered-sup", "config": config},
+                  {"name": "c", "kind": "contraction", "config": bare, **CONTRACTION_KEYS},
+                  {"name": "d", "kind": "tampered-contraction", "config": bare,
+                   **CONTRACTION_KEYS},
+                  {"name": "e", **entropy}, {"name": "f", **entropy}]
+        run_suite({"name": "s", "checks": checks}, tmp_path / "all", 3)
+        assert len(keys) == 5   # a and b share one run, c and d two, e and f two rungs
+        for check in checks:
+            alone = tmp_path / check["name"]
+            run_suite({"name": "s", "checks": [check]}, alone, 3)
+            files = {f.name for f in alone.iterdir()} - {"summary.csv", "suite_manifest.json"}
+            assert files and all((alone / f).read_bytes() == (tmp_path / "all" / f).read_bytes()
+                                 for f in files)
+
     def test_singletons_run_uncached_and_a_group_is_dropped_when_it_ends(
             self, tmp_path, monkeypatch):
         made, real = [], cli.run   # a weak reference to every trajectory integrated
 
-        def tracked(cfg):
-            traj = real(cfg)
-            made.append(weakref.ref(traj))
+        def tracked(cfg, observe=None):   # a streamed run keeps only its final snapshot
+            traj = real(cfg, observe)
+            made.append((weakref.ref(traj), observe is None))
             return traj
         monkeypatch.setattr(cli, "run", tracked)
         seen = {}   # check name -> (handed the plain run?, which earlier runs are alive)
@@ -407,7 +458,7 @@ class TestSuiteMemo:
             @functools.wraps(check)   # the spy declares the keys its check declares
             def spy(run, seed, *lead, check=check, **keys):
                 gc.collect()
-                seen[keys["name"]] = (run is tracked, [r() is not None for r in made])
+                seen[keys["name"]] = (run is tracked, [r() is not None for r, _ in made])
                 return check(run, seed, *lead, **keys)
             monkeypatch.setitem(cli._CHECKS, kind, (spy, *leading))
         shared = heat_doc(size=32, t_end=0.002)
@@ -420,7 +471,8 @@ class TestSuiteMemo:
         ]}, tmp_path / "v", 1)
         assert seen["ent"][0] and seen["c"][0]   # uncached
         assert not seen["a"][0] and not seen["b"][0]
-        assert len(made) == 4   # the entropy check's 2 rungs, one run for a and b, c's
+        # the entropy check's 2 rungs and c's run streamed, one stored run for a and b
+        assert [stored for _, stored in made] == [False, False, True, False]
         assert seen["b"][1] == [False, False, True]    # each rung freed; a's run kept
         assert seen["c"][1] == [False, False, False]   # dropped when the group ended
 
@@ -493,6 +545,24 @@ class TestSweepCommand:
         assert main(["sweep", path, "--out", str(tmp_path / "s")]) == 1
         assert not (tmp_path / "s" / "sw").exists()
 
+    @pytest.mark.parametrize("sizes, extra, axes, message", [
+        ([32], {"initial": {"kind": "bands", "seed": 3}}, {"potential": ["quadratic", "cosh"]},
+         "bad run config: unknown key(s) ['initial.seed']"),
+        ([32], {}, {"potential": ["cosh", "nope"]},
+         "bad potential section: unknown potential id 'nope'"),
+        ([32, 48], {}, {"resolution": [32, 33]},
+         "bad sweep cell 'cosh-n33': resolution 33 gives axis 1 a fractional count of "
+         "points (48 points at 32 on axis 0)"),
+    ], ids=["base", "potential-axis", "resolution-axis"])
+    def test_a_cell_config_error_exits_1_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                           sizes, extra, axes, message):
+        forbid_runs(monkeypatch)
+        doc = write_doc(tmp_path, {"name": "sw", "base": cell_base(sizes, **extra),
+                                   "axes": axes}, "sweep.json")
+        assert main(["sweep", doc, "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "s").exists()
+
 
 BAD_NAMES = ["", ".", "..", "a/b", "a\\b", "../escaped"]
 TABLE_QUAD = {"id": "tab-quad", "r_max": 2.0,
@@ -500,7 +570,7 @@ TABLE_QUAD = {"id": "tab-quad", "r_max": 2.0,
 
 
 def forbid_runs(monkeypatch):
-    def no_run(cfg):
+    def no_run(cfg, observe=None):
         raise AssertionError(f"run '{cfg.name}' started")
     monkeypatch.setattr(cli, "run", no_run)
 
@@ -893,20 +963,20 @@ class TestStreamedSweepCells:
                 return future
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", InOrder)
-        doc = {"name": "sw", "base": cell_base([32], t_end=0.002),
-               "axes": {"resolution": [32, 64], "potential": ["nope", "cosh"],
-                        "seed": [1, 2]}}
+        # 40 steps of 5e-5: within the CFL bound at 32 and 64 points, beyond it at 128
+        doc = {"name": "sw", "base": cell_base([32], t_end=0.002, dt_override=5e-5),
+               "axes": {"resolution": [32, 64, 128], "potential": ["quadratic", "cosh"]}}
         assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
                      str(tmp_path / "s")]) == 1
         labels = [c["label"] for c in cli._sweep_cells(doc)]
-        # 64 points cost 8 times 32 (twice the points, four times the steps);
-        # equal costs keep cell order and an unknown potential cannot be planned
-        assert submitted == ["cosh-n64-s1", "cosh-n64-s2", "cosh-n32-s1", "cosh-n32-s2",
-                             "nope-n32-s1", "nope-n32-s2", "nope-n64-s1", "nope-n64-s2"]
+        # 64 points cost twice 32 (equal steps); equal costs keep cell order, and a
+        # cell whose run cannot be planned goes last
+        assert submitted == ["quadratic-n64", "cosh-n64", "quadratic-n32", "cosh-n32",
+                             "quadratic-n128", "cosh-n128"]
         rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
         assert [r["label"] for r in rows] == labels
-        assert [bool(r["error"]) for r in rows] == [label.startswith("nope") for label in labels]
-        assert rows[0]["error"].startswith("UsageError: bad potential section: unknown")
+        assert [bool(r["error"]) for r in rows] == [label.endswith("n128") for label in labels]
+        assert rows[-1]["error"].startswith("ValueError: dt_override 5e-05 violates the CFL")
 
     @pytest.mark.parametrize("threads, affinity, expected", [
         ("0", {0, 1, 2}, 3), ("0", None, 7), ("5", {0, 1, 2}, 5)])
@@ -1012,18 +1082,107 @@ class TestPlantedControls:
             "d_next": 0.10709459864855937}
 
     def test_a_plant_leaves_the_run_it_is_given_alone(self):
+        # a plant wraps the observer: one snapshot changes on its way to the monitor,
+        # and the run's own state and the snapshots it hands over are left as they are
         cfg = cli.build_config(cli.negative_control_suite()["checks"][1]["config"], 5)
         traj = cli.run(cfg)
         before = [s.values.copy() for s in traj.snapshots]
         for plant, k in ((cli._inflate_final, -1), (cli._anti_diffuse_middle,
                                                      len(traj.snapshots) // 2)):
-            planted = plant(traj)
-            assert planted.meta is traj.meta and planted.dt == traj.dt
-            assert planted.times.tolist() == traj.times.tolist()
-            changed = [i for i, (a, b) in enumerate(zip(planted.snapshots, traj.snapshots))
+            handed, planted = [], []
+            wrapped = plant(cfg, planted.append)
+
+            def observe(snap):
+                handed.append(snap)
+                wrapped(snap)
+            final = cli.run(cfg, observe).final
+            assert [s.t for s in planted] == traj.times.tolist()
+            changed = [i for i, (a, b) in enumerate(zip(planted, traj.snapshots))
                        if not np.array_equal(a.values, b.values)]
             assert changed == [k % len(traj.snapshots)]
+            assert all(np.array_equal(a.values, b) for a, b in zip(handed, before))
+            assert np.array_equal(final.values, before[-1])
         assert all(np.array_equal(s.values, b) for s, b in zip(traj.snapshots, before))
+
+    def test_the_default_plant_is_the_identity(self):
+        observe = [].append
+        for check in (cli._check_sup_norm, cli._check_contraction):
+            assert inspect.signature(check).parameters["plant"].default(None, observe) is observe
+
+
+def frozen_inflate_final(traj):
+    """The tampered-sup plant as it was when plants transformed stored trajectories."""
+    bad = replace(traj.final, values=traj.final.values * 1.5)
+    return replace(traj, snapshots=traj.snapshots[:-1] + (bad,))
+
+
+def frozen_anti_diffuse_middle(traj):
+    """The tampered-contraction plant as it was when plants transformed stored trajectories."""
+    from pelab import step_diffusion
+    k = len(traj.snapshots) // 2
+    snap = traj.snapshots[k]
+    bumped = step_diffusion(snap, cli.build_potential(traj.meta["config"]["potential"]),
+                            -40 * traj.dt)
+    return replace(traj, snapshots=traj.snapshots[:k] + (replace(bumped, t=snap.t),)
+                   + traj.snapshots[k + 1:])
+
+
+class TestStreamedVerify:
+    """The sup-norm, contraction and entropy checks fold each snapshot as `run` hands
+    it over, so a check's memory stays flat in the step count, and each report is
+    the public monitor's over the stored trajectory."""
+
+    @pytest.mark.parametrize("kind, extra", [("sup-norm", {}),
+                                             ("entropy-diffusion", {"sizes": [64]})])
+    def test_a_checks_peak_memory_does_not_grow_with_the_step_count(self, tmp_path, kind,
+                                                                    extra):
+        import tracemalloc
+        peaks = []
+        for t_end in (0.002, 0.004):   # 57 and 113 steps at 64^2
+            suite = {"name": "s", "checks": [{"name": "c", "kind": kind, **extra,
+                                              "config": cell_base([64, 64], t_end=t_end)}]}
+            run_suite(suite, tmp_path / "warm")   # cached tables
+            tracemalloc.start()
+            try:
+                run_suite(suite, tmp_path / f"t{t_end}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        field = 64 * 64 * 8
+        # a few fields of allocator noise; a stored trajectory would add 56 fields
+        assert peaks[1] - peaks[0] < 4 * field, peaks
+
+    @pytest.mark.parametrize("sizes, boundary", [([64], "periodic"), ([65], "dirichlet")])
+    def test_streamed_reports_equal_the_monitors_over_stored_runs(self, sizes, boundary):
+        from pelab import certify_window, contraction_report, sup_norm_report
+
+        def same(got, want):
+            assert json.dumps(got.to_json(), sort_keys=True) == \
+                json.dumps(want.to_json(), sort_keys=True)
+            assert got.series == want.series
+
+        mode = {"kind": "mode", "k": [1], "amplitude": 0.5}
+        config = cell_base(sizes, boundary, t_end=0.005, snapshot_every=4, initial=mode)
+        stored = cli.run(cli.build_config(config, 3))
+        for kind, plant in (("sup-norm", None), ("tampered-sup", frozen_inflate_final)):
+            check, *leading = cli._CHECKS[kind]
+            got = check(cli.run, 3, *leading, name="c", config=config)
+            same(got, sup_norm_report(plant(stored) if plant else stored, name="c"))
+            assert got.passed is (plant is None) and (got.witness is None) is got.passed
+
+        keys = {"initial0": mode, "initial1": {"kind": "bands", "kmax": 2, "amplitude": 0.4}}
+        bare = {k: v for k, v in config.items() if k != "initial"}
+        base0, base1 = (cli.build_config({**bare, "initial": keys[k]}, 3) for k in keys)
+        run0 = cli.run(replace(base0, name="cell-a"))
+        run1 = cli.run(replace(base1, name="cell-b"))
+        window = certify_window(base0.potential)
+        for kind, plant in (("contraction", None),
+                            ("tampered-contraction", frozen_anti_diffuse_middle)):
+            check, *leading = cli._CHECKS[kind]
+            got = check(cli.run, 3, *leading, name="c", config=bare, **keys)
+            same(got, contraction_report(run0, plant(run1) if plant else run1, window,
+                                         name="c"))
+            assert got.passed is (plant is None) and (got.witness is None) is got.passed
 
 
 class TestEntropyCommand:
