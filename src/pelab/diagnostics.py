@@ -20,8 +20,8 @@ each snapshot's field is computed once and dropped; nothing is memoised.  The
 sup-norm loop (`_SupFold`), the contraction loop (`_ContractionFold`, against
 a stored reference run), the residual loop (`_ResidualFold`) and the cylinder
 loop (`grid._CylinderFold`) take one snapshot at a time: a monitor called with
-a `Trajectory` feeds them its snapshots, and `pelab verify` and a sweep cell
-feed them each snapshot as its run makes it.
+a `Trajectory` feeds them its snapshots; `pelab verify` feeds the first three,
+and a sweep cell the last two, each snapshot as its run makes it.
 Their |grad u|^2 is the unchecked `_gradient_sq`, over one plan per report.
 The Hoelder seminorm is exact: every point pair with separation in the band,
 one integer offset at a time.
