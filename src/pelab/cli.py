@@ -1,7 +1,7 @@
 """Config-driven experiment runner and verification suites.
 
 Subcommands: run, verify, sweep, entropy, report.  Configs and reports are
-JSON, series are CSV, snapshots use the binary format of the grid module.
+JSON, series are CSV, trajectories use the binary format of the grid module.
 Outputs are byte-identical for identical configs and seeds (no timestamps),
 so golden-file comparisons work.  A sweep cell writes each snapshot and feeds
 it to its monitors as `run` makes it, so its memory does not grow with the
@@ -24,7 +24,7 @@ import shutil
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from itertools import count, product
 from pathlib import Path
@@ -36,8 +36,8 @@ from .diagnostics import (CheckReport, _ContractionFold, _coupled_fold, _diffusi
                           choose_entropy_params, estimate_ratio_report, morrey_report,
                           reverse_holder_report)
 from .errors import DomainAbort
-from .grid import (Cylinder, GridSpec, Trajectory, _CylinderFold, vector_norm,
-                   write_snapshot)
+from .grid import (Cylinder, GridSpec, Trajectory, _CylinderFold, _write_frame,
+                   _write_header, vector_norm)
 from .potentials import (build_entropy, certify_window, coupled_decomposition,
                          from_piecewise_poly, get_potential)
 from .solver import (RunConfig, _initial_family, _planned, config_hash, run,
@@ -146,27 +146,32 @@ def _load_json(path: str) -> dict:
 
 @contextmanager
 def _snapshot_writer(outdir: Path):
-    """The one snapshot writer: yields write(snapshot), which writes a run's next
-    snapshot as snap_NNNNNN.pelb, and manifest(meta), which lists them.  They
-    go to a fresh sibling of `outdir`, made at the first snapshot, that
-    replaces `outdir` when the block ends; an exception removes the sibling
-    instead and leaves `outdir` as it was."""
+    """The one snapshot writer: yields write(snapshot), which appends a run's next
+    snapshot to trajectory.pelb as a frame, and manifest(meta), which lists the
+    frames.  They go to a fresh sibling of `outdir`, made at the first snapshot,
+    that replaces `outdir` when the block ends; an exception closes the file,
+    removes the sibling instead and leaves `outdir` as it was."""
     partial = outdir.with_name(f".{outdir.name}.partial")
-    names = []
+    files, times, fh = ExitStack(), [], None
 
     def write(snap):
-        if not names:
+        nonlocal fh
+        if fh is None:
             shutil.rmtree(partial, ignore_errors=True)   # left by a killed run
             partial.mkdir(parents=True)
-        names.append(f"snap_{len(names):06d}.pelb")
-        write_snapshot(partial / names[-1], snap)
+            fh = files.enter_context(open(partial / "trajectory.pelb", "wb"))
+            _write_header(fh, snap.grid, snap.n_components)
+        _write_frame(fh, snap)
+        times.append(snap.t)
 
     def manifest(meta: dict) -> dict:
-        doc = {"kind": "run", **meta, "snapshots": names}
+        doc = {"kind": "run", **meta, "trajectory": "trajectory.pelb", "frames": len(times),
+               "times": times}
         (partial / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return doc
     try:
-        yield write, manifest
+        with files:
+            yield write, manifest
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
@@ -358,9 +363,14 @@ _CHECKS = {
 }
 
 
+# a key's JSON types, by its default's type: an int may stand for a float
+_KEY_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
 def _bind_check(check: dict):
     """The check's (function, leading arguments, keys) from _CHECKS; a UsageError
-    names the check and every unknown or missing key."""
+    names the check and every unknown or missing key, and every key whose value's
+    type is not its default's (`config` is an object)."""
     kind = check.get("kind")
     if not isinstance(kind, str) or kind not in _CHECKS:
         raise UsageError(f"unknown check kind '{kind}' in '{check['name']}'")
@@ -368,6 +378,12 @@ def _bind_check(check: dict):
     keys = _keywords(fn)
     _check_keys(check, {"": {*keys, "kind"}}, f"check '{check['name']}'",
                 required=[k for k, default in keys.items() if default is inspect.Parameter.empty])
+    types = {"config": (dict,), **{k: _KEY_TYPES[type(d)] for k, d in keys.items()
+                                   if type(d) in _KEY_TYPES}}
+    wrong = [f"{k}: {types[k][-1].__name__}, not {type(v).__name__}"
+             for k, v in check.items() if k in types and type(v) not in types[k]]
+    if wrong:
+        raise UsageError(f"bad check '{check['name']}': wrong type(s) {wrong}")
     return fn, leading, {k: v for k, v in check.items() if k != "kind"}
 
 
@@ -479,8 +495,8 @@ def cmd_run(args) -> int:
             traj = run(cfg, write)
         except ValueError as exc:  # an initial section or dt_override run() cannot honour
             raise UsageError(f"bad run config: {exc}") from exc
-        count = len(manifest(traj.meta)["snapshots"])
-    print(f"wrote {count} snapshots to {outdir}")
+        count = manifest(traj.meta)["frames"]
+    print(f"wrote {count} frames to {outdir}")
     return 0
 
 
@@ -513,8 +529,7 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> li
     reports = []
     files = []
     # consecutive checks whose configs differ at most in `name` share one memo
-    bare = [{**c["config"], "name": None} if isinstance(c["config"], dict) else object()
-            for c in checks]
+    bare = [{**c["config"], "name": None} for c in checks]
     for i, (fn, leading, keys) in enumerate(bound):
         if i == 0 or bare[i] != bare[i - 1]:
             memo = {}   # a new group: the last group's runs are dropped

@@ -39,7 +39,8 @@ PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
 
 _MAGIC = b"PELB"
-_VERSION = 1
+_VERSION = 2
+_HEAD = struct.Struct("<4sIBBB")   # magic, version, n, N, boundary flag
 
 
 @dataclass(frozen=True)
@@ -550,51 +551,63 @@ def cylinder_integrals(traj: Trajectory, terms: Sequence[tuple[Cylinder, float]]
     return fold.result()
 
 
-# Snapshot file format, bit-exact:
-#   magic "PELB", version u32=1, n u8, N u8, boundary u8 (0 periodic, 1 dirichlet),
-#   sizes n x u64, h f64, t f64, then N*(prod sizes) f64 values,
-#   little-endian, component-major then row-major.
+# Trajectory file format, version 2, bit-exact and little-endian: a header of
+#   magic "PELB", version u32=2, n u8, N u8, boundary u8 (0 periodic, 1 dirichlet),
+#   sizes n x u64 and h f64; then one frame per snapshot: t f64, then
+#   N*(prod sizes) f64 values, component-major then row-major.
+
+def _write_header(fh, grid: GridSpec, n_components: int) -> None:
+    fh.write(_HEAD.pack(_MAGIC, _VERSION, grid.n, n_components, 0 if grid.periodic else 1)
+             + np.asarray(grid.sizes, dtype="<u8").tobytes() + struct.pack("<d", grid.h))
+
+
+def _write_frame(fh, state: FieldState) -> None:
+    """Append one frame, its values written from the state's own buffer (no copy)."""
+    fh.writelines((struct.pack("<d", state.t), np.ascontiguousarray(state.values, "<f8")))
+
 
 def write_snapshot(path, state: FieldState) -> None:
-    grid = state.grid
-    head = struct.pack("<4sIBBB", _MAGIC, _VERSION, grid.n, state.n_components,
-                       0 if grid.periodic else 1)
-    sizes = np.asarray(grid.sizes, dtype="<u8").tobytes()
-    scalars = struct.pack("<dd", grid.h, state.t)
-    body = np.ascontiguousarray(state.values, dtype="<f8").tobytes()
+    """A trajectory file of one frame, `state`."""
     with open(path, "wb") as fh:
-        fh.writelines((head, sizes, scalars, body))
+        _write_header(fh, state.grid, state.n_components)
+        _write_frame(fh, state)
 
 
-def read_snapshot(path) -> FieldState:
+def read_snapshot(path, index: int = 0) -> FieldState:
+    """Frame `index` of a trajectory file."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    head = struct.calcsize("<4sIBBB")
-    if len(raw) < head:
-        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {head}-byte header")
-    magic, version, n, nc, bflag = struct.unpack_from("<4sIBBB", raw, 0)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: not a snapshot file (bad magic {magic!r})")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported snapshot version {version}")
-    if bflag not in (0, 1):
-        raise ValueError(f"{path}: unknown boundary flag {bflag}")
-    if nc == 0:
-        raise ValueError(f"{path}: the header declares 0 components")
-    off = head + 8 * n + 16
-    if len(raw) < off:
-        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {off}-byte header")
-    sizes = np.frombuffer(raw, dtype="<u8", count=n, offset=head).astype(int)
-    h, t = struct.unpack_from("<dd", raw, head + 8 * n)
-    try:
-        grid = GridSpec(n, tuple(sizes), h, PERIODIC if bflag == 0 else DIRICHLET)
-    except ValueError as exc:
-        raise ValueError(f"{path}: invalid grid in the header: {exc}") from exc
-    count = nc * math.prod(grid.sizes)
-    if len(raw) != off + 8 * count:
-        raise ValueError(f"{path}: {len(raw)} bytes where the header implies {off + 8 * count}")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).astype(float)
-    values = values.reshape((nc, *grid.sizes))
+        raw = fh.read(_HEAD.size)
+        if len(raw) < _HEAD.size:
+            raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {_HEAD.size}-byte header")
+        magic, version, n, nc, bflag = _HEAD.unpack(raw)
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: not a snapshot file (bad magic {magic!r})")
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported snapshot version {version}")
+        if bflag not in (0, 1):
+            raise ValueError(f"{path}: unknown boundary flag {bflag}")
+        if nc == 0:
+            raise ValueError(f"{path}: the header declares 0 components")
+        off, raw = _HEAD.size + 8 * n + 8, fh.read(8 * n + 8)
+        if len(raw) < 8 * n + 8:
+            raise ValueError(f"{path}: {_HEAD.size + len(raw)} bytes, shorter than the "
+                             f"{off}-byte header")
+        *sizes, h = struct.unpack(f"<{n}Qd", raw)
+        try:
+            grid = GridSpec(n, tuple(sizes), h, PERIODIC if bflag == 0 else DIRICHLET)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid grid in the header: {exc}") from exc
+        frame = 8 + 8 * nc * math.prod(grid.sizes)
+        size = fh.seek(0, 2)
+        frames, rest = divmod(size - off, frame)
+        if rest or not frames:
+            raise ValueError(f"{path}: {size} bytes, not the {off}-byte header and whole "
+                             f"{frame}-byte frames")
+        if not 0 <= index < frames:
+            raise IndexError(f"{path}: frame index {index} out of range for {frames} frames")
+        fh.seek(off + index * frame)
+        data = np.frombuffer(fh.read(frame), dtype="<f8")
+    t, values = data[0], data[1:].astype(float).reshape((nc, *grid.sizes))
     bv = None
     if not grid.periodic:
         ring = values[:, grid.boundary_mask]

@@ -289,7 +289,8 @@ def test_11_coupled_diffusion_consistency():
 
 
 def test_12_cli_determinism(tmp_path):
-    """Repeated cmd_run with a fixed seed produces byte-identical snapshots."""
+    """Repeated cmd_run with a fixed seed produces a byte-identical trajectory file
+    and manifest."""
     doc = {
         "name": "det",
         "grid": {"sizes": [128], "h": 1.0 / 128, "boundary": "periodic"},
@@ -306,9 +307,11 @@ def test_12_cli_determinism(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "b")]) == 0
     da, db = tmp_path / "a" / "det", tmp_path / "b" / "det"
     names = sorted(p.name for p in da.iterdir())
-    assert names == sorted(p.name for p in db.iterdir())
-    n_snaps = 0
+    assert names == sorted(p.name for p in db.iterdir()) == ["manifest.json", "trajectory.pelb"]
     for name in names:
         assert (da / name).read_bytes() == (db / name).read_bytes(), name
-        n_snaps += name.endswith(".pelb")
-    report(f"12 PASS determinism: {n_snaps} snapshot files byte-identical across reruns")
+    manifest = json.loads((da / "manifest.json").read_text())
+    frames = manifest["frames"]
+    assert frames == len(manifest["times"]) == manifest["steps"] // 8 + 1   # t = 0, every 8th
+    report(f"12 PASS determinism: trajectory of {frames} frames and manifest "
+           f"byte-identical across reruns")

@@ -4,9 +4,11 @@ import gc
 import importlib.util
 import inspect
 import json
+import os
 import sys
 import weakref
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +57,15 @@ class TestRunCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["kind"] == "run"
         assert manifest["potential_id"] == "quadratic"
-        snap = read_snapshot(outdir / manifest["snapshots"][0])
+        assert manifest["trajectory"] == "trajectory.pelb"
+        snap = read_snapshot(outdir / manifest["trajectory"])
         assert snap.values.shape == (1, 128)
-        snaps = [read_snapshot(outdir / f) for f in manifest["snapshots"]]
-        listed = ["manifest.json", *manifest["snapshots"]]
-        assert sorted(p.name for p in outdir.iterdir()) == listed
-        assert [s.t for s in snaps] == sorted(s.t for s in snaps)
+        snaps = [read_snapshot(outdir / "trajectory.pelb", k) for k in range(manifest["frames"])]
+        assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json", "trajectory.pelb"]
+        assert [s.t for s in snaps] == manifest["times"] == sorted(s.t for s in snaps)
         assert snaps[0].t == 0.0 and snaps[-1].t == pytest.approx(0.01)
+        with pytest.raises(IndexError, match=f"frame index {manifest['frames']} out of range"):
+            read_snapshot(outdir / "trajectory.pelb", manifest["frames"])
 
     def test_range_excursion_exits_2(self, tmp_path, capsys):
         doc = heat_doc()
@@ -223,7 +227,8 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
         manifest = json.loads(
             (tmp_path / "out" / "wall" / "manifest.json").read_text())
-        last = read_snapshot(tmp_path / "out" / "wall" / manifest["snapshots"][-1])
+        last = read_snapshot(tmp_path / "out" / "wall" / manifest["trajectory"],
+                             manifest["frames"] - 1)
         assert last.boundary_values == (0.0,)
         assert last.values[0, 0] == 0.0 and last.values[0, -1] == 0.0
 
@@ -668,6 +673,22 @@ EVERY_KIND = {
 }
 
 
+# kind -> (mistyped keys, the error naming them), one per kind; the first is the
+# crash that a string "points" used to become once its morrey check had run
+WRONG_TYPES = {
+    "morrey": ({"points": "10"}, "['points: int, not str']"),
+    "contraction": ({"decay_ratio_rtol": "0.02"}, "['decay_ratio_rtol: float, not str']"),
+    "sup-norm": ({"config": "heat.json"}, "['config: dict, not str']"),
+    "entropy-diffusion": ({"config": None}, "['config: dict, not NoneType']"),
+    "entropy-coupled": ({"config": [heat_doc()]}, "['config: dict, not list']"),
+    "reverse-holder": ({"cylinders": 20.0, "p": "2.5"},
+                       "['cylinders: int, not float', 'p: float, not str']"),
+    "estimate-ratios": ({"cylinders": True}, "['cylinders: int, not bool']"),
+    "tampered-sup": ({"config": 1}, "['config: dict, not int']"),
+    "tampered-contraction": ({"decay_ratio_rtol": False}, "['decay_ratio_rtol: float, not bool']"),
+}
+
+
 class TestCheckKeys:
     """A check kind's keys are the keyword-only parameters of its function; every
     check of a suite is bound to them before anything runs or is written."""
@@ -695,6 +716,27 @@ class TestCheckKeys:
         del check[dropped]
         self.rejected(tmp_path, capsys, monkeypatch, {"name": "s", "checks": [check]},
                       f"error: bad check 'c': missing key(s) ['{dropped}']\n")
+
+    @pytest.mark.parametrize("kind", list(WRONG_TYPES))
+    def test_a_mistyped_key(self, tmp_path, capsys, monkeypatch, kind):
+        wrong, named = WRONG_TYPES[kind]
+        check = {**small_check("c"), "kind": kind, **EVERY_KIND[kind][0], **wrong}
+        self.rejected(tmp_path, capsys, monkeypatch, {"name": "s", "checks": [check]},
+                      f"error: bad check 'c': wrong type(s) {named}\n")
+
+    def test_every_typed_key_is_covered(self):
+        assert set(WRONG_TYPES) == set(cli._CHECKS)
+        typed = {(kind, k) for kind, (fn, *_) in cli._CHECKS.items()
+                 for k, d in cli._keywords(fn).items() if type(d) in (int, float, str, bool)}
+        assert typed <= {(kind, k) for kind, (wrong, _) in WRONG_TYPES.items() for k in wrong}
+
+    def test_an_int_may_stand_for_a_float(self):
+        check = {**small_check("c"), "kind": "reverse-holder", "R": 1, "p": 3,
+                 "cylinders": 4, "t0": None, "sizes": [32, 64]}
+        assert cli._bind_check(check)[2] == {k: v for k, v in check.items() if k != "kind"}
+        for kind in ("contraction", "tampered-contraction"):
+            cli._bind_check({**small_check("c"), "kind": kind, **CONTRACTION_KEYS,
+                             "decay_ratio_rtol": 1})
 
     def test_every_problem_of_a_check_is_named_at_once(self, tmp_path, capsys, monkeypatch):
         check = {**small_check("c"), "kind": "estimate-ratios", "rr": 0.05, "R": 0.1,
@@ -833,10 +875,11 @@ class TestSweepPotentialAxis:
 
 def frozen_run_cell(base_doc, cell, outdir, seed):
     """The sweep cell as it was composed before cells streamed, kept as an oracle:
-    run, then write every snapshot and the manifest, then entropy_residual_diffusion,
-    then morrey_profile."""
+    run, then write the trajectory file (encoded here, apart from the program's
+    writer) and the manifest, then entropy_residual_diffusion, then morrey_profile."""
+    import struct
     from pelab import (build_entropy, certify_window, entropy_residual_diffusion,
-                       morrey_profile, run, vector_norm, with_resolution, write_snapshot)
+                       morrey_profile, run, vector_norm, with_resolution)
     doc = json.loads(json.dumps(base_doc))
     if "potential" in cell:
         doc["potential"].pop("table", None)
@@ -848,11 +891,16 @@ def frozen_run_cell(base_doc, cell, outdir, seed):
     traj = run(cfg)
     cell_dir = outdir / cell["label"]
     cell_dir.mkdir(parents=True)
-    names = [f"snap_{k:06d}.pelb" for k in range(len(traj.snapshots))]
-    for name, snap in zip(names, traj.snapshots):
-        write_snapshot(cell_dir / name, snap)
+    g = cfg.grid
+    with open(cell_dir / "trajectory.pelb", "wb") as fh:
+        fh.write(struct.pack("<4sIBBB", b"PELB", 2, g.n, cfg.n_components, int(not g.periodic)))
+        fh.write(struct.pack(f"<{g.n}Qd", *g.sizes, g.h))
+        for snap in traj.snapshots:
+            fh.write(struct.pack("<d", snap.t) + snap.values.astype("<f8").tobytes())
+    times = [snap.t for snap in traj.snapshots]
     (cell_dir / "manifest.json").write_text(json.dumps(
-        {"kind": "run", **traj.meta, "snapshots": names}, sort_keys=True, indent=2) + "\n")
+        {"kind": "run", **traj.meta, "trajectory": "trajectory.pelb", "frames": len(times),
+         "times": times}, sort_keys=True, indent=2) + "\n")
     row = dict.fromkeys(cli._SWEEP_FIELDS, "")
     row.update(label=cell["label"], potential=cfg.potential.id,
                size=cfg.grid.sizes[0], seed=cfg.seed,
@@ -880,10 +928,17 @@ def tree(root):
 
 
 def orphans(root):
-    """Snapshot files under root that no manifest.json beside them lists."""
-    listed = {m.parent / name for m in root.rglob("manifest.json")
-              for name in json.loads(m.read_text())["snapshots"]}
-    return sorted(str(f) for f in root.rglob("*.pelb") if f not in listed)
+    """Trajectory files under root that are not the `trajectory` of the one
+    manifest.json beside them."""
+    def listed(f):
+        m = f.parent / "manifest.json"
+        return m.is_file() and json.loads(m.read_text())["trajectory"] == f.name
+    return sorted(str(f) for f in root.rglob("*.pelb") if not listed(f))
+
+
+def open_fds():
+    """The file descriptors this process holds open."""
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 def cell_base(sizes, boundary="periodic", **extra):
@@ -983,7 +1038,6 @@ class TestStreamedSweepCells:
     def test_zero_threads_means_the_usable_cpus(self, tmp_path, monkeypatch, threads,
                                                 affinity, expected):
         from concurrent.futures import ThreadPoolExecutor
-        import os
         seen = []
 
         def recording(max_workers):
@@ -1003,23 +1057,28 @@ class TestStreamedSweepCells:
 
     @staticmethod
     def failing_third_write(monkeypatch, cell_dir):
-        real = cli.write_snapshot
+        """The third frame appended to `cell_dir`'s trajectory fails half-written."""
+        real, appends = cli._write_frame, count()
 
-        def flaky(path, snap):
-            if path.parent.name == f".{cell_dir}.partial" and path.name == "snap_000002.pelb":
-                path.write_bytes(b"partial")
+        def flaky(fh, snap):
+            path = Path(fh.name)
+            if (path.parent.name == f".{cell_dir}.partial" and path.name == "trajectory.pelb"
+                    and next(appends) == 2):
+                fh.write(b"partial")
                 raise OSError("disk full")
-            real(path, snap)
+            real(fh, snap)
 
-        monkeypatch.setattr(cli, "write_snapshot", flaky)
+        monkeypatch.setattr(cli, "_write_frame", flaky)
 
     def test_a_failed_cell_leaves_no_snapshot_and_keeps_its_error_row(self, tmp_path,
                                                                       monkeypatch):
         self.failing_third_write(monkeypatch, "cosh")
         doc = {"name": "sw", "base": cell_base([32]),
                "axes": {"potential": ["quadratic", "cosh"]}}
+        fds = open_fds()
         assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
                      str(tmp_path / "s"), "--threads", "2"]) == 1
+        assert open_fds() == fds
         rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
         assert [(r["label"], r["error"]) for r in rows] == [
             ("quadratic", ""), ("cosh", "OSError: disk full")]
@@ -1029,8 +1088,12 @@ class TestStreamedSweepCells:
 
     def test_a_failed_run_leaves_no_snapshot(self, tmp_path, monkeypatch):
         self.failing_third_write(monkeypatch, "heat-sin")
-        with pytest.raises(OSError, match="disk full"):
-            main(["run", write_doc(tmp_path, heat_doc()), "--out", str(tmp_path / "out")])
+        cfg = write_doc(tmp_path, heat_doc())
+        fds = open_fds()
+        with pytest.raises(OSError, match="disk full") as failed:
+            main(["run", cfg, "--out", str(tmp_path / "out")])
+        # the traceback keeps the writer's frames alive: the file must be closed, not collected
+        assert failed.traceback and open_fds() == fds
         assert list((tmp_path / "out").iterdir()) == []
         assert orphans(tmp_path) == []
 
@@ -1065,6 +1128,45 @@ class TestStreamedSweepCells:
         assert tree(tmp_path / "s" / "sw" / "cosh") == before
         assert sorted(p.name for p in (tmp_path / "s" / "sw").iterdir()) == [
             "cosh", "quadratic", "sweep.csv", "sweep_manifest.json"]
+
+
+class TestOneTrajectoryFile:
+    """A run directory, of `pelab run` or of a sweep cell, holds its manifest and one
+    trajectory file, whose frame k is the run's snapshot k bit for bit."""
+
+    @staticmethod
+    def assert_frames_are_the_run(outdir, cfg):
+        from pelab import run
+        assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json", "trajectory.pelb"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        snaps = run(cfg).snapshots
+        assert manifest["trajectory"] == "trajectory.pelb"
+        assert manifest["frames"] == len(snaps) > 2
+        assert manifest["times"] == [s.t for s in snaps]
+        for k, s in enumerate(snaps):
+            frame = read_snapshot(outdir / "trajectory.pelb", k)
+            assert frame.t == s.t and frame.boundary_values == s.boundary_values
+            assert frame.values.tobytes() == s.values.tobytes()
+
+    def test_a_run_directory(self, tmp_path, capsys):
+        doc = heat_doc(size=64, t_end=0.002)
+        assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+        outdir = tmp_path / "out" / "heat-sin"
+        self.assert_frames_are_the_run(outdir, cli.build_config(doc))
+        frames = json.loads((outdir / "manifest.json").read_text())["frames"]
+        assert capsys.readouterr().out == f"wrote {frames} frames to {outdir}\n"
+
+    @pytest.mark.parametrize("base", [
+        cell_base([32, 32]),
+        cell_base([33], "dirichlet", initial={"kind": "mode", "k": [1], "amplitude": 0.5},
+                  components=2)], ids=["2d-periodic", "1d-dirichlet-n2"])
+    def test_a_sweep_cell_directory(self, tmp_path, base):
+        doc = {"name": "sw", "base": base, "axes": {"potential": ["quadratic", "cosh"]}}
+        assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
+                     str(tmp_path / "s"), "--threads", "2"]) == 0
+        for cell in cli._sweep_cells(doc):
+            self.assert_frames_are_the_run(tmp_path / "s" / "sw" / cell["label"],
+                                           cli._cell_config(base, cell, None))
 
 
 class TestPlantedControls:

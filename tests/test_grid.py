@@ -6,7 +6,7 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    hessian_sq, laplacian, read_snapshot, vector_norm,
                    write_snapshot)
 from pelab.grid import (_face_divergence, _gradient_sq, _laplacian, _shift_plans,
-                        _shifted, face_divergence)
+                        _shifted, _write_frame, _write_header, face_divergence)
 
 
 def periodic_grid(size=128, n=1):
@@ -558,13 +558,13 @@ class TestSnapshotFiles:
         write_snapshot(path, s)
         raw = path.read_bytes()
         assert raw[:4] == b"PELB"
-        assert int.from_bytes(raw[4:8], "little") == 1
+        assert int.from_bytes(raw[4:8], "little") == 2
         assert raw[8] == 1 and raw[9] == 1 and raw[10] == 0
         assert int.from_bytes(raw[11:19], "little") == 4
-        assert np.frombuffer(raw[19:27], "<f8")[0] == 0.25   # h
-        assert np.frombuffer(raw[27:35], "<f8")[0] == 2.0    # t
+        assert np.frombuffer(raw[19:27], "<f8")[0] == 0.25   # h, the last header field
+        assert np.frombuffer(raw[27:35], "<f8")[0] == 2.0    # t, the frame's first field
         assert np.array_equal(np.frombuffer(raw[35:], "<f8"), [0.0, 1.0, 2.0, 3.0])
-        assert len(raw) == 35 + 4 * 8
+        assert len(raw) == 27 + 8 + 4 * 8
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pelb"
@@ -581,19 +581,70 @@ class TestSnapshotFiles:
         assert back.grid == g
         assert np.array_equal(back.values, s.values)
 
-    @pytest.mark.parametrize("change", ["trailing", "truncated"])
-    def test_wrong_length_rejected_with_path(self, tmp_path, change):
+    @staticmethod
+    def trajectory_file(path, states):
+        with open(path, "wb") as fh:
+            _write_header(fh, states[0].grid, states[0].n_components)
+            for s in states:
+                _write_frame(fh, s)
+
+    @pytest.mark.parametrize("grid", [periodic_grid(8, n=2), dirichlet_grid(9)],
+                             ids=["periodic-2d", "dirichlet-1d"])
+    def test_every_frame_reads_back_bit_exact(self, tmp_path, grid):
+        rng = np.random.default_rng(11)
+        states = []
+        for k in range(5):
+            v = rng.standard_normal((2, *grid.sizes))
+            bv = None if grid.periodic else (0.5, -0.25)
+            if bv:
+                for c in range(2):
+                    v[c][grid.boundary_mask] = bv[c]
+            states.append(FieldState(grid=grid, values=v, t=0.1 * k + 1e-17 * k,
+                                     boundary_values=bv))
+        path = tmp_path / "trajectory.pelb"
+        self.trajectory_file(path, states)
+        frame = 8 + 8 * states[0].values.size
+        assert path.stat().st_size == 11 + 8 * grid.n + 8 + 5 * frame
+        for k, s in enumerate(states):
+            back = read_snapshot(path, k)
+            assert back.grid == grid and back.boundary_values == s.boundary_values
+            assert back.t == s.t
+            assert back.values.tobytes() == s.values.tobytes()
+
+    def test_a_one_frame_file_is_the_writers_own_layout(self, tmp_path):
+        s = FieldState(grid=periodic_grid(8), values=np.linspace(0, 1, 8)[None], t=0.5)
+        write_snapshot(tmp_path / "a.pelb", s)
+        self.trajectory_file(tmp_path / "b.pelb", [s])
+        assert (tmp_path / "a.pelb").read_bytes() == (tmp_path / "b.pelb").read_bytes()
+
+    @pytest.mark.parametrize("index", [3, -1, 100])
+    def test_an_index_out_of_range_names_path_and_index(self, tmp_path, index):
+        g = periodic_grid(8)
+        path = tmp_path / "s.pelb"
+        self.trajectory_file(path, [FieldState(grid=g, values=np.zeros((1, 8)), t=float(k))
+                                    for k in range(3)])
+        with pytest.raises(IndexError) as exc:
+            read_snapshot(path, index)
+        assert str(exc.value) == f"{path}: frame index {index} out of range for 3 frames"
+
+    @pytest.mark.parametrize("change, size", [
+        ("trailing", 67 + 24), ("truncated", 67 - 8), ("cut-t", 30),
+        ("header-only", 27), ("truncated-last-frame", 67 + 40 - 1)])
+    def test_wrong_length_rejected_with_path(self, tmp_path, change, size):
         g = GridSpec(n=1, sizes=(4,), h=0.25, boundary=PERIODIC)
         path = tmp_path / "s.pelb"
-        write_snapshot(path, FieldState(grid=g, values=np.zeros((1, 4)), t=0.0))
-        raw = path.read_bytes()
-        path.write_bytes(raw + bytes(24) if change == "trailing" else raw[:-8])
-        with pytest.raises(ValueError, match="bytes where the header implies 67") as exc:
-            read_snapshot(path)
-        assert str(path) in str(exc.value)
+        self.trajectory_file(path, [FieldState(grid=g, values=np.zeros((1, 4)), t=float(k))
+                                    for k in range(2)])
+        raw = path.read_bytes()   # a 27-byte header and two 40-byte frames
+        path.write_bytes(raw[:67] + bytes(24) if change == "trailing" else raw[:size])
+        for index in (0, 1):
+            with pytest.raises(ValueError, match=f"{size} bytes, not the 27-byte header and "
+                                                 f"whole 40-byte frames") as exc:
+                read_snapshot(path, index)
+            assert str(exc.value).startswith(f"{path}: ")
 
-    @pytest.mark.parametrize("cut, header", [(6, 11), (15, 35), (22, 35), (30, 35)],
-                             ids=["head", "sizes", "h", "t"])
+    @pytest.mark.parametrize("cut, header", [(6, 11), (15, 27), (22, 27)],
+                             ids=["head", "sizes", "h"])
     def test_cut_header_rejected_with_path(self, tmp_path, cut, header):
         g = GridSpec(n=1, sizes=(4,), h=0.25, boundary=PERIODIC)
         path = tmp_path / "s.pelb"
@@ -604,14 +655,32 @@ class TestSnapshotFiles:
             read_snapshot(path)
         assert str(path) in str(exc.value)
 
+    def test_a_version_1_file_is_rejected_with_path(self, tmp_path):
+        # the earlier one-file-per-snapshot layout: h and t after the sizes, then values
+        import struct
+        path = tmp_path / "snap_000000.pelb"
+        path.write_bytes(struct.pack("<4sIBBB", b"PELB", 1, 1, 1, 0)
+                         + np.asarray([4], dtype="<u8").tobytes()
+                         + struct.pack("<dd", 0.25, 0.0) + bytes(32))
+        with pytest.raises(ValueError) as exc:
+            read_snapshot(path)
+        assert str(exc.value) == f"{path}: unsupported snapshot version 1"
+
     @staticmethod
     def raw_snapshot(n, nc, sizes, h=0.25, bflag=0, values=None):
         import struct
         count = nc * int(np.prod(sizes))
         body = np.zeros(count) if values is None else np.asarray(values, dtype="<f8")
-        return (struct.pack("<4sIBBB", b"PELB", 1, n, nc, bflag)
+        return (struct.pack("<4sIBBB", b"PELB", 2, n, nc, bflag)
                 + np.asarray(sizes, dtype="<u8").tobytes()
-                + struct.pack("<dd", h, 0.0) + body.tobytes())
+                + struct.pack("<dd", h, 0.0) + body.tobytes())   # h, then the frame's t
+
+    def test_unknown_boundary_flag_rejected_with_path(self, tmp_path):
+        path = tmp_path / "s.pelb"
+        path.write_bytes(self.raw_snapshot(1, 1, (8,), bflag=2))
+        with pytest.raises(ValueError) as exc:
+            read_snapshot(path)
+        assert str(exc.value) == f"{path}: unknown boundary flag 2"
 
     def test_zero_components_rejected_with_path(self, tmp_path):
         path = tmp_path / "s.pelb"
@@ -632,14 +701,18 @@ class TestSnapshotFiles:
             read_snapshot(path)
         assert str(exc.value).startswith(f"{path}: invalid grid in the header: ")
 
-    def test_uneven_boundary_layer_names_the_component(self, tmp_path):
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_uneven_boundary_layer_names_the_component(self, tmp_path, frames):
         g = dirichlet_grid(8)
         path = tmp_path / "s.pelb"
-        write_snapshot(path, FieldState(grid=g, values=np.full((2, 8), 0.5), t=0.0,
-                                        boundary_values=(0.5, 0.5)))
+        self.trajectory_file(path, [FieldState(grid=g, values=np.full((2, 8), 0.5), t=float(k),
+                                               boundary_values=(0.5, 0.5))
+                                    for k in range(frames)])
         raw = bytearray(path.read_bytes())
-        raw[-8:] = np.float64(0.25).tobytes()   # the last point of component 1
+        raw[-8:] = np.float64(0.25).tobytes()   # the last point of component 1, last frame
         path.write_bytes(bytes(raw))
+        for k in range(frames - 1):   # the earlier frames still read
+            assert read_snapshot(path, k).boundary_values == (0.5, 0.5)
         with pytest.raises(ValueError, match="component 1 is not constant") as exc:
-            read_snapshot(path)
+            read_snapshot(path, frames - 1)
         assert str(path) in str(exc.value)
