@@ -3,9 +3,13 @@
 Subcommands: run, verify, sweep, entropy, report.  Configs and reports are
 JSON, series are CSV, trajectories use the binary format of the grid module.
 Outputs are byte-identical for identical configs and seeds (no timestamps),
-so golden-file comparisons work.  A sweep cell writes each snapshot and feeds
-it to its monitors as `run` makes it, so its memory does not grow with the
-step count; the costliest cells start first.
+so golden-file comparisons work.  A suite is a run plan: each check subscribes
+observers, its monitors' folds, to run configs, and a judge gives its verdict on
+their trajectories.  Each distinct config is integrated once and every snapshot
+handed to all its observers; a negative control's plant wraps only its own
+check's observer.  A sweep cell writes each snapshot and feeds it to its
+monitors as `run` makes it, the costliest cells first.  Neither stores a run,
+so memory does not grow with the step count.
 
 Exit codes: 0 success / all checks passed, 1 usage or config error (including
 failed checks), 2 domain abort (range excursion, convexity or construction
@@ -23,6 +27,7 @@ import os
 import shutil
 import sys
 import traceback
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
@@ -31,13 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (CheckReport, _ContractionFold, _coupled_fold, _diffusion_fold,
-                          _morrey, _SupFold, calibrate_residual_constant,
-                          choose_entropy_params, estimate_ratio_report, morrey_report,
-                          reverse_holder_report)
+from .diagnostics import (CheckReport, _calibration, _ContractionFold, _coupled_fold,
+                          _diffusion_fold, _EstimateFold, _MorreyFold, _ReverseHolderFold,
+                          _rungs_report, _SupFold, choose_entropy_params)
 from .errors import DomainAbort
-from .grid import (Cylinder, GridSpec, Trajectory, _CylinderFold, _write_frame,
-                   _write_header, vector_norm)
+from .grid import Cylinder, GridSpec, _write_frame, _write_header, vector_norm
 from .potentials import (build_entropy, certify_window, coupled_decomposition,
                          from_piecewise_poly, get_potential)
 from .solver import (RunConfig, _initial_family, _planned, config_hash, run,
@@ -87,8 +90,9 @@ def _check_keys(doc: dict, known: dict, what: str, required=()) -> None:
 
 
 def _keywords(fn) -> dict:
-    """Name -> default of fn's keyword-only parameters: a check kind's or a family's keys."""
-    return {p.name: p.default for p in inspect.signature(fn).parameters.values()
+    """Name -> parameter, annotation evaluated, of fn's keyword-only parameters: a check
+    kind's or a family's keys."""
+    return {p.name: p for p in inspect.signature(fn, eval_str=True).parameters.values()
             if p.kind is p.KEYWORD_ONLY}
 
 
@@ -131,14 +135,18 @@ def build_config(doc: dict, seed_override: int | None = None) -> RunConfig:
         raise UsageError(f"bad run config: {exc}") from exc
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path) -> dict:
+    """The JSON object the file at `path` holds; a UsageError names the file otherwise."""
     p = Path(path)
     if not p.exists():
         raise UsageError(f"file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -192,46 +200,34 @@ def _seeded_points(grid: GridSpec, count: int, seed: int, margin: float = 0.2):
     return pts
 
 
-def _shrink_ok(pos_coarse: float, pos_fine: float, scale: float) -> bool:
-    # identically zero positive parts satisfy the refinement demand vacuously
-    floor = 1e-12 * max(1.0, scale)
-    return pos_fine <= max(0.5 * pos_coarse, floor)
-
-
-def _check_contraction(run, seed, plant=lambda cfg, obs: obs, /, *, name, config, initial0,
-                       initial1, decay_ratio_target=None, decay_ratio_rtol=0.02) -> CheckReport:
+def _check_contraction(seed, plant=lambda cfg, obs: obs, /, *, name: str, config: dict,
+                       initial0: dict, initial1: dict, decay_ratio_target: float | None = None,
+                       decay_ratio_rtol: float = 0.02):
     if "initial" in config:   # the runs start from initial0 and initial1
         raise UsageError(f"'{name}': a contraction config takes no 'initial'")
     base0, base1 = (build_config({**config, "initial": i}, seed) for i in (initial0, initial1))
-    fold = _ContractionFold(run(replace(base0, name=base0.name + "-a")),
-                            certify_window(base0.potential))
-    cfg1 = replace(base1, name=base1.name + "-b")
-    rep = fold.report(run(cfg1, plant(cfg1, fold.feed)), name)
-    if decay_ratio_target is not None:
-        d = rep.values["d"]
-        measured = float(d[-1] / d[0]) if d[0] > 0 else float("nan")
-        target, rtol = decay_ratio_target, decay_ratio_rtol
-        rep.values["decay_ratio"] = measured
-        rep.values["decay_ratio_target"] = target
-        if not (math.isfinite(measured) and abs(measured - target) <= rtol * target):
-            rep.passed = False
-            rep.witness = {"decay_ratio": measured, "target": target, "rtol": rtol}
-    return rep
+    cfg0, cfg1 = replace(base0, name=base0.name + "-a"), replace(base1, name=base1.name + "-b")
+    fold = _ContractionFold(certify_window(base0.potential))
+    feed0, feed1 = (lambda snap: fold.feed(0, snap)), (lambda snap: fold.feed(1, snap))
+    return [(cfg0, feed0), (cfg1, plant(cfg1, feed1))], lambda trajs: fold.report(
+        *trajs, name, decay_ratio_target, decay_ratio_rtol)
 
 
-def _check_sup_norm(run, seed, plant=lambda cfg, obs: obs, /, *, name, config) -> CheckReport:
+def _check_sup_norm(seed, plant=lambda cfg, obs: obs, /, *, name: str, config: dict):
     cfg = build_config(config, seed)
     fold = _SupFold()
-    return fold.report(run(cfg, plant(cfg, fold.feed)), name)
+    return [(cfg, plant(cfg, fold.feed))], lambda trajs: fold.report(trajs[0], name)
 
 
-def _check_entropy(run, seed, coupled: bool, /, *, name, config, sizes=(64, 128),
-                   K=None) -> CheckReport:
+def _check_entropy(seed, coupled: bool, /, *, name: str, config: dict,
+                   sizes: list[int] = (64, 128), K: float | None = None):
     base = build_config(config, seed)
     if base.snapshot_every != 1:
         raise UsageError("entropy residual checks need snapshot_every = 1")
-    if K is None:
-        K = calibrate_residual_constant(with_resolution(base, sizes[0]))
+    subs = []
+    if K is None:   # fitted on a run of its own, subscribed first
+        cfg, observe, fit = _calibration(with_resolution(base, sizes[0]))
+        subs.append((cfg, observe))
     pot = base.potential
     if coupled:
         cc = coupled_decomposition(pot)
@@ -241,72 +237,57 @@ def _check_entropy(run, seed, coupled: bool, /, *, name, config, sizes=(64, 128)
     else:
         ent, window, extra = build_entropy(pot), certify_window(pot), {}
         residual = lambda grid: _diffusion_fold(grid, pot, ent, window)
-    per_size = []
-    passed = True
-    witness = None
-    prev_pos = None
-    for size in sizes:   # each rung folded as it runs
-        cfg = with_resolution(base, size)
-        fold = residual(cfg.grid)
-        dt = run(cfg, fold.feed).dt
-        tau = K * (cfg.grid.h ** 2 + dt)
-        stats = fold.stats()
-        per_size.append({"size": size, **{k: stats[k] for k in ("max_pos", "p99_pos", "max_abs")},
-                         "h": cfg.grid.h, "dt": dt, "tau": tau})
-        if not fold.max_pos <= tau:
-            passed = False
-            witness = witness or fold.witness
-        if prev_pos is not None and not _shrink_ok(prev_pos, fold.max_pos, fold.max_abs):
-            passed = False
-            witness = witness or {"refinement": {"coarse_pos": prev_pos, "fine_pos": fold.max_pos}}
-        prev_pos = fold.max_pos
-    return CheckReport(name=name, passed=passed, tolerance={"K": K},
-                       values={"K": K, "per_size": per_size, **extra}, witness=witness)
+    rungs = [with_resolution(base, size) for size in sizes]
+    folds = [residual(cfg.grid) for cfg in rungs]
+    return subs + [(cfg, fold.feed) for cfg, fold in zip(rungs, folds)], lambda trajs: \
+        _rungs_report(folds, trajs[len(trajs) - len(sizes):], sizes,
+                      fit(trajs[0].dt) if K is None else K, name, **extra)
 
 
-def _check_morrey(run, seed, /, *, name, config, t0=None, points=10,
-                  radii_h=(16, 8, 4)) -> CheckReport:
+def _check_morrey(seed, /, *, name: str, config: dict, t0: float | None = None,
+                  points: int = 10, radii_h: list[int] = (16, 8, 4)):
     cfg = build_config(config, seed)
     t0 = cfg.t_end if t0 is None else t0
     pts = [(xy, t0) for xy in _seeded_points(cfg.grid, points, seed + 1)]
-    return morrey_report(run(cfg), pts, [m * cfg.grid.h for m in radii_h], name=name)
+    fold = _MorreyFold(cfg.grid, pts, [m * cfg.grid.h for m in radii_h])
+    return [(cfg, fold.feed)], lambda trajs: fold.report(trajs[0], name=name)
 
 
-def _coarse_then_fine(name: str, base: RunConfig, sizes, run, monitor, key: str) -> CheckReport:
-    """The fine rung's report, judged against the coarse rung's `key` value.
-    `monitor(grid)` is the report function of both rungs, set up on the coarse grid."""
+def _refinement(name: str, config: dict, seed: int, sizes, key: str, fold_on):
+    """The plan of a check that judges its fine rung's fold_on(coarse grid, rung config)
+    against its coarse rung's `key` value."""
+    base = build_config(config, seed)
     if len(sizes) != 2:
         raise UsageError(f"'{name}' takes exactly two sizes (coarse, fine), got {sizes}")
-    coarse_cfg = with_resolution(base, sizes[0])
-    report = monitor(coarse_cfg.grid)
-    coarse = report(run(coarse_cfg))   # its run freed before the fine one starts
-    rep = report(run(with_resolution(base, sizes[1])), reference=coarse.values[key], name=name)
-    rep.values[f"{key}_coarse"] = coarse.values[key]
-    rep.values["sizes"] = sizes
-    return rep
+    rungs = [with_resolution(base, size) for size in sizes]
+    coarse, fine = (fold_on(rungs[0].grid, cfg) for cfg in rungs)
+
+    def judge(trajs):
+        ref = coarse.report(trajs[0]).values[key]
+        rep = fine.report(trajs[1], reference=ref, name=name)
+        rep.values[f"{key}_coarse"] = ref
+        rep.values["sizes"] = sizes
+        return rep
+    return [(rungs[0], coarse.feed), (rungs[1], fine.feed)], judge
 
 
-def _check_reverse_holder(run, seed, /, *, name, config, R, t0=None, sizes=(128, 256),
-                          cylinders=20, p=2.5) -> CheckReport:
-    base = build_config(config, seed)
-    t0 = base.t_end if t0 is None else t0
-
-    def monitor(grid):
-        cyls = [Cylinder(center=c, t0=t0, R=R)
-                for c in _seeded_points(grid, cylinders, seed + 2, margin=0.0)]
-        return lambda traj, **kw: reverse_holder_report(traj, cyls, p=p, **kw)
-    return _coarse_then_fine(name, base, sizes, run, monitor, "max_ratio")
+def _check_reverse_holder(seed, /, *, name: str, config: dict, R: float,
+                          t0: float | None = None, sizes: list[int] = (128, 256),
+                          cylinders: int = 20, p: float = 2.5):
+    def fold_on(coarse, cfg):   # the cylinders drawn on the coarse grid
+        cyls = [Cylinder(center=c, t0=cfg.t_end if t0 is None else t0, R=R)
+                for c in _seeded_points(coarse, cylinders, seed + 2, margin=0.0)]
+        return _ReverseHolderFold(cfg.grid, cyls, p)
+    return _refinement(name, config, seed, sizes, "max_ratio", fold_on)
 
 
-def _check_estimate_ratios(run, seed, /, *, name, config, r, R, t0, sizes=(128, 256),
-                           cylinders=3) -> CheckReport:
-    base = build_config(config, seed)
-
-    def monitor(grid):
+def _check_estimate_ratios(seed, /, *, name: str, config: dict, r: float, R: float,
+                           t0: float, sizes: list[int] = (128, 256), cylinders: int = 3):
+    def fold_on(coarse, cfg):   # the cylinders drawn on the coarse grid
         pairs = [(Cylinder(center=c, t0=t0, R=r), Cylinder(center=c, t0=t0, R=R))
-                 for c in _seeded_points(grid, cylinders, seed + 3)]
-        return lambda traj, **kw: estimate_ratio_report(traj, base.potential, pairs, **kw)
-    return _coarse_then_fine(name, base, sizes, run, monitor, "maxima")
+                 for c in _seeded_points(coarse, cylinders, seed + 3)]
+        return _EstimateFold(cfg.grid, cfg.potential, pairs)
+    return _refinement(name, config, seed, sizes, "maxima", fold_on)
 
 
 # the negative controls' plants: plant(config, observe) -> the observer the run is handed
@@ -333,23 +314,11 @@ def _anti_diffuse_middle(cfg: RunConfig, observe):
     return planted
 
 
-def _shared_run(memo: dict):
-    """`run` through `memo`, keyed on the resolved config without its name, replaying the
-    stored snapshots into `observe`; a hit shares them and dt under this config's meta."""
-    def shared(cfg: RunConfig, observe=lambda snap: None) -> Trajectory:
-        doc = cfg.describe()
-        key = config_hash({**doc, "name": None})
-        traj = memo[key] = memo.get(key) or run(cfg)
-        for snap in traj.snapshots:
-            observe(snap)
-        return replace(traj, meta={**traj.meta, "config": doc,
-                                   "config_hash": config_hash(doc), "name": cfg.name})
-    return shared
-
-
-# check kind -> (function, *leading), called as function(run, seed, *leading, **keys)
-# with `run(config, observe=None)`; the keyword-only parameters declare the kind's
-# keys and defaults, and the leading ones hold what a suite cannot set.
+# check kind -> (function, *leading); function(seed, *leading, **keys) makes the check's
+# plan and runs nothing: its subscriptions, (RunConfig, observer) pairs, and judge, which
+# gets one final-snapshot Trajectory per subscription, in order, under its config's meta.
+# The keyword-only parameters declare the kind's keys, their JSON types (annotations) and
+# defaults, and the leading ones hold what a suite cannot set.
 _CHECKS = {
     "contraction": (_check_contraction,),
     "sup-norm": (_check_sup_norm,),
@@ -363,25 +332,29 @@ _CHECKS = {
 }
 
 
-# a key's JSON types, by its default's type: an int may stand for a float
-_KEY_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+def _fits(value, kind) -> bool:
+    """Whether a JSON value is of `kind`: a type (an int may stand for a float), a union
+    of types, or list[...], an array."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return type(value) is list and all(_fits(v, args[0]) for v in value)
+    return any(_fits(value, k) for k in args) if args else \
+        type(value) is kind or (kind is float and type(value) is int)
 
 
 def _bind_check(check: dict):
     """The check's (function, leading arguments, keys) from _CHECKS; a UsageError
-    names the check and every unknown or missing key, and every key whose value's
-    type is not its default's (`config` is an object)."""
+    names the check and every unknown or missing key, and every key whose value
+    does not fit its type."""
     kind = check.get("kind")
     if not isinstance(kind, str) or kind not in _CHECKS:
         raise UsageError(f"unknown check kind '{kind}' in '{check['name']}'")
     fn, *leading = _CHECKS[kind]
     keys = _keywords(fn)
     _check_keys(check, {"": {*keys, "kind"}}, f"check '{check['name']}'",
-                required=[k for k, default in keys.items() if default is inspect.Parameter.empty])
-    types = {"config": (dict,), **{k: _KEY_TYPES[type(d)] for k, d in keys.items()
-                                   if type(d) in _KEY_TYPES}}
-    wrong = [f"{k}: {types[k][-1].__name__}, not {type(v).__name__}"
-             for k, v in check.items() if k in types and type(v) not in types[k]]
+                required=[k for k, p in keys.items() if p.default is p.empty])
+    wrong = [f"{k}: {t.__name__ if type(t) is type else t}, not {type(v).__name__}"
+             for k, v in check.items() if k in keys and not _fits(v, t := keys[k].annotation)]
     if wrong:
         raise UsageError(f"bad check '{check['name']}': wrong type(s) {wrong}")
     return fn, leading, {k: v for k, v in check.items() if k != "kind"}
@@ -390,16 +363,18 @@ def _bind_check(check: dict):
 # ---------------------------------------------------------------------------
 # built-in suites
 
+def _suite_config(name: str, size: int, t_end: float, snapshot_every: int,
+                  boundary: str = "periodic", potential: str = "cosh", **extra) -> dict:
+    """A built-in suite's run config: one component on a 1D unit box of `size` points."""
+    h = 1.0 / size if boundary == "periodic" else 1.0 / (size - 1)
+    r_max = {"cosh": 1.0, "quadratic": 2.0}[potential]
+    return {"grid": {"sizes": [size], "h": h, "boundary": boundary}, "components": 1,
+            "potential": {"id": potential, "r_max": r_max}, "t_end": t_end,
+            "snapshot_every": snapshot_every, "name": name, **extra}
+
+
 def paper_core_suite(size: int = 128) -> dict:
     """One check per structural property of the flow, cosh potential, given base size."""
-    def pgrid(m):
-        return {"sizes": [m], "h": 1.0 / m, "boundary": "periodic"}
-
-    def dgrid(m):
-        return {"sizes": [m], "h": 1.0 / (m - 1), "boundary": "dirichlet"}
-
-    cosh = {"id": "cosh", "r_max": 1.0}
-    quad = {"id": "quadratic", "r_max": 2.0}
     bands = {"kind": "bands", "kmax": 3, "amplitude": 0.5}
     offset_bands = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "offset": [0.8]}
     return {
@@ -407,70 +382,49 @@ def paper_core_suite(size: int = 128) -> dict:
         "seed": 11,
         "checks": [
             {"name": "contraction-cosh", "kind": "contraction",
-             "config": {"grid": dgrid(size), "components": 1, "potential": cosh,
-                        "t_end": 0.05, "snapshot_every": 25, "name": "contraction-cosh"},
+             "config": _suite_config("contraction-cosh", size, 0.05, 25, "dirichlet"),
              "initial0": {"kind": "mode", "k": [1], "amplitude": 0.5},
              "initial1": {"kind": "bands", "kmax": 3, "amplitude": 0.4}},
             {"name": "contraction-heat-rate", "kind": "contraction",
-             "config": {"grid": dgrid(size), "components": 1, "potential": quad,
-                        "t_end": 0.05, "snapshot_every": 25, "name": "contraction-heat"},
+             "config": _suite_config("contraction-heat", size, 0.05, 25, "dirichlet",
+                                     "quadratic"),
              "initial0": {"kind": "mode", "k": [1], "amplitude": 0.6},
              "initial1": {"kind": "mode", "k": [1], "amplitude": 0.3},
              "decay_ratio_target": math.exp(-math.pi ** 2 * 0.05),
              "decay_ratio_rtol": 0.02},
             {"name": "boundedness-bump", "kind": "sup-norm",
-             "config": {"grid": pgrid(size), "components": 2, "potential": cosh,
-                        "t_end": 0.01, "snapshot_every": 8, "name": "sup-bump",
-                        "initial": {"kind": "bump", "amplitude": 0.8, "width": 0.1}}},
+             "config": _suite_config("sup-bump", size, 0.01, 8, components=2, initial={
+                 "kind": "bump", "amplitude": 0.8, "width": 0.1})},
             {"name": "boundedness-bands", "kind": "sup-norm",
-             "config": {"grid": pgrid(size), "components": 2, "potential": cosh,
-                        "t_end": 0.01, "snapshot_every": 8, "name": "sup-bands",
-                        "initial": bands}},
-            {"name": "entropy-diffusion", "kind": "entropy-diffusion",
-             "sizes": [size // 2, size],
-             "config": {"grid": pgrid(size), "components": 1, "potential": cosh,
-                        "t_end": 0.01, "snapshot_every": 1, "name": "entropy-diff",
-                        "initial": bands}},
-            {"name": "entropy-coupled", "kind": "entropy-coupled",
-             "sizes": [size // 2, size],
-             "config": {"grid": pgrid(size), "components": 1, "potential": cosh,
-                        "system": "coupled", "t_end": 0.01, "snapshot_every": 1,
-                        "name": "entropy-coup", "initial": offset_bands}},
+             "config": _suite_config("sup-bands", size, 0.01, 8, components=2, initial=bands)},
+            {"name": "entropy-diffusion", "kind": "entropy-diffusion", "sizes": [size // 2, size],
+             "config": _suite_config("entropy-diff", size, 0.01, 1, initial=bands)},
+            {"name": "entropy-coupled", "kind": "entropy-coupled", "sizes": [size // 2, size],
+             "config": _suite_config("entropy-coup", size, 0.01, 1, system="coupled",
+                                     initial=offset_bands)},
             {"name": "morrey", "kind": "morrey", "points": 10,
-             "config": {"grid": pgrid(size), "components": 1, "potential": cosh,
-                        "t_end": 0.02, "snapshot_every": 8, "name": "morrey",
-                        "initial": bands}},
-            {"name": "reverse-holder", "kind": "reverse-holder",
-             "sizes": [size, 2 * size], "R": 0.032, "cylinders": 20,
-             "config": {"grid": pgrid(size), "components": 1, "potential": cosh,
-                        "t_end": 0.02, "snapshot_every": 8, "name": "rev-holder",
-                        "initial": bands}},
-            {"name": "estimate-ratios", "kind": "estimate-ratios",
-             "sizes": [size, 2 * size], "r": 0.05, "R": 0.1, "t0": 0.018,
-             "cylinders": 3,
-             "config": {"grid": pgrid(size), "components": 1, "potential": cosh,
-                        "t_end": 0.02, "snapshot_every": 8, "name": "est-ratios",
-                        "initial": bands}},
+             "config": _suite_config("morrey", size, 0.02, 8, initial=bands)},
+            {"name": "reverse-holder", "kind": "reverse-holder", "sizes": [size, 2 * size],
+             "R": 0.032, "cylinders": 20,
+             "config": _suite_config("rev-holder", size, 0.02, 8, initial=bands)},
+            {"name": "estimate-ratios", "kind": "estimate-ratios", "sizes": [size, 2 * size],
+             "r": 0.05, "R": 0.1, "t0": 0.018, "cylinders": 3,
+             "config": _suite_config("est-ratios", size, 0.02, 8, initial=bands)},
         ],
     }
 
 
 def negative_control_suite(size: int = 64) -> dict:
     """Injected violations; every check must fail and carry a witness."""
-    cosh = {"id": "cosh", "r_max": 1.0}
-    grid = {"sizes": [size], "h": 1.0 / size, "boundary": "periodic"}
-    dgrid = {"sizes": [size], "h": 1.0 / (size - 1), "boundary": "dirichlet"}
     return {
         "name": "negative-control",
         "seed": 5,
         "checks": [
             {"name": "injected-sup-growth", "kind": "tampered-sup",
-             "config": {"grid": grid, "components": 1, "potential": cosh,
-                        "t_end": 0.005, "snapshot_every": 4, "name": "neg-sup",
-                        "initial": {"kind": "bands", "kmax": 2, "amplitude": 0.5}}},
+             "config": _suite_config("neg-sup", size, 0.005, 4, initial={
+                 "kind": "bands", "kmax": 2, "amplitude": 0.5})},
             {"name": "injected-contraction-growth", "kind": "tampered-contraction",
-             "config": {"grid": dgrid, "components": 1, "potential": cosh,
-                        "t_end": 0.02, "snapshot_every": 10, "name": "neg-contr"},
+             "config": _suite_config("neg-contr", size, 0.02, 10, "dirichlet"),
              "initial0": {"kind": "mode", "k": [1], "amplitude": 0.5},
              "initial1": {"kind": "mode", "k": [2], "amplitude": 0.4}},
         ],
@@ -513,6 +467,9 @@ def _write_series_csv(path: Path, report: CheckReport) -> None:
 
 
 def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> list[CheckReport]:
+    """Plan every check, then integrate each distinct config (keyed by its description
+    without `name`) once, in the order first subscribed, handing each snapshot to its
+    observers; a check is judged, written and dropped as soon as its last run has ended."""
     checks = suite.get("checks", [])
     if not isinstance(checks, list):
         raise UsageError(f"suite checks must be a list, got {checks!r}")
@@ -526,27 +483,65 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> li
     bound = [_bind_check(c) for c in checks]   # every check, before any file or run
     seed = int(seed_override if seed_override is not None else suite.get("seed", 0))
     outdir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    files = []
-    # consecutive checks whose configs differ at most in `name` share one memo
-    bare = [{**c["config"], "name": None} for c in checks]
-    for i, (fn, leading, keys) in enumerate(bound):
-        if i == 0 or bare[i] != bare[i - 1]:
-            memo = {}   # a new group: the last group's runs are dropped
-        shared = bare[i] in bare[max(i - 1, 0):i] + bare[i + 1:i + 2]
-        try:
-            rep = fn(_shared_run(memo) if shared else run, seed, *leading, **keys)
-        except Exception as exc:  # crashes are recorded as failures, suite continues
-            rep = CheckReport(name=keys["name"], passed=False,
+    reports, files = [None] * len(checks), []
+    plans, runs = {}, {}   # check -> (judge, its subscriptions); config key -> subscriptions
+
+    def finish(i, rep=None):   # without rep, in an except block: the crash report
+        if rep is None:
+            exc = sys.exc_info()[1]
+            rep = CheckReport(name=names[i], passed=False,
                               values={"error": f"{type(exc).__name__}: {exc}",
                                       "traceback": traceback.format_exc()})
+        for sub in plans.pop(i, (None, []))[1]:
+            sub.clear()   # the check's folds and trajectories are dropped
+        reports[i] = rep
         rpath = outdir / f"{rep.name}.report.json"
         rpath.write_text(json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n")
         files.append(rpath.name)
         if rep.series is not None:
             files.append(f"{rep.name}.series.csv")
             _write_series_csv(outdir / files[-1], rep)
-        reports.append(rep)
+
+    def settle(i):   # judges check i if every run it subscribes to has ended
+        if all(sub[3] is not None for sub in plans[i][1]):
+            try:
+                rep = plans[i][0]([sub[3] for sub in plans[i][1]])
+            except Exception:
+                return finish(i)
+            finish(i, rep)
+
+    def integrate(subs):   # one run; a subscription is [check, config, observer, trajectory]
+        def observe(snap):
+            for sub in filter(None, subs):
+                try:
+                    sub[2](snap)
+                except Exception:   # fails that check only
+                    finish(sub[0])
+            if not any(subs):   # every check on the run has failed: stop it
+                raise RuntimeError("no observer left")
+        try:
+            traj = run(next(filter(None, subs))[1], observe) if any(subs) else None
+        except Exception:   # fails every check still on the run
+            return [finish(sub[0]) for sub in subs if sub]
+        for sub in filter(None, subs):   # the run under each config's meta; observers dropped
+            doc = sub[1].describe()
+            sub[2:] = None, replace(traj, meta={**traj.meta, "config": doc, "name": doc["name"],
+                                                "config_hash": config_hash(doc)})
+            settle(sub[0])
+
+    for i, (fn, leading, keys) in enumerate(bound):
+        try:
+            subs, judge = fn(seed, *leading, **keys)
+        except Exception:   # crashes are recorded as failures, suite continues
+            finish(i)
+            continue
+        plans[i] = (judge, [[i, cfg, observe, None] for cfg, observe in subs])
+        for sub in plans[i][1]:
+            runs.setdefault(config_hash({**sub[1].describe(), "name": None}), []).append(sub)
+    for subs in runs.values():
+        integrate(subs)
+    for i in list(plans):   # a check that subscribes to no run
+        settle(i)
     with open(outdir / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["check", "passed", "tolerance", "provenance"])
@@ -634,9 +629,7 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
         residual = _diffusion_fold(grid, pot, build_entropy(pot), certify_window(pot))
     try:
         center = tuple(0.5 * grid.extent(a) for a in range(grid.n))
-        terms, g, profiles = _morrey(grid, [(center, cfg.t_end)], [16 * grid.h, 8 * grid.h,
-                                                                   4 * grid.h])
-        morrey = _CylinderFold(grid, terms, lambda k, snap: g(snap))
+        morrey = _MorreyFold(grid, [(center, cfg.t_end)], [16 * grid.h, 8 * grid.h, 4 * grid.h])
     except ValueError:
         pass  # the cylinder does not fit this cell's box; leave its columns blank
     folds = [f for f in (residual, morrey) if f is not None]
@@ -657,7 +650,7 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
             row["resid_pos_max"], row["resid_abs_max"] = stats["max_pos"], stats["max_abs"]
         if morrey is not None:
             try:
-                [prof] = profiles(morrey.result(), morrey.spacing)
+                [prof] = morrey.profiles()
                 row["morrey_16h"], row["morrey_8h"], row["morrey_4h"] = (v for _, v in prof)
             except ValueError:
                 pass  # fewer than two snapshots in the window; leave blank
@@ -669,8 +662,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--threads must be 0 (the usable CPUs) or positive, got {args.threads}")
     doc = _load_json(args.sweep)
     _check_keys(doc, {"": {"name", "base", "axes"}}, "sweep")
-    if "base" not in doc:
-        raise UsageError("sweep file needs a 'base' run config")
+    if not isinstance(doc.get("base"), dict):
+        raise UsageError(f"sweep file {args.sweep} needs a 'base' run config object")
     cells = _sweep_cells(doc)
     configs = {c["label"]: _cell_config(doc["base"], c, args.seed) for c in cells}
     outdir = Path(args.out) / _path_name(doc.get("name", "sweep"), "sweep name")
@@ -777,13 +770,13 @@ def cmd_report(args) -> int:
     if not root.exists():
         raise UsageError(f"directory not found: {args.directory}")
     rows = []
-    for mpath in sorted(root.rglob("manifest.json")):
-        m = json.loads(mpath.read_text())
+    for mpath in sorted(root.rglob("manifest.json")):   # every file read before any is written
+        m = _load_json(mpath)
         rows.append({"path": str(mpath.relative_to(root)), "kind": m.get("kind", "run"),
                      "name": m.get("name", ""), "config_hash": m.get("config_hash", ""),
                      "passed": "", "detail": f"dt={m.get('dt')} steps={m.get('steps')}"})
     for rpath in sorted(root.rglob("*.report.json")):
-        r = json.loads(rpath.read_text())
+        r = _load_json(rpath)
         rows.append({"path": str(rpath.relative_to(root)), "kind": "check",
                      "name": r.get("name", ""), "config_hash": r.get("provenance", ""),
                      "passed": r.get("passed", ""), "detail": ""})

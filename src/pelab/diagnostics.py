@@ -14,15 +14,14 @@ contraction statement assumes matching boundary traces, which periodic
 wrap-around provides); a Dirichlet grid sums over the odd extension of its
 interior, whose periodic modes are the type-I sine (DST-I) modes.
 
-The cylinder monitors (Morrey, reverse Hoelder, estimate ratios) make one
-`grid.cylinder_integrals` pass per field over the union of their windows, so
-each snapshot's field is computed once and dropped; nothing is memoised.  The
-sup-norm loop (`_SupFold`), the contraction loop (`_ContractionFold`, against
-a stored reference run), the residual loop (`_ResidualFold`) and the cylinder
-loop (`grid._CylinderFold`) take one snapshot at a time: a monitor called with
-a `Trajectory` feeds them its snapshots; `pelab verify` feeds the first three,
-and a sweep cell the last two, each snapshot as its run makes it.
-Their |grad u|^2 is the unchecked `_gradient_sq`, over one plan per report.
+Every monitor is a fold fed one snapshot at a time, whose `report` is the
+verdict on what it was fed: `_SupFold`, `_ContractionFold` (it stores the first
+of its two runs), `_ResidualFold`, and `_MorreyFold`, `_ReverseHolderFold` and
+`_EstimateFold` on `grid._CylinderFold`, which evaluate a field once per snapshot
+in the union of their windows, with no memo.  A monitor called with a
+`Trajectory` replays it into its fold (`grid._replay`); `pelab verify` and a
+sweep cell feed the same folds each snapshot as their runs make it.  Their
+|grad u|^2 is the unchecked `_gradient_sq`, over one plan per fold.
 The Hoelder seminorm is exact: every point pair with separation in the band,
 one integer offset at a time.
 """
@@ -38,8 +37,8 @@ import numpy as np
 
 from .errors import RangeExcursionError
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
-                   _face_divergence, _gradient_sq, _laplacian, _shift_plans,
-                   cylinder_integrals, hessian_sq, vector_norm)
+                   _CylinderFold, _face_divergence, _gradient_sq, _laplacian, _replay,
+                   _shift_plans, hessian_sq, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
                          grad_Phi_field, quadratic)
@@ -143,36 +142,44 @@ def _h_minus_one_norm(values: np.ndarray, grid: GridSpec, mu: np.ndarray) -> flo
 # contraction
 
 class _ContractionFold:
-    """The contraction loop: fed a run's snapshots in time order, the H^-1
-    distance of each to the reference run's snapshot of the same index, over
-    one Laplacian symbol.  A snapshot the reference cannot match raises."""
+    """The contraction loop, fed runs 0 and 1 as feed(0 or 1, snapshot), one run
+    after the other in either order: it stores the first, and each snapshot of
+    the other gives the H^-1 norm of run 1's minus run 0's snapshot of the same
+    index, over one Laplacian symbol.  A snapshot it cannot match raises."""
 
-    def __init__(self, ref: Trajectory, window: EllipticityWindow, rel_tol: float = 1e-10):
-        self.ref, self.window, self.rel_tol = ref, window, rel_tol
-        self.mu, self.d = _laplacian_symbol(ref.grid), []
+    def __init__(self, window: EllipticityWindow, rel_tol: float = 1e-10):
+        self.window, self.rel_tol = window, rel_tol
+        self.first, self.stored, self.d, self.mu = None, [], [], None
 
-    def feed(self, snap: FieldState) -> None:
-        ref, k = self.ref, len(self.d)
-        if snap.grid != ref.grid:
+    def feed(self, side: int, snap: FieldState) -> None:
+        if self.first in (None, side):
+            self.first = side
+            self.stored.append(snap)
+            return
+        ref, k = self.stored, len(self.d)
+        if snap.grid != ref[0].grid:
             raise ValueError("mismatched runs: grids differ")
-        if snap.n_components != ref.n_components:
+        if snap.n_components != ref[0].n_components:
             raise ValueError("mismatched runs: component counts differ")
-        if k >= len(ref.snapshots) or \
-                abs(snap.t - ref.snapshots[k].t) > 1e-9 * max(ref.final.t, 1e-300):
+        if k >= len(ref) or abs(snap.t - ref[k].t) > 1e-9 * max(ref[-1].t, 1e-300):
             raise ValueError("mismatched runs: snapshot times differ")
-        if k == 0 and not ref.grid.periodic and \
-                snap.boundary_values != ref.snapshots[0].boundary_values:
+        if k == 0 and not snap.grid.periodic and snap.boundary_values != ref[0].boundary_values:
             raise ValueError("mismatched runs: boundary data differ")
-        self.d.append(_h_minus_one_norm(snap.values - ref.snapshots[k].values, ref.grid, self.mu))
+        if self.mu is None:
+            self.mu = _laplacian_symbol(snap.grid)
+        one, zero = (snap, ref[k]) if side == 1 else (ref[k], snap)
+        self.d.append(_h_minus_one_norm(one.values - zero.values, snap.grid, self.mu))
 
-    def report(self, other: Trajectory, name: str) -> CheckReport:
-        """The verdict on the snapshots fed, of the run `other` (its dt and provenance)."""
-        ref, rel_tol, lam = self.ref, self.rel_tol, self.window.lam
-        if abs(ref.dt - other.dt) > 1e-12 * max(ref.dt, other.dt):
+    def report(self, traj0: Trajectory, traj1: Trajectory, name: str,
+               decay_ratio_target: float | None = None, rtol: float = 0.02) -> CheckReport:
+        """The verdict on the snapshots fed, of runs 0 and 1 (their dt and provenance),
+        and with a target, of the decay ratio d(T)/d(0) within `rtol` relative."""
+        rel_tol, lam = self.rel_tol, self.window.lam
+        if abs(traj0.dt - traj1.dt) > 1e-12 * max(traj0.dt, traj1.dt):
             raise ValueError("mismatched runs: time steps differ")
-        if len(self.d) != len(ref.snapshots):
+        if len(self.d) != len(self.stored):
             raise ValueError("mismatched runs: snapshot times differ")
-        times, d = ref.times, np.array(self.d)
+        times, d = np.array([s.t for s in self.stored]), np.array(self.d)
 
         witness = None
         for k in range(len(d) - 1):
@@ -190,13 +197,21 @@ class _ContractionFold:
         if alive.sum() >= 2 and d[0] > 0:
             rate = float(np.polyfit(times[alive], np.log(d[alive]), 1)[0])
 
-        return CheckReport(
+        rep = CheckReport(
             name=name, passed=monotone, tolerance=rel_tol,
-            provenance=_provenance(ref, other), witness=witness,
+            provenance=_provenance(traj0, traj1), witness=witness,
             values={"times": times, "d": d, "monotone": monotone,
                     "weighted_monotone": weighted_monotone,
                     "lam": lam, "rate_fit": rate},
             series=("t,d", list(zip(times, d))))
+        target = decay_ratio_target
+        if target is not None:
+            measured = float(d[-1] / d[0]) if d[0] > 0 else float("nan")
+            rep.values.update(decay_ratio=measured, decay_ratio_target=target)
+            if not (math.isfinite(measured) and abs(measured - target) <= rtol * target):
+                rep.passed = False
+                rep.witness = {"decay_ratio": measured, "target": target, "rtol": rtol}
+        return rep
 
 
 def contraction_report(traj0: Trajectory, traj1: Trajectory,
@@ -209,10 +224,8 @@ def contraction_report(traj0: Trajectory, traj1: Trajectory,
     and the best-fit decay exponent are recorded as information only; no sign
     of the exponent is asserted.
     """
-    fold = _ContractionFold(traj0, window, rel_tol)
-    for snap in traj1.snapshots:
-        fold.feed(snap)
-    return fold.report(traj1, name)
+    fold = _replay(traj0, _ContractionFold(window, rel_tol), 0)
+    return _replay(traj1, fold, 1).report(traj0, traj1, name)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +265,7 @@ class _SupFold:
 def sup_norm_report(traj: Trajectory, tol: float = 1e-10,
                     name: str = "sup-norm") -> CheckReport:
     """sup |u(t)| <= max(initial sup, running boundary sup) + tol, per snapshot."""
-    fold = _SupFold(tol)
-    for snap in traj.snapshots:
-        fold.feed(snap)
-    return fold.report(traj, name)
+    return _replay(traj, _SupFold(tol)).report(traj, name)
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +321,35 @@ class _ResidualFold:
         return {"max_pos": self.max_pos, "p99_pos": float(np.percentile(pooled, 99.0)),
                 "max_abs": self.max_abs, "pairs": self.pairs}
 
+    def report(self, traj: Trajectory, tau: float | None, name: str, **extra) -> CheckReport:
+        """`stats` and `extra`, of the run `traj`; with tau = None it always passes."""
+        if self.spacing is not None and abs(self.spacing - traj.dt) > 1e-9 * traj.dt:
+            raise ValueError("residual checks need consecutive snapshots "
+                             "(snapshot_every = 1 over the checked span)")
+        stats = {**self.stats(), "h": traj.grid.h, "dt": traj.dt, "tau": tau, **extra}
+        passed = True if tau is None else self.max_pos <= tau
+        return CheckReport(name=name, passed=passed, tolerance=tau,
+                           provenance=_provenance(traj), values=stats,
+                           witness=None if passed else self.witness)
 
-def _residual_report(traj: Trajectory, fold: _ResidualFold, tau: float | None,
-                     name: str, extra: dict) -> CheckReport:
-    """Feed a stored trajectory to `fold`; the report carries the maximum and 99th
-    percentile of the positive part, the maximum magnitude, and `extra`; with
-    tau = None it always passes."""
-    if abs(traj.snapshot_dt - traj.dt) > 1e-9 * traj.dt:
-        raise ValueError("residual checks need consecutive snapshots "
-                         "(snapshot_every = 1 over the checked span)")
-    for snap in traj.snapshots:
-        fold.feed(snap)
-    stats = {**fold.stats(), "h": traj.grid.h, "dt": traj.dt, "tau": tau, **extra}
-    passed = True if tau is None else fold.max_pos <= tau
-    return CheckReport(name=name, passed=passed, tolerance=tau,
-                       provenance=_provenance(traj), values=stats,
-                       witness=None if passed else fold.witness)
+
+def _rungs_report(folds: Sequence[_ResidualFold], trajs: Sequence[Trajectory], sizes,
+                  K: float, name: str, **extra) -> CheckReport:
+    """The entropy checks' verdict on the residual folds of their rungs, coarse to fine:
+    each positive part at most tau = K (h^2 + dt), and each at most half the last
+    rung's, unless below the rounding floor (identically zero parts pass vacuously)."""
+    per_size, passed, witness, prev_pos = [], True, None, None
+    for size, fold, traj in zip(sizes, folds, trajs):
+        rep = fold.report(traj, K * (traj.grid.h ** 2 + traj.dt), name)
+        per_size.append({"size": size, **{k: v for k, v in rep.values.items() if k != "pairs"}})
+        passed, witness = passed and rep.passed, witness or rep.witness
+        floor = 1e-12 * max(1.0, fold.max_abs)
+        if prev_pos is not None and not fold.max_pos <= max(0.5 * prev_pos, floor):
+            passed = False
+            witness = witness or {"refinement": {"coarse_pos": prev_pos, "fine_pos": fold.max_pos}}
+        prev_pos = fold.max_pos
+    return CheckReport(name=name, passed=passed, tolerance={"K": K},
+                       values={"K": K, "per_size": per_size, **extra}, witness=witness)
 
 
 def _diffusion_fold(grid: GridSpec, p: RadialPotential, ent: EntropyData,
@@ -349,7 +372,7 @@ def entropy_residual_diffusion(traj: Trajectory, p: RadialPotential,
     scheme error and must stay below tau = K (h^2 + dt) and shrink under
     refinement.  With tau = None the report is informational (always passes).
     """
-    return _residual_report(traj, _diffusion_fold(traj.grid, p, ent, window), tau, name, {})
+    return _replay(traj, _diffusion_fold(traj.grid, p, ent, window)).report(traj, tau, name)
 
 
 def calibrate_residual_constant(config: RunConfig) -> float:
@@ -360,12 +383,28 @@ def calibrate_residual_constant(config: RunConfig) -> float:
     cancel to rounding, so the magnitude |residual| is the pure scheme-error
     scale for data of this shape; K is its ratio to h^2 + dt.
     """
+    cfg, observe, fit = _calibration(config)
+    return fit(run(cfg, observe).dt)
+
+
+def _calibration(config: RunConfig):
+    """`calibrate_residual_constant`'s run config, its observer, and fit(dt), K from what
+    the observer was fed; fit keeps two numbers of the fold, so the fold goes with it."""
     amp = float(config.initial.get("amplitude", 0.5))
     q = quadratic(r_max=max(2.0, 2.0 * amp))
     cfg = replace(config, potential=q, system="diffusion", snapshot_every=1)
-    fold = _diffusion_fold(cfg.grid, q, build_entropy(q), certify_window(q))
-    dt, h = run(cfg, fold.feed).dt, cfg.grid.h
-    return fold.stats()["max_abs"] / (h * h + dt)
+    fold, h, seen = _diffusion_fold(cfg.grid, q, build_entropy(q), certify_window(q)), \
+        cfg.grid.h, [0, 0.0]
+
+    def observe(snap: FieldState) -> None:
+        fold.feed(snap)
+        seen[:] = fold.pairs, fold.max_abs
+
+    def fit(dt: float) -> float:
+        if not seen[0]:
+            raise ValueError("residual checks need at least two snapshots")
+        return seen[1] / (h * h + dt)
+    return cfg, observe, fit
 
 
 @dataclass(frozen=True)
@@ -427,36 +466,58 @@ def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
     to the diffusion check instead (the bound c |grad u|^2 <= 0 cannot hold
     for non-constant data without the vanishing flux term).
     """
-    return _residual_report(traj, _coupled_fold(traj.grid, cc, s, c), tau, name,
-                            {"s": s, "c": c})
+    return _replay(traj, _coupled_fold(traj.grid, cc, s, c)).report(traj, tau, name, s=s, c=c)
 
 
 # ---------------------------------------------------------------------------
 # Morrey decay
 
-def _morrey(grid: GridSpec, points: Sequence[tuple], radii: Sequence[float],
-            g: Callable[[FieldState], np.ndarray] | None = None,
-            exponent: float | None = None):
-    """`morrey_profile` on a grid: its terms, one cylinder per point and radius,
-    largest R first, its g, and profiles(sums, spacing), which scales the
-    terms' (sum, count) pairs into one profile per point."""
-    if g is None:
-        plans = _shift_plans(grid, (1, -1))
-        g = lambda snap: _gradient_sq(snap.values, grid, plans)
-    expo = grid.n if exponent is None else float(exponent)
-    radii = sorted(radii, reverse=True)
-    for R in radii:
-        if R < 4.0 * grid.h * (1.0 - 1e-12):
-            raise ValueError(f"radius {R} is below the 4h = {4 * grid.h} floor")
-    terms = [(Cylinder(center=tuple(x0), t0=float(t0), R=float(R)), 1.0)
-             for x0, t0 in points for R in radii]
+class _MorreyFold(_CylinderFold):
+    """`morrey_profile`'s fold: one cylinder per point and radius, largest R first."""
 
-    def profiles(sums, spacing):
-        cell, m = grid.cell_volume() * spacing, len(radii)
-        return [[(float(R), total * cell / R ** expo)
-                 for R, (total, _) in zip(radii, sums[i * m:(i + 1) * m])]
-                for i in range(len(points))]
-    return terms, g, profiles
+    def __init__(self, grid: GridSpec, points: Sequence[tuple], radii: Sequence[float],
+                 g: Callable[[FieldState], np.ndarray] | None = None,
+                 exponent: float | None = None):
+        if g is None:
+            plans = _shift_plans(grid, (1, -1))
+            g = lambda snap: _gradient_sq(snap.values, grid, plans)
+        self.points, self.radii = points, sorted(radii, reverse=True)
+        self.expo = grid.n if exponent is None else float(exponent)
+        for R in self.radii:
+            if R < 4.0 * grid.h * (1.0 - 1e-12):
+                raise ValueError(f"radius {R} is below the 4h = {4 * grid.h} floor")
+        super().__init__(grid, [(Cylinder(center=tuple(x0), t0=float(t0), R=float(R)), 1.0)
+                                for x0, t0 in points for R in self.radii],
+                         lambda k, snap: g(snap))
+
+    def profiles(self) -> list[list[tuple[float, float]]]:
+        """The scaled integrals of the snapshots fed, one profile per point."""
+        sums, cell, m = self.result(), self.grid.cell_volume() * self.spacing, len(self.radii)
+        return [[(float(R), total * cell / R ** self.expo)
+                 for R, (total, _) in zip(self.radii, sums[i * m:(i + 1) * m])]
+                for i in range(len(self.points))]
+
+    def report(self, traj: Trajectory, decay_factor: float = 0.5,
+               name: str = "morrey") -> CheckReport:
+        """`morrey_report`'s verdict on the snapshots fed, of the run `traj` (its provenance)."""
+        profiles = []
+        rows = []
+        witness = None
+        passed = True
+        for pt, prof in zip(self.points, self.profiles()):
+            profiles.append({"point": list(pt[0]), "t0": pt[1],
+                             "radii": [r for r, _ in prof],
+                             "values": [v for _, v in prof]})
+            rows.extend((pt[1], r, v) for r, v in prof)
+            largest, smallest = prof[0][1], prof[-1][1]
+            ok = smallest <= decay_factor * largest or (largest == 0.0 and smallest == 0.0)
+            if passed and not ok:
+                passed = False
+                witness = {"point": list(pt[0]), "t0": pt[1],
+                           "value_smallest_R": smallest, "value_largest_R": largest}
+        return CheckReport(name=name, passed=passed, tolerance=decay_factor,
+                           provenance=_provenance(traj), values={"profiles": profiles},
+                           witness=witness, series=("t0,R,quotient", rows))
 
 
 def morrey_profile(traj: Trajectory, points: Sequence[tuple], radii: Sequence[float],
@@ -465,43 +526,62 @@ def morrey_profile(traj: Trajectory, points: Sequence[tuple], radii: Sequence[fl
     """Scaled cylinder integrals R^-exponent * iint_{Q(x0,t0,R)} g, largest R first.
 
     One profile per point of `points`, each point (x0 coordinates, t0), all
-    from one `cylinder_integrals` pass, so g is evaluated once per snapshot
-    in the union of the windows.  The default g is |grad u|^2 with the
-    default exponent n.  The variant g = |grad u|^4 with exponent n - 2
-    probes the singular-set bound of bounded solutions.  Radii below 4h are
-    rejected as noise.
+    from one cylinder pass, so g is evaluated once per snapshot in the union
+    of the windows.  The default g is |grad u|^2 with the default exponent n.
+    The variant g = |grad u|^4 with exponent n - 2 probes the singular-set
+    bound of bounded solutions.  Radii below 4h are rejected as noise.
     """
-    terms, g, profiles = _morrey(traj.grid, points, radii, g, exponent)
-    return profiles(cylinder_integrals(traj, terms, lambda k: g(traj.snapshots[k])),
-                    traj.snapshot_dt)
+    return _replay(traj, _MorreyFold(traj.grid, points, radii, g, exponent)).profiles()
 
 
 def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[float],
                   g: Callable[[FieldState], np.ndarray] | None = None,
                   decay_factor: float = 0.5, name: str = "morrey") -> CheckReport:
     """Decay check: the smallest-R quotient is at most `decay_factor` times the largest-R one."""
-    profiles = []
-    rows = []
-    witness = None
-    passed = True
-    for pt, prof in zip(points, morrey_profile(traj, points, radii, g=g)):
-        profiles.append({"point": list(pt[0]), "t0": pt[1],
-                         "radii": [r for r, _ in prof],
-                         "values": [v for _, v in prof]})
-        rows.extend((pt[1], r, v) for r, v in prof)
-        largest, smallest = prof[0][1], prof[-1][1]
-        ok = smallest <= decay_factor * largest or (largest == 0.0 and smallest == 0.0)
-        if passed and not ok:
-            passed = False
-            witness = {"point": list(pt[0]), "t0": pt[1],
-                       "value_smallest_R": smallest, "value_largest_R": largest}
-    return CheckReport(name=name, passed=passed, tolerance=decay_factor,
-                       provenance=_provenance(traj), values={"profiles": profiles},
-                       witness=witness, series=("t0,R,quotient", rows))
+    fold = _replay(traj, _MorreyFold(traj.grid, points, radii, g))
+    return fold.report(traj, decay_factor, name)
 
 
 # ---------------------------------------------------------------------------
 # reverse Hoelder and the interior estimate ratios
+
+class _ReverseHolderFold(_CylinderFold):
+    """`reverse_holder_report`'s fold: |grad u|^2 on Q_4R and, to the power p/2, on Q_R."""
+
+    def __init__(self, grid: GridSpec, cylinders: Sequence[Cylinder], p: float):
+        if p <= 2.0:
+            raise ValueError("the exponent must exceed 2")
+        plans = _shift_plans(grid, (1, -1))
+        super().__init__(grid, [term for q in cylinders for term in (
+            (Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R), 1.0), (q, 0.5 * p))],
+                         lambda k, snap: _gradient_sq(snap.values, grid, plans))
+        self.p = p
+
+    def report(self, traj: Trajectory, reference: float | None = None, rel_change: float = 0.2,
+               name: str = "reverse-holder") -> CheckReport:
+        """`reverse_holder_report`'s verdict on the snapshots fed, of the run `traj`."""
+        sums, p = self.result(), self.p
+        ratios, skipped = [], 0
+        for (total4, count4), (total, count) in zip(sums[::2], sums[1::2]):
+            rhs2 = total4 / count4
+            if rhs2 <= 1e-30:
+                skipped += 1
+                continue
+            ratios.append((total / count) ** (1.0 / p) / math.sqrt(rhs2))
+        max_ratio = max(ratios) if ratios else float("nan")
+        if reference is None:
+            passed = True
+        else:
+            passed = bool(ratios) and abs(max_ratio - reference) <= rel_change * reference
+        witness = None
+        if not passed:
+            witness = {"max_ratio": max_ratio, "reference": reference}
+        return CheckReport(name=name, passed=passed, tolerance=rel_change,
+                           provenance=_provenance(traj),
+                           values={"ratios": np.array(ratios), "max_ratio": max_ratio,
+                                   "skipped": skipped, "p": p, "reference": reference},
+                           witness=witness)
+
 
 def reverse_holder_report(traj: Trajectory, cylinders: Sequence[Cylinder],
                           p: float = 2.5, reference: float | None = None,
@@ -514,33 +594,81 @@ def reverse_holder_report(traj: Trajectory, cylinders: Sequence[Cylinder],
     the check passes iff the max changed by at most `rel_change` relatively;
     without one the report is informational.
     """
-    if p <= 2.0:
-        raise ValueError("the exponent must exceed 2")
-    terms = [term for q in cylinders
-             for term in ((Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R), 1.0), (q, 0.5 * p))]
-    plans = _shift_plans(traj.grid, (1, -1))
-    sums = cylinder_integrals(
-        traj, terms, lambda k: _gradient_sq(traj.snapshots[k].values, traj.grid, plans))
-    ratios, skipped = [], 0
-    for (total4, count4), (total, count) in zip(sums[::2], sums[1::2]):
-        rhs2 = total4 / count4
-        if rhs2 <= 1e-30:
-            skipped += 1
-            continue
-        ratios.append((total / count) ** (1.0 / p) / math.sqrt(rhs2))
-    max_ratio = max(ratios) if ratios else float("nan")
-    if reference is None:
-        passed = True
-    else:
-        passed = bool(ratios) and abs(max_ratio - reference) <= rel_change * reference
-    witness = None
-    if not passed:
-        witness = {"max_ratio": max_ratio, "reference": reference}
-    return CheckReport(name=name, passed=passed, tolerance=rel_change,
-                       provenance=_provenance(traj),
-                       values={"ratios": np.array(ratios), "max_ratio": max_ratio,
-                               "skipped": skipped, "p": p, "reference": reference},
-                       witness=witness)
+    fold = _replay(traj, _ReverseHolderFold(traj.grid, cylinders, p))
+    return fold.report(traj, reference, rel_change, name)
+
+
+class _EstimateFold:
+    """`estimate_ratio_report`'s fold: one cylinder fold per field and the running
+    sup |u|.  u_t is a forward difference, so the |u_t|^2 fold is fed a snapshot
+    when the next one comes: the last one fed is held."""
+
+    def __init__(self, grid: GridSpec, p: RadialPotential,
+                 pairs: Sequence[tuple[Cylinder, Cylinder]]):
+        if any(small.R >= big.R for small, big in pairs):
+            raise ValueError("nested pairs need r < R")
+        smalls, plans = [(small, 1.0) for small, _ in pairs], _shift_plans(grid, (1, -1))
+        grad = self.grad = _CylinderFold(
+            grid, [term for small, big in pairs for term in ((big, 1.0), (small, 2.0))],
+            lambda k, snap: _gradient_sq(snap.values, grid, plans))
+        ahead = self.ahead = []   # the last snapshot fed; the |u_t|^2 fold's successor
+        self.ut = _CylinderFold(grid, smalls, lambda k, snap: np.sum(
+            np.square((ahead[0].values - snap.values) / grad.spacing), axis=0))
+        self.hess = _CylinderFold(grid, smalls, lambda k, snap: hessian_sq(
+            grad_Phi_field(p, snap.values), grid))
+        self.pairs, self.sup_u = pairs, 0.0
+
+    def feed(self, snap: FieldState) -> None:
+        self.grad.feed(snap)
+        self.hess.feed(snap)
+        self.sup_u = max(self.sup_u, float(vector_norm(snap.values).max()))
+        self.ahead.append(snap)
+        if len(self.ahead) == 2:   # the last snapshot, now that its successor has come
+            self.ut.feed(self.ahead.pop(0))
+
+    def report(self, traj: Trajectory, reference: dict | None = None, rel_change: float = 0.3,
+               name: str = "estimate-ratios") -> CheckReport:
+        """`estimate_ratio_report`'s verdict on the snapshots fed, of the run `traj`."""
+        grad = self.grad.result()
+        if self.ahead and any(a < self.ahead[0].t <= b for a, b in self.ut.windows):
+            raise ValueError("u_t forward difference needs a successor snapshot; "
+                             "place the small cylinder before the final time")
+        ut, hess = self.ut.result(), self.hess.result()
+        cell, sup_u = traj.grid.cell_volume() * self.grad.spacing, self.sup_u
+        per_pair = []
+        for j, (small, big) in enumerate(self.pairs):
+            gap2 = (big.R - small.R) ** 2
+            i_grad, i_l4 = grad[2 * j][0] * cell, grad[2 * j + 1][0] * cell
+            i_t, i_hess = ut[j][0] * cell, hess[j][0] * cell
+            if i_grad == 0.0:
+                ratios = {"ratio_time": 0.0 if i_t == 0.0 else math.inf,
+                          "ratio_hess": 0.0 if i_hess == 0.0 else math.inf,
+                          "ratio_l4": 0.0 if i_l4 == 0.0 else math.inf}
+            else:
+                ratios = {"ratio_time": i_t * gap2 / i_grad,
+                          "ratio_hess": i_hess * gap2 / i_grad,
+                          "ratio_l4": i_l4 * gap2 / (sup_u * sup_u * i_grad)}
+            per_pair.append({"r": small.R, "R": big.R, **ratios})
+
+        maxima = {k: max(d[k] for d in per_pair)
+                  for k in ("ratio_time", "ratio_hess", "ratio_l4")}
+        passed = all(math.isfinite(v) for v in maxima.values())
+        witness = None
+        if reference is not None:
+            for k, v in maxima.items():
+                ref = reference[k]
+                if not (math.isfinite(v) and abs(v - ref) <= rel_change * max(ref, 1e-300)):
+                    passed = False
+                    witness = {"ratio": k, "value": v, "reference": ref}
+                    break
+        elif not passed:
+            bad = next(k for k, v in maxima.items() if not math.isfinite(v))
+            witness = {"ratio": bad, "value": maxima[bad]}
+        return CheckReport(name=name, passed=passed, tolerance=rel_change,
+                           provenance=_provenance(traj),
+                           values={"pairs": per_pair, "maxima": maxima,
+                                   "sup_u": sup_u, "reference": reference},
+                           witness=witness)
 
 
 def estimate_ratio_report(traj: Trajectory, p: RadialPotential,
@@ -557,63 +685,8 @@ def estimate_ratio_report(traj: Trajectory, p: RadialPotential,
     cylinder needs a successor.  Bounded, resolution-stable ratios (within
     `rel_change` against a reference measurement) are the pass criterion.
     """
-    grid = traj.grid
-    spacing = traj.snapshot_dt
-    cell = grid.cell_volume() * spacing
-    if any(small.R >= big.R for small, big in pairs):
-        raise ValueError("nested pairs need r < R")
-    smalls = [(small, 1.0) for small, _ in pairs]
-
-    def ut2(k: int) -> np.ndarray:
-        if k + 1 >= len(traj.snapshots):
-            raise ValueError("u_t forward difference needs a successor snapshot; "
-                             "place the small cylinder before the final time")
-        d = (traj.snapshots[k + 1].values - traj.snapshots[k].values) / spacing
-        return np.sum(d * d, axis=0)
-
-    # one pass per field: |grad u|^2 on Q_R and, squared, on Q_r; |u_t|^2; |grad^2 gradPhi|^2
-    nested = [term for small, big in pairs for term in ((big, 1.0), (small, 2.0))]
-    plans = _shift_plans(grid, (1, -1))
-    grad = cylinder_integrals(traj, nested,
-                              lambda k: _gradient_sq(traj.snapshots[k].values, grid, plans))
-    ut = cylinder_integrals(traj, smalls, ut2)
-    hess = cylinder_integrals(
-        traj, smalls, lambda k: hessian_sq(grad_Phi_field(p, traj.snapshots[k].values), grid))
-    sup_u = max(float(vector_norm(s.values).max()) for s in traj.snapshots)
-    per_pair = []
-    for j, (small, big) in enumerate(pairs):
-        gap2 = (big.R - small.R) ** 2
-        i_grad, i_l4 = grad[2 * j][0] * cell, grad[2 * j + 1][0] * cell
-        i_t, i_hess = ut[j][0] * cell, hess[j][0] * cell
-        if i_grad == 0.0:
-            ratios = {"ratio_time": 0.0 if i_t == 0.0 else math.inf,
-                      "ratio_hess": 0.0 if i_hess == 0.0 else math.inf,
-                      "ratio_l4": 0.0 if i_l4 == 0.0 else math.inf}
-        else:
-            ratios = {"ratio_time": i_t * gap2 / i_grad,
-                      "ratio_hess": i_hess * gap2 / i_grad,
-                      "ratio_l4": i_l4 * gap2 / (sup_u * sup_u * i_grad)}
-        per_pair.append({"r": small.R, "R": big.R, **ratios})
-
-    maxima = {k: max(d[k] for d in per_pair)
-              for k in ("ratio_time", "ratio_hess", "ratio_l4")}
-    passed = all(math.isfinite(v) for v in maxima.values())
-    witness = None
-    if reference is not None:
-        for k, v in maxima.items():
-            ref = reference[k]
-            if not (math.isfinite(v) and abs(v - ref) <= rel_change * max(ref, 1e-300)):
-                passed = False
-                witness = {"ratio": k, "value": v, "reference": ref}
-                break
-    elif not passed:
-        bad = next(k for k, v in maxima.items() if not math.isfinite(v))
-        witness = {"ratio": bad, "value": maxima[bad]}
-    return CheckReport(name=name, passed=passed, tolerance=rel_change,
-                       provenance=_provenance(traj),
-                       values={"pairs": per_pair, "maxima": maxima,
-                               "sup_u": sup_u, "reference": reference},
-                       witness=witness)
+    fold = _replay(traj, _EstimateFold(traj.grid, p, pairs))
+    return fold.report(traj, reference, rel_change, name)
 
 
 # ---------------------------------------------------------------------------

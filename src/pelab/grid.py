@@ -22,7 +22,8 @@ A parabolic cylinder Q(x0, t0, R) is the discrete set of grid points within
 Euclidean distance R of x0, crossed with the snapshot times t satisfying
 t0 - R^2 < t <= t0.  `_CylinderFold`, the one cylinder loop, is fed one
 snapshot at a time and reads each snapshot's field once for all its
-cylinders, with no memo; `cylinder_integrals` feeds it a stored trajectory.
+cylinders, with no memo; `_replay` feeds a fold a stored trajectory, as a run
+feeds it (`cylinder_integrals`, the cylinder monitors).
 """
 
 from __future__ import annotations
@@ -546,9 +547,14 @@ def cylinder_integrals(traj: Trajectory, terms: Sequence[tuple[Cylinder, float]]
     fold, times = _CylinderFold(traj.grid, terms, lambda k, snap: field_at(k)), traj.times
     for (q, _), (a, b) in zip(fold.terms, fold.windows):
         _require_two(q, np.count_nonzero((times > a) & (times <= b)))
+    return _replay(traj, fold).result()
+
+
+def _replay(traj: Trajectory, fold, *lead):
+    """`fold`, fed traj's snapshots in time order, each after `lead` (a run index)."""
     for snap in traj.snapshots:
-        fold.feed(snap)
-    return fold.result()
+        fold.feed(*lead, snap)
+    return fold
 
 
 # Trajectory file format, version 2, bit-exact and little-endian: a header of

@@ -494,8 +494,17 @@ def coupled_decomposition(p: RadialPotential) -> CoupledCoefficients:
     phi''(0) at s = 0; the integral is a cubic Hermite table with exact nodal
     slopes phi'(s)/s over TABLE_SIZE uniform intervals.  The bounds are
     sampled on the CERT_SAMPLES points of the certified window.  The
-    reconstruction a*I + c (x) H_z equals the Hessian of Phi.
+    reconstruction a*I + c (x) H_z equals the Hessian of Phi.  The rewrite is
+    made once per potential object and kept on it (set as `phi2_0` is), so a
+    check's monitors and the runs of its configs share one set of tables.
     """
+    if "_coupled" not in p.__dict__:
+        object.__setattr__(p, "_coupled", _decompose(p))
+    return p.__dict__["_coupled"]
+
+
+def _decompose(p: RadialPotential) -> CoupledCoefficients:
+    """The construction of `coupled_decomposition`."""
     window = certify_window(p)
     nodes = np.linspace(0.0, p.r_max, TABLE_SIZE + 1)
     integral_nodes = cumulative_simpson(lambda s: radial_slope(p, s),

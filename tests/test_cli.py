@@ -1,6 +1,5 @@
 import csv
 import functools
-import gc
 import importlib.util
 import inspect
 import json
@@ -31,6 +30,12 @@ def heat_doc(name="heat-sin", size=128, t_end=0.01):
         "seed": 1,
         "initial": {"kind": "mode", "k": [1], "amplitude": 1.0},
     }
+
+
+def read_csv(path, reader=csv.reader):
+    """Every row of a CSV file, through `reader` (csv.reader or csv.DictReader)."""
+    with open(path, newline="") as fh:
+        return list(reader(fh))
 
 
 def write_doc(tmp_path, doc, name="cfg.json"):
@@ -259,7 +264,7 @@ class TestVerifyCommand:
     def test_empty_suite_passes(self, tmp_path):
         suite = write_doc(tmp_path, {"name": "empty", "checks": []}, "suite.json")
         assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 0
-        rows = list(csv.reader(open(tmp_path / "v" / "empty" / "summary.csv")))
+        rows = read_csv(tmp_path / "v" / "empty" / "summary.csv")
         assert rows[0] == ["check", "passed", "tolerance", "provenance"]
         assert len(rows) == 1
 
@@ -297,7 +302,7 @@ class TestVerifyCommand:
         rep = json.loads((tmp_path / "v" / "crash" / "tiny-radius.report.json").read_text())
         assert rep["passed"] is False
         assert rep["values"]["error"].startswith("ValueError: radius")
-        assert "in morrey_profile" in rep["values"]["traceback"]
+        assert "in _check_morrey" in rep["values"]["traceback"]
 
     @pytest.mark.parametrize("kind,extra", [
         ("reverse-holder", {"R": 0.05}),
@@ -326,7 +331,7 @@ class TestVerifyCommand:
         # the bundled structural-property suite on the cosh potential at size 128
         assert main(["verify", "paper-core", "--out", str(tmp_path / "v")]) == 0
         vdir = tmp_path / "v" / "paper-core"
-        summary = list(csv.DictReader(open(vdir / "summary.csv")))
+        summary = read_csv(vdir / "summary.csv", csv.DictReader)
         assert len(summary) == 9
         assert all(row["passed"] == "True" for row in summary)
         manifest = json.loads((vdir / "suite_manifest.json").read_text())
@@ -406,27 +411,40 @@ def counting_runs(monkeypatch):
     return keys
 
 
+def bare_key(doc, seed, size=None):
+    """The key a suite runs a config under: its description without the name."""
+    cfg = cli.build_config(doc, seed)
+    cfg = cfg if size is None else cli.with_resolution(cfg, size)
+    return config_hash({**cfg.describe(), "name": None})
+
+
+def assert_each_reports_as_alone(tmp_path, suite, seed=3):
+    """Each check of `suite`, already run into tmp_path/all, writes there the files,
+    and the summary row, that it writes in a suite of its own."""
+    summary = read_csv(tmp_path / "all" / "summary.csv")
+    for i, check in enumerate(suite["checks"]):
+        alone = tmp_path / check["name"]
+        run_suite({**suite, "checks": [check]}, alone, seed)
+        files = {f.name for f in alone.iterdir()} - {"summary.csv", "suite_manifest.json"}
+        assert files and all((alone / f).read_bytes() == (tmp_path / "all" / f).read_bytes()
+                             for f in files)
+        assert read_csv(alone / "summary.csv")[1] == summary[i + 1]
+
+
 class TestSuiteMemo:
-    """Consecutive checks whose configs differ at most in `name` share one memo."""
+    """A suite integrates each distinct config once, in the order the configs were first
+    subscribed, whatever the order of its checks; each check reports as it does alone."""
 
     def test_one_run_per_distinct_config_and_an_unchanged_tree(self, tmp_path, monkeypatch):
         suite = paper_core_suite(64)
         keys = counting_runs(monkeypatch)
         run_suite(suite, tmp_path / "all", 3)
-        # contraction 4, sup-norm 2, entropy 2 x 2 rungs (their calibration runs
-        # go through diagnostics), morrey's 64 and the 128 that reverse-holder
-        # and estimate-ratios share with it and each other
-        assert len(keys) == 12 == len(set(keys))
+        # contraction 4, sup-norm 2, entropy 2 x (its calibration and 2 rungs), morrey's 64
+        # and the 128 that reverse-holder and estimate-ratios share with it and each other
+        assert len(keys) == 14 == len(set(keys))
         keys.clear()
-        summary = list(csv.reader(open(tmp_path / "all" / "summary.csv")))
-        for i, check in enumerate(suite["checks"]):
-            alone = tmp_path / check["name"]
-            run_suite({**suite, "checks": [check]}, alone, 3)
-            files = {f.name for f in alone.iterdir()} - {"summary.csv", "suite_manifest.json"}
-            assert files and all((alone / f).read_bytes() == (tmp_path / "all" / f).read_bytes()
-                                 for f in files)
-            assert list(csv.reader(open(alone / "summary.csv")))[1] == summary[i + 1]
-        assert len(keys) == 15   # the three shared runs, each run alone
+        assert_each_reports_as_alone(tmp_path, suite)
+        assert len(keys) == 17   # the three shared runs, each run alone
 
     def test_a_shared_run_is_replayed_into_each_streaming_check(self, tmp_path, monkeypatch):
         keys = counting_runs(monkeypatch)
@@ -440,46 +458,134 @@ class TestSuiteMemo:
                   {"name": "d", "kind": "tampered-contraction", "config": bare,
                    **CONTRACTION_KEYS},
                   {"name": "e", **entropy}, {"name": "f", **entropy}]
-        run_suite({"name": "s", "checks": checks}, tmp_path / "all", 3)
-        assert len(keys) == 5   # a and b share one run, c and d two, e and f two rungs
-        for check in checks:
-            alone = tmp_path / check["name"]
-            run_suite({"name": "s", "checks": [check]}, alone, 3)
-            files = {f.name for f in alone.iterdir()} - {"summary.csv", "suite_manifest.json"}
-            assert files and all((alone / f).read_bytes() == (tmp_path / "all" / f).read_bytes()
-                                 for f in files)
+        suite = {"name": "s", "checks": checks}
+        run_suite(suite, tmp_path / "all", 3)
+        # a and b share one run, c and d two, e and f a calibration run and two rungs
+        assert len(keys) == 6
+        assert_each_reports_as_alone(tmp_path, suite)
 
-    def test_singletons_run_uncached_and_a_group_is_dropped_when_it_ends(
-            self, tmp_path, monkeypatch):
-        made, real = [], cli.run   # a weak reference to every trajectory integrated
+    def test_equal_configs_that_are_not_consecutive_run_once(self, tmp_path, monkeypatch):
+        keys = counting_runs(monkeypatch)
+        a, b = cell_base([32], t_end=0.004), cell_base([32], t_end=0.002)
+        suite = {"name": "s", "checks": [
+            {"name": "m", "kind": "morrey", "points": 2, "radii_h": [8, 4], "config": a},
+            {"name": "s", "kind": "sup-norm", "config": b},
+            {"name": "r", "kind": "reverse-holder", "sizes": [32, 64], "R": 0.1,
+             "cylinders": 3, "config": {**a, "name": "other"}}]}
+        run_suite(suite, tmp_path / "all", 3)
+        assert keys == [bare_key(a, 3), bare_key(b, 3), bare_key(a, 3, 64)]
+        assert_each_reports_as_alone(tmp_path, suite)
 
-        def tracked(cfg, observe=None):   # a streamed run keeps only its final snapshot
-            traj = real(cfg, observe)
-            made.append((weakref.ref(traj), observe is None))
-            return traj
-        monkeypatch.setattr(cli, "run", tracked)
-        seen = {}   # check name -> (handed the plain run?, which earlier runs are alive)
+    @pytest.mark.parametrize("kind", ["contraction", "tampered-contraction"])
+    def test_a_contraction_whose_second_run_comes_first_reports_as_alone(
+            self, tmp_path, monkeypatch, kind):
+        # run 1 is stored and run 0 measured against it, still as run 1 - run 0; the
+        # sup-norm check that shares run 1 gets it unplanted
+        keys = counting_runs(monkeypatch)
+        bare = contraction_config()
+        second = {**bare, "initial": CONTRACTION_KEYS["initial1"], "name": "other"}
+        suite = {"name": "s", "checks": [
+            {"name": "s", "kind": "sup-norm", "config": second},
+            {"name": "c", "kind": kind, "config": bare, **CONTRACTION_KEYS}]}
+        run_suite(suite, tmp_path / "all", 3)
+        assert keys == [bare_key(second, 3),
+                        bare_key({**bare, "initial": CONTRACTION_KEYS["initial0"]}, 3)]
+        assert_each_reports_as_alone(tmp_path, suite)
+
+    def test_a_raising_fold_fails_only_its_check_and_an_idle_run_stops(self, tmp_path,
+                                                                       monkeypatch):
+        fed, real = [], cli.run
+
+        class Raising(cli._MorreyFold):
+            def feed(self, snap):
+                if snap.t > 0.0:
+                    raise RuntimeError("fold broke")
+                super().feed(snap)
+
+        def counted(cfg, observe=None):
+            return real(cfg, lambda snap: (fed.append(cfg.name), observe(snap)))
+        monkeypatch.setattr(cli, "_MorreyFold", Raising)
+        monkeypatch.setattr(cli, "run", counted)
+        a, b = cell_base([32], t_end=0.004), cell_base([32], t_end=0.002, name="b")
+        morrey = {"kind": "morrey", "points": 2, "radii_h": [8, 4]}
+        suite = {"name": "s", "checks": [{"name": "m", **morrey, "config": a},
+                                         {"name": "s", "kind": "sup-norm", "config": a},
+                                         {"name": "n", **morrey, "config": b}]}
+        reports = run_suite(suite, tmp_path / "all", 3)
+        assert [(r.name, r.passed, r.values.get("error")) for r in reports] == [
+            ("m", False, "RuntimeError: fold broke"), ("s", True, None),
+            ("n", False, "RuntimeError: fold broke")]
+        assert "in feed" in reports[0].values["traceback"]
+        # a's run goes on for the sup-norm check; b's stops once its one observer failed
+        assert fed.count("b") == 2 < fed.count("cell") == len(reports[1].values["sup"])
+        assert_each_reports_as_alone(tmp_path, suite)
+
+    def test_a_raising_run_fails_every_check_on_it(self, tmp_path, monkeypatch):
+        keys = counting_runs(monkeypatch)
+        real = cli.run
+
+        def flaky(cfg, observe=None):
+            if cfg.t_end == 0.002:
+                raise RuntimeError("run broke")
+            return real(cfg, observe)
+        monkeypatch.setattr(cli, "run", flaky)
+        a, b = cell_base([32], t_end=0.004), cell_base([32], t_end=0.002)
+        suite = {"name": "s", "checks": [
+            {"name": "s", "kind": "sup-norm", "config": b},
+            {"name": "t", "kind": "tampered-sup", "config": {**b, "name": "t"}},
+            {"name": "u", "kind": "sup-norm", "config": a},
+            {"name": "r", "kind": "reverse-holder", "sizes": [32, 64], "R": 0.1,
+             "cylinders": 3, "config": b}]}
+        reports = run_suite(suite, tmp_path / "all", 3)
+        assert [(r.name, r.passed, r.values.get("error")) for r in reports] == [
+            ("s", False, "RuntimeError: run broke"), ("t", False, "RuntimeError: run broke"),
+            ("u", True, None), ("r", False, "RuntimeError: run broke")]
+        assert "in flaky" in reports[0].values["traceback"]
+        # the reverse-holder check's fine rung is left unrun, as no check needs it
+        assert keys == [bare_key(a, 3)]
+        assert not (tmp_path / "all" / "s.series.csv").exists()
+
+    def test_no_fold_outlives_the_check_that_made_it(self, tmp_path, monkeypatch):
+        from pelab import diagnostics, grid
+        planning, made = [], []   # the check being planned; (its name, a fold) of every fold
+        for cls in (diagnostics._SupFold, diagnostics._ResidualFold, diagnostics._EstimateFold,
+                    diagnostics._ContractionFold, grid._CylinderFold):
+            def init(fold, *args, real=cls.__init__):
+                made.append((planning[-1], weakref.ref(fold)))
+                real(fold, *args)
+            monkeypatch.setattr(cls, "__init__", init)
         for kind, (check, *leading) in list(cli._CHECKS.items()):
             @functools.wraps(check)   # the spy declares the keys its check declares
-            def spy(run, seed, *lead, check=check, **keys):
-                gc.collect()
-                seen[keys["name"]] = (run is tracked, [r() is not None for r, _ in made])
-                return check(run, seed, *lead, **keys)
+            def spy(seed, *lead, check=check, **keys):
+                planning.append(keys["name"])
+                return check(seed, *lead, **keys)
             monkeypatch.setitem(cli._CHECKS, kind, (spy, *leading))
-        shared = heat_doc(size=32, t_end=0.002)
-        run_suite({"name": "memo", "checks": [
-            {"name": "ent", "kind": "entropy-diffusion", "sizes": [16, 32],
-             "config": {**shared, "snapshot_every": 1}},
-            {"name": "a", "kind": "sup-norm", "config": {**shared, "name": "a"}},
-            {"name": "b", "kind": "tampered-sup", "config": {**shared, "name": "b"}},
-            {"name": "c", "kind": "sup-norm", "config": heat_doc(size=64, t_end=0.002)},
-        ]}, tmp_path / "v", 1)
-        assert seen["ent"][0] and seen["c"][0]   # uncached
-        assert not seen["a"][0] and not seen["b"][0]
-        # the entropy check's 2 rungs and c's run streamed, one stored run for a and b
-        assert [stored for _, stored in made] == [False, False, True, False]
-        assert seen["b"][1] == [False, False, True]    # each rung freed; a's run kept
-        assert seen["c"][1] == [False, False, False]   # dropped when the group ended
+        real, judged = cli.run, []
+
+        def checked(cfg, observe=None):   # no gc: a fold is freed once nothing refers to it
+            judged.append(sorted(p.name.split(".")[0] for p in (tmp_path / "v").glob("*.json")))
+            assert [name for name, fold in made if name in judged[-1] and fold()] == []
+            return real(cfg, observe)
+        monkeypatch.setattr(cli, "run", checked)
+        two = cell_base([32, 32], t_end=0.002, snapshot_every=4)
+        one = cell_base([32], t_end=0.004)
+        run_suite({"name": "v", "checks": [
+            {"name": "c", "kind": "contraction",
+             "initial0": {"kind": "mode", "k": [1, 1], "amplitude": 0.5},
+             "initial1": {"kind": "bands", "kmax": 2, "amplitude": 0.4},
+             "config": {k: v for k, v in two.items() if k != "initial"}},
+            {"name": "s", "kind": "sup-norm", "config": {**two, "components": 2}},
+            {"name": "e", "kind": "entropy-diffusion", "sizes": [16, 32], "config": one},
+            {"name": "m", "kind": "morrey", "points": 2, "radii_h": [8, 4], "config": one},
+            {"name": "r", "kind": "reverse-holder", "sizes": [32, 64], "R": 0.1,
+             "cylinders": 3, "config": one},
+            {"name": "x", "kind": "estimate-ratios", "sizes": [32, 64], "r": 0.05, "R": 0.1,
+             "t0": 0.003, "cylinders": 2, "config": one}]}, tmp_path / "v", 3)
+        # the contraction's stored run is freed before the sup-norm run starts; the entropy
+        # check's fine rung is the 32-point run of the three cylinder checks
+        assert judged == [[], [], ["c"], ["c", "s"], ["c", "s"], ["c", "s"],
+                          ["c", "e", "m", "s"]]
+        assert len(made) == 1 + 1 + 3 + 1 + 2 + 2 * 4 and all(f() is None for _, f in made)
 
 
 class TestSweepCommand:
@@ -502,7 +608,7 @@ class TestSweepCommand:
     def test_single_cell_equals_run_plus_diagnostics(self, tmp_path):
         path = self.sweep_doc(tmp_path, {})
         assert main(["sweep", path, "--out", str(tmp_path / "s")]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
+        rows = read_csv(tmp_path / "s" / "sw" / "sweep.csv", csv.DictReader)
         assert len(rows) == 1
         assert rows[0]["error"] == ""
         assert float(rows[0]["terminal_sup"]) > 0
@@ -511,7 +617,7 @@ class TestSweepCommand:
     def test_resolution_axis_monotone_residuals(self, tmp_path):
         path = self.sweep_doc(tmp_path, {"resolution": [64, 128, 256]})
         assert main(["sweep", path, "--out", str(tmp_path / "s"), "--threads", "2"]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
+        rows = read_csv(tmp_path / "s" / "sw" / "sweep.csv", csv.DictReader)
         assert len(rows) == 3
         pos = [float(r["resid_pos_max"]) for r in rows]
         assert pos[0] >= pos[1] >= pos[2]
@@ -537,12 +643,12 @@ class TestSweepCommand:
         for seed in ("3", "4"):
             out = tmp_path / f"s{seed}"
             assert main(["sweep", path, "--out", str(out), "--seed", seed]) == 0
-            rows[seed] = next(csv.DictReader(open(out / "sw" / "sweep.csv")))
+            rows[seed] = read_csv(out / "sw" / "sweep.csv", csv.DictReader)[0]
         assert (rows["3"]["seed"], rows["4"]["seed"]) == ("3", "4")
         assert rows["3"]["config_hash"] != rows["4"]["config_hash"]
         path = self.sweep_doc(tmp_path, {"seed": [5]})
         assert main(["sweep", path, "--out", str(tmp_path / "axis"), "--seed", "3"]) == 0
-        row = next(csv.DictReader(open(tmp_path / "axis" / "sw" / "sweep.csv")))
+        row = read_csv(tmp_path / "axis" / "sw" / "sweep.csv", csv.DictReader)[0]
         assert row["seed"] == "5"
 
     def test_duplicate_labels_rejected_before_any_run(self, tmp_path):
@@ -657,6 +763,27 @@ class TestTopLevelKeys:
             assert set(suite) == {"name", "seed", "checks"}
 
 
+class TestDocumentsThatAreNotObjects:
+    """A JSON document, or a sweep's base, that is not an object is a usage error
+    naming its file, before anything runs or is written."""
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["verify"], [], "{path} holds a JSON list, not an object"),
+        (["verify"], "x", "{path} holds a JSON str, not an object"),
+        (["run"], 5, "{path} holds a JSON int, not an object"),
+        (["sweep"], {"name": "sw", "base": []}, "sweep file {path} needs a 'base' run config "
+                                                "object"),
+        (["entropy", "--table"], [1], "{path} holds a JSON list, not an object"),
+    ], ids=["verify-list", "verify-string", "run-int", "sweep-base-list", "entropy-table-list"])
+    def test_a_usage_error_naming_the_file(self, tmp_path, capsys, monkeypatch, argv, doc,
+                                           message):
+        forbid_runs(monkeypatch)
+        path = write_doc(tmp_path, doc, "doc.json")
+        assert main(argv + [path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not (tmp_path / "out").exists()
+
+
 CONTRACTION_KEYS = {"initial0": {"kind": "mode", "k": [1], "amplitude": 0.5},
                     "initial1": {"kind": "mode", "k": [1], "amplitude": 0.3}}
 # kind -> (its required keys besides `name` and `config`, the key the missing-key test drops)
@@ -673,19 +800,49 @@ EVERY_KIND = {
 }
 
 
-# kind -> (mistyped keys, the error naming them), one per kind; the first is the
-# crash that a string "points" used to become once its morrey check had run
+# case -> (kind, mistyped keys, the error naming them): one case per kind, named after
+# it, the first the crash that a string "points" used to become once its morrey check
+# had run; then one for each other key of each kind but `name` (a plain path component)
 WRONG_TYPES = {
-    "morrey": ({"points": "10"}, "['points: int, not str']"),
-    "contraction": ({"decay_ratio_rtol": "0.02"}, "['decay_ratio_rtol: float, not str']"),
-    "sup-norm": ({"config": "heat.json"}, "['config: dict, not str']"),
-    "entropy-diffusion": ({"config": None}, "['config: dict, not NoneType']"),
-    "entropy-coupled": ({"config": [heat_doc()]}, "['config: dict, not list']"),
-    "reverse-holder": ({"cylinders": 20.0, "p": "2.5"},
+    "morrey": ("morrey", {"points": "10"}, "['points: int, not str']"),
+    "contraction": ("contraction", {"decay_ratio_rtol": "0.02"},
+                    "['decay_ratio_rtol: float, not str']"),
+    "sup-norm": ("sup-norm", {"config": "heat.json"}, "['config: dict, not str']"),
+    "entropy-diffusion": ("entropy-diffusion", {"config": None}, "['config: dict, not NoneType']"),
+    "entropy-coupled": ("entropy-coupled", {"config": [heat_doc()]}, "['config: dict, not list']"),
+    "reverse-holder": ("reverse-holder", {"cylinders": 20.0, "p": "2.5"},
                        "['cylinders: int, not float', 'p: float, not str']"),
-    "estimate-ratios": ({"cylinders": True}, "['cylinders: int, not bool']"),
-    "tampered-sup": ({"config": 1}, "['config: dict, not int']"),
-    "tampered-contraction": ({"decay_ratio_rtol": False}, "['decay_ratio_rtol: float, not bool']"),
+    "estimate-ratios": ("estimate-ratios", {"cylinders": True}, "['cylinders: int, not bool']"),
+    "tampered-sup": ("tampered-sup", {"config": 1}, "['config: dict, not int']"),
+    "tampered-contraction": ("tampered-contraction", {"decay_ratio_rtol": False},
+                             "['decay_ratio_rtol: float, not bool']"),
+    "morrey-t0": ("morrey", {"t0": "0.002"}, "['t0: float | None, not str']"),
+    "morrey-radii_h": ("morrey", {"radii_h": "abc"}, "['radii_h: list[int], not str']"),
+    "entropy-diffusion-sizes": ("entropy-diffusion", {"sizes": [64.5, "x"]},
+                                "['sizes: list[int], not list']"),
+    "entropy-diffusion-K": ("entropy-diffusion", {"K": [1]}, "['K: float | None, not list']"),
+    "entropy-coupled-sizes": ("entropy-coupled", {"sizes": 64}, "['sizes: list[int], not int']"),
+    "entropy-coupled-K": ("entropy-coupled", {"K": "1e-3"}, "['K: float | None, not str']"),
+    "reverse-holder-t0": ("reverse-holder", {"t0": True}, "['t0: float | None, not bool']"),
+    "reverse-holder-sizes": ("reverse-holder", {"sizes": [128, None]},
+                             "['sizes: list[int], not list']"),
+    "estimate-ratios-t0": ("estimate-ratios", {"t0": None}, "['t0: float, not NoneType']"),
+    "estimate-ratios-sizes": ("estimate-ratios", {"sizes": [[128], [256]]},
+                              "['sizes: list[int], not list']"),
+    "contraction-decay_ratio_target": ("contraction", {"decay_ratio_target": "0.6"},
+                                       "['decay_ratio_target: float | None, not str']"),
+    "tampered-contraction-decay_ratio_target": (
+        "tampered-contraction", {"decay_ratio_target": [0.6]},
+        "['decay_ratio_target: float | None, not list']"),
+    "contraction-initial0": ("contraction", {"initial0": "mode"}, "['initial0: dict, not str']"),
+    "contraction-initial1": ("contraction", {"initial1": [1]}, "['initial1: dict, not list']"),
+    "tampered-contraction-initial0": ("tampered-contraction", {"initial0": None},
+                                      "['initial0: dict, not NoneType']"),
+    "tampered-contraction-initial1": ("tampered-contraction", {"initial1": 2},
+                                      "['initial1: dict, not int']"),
+    "reverse-holder-R": ("reverse-holder", {"R": "0.05"}, "['R: float, not str']"),
+    "estimate-ratios-r": ("estimate-ratios", {"r": None}, "['r: float, not NoneType']"),
+    "estimate-ratios-R": ("estimate-ratios", {"R": [0.1]}, "['R: float, not list']"),
 }
 
 
@@ -717,18 +874,23 @@ class TestCheckKeys:
         self.rejected(tmp_path, capsys, monkeypatch, {"name": "s", "checks": [check]},
                       f"error: bad check 'c': missing key(s) ['{dropped}']\n")
 
-    @pytest.mark.parametrize("kind", list(WRONG_TYPES))
-    def test_a_mistyped_key(self, tmp_path, capsys, monkeypatch, kind):
-        wrong, named = WRONG_TYPES[kind]
+    @pytest.mark.parametrize("case", list(WRONG_TYPES))
+    def test_a_mistyped_key(self, tmp_path, capsys, monkeypatch, case):
+        kind, wrong, named = WRONG_TYPES[case]
         check = {**small_check("c"), "kind": kind, **EVERY_KIND[kind][0], **wrong}
         self.rejected(tmp_path, capsys, monkeypatch, {"name": "s", "checks": [check]},
                       f"error: bad check 'c': wrong type(s) {named}\n")
 
     def test_every_typed_key_is_covered(self):
-        assert set(WRONG_TYPES) == set(cli._CHECKS)
+        assert {kind for kind, *_ in WRONG_TYPES.values()} == set(cli._CHECKS)
+        # every key declares its type; `config` is a dict in every kind, and a case of four
+        for fn, *_ in cli._CHECKS.values():
+            assert all(p.annotation is not p.empty for p in inspect.signature(fn).parameters
+                       .values() if p.kind is p.KEYWORD_ONLY)
         typed = {(kind, k) for kind, (fn, *_) in cli._CHECKS.items()
-                 for k, d in cli._keywords(fn).items() if type(d) in (int, float, str, bool)}
-        assert typed <= {(kind, k) for kind, (wrong, _) in WRONG_TYPES.items() for k in wrong}
+                 for k in cli._keywords(fn) if k not in ("name", "config")}
+        assert typed == {(kind, k) for kind, wrong, _ in WRONG_TYPES.values()
+                         for k in wrong if k != "config"}
 
     def test_an_int_may_stand_for_a_float(self):
         check = {**small_check("c"), "kind": "reverse-holder", "R": 1, "p": 3,
@@ -854,7 +1016,7 @@ class TestSweepPotentialAxis:
         sweep = write_doc(tmp_path, {"name": "sw", "base": base,
                                      "axes": {"potential": ["quadratic", "cosh"]}}, "sweep.json")
         assert main(["sweep", sweep, "--out", str(tmp_path / "s")]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
+        rows = read_csv(tmp_path / "s" / "sw" / "sweep.csv", csv.DictReader)
         assert [r["potential"] for r in rows] == ["quadratic", "cosh"]
         assert rows[0]["terminal_sup"] != rows[1]["terminal_sup"]
         for row in rows:
@@ -972,7 +1134,7 @@ class TestStreamedSweepCells:
         oracle.mkdir()
         rows = [frozen_run_cell(base, cell, oracle, None) for cell in cli._sweep_cells(doc)]
         got = tmp_path / "s" / "sw"
-        assert list(csv.DictReader(open(got / "sweep.csv"))) == \
+        assert read_csv(got / "sweep.csv", csv.DictReader) == \
             [{k: str(v) for k, v in row.items()} for row in rows]
         assert {k: v for k, v in tree(got).items() if not k.startswith("sweep")} == tree(oracle)
         blank = [row["morrey_4h"] == "" for row in rows]
@@ -1028,7 +1190,7 @@ class TestStreamedSweepCells:
         # cell whose run cannot be planned goes last
         assert submitted == ["quadratic-n64", "cosh-n64", "quadratic-n32", "cosh-n32",
                              "quadratic-n128", "cosh-n128"]
-        rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
+        rows = read_csv(tmp_path / "s" / "sw" / "sweep.csv", csv.DictReader)
         assert [r["label"] for r in rows] == labels
         assert [bool(r["error"]) for r in rows] == [label.endswith("n128") for label in labels]
         assert rows[-1]["error"].startswith("ValueError: dt_override 5e-05 violates the CFL")
@@ -1079,7 +1241,7 @@ class TestStreamedSweepCells:
         assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
                      str(tmp_path / "s"), "--threads", "2"]) == 1
         assert open_fds() == fds
-        rows = list(csv.DictReader(open(tmp_path / "s" / "sw" / "sweep.csv")))
+        rows = read_csv(tmp_path / "s" / "sw" / "sweep.csv", csv.DictReader)
         assert [(r["label"], r["error"]) for r in rows] == [
             ("quadratic", ""), ("cosh", "OSError: disk full")]
         assert not (tmp_path / "s" / "sw" / "cosh").exists()
@@ -1230,12 +1392,16 @@ def frozen_anti_diffuse_middle(traj):
 
 
 class TestStreamedVerify:
-    """The sup-norm, contraction and entropy checks fold each snapshot as `run` hands
-    it over, so a check's memory stays flat in the step count, and each report is
-    the public monitor's over the stored trajectory."""
+    """Every check folds each snapshot as `run` hands it over, so a check's memory
+    stays flat in the step count, and each report is the public monitor's over the
+    stored trajectory."""
 
-    @pytest.mark.parametrize("kind, extra", [("sup-norm", {}),
-                                             ("entropy-diffusion", {"sizes": [64]})])
+    @pytest.mark.parametrize("kind, extra", [
+        ("sup-norm", {}), ("entropy-diffusion", {"sizes": [64]}),
+        ("morrey", {"points": 2, "radii_h": [8, 4]}),
+        ("reverse-holder", {"sizes": [32, 64], "R": 0.1, "cylinders": 2}),
+        ("estimate-ratios", {"sizes": [32, 64], "r": 0.05, "R": 0.1, "t0": 0.0015,
+                             "cylinders": 2})])
     def test_a_checks_peak_memory_does_not_grow_with_the_step_count(self, tmp_path, kind,
                                                                     extra):
         import tracemalloc
@@ -1254,8 +1420,29 @@ class TestStreamedVerify:
         # a few fields of allocator noise; a stored trajectory would add 56 fields
         assert peaks[1] - peaks[0] < 4 * field, peaks
 
+    def test_a_2d_cylinder_pair_runs_within_a_budget_the_stored_runs_exceed(self, tmp_path):
+        # morrey and reverse-holder on a 256^2 N=2 run, which a stored path would hold whole
+        import tracemalloc
+        from pelab.solver import _planned
+        config = cell_base([256, 256], t_end=0.002, components=2, snapshot_every=8)
+        snapshots = _planned(cli.build_config(config))[2] // 8 + 1
+        stored, budget = snapshots * 2 * 256 * 256 * 8, 24 * 2 ** 20
+        assert stored > 4 * budget
+        suite = {"name": "s", "checks": [
+            {"name": "m", "kind": "morrey", "points": 4, "config": config},
+            {"name": "r", "kind": "reverse-holder", "sizes": [128, 256], "R": 0.032,
+             "cylinders": 6, "config": config}]}
+        tracemalloc.start()
+        try:
+            reports = run_suite(suite, tmp_path / "v", 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.passed for r in reports] == [True, True] and peak < budget, peak
+
     @pytest.mark.parametrize("sizes, boundary", [([64], "periodic"), ([65], "dirichlet")])
-    def test_streamed_reports_equal_the_monitors_over_stored_runs(self, sizes, boundary):
+    def test_streamed_reports_equal_the_monitors_over_stored_runs(self, tmp_path, sizes,
+                                                                  boundary):
         from pelab import certify_window, contraction_report, sup_norm_report
 
         def same(got, want):
@@ -1263,12 +1450,16 @@ class TestStreamedVerify:
                 json.dumps(want.to_json(), sort_keys=True)
             assert got.series == want.series
 
+        def alone(kind, **keys):   # the report of a suite of one check
+            [rep] = run_suite({"name": "s", "checks": [{"name": "c", "kind": kind, **keys}]},
+                              tmp_path / kind, 3)
+            return rep
+
         mode = {"kind": "mode", "k": [1], "amplitude": 0.5}
         config = cell_base(sizes, boundary, t_end=0.005, snapshot_every=4, initial=mode)
         stored = cli.run(cli.build_config(config, 3))
         for kind, plant in (("sup-norm", None), ("tampered-sup", frozen_inflate_final)):
-            check, *leading = cli._CHECKS[kind]
-            got = check(cli.run, 3, *leading, name="c", config=config)
+            got = alone(kind, config=config)
             same(got, sup_norm_report(plant(stored) if plant else stored, name="c"))
             assert got.passed is (plant is None) and (got.witness is None) is got.passed
 
@@ -1280,8 +1471,7 @@ class TestStreamedVerify:
         window = certify_window(base0.potential)
         for kind, plant in (("contraction", None),
                             ("tampered-contraction", frozen_anti_diffuse_middle)):
-            check, *leading = cli._CHECKS[kind]
-            got = check(cli.run, 3, *leading, name="c", config=bare, **keys)
+            got = alone(kind, config=bare, **keys)
             same(got, contraction_report(run0, plant(run1) if plant else run1, window,
                                          name="c"))
             assert got.passed is (plant is None) and (got.witness is None) is got.passed
@@ -1293,7 +1483,7 @@ class TestEntropyCommand:
         out = capsys.readouterr().out
         assert "lam=1" in out and "Lam=1" in out
         assert "trivially" in out
-        rows = list(csv.reader(open(tmp_path / "e" / "quadratic_entropy.csv")))
+        rows = read_csv(tmp_path / "e" / "quadratic_entropy.csv")
         z, gamma = float(rows[2][0]), float(rows[2][1])
         for row in rows[2:]:
             assert float(row[1]) == pytest.approx(float(row[0]), abs=1e-9)
@@ -1302,7 +1492,7 @@ class TestEntropyCommand:
         assert main(["entropy", "cosh", "--r-max", "1.0",
                      "--out", str(tmp_path / "e")]) == 0
         assert "H convex on range: yes" in capsys.readouterr().out
-        rows = list(csv.reader(open(tmp_path / "e" / "cosh_entropy.csv")))
+        rows = read_csv(tmp_path / "e" / "cosh_entropy.csv")
         assert all(float(r[2]) <= 1e-8 for r in rows[2:])
 
     def test_non_convex_table_exits_2_naming_radius(self, tmp_path, capsys):
@@ -1328,12 +1518,29 @@ class TestReportCommand:
              "config": heat_doc(size=64, t_end=0.002)}]}, "suite.json")
         main(["verify", suite, "--out", str(tmp_path / "out")])
         assert main(["report", str(tmp_path / "out")]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "out" / "report_summary.csv")))
+        rows = read_csv(tmp_path / "out" / "report_summary.csv", csv.DictReader)
         kinds = {r["kind"] for r in rows}
         assert kinds == {"run", "check"}
 
     def test_missing_directory(self):
         assert main(["report", "/nonexistent/dir"]) == 1
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("manifest.json", "{not json", "invalid JSON in {path}: Expecting property name"),
+        ("manifest.json", "[]", "{path} holds a JSON list, not an object"),
+        ("c.report.json", "5", "{path} holds a JSON int, not an object"),
+    ], ids=["manifest-not-json", "manifest-list", "report-int"])
+    def test_a_malformed_file_is_a_usage_error(self, tmp_path, capsys, name, text, message):
+        out = tmp_path / "out"
+        assert main(["run", write_doc(tmp_path, heat_doc(size=32, t_end=0.001)),
+                     "--out", str(out)]) == 0
+        (out / "bad").mkdir()
+        (out / "bad" / name).write_text(text)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {message.format(path=out / 'bad' / name)}")
+        assert not (out / "report_summary.csv").exists()
 
 
 class TestUsage:

@@ -915,16 +915,16 @@ class TestOnePassPerWindow:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """(cylinders, snapshots read) of every `cylinder_integrals` call of a monitor."""
-        from pelab import diagnostics
-        real, calls = diagnostics.cylinder_integrals, []
+        """(cylinders, snapshots read) of every cylinder fold a monitor makes."""
+        from pelab.grid import _CylinderFold
+        real, calls = _CylinderFold.__init__, []
 
-        def spy(traj, terms, field_at):
+        def spy(fold, grid, terms, field):
             read = []
             calls.append(([q for q, _ in terms], read))
-            return real(traj, terms, lambda k: (read.append(int(k)), field_at(k))[1])
+            real(fold, grid, terms, lambda k, snap: (read.append(int(k)), field(k, snap))[1])
 
-        monkeypatch.setattr(diagnostics, "cylinder_integrals", spy)
+        monkeypatch.setattr(_CylinderFold, "__init__", spy)
         return calls
 
     @staticmethod
@@ -1203,7 +1203,7 @@ class TestHolderSeminorm:
 
 class TestOneGradientPath:
     """The cylinder monitors take |grad u|^2 from the unchecked kernel, over one
-    step plan per report, never from the checked public `gradient_sq`."""
+    step plan per fold, never from the checked public `gradient_sq`."""
 
     def test_paper_core_makes_no_public_call_and_one_plan_per_report(self, tmp_path,
                                                                      monkeypatch):
@@ -1232,8 +1232,9 @@ class TestOneGradientPath:
         assert public == [] and plans[grid_module] == {}   # no kernel call makes its own
         # morrey: one report; reverse-holder and estimate-ratios: coarse and fine;
         # the entropy residual folds: two rungs and one calibration per check
-        assert plans[diagnostics] == {"_morrey": 1, "reverse_holder_report": 2,
-                                      "estimate_ratio_report": 2,
+        assert plans[diagnostics] == {"_MorreyFold.__init__": 1,
+                                      "_ReverseHolderFold.__init__": 2,
+                                      "_EstimateFold.__init__": 2,
                                       "_ResidualFold.__init__": 6}
 
     def test_dirichlet_balls_never_read_the_ring(self):

@@ -282,6 +282,24 @@ class TestInvertPhi:
 
 
 class TestCoupledDecomposition:
+    def test_made_once_per_potential_object(self, tmp_path, monkeypatch):
+        # a coupled entropy check and the runs of its configs share one potential
+        # object, so its planned tables are the ones its runs step with
+        import pelab.potentials as potentials
+        from pelab.cli import run_suite
+        made, real = [], potentials._decompose
+        monkeypatch.setattr(potentials, "_decompose", lambda p: (made.append(p), real(p))[1])
+        p = cosh_potential(1.0)
+        assert coupled_decomposition(p) is coupled_decomposition(p) and made == [p]
+        assert coupled_decomposition(cosh_potential(1.0)) is not coupled_decomposition(p)
+        made.clear()
+        config = {"grid": {"sizes": [32], "h": 1 / 32}, "potential": {"id": "cosh", "r_max": 1.0},
+                  "system": "coupled", "t_end": 0.002,
+                  "initial": {"kind": "bands", "kmax": 3, "amplitude": 0.17, "offset": [0.8]}}
+        check = {"name": "c", "kind": "entropy-coupled", "sizes": [16, 32], "config": config}
+        [rep] = run_suite({"name": "s", "checks": [check]}, tmp_path / "v", 3)
+        assert rep.passed and len(made) == 1   # its plan's, not one more per rung run
+
     def test_quadratic_degenerates_to_heat(self):
         cc = coupled_decomposition(quadratic(2.0))
         rs = np.linspace(0, 2.0, 101)
