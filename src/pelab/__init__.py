@@ -10,9 +10,7 @@ reverse Hoelder stability and interior H^2 / L^4 estimate ratios.
 from .errors import (ConstructionError, ConvexityError, DomainAbort,
                      RangeExcursionError)
 from .grid import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
-                   Trajectory, cylinder_integrals, cylinder_members, gradient_sq,
-                   hessian_sq, laplacian, read_snapshot, vector_norm,
-                   write_snapshot)
+                   Trajectory, hessian_sq, read_snapshot, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, builtin_ids,
                          certify_window, coupled_decomposition,
@@ -22,10 +20,10 @@ from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
 from .solver import (RunConfig, cfl_dt, config_hash, initial_field, run,
                      step_diffusion, with_resolution)
 from .diagnostics import (CheckReport, CoupledEntropyParams,
-                          calibrate_residual_constant, choose_entropy_params,
-                          contraction_report, entropy_residual_coupled,
-                          entropy_residual_diffusion, estimate_ratio_report,
-                          h_minus_one_norm, holder_seminorm, morrey_profile,
-                          morrey_report, reverse_holder_report, sup_norm_report)
+                          choose_entropy_params, contraction_report,
+                          entropy_residual_coupled, entropy_residual_diffusion,
+                          estimate_ratio_report, h_minus_one_norm,
+                          holder_seminorm, morrey_profile,
+                          reverse_holder_report, sup_norm_report)
 
 __version__ = "0.1.0"

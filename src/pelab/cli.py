@@ -54,46 +54,75 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # config documents
 
-def build_grid(doc: dict) -> GridSpec:
-    try:
-        sizes = tuple(int(s) for s in doc["sizes"])
-        return GridSpec(n=len(sizes), sizes=sizes, h=float(doc["h"]),
-                        boundary=doc.get("boundary", "periodic"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad grid section: {exc}") from exc
+# A document's keys are the keyword-only parameters of one function per section:
+# their JSON types (annotations) and defaults, and which keys are required.
+
+def _keywords(fn) -> dict:
+    """Name -> parameter, annotation evaluated, of fn's keyword-only parameters: the keys
+    of a config section, a suite, a sweep, a check kind or an initial-data family."""
+    return {p.name: p for p in inspect.signature(fn, eval_str=True).parameters.values()
+            if p.kind is p.KEYWORD_ONLY}
 
 
-def build_potential(doc: dict):
-    try:
-        if "table" in doc:
-            t = doc["table"]
-            return from_piecewise_poly(t["breakpoints"], t["coeffs"],
-                                       r_max=doc.get("r_max", t.get("r_max")),
-                                       pid=doc.get("id", "table"))
-        return get_potential(doc["id"], r_max=doc.get("r_max"))
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad potential section: {exc}") from exc
+def _fits(value, kind) -> bool:
+    """Whether a JSON value is of `kind`: a type (an int may stand for a float), a union
+    of types, or list[...], an array."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return type(value) is list and all(_fits(v, args[0]) for v in value)
+    return any(_fits(value, k) for k in args) if args else \
+        type(value) is kind or (kind is float and type(value) is int)
 
 
-def _check_keys(doc: dict, known: dict, what: str, required=()) -> None:
-    """UsageError naming every key that `known` does not list, at the top level
-    of `doc` (section "") and in each of its sections that `known` names, and
-    every key of `required` that the top level lacks."""
-    sections = {"": doc, **{s: doc[s] for s in known if s and s in doc}}
-    unknown = sorted(f"{s}.{k}".lstrip(".") for s, d in sections.items()
-                     if isinstance(d, dict) for k in d if k not in known[s])
-    missing = sorted(k for k in required if k not in doc)
-    problems = [f"{label} key(s) {keys}" for label, keys in
-                (("unknown", unknown), ("missing", missing)) if keys]
+def _check_keys(what: str, *sections) -> None:
+    """UsageError naming at once every unknown, missing and mistyped key of each
+    (prefix, section, fn) of `sections` that is an object, as fn's keywords declare."""
+    found = {"unknown key(s)": [], "missing key(s)": [], "wrong type(s)": []}
+    for at, doc, fn in sections:
+        if not isinstance(doc, dict):   # a section of another type, or none
+            continue
+        keys = _keywords(fn)
+        found["unknown key(s)"] += [at + k for k in doc if k not in keys]
+        found["missing key(s)"] += [at + k for k, p in keys.items()
+                                    if p.default is p.empty and k not in doc]
+        found["wrong type(s)"] += [
+            f"{at}{k}: {t.__name__ if type(t) is type else t}, not {type(v).__name__}"
+            for k, v in doc.items() if k in keys and not _fits(v, t := keys[k].annotation)]
+    problems = [f"{label} {sorted(keys)}" for label, keys in found.items() if keys]
     if problems:
         raise UsageError(f"bad {what}: {', '.join(problems)}")
 
 
-def _keywords(fn) -> dict:
-    """Name -> parameter, annotation evaluated, of fn's keyword-only parameters: a check
-    kind's or a family's keys."""
-    return {p.name: p for p in inspect.signature(fn, eval_str=True).parameters.values()
-            if p.kind is p.KEYWORD_ONLY}
+def _grid(*, sizes: list[int], h: float, boundary: str = "periodic") -> GridSpec:
+    """A run config's `grid` section: `sizes` points per axis, spacing `h`."""
+    return GridSpec(n=len(sizes), sizes=sizes, h=float(h), boundary=boundary)
+
+
+def build_potential(*, id: str = "table", r_max: float | None = None,
+                    table: dict | None = None):
+    """A built-in potential `id`, or a piecewise-polynomial `table` (breakpoints, coeffs
+    and r_max) named `id`; `r_max` beats the table's."""
+    try:
+        if table is None:
+            return get_potential(id, r_max=r_max)
+        return from_piecewise_poly(table["breakpoints"], table["coeffs"], pid=id,
+                                   r_max=table.get("r_max") if r_max is None else r_max)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"bad potential section: {exc}") from exc
+
+
+def _run_config(*, grid: dict, potential: dict, t_end: float, components: int = 1,
+                system: str = "diffusion", cfl_sigma: float = 0.9, snapshot_every: int = 1,
+                initial: dict = {"kind": "mode"}, seed: int = 0,
+                boundary_values: list[float] | None = None, dt_override: float | None = None,
+                name: str = "run") -> RunConfig:
+    """A run config's top level; an int may stand for each float, which stays a float."""
+    return RunConfig(
+        grid=_grid(**grid), n_components=components, potential=build_potential(**potential),
+        t_end=float(t_end), system=system, cfl_sigma=float(cfl_sigma),
+        snapshot_every=snapshot_every, initial=dict(initial), seed=seed,
+        boundary_values=None if boundary_values is None else tuple(boundary_values),
+        dt_override=None if dt_override is None else float(dt_override), name=name)
 
 
 def _path_name(name, what: str) -> str:
@@ -104,31 +133,17 @@ def _path_name(name, what: str) -> str:
 
 
 def build_config(doc: dict, seed_override: int | None = None) -> RunConfig:
-    known = {"": {"grid", "potential", "components", "t_end", "system", "cfl_sigma", "seed",
-                  "snapshot_every", "initial", "boundary_values", "dt_override", "name"},
-             "grid": {"sizes", "h", "boundary"}, "potential": {"id", "r_max", "table"}}
+    """The RunConfig of a run config document, every key checked first (`_run_config`,
+    `_grid`, `build_potential` and the family of `initial` declare them)."""
+    sections = [("", doc, _run_config), ("grid.", doc.get("grid"), _grid),
+                ("potential.", doc.get("potential"), build_potential)]
     try:
-        initial = doc["initial"] if "initial" in doc else {"kind": "mode"}
-        if isinstance(initial, dict):   # the keys of its family's function
-            known["initial"] = {"kind", *_keywords(_initial_family(initial)[0])}
-        _check_keys(doc, known, "run config")
-        grid = build_grid(doc["grid"])
-        pot = build_potential(doc["potential"])
-        bv = doc.get("boundary_values")
-        dt = doc.get("dt_override")
-        return RunConfig(
-            grid=grid,
-            n_components=int(doc.get("components", 1)),
-            potential=pot,
-            t_end=float(doc["t_end"]),
-            system=doc.get("system", "diffusion"),
-            cfl_sigma=float(doc.get("cfl_sigma", 0.9)),
-            snapshot_every=int(doc.get("snapshot_every", 1)),
-            initial=initial,
-            seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
-            boundary_values=tuple(bv) if bv is not None else None,
-            dt_override=float(dt) if dt is not None else None,
-            name=doc.get("name", "run"))
+        if isinstance(doc.get("initial"), dict):   # without its kind, under its family's keys
+            family, keys = _initial_family(doc["initial"])
+            sections.append(("initial.", keys, family))
+        _check_keys("run config", *sections)
+        return _run_config(**doc) if seed_override is None else \
+            _run_config(**{**doc, "seed": seed_override})
     except UsageError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -332,32 +347,16 @@ _CHECKS = {
 }
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value is of `kind`: a type (an int may stand for a float), a union
-    of types, or list[...], an array."""
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is list:
-        return type(value) is list and all(_fits(v, args[0]) for v in value)
-    return any(_fits(value, k) for k in args) if args else \
-        type(value) is kind or (kind is float and type(value) is int)
-
-
 def _bind_check(check: dict):
     """The check's (function, leading arguments, keys) from _CHECKS; a UsageError
-    names the check and every unknown or missing key, and every key whose value
-    does not fit its type."""
+    names the check and every unknown, missing or mistyped key."""
     kind = check.get("kind")
     if not isinstance(kind, str) or kind not in _CHECKS:
         raise UsageError(f"unknown check kind '{kind}' in '{check['name']}'")
     fn, *leading = _CHECKS[kind]
-    keys = _keywords(fn)
-    _check_keys(check, {"": {*keys, "kind"}}, f"check '{check['name']}'",
-                required=[k for k, p in keys.items() if p.default is p.empty])
-    wrong = [f"{k}: {t.__name__ if type(t) is type else t}, not {type(v).__name__}"
-             for k, v in check.items() if k in keys and not _fits(v, t := keys[k].annotation)]
-    if wrong:
-        raise UsageError(f"bad check '{check['name']}': wrong type(s) {wrong}")
-    return fn, leading, {k: v for k, v in check.items() if k != "kind"}
+    keys = {k: v for k, v in check.items() if k != "kind"}
+    _check_keys(f"check '{check['name']}'", ("", keys, fn))
+    return fn, leading, keys
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +465,17 @@ def _write_series_csv(path: Path, report: CheckReport) -> None:
                         for x in row])
 
 
+def _suite(*, checks: list[dict] = [], name: str = "suite", seed: int = 0):
+    """A suite's keys."""
+
+
 def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> list[CheckReport]:
     """Plan every check, then integrate each distinct config (keyed by its description
     without `name`) once, in the order first subscribed, handing each snapshot to its
     observers; a check is judged, written and dropped as soon as its last run has ended."""
+    _check_keys("suite", ("", suite, _suite))
     checks = suite.get("checks", [])
-    if not isinstance(checks, list):
-        raise UsageError(f"suite checks must be a list, got {checks!r}")
-    for check in checks:   # each an object with a plain name, before any name is compared
-        if not isinstance(check, dict):
-            raise UsageError(f"check {check!r} is not an object")
+    for check in checks:   # each with a plain name, before any name is compared
         _path_name(check.get("name"), "check name")
     names = [c["name"] for c in checks]
     if len(names) != len(set(names)):
@@ -562,7 +562,6 @@ def cmd_verify(args) -> int:
         suite = _BUILTIN_SUITES[args.suite]()
     else:
         suite = _load_json(args.suite)
-    _check_keys(suite, {"": {"name", "seed", "checks"}}, "suite")
     outdir = Path(args.out) / _path_name(suite.get("name", "suite"), "suite name")
     reports = run_suite(suite, outdir, args.seed)
     for rep in reports:
@@ -606,6 +605,10 @@ _SWEEP_FIELDS = ("label", "potential", "size", "seed", "config_hash", "terminal_
                  "morrey_4h", "error")
 
 
+def _sweep(*, base: dict, axes: dict = {}, name: str = "sweep"):
+    """A sweep's keys."""
+
+
 def _cell_config(base_doc: dict, cell: dict, seed: int | None) -> RunConfig:
     """A sweep cell's config; a `seed` axis value beats `seed`, which beats base.seed."""
     doc = json.loads(json.dumps(base_doc))
@@ -620,9 +623,9 @@ def _cell_config(base_doc: dict, cell: dict, seed: int | None) -> RunConfig:
         raise UsageError(f"bad sweep cell '{cell['label']}': {exc}") from exc
 
 
-def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dict:
-    """Run one sweep cell, writing each snapshot and feeding it to the monitors as it comes."""
-    cfg = _cell_config(base_doc, cell, seed)
+def _run_cell(cfg: RunConfig, outdir: Path) -> dict:
+    """Run one sweep cell, labelled by its config's name, writing each snapshot into
+    `outdir` and feeding it to the monitors as it comes."""
     grid, pot = cfg.grid, cfg.potential
     residual = morrey = None
     if cfg.snapshot_every == 1 and cfg.system == "diffusion":
@@ -633,7 +636,7 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
     except ValueError:
         pass  # the cylinder does not fit this cell's box; leave its columns blank
     folds = [f for f in (residual, morrey) if f is not None]
-    with _snapshot_writer(outdir / cell["label"]) as (write, manifest):
+    with _snapshot_writer(outdir / cfg.name) as (write, manifest):
         def observe(snap):
             write(snap)
             for fold in folds:
@@ -642,7 +645,7 @@ def _run_cell(base_doc: dict, cell: dict, outdir: Path, seed: int | None) -> dic
         traj = run(cfg, observe)
         manifest(traj.meta)
         row = dict.fromkeys(_SWEEP_FIELDS, "")
-        row.update(label=cell["label"], potential=pot.id, size=grid.sizes[0], seed=cfg.seed,
+        row.update(label=cfg.name, potential=pot.id, size=grid.sizes[0], seed=cfg.seed,
                    config_hash=traj.meta["config_hash"],
                    terminal_sup=float(vector_norm(traj.final.values).max()))
         if residual is not None:
@@ -661,9 +664,7 @@ def cmd_sweep(args) -> int:
     if args.threads < 0:
         raise UsageError(f"--threads must be 0 (the usable CPUs) or positive, got {args.threads}")
     doc = _load_json(args.sweep)
-    _check_keys(doc, {"": {"name", "base", "axes"}}, "sweep")
-    if not isinstance(doc.get("base"), dict):
-        raise UsageError(f"sweep file {args.sweep} needs a 'base' run config object")
+    _check_keys("sweep", ("", doc, _sweep))
     cells = _sweep_cells(doc)
     configs = {c["label"]: _cell_config(doc["base"], c, args.seed) for c in cells}
     outdir = Path(args.out) / _path_name(doc.get("name", "sweep"), "sweep name")
@@ -673,7 +674,7 @@ def cmd_sweep(args) -> int:
 
     def work(cell):
         try:
-            return _run_cell(doc["base"], cell, outdir, args.seed)
+            return _run_cell(configs[cell["label"]], outdir)
         except Exception as exc:
             return {**dict.fromkeys(_SWEEP_FIELDS, ""), "label": cell["label"],
                     "error": f"{type(exc).__name__}: {exc}"}
@@ -717,7 +718,7 @@ def cmd_entropy(args) -> int:
         doc = {"id": args.potential}
     if args.r_max is not None:
         doc["r_max"] = args.r_max
-    pot = build_potential(doc)
+    pot = build_potential(**doc)
     _path_name(pot.id, "potential id")
     window = certify_window(pot)
     ent = build_entropy(pot)

@@ -42,7 +42,7 @@ from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
                          grad_Phi_field, quadratic)
-from .solver import RunConfig, _abort_if_outside, run
+from .solver import RunConfig, _abort_if_outside
 
 
 @dataclass
@@ -117,11 +117,6 @@ def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
     f are ignored and w vanishes on the layer.  Vector inputs return the root
     of the sum of the squared component norms.
     """
-    return _h_minus_one_norm(values, grid, _laplacian_symbol(grid))
-
-
-def _h_minus_one_norm(values: np.ndarray, grid: GridSpec, mu: np.ndarray) -> float:
-    """`h_minus_one_norm` over the grid's `_laplacian_symbol` mu, built by the caller."""
     comps = _as_components(values, grid)
     axes = tuple(range(1, grid.n + 1))
     copies = 1
@@ -132,7 +127,7 @@ def _h_minus_one_norm(values: np.ndarray, grid: GridSpec, mu: np.ndarray) -> flo
             comps = np.concatenate([zero, comps, zero, -np.flip(comps, axis=a)], axis=a)
         copies = 2 ** grid.n
     spec = np.fft.rfftn(comps, axes=axes)
-    energy = (np.square(spec.real) + np.square(spec.imag)) / mu
+    energy = (np.square(spec.real) + np.square(spec.imag)) / _laplacian_symbol(grid)
     m = comps.shape[-1]
     energy[..., 1:(m + 1) // 2] *= 2.0   # the bins whose conjugates rfftn drops
     return math.sqrt(float(energy.sum()) * grid.cell_volume() / (comps[0].size * copies))
@@ -145,11 +140,11 @@ class _ContractionFold:
     """The contraction loop, fed runs 0 and 1 as feed(0 or 1, snapshot), one run
     after the other in either order: it stores the first, and each snapshot of
     the other gives the H^-1 norm of run 1's minus run 0's snapshot of the same
-    index, over one Laplacian symbol.  A snapshot it cannot match raises."""
+    index.  A snapshot it cannot match raises."""
 
     def __init__(self, window: EllipticityWindow, rel_tol: float = 1e-10):
         self.window, self.rel_tol = window, rel_tol
-        self.first, self.stored, self.d, self.mu = None, [], [], None
+        self.first, self.stored, self.d = None, [], []
 
     def feed(self, side: int, snap: FieldState) -> None:
         if self.first in (None, side):
@@ -165,10 +160,8 @@ class _ContractionFold:
             raise ValueError("mismatched runs: snapshot times differ")
         if k == 0 and not snap.grid.periodic and snap.boundary_values != ref[0].boundary_values:
             raise ValueError("mismatched runs: boundary data differ")
-        if self.mu is None:
-            self.mu = _laplacian_symbol(snap.grid)
         one, zero = (snap, ref[k]) if side == 1 else (ref[k], snap)
-        self.d.append(_h_minus_one_norm(one.values - zero.values, snap.grid, self.mu))
+        self.d.append(h_minus_one_norm(one.values - zero.values, snap.grid))
 
     def report(self, traj0: Trajectory, traj1: Trajectory, name: str,
                decay_ratio_target: float | None = None, rtol: float = 0.02) -> CheckReport:
@@ -279,8 +272,9 @@ class _ResidualFold:
     snapshot, r) applied at the earlier snapshot, r = |u| computed once per
     snapshot and spacing that of the first pair.  A snapshot with |u| beyond
     r_max aborts with the location and time of the first offender.  Holds the
-    last snapshot's q and r and pools the positive values for their 99th
-    percentile; `stats` raises if fewer than two snapshots were fed.
+    last snapshot's q and r and two running maxima, so its memory does not
+    grow with the pair count; `stats` raises if fewer than two snapshots were
+    fed.
     """
 
     def __init__(self, grid: GridSpec, r_max: float,
@@ -290,7 +284,7 @@ class _ResidualFold:
         self.grid, self.r_max, self.at, self.spatial, self.coef = grid, r_max, at, spatial, coef
         self.plans = _shift_plans(grid, (1, -1))   # validated snapshots: unchecked kernels
         self.max_pos = self.max_abs = 0.0
-        self.pool, self.witness, self.last, self.pairs, self.spacing = [], None, None, 0, None
+        self.witness, self.last, self.pairs, self.spacing = None, None, 0, None
 
     def feed(self, snap: FieldState) -> None:
         r_next = _abort_if_outside(vector_norm(snap.values), self.r_max, snap.t)
@@ -303,23 +297,18 @@ class _ResidualFold:
                    + self.coef * _gradient_sq(now.values, self.grid, self.plans)
                    )[self.grid.interior_slices]
             self.max_abs = max(self.max_abs, float(np.abs(res).max()))
-            pos = res[res > 0.0]
-            if pos.size:
-                self.pool.append(pos)
-                m = float(pos.max())
-                if m > self.max_pos:
-                    self.max_pos = m
-                    loc = tuple(int(i) for i in np.unravel_index(int(res.argmax()), res.shape))
-                    self.witness = {"pair": self.pairs, "t": now.t, "location": loc, "value": m}
+            m = float(res.max())
+            if m > self.max_pos:
+                self.max_pos = m
+                loc = tuple(int(i) for i in np.unravel_index(int(res.argmax()), res.shape))
+                self.witness = {"pair": self.pairs, "t": now.t, "location": loc, "value": m}
             self.pairs += 1
         self.last = (snap, r_next, q_next)
 
     def stats(self) -> dict:
         if not self.pairs:
             raise ValueError("residual checks need at least two snapshots")
-        pooled = np.concatenate(self.pool) if self.pool else np.zeros(1)
-        return {"max_pos": self.max_pos, "p99_pos": float(np.percentile(pooled, 99.0)),
-                "max_abs": self.max_abs, "pairs": self.pairs}
+        return {"max_pos": self.max_pos, "max_abs": self.max_abs, "pairs": self.pairs}
 
     def report(self, traj: Trajectory, tau: float | None, name: str, **extra) -> CheckReport:
         """`stats` and `extra`, of the run `traj`; with tau = None it always passes."""
@@ -375,21 +364,16 @@ def entropy_residual_diffusion(traj: Trajectory, p: RadialPotential,
     return _replay(traj, _diffusion_fold(traj.grid, p, ent, window)).report(traj, tau, name)
 
 
-def calibrate_residual_constant(config: RunConfig) -> float:
-    """Fit K in tau(h) = K (h^2 + dt) on the quadratic case.
+def _calibration(config: RunConfig):
+    """The fit of K in tau(h) = K (h^2 + dt) on the quadratic case, for data of
+    `config`'s shape: its run config, its observer, and fit(dt), K from what the
+    observer was fed; fit keeps two numbers of the fold, so the fold goes with it.
 
     For the quadratic potential the continuum residual vanishes identically
     and the forward-difference alignment makes the discrete positive part
     cancel to rounding, so the magnitude |residual| is the pure scheme-error
     scale for data of this shape; K is its ratio to h^2 + dt.
     """
-    cfg, observe, fit = _calibration(config)
-    return fit(run(cfg, observe).dt)
-
-
-def _calibration(config: RunConfig):
-    """`calibrate_residual_constant`'s run config, its observer, and fit(dt), K from what
-    the observer was fed; fit keeps two numbers of the fold, so the fold goes with it."""
     amp = float(config.initial.get("amplitude", 0.5))
     q = quadratic(r_max=max(2.0, 2.0 * amp))
     cfg = replace(config, potential=q, system="diffusion", snapshot_every=1)
@@ -499,7 +483,8 @@ class _MorreyFold(_CylinderFold):
 
     def report(self, traj: Trajectory, decay_factor: float = 0.5,
                name: str = "morrey") -> CheckReport:
-        """`morrey_report`'s verdict on the snapshots fed, of the run `traj` (its provenance)."""
+        """The decay verdict on the snapshots fed, of the run `traj` (its provenance): the
+        smallest-R quotient is at most `decay_factor` times the largest-R one."""
         profiles = []
         rows = []
         witness = None
@@ -532,14 +517,6 @@ def morrey_profile(traj: Trajectory, points: Sequence[tuple], radii: Sequence[fl
     bound of bounded solutions.  Radii below 4h are rejected as noise.
     """
     return _replay(traj, _MorreyFold(traj.grid, points, radii, g, exponent)).profiles()
-
-
-def morrey_report(traj: Trajectory, points: Sequence[tuple], radii: Sequence[float],
-                  g: Callable[[FieldState], np.ndarray] | None = None,
-                  decay_factor: float = 0.5, name: str = "morrey") -> CheckReport:
-    """Decay check: the smallest-R quotient is at most `decay_factor` times the largest-R one."""
-    fold = _replay(traj, _MorreyFold(traj.grid, points, radii, g))
-    return fold.report(traj, decay_factor, name)
 
 
 # ---------------------------------------------------------------------------

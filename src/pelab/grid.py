@@ -8,12 +8,14 @@ array with the wrapped planes written by one more call, over a step plan
 (`_shift_plans`: per axis and shift, the index arithmetic worked out once,
 for any component count; a run makes its plans once).  The diagonal
 neighbours of `hessian_sq`'s mixed differences are shifts of shifts.  One
-boundary rule serves every stencil (`laplacian`, `gradient_sq`, `hessian_sq`
-and `face_divergence`): on Dirichlet grids the ring, the only points that
-read across the wrap, is set to zero afterwards by `_fill_ring`, so stencil
-outputs are meaningful on the interior only.  The private kernels
-`_laplacian`, `_face_divergence` and `_gradient_sq` skip the input checks
-and take their caller's plans and buffers.  All reductions go through numpy,
+boundary rule serves every stencil (`_laplacian`, `_gradient_sq`,
+`hessian_sq` and `_face_divergence`): on Dirichlet grids the ring, the only
+points that read across the wrap, is set to zero afterwards by `_fill_ring`,
+so stencil outputs are meaningful on the interior only.  Each stencil has
+one entry point.  `hessian_sq`, which the estimate monitor calls on fields
+it makes, checks its input; the kernels `_laplacian`, `_face_divergence` and
+`_gradient_sq`, fed by the time loop and the monitors, skip the checks and
+take their caller's plans and buffers.  All reductions go through numpy,
 whose float sums use pairwise (tree) summation, which bounds rounding drift
 deterministically.  `_dist2`, the minimal-image squared distance to a point,
 serves both the cylinder balls and the bump initial data.
@@ -23,7 +25,9 @@ Euclidean distance R of x0, crossed with the snapshot times t satisfying
 t0 - R^2 < t <= t0.  `_CylinderFold`, the one cylinder loop, is fed one
 snapshot at a time and reads each snapshot's field once for all its
 cylinders, with no memo; `_replay` feeds a fold a stored trajectory, as a run
-feeds it (`cylinder_integrals`, the cylinder monitors).
+feeds it (the Trajectory-form cylinder monitors).  Trajectories are written
+as one header and one frame per snapshot (`_write_header`, `_write_frame`)
+and read back a frame at a time (`read_snapshot`).
 """
 
 from __future__ import annotations
@@ -173,28 +177,24 @@ def _laplacian(f: np.ndarray, grid: GridSpec, work: np.ndarray | None = None,
     return out
 
 
-def laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Second-order 2n+1-point Laplacian of a scalar field (or of each component).
-
-    Periodic grids are differenced everywhere (wrap-around); Dirichlet grids on
-    the interior only, with the boundary ring of the output set to zero.
-    """
-    out = _laplacian(_as_components(values, grid), grid)
-    return out.reshape(np.shape(values))
-
-
 def _face_divergence(coef: np.ndarray, fields: np.ndarray,
                      extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
                      grid: GridSpec, out: np.ndarray, flux: np.ndarray,
                      tmp: np.ndarray, face: np.ndarray, plans: list | None = None) -> np.ndarray:
-    """Unchecked face divergence, added to `out`, in the caller's buffers.
+    """Divergence of (avg coef * D fields + avg extra_coef * D extra_field) over
+    faces, unchecked, added to `out`, in the caller's buffers.
 
-    `flux` and `tmp` are C-contiguous arrays shaped like `fields`, `face` one
-    shaped like a component (a strided buffer raises); none is read before it
-    is written.  Forward and backward differences are `_shifted` passes (over
-    `plans` when given).  The order of operations is the roll-based original's,
-    except that the exact 0.5 of the extra coefficient's face average
-    multiplies the scalar difference of `extra_field`, not the N-component sum.
+    `fields` is (N, *sizes); `extra_coef` is (N, *sizes) paired with the
+    scalar `extra_field`, and both may be None.  Face i lies between points i
+    and i+1, the last one wraps to point 0; Dirichlet grids zero the ring, the
+    only points reading that face.  Conservative: periodic flux differences
+    telescope, so means are conserved.  `flux` and `tmp` are C-contiguous
+    arrays shaped like `fields`, `face` one shaped like a component (a strided
+    buffer raises); none is read before it is written.  Forward and backward
+    differences are `_shifted` passes (over `plans` when given).  The order of
+    operations is the roll-based original's, except that the exact 0.5 of the
+    extra coefficient's face average multiplies the scalar difference of
+    `extra_field`, not the N-component sum.
     """
     h = grid.h
     for fwd, bwd in plans or _shift_plans(grid, (1, 0), (0, -1)):
@@ -218,26 +218,10 @@ def _face_divergence(coef: np.ndarray, fields: np.ndarray,
     return out
 
 
-def face_divergence(scalar_coef: np.ndarray, fields: np.ndarray,
-                    extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
-                    grid: GridSpec) -> np.ndarray:
-    """Divergence of (avg coef * D fields + avg extra_coef * D extra_field) over faces.
-
-    `fields` is (N, *sizes); `extra_coef` is (N, *sizes) paired with the scalar
-    `extra_field`.  Face i lies between points i and i+1, the last one wraps to
-    point 0; Dirichlet grids zero the ring, the only points reading that face.
-    Conservative: periodic flux differences telescope, so means are conserved.
-    The buffers are allocated here; the coupled step passes its own to
-    `_face_divergence`.
-    """
-    shape = np.shape(fields)
-    return _face_divergence(scalar_coef, fields, extra_coef, extra_field, grid,
-                            np.zeros(shape), np.empty(shape), np.empty(shape),
-                            np.empty(shape[1:]))
-
-
 def _gradient_sq(comps: np.ndarray, grid: GridSpec, plans: list | None = None) -> np.ndarray:
-    """Unchecked `gradient_sq` of an (N, *sizes) array (over `plans` when given)."""
+    """|grad u|^2 of an (N, *sizes) array, unchecked: the sum over components and
+    axes of squared central differences (f[i+1] - f[i-1]) / 2h (over `plans` when
+    given), wrapping on periodic grids; Dirichlet grids zero the ring."""
     plans = plans or _shift_plans(grid, (1, -1))
     out = np.zeros(grid.sizes)
     d = np.empty(grid.sizes)
@@ -249,16 +233,6 @@ def _gradient_sq(comps: np.ndarray, grid: GridSpec, plans: list | None = None) -
     if not grid.periodic:
         _fill_ring(out, grid.n)
     return out
-
-
-def gradient_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Sum over components and axes of squared first differences, |grad u|^2.
-
-    Central differences (f[i+1] - f[i-1]) / 2h, wrapping on periodic grids;
-    Dirichlet grids on the interior only, with the boundary ring of the
-    output set to zero.
-    """
-    return _gradient_sq(_as_components(values, grid), grid)
 
 
 def hessian_sq(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -401,12 +375,6 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
     @property
-    def snapshot_dt(self) -> float:
-        if len(self.snapshots) < 2:
-            return self.dt
-        return self.snapshots[1].t - self.snapshots[0].t
-
-    @property
     def final(self) -> FieldState:
         return self.snapshots[-1]
 
@@ -473,32 +441,15 @@ def _window(q: Cylinder) -> tuple[float, float]:
     return q.t0 - q.R * q.R - slack, q.t0 + slack
 
 
-def _require_two(q: Cylinder, count: int) -> None:
-    if count < 2:
-        raise ValueError(
-            f"time window ({q.t0 - q.R ** 2}, {q.t0}] intersects only {count} "
-            f"snapshots; at least 2 are required")
-
-
-def cylinder_members(traj: Trajectory, q: Cylinder) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (ball mask, snapshot indices) of a cylinder inside a trajectory.
-
-    Raises with the failed bound spelled out if the ball leaves the domain or
-    fewer than two snapshots intersect the time window.
-    """
-    mask, (a, b), times = _ball(traj.grid, q), _window(q), traj.times
-    idx = np.nonzero((times > a) & (times <= b))[0]
-    _require_two(q, len(idx))
-    return mask, idx
-
-
 class _CylinderFold:
-    """The one cylinder loop, fed snapshots in time order: `cylinder_integrals` per snapshot.
+    """The one cylinder loop, fed snapshots in time order.
 
-    `field(k, snapshot)` is evaluated once per snapshot that some window
-    holds, k counting the snapshots fed.  The balls are validated on
-    construction, the windows by `result`.  `spacing` is the time between
-    the first two snapshots.
+    `result` is the point sum of field**power over each (cylinder, power)
+    term, and its point count; an integral is a sum times h^n times
+    `spacing`, the time between the first two snapshots.  `field(k,
+    snapshot)` is evaluated once per snapshot that some window holds, k
+    counting the snapshots fed.  The balls are validated on construction,
+    the windows by `result`.
     """
 
     def __init__(self, grid: GridSpec, terms: Sequence[tuple[Cylinder, float]],
@@ -520,7 +471,7 @@ class _CylinderFold:
         if inside:
             f = np.asarray(self.field(k, snap), dtype=float)
             if f.shape != self.grid.sizes:
-                raise ValueError("field_at must evaluate to a scalar field on the grid")
+                raise ValueError("the field must evaluate to a scalar field on the grid")
             flat = f.ravel()
             for i in inside:
                 v, power = flat.take(self.balls[i]), self.terms[i][1]
@@ -529,25 +480,11 @@ class _CylinderFold:
 
     def result(self) -> list[tuple[float, int]]:
         for (q, _), count in zip(self.terms, self.counts):
-            _require_two(q, count)
+            if count < 2:
+                raise ValueError(f"time window ({q.t0 - q.R ** 2}, {q.t0}] intersects only "
+                                 f"{count} snapshots; at least 2 are required")
         return [(total, len(ball) * count)
                 for total, ball, count in zip(self.totals, self.balls, self.counts)]
-
-
-def cylinder_integrals(traj: Trajectory, terms: Sequence[tuple[Cylinder, float]],
-                       field_at: Callable[[int], np.ndarray]) -> list[tuple[float, int]]:
-    """Point sum of field_at(k)**power over each (cylinder, power) term, and its point count.
-
-    `field_at` maps a snapshot index to a scalar field on the grid.  Once
-    every ball and, the times being known, every window is validated, one
-    `_CylinderFold` pass evaluates `field_at` once per snapshot in the union
-    of the windows, holding one field at a time.  An integral is a sum times
-    h^n times the snapshot spacing.
-    """
-    fold, times = _CylinderFold(traj.grid, terms, lambda k, snap: field_at(k)), traj.times
-    for (q, _), (a, b) in zip(fold.terms, fold.windows):
-        _require_two(q, np.count_nonzero((times > a) & (times <= b)))
-    return _replay(traj, fold).result()
 
 
 def _replay(traj: Trajectory, fold, *lead):
@@ -570,13 +507,6 @@ def _write_header(fh, grid: GridSpec, n_components: int) -> None:
 def _write_frame(fh, state: FieldState) -> None:
     """Append one frame, its values written from the state's own buffer (no copy)."""
     fh.writelines((struct.pack("<d", state.t), np.ascontiguousarray(state.values, "<f8")))
-
-
-def write_snapshot(path, state: FieldState) -> None:
-    """A trajectory file of one frame, `state`."""
-    with open(path, "wb") as fh:
-        _write_header(fh, state.grid, state.n_components)
-        _write_frame(fh, state)
 
 
 def read_snapshot(path, index: int = 0) -> FieldState:

@@ -3,7 +3,7 @@
 `run` integrates two systems, two right-hand sides L(u, r) of one
 forward-Euler loop body, u + dt * L(u, r): Lap(grad Phi(u)) for the
 diffusion system (for N = 1, u_t = Lap(phi'(|u|) sgn u)) and
-`grid.face_divergence` (conservative face fluxes with arithmetically
+`grid._face_divergence` (conservative face fluxes with arithmetically
 averaged coefficients) for the coupled rewrite.  The body then computes the
 new norm field r = |u| once; its maximum is the step's one reduction, and
 one test of it serves both aborts (range and finiteness).  One CFL bound
@@ -134,6 +134,7 @@ def step_diffusion(state: FieldState, p: RadialPotential, dt: float) -> FieldSta
 
 # ---------------------------------------------------------------------------
 # initial data: one function per family, whose keyword-only parameters are its keys
+# (annotated with their JSON types)
 
 def _unit_direction(direction, grid: GridSpec, n_components: int, axis: int = 0):
     """`direction` normalised (by default e_axis), shaped to broadcast over grid axes."""
@@ -168,7 +169,8 @@ def _bump_field(grid: GridSpec, center, width: float, at: float) -> np.ndarray:
     return np.exp(-_dist2(grid, center) / (2.0 * width * width))
 
 
-def constant(grid, n_components, rng, /, *, amplitude=0.5, value=None) -> np.ndarray:
+def constant(grid, n_components, rng, /, *, amplitude: float = 0.5,
+             value: list[float] | None = None) -> np.ndarray:
     """`value` at every point, or `amplitude` in every component."""
     vals = np.full(n_components, float(amplitude)) if value is None else np.asarray(value, float)
     if vals.shape != (n_components,):
@@ -176,14 +178,15 @@ def constant(grid, n_components, rng, /, *, amplitude=0.5, value=None) -> np.nda
     return vals.reshape((n_components,) + (1,) * grid.n) * np.ones(grid.sizes)
 
 
-def mode(grid, n_components, rng, /, *, amplitude=0.5, k=1, phase=0.0,
-         direction=None) -> np.ndarray:
+def mode(grid, n_components, rng, /, *, amplitude: float = 0.5, k: int | list[int] = 1,
+         phase: float = 0.0, direction: list[float] | None = None) -> np.ndarray:
     """A separable sine, wavenumber `k` on every axis or one per axis."""
     amp, d = float(amplitude), _unit_direction(direction, grid, n_components)
     return amp * d * _mode_field(grid, k, [float(phase)] * grid.n)[None]
 
 
-def bands(grid, n_components, rng, /, *, amplitude=0.5, kmax=3, offset=None) -> np.ndarray:
+def bands(grid, n_components, rng, /, *, amplitude: float = 0.5, kmax: int = 3,
+          offset: list[float] | None = None) -> np.ndarray:
     """Seeded sum of the modes 1..kmax per axis, sup |u| <= amplitude at any resolution."""
     amp, kmax = float(amplitude), int(kmax)
     if kmax < 1:
@@ -205,16 +208,19 @@ def bands(grid, n_components, rng, /, *, amplitude=0.5, kmax=3, offset=None) -> 
     return fields
 
 
-def bump(grid, n_components, rng, /, *, amplitude=0.5, direction=None, center=None,
-         width=None) -> np.ndarray:
+def bump(grid, n_components, rng, /, *, amplitude: float = 0.5,
+         direction: list[float] | None = None, center: list[float] | None = None,
+         width: float | None = None) -> np.ndarray:
     """A radial Gaussian, by default at the box centre with width extent/8."""
     amp, d = float(amplitude), _unit_direction(direction, grid, n_components)
     w = float(grid.extent(0) / 8.0 if width is None else width)
     return amp * d * _bump_field(grid, center, w, 0.5)[None]
 
 
-def two_bump(grid, n_components, rng, /, *, amplitude=0.5, center1=None, center2=None,
-             width=None, direction1=None, direction2=None) -> np.ndarray:
+def two_bump(grid, n_components, rng, /, *, amplitude: float = 0.5,
+             center1: list[float] | None = None, center2: list[float] | None = None,
+             width: float | None = None, direction1: list[float] | None = None,
+             direction2: list[float] | None = None) -> np.ndarray:
     """Gaussians of width extent/10 at 1/4 and 3/4 of the box, along the first and
     second axes of R^N (the first when N = 1) unless directed; sup |u| = amplitude."""
     amp, w = float(amplitude), float(grid.extent(0) / 10.0 if width is None else width)

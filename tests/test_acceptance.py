@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
-                   RunConfig, build_entropy, calibrate_residual_constant,
-                   certify_window, choose_entropy_params, contraction_report,
+                   RunConfig, build_entropy, certify_window,
+                   choose_entropy_params, contraction_report,
                    cosh_potential, coupled_decomposition,
                    entropy_residual_coupled, entropy_residual_diffusion,
                    estimate_ratio_report, initial_field, morrey_profile,
@@ -22,6 +22,7 @@ from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    smoothed_porous, step_diffusion, sup_norm_report,
                    with_resolution)
 from pelab.cli import main
+from test_diagnostics import calibrated_K
 from test_solver import reference_step_scalar
 
 COSH = cosh_potential(1.0)
@@ -135,7 +136,7 @@ def test_05_entropy_subsolution_residuals():
                          snapshot_every=1, initial=init, seed=11)
 
     offset_bands = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "offset": [0.8]}
-    K = calibrate_residual_constant(with_resolution(base("diffusion", BANDS), 64))
+    K = calibrated_K(with_resolution(base("diffusion", BANDS), 64))
     ent, window = build_entropy(COSH), certify_window(COSH)
     cc = coupled_decomposition(COSH)
     pars = choose_entropy_params(cc, 1, 1)

@@ -44,6 +44,105 @@ def write_doc(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+# case -> (initial-data kind or None, dotted key, mistyped value, its type): one case per
+# key of a run config's top level, grid, potential and initial-data families; the first
+# eleven are values that the run config coerced or accepted before its keys were typed
+RUN_WRONG_TYPES = {
+    "components-float": (None, "components", 2.7, "int, not float"),
+    "components-bool": (None, "components", True, "int, not bool"),
+    "snapshot_every": (None, "snapshot_every", 8.5, "int, not float"),
+    "seed": (None, "seed", 1.9, "int, not float"),
+    "cfl_sigma": (None, "cfl_sigma", True, "float, not bool"),
+    "t_end": (None, "t_end", "0.01", "float, not str"),
+    "grid.sizes": (None, "grid.sizes", [64.9], "list[int], not list"),
+    "grid.h": (None, "grid.h", "0.015625", "float, not str"),
+    "bands.kmax": ("bands", "initial.kmax", 2.5, "int, not float"),
+    "mode.amplitude": ("mode", "initial.amplitude", "0.5", "float, not str"),
+    "boundary_values": (None, "boundary_values", "ab", "list[float] | None, not str"),
+    "grid": (None, "grid", [64], "dict, not list"),
+    "potential": (None, "potential", "cosh", "dict, not str"),
+    "system": (None, "system", ["diffusion"], "str, not list"),
+    "initial": (None, "initial", "mode", "dict, not str"),
+    "dt_override": (None, "dt_override", [1e-5], "float | None, not list"),
+    "name": (None, "name", None, "str, not NoneType"),
+    "grid.boundary": (None, "grid.boundary", 0, "str, not int"),
+    "potential.id": (None, "potential.id", 3, "str, not int"),
+    "potential.r_max": (None, "potential.r_max", "2", "float | None, not str"),
+    "potential.table": (None, "potential.table", [[0.5]], "dict | None, not list"),
+    "constant.amplitude": ("constant", "initial.amplitude", None, "float, not NoneType"),
+    "constant.value": ("constant", "initial.value", 0.5, "list[float] | None, not float"),
+    "mode.k": ("mode", "initial.k", 1.5, "int | list[int], not float"),
+    "mode.phase": ("mode", "initial.phase", "0", "float, not str"),
+    "mode.direction": ("mode", "initial.direction", [1, "0"], "list[float] | None, not list"),
+    "bands.amplitude": ("bands", "initial.amplitude", [0.5], "float, not list"),
+    "bands.offset": ("bands", "initial.offset", 0.8, "list[float] | None, not float"),
+    "bump.amplitude": ("bump", "initial.amplitude", False, "float, not bool"),
+    "bump.direction": ("bump", "initial.direction", {"x": 1}, "list[float] | None, not dict"),
+    "bump.center": ("bump", "initial.center", "0.5", "list[float] | None, not str"),
+    "bump.width": ("bump", "initial.width", "0.1", "float | None, not str"),
+    "two_bump.amplitude": ("two_bump", "initial.amplitude", "1", "float, not str"),
+    "two_bump.center1": ("two_bump", "initial.center1", [None], "list[float] | None, not list"),
+    "two_bump.center2": ("two_bump", "initial.center2", 0.75, "list[float] | None, not float"),
+    "two_bump.width": ("two_bump", "initial.width", [0.1], "float | None, not list"),
+    "two_bump.direction1": ("two_bump", "initial.direction1", True,
+                            "list[float] | None, not bool"),
+    "two_bump.direction2": ("two_bump", "initial.direction2", "e2",
+                            "list[float] | None, not str"),
+}
+
+
+def mistyped(kind, key, value):
+    """heat_doc with `value` at the dotted `key`, its `initial` of `kind` when given."""
+    doc = heat_doc()
+    if kind is not None:
+        doc["initial"] = {"kind": kind}
+    *outer, last = key.split(".")
+    (doc[outer[0]] if outer else doc)[last] = value
+    return doc
+
+
+class TestRunConfigKeys:
+    """A run config's keys are the keyword-only parameters of `_run_config`, `_grid`,
+    `build_potential` and its initial-data family, typed by their annotations."""
+
+    @pytest.mark.parametrize("case", list(RUN_WRONG_TYPES))
+    def test_a_mistyped_key_is_a_usage_error(self, tmp_path, capsys, monkeypatch, case):
+        forbid_runs(monkeypatch)
+        kind, key, value, named = RUN_WRONG_TYPES[case]
+        cfg = write_doc(tmp_path, mistyped(kind, key, value))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: bad run config: wrong type(s) ['{key}: {named}']\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_every_key_is_covered(self):
+        from pelab.solver import _FAMILIES
+        sections = {"": cli._run_config, "grid.": cli._grid, "potential.": cli.build_potential}
+        keys = {at + k for at, fn in sections.items() for k in cli._keywords(fn)}
+        keys |= {f"{kind}.{k}" for kind, fn in _FAMILIES.items() for k in cli._keywords(fn)}
+        assert {key if kind is None else f"{kind}.{key.split('.')[1]}"
+                for kind, key, *_ in RUN_WRONG_TYPES.values()} == keys
+
+    def test_every_problem_of_every_section_is_named_at_once(self, tmp_path, capsys):
+        doc = mistyped("bands", "initial.kmax", 2.5)
+        doc.update(tend=0.01, components="2")
+        del doc["t_end"], doc["grid"]["h"]
+        doc["potential"].update(r_max="1", idd="cosh")
+        assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad run config: unknown key(s) ['potential.idd', 'tend'], missing key(s) "
+            "['grid.h', 't_end'], wrong type(s) ['components: int, not str', "
+            "'initial.kmax: int, not float', 'potential.r_max: float | None, not str']\n")
+
+    def test_an_int_stands_for_a_float_and_keeps_the_hash(self):
+        # t_end, cfl_sigma, h and dt_override are floats in the description either way
+        doc = {**heat_doc(), "t_end": 1, "cfl_sigma": 1, "dt_override": 1 / 1024}
+        doc["grid"]["h"] = 1
+        as_floats = {**doc, "t_end": 1.0, "cfl_sigma": 1.0, "grid": {**doc["grid"], "h": 1.0}}
+        assert cli.build_config(doc).describe() == cli.build_config(as_floats).describe()
+        assert json.dumps(cli.build_config(doc).describe()["t_end"]) == "1.0"
+
+
 class TestRunCommand:
     def test_missing_config_names_path(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json")])
@@ -108,13 +207,14 @@ class TestRunCommand:
         cfg = write_doc(tmp_path, doc)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: bad run config: ") and "'abc'" in err
+        assert err == ("error: bad run config: wrong type(s) "
+                       "['dt_override: float | None, not str']\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("initial", 5, "initial must be an object, got 5"),
-        ("initial", [1], "initial must be an object, got [1]"),
-        ("name", 7, "name must be a string, got 7"),
+        ("initial", 5, "wrong type(s) ['initial: dict, not int']"),
+        ("initial", [1], "wrong type(s) ['initial: dict, not list']"),
+        ("name", 7, "wrong type(s) ['name: str, not int']"),
     ])
     def test_mistyped_initial_and_name_are_usage_errors(self, tmp_path, capsys, key, value,
                                                         message):
@@ -344,7 +444,7 @@ class TestVerifyCommand:
         assert main(["verify", str(tmp_path / "ghost.json")]) == 1
 
     @pytest.mark.parametrize("entry, message", [
-        (5, "error: check 5 is not an object\n"),
+        (5, "error: bad suite: wrong type(s) ['checks: list[dict], not list']\n"),
         ({"name": ["a"], "kind": "sup-norm", "config": {}},
          "error: check name ['a'] is not one plain path component\n"),
     ])
@@ -385,13 +485,16 @@ class TestVerifyCommand:
         assert rep["values"]["error"] == ("UsageError: 'contr': a contraction config "
                                           "takes no 'initial'")
 
-    @pytest.mark.parametrize("checks", [5, "sup", {"name": "a", "kind": "sup-norm"}, None])
+    @pytest.mark.parametrize("checks, kind", [
+        (5, "int"), ("sup", "str"), ({"name": "a", "kind": "sup-norm"}, "dict"),
+        (None, "NoneType")])
     def test_checks_that_are_not_a_list_are_a_usage_error(self, tmp_path, capsys,
-                                                          monkeypatch, checks):
+                                                          monkeypatch, checks, kind):
         forbid_runs(monkeypatch)
         suite = write_doc(tmp_path, {"name": "x", "checks": checks}, "s.json")
         assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
-        assert capsys.readouterr().err == f"error: suite checks must be a list, got {checks!r}\n"
+        assert capsys.readouterr().err == \
+            f"error: bad suite: wrong type(s) ['checks: list[dict], not {kind}']\n"
         assert not (tmp_path / "v").exists()
 
 
@@ -758,6 +861,28 @@ class TestTopLevelKeys:
         assert capsys.readouterr().err == "error: bad sweep: unknown key(s) ['axis', 'nmae']\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, doc, named", [
+        ("verify", {"name": "s", "seed": "11", "checks": []}, "suite: wrong type(s) "
+                                                             "['seed: int, not str']"),
+        ("sweep", {"name": "sw", "base": {}, "axes": [["seed", [1]]]},
+         "sweep: wrong type(s) ['axes: dict, not list']"),
+        ("sweep", {"name": 5, "base": {}}, "sweep: wrong type(s) ['name: str, not int']"),
+        ("sweep", {"name": "sw"}, "sweep: missing key(s) ['base']"),
+    ], ids=["suite-seed", "sweep-axes", "sweep-name", "sweep-base"])
+    def test_a_mistyped_or_missing_key_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        command, doc, named):
+        forbid_runs(monkeypatch)
+        path = write_doc(tmp_path, doc, "doc.json")
+        assert main([command, path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: bad {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_suite_name_that_is_not_a_string_is_named(self, tmp_path):
+        # the command refuses it as a path first; run_suite types it
+        with pytest.raises(cli.UsageError, match=r"\['name: str, not int'\]"):
+            run_suite({"name": 5, "checks": []}, tmp_path / "v")
+        assert not (tmp_path / "v").exists()
+
     def test_built_in_suites_use_only_known_keys(self):
         for suite in (paper_core_suite(64), cli.negative_control_suite(64)):
             assert set(suite) == {"name", "seed", "checks"}
@@ -771,8 +896,8 @@ class TestDocumentsThatAreNotObjects:
         (["verify"], [], "{path} holds a JSON list, not an object"),
         (["verify"], "x", "{path} holds a JSON str, not an object"),
         (["run"], 5, "{path} holds a JSON int, not an object"),
-        (["sweep"], {"name": "sw", "base": []}, "sweep file {path} needs a 'base' run config "
-                                                "object"),
+        (["sweep"], {"name": "sw", "base": []}, "bad sweep: wrong type(s) ['base: dict, not "
+                                                "list']"),
         (["entropy", "--table"], [1], "{path} holds a JSON list, not an object"),
     ], ids=["verify-list", "verify-string", "run-int", "sweep-base-list", "entropy-table-list"])
     def test_a_usage_error_naming_the_file(self, tmp_path, capsys, monkeypatch, argv, doc,
@@ -944,7 +1069,7 @@ class TestCheckKeys:
         for w in workloads.WORKLOADS.values():
             doc = w.document(7, tiny)
             if w.command == "verify":
-                cli._check_keys(doc, {"": {"name", "seed", "checks"}}, "suite")
+                cli._check_keys("suite", ("", doc, cli._suite))
                 for check in doc["checks"]:
                     cli._bind_check(check)
                     cli.build_config(check["config"])
@@ -952,7 +1077,7 @@ class TestCheckKeys:
                     for initial in [check[k] for k in ("initial0", "initial1") if k in check]:
                         cli.build_config({**check["config"], "initial": initial})
             else:
-                cli._check_keys(doc, {"": {"name", "base", "axes"}}, "sweep")
+                cli._check_keys("sweep", ("", doc, cli._sweep))
                 cli.build_config(doc["base"])
                 cli._sweep_cells(doc)
 
@@ -1147,10 +1272,10 @@ class TestStreamedSweepCells:
         peaks = []
         for t_end in (0.002, 0.004):   # 57 and 113 steps at 64^2
             base = cell_base([64, 64], t_end=t_end)
-            cli._run_cell(base, {"label": "warm"}, tmp_path, None)   # cached tables
+            cli._run_cell(cli.build_config({**base, "name": "warm"}), tmp_path)   # cached tables
             tracemalloc.start()
             try:
-                cli._run_cell(base, {"label": f"t{t_end}"}, tmp_path, None)
+                cli._run_cell(cli.build_config({**base, "name": f"t{t_end}"}), tmp_path)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1385,7 +1510,7 @@ def frozen_anti_diffuse_middle(traj):
     from pelab import step_diffusion
     k = len(traj.snapshots) // 2
     snap = traj.snapshots[k]
-    bumped = step_diffusion(snap, cli.build_potential(traj.meta["config"]["potential"]),
+    bumped = step_diffusion(snap, cli.build_potential(**traj.meta["config"]["potential"]),
                             -40 * traj.dt)
     return replace(traj, snapshots=traj.snapshots[:k] + (replace(bumped, t=snap.t),)
                    + traj.snapshots[k + 1:])

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
-                   Trajectory, cylinder_integrals, cylinder_members, gradient_sq,
-                   hessian_sq, laplacian, read_snapshot, vector_norm,
-                   write_snapshot)
-from pelab.grid import (_face_divergence, _gradient_sq, _laplacian, _shift_plans,
-                        _shifted, _write_frame, _write_header, face_divergence)
+                   Trajectory, hessian_sq, read_snapshot, vector_norm)
+from pelab.grid import (_ball, _CylinderFold, _face_divergence, _gradient_sq, _laplacian,
+                        _replay, _shift_plans, _shifted, _window, _write_frame,
+                        _write_header)
 
 
 def periodic_grid(size=128, n=1):
@@ -21,6 +20,13 @@ def stationary_trajectory(grid, values, n_snaps=5, dt=1e-4, bv=None):
     snaps = tuple(FieldState(grid=grid, values=values.copy(), t=k * dt,
                              boundary_values=bv) for k in range(n_snaps))
     return Trajectory(snapshots=snaps, dt=dt)
+
+
+def fresh_face_divergence(coef, fields, extra_coef, extra_field, grid):
+    """The face divergence kernel over buffers and plans made for this one call."""
+    shape = np.shape(fields)
+    return _face_divergence(coef, fields, extra_coef, extra_field, grid, np.zeros(shape),
+                            np.empty(shape), np.empty(shape), np.empty(shape[1:]))
 
 
 # Frozen copies of the earlier stencil twins, np.roll on periodic grids and
@@ -130,14 +136,14 @@ class TestStencilParity:
         u = rng.standard_normal((3, *g.sizes))
         for f in u:
             ref = reference_laplacian(f, g)
-            got = laplacian(f, g)
+            got = _laplacian(f, g)
             if g.periodic:
                 assert np.array_equal(got, ref)
             else:  # the neighbour pair is summed first now, a reordering
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
                 assert np.all(got[g.boundary_mask] == 0.0)
         # a component stack is differenced componentwise
-        assert np.array_equal(laplacian(u, g), np.stack([laplacian(f, g) for f in u]))
+        assert np.array_equal(_laplacian(u, g), np.stack([_laplacian(f, g) for f in u]))
 
     @pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.boundary}-{g.sizes}")
     def test_gradient_sq_and_hessian_sq_are_bit_identical(self, g):
@@ -145,7 +151,7 @@ class TestStencilParity:
         u = rng.standard_normal((2, *g.sizes))
         # the interior bit for bit; a Dirichlet ring is zero, as in every stencil
         core = g.interior_slices
-        got = gradient_sq(u, g)
+        got = _gradient_sq(u, g)
         assert np.array_equal(got[core], reference_gradient_sq(u, g)[core])
         assert np.all(got[g.boundary_mask] == 0.0)
         assert np.array_equal(hessian_sq(u, g), reference_hessian_sq(u, g))
@@ -170,8 +176,8 @@ class TestStencilParity:
 
     @pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.boundary}-{g.sizes}")
     def test_a_plan_reused_across_calls_equals_the_plan_free_result(self, g):
-        # plans built once, buffers reused, ten fresh fields: every call equals
-        # the public stencil, which builds its plans inline
+        # plans built once, buffers reused, ten fresh fields: every call equals the
+        # kernel's call with no plans or buffers given, which makes its own
         rng = np.random.default_rng(sum(g.sizes) + 3)
         shape = (2, *g.sizes)
         lap_plans, grad_plans = _shift_plans(g, (-1, 1)), _shift_plans(g, (1, -1))
@@ -183,24 +189,23 @@ class TestStencilParity:
             u = rng.standard_normal(shape)
             a, c, H = rng.uniform(0.5, 2.0, g.sizes), rng.standard_normal(shape), \
                 rng.standard_normal(g.sizes)
-            assert np.array_equal(_laplacian(u, g, work, lap_plans, out), laplacian(u, g))
+            assert np.array_equal(_laplacian(u, g, work, lap_plans, out), _laplacian(u, g))
             # one plan serves a single field as well as the stack
-            assert np.array_equal(_laplacian(u[0], g, plans=lap_plans), laplacian(u[0], g))
-            assert np.array_equal(_gradient_sq(u, g, grad_plans), gradient_sq(u, g))
+            assert np.array_equal(_laplacian(u[0], g, plans=lap_plans), _laplacian(u[0], g))
+            assert np.array_equal(_gradient_sq(u, g, grad_plans), _gradient_sq(u, g))
             got = _face_divergence(a, u, c, H, g, np.zeros(shape), flux, tmp, face, face_plans)
-            assert np.array_equal(got, face_divergence(a, u, c, H, g))
+            assert np.array_equal(got, fresh_face_divergence(a, u, c, H, g))
             want = np.roll(u, -1, axis=g.n) - np.roll(u, 1, axis=g.n)
             assert np.array_equal(_shifted(np.subtract, u, pair, shifted), want)
 
-    @pytest.mark.parametrize("stencil", [gradient_sq, hessian_sq])
-    def test_validated_like_laplacian(self, stencil):
+    def test_hessian_sq_checks_its_input(self):
         g = periodic_grid(16, n=2)
         f = np.zeros(g.sizes)
         f[3, 4] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            stencil(f, g)
+            hessian_sq(f, g)
         with pytest.raises(ValueError, match="shape"):
-            stencil(np.zeros((16, 8)), g)
+            hessian_sq(np.zeros((16, 8)), g)
 
 
 class TestVectorNorm:
@@ -240,7 +245,7 @@ class TestLaplacian:
     def test_constant_field_vanishes(self):
         for g in (periodic_grid(16), dirichlet_grid(17)):
             f = np.full(g.sizes, 3.7)
-            assert np.all(laplacian(f, g) == 0.0)
+            assert np.all(_laplacian(f, g) == 0.0)
 
     @pytest.mark.parametrize("size", [17, 33, 101])
     def test_exact_on_quadratics(self, size):
@@ -248,7 +253,7 @@ class TestLaplacian:
         # whatever the spacing
         g = dirichlet_grid(size)
         x = g.coords(0)
-        out = laplacian(x * x, g)
+        out = _laplacian(x * x, g)
         assert np.abs(out[1:-1] - 2.0).max() < 1e-10
         assert np.all(out[[0, -1]] == 0.0)
 
@@ -257,7 +262,7 @@ class TestLaplacian:
         x = g.coords(0)
         f = np.sin(2 * np.pi * x)
         lam_h = -(4.0 / g.h ** 2) * np.sin(np.pi * g.h) ** 2
-        out = laplacian(f, g)
+        out = _laplacian(f, g)
         assert np.abs(out - lam_h * f).max() < 1e-10
         # cross-check by direct stencil evaluation (different summation order,
         # so agreement is to rounding of the 1/h^2-scaled intermediates)
@@ -265,47 +270,35 @@ class TestLaplacian:
             direct = (f[(j + 1) % 128] - 2 * f[j] + f[j - 1]) / g.h ** 2
             assert abs(out[j] - direct) < 1e-9
 
-    def test_shape_mismatch_raises(self):
-        g = periodic_grid(16)
-        with pytest.raises(ValueError, match="shape"):
-            laplacian(np.zeros(8), g)
-
-    def test_non_finite_raises(self):
-        g = periodic_grid(16)
-        f = np.zeros(16)
-        f[3] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            laplacian(f, g)
-
     def test_axis_swap_isotropy(self):
         rng = np.random.default_rng(0)
         for g in (periodic_grid(12, n=2), dirichlet_grid(12, n=2)):
             f = rng.standard_normal(g.sizes)
-            out = laplacian(f, g)
-            swapped = laplacian(f.T.copy(), g).T
+            out = _laplacian(f, g)
+            swapped = _laplacian(f.T.copy(), g).T
             # the transpose reorders the axis sums, so only rounding may differ
             assert np.abs(swapped - out).max() <= 1e-13 * np.abs(out).max()
-            gs = gradient_sq(f, g)
-            gs_swapped = gradient_sq(f.T.copy(), g).T
+            gs = _gradient_sq(f[None], g)
+            gs_swapped = _gradient_sq(f.T.copy()[None], g).T
             assert np.abs(gs_swapped - gs).max() <= 1e-13 * max(gs.max(), 1.0)
 
     def test_periodic_divergence_theorem(self):
         rng = np.random.default_rng(1)
         g = periodic_grid(64)
         f = rng.standard_normal(64)
-        assert abs(laplacian(f, g).sum()) < 1e-12 * np.abs(f).max() / g.h ** 2
+        assert abs(_laplacian(f, g).sum()) < 1e-12 * np.abs(f).max() / g.h ** 2
 
 
 class TestGradientSq:
     def test_constant_is_zero(self):
         for g in (periodic_grid(16), dirichlet_grid(17)):
             f = np.full((2, *g.sizes), 1.5)
-            assert np.all(gradient_sq(f, g) == 0.0)
+            assert np.all(_gradient_sq(f, g) == 0.0)
 
     def test_linear_slope(self):
         g = dirichlet_grid(33)
         u = 3.0 * g.coords(0)
-        out = gradient_sq(u, g)
+        out = _gradient_sq(u[None], g)
         assert np.abs(out[1:-1] - 9.0).max() < 1e-12
         assert out[0] == out[-1] == 0.0   # the Dirichlet ring, zero as in every stencil
 
@@ -313,7 +306,7 @@ class TestGradientSq:
         rng = np.random.default_rng(2)
         g = periodic_grid(24)
         u = rng.standard_normal((3, 24))
-        out = gradient_sq(u, g)
+        out = _gradient_sq(u, g)
         # independent naive reimplementation
         ref = np.zeros(24)
         for c in range(3):
@@ -326,7 +319,7 @@ class TestGradientSq:
         rng = np.random.default_rng(3)
         g = dirichlet_grid(17, n=2)
         u = rng.standard_normal((2, 17, 17))
-        assert gradient_sq(u, g).min() >= 0.0
+        assert _gradient_sq(u, g).min() >= 0.0
 
 
 class TestHessianSq:
@@ -355,8 +348,20 @@ class TestHessianSq:
         assert np.abs(a[deep] - b[deep]).max() <= 1e-12 * np.abs(a[deep]).max()
 
 
+def integrals(traj, terms, field_at):
+    """The cylinder fold's (sum, point count) per (cylinder, power) term over a stored
+    trajectory, the field of snapshot k being field_at(k)."""
+    return _replay(traj, _CylinderFold(traj.grid, terms, lambda k, snap: field_at(k))).result()
+
+
+def members(traj, q):
+    """(ball mask, snapshot indices) of a cylinder, from the fold's `_ball` and `_window`."""
+    a, b = _window(q)
+    return _ball(traj.grid, q), np.nonzero((traj.times > a) & (traj.times <= b))[0]
+
+
 def cylinder_mean(traj, q, field):
-    [(total, count)] = cylinder_integrals(traj, [(q, 1.0)], lambda k: field)
+    [(total, count)] = integrals(traj, [(q, 1.0)], lambda k: field)
     return total / count
 
 
@@ -371,7 +376,7 @@ class TestCylinders:
         g = periodic_grid(64)
         traj = stationary_trajectory(g, np.zeros((1, 64)), n_snaps=8)
         q = Cylinder(center=(0.5,), t0=traj.times[-1], R=0.1)
-        mask, idx = cylinder_members(traj, q)
+        mask, idx = members(traj, q)
         ind = np.zeros(g.sizes)
         chosen = np.nonzero(mask)[0][: mask.sum() // 2]
         ind[chosen] = 1.0
@@ -385,19 +390,19 @@ class TestCylinders:
         traj = stationary_trajectory(g, u, n_snaps=6, bv=(0.0,))
 
         def g2(k):
-            return gradient_sq(traj.snapshots[k].values, g)
+            return _gradient_sq(traj.snapshots[k].values, g)
 
         for R in (0.1, 0.2):
             q = Cylinder(center=(0.5,), t0=traj.times[-1], R=R)
-            mask, idx = cylinder_members(traj, q)
+            mask, idx = members(traj, q)
             field = g2(0)
             direct = 0.0
             for k in idx:
                 for j in np.nonzero(mask)[0]:
                     direct += field[j]
-            cell = g.h * traj.snapshot_dt
+            cell = g.h * (traj.times[1] - traj.times[0])
             direct *= cell
-            [(total, count)] = cylinder_integrals(traj, [(q, 1.0)], g2)
+            [(total, count)] = integrals(traj, [(q, 1.0)], g2)
             assert count == mask.sum() * len(idx)
             assert total * cell == pytest.approx(direct, rel=1e-14)
             vol = mask.sum() * len(idx) * cell
@@ -407,9 +412,9 @@ class TestCylinders:
         g = periodic_grid(32)
         traj = stationary_trajectory(g, np.zeros((1, 32)), n_snaps=4)
         q = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
-        mask, idx = cylinder_members(traj, q)
+        mask, idx = members(traj, q)
         field = np.random.default_rng(8).uniform(0.0, 2.0, size=g.sizes)
-        [(total, _)] = cylinder_integrals(traj, [(q, 1.5)], lambda k: field)
+        [(total, _)] = integrals(traj, [(q, 1.5)], lambda k: field)
         assert total == pytest.approx(len(idx) * np.sum(field[mask] ** 1.5), rel=1e-14)
 
     def test_monotone_under_domination(self):
@@ -426,24 +431,11 @@ class TestCylinders:
         traj = stationary_trajectory(g, np.zeros((1, 32)), n_snaps=4)
         q = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
         with pytest.raises(ValueError, match="scalar field on the grid"):
-            cylinder_integrals(traj, [(q, 1.0)], lambda k: np.zeros((1, 32)))
-
-    def test_every_term_is_validated_before_any_field(self):
-        g = periodic_grid(32)
-        traj = stationary_trajectory(g, np.zeros((1, 32)), n_snaps=4)
-        good = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
-        late = Cylinder(center=(0.25,), t0=traj.times[0], R=0.001)   # one snapshot
-        read = []
-        with pytest.raises(ValueError, match="intersects only 1 snapshots"):
-            cylinder_integrals(traj, [(good, 1.0), (late, 1.0)],
-                               lambda k: read.append(k) or np.ones(g.sizes))
-        assert read == []
-        assert cylinder_integrals(traj, [], lambda k: read.append(k)) == [] and read == []
+            integrals(traj, [(q, 1.0)], lambda k: np.zeros((1, 32)))
 
     def test_a_fed_fold_checks_the_windows_after_the_pass(self):
         # streamed snapshots have no times ahead: the balls are checked first, the
-        # windows at the end, with the message of cylinder_members
-        from pelab.grid import _CylinderFold
+        # windows at the end
         g = periodic_grid(32)
         traj = stationary_trajectory(g, np.zeros((1, 32)), n_snaps=4)
         good = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
@@ -456,27 +448,27 @@ class TestCylinders:
                              lambda k, snap: read.append(k) or np.ones(g.sizes))
         for snap in traj.snapshots:
             fold.feed(snap)
-        assert read == [0, 1, 2, 3] and fold.spacing == traj.snapshot_dt
+        assert read == [0, 1, 2, 3] and fold.spacing == traj.times[1] - traj.times[0]
         with pytest.raises(ValueError, match="intersects only 1 snapshots"):
             fold.result()
         fold = _CylinderFold(g, [(good, 1.0)], lambda k, snap: np.ones(g.sizes))
         for snap in traj.snapshots:
             fold.feed(snap)
-        assert fold.result() == cylinder_integrals(traj, [(good, 1.0)],
-                                                   lambda k: np.ones(g.sizes))
+        assert fold.result() == integrals(traj, [(good, 1.0)], lambda k: np.ones(g.sizes))
+        assert integrals(traj, [], lambda k: read.append(k)) == [] and read == [0, 1, 2, 3]
 
     def test_ball_wraps_around_periodic_boundary(self):
         g = periodic_grid(64)
         traj = stationary_trajectory(g, np.zeros((1, 64)), n_snaps=4)
         q = Cylinder(center=(0.01,), t0=traj.times[-1], R=0.1)
-        mask, _ = cylinder_members(traj, q)
+        mask, _ = members(traj, q)
         assert mask[-1] and mask[0]  # minimal-image distance sees both ends
 
     def test_two_dimensional_ball_count_and_average(self):
         g = periodic_grid(32, n=2)
         traj = stationary_trajectory(g, np.zeros((1, 32, 32)), n_snaps=5)
         q = Cylinder(center=(0.5, 0.5), t0=traj.times[-1], R=0.13)
-        mask, idx = cylinder_members(traj, q)
+        mask, idx = members(traj, q)
         # independent count: loop the grid, minimal-image distance
         count = 0
         for i in range(32):
@@ -485,17 +477,18 @@ class TestCylinders:
                 dy = min(abs(j / 32 - 0.5), 1 - abs(j / 32 - 0.5))
                 count += dx * dx + dy * dy <= 0.13 ** 2 * (1 + 1e-12)
         assert mask.sum() == count
-        assert cylinder_integrals(traj, [(q, 1.0)], lambda k: np.ones(g.sizes))[0][1] == \
+        assert integrals(traj, [(q, 1.0)], lambda k: np.ones(g.sizes))[0][1] == \
             count * len(idx)
         assert cylinder_mean(traj, q, np.ones(g.sizes)) == pytest.approx(1.0, abs=1e-15)
 
     def test_errors_name_the_failed_bound(self):
         g = dirichlet_grid(65)
         traj = stationary_trajectory(g, np.zeros((1, 65)), n_snaps=4, bv=(0.0,))
+        ones = lambda k: np.ones(g.sizes)  # noqa: E731
         with pytest.raises(ValueError, match="interior"):
-            cylinder_members(traj, Cylinder(center=(0.02,), t0=traj.times[-1], R=0.1))
+            integrals(traj, [(Cylinder(center=(0.02,), t0=traj.times[-1], R=0.1), 1.0)], ones)
         with pytest.raises(ValueError, match="snapshots"):
-            cylinder_members(traj, Cylinder(center=(0.5,), t0=traj.times[0], R=0.01))
+            integrals(traj, [(Cylinder(center=(0.5,), t0=traj.times[0], R=0.01), 1.0)], ones)
 
 
 class TestFieldState:
@@ -544,7 +537,7 @@ class TestSnapshotFiles:
             v[c][ring] = 0.25 * c
         s = FieldState(grid=g, values=v, t=0.125, boundary_values=(0.0, 0.25, 0.5))
         path = tmp_path / "s.pelb"
-        write_snapshot(path, s)
+        self.trajectory_file(path, [s])
         back = read_snapshot(path)
         assert back.grid == g
         assert back.t == 0.125
@@ -555,7 +548,7 @@ class TestSnapshotFiles:
         g = GridSpec(n=1, sizes=(4,), h=0.25, boundary=PERIODIC)
         s = FieldState(grid=g, values=np.arange(4, dtype=float)[None], t=2.0)
         path = tmp_path / "s.pelb"
-        write_snapshot(path, s)
+        self.trajectory_file(path, [s])
         raw = path.read_bytes()
         assert raw[:4] == b"PELB"
         assert int.from_bytes(raw[4:8], "little") == 2
@@ -576,7 +569,7 @@ class TestSnapshotFiles:
         rng = np.random.default_rng(7)
         g = GridSpec(n=3, sizes=(4, 5, 6), h=0.125, boundary=PERIODIC)
         s = FieldState(grid=g, values=rng.standard_normal((2, 4, 5, 6)), t=0.5)
-        write_snapshot(tmp_path / "s.pelb", s)
+        self.trajectory_file(tmp_path / "s.pelb", [s])
         back = read_snapshot(tmp_path / "s.pelb")
         assert back.grid == g
         assert np.array_equal(back.values, s.values)
@@ -611,12 +604,6 @@ class TestSnapshotFiles:
             assert back.t == s.t
             assert back.values.tobytes() == s.values.tobytes()
 
-    def test_a_one_frame_file_is_the_writers_own_layout(self, tmp_path):
-        s = FieldState(grid=periodic_grid(8), values=np.linspace(0, 1, 8)[None], t=0.5)
-        write_snapshot(tmp_path / "a.pelb", s)
-        self.trajectory_file(tmp_path / "b.pelb", [s])
-        assert (tmp_path / "a.pelb").read_bytes() == (tmp_path / "b.pelb").read_bytes()
-
     @pytest.mark.parametrize("index", [3, -1, 100])
     def test_an_index_out_of_range_names_path_and_index(self, tmp_path, index):
         g = periodic_grid(8)
@@ -648,7 +635,7 @@ class TestSnapshotFiles:
     def test_cut_header_rejected_with_path(self, tmp_path, cut, header):
         g = GridSpec(n=1, sizes=(4,), h=0.25, boundary=PERIODIC)
         path = tmp_path / "s.pelb"
-        write_snapshot(path, FieldState(grid=g, values=np.zeros((1, 4)), t=0.0))
+        self.trajectory_file(path, [FieldState(grid=g, values=np.zeros((1, 4)), t=0.0)])
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match=f"{cut} bytes, shorter than the "
                                              f"{header}-byte header") as exc:

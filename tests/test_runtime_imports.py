@@ -17,3 +17,18 @@ def test_cli_imports_numpy_and_the_standard_library_only():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_module_stays_under_the_compile_memory_step():
+    # CPython 3.11's parser takes about 0.5 MB more to compile a module of 8,192 tokens
+    # or more (tracemalloc peak of `compile`: 3,025 KB at 8,191 tokens of cli.py, 3,473 KB
+    # at 8,193), and every run of the program compiles its modules afresh when bytecode
+    # is not written; a module that needs more room must move code out first
+    import tokenize
+
+    counts = {}
+    for path in sorted((ROOT / "src" / "pelab").glob("*.py")):
+        with open(path) as fh:
+            counts[path.name] = sum(1 for tok in tokenize.generate_tokens(fh.readline)
+                                    if tok.type not in (tokenize.COMMENT, tokenize.NL))
+    assert "cli.py" in counts and max(counts.values()) < 8192, counts
