@@ -7,9 +7,9 @@ so golden-file comparisons work.  A suite is a run plan: each check subscribes
 observers, its monitors' folds, to run configs, and a judge gives its verdict on
 their trajectories.  Each distinct config is integrated once and every snapshot
 handed to all its observers; a negative control's plant wraps only its own
-check's observer.  A sweep cell writes each snapshot and feeds it to its
-monitors as `run` makes it, the costliest cells first.  Neither stores a run,
-so memory does not grow with the step count.
+check's observer.  A sweep cell runs in a forked worker process, the costliest
+cells first, and writes each snapshot and feeds it to its monitors as `run`
+makes it.  Neither stores a run, so memory does not grow with the step count.
 
 Exit codes: 0 success / all checks passed, 1 usage or config error (including
 failed checks), 2 domain abort (range excursion, convexity or construction
@@ -28,7 +28,6 @@ import shutil
 import sys
 import traceback
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from itertools import count, product
@@ -45,6 +44,7 @@ from .potentials import (build_entropy, certify_window, coupled_decomposition,
                          from_piecewise_poly, get_potential)
 from .solver import (RunConfig, _initial_family, _planned, config_hash, run,
                      step_diffusion, with_resolution)
+from .workers import fan_out
 
 
 class UsageError(Exception):
@@ -167,6 +167,11 @@ def _load_json(path) -> dict:
 # ---------------------------------------------------------------------------
 # trajectory persistence
 
+def _partial(outdir: Path) -> Path:
+    """The hidden sibling a run writes into before it replaces `outdir`."""
+    return outdir.with_name(f".{outdir.name}.partial")
+
+
 @contextmanager
 def _snapshot_writer(outdir: Path):
     """The one snapshot writer: yields write(snapshot), which appends a run's next
@@ -174,7 +179,7 @@ def _snapshot_writer(outdir: Path):
     frames.  They go to a fresh sibling of `outdir`, made at the first snapshot,
     that replaces `outdir` when the block ends; an exception closes the file,
     removes the sibling instead and leaves `outdir` as it was."""
-    partial = outdir.with_name(f".{outdir.name}.partial")
+    partial = _partial(outdir)
     files, times, fh = ExitStack(), [], None
 
     def write(snap):
@@ -577,12 +582,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sweeps
 
+def _axes(*, resolution: list[int] = [], potential: list[str] = [], seed: list[int] = []):
+    """A sweep's axes, in the order the cells' labels name them: the values each takes."""
+
+
 def _sweep_cells(doc: dict) -> list[dict]:
     axes = doc.get("axes", {})
-    order = [k for k in ("resolution", "potential", "seed") if k in axes]
-    unknown = set(axes) - set(order)
-    if unknown:
-        raise UsageError(f"unknown sweep axes: {sorted(unknown)}")
+    order = [k for k in _keywords(_axes) if k in axes]
     combos = list(product(*[axes[k] for k in order])) if order else [()]
     cells = []
     for combo in combos:
@@ -630,9 +636,11 @@ def _run_cell(cfg: RunConfig, outdir: Path) -> dict:
     residual = morrey = None
     if cfg.snapshot_every == 1 and cfg.system == "diffusion":
         residual = _diffusion_fold(grid, pot, build_entropy(pot), certify_window(pot))
+    # |grad u|^2 is made once a snapshot: Morrey reads the residual fold's, fed first
+    g = None if residual is None else lambda snap: residual.grad
     try:
         center = tuple(0.5 * grid.extent(a) for a in range(grid.n))
-        morrey = _MorreyFold(grid, [(center, cfg.t_end)], [16 * grid.h, 8 * grid.h, 4 * grid.h])
+        morrey = _MorreyFold(grid, [(center, cfg.t_end)], [16 * grid.h, 8 * grid.h, 4 * grid.h], g)
     except ValueError:
         pass  # the cylinder does not fit this cell's box; leave its columns blank
     folds = [f for f in (residual, morrey) if f is not None]
@@ -663,8 +671,9 @@ def _run_cell(cfg: RunConfig, outdir: Path) -> dict:
 def cmd_sweep(args) -> int:
     if args.threads < 0:
         raise UsageError(f"--threads must be 0 (the usable CPUs) or positive, got {args.threads}")
-    doc = _load_json(args.sweep)
-    _check_keys("sweep", ("", doc, _sweep))
+    doc = _load_json(args.sweep)   # the sections the sweep reads itself, before any cell
+    _check_keys("sweep", ("", doc, _sweep), ("axes.", doc.get("axes"), _axes),
+                ("base.", doc.get("base"), _run_config))
     cells = _sweep_cells(doc)
     configs = {c["label"]: _cell_config(doc["base"], c, args.seed) for c in cells}
     outdir = Path(args.out) / _path_name(doc.get("name", "sweep"), "sweep name")
@@ -672,12 +681,15 @@ def cmd_sweep(args) -> int:
     workers = args.threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                                else os.cpu_count() or 1)
 
+    def error_row(cell, exc):
+        return {**dict.fromkeys(_SWEEP_FIELDS, ""), "label": cell["label"],
+                "error": f"{type(exc).__name__}: {exc}"}
+
     def work(cell):
         try:
             return _run_cell(configs[cell["label"]], outdir)
         except Exception as exc:
-            return {**dict.fromkeys(_SWEEP_FIELDS, ""), "label": cell["label"],
-                    "error": f"{type(exc).__name__}: {exc}"}
+            return error_row(cell, exc)
 
     def cost(cell):   # planned steps x points x components
         try:
@@ -687,9 +699,15 @@ def cmd_sweep(args) -> int:
             return 0   # the cell's run reports the error, as `work` does
 
     # costliest first (longest processing time); ties, and the rows, in cell order
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = {c["label"]: ex.submit(work, c) for c in sorted(cells, key=lambda c: -cost(c))}
-    rows = [futures[c["label"]].result() for c in cells]
+    started = sorted(cells, key=lambda c: -cost(c))
+    try:
+        results = fan_out(work, started, workers)
+    finally:   # every worker has ended: a partial directory left is a dead worker's
+        for c in cells:
+            shutil.rmtree(_partial(outdir / c["label"]), ignore_errors=True)
+    done = {c["label"]: error_row(c, r) if isinstance(r, Exception) else r
+            for c, r in zip(started, results)}
+    rows = [done[c["label"]] for c in cells]
 
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
@@ -805,8 +823,9 @@ def _build_parser() -> _Parser:
     out, seed, threads = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     out.add_argument("--out", default="out", help="output directory (default: out)")
     seed.add_argument("--seed", type=int, default=None, help="override the config seed")
-    threads.add_argument("--threads", type=int, default=0,
-                         help="worker threads for sweeps (0 = the usable CPUs)")
+    threads.add_argument("--threads", type=int, default=0, metavar="K",
+                         help="cells run K at a time, each in its own forked worker "
+                              "process (0 = the usable CPUs)")
 
     parser = _Parser(prog="pelab",
                      description="diffusion-system laboratory: runs, checks, sweeps")

@@ -269,41 +269,55 @@ class _ResidualFold:
 
     Per consecutive pair, the positive part of (q_next - q_now)/spacing -
     spatial(q_now) + coef |grad u|^2 with q = at(snapshot, r), spatial(q,
-    snapshot, r) applied at the earlier snapshot, r = |u| computed once per
-    snapshot and spacing that of the first pair.  A snapshot with |u| beyond
-    r_max aborts with the location and time of the first offender.  Holds the
-    last snapshot's q and r and two running maxima, so its memory does not
-    grow with the pair count; `stats` raises if fewer than two snapshots were
-    fed.
+    snapshot, r, out, work) and |grad u|^2 (`grad`) taken at the earlier
+    snapshot, r = |u| computed once per snapshot and spacing that of the first
+    pair.  A snapshot with |u| beyond r_max aborts with the location and time
+    of the first offender.  Each snapshot's spatial term and |grad u|^2 are
+    made when it is fed, so `grad` is the last snapshot's, for a cylinder fold
+    to read.  The fold owns one workspace, made at its first snapshot: the norm,
+    the spatial term, `grad`, the residual and scratch slabs (at least five, and
+    one per component), in which the residual is assembled in place.  It holds
+    the last snapshot's q and two running maxima, so its memory does not grow
+    with the pair count; `stats` raises if fewer than two snapshots were fed.
     """
 
     def __init__(self, grid: GridSpec, r_max: float,
                  at: Callable[[FieldState, np.ndarray], np.ndarray],
-                 spatial: Callable[[np.ndarray, FieldState, np.ndarray], np.ndarray],
-                 coef: float):
+                 spatial: Callable[..., np.ndarray], coef: float):
         self.grid, self.r_max, self.at, self.spatial, self.coef = grid, r_max, at, spatial, coef
         self.plans = _shift_plans(grid, (1, -1))   # validated snapshots: unchecked kernels
         self.max_pos = self.max_abs = 0.0
         self.witness, self.last, self.pairs, self.spacing = None, None, 0, None
+        self.space = self.grad = None
 
     def feed(self, snap: FieldState) -> None:
-        r_next = _abort_if_outside(vector_norm(snap.values), self.r_max, snap.t)
-        q_next = self.at(snap, r_next)
+        if self.space is None:
+            self.space = np.empty((4 + max(5, snap.n_components), *self.grid.sizes))
+            self.grad = self.space[2]
+        r, spatial, grad, res = self.space[:4]
+        work = self.space[4:]
+        r = _abort_if_outside(vector_norm(snap.values, r, work[:snap.n_components]),
+                              self.r_max, snap.t)
+        q = self.at(snap, r)
         if self.last is not None:
-            now, r_now, q_now = self.last
+            t_now, q_now = self.last
             if self.pairs == 0:
-                self.spacing = snap.t - now.t
-            res = ((q_next - q_now) / self.spacing - self.spatial(q_now, now, r_now)
-                   + self.coef * _gradient_sq(now.values, self.grid, self.plans)
-                   )[self.grid.interior_slices]
-            self.max_abs = max(self.max_abs, float(np.abs(res).max()))
+                self.spacing = snap.t - t_now
+            np.subtract(q, q_now, out=res)
+            res /= self.spacing
+            res -= spatial
+            res += np.multiply(self.coef, grad, out=spatial)
+            res = res[self.grid.interior_slices]
             m = float(res.max())
             if m > self.max_pos:
                 self.max_pos = m
                 loc = tuple(int(i) for i in np.unravel_index(int(res.argmax()), res.shape))
-                self.witness = {"pair": self.pairs, "t": now.t, "location": loc, "value": m}
+                self.witness = {"pair": self.pairs, "t": t_now, "location": loc, "value": m}
+            self.max_abs = max(self.max_abs, float(np.abs(res, out=res).max()))
             self.pairs += 1
-        self.last = (snap, r_next, q_next)
+        self.spatial(q, snap, r, spatial, work)
+        _gradient_sq(snap.values, self.grid, self.plans, grad, work[0])
+        self.last = (snap.t, q)
 
     def stats(self) -> dict:
         if not self.pairs:
@@ -345,10 +359,11 @@ def _diffusion_fold(grid: GridSpec, p: RadialPotential, ent: EntropyData,
                     window: EllipticityWindow) -> _ResidualFold:
     """The residual fold of `entropy_residual_diffusion`."""
     plans = _shift_plans(grid, (-1, 1))
-    return _ResidualFold(
-        grid, p.r_max, lambda snap, r: np.asarray(p.phi(r), dtype=float),
-        lambda q, snap, r: _laplacian(np.asarray(ent.gamma(q), dtype=float), grid, plans=plans),
-        window.lam * window.lam)
+
+    def lap_gamma(q, snap, r, out, work):   # gamma(q) into work[4]; the rest scratch
+        return _laplacian(ent.gamma(q, work[4], list(work[:4])), grid, work[0], plans, out)
+    return _ResidualFold(grid, p.r_max, lambda snap, r: np.asarray(p.phi(r), dtype=float),
+                         lap_gamma, window.lam * window.lam)
 
 
 def entropy_residual_diffusion(traj: Trajectory, p: RadialPotential,
@@ -430,13 +445,12 @@ def _coupled_fold(grid: GridSpec, cc: CoupledCoefficients, s: float, c: float) -
     def v(snap: FieldState, r: np.ndarray) -> np.ndarray:
         return np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
 
-    def div_A_grad(v_now: np.ndarray, snap: FieldState, r: np.ndarray) -> np.ndarray:
-        A = np.asarray(cc.a(r), dtype=float) + np.zeros_like(r) \
-            + np.sum(np.asarray(cc.c(snap.values, r), dtype=float)
-                     * np.asarray(cc.H_z(snap.values, r), dtype=float), axis=0)
-        return _face_divergence(A, v_now, None, None, grid, np.zeros(grid.sizes),
-                                np.empty(grid.sizes), np.empty(grid.sizes),
-                                np.empty(grid.sizes), plans)
+    def div_A_grad(v_now, snap, r, out, work):   # A in work[3]; the face arrays work[:3]
+        A = np.add(np.asarray(cc.a(r), dtype=float), 0.0, out=work[3])
+        A += np.sum(np.asarray(cc.c(snap.values, r), dtype=float)
+                    * np.asarray(cc.H_z(snap.values, r), dtype=float), axis=0)
+        out.fill(0.0)
+        return _face_divergence(A, v_now, None, None, grid, out, *work[:3], plans)
     return _ResidualFold(grid, cc.r_max, v, div_A_grad, c)
 
 

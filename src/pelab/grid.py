@@ -218,18 +218,22 @@ def _face_divergence(coef: np.ndarray, fields: np.ndarray,
     return out
 
 
-def _gradient_sq(comps: np.ndarray, grid: GridSpec, plans: list | None = None) -> np.ndarray:
+def _gradient_sq(comps: np.ndarray, grid: GridSpec, plans: list | None = None,
+                 out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """|grad u|^2 of an (N, *sizes) array, unchecked: the sum over components and
     axes of squared central differences (f[i+1] - f[i-1]) / 2h (over `plans` when
-    given), wrapping on periodic grids; Dirichlet grids zero the ring."""
+    given), wrapping on periodic grids; Dirichlet grids zero the ring.  Buffers
+    (C-contiguous, shaped like a component) for the sum (`out`) and each difference
+    (`work`) that are left out are made here."""
     plans = plans or _shift_plans(grid, (1, -1))
-    out = np.zeros(grid.sizes)
-    d = np.empty(grid.sizes)
+    out = np.empty(grid.sizes) if out is None else out
+    out.fill(0.0)
+    d = np.empty(grid.sizes) if work is None else work
     for f in comps:
         for (plan,) in plans:
             _shifted(np.subtract, f, plan, d)
             d /= 2.0 * grid.h
-            out += d * d
+            out += np.multiply(d, d, out=d)
     if not grid.periodic:
         _fill_ring(out, grid.n)
     return out

@@ -3,7 +3,9 @@ import functools
 import importlib.util
 import inspect
 import json
+import multiprocessing
 import os
+import subprocess
 import sys
 import weakref
 from dataclasses import replace
@@ -730,10 +732,10 @@ class TestSweepCommand:
                                                      threads):
         from pelab import cli
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was created")
+        def no_workers(*args, **kwargs):
+            raise AssertionError("workers were started")
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "fan_out", no_workers)
         path = self.sweep_doc(tmp_path, {})
         assert main(["sweep", path, "--out", str(tmp_path / "s"), "--threads", threads]) == 1
         assert f"--threads must be 0 (the usable CPUs) or positive, got {threads}" \
@@ -864,11 +866,18 @@ class TestTopLevelKeys:
     @pytest.mark.parametrize("command, doc, named", [
         ("verify", {"name": "s", "seed": "11", "checks": []}, "suite: wrong type(s) "
                                                              "['seed: int, not str']"),
-        ("sweep", {"name": "sw", "base": {}, "axes": [["seed", [1]]]},
+        ("sweep", {"name": "sw", "base": heat_doc(), "axes": [["seed", [1]]]},
          "sweep: wrong type(s) ['axes: dict, not list']"),
-        ("sweep", {"name": 5, "base": {}}, "sweep: wrong type(s) ['name: str, not int']"),
+        ("sweep", {"name": 5, "base": heat_doc()}, "sweep: wrong type(s) ['name: str, not int']"),
         ("sweep", {"name": "sw"}, "sweep: missing key(s) ['base']"),
-    ], ids=["suite-seed", "sweep-axes", "sweep-name", "sweep-base"])
+        # the sections a sweep reads itself, before it builds a cell: the base's top
+        # level (a label names the base potential's id) and each axis
+        ("sweep", {"name": "sw", "base": {**heat_doc(), "potential": "cosh"}},
+         "sweep: wrong type(s) ['base.potential: dict, not str']"),
+        ("sweep", {"name": "sw", "base": heat_doc(), "axes": {"resolution": 64}},
+         "sweep: wrong type(s) ['axes.resolution: list[int], not int']"),
+    ], ids=["suite-seed", "sweep-axes", "sweep-name", "sweep-base", "sweep-base-potential",
+            "sweep-axis-not-a-list"])
     def test_a_mistyped_or_missing_key_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
                                                         command, doc, named):
         forbid_runs(monkeypatch)
@@ -1228,6 +1237,19 @@ def open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
 
+def plant_in_third_frame(monkeypatch, name, act):
+    """act(file) runs in place of the third frame that run `name` (a `pelab run` or a
+    sweep cell) appends to its trajectory; a forked worker inherits the patch."""
+    real, appends = cli._write_frame, count()
+
+    def planted(fh, snap):
+        if Path(fh.name).parent.name == f".{name}.partial" and next(appends) == 2:
+            act(fh)
+        real(fh, snap)
+
+    monkeypatch.setattr(cli, "_write_frame", planted)
+
+
 def cell_base(sizes, boundary="periodic", **extra):
     h = 1.0 / (sizes[0] if boundary == "periodic" else sizes[0] - 1)
     return {"name": "cell", "grid": {"sizes": sizes, "h": h, "boundary": boundary},
@@ -1285,26 +1307,13 @@ class TestStreamedSweepCells:
 
     def test_cells_start_costliest_first_and_rows_keep_cell_order(self, tmp_path,
                                                                   monkeypatch):
-        from concurrent.futures import Future
         submitted = []
 
-        class InOrder:   # runs each cell when it is submitted
-            def __init__(self, max_workers):
-                pass
+        def in_order(fn, cells, workers):   # runs each cell, in this process, as it starts
+            submitted.extend(cell["label"] for cell in cells)
+            return [fn(cell) for cell in cells]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, cell):
-                submitted.append(cell["label"])
-                future = Future()
-                future.set_result(fn(cell))
-                return future
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", InOrder)
+        monkeypatch.setattr(cli, "fan_out", in_order)
         # 40 steps of 5e-5: within the CFL bound at 32 and 64 points, beyond it at 128
         doc = {"name": "sw", "base": cell_base([32], t_end=0.002, dt_override=5e-5),
                "axes": {"resolution": [32, 64, 128], "potential": ["quadratic", "cosh"]}}
@@ -1324,14 +1333,13 @@ class TestStreamedSweepCells:
         ("0", {0, 1, 2}, 3), ("0", None, 7), ("5", {0, 1, 2}, 5)])
     def test_zero_threads_means_the_usable_cpus(self, tmp_path, monkeypatch, threads,
                                                 affinity, expected):
-        from concurrent.futures import ThreadPoolExecutor
-        seen = []
+        seen, fan_out = [], cli.fan_out
 
-        def recording(max_workers):
-            seen.append(max_workers)
-            return ThreadPoolExecutor(max_workers=max_workers)
+        def recording(fn, cells, workers):
+            seen.append(workers)
+            return fan_out(fn, cells, workers)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(cli, "fan_out", recording)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
@@ -1345,17 +1353,11 @@ class TestStreamedSweepCells:
     @staticmethod
     def failing_third_write(monkeypatch, cell_dir):
         """The third frame appended to `cell_dir`'s trajectory fails half-written."""
-        real, appends = cli._write_frame, count()
+        def disk_full(fh):
+            fh.write(b"partial")
+            raise OSError("disk full")
 
-        def flaky(fh, snap):
-            path = Path(fh.name)
-            if (path.parent.name == f".{cell_dir}.partial" and path.name == "trajectory.pelb"
-                    and next(appends) == 2):
-                fh.write(b"partial")
-                raise OSError("disk full")
-            real(fh, snap)
-
-        monkeypatch.setattr(cli, "_write_frame", flaky)
+        plant_in_third_frame(monkeypatch, cell_dir, disk_full)
 
     def test_a_failed_cell_leaves_no_snapshot_and_keeps_its_error_row(self, tmp_path,
                                                                       monkeypatch):
@@ -1365,7 +1367,7 @@ class TestStreamedSweepCells:
         fds = open_fds()
         assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
                      str(tmp_path / "s"), "--threads", "2"]) == 1
-        assert open_fds() == fds
+        assert open_fds() == fds and multiprocessing.active_children() == []
         rows = read_csv(tmp_path / "s" / "sw" / "sweep.csv", csv.DictReader)
         assert [(r["label"], r["error"]) for r in rows] == [
             ("quadratic", ""), ("cosh", "OSError: disk full")]
@@ -1415,6 +1417,75 @@ class TestStreamedSweepCells:
         assert tree(tmp_path / "s" / "sw" / "cosh") == before
         assert sorted(p.name for p in (tmp_path / "s" / "sw").iterdir()) == [
             "cosh", "quadratic", "sweep.csv", "sweep_manifest.json"]
+
+
+def raise_in_parent(monkeypatch):
+    """Reading a worker's result raises, in the parent only: workers only send."""
+    from multiprocessing.connection import Connection
+
+    def broken(conn):
+        raise RuntimeError("parent broke")
+
+    monkeypatch.setattr(Connection, "recv", broken)
+
+
+class TestSweepWorkers:
+    """Each cell runs in a forked worker process, at most --threads at a time; every
+    way out of the sweep joins every worker and leaves no partial directory."""
+
+    def sweep(self, tmp_path):
+        doc = {"name": "sw", "base": cell_base([32]),
+               "axes": {"potential": ["quadratic", "cosh", "quartic"]}}
+        return main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
+                     str(tmp_path / "s"), "--threads", "2"])
+
+    # a cell that raises: TestStreamedSweepCells.test_a_failed_cell_leaves_no_snapshot_and_...
+    @pytest.mark.parametrize("plant, errors", [
+        (None, ["", "", ""]),
+        (lambda fh: os._exit(3), ["", "ChildProcessError: worker exited with code 3", ""]),
+    ], ids=["success", "worker-death"])
+    def test_every_worker_is_joined_and_a_dead_one_leaves_nothing(self, tmp_path, capsys,
+                                                                  monkeypatch, plant, errors):
+        if plant is not None:   # the worker dies inside `_run_cell`, mid-trajectory
+            plant_in_third_frame(monkeypatch, "cosh", plant)
+        fds = open_fds()
+        assert self.sweep(tmp_path) == (1 if any(errors) else 0)
+        assert multiprocessing.active_children() == [] and open_fds() == fds
+        out, labels = tmp_path / "s" / "sw", ["quadratic", "cosh", "quartic"]
+        rows = read_csv(out / "sweep.csv", csv.DictReader)
+        assert [(r["label"], r["error"]) for r in rows] == list(zip(labels, errors))
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert manifest["failed"] == (["cosh"] if any(errors) else [])
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [label for label, e in zip(labels, errors) if not e]
+            + ["sweep.csv", "sweep_manifest.json"])
+        assert orphans(tmp_path / "s") == []
+        if any(errors):
+            assert f"cell cosh failed: {errors[1]}" in capsys.readouterr().err
+
+    def test_an_exception_in_the_parent_ends_every_worker(self, tmp_path, monkeypatch):
+        raise_in_parent(monkeypatch)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match="parent broke"):
+            self.sweep(tmp_path)
+        assert multiprocessing.active_children() == [] and open_fds() == fds
+        assert [p.name for p in (tmp_path / "s" / "sw").iterdir()
+                if p.name.endswith(".partial")] == []
+
+    def test_a_worker_does_not_print_the_parents_buffered_output(self, tmp_path):
+        # stdout to a pipe is block-buffered: a worker forked with the parent's unflushed
+        # buffer would write it again when it exits
+        doc = write_doc(tmp_path, {"name": "sw", "base": cell_base([16], t_end=0.001),
+                                   "axes": {"seed": [1, 2]}}, "sweep.json")
+        code = ("import sys; from pelab.cli import main; print('before', end=''); "
+                f"sys.exit(main(['sweep', {doc!r}, '--out', {str(tmp_path / 's')!r}]))")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1])] + (
+            [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("before") == 1 and proc.stdout.startswith("beforewrote ")
 
 
 class TestOneTrajectoryFile:

@@ -555,6 +555,45 @@ class TestResidualFoldMemory:
         # about one field per pair, 56 fields
         assert peaks[1] - peaks[0] < 4 * field, peaks
 
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_a_snapshot_after_the_first_pair_allocates_no_field(self, components):
+        # phi returns one of two buffers in turn (the fold holds one q), so that
+        # whatever a feed allocates is the fold's own
+        import tracemalloc
+        g, q = pgrid(64, n=2), quadratic(2.0)
+        ent, window = build_entropy(q), certify_window(q)
+        turns = [np.empty(g.sizes), np.empty(g.sizes)]
+
+        def phi(r):
+            if np.shape(r) != g.sizes:
+                return q.phi(r)
+            turns.reverse()
+            return np.multiply(np.square(r, out=turns[0]), 0.5, out=turns[0])
+
+        base = initial_field(g, components, {"kind": "bands", "kmax": 3, "amplitude": 0.4}, 7)
+        snaps = [FieldState(grid=g, values=base * (1.0 - 0.01 * k), t=k * 1e-5)
+                 for k in range(8)]
+        fold = _diffusion_fold(g, replace(q, phi=phi), ent, window)
+        reference = _diffusion_fold(g, q, ent, window)
+        for snap in snaps[:2]:
+            fold.feed(snap)
+            reference.feed(snap)
+        excess = []
+        tracemalloc.start()
+        try:
+            for snap in snaps[2:]:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                fold.feed(snap)
+                excess.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        for snap in snaps[2:]:
+            reference.feed(snap)
+        # views, scalars and numpy's own small scratch (under 8 KiB here); a field is 32 KiB
+        assert max(excess) < 64 * 64 * 8 // 2, excess
+        assert fold.stats() == reference.stats() and fold.witness == reference.witness
+
 
 class TestChooseEntropyParams:
     def test_trivial_H(self):
