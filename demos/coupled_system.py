@@ -11,10 +11,14 @@ the dissipation coefficient of H degenerates and the inequality genuinely
 fails; the monitor shows that too.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from pelab import (GridSpec, RunConfig, choose_entropy_params, cosh_potential,
-                   coupled_decomposition, entropy_residual_coupled, run)
+                   coupled_decomposition, run)
+from pelab.cli import run_suite
 
 pot = cosh_potential(1.0)
 cc = coupled_decomposition(pot)
@@ -44,18 +48,32 @@ for size in (64, 128, 256):
 print(f"   shrink 128 -> 256: {errs[128] / errs[256]:.2f}x (second order)")
 print()
 
-print("== coupled entropy residual, data bounded away from zero")
+
+def entropy_check(name, sizes, initial):
+    """An entropy-coupled check of the cosh run from `initial`, one rung per size.  Its
+    K only sets the pass threshold, which is not printed here; giving it skips the
+    calibration run."""
+    grid = {"sizes": [64], "h": 1.0 / 64, "boundary": "periodic"}
+    return {"name": name, "kind": "entropy-coupled", "sizes": sizes, "K": 1.0,
+            "config": {"grid": grid, "components": 1, "potential": {"id": "cosh", "r_max": 1.0},
+                       "system": "coupled", "t_end": 0.01, "cfl_sigma": 0.9,
+                       "snapshot_every": 1, "initial": initial}}
+
+
 offset = {"kind": "bands", "kmax": 3, "amplitude": 0.17, "offset": [0.8]}
-for size in (64, 128):
-    traj = make(size, "coupled", offset)
-    rep = entropy_residual_coupled(traj, cc, pars.s, pars.c)
-    print(f"   size {size:4d}: positive part {rep.values['max_pos']:.3e}, "
-          f"|residual| scale {rep.values['max_abs']:.3e}")
+with tempfile.TemporaryDirectory() as out:
+    away, degenerate = run_suite({"name": "coupled-entropy", "seed": 3, "checks": [
+        entropy_check("away", [64, 128], offset), entropy_check("degenerate", [64], init)]},
+        Path(out))
+
+print("== coupled entropy residual, data bounded away from zero")
+for rung in away.values["per_size"]:
+    print(f"   size {rung['size']:4d}: positive part {rung['max_pos']:.3e}, "
+          f"|residual| scale {rung['max_abs']:.3e}")
 print()
 
 print("== the degenerate case: data crossing |u| = 0")
-traj = make(64, "coupled", init)
-rep = entropy_residual_coupled(traj, cc, pars.s, pars.c)
-print(f"   positive part {rep.values['max_pos']:.3e} (order c|grad u|^2: the")
+[rung] = degenerate.values["per_size"]
+print(f"   positive part {rung['max_pos']:.3e} (order c|grad u|^2: the")
 print("   Hessian of H degenerates at the origin, so no uniform dissipation")
 print("   constant exists there; the radial entropy phi(|u|) covers this case)")

@@ -19,11 +19,7 @@ from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          quadratic, quartic, radial_slope, smoothed_porous)
 from .solver import (RunConfig, cfl_dt, config_hash, initial_field, run,
                      step_diffusion, with_resolution)
-from .diagnostics import (CheckReport, CoupledEntropyParams,
-                          choose_entropy_params, contraction_report,
-                          entropy_residual_coupled, entropy_residual_diffusion,
-                          estimate_ratio_report, h_minus_one_norm,
-                          holder_seminorm, morrey_profile,
-                          reverse_holder_report, sup_norm_report)
+from .diagnostics import (CheckReport, CoupledEntropyParams, choose_entropy_params,
+                          h_minus_one_norm, holder_seminorm)
 
 __version__ = "0.1.0"

@@ -242,6 +242,8 @@ def _check_sup_norm(seed, plant=lambda cfg, obs: obs, /, *, name: str, config: d
 def _check_entropy(seed, coupled: bool, /, *, name: str, config: dict,
                    sizes: list[int] = (64, 128), K: float | None = None):
     base = build_config(config, seed)
+    if not sizes:
+        raise UsageError(f"'{name}' needs at least one size in 'sizes'")
     if base.snapshot_every != 1:
         raise UsageError("entropy residual checks need snapshot_every = 1")
     subs = []
@@ -361,6 +363,8 @@ def _bind_check(check: dict):
     fn, *leading = _CHECKS[kind]
     keys = {k: v for k, v in check.items() if k != "kind"}
     _check_keys(f"check '{check['name']}'", ("", keys, fn))
+    if "seed" in keys["config"]:   # a run has one seed: the suite's or --seed
+        raise UsageError(f"check '{check['name']}': its config may not set 'seed'")
     return fn, leading, keys
 
 

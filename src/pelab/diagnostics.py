@@ -18,12 +18,11 @@ Every monitor is a fold fed one snapshot at a time, whose `report` is the
 verdict on what it was fed: `_SupFold`, `_ContractionFold` (it stores the first
 of its two runs), `_ResidualFold`, and `_MorreyFold`, `_ReverseHolderFold` and
 `_EstimateFold` on `grid._CylinderFold`, which evaluate a field once per snapshot
-in the union of their windows, with no memo.  A monitor called with a
-`Trajectory` replays it into its fold (`grid._replay`); `pelab verify` and a
-sweep cell feed the same folds each snapshot as their runs make it.  Their
-|grad u|^2 is the unchecked `_gradient_sq`, over one plan per fold.
-The Hoelder seminorm is exact: every point pair with separation in the band,
-one integer offset at a time.
+in the union of their windows, with no memo.  `pelab verify` and a sweep cell
+feed each snapshot to the folds as their runs make it; the tests replay a stored
+run into one with `grid._replay`.  Their |grad u|^2 is the unchecked `_gradient_sq`,
+over one plan per fold.  The Hoelder seminorm is exact: every point pair with
+separation in the band, one integer offset at a time.
 """
 
 from __future__ import annotations
@@ -35,14 +34,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RangeExcursionError
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
-                   _CylinderFold, _face_divergence, _gradient_sq, _laplacian, _replay,
-                   _shift_plans, hessian_sq, vector_norm)
+                   _CylinderFold, _face_divergence, _gradient_sq, _laplacian, _shift_plans,
+                   hessian_sq, vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
                          grad_Phi_field, quadratic)
-from .solver import RunConfig, _abort_if_outside
+from .solver import RunConfig, _abort_if_outside, _initial_state
 
 
 @dataclass
@@ -137,10 +135,12 @@ def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
 # contraction
 
 class _ContractionFold:
-    """The contraction loop, fed runs 0 and 1 as feed(0 or 1, snapshot), one run
-    after the other in either order: it stores the first, and each snapshot of
-    the other gives the H^-1 norm of run 1's minus run 0's snapshot of the same
-    index.  A snapshot it cannot match raises."""
+    """Monotone non-increase of the H^-1 distance d(t) between runs 0 and 1, fed as
+    feed(0 or 1, snapshot), one run after the other in either order: it stores the
+    first, and each snapshot of the other gives d, the H^-1 norm of run 1's minus run
+    0's snapshot of the same index; one it cannot match raises.  The verdict is plain
+    monotonicity within `rel_tol` relative per step; exp(2 lam t) d^2 and the best-fit
+    decay exponent are information only, and no sign of the exponent is asserted."""
 
     def __init__(self, window: EllipticityWindow, rel_tol: float = 1e-10):
         self.window, self.rel_tol = window, rel_tol
@@ -207,20 +207,6 @@ class _ContractionFold:
         return rep
 
 
-def contraction_report(traj0: Trajectory, traj1: Trajectory,
-                       window: EllipticityWindow, rel_tol: float = 1e-10,
-                       name: str = "contraction") -> CheckReport:
-    """Monotone non-increase of the H^-1 distance between two runs.
-
-    The pass/fail verdict is plain monotonicity of d(t) within `rel_tol`
-    relative per step.  The exponentially weighted series exp(2 lam t) d(t)^2
-    and the best-fit decay exponent are recorded as information only; no sign
-    of the exponent is asserted.
-    """
-    fold = _replay(traj0, _ContractionFold(window, rel_tol), 0)
-    return _replay(traj1, fold, 1).report(traj0, traj1, name)
-
-
 # ---------------------------------------------------------------------------
 # boundedness
 
@@ -253,12 +239,6 @@ class _SupFold:
                            values={"times": times, "sup": np.array(self.sups),
                                    "bound": np.array(self.bounds)}, witness=self.witness,
                            series=("t,sup,bound", list(zip(times, self.sups, self.bounds))))
-
-
-def sup_norm_report(traj: Trajectory, tol: float = 1e-10,
-                    name: str = "sup-norm") -> CheckReport:
-    """sup |u(t)| <= max(initial sup, running boundary sup) + tol, per snapshot."""
-    return _replay(traj, _SupFold(tol)).report(traj, name)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +304,12 @@ class _ResidualFold:
             raise ValueError("residual checks need at least two snapshots")
         return {"max_pos": self.max_pos, "max_abs": self.max_abs, "pairs": self.pairs}
 
-    def report(self, traj: Trajectory, tau: float | None, name: str, **extra) -> CheckReport:
-        """`stats` and `extra`, of the run `traj`; with tau = None it always passes."""
+    def report(self, traj: Trajectory, tau: float | None, name: str) -> CheckReport:
+        """`stats` against tau, of the run `traj`; with tau = None it always passes."""
         if self.spacing is not None and abs(self.spacing - traj.dt) > 1e-9 * traj.dt:
             raise ValueError("residual checks need consecutive snapshots "
                              "(snapshot_every = 1 over the checked span)")
-        stats = {**self.stats(), "h": traj.grid.h, "dt": traj.dt, "tau": tau, **extra}
+        stats = {**self.stats(), "h": traj.grid.h, "dt": traj.dt, "tau": tau}
         passed = True if tau is None else self.max_pos <= tau
         return CheckReport(name=name, passed=passed, tolerance=tau,
                            provenance=_provenance(traj), values=stats,
@@ -357,26 +337,15 @@ def _rungs_report(folds: Sequence[_ResidualFold], trajs: Sequence[Trajectory], s
 
 def _diffusion_fold(grid: GridSpec, p: RadialPotential, ent: EntropyData,
                     window: EllipticityWindow) -> _ResidualFold:
-    """The residual fold of `entropy_residual_diffusion`."""
+    """The fold of D_t phi(|u|) - Lap gamma(phi(|u|)) + lam^2 |grad u|^2: nonpositive in
+    the continuum, so its discrete positive part is pure scheme error, which must stay
+    below tau = K (h^2 + dt) and shrink under refinement."""
     plans = _shift_plans(grid, (-1, 1))
 
     def lap_gamma(q, snap, r, out, work):   # gamma(q) into work[4]; the rest scratch
         return _laplacian(ent.gamma(q, work[4], list(work[:4])), grid, work[0], plans, out)
     return _ResidualFold(grid, p.r_max, lambda snap, r: np.asarray(p.phi(r), dtype=float),
                          lap_gamma, window.lam * window.lam)
-
-
-def entropy_residual_diffusion(traj: Trajectory, p: RadialPotential,
-                               ent: EntropyData, window: EllipticityWindow,
-                               tau: float | None = None,
-                               name: str = "entropy-diffusion") -> CheckReport:
-    """Positive part of D_t phi(|u|) - Lap gamma(phi(|u|)) + lam^2 |grad u|^2.
-
-    The continuum quantity is nonpositive; the discrete positive part is pure
-    scheme error and must stay below tau = K (h^2 + dt) and shrink under
-    refinement.  With tau = None the report is informational (always passes).
-    """
-    return _replay(traj, _diffusion_fold(traj.grid, p, ent, window)).report(traj, tau, name)
 
 
 def _calibration(config: RunConfig):
@@ -387,10 +356,10 @@ def _calibration(config: RunConfig):
     For the quadratic potential the continuum residual vanishes identically
     and the forward-difference alignment makes the discrete positive part
     cancel to rounding, so the magnitude |residual| is the pure scheme-error
-    scale for data of this shape; K is its ratio to h^2 + dt.
+    scale for data of this shape; K is its ratio to h^2 + dt.  The quadratic's
+    r_max is max(2, 2 sup|u|) of the run's own state at t = 0, ring included.
     """
-    amp = float(config.initial.get("amplitude", 0.5))
-    q = quadratic(r_max=max(2.0, 2.0 * amp))
+    q = quadratic(r_max=max(2.0, 2.0 * float(vector_norm(_initial_state(config)).max())))
     cfg = replace(config, potential=q, system="diffusion", snapshot_every=1)
     fold, h, seen = _diffusion_fold(cfg.grid, q, build_entropy(q), certify_window(q)), \
         cfg.grid.h, [0, 0.0]
@@ -437,7 +406,10 @@ def choose_entropy_params(cc: CoupledCoefficients, n_dim: int,
 
 
 def _coupled_fold(grid: GridSpec, cc: CoupledCoefficients, s: float, c: float) -> _ResidualFold:
-    """The residual fold of `entropy_residual_coupled`."""
+    """The fold of D_t v - div(A grad v) + c |grad u|^2, v = exp(s H(u)), A = a + c^i H_{z_i}
+    pointwise, the divergence face-averaged as in the coupled step.  Degenerate H = 0
+    systems go to the diffusion check instead (c |grad u|^2 <= 0 cannot hold for
+    non-constant data without the vanishing flux term)."""
     if cc.bounds["sup_Hzz"] == 0.0:
         raise ValueError("H vanishes identically; use the diffusion entropy check")
     plans = _shift_plans(grid, (1, 0), (0, -1))
@@ -454,24 +426,14 @@ def _coupled_fold(grid: GridSpec, cc: CoupledCoefficients, s: float, c: float) -
     return _ResidualFold(grid, cc.r_max, v, div_A_grad, c)
 
 
-def entropy_residual_coupled(traj: Trajectory, cc: CoupledCoefficients,
-                             s: float, c: float, tau: float | None = None,
-                             name: str = "entropy-coupled") -> CheckReport:
-    """Positive part of D_t v - div(A grad v) + c |grad u|^2 with v = exp(s H(u)).
-
-    A = a + c^i H_{z_i} pointwise; the divergence uses the same conservative
-    face averaging as the coupled step.  Degenerate H = 0 systems are routed
-    to the diffusion check instead (the bound c |grad u|^2 <= 0 cannot hold
-    for non-constant data without the vanishing flux term).
-    """
-    return _replay(traj, _coupled_fold(traj.grid, cc, s, c)).report(traj, tau, name, s=s, c=c)
-
-
 # ---------------------------------------------------------------------------
 # Morrey decay
 
 class _MorreyFold(_CylinderFold):
-    """`morrey_profile`'s fold: one cylinder per point and radius, largest R first."""
+    """Scaled cylinder integrals R^-exponent iint_{Q(x0,t0,R)} g, largest R first: one
+    cylinder per point (x0, t0) and radius, g evaluated once per snapshot in their union.
+    g defaults to |grad u|^2 with exponent n; |grad u|^4 with n - 2 probes the
+    singular-set bound of bounded solutions.  Radii below 4h are rejected as noise."""
 
     def __init__(self, grid: GridSpec, points: Sequence[tuple], radii: Sequence[float],
                  g: Callable[[FieldState], np.ndarray] | None = None,
@@ -499,10 +461,7 @@ class _MorreyFold(_CylinderFold):
                name: str = "morrey") -> CheckReport:
         """The decay verdict on the snapshots fed, of the run `traj` (its provenance): the
         smallest-R quotient is at most `decay_factor` times the largest-R one."""
-        profiles = []
-        rows = []
-        witness = None
-        passed = True
+        profiles, rows, witness, passed = [], [], None, True
         for pt, prof in zip(self.points, self.profiles()):
             profiles.append({"point": list(pt[0]), "t0": pt[1],
                              "radii": [r for r, _ in prof],
@@ -519,25 +478,12 @@ class _MorreyFold(_CylinderFold):
                            witness=witness, series=("t0,R,quotient", rows))
 
 
-def morrey_profile(traj: Trajectory, points: Sequence[tuple], radii: Sequence[float],
-                   g: Callable[[FieldState], np.ndarray] | None = None,
-                   exponent: float | None = None) -> list[list[tuple[float, float]]]:
-    """Scaled cylinder integrals R^-exponent * iint_{Q(x0,t0,R)} g, largest R first.
-
-    One profile per point of `points`, each point (x0 coordinates, t0), all
-    from one cylinder pass, so g is evaluated once per snapshot in the union
-    of the windows.  The default g is |grad u|^2 with the default exponent n.
-    The variant g = |grad u|^4 with exponent n - 2 probes the singular-set
-    bound of bounded solutions.  Radii below 4h are rejected as noise.
-    """
-    return _replay(traj, _MorreyFold(traj.grid, points, radii, g, exponent)).profiles()
-
-
 # ---------------------------------------------------------------------------
 # reverse Hoelder and the interior estimate ratios
 
 class _ReverseHolderFold(_CylinderFold):
-    """`reverse_holder_report`'s fold: |grad u|^2 on Q_4R and, to the power p/2, on Q_R."""
+    """The ratio of the L^p mean of |grad u| on Q_R to its L^2 mean on Q_4R, from |grad u|^2
+    on Q_4R and, to the power p/2, on Q_R; a Q_4R where it vanishes is skipped and counted."""
 
     def __init__(self, grid: GridSpec, cylinders: Sequence[Cylinder], p: float):
         if p <= 2.0:
@@ -550,7 +496,8 @@ class _ReverseHolderFold(_CylinderFold):
 
     def report(self, traj: Trajectory, reference: float | None = None, rel_change: float = 0.2,
                name: str = "reverse-holder") -> CheckReport:
-        """`reverse_holder_report`'s verdict on the snapshots fed, of the run `traj`."""
+        """The verdict on the snapshots fed, of the run `traj`: informational, or with a
+        `reference` max ratio, whether the max is within `rel_change` of it relatively."""
         sums, p = self.result(), self.p
         ratios, skipped = [], 0
         for (total4, count4), (total, count) in zip(sums[::2], sums[1::2]):
@@ -560,13 +507,9 @@ class _ReverseHolderFold(_CylinderFold):
                 continue
             ratios.append((total / count) ** (1.0 / p) / math.sqrt(rhs2))
         max_ratio = max(ratios) if ratios else float("nan")
-        if reference is None:
-            passed = True
-        else:
-            passed = bool(ratios) and abs(max_ratio - reference) <= rel_change * reference
-        witness = None
-        if not passed:
-            witness = {"max_ratio": max_ratio, "reference": reference}
+        passed = reference is None or (bool(ratios)
+                                       and abs(max_ratio - reference) <= rel_change * reference)
+        witness = None if passed else {"max_ratio": max_ratio, "reference": reference}
         return CheckReport(name=name, passed=passed, tolerance=rel_change,
                            provenance=_provenance(traj),
                            values={"ratios": np.array(ratios), "max_ratio": max_ratio,
@@ -574,25 +517,14 @@ class _ReverseHolderFold(_CylinderFold):
                            witness=witness)
 
 
-def reverse_holder_report(traj: Trajectory, cylinders: Sequence[Cylinder],
-                          p: float = 2.5, reference: float | None = None,
-                          rel_change: float = 0.2,
-                          name: str = "reverse-holder") -> CheckReport:
-    """Ratio of the L^p cylinder mean of |grad u| on Q_R to the L^2 mean on Q_4R.
-
-    Cylinders with identically vanishing gradient on the large cylinder are
-    skipped and counted.  With a `reference` max ratio from another resolution
-    the check passes iff the max changed by at most `rel_change` relatively;
-    without one the report is informational.
-    """
-    fold = _replay(traj, _ReverseHolderFold(traj.grid, cylinders, p))
-    return fold.report(traj, reference, rel_change, name)
-
-
 class _EstimateFold:
-    """`estimate_ratio_report`'s fold: one cylinder fold per field and the running
-    sup |u|.  u_t is a forward difference, so the |u_t|^2 fold is fed a snapshot
-    when the next one comes: the last one fed is held."""
+    """Normalized interior-estimate ratios on nested cylinders Q_r inside Q_R,
+    ratio_time  = (R-r)^2 iint_{Q_r} |u_t|^2            / iint_{Q_R} |grad u|^2
+    ratio_hess  = (R-r)^2 iint_{Q_r} |grad^2 gradPhi|^2 / iint_{Q_R} |grad u|^2
+    ratio_l4    = (R-r)^2 iint_{Q_r} |grad u|^4 / (sup|u|^2 iint_{Q_R} |grad u|^2),
+    from one cylinder fold per field and the running sup |u|.  u_t is the forward
+    snapshot difference: the |u_t|^2 fold is fed a snapshot when the next comes (the
+    last one fed is held), so every snapshot in a small cylinder needs a successor."""
 
     def __init__(self, grid: GridSpec, p: RadialPotential,
                  pairs: Sequence[tuple[Cylinder, Cylinder]]):
@@ -619,7 +551,8 @@ class _EstimateFold:
 
     def report(self, traj: Trajectory, reference: dict | None = None, rel_change: float = 0.3,
                name: str = "estimate-ratios") -> CheckReport:
-        """`estimate_ratio_report`'s verdict on the snapshots fed, of the run `traj`."""
+        """The verdict on the snapshots fed, of the run `traj`: finite ratios, each within
+        `rel_change` relatively of a `reference` measurement's if one is given."""
         grad = self.grad.result()
         if self.ahead and any(a < self.ahead[0].t <= b for a, b in self.ut.windows):
             raise ValueError("u_t forward difference needs a successor snapshot; "
@@ -660,24 +593,6 @@ class _EstimateFold:
                            values={"pairs": per_pair, "maxima": maxima,
                                    "sup_u": sup_u, "reference": reference},
                            witness=witness)
-
-
-def estimate_ratio_report(traj: Trajectory, p: RadialPotential,
-                          pairs: Sequence[tuple[Cylinder, Cylinder]],
-                          reference: dict | None = None, rel_change: float = 0.3,
-                          name: str = "estimate-ratios") -> CheckReport:
-    """Normalized interior-estimate ratios on nested cylinders Q_r inside Q_R.
-
-    ratio_time  = (R-r)^2 iint_{Q_r} |u_t|^2            / iint_{Q_R} |grad u|^2
-    ratio_hess  = (R-r)^2 iint_{Q_r} |grad^2 gradPhi|^2 / iint_{Q_R} |grad u|^2
-    ratio_l4    = (R-r)^2 iint_{Q_r} |grad u|^4 / (sup|u|^2 iint_{Q_R} |grad u|^2)
-
-    u_t is the forward snapshot difference, so every snapshot inside a small
-    cylinder needs a successor.  Bounded, resolution-stable ratios (within
-    `rel_change` against a reference measurement) are the pass criterion.
-    """
-    fold = _replay(traj, _EstimateFold(traj.grid, p, pairs))
-    return fold.report(traj, reference, rel_change, name)
 
 
 # ---------------------------------------------------------------------------

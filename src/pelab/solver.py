@@ -348,14 +348,24 @@ def _planned(config: RunConfig):
     return window, cc, steps, dt
 
 
+def _initial_state(config: RunConfig) -> np.ndarray:
+    """A run's state at t = 0: its initial field, the Dirichlet ring at its boundary values."""
+    values = initial_field(config.grid, config.n_components, config.initial, config.seed)
+    if not config.grid.periodic:
+        bv, ring = config.boundary_values, config.grid.boundary_mask
+        for c in range(config.n_components):
+            values[c][ring] = bv[c if len(bv) > 1 else 0]
+    return values
+
+
 def run(config: RunConfig,
         observe: Callable[[FieldState], None] | None = None) -> Trajectory:
     """Integrate to t_end, storing a snapshot every `snapshot_every` steps.
 
-    With `observe`, each stored snapshot, t = 0 included, is handed to it in
-    time order and only the final one is kept.  Deterministic given the seed;
-    the manifest in `meta` records the potential, its certified window, dt
-    and the content hash of the configuration.
+    With `observe`, each snapshot, t = 0 included, is handed to it in time order and
+    only the final one is kept; without it all are, for the tests and the demos' direct
+    runs (`demos/heat_oracle.py` reads every one).  Deterministic given the seed; `meta`
+    records the potential, its certified window, dt and the configuration's content hash.
     """
     p = config.potential
     window, cc, steps, dt = _planned(config)
@@ -363,12 +373,7 @@ def run(config: RunConfig,
     rhs = (_diffusion_rhs(p, config.grid, shape) if cc is None
            else _coupled_rhs(cc, config.grid, shape))
 
-    values = initial_field(config.grid, config.n_components, config.initial, config.seed)
-    if not config.grid.periodic:
-        bv = config.boundary_values
-        ring = config.grid.boundary_mask
-        for c in range(config.n_components):
-            values[c][ring] = bv[c if len(bv) > 1 else 0]
+    values = _initial_state(config)
     snaps = []
     keep = snaps.append if observe is None else observe
     snap = FieldState(grid=config.grid, values=values, t=0.0,

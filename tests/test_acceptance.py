@@ -14,14 +14,13 @@ import numpy as np
 
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    RunConfig, build_entropy, certify_window,
-                   choose_entropy_params, contraction_report,
-                   cosh_potential, coupled_decomposition,
-                   entropy_residual_coupled, entropy_residual_diffusion,
-                   estimate_ratio_report, initial_field, morrey_profile,
-                   quadratic, quartic, run, reverse_holder_report,
-                   smoothed_porous, step_diffusion, sup_norm_report,
-                   with_resolution)
+                   choose_entropy_params, cosh_potential, coupled_decomposition,
+                   initial_field, quadratic, quartic, run, smoothed_porous,
+                   step_diffusion, with_resolution)
 from pelab.cli import main
+from pelab.diagnostics import (_ContractionFold, _coupled_fold, _diffusion_fold,
+                               _EstimateFold, _MorreyFold, _ReverseHolderFold, _SupFold)
+from pelab.grid import _replay
 from test_diagnostics import calibrated_K
 from test_solver import reference_step_scalar
 
@@ -91,16 +90,17 @@ def test_03_h1_contraction():
                              t_end=0.05, cfl_sigma=0.9, snapshot_every=25,
                              initial=init, seed=1))
 
-    rep = contraction_report(drun(COSH, {"kind": "mode", "k": [1], "amplitude": 0.5}),
-                             drun(COSH, {"kind": "bands", "kmax": 3,
-                                         "amplitude": 0.4}),
-                             certify_window(COSH), rel_tol=1e-10)
+    t0 = drun(COSH, {"kind": "mode", "k": [1], "amplitude": 0.5})
+    t1 = drun(COSH, {"kind": "bands", "kmax": 3, "amplitude": 0.4})
+    fold = _replay(t1, _replay(t0, _ContractionFold(certify_window(COSH), rel_tol=1e-10), 0), 1)
+    rep = fold.report(t0, t1, "contraction")
     assert rep.passed
 
     q = quadratic(2.0)
-    rep_q = contraction_report(drun(q, {"kind": "mode", "k": [1], "amplitude": 0.6}),
-                               drun(q, {"kind": "mode", "k": [1], "amplitude": 0.3}),
-                               certify_window(q), rel_tol=1e-10)
+    t0 = drun(q, {"kind": "mode", "k": [1], "amplitude": 0.6})
+    t1 = drun(q, {"kind": "mode", "k": [1], "amplitude": 0.3})
+    fold = _replay(t1, _replay(t0, _ContractionFold(certify_window(q), rel_tol=1e-10), 0), 1)
+    rep_q = fold.report(t0, t1, "contraction")
     assert rep_q.passed
     d = rep_q.values["d"]
     ratio = d[-1] / d[0]
@@ -118,7 +118,7 @@ def test_04_max_principle():
         traj = run(RunConfig(grid=pgrid(128), n_components=2, potential=COSH,
                              t_end=0.01, cfl_sigma=0.9, snapshot_every=8,
                              initial=init, seed=2))
-        rep = sup_norm_report(traj, tol=1e-10)
+        rep = _replay(traj, _SupFold(tol=1e-10)).report(traj, "sup-norm")
         assert rep.passed, label
         sups[label] = (rep.values["sup"][0], rep.values["sup"][-1])
     report(f"4 PASS max principle: sup series {sups}")
@@ -150,9 +150,11 @@ def test_05_entropy_subsolution_residuals():
             traj = run(cfg)
             tau = K * (cfg.grid.h ** 2 + traj.dt)
             if system == "coupled":
-                rep = entropy_residual_coupled(traj, cc, pars.s, pars.c, tau=tau)
+                fold = _coupled_fold(traj.grid, cc, pars.s, pars.c)
+                rep = _replay(traj, fold).report(traj, tau, "entropy-coupled")
             else:
-                rep = entropy_residual_diffusion(traj, COSH, ent, window, tau=tau)
+                fold = _diffusion_fold(traj.grid, COSH, ent, window)
+                rep = _replay(traj, fold).report(traj, tau, "entropy-diffusion")
             assert rep.passed, (label, size)
             pos[size] = (rep.values["max_pos"], tau, rep.values["max_abs"])
         # refinement: the positive part may not grow past half its coarse value
@@ -178,7 +180,8 @@ def test_06_morrey_decay():
     worst = 0.0
     for _ in range(10):
         x0 = float(rng.uniform(0.2, 0.8))
-        prof = morrey_profile(traj, [((x0,), 0.02)], [16 * h, 8 * h, 4 * h])[0]
+        fold = _MorreyFold(traj.grid, [((x0,), 0.02)], [16 * h, 8 * h, 4 * h])
+        prof = _replay(traj, fold).profiles()[0]
         big, small = prof[0][1], prof[-1][1]
         assert small <= 0.5 * big
         worst = max(worst, small / big)
@@ -196,10 +199,10 @@ def test_07_reverse_holder_stability():
     rng = np.random.default_rng(7)
     cyls = [Cylinder(center=(float(rng.uniform(0, 1)),), t0=0.02, R=0.032)
             for _ in range(20)]
-    coarse = reverse_holder_report(_cosh_run(128), cyls, p=2.5)
-    fine = reverse_holder_report(_cosh_run(256), cyls, p=2.5,
-                                 reference=coarse.values["max_ratio"],
-                                 rel_change=0.2)
+    t128, t256 = _cosh_run(128), _cosh_run(256)
+    coarse = _replay(t128, _ReverseHolderFold(t128.grid, cyls, 2.5)).report(t128)
+    fine = _replay(t256, _ReverseHolderFold(t256.grid, cyls, 2.5)).report(
+        t256, reference=coarse.values["max_ratio"], rel_change=0.2)
     assert fine.passed
     change = abs(fine.values["max_ratio"] - coarse.values["max_ratio"]) \
         / coarse.values["max_ratio"]
@@ -216,9 +219,10 @@ def test_08_estimate_ratio_stability():
         x0 = float(rng.uniform(0.3, 0.7))
         pairs.append((Cylinder(center=(x0,), t0=0.018, R=0.05),
                       Cylinder(center=(x0,), t0=0.018, R=0.1)))
-    coarse = estimate_ratio_report(_cosh_run(128), COSH, pairs)
-    fine = estimate_ratio_report(_cosh_run(256), COSH, pairs,
-                                 reference=coarse.values["maxima"], rel_change=0.3)
+    t128, t256 = _cosh_run(128), _cosh_run(256)
+    coarse = _replay(t128, _EstimateFold(t128.grid, COSH, pairs)).report(t128)
+    fine = _replay(t256, _EstimateFold(t256.grid, COSH, pairs)).report(
+        t256, reference=coarse.values["maxima"], rel_change=0.3)
     assert fine.passed
     changes = {k: abs(fine.values["maxima"][k] - coarse.values["maxima"][k])
                / coarse.values["maxima"][k] for k in coarse.values["maxima"]}

@@ -34,6 +34,11 @@ def heat_doc(name="heat-sin", size=128, t_end=0.01):
     }
 
 
+def unseeded(doc):
+    """A run config as a check's `config`: without `seed`, as a suite gives its runs theirs."""
+    return {k: v for k, v in doc.items() if k != "seed"}
+
+
 def read_csv(path, reader=csv.reader):
     """Every row of a CSV file, through `reader` (csv.reader or csv.DictReader)."""
     with open(path, newline="") as fh:
@@ -378,11 +383,12 @@ class TestVerifyCommand:
         assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
 
     def test_crashing_check_recorded_as_failure(self, tmp_path):
-        doc = heat_doc(size=64, t_end=0.002)
+        doc = unseeded(heat_doc(size=64, t_end=0.002))
         doc["potential"] = {"id": "nope"}
         suite = write_doc(tmp_path, {"name": "crash", "checks": [
             {"name": "boom", "kind": "sup-norm", "config": doc},
-            {"name": "fine", "kind": "sup-norm", "config": heat_doc(size=64, t_end=0.002)},
+            {"name": "fine", "kind": "sup-norm",
+             "config": unseeded(heat_doc(size=64, t_end=0.002))},
         ]}, "suite.json")
         assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
         rep = json.loads((tmp_path / "v" / "crash" / "boom.report.json").read_text())
@@ -396,7 +402,7 @@ class TestVerifyCommand:
         assert not (tmp_path / "v" / "crash" / "boom.series.csv").exists()
 
     def test_crash_report_keeps_the_traceback(self, tmp_path):
-        doc = heat_doc(size=64, t_end=0.002)
+        doc = unseeded(heat_doc(size=64, t_end=0.002))
         suite = write_doc(tmp_path, {"name": "crash", "checks": [
             {"name": "tiny-radius", "kind": "morrey", "radii_h": [2], "config": doc},
         ]}, "suite.json")
@@ -413,13 +419,42 @@ class TestVerifyCommand:
     def test_refinement_pair_takes_exactly_two_sizes(self, tmp_path, kind, extra):
         suite = write_doc(tmp_path, {"name": "pair", "checks": [
             {"name": "three", "kind": kind, "sizes": [32, 64, 128],
-             "config": heat_doc(size=32, t_end=0.002), **extra},
+             "config": unseeded(heat_doc(size=32, t_end=0.002)), **extra},
         ]}, "suite.json")
         assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
         rep = json.loads((tmp_path / "v" / "pair" / "three.report.json").read_text())
         assert rep["passed"] is False
         assert rep["values"]["error"] == ("UsageError: 'three' takes exactly two sizes "
                                           "(coarse, fine), got [32, 64, 128]")
+
+    def test_an_entropy_checks_calibration_takes_an_offset_datum(self, tmp_path):
+        # sup|u0| is above 2 here: the calibration's quadratic takes its range from the
+        # run's own initial state, not from the datum's amplitude
+        bands = {"kind": "bands", "kmax": 3, "amplitude": 0.5, "offset": [1.7]}
+        config = {"grid": {"sizes": [64], "h": 1 / 64}, "potential": {"id": "cosh", "r_max": 3},
+                  "t_end": 0.002, "initial": bands}
+        check = {"name": "e", "kind": "entropy-diffusion", "sizes": [32, 64], "config": config}
+        [fitted] = run_suite({"name": "s", "checks": [check]}, tmp_path / "fit", 3)
+        [given] = run_suite({"name": "s", "checks": [{**check, "K": 1000.0}]},
+                            tmp_path / "given", 3)
+        assert "error" not in fitted.values and fitted.passed and given.passed
+        # the same residuals, judged against the fitted K
+        untaued = lambda rep: [{k: v for k, v in rung.items() if k != "tau"}  # noqa: E731
+                               for rung in rep.values["per_size"]]
+        assert untaued(fitted) == untaued(given) and len(untaued(given)) == 2
+
+    @pytest.mark.parametrize("K", [None, 1.0])
+    @pytest.mark.parametrize("kind", ["entropy-diffusion", "entropy-coupled"])
+    def test_an_entropy_check_with_no_sizes_fails(self, tmp_path, monkeypatch, kind, K):
+        # a monitor that runs nothing has checked nothing, so it may not pass
+        forbid_runs(monkeypatch)
+        config = {**unseeded(heat_doc(size=32, t_end=0.001)), "snapshot_every": 1,
+                  "potential": {"id": "cosh", "r_max": 1.0}}
+        check = {"name": "e", "kind": kind, "sizes": [], "config": config}
+        [rep] = run_suite({"name": "s", "checks": [check if K is None else {**check, "K": K}]},
+                          tmp_path / "v", 3)
+        assert rep.passed is False
+        assert rep.values["error"] == "UsageError: 'e' needs at least one size in 'sizes'"
 
     def test_negative_control_suite_fails_with_witnesses(self, tmp_path):
         assert main(["verify", "negative-control", "--out", str(tmp_path / "v")]) == 1
@@ -502,7 +537,8 @@ class TestVerifyCommand:
 
 def contraction_config():
     """A contraction check's config: both runs take their data from initial0 and initial1."""
-    return {k: v for k, v in heat_doc(size=32, t_end=0.001).items() if k != "initial"}
+    return {k: v for k, v in heat_doc(size=32, t_end=0.001).items()
+            if k not in ("initial", "seed")}
 
 
 def counting_runs(monkeypatch):
@@ -553,7 +589,7 @@ class TestSuiteMemo:
 
     def test_a_shared_run_is_replayed_into_each_streaming_check(self, tmp_path, monkeypatch):
         keys = counting_runs(monkeypatch)
-        config = cell_base([32], t_end=0.002, snapshot_every=2)
+        config = unseeded(cell_base([32], t_end=0.002, snapshot_every=2))
         bare = {k: v for k, v in config.items() if k != "initial"}
         entropy = {"kind": "entropy-diffusion", "sizes": [16, 32],
                    "config": {**config, "snapshot_every": 1}}
@@ -571,7 +607,7 @@ class TestSuiteMemo:
 
     def test_equal_configs_that_are_not_consecutive_run_once(self, tmp_path, monkeypatch):
         keys = counting_runs(monkeypatch)
-        a, b = cell_base([32], t_end=0.004), cell_base([32], t_end=0.002)
+        a, b = unseeded(cell_base([32], t_end=0.004)), unseeded(cell_base([32], t_end=0.002))
         suite = {"name": "s", "checks": [
             {"name": "m", "kind": "morrey", "points": 2, "radii_h": [8, 4], "config": a},
             {"name": "s", "kind": "sup-norm", "config": b},
@@ -611,7 +647,8 @@ class TestSuiteMemo:
             return real(cfg, lambda snap: (fed.append(cfg.name), observe(snap)))
         monkeypatch.setattr(cli, "_MorreyFold", Raising)
         monkeypatch.setattr(cli, "run", counted)
-        a, b = cell_base([32], t_end=0.004), cell_base([32], t_end=0.002, name="b")
+        a, b = (unseeded(cell_base([32], t_end=0.004)),
+                unseeded(cell_base([32], t_end=0.002, name="b")))
         morrey = {"kind": "morrey", "points": 2, "radii_h": [8, 4]}
         suite = {"name": "s", "checks": [{"name": "m", **morrey, "config": a},
                                          {"name": "s", "kind": "sup-norm", "config": a},
@@ -634,7 +671,7 @@ class TestSuiteMemo:
                 raise RuntimeError("run broke")
             return real(cfg, observe)
         monkeypatch.setattr(cli, "run", flaky)
-        a, b = cell_base([32], t_end=0.004), cell_base([32], t_end=0.002)
+        a, b = unseeded(cell_base([32], t_end=0.004)), unseeded(cell_base([32], t_end=0.002))
         suite = {"name": "s", "checks": [
             {"name": "s", "kind": "sup-norm", "config": b},
             {"name": "t", "kind": "tampered-sup", "config": {**b, "name": "t"}},
@@ -672,8 +709,8 @@ class TestSuiteMemo:
             assert [name for name, fold in made if name in judged[-1] and fold()] == []
             return real(cfg, observe)
         monkeypatch.setattr(cli, "run", checked)
-        two = cell_base([32, 32], t_end=0.002, snapshot_every=4)
-        one = cell_base([32], t_end=0.004)
+        two = unseeded(cell_base([32, 32], t_end=0.002, snapshot_every=4))
+        one = unseeded(cell_base([32], t_end=0.004))
         run_suite({"name": "v", "checks": [
             {"name": "c", "kind": "contraction",
              "initial0": {"kind": "mode", "k": [1, 1], "amplitude": 0.5},
@@ -792,7 +829,8 @@ def forbid_runs(monkeypatch):
 
 
 def small_check(name="sup"):
-    return {"name": name, "kind": "sup-norm", "config": heat_doc(size=32, t_end=0.001)}
+    return {"name": name, "kind": "sup-norm",
+            "config": unseeded(heat_doc(size=32, t_end=0.001))}
 
 
 class TestNamesThatBecomePaths:
@@ -1041,6 +1079,15 @@ class TestCheckKeys:
                       "error: bad check 'c': unknown key(s) ['cylindres', 'rr'], "
                       "missing key(s) ['r', 't0']\n")
 
+    @pytest.mark.parametrize("seed", [2, 99])
+    def test_a_seed_in_a_checks_config_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       seed):
+        # a run has one seed, the suite's or --seed; one in a check's config was dropped
+        check = {**small_check("c"), "config": {**small_check()["config"], "seed": seed}}
+        self.rejected(tmp_path, capsys, monkeypatch,
+                      {"name": "s", "seed": 2, "checks": [small_check(), check]},
+                      "error: check 'c': its config may not set 'seed'\n")
+
     def test_the_misspelt_morrey_keys_of_paper_core(self, tmp_path, capsys, monkeypatch):
         suite = paper_core_suite(64)
         morrey = next(c for c in suite["checks"] if c["kind"] == "morrey")
@@ -1172,10 +1219,12 @@ class TestSweepPotentialAxis:
 def frozen_run_cell(base_doc, cell, outdir, seed):
     """The sweep cell as it was composed before cells streamed, kept as an oracle:
     run, then write the trajectory file (encoded here, apart from the program's
-    writer) and the manifest, then entropy_residual_diffusion, then morrey_profile."""
+    writer) and the manifest, then the stored run replayed into the entropy residual
+    fold, then into the Morrey fold."""
     import struct
-    from pelab import (build_entropy, certify_window, entropy_residual_diffusion,
-                       morrey_profile, run, vector_norm, with_resolution)
+    from pelab import build_entropy, certify_window, run, vector_norm, with_resolution
+    from pelab.diagnostics import _diffusion_fold, _MorreyFold
+    from pelab.grid import _replay
     doc = json.loads(json.dumps(base_doc))
     if "potential" in cell:
         doc["potential"].pop("table", None)
@@ -1204,13 +1253,15 @@ def frozen_run_cell(base_doc, cell, outdir, seed):
                terminal_sup=float(vector_norm(traj.final.values).max()))
     pot = cfg.potential
     if cfg.snapshot_every == 1 and cfg.system == "diffusion":
-        rep = entropy_residual_diffusion(traj, pot, build_entropy(pot), certify_window(pot))
+        fold = _diffusion_fold(traj.grid, pot, build_entropy(pot), certify_window(pot))
+        rep = _replay(traj, fold).report(traj, None, "entropy-diffusion")
         row["resid_pos_max"] = rep.values["max_pos"]
         row["resid_abs_max"] = rep.values["max_abs"]
     try:
         h = cfg.grid.h
         center = tuple(0.5 * cfg.grid.extent(a) for a in range(cfg.grid.n))
-        prof = morrey_profile(traj, [(center, cfg.t_end)], [16 * h, 8 * h, 4 * h])[0]
+        fold = _MorreyFold(traj.grid, [(center, cfg.t_end)], [16 * h, 8 * h, 4 * h])
+        prof = _replay(traj, fold).profiles()[0]
         row["morrey_16h"], row["morrey_8h"], row["morrey_4h"] = (v for _, v in prof)
     except ValueError:
         pass
@@ -1604,7 +1655,8 @@ class TestStreamedVerify:
         peaks = []
         for t_end in (0.002, 0.004):   # 57 and 113 steps at 64^2
             suite = {"name": "s", "checks": [{"name": "c", "kind": kind, **extra,
-                                              "config": cell_base([64, 64], t_end=t_end)}]}
+                                              "config": unseeded(cell_base([64, 64],
+                                                                           t_end=t_end))}]}
             run_suite(suite, tmp_path / "warm")   # cached tables
             tracemalloc.start()
             try:
@@ -1620,7 +1672,7 @@ class TestStreamedVerify:
         # morrey and reverse-holder on a 256^2 N=2 run, which a stored path would hold whole
         import tracemalloc
         from pelab.solver import _planned
-        config = cell_base([256, 256], t_end=0.002, components=2, snapshot_every=8)
+        config = unseeded(cell_base([256, 256], t_end=0.002, components=2, snapshot_every=8))
         snapshots = _planned(cli.build_config(config))[2] // 8 + 1
         stored, budget = snapshots * 2 * 256 * 256 * 8, 24 * 2 ** 20
         assert stored > 4 * budget
@@ -1639,7 +1691,9 @@ class TestStreamedVerify:
     @pytest.mark.parametrize("sizes, boundary", [([64], "periodic"), ([65], "dirichlet")])
     def test_streamed_reports_equal_the_monitors_over_stored_runs(self, tmp_path, sizes,
                                                                   boundary):
-        from pelab import certify_window, contraction_report, sup_norm_report
+        from pelab import certify_window
+        from pelab.diagnostics import _ContractionFold, _SupFold
+        from pelab.grid import _replay
 
         def same(got, want):
             assert json.dumps(got.to_json(), sort_keys=True) == \
@@ -1652,11 +1706,13 @@ class TestStreamedVerify:
             return rep
 
         mode = {"kind": "mode", "k": [1], "amplitude": 0.5}
-        config = cell_base(sizes, boundary, t_end=0.005, snapshot_every=4, initial=mode)
+        config = unseeded(cell_base(sizes, boundary, t_end=0.005, snapshot_every=4,
+                                    initial=mode))
         stored = cli.run(cli.build_config(config, 3))
         for kind, plant in (("sup-norm", None), ("tampered-sup", frozen_inflate_final)):
             got = alone(kind, config=config)
-            same(got, sup_norm_report(plant(stored) if plant else stored, name="c"))
+            fed = plant(stored) if plant else stored
+            same(got, _replay(fed, _SupFold()).report(fed, "c"))
             assert got.passed is (plant is None) and (got.witness is None) is got.passed
 
         keys = {"initial0": mode, "initial1": {"kind": "bands", "kmax": 2, "amplitude": 0.4}}
@@ -1668,8 +1724,9 @@ class TestStreamedVerify:
         for kind, plant in (("contraction", None),
                             ("tampered-contraction", frozen_anti_diffuse_middle)):
             got = alone(kind, config=bare, **keys)
-            same(got, contraction_report(run0, plant(run1) if plant else run1, window,
-                                         name="c"))
+            fed = plant(run1) if plant else run1
+            fold = _replay(fed, _replay(run0, _ContractionFold(window), 0), 1)
+            same(got, fold.report(run0, fed, "c"))
             assert got.passed is (plant is None) and (got.witness is None) is got.passed
 
 
@@ -1711,7 +1768,7 @@ class TestReportCommand:
         main(["run", cfg, "--out", str(tmp_path / "out")])
         suite = write_doc(tmp_path, {"name": "s", "checks": [
             {"name": "sup", "kind": "sup-norm",
-             "config": heat_doc(size=64, t_end=0.002)}]}, "suite.json")
+             "config": unseeded(heat_doc(size=64, t_end=0.002))}]}, "suite.json")
         main(["verify", suite, "--out", str(tmp_path / "out")])
         assert main(["report", str(tmp_path / "out")]) == 0
         rows = read_csv(tmp_path / "out" / "report_summary.csv", csv.DictReader)

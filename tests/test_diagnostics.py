@@ -14,15 +14,12 @@ from scipy.sparse.linalg import spsolve
 
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    RangeExcursionError, RunConfig, Trajectory, build_entropy,
-                   certify_window, choose_entropy_params, contraction_report,
-                   cosh_potential, coupled_decomposition,
-                   entropy_residual_coupled, entropy_residual_diffusion,
-                   estimate_ratio_report, h_minus_one_norm,
-                   holder_seminorm, initial_field,
-                   morrey_profile, quadratic,
-                   reverse_holder_report, run, step_diffusion, sup_norm_report,
-                   vector_norm)
-from pelab.diagnostics import _calibration, _diffusion_fold, _MorreyFold
+                   certify_window, choose_entropy_params, cosh_potential,
+                   coupled_decomposition, h_minus_one_norm, holder_seminorm,
+                   initial_field, quadratic, run, step_diffusion, vector_norm)
+from pelab.diagnostics import (_calibration, _ContractionFold, _coupled_fold,
+                               _diffusion_fold, _EstimateFold, _MorreyFold,
+                               _ReverseHolderFold, _SupFold)
 from pelab.grid import _gradient_sq, _laplacian, _replay
 from pelab.potentials import CoupledCoefficients
 from test_grid import fresh_face_divergence, integrals, members, reference_gradient_sq
@@ -237,6 +234,22 @@ def calibrated_K(config):
     return fit(run(cfg, observe).dt)
 
 
+@pytest.mark.parametrize("boundary, initial, bv, above_one", [
+    (PERIODIC, {"kind": "bands", "kmax": 3, "amplitude": 0.5}, None, False),
+    (PERIODIC, {"kind": "bands", "kmax": 3, "amplitude": 0.5, "offset": [1.7]}, None, True),
+    (DIRICHLET, {"kind": "mode", "k": [1], "amplitude": 0.1}, (1.5,), True)])
+def test_the_calibration_range_covers_the_runs_initial_state(boundary, initial, bv,
+                                                             above_one):
+    # max(2, 2 sup|u0|) of the state the run starts from, its Dirichlet ring included
+    grid = pgrid(32) if boundary == PERIODIC else dgrid(33)
+    config = RunConfig(grid=grid, n_components=1, potential=cosh_potential(3.0), t_end=1e-3,
+                       initial=initial, seed=5, boundary_values=bv)
+    cfg, observe, fit = _calibration(config)
+    sup = float(vector_norm(run(replace(config, t_end=0.0)).final.values).max())
+    assert (sup > 1.0) is above_one and cfg.potential.r_max == max(2.0, 2.0 * sup)
+    assert fit(run(cfg, observe).dt) > 0.0
+
+
 def morrey_verdict(traj, points, radii, g=None, decay_factor=0.5):
     """The morrey check's verdict on a stored trajectory."""
     return _replay(traj, _MorreyFold(traj.grid, points, radii, g)).report(traj, decay_factor)
@@ -252,7 +265,8 @@ class TestContraction:
     def test_identical_trajectories_pass_with_zero_distance(self):
         p = cosh_potential(1.0)
         t = dirichlet_run(p, 64, {"kind": "mode", "k": [1], "amplitude": 0.5})
-        rep = contraction_report(t, t, certify_window(p))
+        fold = _replay(t, _ContractionFold(certify_window(p)), 0)
+        rep = _replay(t, fold, 1).report(t, t, "contraction")
         assert rep.passed
         assert np.all(rep.values["d"] == 0.0)
 
@@ -262,7 +276,8 @@ class TestContraction:
                            t_end=0.05, every=25)
         tb = dirichlet_run(q, 128, {"kind": "mode", "k": [1], "amplitude": 0.3},
                            t_end=0.05, every=25)
-        rep = contraction_report(ta, tb, certify_window(q))
+        fold = _replay(ta, _ContractionFold(certify_window(q)), 0)
+        rep = _replay(tb, fold, 1).report(ta, tb, "contraction")
         assert rep.passed
         d = rep.values["d"]
         assert d[-1] / d[0] == pytest.approx(math.exp(-math.pi ** 2 * 0.05), rel=0.02)
@@ -279,7 +294,8 @@ class TestContraction:
         snaps[k] = FieldState(grid=grown.grid, values=grown.values, t=snaps[k].t,
                               boundary_values=grown.boundary_values)
         tampered = Trajectory(snapshots=tuple(snaps), dt=tb.dt, meta=tb.meta)
-        rep = contraction_report(ta, tampered, certify_window(p))
+        fold = _replay(ta, _ContractionFold(certify_window(p)), 0)
+        rep = _replay(tampered, fold, 1).report(ta, tampered, "contraction")
         assert not rep.passed
         assert rep.witness["step"] == k
 
@@ -288,7 +304,8 @@ class TestContraction:
         ta = dirichlet_run(p, 64, {"kind": "mode", "k": [1], "amplitude": 0.5})
         tb = dirichlet_run(p, 32, {"kind": "mode", "k": [1], "amplitude": 0.5})
         with pytest.raises(ValueError, match="mismatched"):
-            contraction_report(ta, tb, certify_window(p))
+            fold = _replay(ta, _ContractionFold(certify_window(p)), 0)
+            _replay(tb, fold, 1).report(ta, tb, "contraction")
 
     def test_periodic_path(self):
         p = cosh_potential(1.0)
@@ -297,7 +314,9 @@ class TestContraction:
             grid=g, n_components=1, potential=p, t_end=0.01, snapshot_every=10,
             initial={"kind": "bands", "kmax": 2, "amplitude": 0.4},
             seed=seed))
-        rep = contraction_report(mk(1), mk(2), certify_window(p))
+        ta, tb = mk(1), mk(2)
+        fold = _replay(ta, _ContractionFold(certify_window(p)), 0)
+        rep = _replay(tb, fold, 1).report(ta, tb, "contraction")
         assert rep.passed
 
 
@@ -315,7 +334,8 @@ class TestContraction:
         norm = diagnostics.h_minus_one_norm
         monkeypatch.setattr(diagnostics, "h_minus_one_norm",
                             lambda values, grid: (calls.append(grid), norm(values, grid))[1])
-        rep = contraction_report(ta, tb, certify_window(p))
+        fold = _replay(ta, _ContractionFold(certify_window(p)), 0)
+        rep = _replay(tb, fold, 1).report(ta, tb, "contraction")
         assert calls == [g] * len(ta.snapshots) and len(ta.snapshots) > 5
         # the same numbers as the norm taken snapshot by snapshot
         want = [norm(b.values - a.values, g) for a, b in zip(ta.snapshots, tb.snapshots)]
@@ -326,7 +346,7 @@ class TestSupNorm:
     def test_constant_state_equality(self):
         g = pgrid(32)
         traj = stationary(g, np.full((1, 32), 0.7))
-        rep = sup_norm_report(traj)
+        rep = _replay(traj, _SupFold()).report(traj, "sup-norm")
         assert rep.passed
         assert np.all(rep.values["sup"] == rep.values["bound"])
 
@@ -335,7 +355,8 @@ class TestSupNorm:
         vals = np.full((1, 32), 0.5)
         snaps = [FieldState(grid=g, values=vals, t=0.0),
                  FieldState(grid=g, values=1.2 * vals, t=1e-4)]
-        rep = sup_norm_report(Trajectory(snapshots=tuple(snaps), dt=1e-4))
+        traj = Trajectory(snapshots=tuple(snaps), dt=1e-4)
+        rep = _replay(traj, _SupFold()).report(traj, "sup-norm")
         assert not rep.passed
         assert rep.witness["snapshot"] == 1
         assert "location" in rep.witness
@@ -354,7 +375,8 @@ class TestEntropyResiduals:
         traj = stationary(g, np.full((1, 32), 0.4), dt=1e-5)
         traj = Trajectory(snapshots=traj.snapshots, dt=1e-5)
         p = cosh_potential(1.0)
-        rep = entropy_residual_diffusion(traj, p, build_entropy(p), certify_window(p))
+        fold = _diffusion_fold(traj.grid, p, build_entropy(p), certify_window(p))
+        rep = _replay(traj, fold).report(traj, None, "entropy-diffusion")
         assert rep.values["max_abs"] < 1e-12
 
     def test_quadratic_positive_part_below_scheme_scale(self):
@@ -363,7 +385,8 @@ class TestEntropyResiduals:
                         snapshot_every=1, cfl_sigma=0.9,
                         initial={"kind": "bands", "kmax": 3, "amplitude": 0.5}, seed=11)
         traj = run(cfg)
-        rep = entropy_residual_diffusion(traj, q, build_entropy(q), certify_window(q))
+        fold = _diffusion_fold(traj.grid, q, build_entropy(q), certify_window(q))
+        rep = _replay(traj, fold).report(traj, None, "entropy-diffusion")
         h, dt = traj.grid.h, traj.dt
         # the aligned forward difference makes the positive part cancel to rounding
         assert rep.values["max_pos"] <= 1e-12
@@ -377,8 +400,8 @@ class TestEntropyResiduals:
         traj = run(cfg)
         p = cosh_potential(1.0)
         tau = K * (traj.grid.h ** 2 + traj.dt)
-        rep = entropy_residual_diffusion(traj, p, build_entropy(p),
-                                         certify_window(p), tau=tau)
+        fold = _diffusion_fold(traj.grid, p, build_entropy(p), certify_window(p))
+        rep = _replay(traj, fold).report(traj, tau, "entropy-diffusion")
         assert rep.passed
         assert rep.values["max_pos"] <= tau
 
@@ -390,8 +413,8 @@ class TestEntropyResiduals:
         rev = tuple(FieldState(grid=s.grid, values=s.values, t=traj.snapshots[k].t)
                     for k, s in enumerate(reversed(traj.snapshots)))
         back = Trajectory(snapshots=rev, dt=traj.dt)
-        rep = entropy_residual_diffusion(back, p, build_entropy(p), certify_window(p),
-                                         tau=1e-3)
+        fold = _diffusion_fold(back.grid, p, build_entropy(p), certify_window(p))
+        rep = _replay(back, fold).report(back, 1e-3, "entropy-diffusion")
         assert not rep.passed
         assert rep.values["max_pos"] > 1.0
         assert rep.witness is not None
@@ -403,7 +426,8 @@ class TestEntropyResiduals:
         traj = run(cfg)
         p = cosh_potential(1.0)
         with pytest.raises(ValueError, match="consecutive"):
-            entropy_residual_diffusion(traj, p, build_entropy(p), certify_window(p))
+            fold = _diffusion_fold(traj.grid, p, build_entropy(p), certify_window(p))
+            _replay(traj, fold).report(traj, None, "entropy-diffusion")
 
     def test_coupled_residual_zero_on_constant(self):
         p = cosh_potential(1.0)
@@ -411,7 +435,8 @@ class TestEntropyResiduals:
         g = pgrid(32)
         traj = stationary(g, np.full((1, 32), 0.5), dt=1e-5)
         pars = choose_entropy_params(cc, 1, 1)
-        rep = entropy_residual_coupled(traj, cc, pars.s, pars.c)
+        fold = _coupled_fold(traj.grid, cc, pars.s, pars.c)
+        rep = _replay(traj, fold).report(traj, None, "entropy-coupled")
         assert rep.values["max_abs"] < 1e-12
 
     def test_coupled_residual_on_offset_run(self):
@@ -420,14 +445,16 @@ class TestEntropyResiduals:
         p = cosh_potential(1.0)
         cc = coupled_decomposition(p)
         pars = choose_entropy_params(cc, 1, 1)
-        rep = entropy_residual_coupled(traj, cc, pars.s, pars.c, tau=1e-6)
+        fold = _coupled_fold(traj.grid, cc, pars.s, pars.c)
+        rep = _replay(traj, fold).report(traj, 1e-6, "entropy-coupled")
         assert rep.passed
 
     def test_coupled_zero_H_routed_to_diffusion_check(self):
         g = pgrid(32)
         traj = stationary(g, np.full((1, 32), 0.2), dt=1e-5)
         with pytest.raises(ValueError, match="diffusion entropy check"):
-            entropy_residual_coupled(traj, coupled_decomposition(quadratic()), 1.0, 0.5)
+            fold = _coupled_fold(traj.grid, coupled_decomposition(quadratic()), 1.0, 0.5)
+            _replay(traj, fold).report(traj, None, "entropy-coupled")
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_range_abort_names_the_first_offending_snapshot(self, coupled):
@@ -442,9 +469,11 @@ class TestEntropyResiduals:
             if coupled:
                 cc = coupled_decomposition(p)
                 pars = choose_entropy_params(cc, 1, 1)
-                entropy_residual_coupled(traj, cc, pars.s, pars.c)
+                fold = _coupled_fold(traj.grid, cc, pars.s, pars.c)
+                _replay(traj, fold).report(traj, None, "entropy-coupled")
             else:
-                entropy_residual_diffusion(traj, p, build_entropy(p), certify_window(p))
+                fold = _diffusion_fold(traj.grid, p, build_entropy(p), certify_window(p))
+                _replay(traj, fold).report(traj, None, "entropy-diffusion")
         assert exc.value.location == (7,)
         assert exc.value.t == 2e-5
         assert "1.25" in str(exc.value)
@@ -463,8 +492,8 @@ class TestEntropyResiduals:
                                      "amplitude": 0.4 * pot.r_max},
                             seed=2)
             traj = run(cfg)
-            rep = entropy_residual_diffusion(traj, pot, build_entropy(pot),
-                                             certify_window(pot))
+            fold = _diffusion_fold(traj.grid, pot, build_entropy(pot), certify_window(pot))
+            rep = _replay(traj, fold).report(traj, None, "entropy-diffusion")
             pos[size] = (rep.values["max_pos"], rep.values["max_abs"])
         floor = 1e-12 * max(1.0, pos[64][1])
         assert pos[64][0] <= max(0.5 * pos[32][0], floor)
@@ -501,7 +530,8 @@ class TestResidualPassParity:
         if coupled:
             cc = coupled_decomposition(p)
             pars = choose_entropy_params(cc, g.n, nc)
-            rep = entropy_residual_coupled(traj, cc, pars.s, pars.c)
+            fold = _coupled_fold(traj.grid, cc, pars.s, pars.c)
+            rep = _replay(traj, fold).report(traj, None, "entropy-coupled")
 
             def spatial(v_now, snap):
                 r = vector_norm(snap.values)
@@ -513,7 +543,8 @@ class TestResidualPassParity:
                                                     + np.zeros(g.sizes))), spatial, pars.c)
         else:
             ent, window = build_entropy(p), certify_window(p)
-            rep = entropy_residual_diffusion(traj, p, ent, window)
+            fold = _diffusion_fold(traj.grid, p, ent, window)
+            rep = _replay(traj, fold).report(traj, None, "entropy-diffusion")
             res = frozen_residuals(
                 traj, lambda snap: p.phi(vector_norm(snap.values)),
                 lambda q, snap: _laplacian(ent.gamma(q), g), window.lam ** 2)
@@ -628,8 +659,9 @@ class TestMorrey:
     def test_zero_integrand(self):
         g = pgrid(64)
         traj = stationary(g, np.zeros((1, 64)), n_snaps=40, dt=1e-4)
-        [prof] = morrey_profile(traj, [((0.5,), traj.times[-1])], [16 * g.h, 8 * g.h],
-                                g=lambda s: np.zeros(g.sizes))
+        fold = _MorreyFold(traj.grid, [((0.5,), traj.times[-1])], [16 * g.h, 8 * g.h],
+                           g=lambda s: np.zeros(g.sizes))
+        [prof] = _replay(traj, fold).profiles()
         assert all(v == 0.0 for _, v in prof)
 
     def test_linear_profile_closed_form(self):
@@ -646,7 +678,7 @@ class TestMorrey:
             q = Cylinder(center=(0.25,), t0=t0, R=R)  # ball avoids both peaks
             mask, idx = members(traj, q)
             expected = a * a * mask.sum() * len(idx) * gp.h * (traj.times[1] - traj.times[0]) / R
-            [prof] = morrey_profile(traj, [((0.25,), t0)], [R])
+            [prof] = _replay(traj, _MorreyFold(traj.grid, [((0.25,), t0)], [R])).profiles()
             assert prof[0][1] == pytest.approx(expected, rel=1e-13)
             got[R] = prof[0][1]
         # halving R quarters the quotient up to discrete-count granularity
@@ -660,7 +692,8 @@ class TestMorrey:
                         initial={"kind": "bands", "kmax": 3, "amplitude": 0.5}, seed=11)
         traj = run(cfg)
         h = traj.grid.h
-        [prof] = morrey_profile(traj, [((0.37,), 0.02)], [16 * h, 8 * h, 4 * h])
+        fold = _MorreyFold(traj.grid, [((0.37,), 0.02)], [16 * h, 8 * h, 4 * h])
+        [prof] = _replay(traj, fold).profiles()
         vals = [v for _, v in prof]
         assert vals[0] > vals[1] > vals[2]
 
@@ -676,8 +709,8 @@ class TestMorrey:
             FieldState(grid=s.grid, values=np.einsum("ij,j...->i...", R, s.values),
                        t=s.t) for s in traj.snapshots), dt=traj.dt)
         h = traj.grid.h
-        [a] = morrey_profile(traj, [((0.5,), 0.01)], [8 * h, 4 * h])
-        [b] = morrey_profile(rot, [((0.5,), 0.01)], [8 * h, 4 * h])
+        [a] = _replay(traj, _MorreyFold(traj.grid, [((0.5,), 0.01)], [8 * h, 4 * h])).profiles()
+        [b] = _replay(rot, _MorreyFold(rot.grid, [((0.5,), 0.01)], [8 * h, 4 * h])).profiles()
         for (_, va), (_, vb) in zip(a, b):
             assert va == pytest.approx(vb, abs=1e-10)
 
@@ -685,7 +718,7 @@ class TestMorrey:
         g = pgrid(64)
         traj = stationary(g, np.zeros((1, 64)), n_snaps=10)
         with pytest.raises(ValueError, match="4h"):
-            morrey_profile(traj, [((0.5,), traj.times[-1])], [2 * g.h])
+            _replay(traj, _MorreyFold(traj.grid, [((0.5,), traj.times[-1])], [2 * g.h])).profiles()
 
     def test_report_aggregates_points(self):
         g = pgrid(64)
@@ -704,8 +737,9 @@ class TestMorrey:
         traj = run(cfg)
         g = traj.grid
         g4 = lambda s: _gradient_sq(s.values, s.grid) ** 2
-        [prof] = morrey_profile(traj, [((0.4,), 0.02)], [16 * g.h, 8 * g.h, 4 * g.h],
-                                g=g4, exponent=g.n - 2)
+        fold = _MorreyFold(traj.grid, [((0.4,), 0.02)], [16 * g.h, 8 * g.h, 4 * g.h],
+                           g=g4, exponent=g.n - 2)
+        [prof] = _replay(traj, fold).profiles()
         vals = [v for _, v in prof]
         assert all(v >= 0 for v in vals)
         assert vals[-1] < vals[0]
@@ -716,7 +750,7 @@ class TestReverseHolder:
         g = pgrid(64)
         traj = stationary(g, np.full((1, 64), 0.3), n_snaps=30)
         cyl = [Cylinder(center=(0.5,), t0=traj.times[-1], R=4 * g.h)]
-        rep = reverse_holder_report(traj, cyl)
+        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyl, 2.5)).report(traj)
         assert rep.passed
         assert rep.values["skipped"] == 1
 
@@ -728,7 +762,7 @@ class TestReverseHolder:
         u = (2.5 * np.minimum(x, 1.0 - x))[None]
         traj = stationary(g, u, n_snaps=30)
         cyl = [Cylinder(center=(0.25,), t0=traj.times[-1], R=5 * g.h)]
-        rep = reverse_holder_report(traj, cyl, p=2.5)
+        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyl, 2.5)).report(traj)
         assert rep.values["ratios"][0] == pytest.approx(1.0, rel=1e-12)
 
     def test_stability_against_reference(self):
@@ -743,9 +777,10 @@ class TestReverseHolder:
         rng = np.random.default_rng(7)
         cyls = [Cylinder(center=(float(rng.uniform(0, 1)),), t0=0.02, R=0.032)
                 for _ in range(20)]
-        coarse = reverse_holder_report(mk(128), cyls)
-        fine = reverse_holder_report(mk(256), cyls,
-                                     reference=coarse.values["max_ratio"])
+        t128, t256 = mk(128), mk(256)
+        coarse = _replay(t128, _ReverseHolderFold(t128.grid, cyls, 2.5)).report(t128)
+        fine = _replay(t256, _ReverseHolderFold(t256.grid, cyls, 2.5)).report(
+            t256, reference=coarse.values["max_ratio"])
         assert fine.passed
         assert abs(fine.values["max_ratio"] - coarse.values["max_ratio"]) \
             <= 0.2 * coarse.values["max_ratio"]
@@ -754,7 +789,7 @@ class TestReverseHolder:
         g = pgrid(64)
         traj = stationary(g, np.zeros((1, 64)), n_snaps=10)
         with pytest.raises(ValueError, match="exceed 2"):
-            reverse_holder_report(traj, [], p=2.0)
+            _replay(traj, _ReverseHolderFold(traj.grid, [], 2.0)).report(traj)
 
 
 class TestEstimateRatios:
@@ -764,7 +799,7 @@ class TestEstimateRatios:
         p = cosh_potential(1.0)
         pairs = [(Cylinder(center=(0.5,), t0=traj.times[-2], R=8 * g.h),
                   Cylinder(center=(0.5,), t0=traj.times[-2], R=16 * g.h))]
-        rep = estimate_ratio_report(traj, p, pairs)
+        rep = _replay(traj, _EstimateFold(traj.grid, p, pairs)).report(traj)
         assert rep.passed
         assert all(v == 0.0 for v in rep.values["maxima"].values())
 
@@ -778,7 +813,7 @@ class TestEstimateRatios:
         g = traj.grid
         small = Cylinder(center=(0.5,), t0=0.008, R=0.05)
         big = Cylinder(center=(0.5,), t0=0.008, R=0.1)
-        rep = estimate_ratio_report(traj, q, [(small, big)])
+        rep = _replay(traj, _EstimateFold(traj.grid, q, [(small, big)])).report(traj)
 
         from pelab import grad_Phi_field, hessian_sq
         spacing = traj.times[1] - traj.times[0]
@@ -820,9 +855,10 @@ class TestEstimateRatios:
 
         pairs = [(Cylinder(center=(0.45,), t0=0.018, R=0.05),
                   Cylinder(center=(0.45,), t0=0.018, R=0.1))]
-        coarse = estimate_ratio_report(mk(128), p, pairs)
-        fine = estimate_ratio_report(mk(256), p, pairs,
-                                     reference=coarse.values["maxima"])
+        t128, t256 = mk(128), mk(256)
+        coarse = _replay(t128, _EstimateFold(t128.grid, p, pairs)).report(t128)
+        fine = _replay(t256, _EstimateFold(t256.grid, p, pairs)).report(
+            t256, reference=coarse.values["maxima"])
         assert fine.passed
 
     def test_final_time_cylinder_rejected(self):
@@ -832,7 +868,7 @@ class TestEstimateRatios:
         pairs = [(Cylinder(center=(0.5,), t0=traj.times[-1], R=8 * g.h),
                   Cylinder(center=(0.5,), t0=traj.times[-1], R=16 * g.h))]
         with pytest.raises(ValueError, match="successor"):
-            estimate_ratio_report(traj, p, pairs)
+            _replay(traj, _EstimateFold(traj.grid, p, pairs)).report(traj)
 
 
 # Frozen copies of the cylinder loops that the cylinder fold replaced: the
@@ -926,10 +962,11 @@ class TestCylinderIntegralParity:
         point = (self.center(traj), traj.times[-1])
         radii = [0.23, 0.13]  # not powers of two, so 1/R^n rounds
         grad = lambda s: _gradient_sq(s.values, s.grid)  # noqa: E731
-        assert morrey_profile(traj, [point], radii) == \
+        assert _replay(traj, _MorreyFold(traj.grid, [point], radii)).profiles() == \
             [reference_morrey_profile(traj, point, radii, grad, traj.grid.n)]
         g4 = lambda s: _gradient_sq(s.values, s.grid) ** 2  # noqa: E731
-        assert morrey_profile(traj, [point], radii, g=g4, exponent=traj.grid.n - 2) == \
+        fold = _MorreyFold(traj.grid, [point], radii, g=g4, exponent=traj.grid.n - 2)
+        assert _replay(traj, fold).profiles() == \
             [reference_morrey_profile(traj, point, radii, g4, traj.grid.n - 2)]
 
     @pytest.mark.parametrize("p", [2.5, 4.0])  # L^p power 1.25 and 2
@@ -946,7 +983,7 @@ class TestCylinderIntegralParity:
             rhs2 = reference_cyl_mean(traj, big, grad2)
             lhs = reference_cyl_mean(traj, q, grad2, power=0.5 * p) ** (1.0 / p)
             expected.append(lhs / math.sqrt(rhs2))
-        rep = reverse_holder_report(traj, cyls, p=p)
+        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyls, p)).report(traj)
         assert np.array_equal(rep.values["ratios"], np.array(expected))
 
     def test_estimate_ratios_match_the_frozen_integral(self, traj):
@@ -954,7 +991,7 @@ class TestCylinderIntegralParity:
         p = cosh_potential(1.0)
         small = Cylinder(center=self.center(traj), t0=traj.times[-2], R=0.125)
         big = Cylinder(center=self.center(traj), t0=traj.times[-2], R=0.25)
-        rep = estimate_ratio_report(traj, p, [(small, big)])
+        rep = _replay(traj, _EstimateFold(traj.grid, p, [(small, big)])).report(traj)
         spacing = traj.times[1] - traj.times[0]
 
         def grad2(k):
@@ -1019,7 +1056,8 @@ class TestOnePassPerWindow:
             return _gradient_sq(snap.values, snap.grid)
 
         h, t0 = traj.grid.h, traj.times[-5]
-        [prof] = morrey_profile(traj, [((0.5, 0.5), t0)], [4 * h, 8 * h, 6 * h], g=g)
+        fold = _MorreyFold(traj.grid, [((0.5, 0.5), t0)], [4 * h, 8 * h, 6 * h], g=g)
+        [prof] = _replay(traj, fold).profiles()
         assert [R for R, _ in prof] == [8 * h, 6 * h, 4 * h]
         window = members(traj, Cylinder(center=(0.5, 0.5), t0=t0, R=8 * h))[1]
         assert 0 < window[0] and window[-1] == len(traj.snapshots) - 5   # a strict part
@@ -1052,7 +1090,7 @@ class TestOnePassPerWindow:
 
     def test_reverse_holder_reads_each_snapshot_once(self, traj, passes):
         cyls = [Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.1) for k in (40, 60)]
-        rep = reverse_holder_report(traj, cyls)
+        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyls, 2.5)).report(traj)
         assert len(rep.values["ratios"]) == 2
         [(cylinders, read)] = passes
         bigs = [Cylinder(center=q.center, t0=q.t0, R=4 * q.R) for q in cyls]
@@ -1062,7 +1100,7 @@ class TestOnePassPerWindow:
     def test_estimate_ratios_read_each_snapshot_once_per_field(self, traj, passes):
         pairs = [(Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.1),
                   Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.2)) for k in (70, 50)]
-        estimate_ratio_report(traj, cosh_potential(1.0), pairs)
+        _replay(traj, _EstimateFold(traj.grid, cosh_potential(1.0), pairs)).report(traj)
         smalls, bigs = [s for s, _ in pairs], [b for _, b in pairs]
         assert [c for c, _ in passes] == [[bigs[0], smalls[0], bigs[1], smalls[1]],
                                           smalls, smalls]   # |grad u|^2, |u_t|^2, hessian
@@ -1090,10 +1128,11 @@ class TestOnePassPerWindow:
 
         def report(traj):
             if monitor == "reverse-holder":
-                return reverse_holder_report(traj, [Cylinder((0.5, 0.5), t0, 0.1)])
-            return estimate_ratio_report(traj, cosh_potential(1.0),
-                                         [(Cylinder((0.5, 0.5), t0, 0.1),
-                                           Cylinder((0.5, 0.5), t0, 0.2))])
+                fold = _ReverseHolderFold(traj.grid, [Cylinder((0.5, 0.5), t0, 0.1)], 2.5)
+                return _replay(traj, fold).report(traj)
+            pairs = [(Cylinder((0.5, 0.5), t0, 0.1), Cylinder((0.5, 0.5), t0, 0.2))]
+            fold = _EstimateFold(traj.grid, cosh_potential(1.0), pairs)
+            return _replay(traj, fold).report(traj)
 
         peaks = []
         for traj in runs:
@@ -1324,6 +1363,6 @@ class TestOneGradientPath:
         radii = [8 * g.h, 4 * g.h]
         one_sided = lambda s: reference_gradient_sq(s.values, s.grid)  # noqa: E731
         assert one_sided(traj.snapshots[0])[g.boundary_mask].any()
-        got = morrey_profile(traj, pts, radii)
-        assert got == morrey_profile(traj, pts, radii, g=one_sided)
+        got = _replay(traj, _MorreyFold(traj.grid, pts, radii)).profiles()
+        assert got == _replay(traj, _MorreyFold(traj.grid, pts, radii, g=one_sided)).profiles()
         assert min(v for prof in got for _, v in prof) > 0.0

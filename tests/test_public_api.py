@@ -10,15 +10,12 @@ PUBLIC = {
     "EllipticityWindow", "EntropyData", "FieldState", "GridSpec", "PERIODIC",
     "RadialPotential", "RangeExcursionError", "RunConfig", "Trajectory",
     "build_entropy", "builtin_ids", "certify_window", "cfl_dt", "choose_entropy_params",
-    "config_hash", "contraction_report", "cosh_potential",
-    "coupled_decomposition", "entropy_residual_coupled", "entropy_residual_diffusion",
-    "estimate_ratio_report", "from_piecewise_poly", "get_potential", "grad_Phi",
+    "config_hash", "cosh_potential", "coupled_decomposition",
+    "from_piecewise_poly", "get_potential", "grad_Phi",
     "grad_Phi_field", "h_minus_one_norm", "hessian_Phi",
     "hessian_sq", "holder_seminorm", "initial_field", "invert_phi",
-    "morrey_profile", "quadratic", "quartic",
-    "radial_slope", "read_snapshot",
-    "reverse_holder_report", "run", "smoothed_porous", "step_diffusion",
-    "sup_norm_report", "vector_norm",
+    "quadratic", "quartic", "radial_slope", "read_snapshot",
+    "run", "smoothed_porous", "step_diffusion", "vector_norm",
     "with_resolution",
 }
 
@@ -41,7 +38,6 @@ PARAMETERS = {
     "holder_seminorm": ("snap", "alpha", "band"),
     "h_minus_one_norm": ("values", "grid"),
     "cfl_dt": ("grid", "Lam", "sigma"),
-    "morrey_profile": ("traj", "points", "radii", "g", "exponent"),
     "radial_slope": ("p", "r"),
     "initial_field": ("grid", "n_components", "spec", "seed"),
 }
@@ -55,12 +51,17 @@ def test_parameter_lists_are_pinned():
         assert tuple(inspect.signature(fn).parameters) == want, name
 
 
-# Removed second entry points of a kernel, fold, writer or norm: the program runs each
-# through one path, and a twin that only tests call does not come back.
+# Removed second entry points of a kernel, fold, monitor, writer or norm: the program
+# runs each through one path, and a twin that only tests call does not come back.  The
+# Trajectory-form monitors replayed a stored run into the fold that a suite feeds as
+# its run goes; the tests replay one with `grid._replay`.
 REMOVED = {
     "grid": ("laplacian", "gradient_sq", "face_divergence", "cylinder_integrals",
              "cylinder_members", "write_snapshot"),
-    "diagnostics": ("morrey_report", "calibrate_residual_constant", "_h_minus_one_norm"),
+    "diagnostics": ("morrey_report", "calibrate_residual_constant", "_h_minus_one_norm",
+                    "contraction_report", "sup_norm_report", "entropy_residual_diffusion",
+                    "entropy_residual_coupled", "morrey_profile", "reverse_holder_report",
+                    "estimate_ratio_report"),
 }
 
 
@@ -70,5 +71,26 @@ def test_the_removed_twins_stay_removed():
     for module, names in REMOVED.items():
         mod = importlib.import_module(f"pelab.{module}")
         assert [n for n in names if hasattr(mod, n)] == [], module
+        if module == "diagnostics":   # nor re-exported by the package
+            assert [n for n in names if hasattr(pelab, n)] == []
     assert not hasattr(pelab.Trajectory, "snapshot_dt")
     assert not hasattr(pelab.diagnostics._ContractionFold(None), "mu")
+
+
+def test_the_demos_import_no_private_name_of_pelab():
+    # a demo shows the product path: what the CLI and the public API offer
+    import ast
+    from pathlib import Path
+
+    private = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pelab":
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names if a.name.split(".")[0] == "pelab"]
+            else:
+                continue
+            private += [f"{path.name}: {n}" for n in names
+                        if any(part.startswith("_") for part in n.split("."))]
+    assert private == []
