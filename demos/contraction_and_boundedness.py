@@ -12,7 +12,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from pelab.cli import run_suite
+from pelab.checks import run_suite
 
 size = 128
 

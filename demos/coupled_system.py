@@ -18,7 +18,7 @@ import numpy as np
 
 from pelab import (GridSpec, RunConfig, choose_entropy_params, cosh_potential,
                    coupled_decomposition, run)
-from pelab.cli import run_suite
+from pelab.checks import run_suite
 
 pot = cosh_potential(1.0)
 cc = coupled_decomposition(pot)

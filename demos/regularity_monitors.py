@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from pelab import GridSpec, RunConfig, cosh_potential, holder_seminorm, run
-from pelab.cli import paper_core_suite, run_suite
+from pelab.checks import paper_core_suite, run_suite
 
 suite = paper_core_suite(128)
 suite["checks"] = [c for c in suite["checks"]

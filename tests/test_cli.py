@@ -15,9 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pelab.checks as checks
 import pelab.cli as cli
+import pelab.documents as documents
 from pelab import config_hash, read_snapshot
-from pelab.cli import main, paper_core_suite, run_suite
+from pelab.checks import paper_core_suite, run_suite
+from pelab.cli import main
 
 
 def heat_doc(name="heat-sin", size=128, t_end=0.01):
@@ -124,9 +127,9 @@ class TestRunConfigKeys:
 
     def test_every_key_is_covered(self):
         from pelab.solver import _FAMILIES
-        sections = {"": cli._run_config, "grid.": cli._grid, "potential.": cli.build_potential}
-        keys = {at + k for at, fn in sections.items() for k in cli._keywords(fn)}
-        keys |= {f"{kind}.{k}" for kind, fn in _FAMILIES.items() for k in cli._keywords(fn)}
+        sections = {"": documents._run_config, "grid.": documents._grid, "potential.": documents.build_potential}
+        keys = {at + k for at, fn in sections.items() for k in documents._keywords(fn)}
+        keys |= {f"{kind}.{k}" for kind, fn in _FAMILIES.items() for k in documents._keywords(fn)}
         assert {key if kind is None else f"{kind}.{key.split('.')[1]}"
                 for kind, key, *_ in RUN_WRONG_TYPES.values()} == keys
 
@@ -146,8 +149,8 @@ class TestRunConfigKeys:
         doc = {**heat_doc(), "t_end": 1, "cfl_sigma": 1, "dt_override": 1 / 1024}
         doc["grid"]["h"] = 1
         as_floats = {**doc, "t_end": 1.0, "cfl_sigma": 1.0, "grid": {**doc["grid"], "h": 1.0}}
-        assert cli.build_config(doc).describe() == cli.build_config(as_floats).describe()
-        assert json.dumps(cli.build_config(doc).describe()["t_end"]) == "1.0"
+        assert documents.build_config(doc).describe() == documents.build_config(as_floats).describe()
+        assert json.dumps(documents.build_config(doc).describe()["t_end"]) == "1.0"
 
 
 class TestRunCommand:
@@ -259,11 +262,11 @@ class TestRunCommand:
 
     def test_built_in_suites_and_the_initial_section_use_no_unknown_key(self, tmp_path, capsys):
         # a run has one seed, its `seed` or --seed: a `seed` inside `initial` is refused
-        for suite in (paper_core_suite(64), cli.negative_control_suite(64)):
+        for suite in (paper_core_suite(64), checks.negative_control_suite(64)):
             for check in suite["checks"]:
                 for initial in [check[k] for k in ("initial0", "initial1") if k in check]:
-                    cli.build_config({**check["config"], "initial": initial})
-                cli.build_config(check["config"])
+                    documents.build_config({**check["config"], "initial": initial})
+                documents.build_config(check["config"])
         doc = heat_doc()
         doc["initial"]["seed"] = 99
         assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
@@ -309,7 +312,7 @@ class TestRunCommand:
         # entered the description
         doc = heat_doc()
         doc["potential"] = {"id": pid}
-        described = cli.build_config(doc).describe()
+        described = documents.build_config(doc).describe()
         assert set(described["potential"]) == {"id", "r_max"}
         assert config_hash(described) == digest
 
@@ -542,19 +545,19 @@ def contraction_config():
 
 
 def counting_runs(monkeypatch):
-    """Record the name-free hash of every config `cli.run` integrates."""
-    keys, real = [], cli.run
+    """Record the name-free hash of every config `checks.run` integrates."""
+    keys, real = [], checks.run
 
     def counted(cfg, observe=None):
         keys.append(config_hash({**cfg.describe(), "name": None}))
         return real(cfg, observe)
-    monkeypatch.setattr(cli, "run", counted)
+    monkeypatch.setattr(checks, "run", counted)
     return keys
 
 
 def bare_key(doc, seed, size=None):
     """The key a suite runs a config under: its description without the name."""
-    cfg = cli.build_config(doc, seed)
+    cfg = documents.build_config(doc, seed)
     cfg = cfg if size is None else cli.with_resolution(cfg, size)
     return config_hash({**cfg.describe(), "name": None})
 
@@ -635,9 +638,9 @@ class TestSuiteMemo:
 
     def test_a_raising_fold_fails_only_its_check_and_an_idle_run_stops(self, tmp_path,
                                                                        monkeypatch):
-        fed, real = [], cli.run
+        fed, real = [], checks.run
 
-        class Raising(cli._MorreyFold):
+        class Raising(checks._MorreyFold):
             def feed(self, snap):
                 if snap.t > 0.0:
                     raise RuntimeError("fold broke")
@@ -645,8 +648,8 @@ class TestSuiteMemo:
 
         def counted(cfg, observe=None):
             return real(cfg, lambda snap: (fed.append(cfg.name), observe(snap)))
-        monkeypatch.setattr(cli, "_MorreyFold", Raising)
-        monkeypatch.setattr(cli, "run", counted)
+        monkeypatch.setattr(checks, "_MorreyFold", Raising)
+        monkeypatch.setattr(checks, "run", counted)
         a, b = (unseeded(cell_base([32], t_end=0.004)),
                 unseeded(cell_base([32], t_end=0.002, name="b")))
         morrey = {"kind": "morrey", "points": 2, "radii_h": [8, 4]}
@@ -664,13 +667,13 @@ class TestSuiteMemo:
 
     def test_a_raising_run_fails_every_check_on_it(self, tmp_path, monkeypatch):
         keys = counting_runs(monkeypatch)
-        real = cli.run
+        real = checks.run
 
         def flaky(cfg, observe=None):
             if cfg.t_end == 0.002:
                 raise RuntimeError("run broke")
             return real(cfg, observe)
-        monkeypatch.setattr(cli, "run", flaky)
+        monkeypatch.setattr(checks, "run", flaky)
         a, b = unseeded(cell_base([32], t_end=0.004)), unseeded(cell_base([32], t_end=0.002))
         suite = {"name": "s", "checks": [
             {"name": "s", "kind": "sup-norm", "config": b},
@@ -696,19 +699,19 @@ class TestSuiteMemo:
                 made.append((planning[-1], weakref.ref(fold)))
                 real(fold, *args)
             monkeypatch.setattr(cls, "__init__", init)
-        for kind, (check, *leading) in list(cli._CHECKS.items()):
+        for kind, (check, *leading) in list(checks._CHECKS.items()):
             @functools.wraps(check)   # the spy declares the keys its check declares
             def spy(seed, *lead, check=check, **keys):
                 planning.append(keys["name"])
                 return check(seed, *lead, **keys)
-            monkeypatch.setitem(cli._CHECKS, kind, (spy, *leading))
-        real, judged = cli.run, []
+            monkeypatch.setitem(checks._CHECKS, kind, (spy, *leading))
+        real, judged = checks.run, []
 
         def checked(cfg, observe=None):   # no gc: a fold is freed once nothing refers to it
             judged.append(sorted(p.name.split(".")[0] for p in (tmp_path / "v").glob("*.json")))
             assert [name for name, fold in made if name in judged[-1] and fold()] == []
             return real(cfg, observe)
-        monkeypatch.setattr(cli, "run", checked)
+        monkeypatch.setattr(checks, "run", checked)
         two = unseeded(cell_base([32, 32], t_end=0.002, snapshot_every=4))
         one = unseeded(cell_base([32], t_end=0.004))
         run_suite({"name": "v", "checks": [
@@ -825,7 +828,8 @@ TABLE_QUAD = {"id": "tab-quad", "r_max": 2.0,
 def forbid_runs(monkeypatch):
     def no_run(cfg, observe=None):
         raise AssertionError(f"run '{cfg.name}' started")
-    monkeypatch.setattr(cli, "run", no_run)
+    for module in (cli, checks):   # `pelab run` and sweep cells; suites
+        monkeypatch.setattr(module, "run", no_run)
 
 
 def small_check(name="sup"):
@@ -926,12 +930,12 @@ class TestTopLevelKeys:
 
     def test_a_suite_name_that_is_not_a_string_is_named(self, tmp_path):
         # the command refuses it as a path first; run_suite types it
-        with pytest.raises(cli.UsageError, match=r"\['name: str, not int'\]"):
+        with pytest.raises(documents.UsageError, match=r"\['name: str, not int'\]"):
             run_suite({"name": 5, "checks": []}, tmp_path / "v")
         assert not (tmp_path / "v").exists()
 
     def test_built_in_suites_use_only_known_keys(self):
-        for suite in (paper_core_suite(64), cli.negative_control_suite(64)):
+        for suite in (paper_core_suite(64), checks.negative_control_suite(64)):
             assert set(suite) == {"name", "seed", "checks"}
 
 
@@ -1030,7 +1034,7 @@ class TestCheckKeys:
         assert not (tmp_path / "out").exists() and keys == []
 
     def test_every_kind_is_covered(self):
-        assert set(EVERY_KIND) == set(cli._CHECKS)
+        assert set(EVERY_KIND) == set(checks._CHECKS)
 
     @pytest.mark.parametrize("kind", sorted(EVERY_KIND))
     def test_an_unknown_key(self, tmp_path, capsys, monkeypatch, kind):
@@ -1054,22 +1058,22 @@ class TestCheckKeys:
                       f"error: bad check 'c': wrong type(s) {named}\n")
 
     def test_every_typed_key_is_covered(self):
-        assert {kind for kind, *_ in WRONG_TYPES.values()} == set(cli._CHECKS)
+        assert {kind for kind, *_ in WRONG_TYPES.values()} == set(checks._CHECKS)
         # every key declares its type; `config` is a dict in every kind, and a case of four
-        for fn, *_ in cli._CHECKS.values():
+        for fn, *_ in checks._CHECKS.values():
             assert all(p.annotation is not p.empty for p in inspect.signature(fn).parameters
                        .values() if p.kind is p.KEYWORD_ONLY)
-        typed = {(kind, k) for kind, (fn, *_) in cli._CHECKS.items()
-                 for k in cli._keywords(fn) if k not in ("name", "config")}
+        typed = {(kind, k) for kind, (fn, *_) in checks._CHECKS.items()
+                 for k in documents._keywords(fn) if k not in ("name", "config")}
         assert typed == {(kind, k) for kind, wrong, _ in WRONG_TYPES.values()
                          for k in wrong if k != "config"}
 
     def test_an_int_may_stand_for_a_float(self):
         check = {**small_check("c"), "kind": "reverse-holder", "R": 1, "p": 3,
                  "cylinders": 4, "t0": None, "sizes": [32, 64]}
-        assert cli._bind_check(check)[2] == {k: v for k, v in check.items() if k != "kind"}
+        assert checks._bind_check(check)[2] == {k: v for k, v in check.items() if k != "kind"}
         for kind in ("contraction", "tampered-contraction"):
-            cli._bind_check({**small_check("c"), "kind": kind, **CONTRACTION_KEYS,
+            checks._bind_check({**small_check("c"), "kind": kind, **CONTRACTION_KEYS,
                              "decay_ratio_rtol": 1})
 
     def test_every_problem_of_a_check_is_named_at_once(self, tmp_path, capsys, monkeypatch):
@@ -1105,12 +1109,12 @@ class TestCheckKeys:
                       f"error: unknown check kind '{kind}' in 'boundedness-bands'\n")
 
     @pytest.mark.parametrize("suite", [paper_core_suite(64), paper_core_suite(128),
-                                       cli.negative_control_suite()],
+                                       checks.negative_control_suite()],
                              ids=["paper-core-64", "paper-core-128", "negative-control"])
     def test_the_built_in_suites_bind(self, suite):
         for check in suite["checks"]:
-            fn, leading, keys = cli._bind_check(check)
-            assert (fn, *leading) == cli._CHECKS[check["kind"]]
+            fn, leading, keys = checks._bind_check(check)
+            assert (fn, *leading) == checks._CHECKS[check["kind"]]
             assert keys == {k: v for k, v in check.items() if k != "kind"}
 
     @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
@@ -1125,16 +1129,16 @@ class TestCheckKeys:
         for w in workloads.WORKLOADS.values():
             doc = w.document(7, tiny)
             if w.command == "verify":
-                cli._check_keys("suite", ("", doc, cli._suite))
+                documents._check_keys("suite", ("", doc, checks._suite))
                 for check in doc["checks"]:
-                    cli._bind_check(check)
-                    cli.build_config(check["config"])
+                    checks._bind_check(check)
+                    documents.build_config(check["config"])
                     # contraction's data, each under the strict keys of its family
                     for initial in [check[k] for k in ("initial0", "initial1") if k in check]:
-                        cli.build_config({**check["config"], "initial": initial})
+                        documents.build_config({**check["config"], "initial": initial})
             else:
-                cli._check_keys("sweep", ("", doc, cli._sweep))
-                cli.build_config(doc["base"])
+                documents._check_keys("sweep", ("", doc, cli._sweep))
+                documents.build_config(doc["base"])
                 cli._sweep_cells(doc)
 
 
@@ -1173,7 +1177,7 @@ class TestSeries:
     def test_the_series_files_are_those_picked_from_the_values(self, tmp_path):
         reports = {tmp_path / "v" / "paper-core": run_suite(paper_core_suite(64),
                                                             tmp_path / "v" / "paper-core"),
-                   tmp_path / "v" / "neg": run_suite(cli.negative_control_suite(),
+                   tmp_path / "v" / "neg": run_suite(checks.negative_control_suite(),
                                                      tmp_path / "v" / "neg")}
         written = []
         for outdir, reps in reports.items():
@@ -1183,7 +1187,7 @@ class TestSeries:
                 if got.exists():
                     written.append(rep.name)
                     assert got.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-                    cli._write_series_csv(tmp_path / "bare.csv", replace(rep, values={}))
+                    checks._write_series_csv(tmp_path / "bare.csv", replace(rep, values={}))
                     assert (tmp_path / "bare.csv").read_bytes() == got.read_bytes()
         assert written == ["contraction-cosh", "contraction-heat-rate", "boundedness-bump",
                            "boundedness-bands", "morrey", "injected-sup-growth",
@@ -1230,7 +1234,7 @@ def frozen_run_cell(base_doc, cell, outdir, seed):
         doc["potential"].pop("table", None)
         doc["potential"]["id"] = cell["potential"]
     doc["name"] = cell["label"]
-    cfg = cli.build_config(doc, cell.get("seed", seed))
+    cfg = documents.build_config(doc, cell.get("seed", seed))
     if "resolution" in cell:
         cfg = with_resolution(cfg, int(cell["resolution"]))
     traj = run(cfg)
@@ -1345,10 +1349,10 @@ class TestStreamedSweepCells:
         peaks = []
         for t_end in (0.002, 0.004):   # 57 and 113 steps at 64^2
             base = cell_base([64, 64], t_end=t_end)
-            cli._run_cell(cli.build_config({**base, "name": "warm"}), tmp_path)   # cached tables
+            cli._run_cell(documents.build_config({**base, "name": "warm"}), tmp_path)   # cached tables
             tracemalloc.start()
             try:
-                cli._run_cell(cli.build_config({**base, "name": f"t{t_end}"}), tmp_path)
+                cli._run_cell(documents.build_config({**base, "name": f"t{t_end}"}), tmp_path)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1561,7 +1565,7 @@ class TestOneTrajectoryFile:
         doc = heat_doc(size=64, t_end=0.002)
         assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
         outdir = tmp_path / "out" / "heat-sin"
-        self.assert_frames_are_the_run(outdir, cli.build_config(doc))
+        self.assert_frames_are_the_run(outdir, documents.build_config(doc))
         frames = json.loads((outdir / "manifest.json").read_text())["frames"]
         assert capsys.readouterr().out == f"wrote {frames} frames to {outdir}\n"
 
@@ -1582,7 +1586,7 @@ class TestPlantedControls:
     """Each negative control is a plant handed to its monitor's own check."""
 
     def test_the_controls_keep_their_witnesses(self, tmp_path):
-        reports = run_suite(cli.negative_control_suite(), tmp_path / "v")
+        reports = run_suite(checks.negative_control_suite(), tmp_path / "v")
         assert [(rep.name, rep.passed) for rep in reports] == [
             ("injected-sup-growth", False), ("injected-contraction-growth", False)]
         assert reports[0].to_json()["witness"] == {
@@ -1595,10 +1599,10 @@ class TestPlantedControls:
     def test_a_plant_leaves_the_run_it_is_given_alone(self):
         # a plant wraps the observer: one snapshot changes on its way to the monitor,
         # and the run's own state and the snapshots it hands over are left as they are
-        cfg = cli.build_config(cli.negative_control_suite()["checks"][1]["config"], 5)
+        cfg = documents.build_config(checks.negative_control_suite()["checks"][1]["config"], 5)
         traj = cli.run(cfg)
         before = [s.values.copy() for s in traj.snapshots]
-        for plant, k in ((cli._inflate_final, -1), (cli._anti_diffuse_middle,
+        for plant, k in ((checks._inflate_final, -1), (checks._anti_diffuse_middle,
                                                      len(traj.snapshots) // 2)):
             handed, planted = [], []
             wrapped = plant(cfg, planted.append)
@@ -1617,7 +1621,7 @@ class TestPlantedControls:
 
     def test_the_default_plant_is_the_identity(self):
         observe = [].append
-        for check in (cli._check_sup_norm, cli._check_contraction):
+        for check in (checks._check_sup_norm, checks._check_contraction):
             assert inspect.signature(check).parameters["plant"].default(None, observe) is observe
 
 
@@ -1632,7 +1636,7 @@ def frozen_anti_diffuse_middle(traj):
     from pelab import step_diffusion
     k = len(traj.snapshots) // 2
     snap = traj.snapshots[k]
-    bumped = step_diffusion(snap, cli.build_potential(**traj.meta["config"]["potential"]),
+    bumped = step_diffusion(snap, documents.build_potential(**traj.meta["config"]["potential"]),
                             -40 * traj.dt)
     return replace(traj, snapshots=traj.snapshots[:k] + (replace(bumped, t=snap.t),)
                    + traj.snapshots[k + 1:])
@@ -1673,7 +1677,7 @@ class TestStreamedVerify:
         import tracemalloc
         from pelab.solver import _planned
         config = unseeded(cell_base([256, 256], t_end=0.002, components=2, snapshot_every=8))
-        snapshots = _planned(cli.build_config(config))[2] // 8 + 1
+        snapshots = _planned(documents.build_config(config))[2] // 8 + 1
         stored, budget = snapshots * 2 * 256 * 256 * 8, 24 * 2 ** 20
         assert stored > 4 * budget
         suite = {"name": "s", "checks": [
@@ -1708,7 +1712,7 @@ class TestStreamedVerify:
         mode = {"kind": "mode", "k": [1], "amplitude": 0.5}
         config = unseeded(cell_base(sizes, boundary, t_end=0.005, snapshot_every=4,
                                     initial=mode))
-        stored = cli.run(cli.build_config(config, 3))
+        stored = cli.run(documents.build_config(config, 3))
         for kind, plant in (("sup-norm", None), ("tampered-sup", frozen_inflate_final)):
             got = alone(kind, config=config)
             fed = plant(stored) if plant else stored
@@ -1717,7 +1721,7 @@ class TestStreamedVerify:
 
         keys = {"initial0": mode, "initial1": {"kind": "bands", "kmax": 2, "amplitude": 0.4}}
         bare = {k: v for k, v in config.items() if k != "initial"}
-        base0, base1 = (cli.build_config({**bare, "initial": keys[k]}, 3) for k in keys)
+        base0, base1 = (documents.build_config({**bare, "initial": keys[k]}, 3) for k in keys)
         run0 = cli.run(replace(base0, name="cell-a"))
         run1 = cli.run(replace(base1, name="cell-b"))
         window = certify_window(base0.potential)
