@@ -27,7 +27,9 @@ from .diagnostics import (CheckReport, _calibration, _ContractionFold, _coupled_
 from .documents import UsageError, _check_keys, _path_name, build_config
 from .grid import Cylinder, GridSpec
 from .potentials import build_entropy, certify_window, coupled_decomposition
-from .solver import RunConfig, _planned, config_hash, run, step_diffusion, with_resolution
+from .solver import (RunConfig, _cost, _planned, config_hash, run, step_diffusion,
+                     with_resolution)
+from .workers import fan_out
 
 
 def _seeded_points(grid: GridSpec, count: int, seed: int, margin: float = 0.2):
@@ -281,10 +283,26 @@ def _suite(*, checks: list[dict] = [], name: str = "suite", seed: int = 0):
     """A suite's keys."""
 
 
-def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> list[CheckReport]:
+def _crash(name: str, exc: BaseException) -> CheckReport:
+    """The failed report of a check that raised `exc`, or whose worker died of it."""
+    return CheckReport(name=name, passed=False,
+                       values={"error": f"{type(exc).__name__}: {exc}",
+                               "traceback": "".join(traceback.format_exception(exc))})
+
+
+def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
+              workers: int = 1) -> list[CheckReport]:
     """Plan every check, then integrate each distinct config (keyed by its description
     without `name`) once, in the order first subscribed, handing each snapshot to its
-    observers; a check is judged, written and dropped as soon as its last run has ended."""
+    observers; a check is judged, and its folds dropped, as soon as its last run has ended.
+
+    Checks that share a run are in one component of the plan.  With `workers` > 1 and
+    more than one component, each component is a job in a forked worker process, at most
+    `workers` at a time, the costliest first (`_cost` of its runs); the reports come back
+    and are written here in check order, so no file depends on `workers`.  A worker that
+    dies fails each check of its component with its exit code.  Otherwise the whole plan
+    is one job in this process, and each check is written as it is judged.
+    """
     _check_keys("suite", ("", suite, _suite))
     checks = suite.get("checks", [])
     for check in checks:   # each with a plain name, before any name is compared
@@ -298,14 +316,7 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> li
     reports, files = [None] * len(checks), []
     plans, runs = {}, {}   # check -> (judge, its subscriptions); config key -> subscriptions
 
-    def finish(i, rep=None):   # without rep, in an except block: the crash report
-        if rep is None:
-            exc = sys.exc_info()[1]
-            rep = CheckReport(name=names[i], passed=False,
-                              values={"error": f"{type(exc).__name__}: {exc}",
-                                      "traceback": traceback.format_exc()})
-        for sub in plans.pop(i, (None, []))[1]:
-            sub.clear()   # the check's folds and trajectories are dropped
+    def write(i, rep):   # check i's report, and its series if it has one
         reports[i] = rep
         rpath = outdir / f"{rep.name}.report.json"
         rpath.write_text(json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n")
@@ -314,46 +325,79 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None) -> li
             files.append(f"{rep.name}.series.csv")
             _write_series_csv(outdir / files[-1], rep)
 
-    def settle(i):   # judges check i if every run it subscribes to has ended
-        if all(sub[3] is not None for sub in plans[i][1]):
-            try:
-                rep = plans[i][0]([sub[3] for sub in plans[i][1]])
-            except Exception:
-                return finish(i)
-            finish(i, rep)
+    def runs_of(part):   # the runs that the checks of `part` subscribe to, in plan order
+        return [subs for subs in runs.values() if subs[0][0] in part]
 
-    def integrate(subs):   # one run; a subscription is [check, config, observer, trajectory]
-        def observe(snap):
-            for sub in filter(None, subs):
+    def job(part, emit=lambda i, rep: None):   # part: checks that share no run with others
+        done = []
+
+        def finish(i, rep=None):   # without rep, in an except block: the crash report
+            for sub in plans.pop(i, (None, []))[1]:
+                sub.clear()   # the check's folds and trajectories are dropped
+            done.append((i, rep or _crash(names[i], sys.exc_info()[1])))
+            emit(*done[-1])
+
+        def settle(i):   # judges check i if every run it subscribes to has ended
+            if all(sub[3] is not None for sub in plans[i][1]):
                 try:
-                    sub[2](snap)
-                except Exception:   # fails that check only
-                    finish(sub[0])
-            if not any(subs):   # every check on the run has failed: stop it
-                raise RuntimeError("no observer left")
-        try:
-            traj = run(next(filter(None, subs))[1], observe) if any(subs) else None
-        except Exception:   # fails every check still on the run
-            return [finish(sub[0]) for sub in subs if sub]
-        for sub in filter(None, subs):   # the run under each config's meta; observers dropped
-            doc = sub[1].describe()
-            sub[2:] = None, replace(traj, meta={**traj.meta, "config": doc, "name": doc["name"],
-                                                "config_hash": config_hash(doc)})
-            settle(sub[0])
+                    rep = plans[i][0]([sub[3] for sub in plans[i][1]])
+                except Exception:
+                    return finish(i)
+                finish(i, rep)
+
+        def integrate(subs):   # one run; a subscription is [check, config, observer, trajectory]
+            def observe(snap):
+                for sub in filter(None, subs):
+                    try:
+                        sub[2](snap)
+                    except Exception:   # fails that check only
+                        finish(sub[0])
+                if not any(subs):   # every check on the run has failed: stop it
+                    raise RuntimeError("no observer left")
+            try:
+                traj = run(next(filter(None, subs))[1], observe) if any(subs) else None
+            except Exception:   # fails every check still on the run
+                return [finish(sub[0]) for sub in subs if sub]
+            for sub in filter(None, subs):   # the run under each config's meta; observers dropped
+                doc = sub[1].describe()
+                sub[2:] = None, replace(traj, meta={**traj.meta, "config": doc,
+                                                    "name": doc["name"],
+                                                    "config_hash": config_hash(doc)})
+                settle(sub[0])
+
+        for subs in runs_of(part):
+            integrate(subs)
+        for i in [i for i in plans if i in part]:   # a check that subscribes to no run
+            settle(i)
+        return done
 
     for i, (fn, leading, keys) in enumerate(bound):
         try:
             subs, judge = fn(seed, *leading, **keys)
-        except Exception:   # crashes are recorded as failures, suite continues
-            finish(i)
+        except Exception as exc:   # crashes are recorded as failures, suite continues
+            write(i, _crash(names[i], exc))
             continue
         plans[i] = (judge, [[i, cfg, observe, None] for cfg, observe in subs])
         for sub in plans[i][1]:
             runs.setdefault(config_hash({**sub[1].describe(), "name": None}), []).append(sub)
+    part_of = {i: {i} for i in plans}   # check -> the checks of its component
     for subs in runs.values():
-        integrate(subs)
-    for i in list(plans):   # a check that subscribes to no run
-        settle(i)
+        joined = set().union(*(part_of[sub[0]] for sub in subs))
+        for i in joined:
+            part_of[i] = joined
+    parts = [part for i, part in part_of.items() if i == min(part)]   # in check order
+    if workers == 1 or len(parts) < 2:
+        job(set(plans), write)
+    else:   # costliest first (longest processing time); ties in check order
+        started = sorted(parts, key=lambda part: -sum(_cost(subs[0][1])
+                                                      for subs in runs_of(part)))
+        for part, result in zip(started, fan_out(job, started, workers)):
+            if isinstance(result, Exception):   # a dead worker fails each check of its part
+                result = [(i, _crash(names[i], result)) for i in part]
+            for i, rep in result:
+                reports[i] = rep
+        for i in sorted(plans):
+            write(i, reports[i])
     with open(outdir / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["check", "passed", "tolerance", "provenance"])

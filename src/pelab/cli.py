@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import shutil
 import sys
@@ -36,7 +35,7 @@ from .documents import (UsageError, _check_keys, _keywords, _load_json, _path_na
 from .errors import DomainAbort
 from .grid import _write_frame, _write_header, vector_norm
 from .potentials import build_entropy, certify_window, coupled_decomposition
-from .solver import RunConfig, _planned, run, with_resolution
+from .solver import RunConfig, _cost, run, with_resolution
 from .workers import fan_out
 
 
@@ -100,13 +99,22 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _workers(threads: int) -> int:
+    """The number of forked workers `--threads K` asks for: K, or the usable CPUs for 0."""
+    if threads < 0:
+        raise UsageError(f"--threads must be 0 (the usable CPUs) or positive, got {threads}")
+    return threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
+
+
 def cmd_verify(args) -> int:
+    workers = _workers(args.threads)
     if args.suite in _BUILTIN_SUITES:
         suite = _BUILTIN_SUITES[args.suite]()
     else:
         suite = _load_json(args.suite)
     outdir = Path(args.out) / _path_name(suite.get("name", "suite"), "suite name")
-    reports = run_suite(suite, outdir, args.seed)
+    reports = run_suite(suite, outdir, args.seed, workers)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {rep.name}")
@@ -207,8 +215,7 @@ def _run_cell(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    if args.threads < 0:
-        raise UsageError(f"--threads must be 0 (the usable CPUs) or positive, got {args.threads}")
+    workers = _workers(args.threads)
     doc = _load_json(args.sweep)   # the sections the sweep reads itself, before any cell
     _check_keys("sweep", ("", doc, _sweep), ("axes.", doc.get("axes"), _axes),
                 ("base.", doc.get("base"), _run_config))
@@ -216,8 +223,6 @@ def cmd_sweep(args) -> int:
     configs = {c["label"]: _cell_config(doc["base"], c, args.seed) for c in cells}
     outdir = Path(args.out) / _path_name(doc.get("name", "sweep"), "sweep name")
     outdir.mkdir(parents=True, exist_ok=True)   # every cell's config built first
-    workers = args.threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                               else os.cpu_count() or 1)
 
     def error_row(cell, exc):
         return {**dict.fromkeys(_SWEEP_FIELDS, ""), "label": cell["label"],
@@ -229,15 +234,8 @@ def cmd_sweep(args) -> int:
         except Exception as exc:
             return error_row(cell, exc)
 
-    def cost(cell):   # planned steps x points x components
-        try:
-            cfg = configs[cell["label"]]
-            return _planned(cfg)[2] * math.prod(cfg.grid.sizes) * cfg.n_components
-        except Exception:
-            return 0   # the cell's run reports the error, as `work` does
-
     # costliest first (longest processing time); ties, and the rows, in cell order
-    started = sorted(cells, key=lambda c: -cost(c))
+    started = sorted(cells, key=lambda c: -_cost(configs[c["label"]]))
     try:
         results = fan_out(work, started, workers)
     finally:   # every worker has ended: a partial directory left is a dead worker's
@@ -362,8 +360,9 @@ def _build_parser() -> _Parser:
     out.add_argument("--out", default="out", help="output directory (default: out)")
     seed.add_argument("--seed", type=int, default=None, help="override the config seed")
     threads.add_argument("--threads", type=int, default=0, metavar="K",
-                         help="cells run K at a time, each in its own forked worker "
-                              "process (0 = the usable CPUs)")
+                         help="K forked worker processes (0 = the usable CPUs) run a "
+                              "sweep's cells, or a suite's groups of checks that share "
+                              "runs, costliest first")
 
     parser = _Parser(prog="pelab",
                      description="diffusion-system laboratory: runs, checks, sweeps")
@@ -373,7 +372,7 @@ def _build_parser() -> _Parser:
                            help="integrate one configuration")
     p_run.add_argument("config", help="path to a run config JSON")
 
-    p_verify = sub.add_parser("verify", parents=[out, seed],
+    p_verify = sub.add_parser("verify", parents=[out, seed, threads],
                               help="run a verification suite")
     p_verify.add_argument("suite",
                           help=f"suite JSON path or one of {sorted(_BUILTIN_SUITES)}")

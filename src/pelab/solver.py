@@ -348,6 +348,15 @@ def _planned(config: RunConfig):
     return window, cc, steps, dt
 
 
+def _cost(config: RunConfig) -> int:
+    """Planned steps x points x components: the work by which forked jobs are ordered,
+    costliest first; 0 for a run that cannot be planned, which reports why as it runs."""
+    try:
+        return _planned(config)[2] * math.prod(config.grid.sizes) * config.n_components
+    except Exception:
+        return 0
+
+
 def _initial_state(config: RunConfig) -> np.ndarray:
     """A run's state at t = 0: its initial field, the Dirichlet ring at its boundary values."""
     values = initial_field(config.grid, config.n_components, config.initial, config.seed)
@@ -410,13 +419,13 @@ def with_resolution(config: RunConfig, size: int) -> RunConfig:
     """Same physical run with `size` points on axis 0 (every axis extent preserved).
 
     Each axis's cell count (points when periodic, intervals when Dirichlet) is
-    scaled by the ratio that axis 0's takes; a ratio that leaves some axis a
-    fractional count raises ValueError.
+    scaled by the ratio that axis 0's takes; a size that leaves axis 0 no cell, or a
+    ratio that leaves some axis a fractional count, raises ValueError.
     """
     g = config.grid
-    L = g.extent(0)
-    h = L / size if g.periodic else L / (size - 1)
     shift = 0 if g.periodic else 1
+    if size <= shift:   # before dividing by the cells it leaves
+        raise ValueError(f"resolution {size} leaves axis 0 no cells")
     sizes = []
     for a, m in enumerate(g.sizes):
         cells, rem = divmod((m - shift) * (size - shift), g.sizes[0] - shift)
@@ -424,5 +433,6 @@ def with_resolution(config: RunConfig, size: int) -> RunConfig:
             raise ValueError(f"resolution {size} gives axis {a} a fractional "
                              f"count of points ({m} points at {g.sizes[0]} on axis 0)")
         sizes.append(cells + shift)
-    grid = GridSpec(n=g.n, sizes=tuple(sizes), h=h, boundary=g.boundary)
+    grid = GridSpec(n=g.n, sizes=tuple(sizes), h=g.extent(0) / (size - shift),
+                    boundary=g.boundary)
     return replace(config, grid=grid)

@@ -459,6 +459,20 @@ class TestVerifyCommand:
         assert rep.passed is False
         assert rep.values["error"] == "UsageError: 'e' needs at least one size in 'sizes'"
 
+    @pytest.mark.parametrize("K", [None, 1.0])
+    @pytest.mark.parametrize("kind", ["entropy-diffusion", "entropy-coupled"])
+    def test_an_entropy_check_with_a_size_of_zero_fails_naming_it(self, tmp_path, monkeypatch,
+                                                                  kind, K):
+        # it failed with a bare "ZeroDivisionError: float division by zero"
+        forbid_runs(monkeypatch)
+        config = {**unseeded(heat_doc(size=32, t_end=0.001)), "snapshot_every": 1,
+                  "potential": {"id": "cosh", "r_max": 1.0}}
+        check = {"name": "e", "kind": kind, "sizes": [0, 32], "config": config}
+        [rep] = run_suite({"name": "s", "checks": [check if K is None else {**check, "K": K}]},
+                          tmp_path / "v", 3)
+        assert rep.passed is False
+        assert rep.values["error"] == "ValueError: resolution 0 leaves axis 0 no cells"
+
     def test_negative_control_suite_fails_with_witnesses(self, tmp_path):
         assert main(["verify", "negative-control", "--out", str(tmp_path / "v")]) == 1
         vdir = tmp_path / "v" / "negative-control"
@@ -492,7 +506,7 @@ class TestVerifyCommand:
                                                        entry, message):
         forbid_runs(monkeypatch)
         suite = write_doc(tmp_path, {"name": "s", "checks": [small_check(), entry]}, "s.json")
-        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
+        assert main(["verify", suite, "--out", str(tmp_path / "v"), "--threads", "1"]) == 1
         assert capsys.readouterr().err == message
         assert not (tmp_path / "v").exists()
 
@@ -519,7 +533,7 @@ class TestVerifyCommand:
         checks = [{"name": "contr", "kind": kind, **CONTRACTION_KEYS,
                    "config": {**contraction_config(), "initial": bump}}]
         suite = write_doc(tmp_path, {"name": "s", "checks": checks}, "suite.json")
-        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
+        assert main(["verify", suite, "--out", str(tmp_path / "v"), "--threads", "1"]) == 1
         rep = json.loads((tmp_path / "v" / "s" / "contr.report.json").read_text())
         assert rep["passed"] is False and keys == []
         assert rep["values"]["error"] == ("UsageError: 'contr': a contraction config "
@@ -532,7 +546,7 @@ class TestVerifyCommand:
                                                           monkeypatch, checks, kind):
         forbid_runs(monkeypatch)
         suite = write_doc(tmp_path, {"name": "x", "checks": checks}, "s.json")
-        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
+        assert main(["verify", suite, "--out", str(tmp_path / "v"), "--threads", "1"]) == 1
         assert capsys.readouterr().err == \
             f"error: bad suite: wrong type(s) ['checks: list[dict], not {kind}']\n"
         assert not (tmp_path / "v").exists()
@@ -809,7 +823,10 @@ class TestSweepCommand:
         ([32, 48], {}, {"resolution": [32, 33]},
          "bad sweep cell 'cosh-n33': resolution 33 gives axis 1 a fractional count of "
          "points (48 points at 32 on axis 0)"),
-    ], ids=["base", "potential-axis", "resolution-axis"])
+        # it ended in an uncaught ZeroDivisionError traceback
+        ([32], {}, {"resolution": [32, 0]},
+         "bad sweep cell 'cosh-n0': resolution 0 leaves axis 0 no cells\n"),
+    ], ids=["base", "potential-axis", "resolution-axis", "resolution-zero"])
     def test_a_cell_config_error_exits_1_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                            sizes, extra, axes, message):
         forbid_runs(monkeypatch)
@@ -855,12 +872,14 @@ class TestNamesThatBecomePaths:
     @pytest.mark.parametrize("name", BAD_NAMES)
     def test_suite_name(self, tmp_path, capsys, monkeypatch, name):
         suite = write_doc(tmp_path, {"name": name, "checks": [small_check()]}, "suite.json")
-        self.rejected(capsys, monkeypatch, ["verify", suite], tmp_path, "suite name")
+        self.rejected(capsys, monkeypatch, ["verify", suite, "--threads", "1"], tmp_path,
+                      "suite name")
 
     @pytest.mark.parametrize("name", BAD_NAMES)
     def test_check_name(self, tmp_path, capsys, monkeypatch, name):
         suite = write_doc(tmp_path, {"name": "s", "checks": [small_check(name)]}, "suite.json")
-        self.rejected(capsys, monkeypatch, ["verify", suite], tmp_path, "check name")
+        self.rejected(capsys, monkeypatch, ["verify", suite, "--threads", "1"], tmp_path,
+                      "check name")
 
     @pytest.mark.parametrize("name", BAD_NAMES)
     def test_sweep_name(self, tmp_path, capsys, monkeypatch, name):
@@ -893,7 +912,7 @@ class TestTopLevelKeys:
     def test_a_suite_typo_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         forbid_runs(monkeypatch)
         suite = write_doc(tmp_path, {"name": "s", "chekcs": [small_check()]}, "suite.json")
-        assert main(["verify", suite, "--out", str(tmp_path / "out")]) == 1
+        assert main(["verify", suite, "--out", str(tmp_path / "out"), "--threads", "1"]) == 1
         assert capsys.readouterr().err == "error: bad suite: unknown key(s) ['chekcs']\n"
         assert not (tmp_path / "out").exists()
 
@@ -924,7 +943,7 @@ class TestTopLevelKeys:
                                                         command, doc, named):
         forbid_runs(monkeypatch)
         path = write_doc(tmp_path, doc, "doc.json")
-        assert main([command, path, "--out", str(tmp_path / "out")]) == 1
+        assert main([command, path, "--out", str(tmp_path / "out"), "--threads", "1"]) == 1
         assert capsys.readouterr().err == f"error: bad {named}\n"
         assert not (tmp_path / "out").exists()
 
@@ -955,7 +974,8 @@ class TestDocumentsThatAreNotObjects:
                                            message):
         forbid_runs(monkeypatch)
         path = write_doc(tmp_path, doc, "doc.json")
-        assert main(argv + [path, "--out", str(tmp_path / "out")]) == 1
+        threads = ["--threads", "1"] if argv[0] == "verify" else []
+        assert main(argv + [path, "--out", str(tmp_path / "out")] + threads) == 1
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not (tmp_path / "out").exists()
 
@@ -1029,7 +1049,7 @@ class TestCheckKeys:
     def rejected(self, tmp_path, capsys, monkeypatch, suite, err):
         keys = counting_runs(monkeypatch)
         path = write_doc(tmp_path, suite, "suite.json")
-        assert main(["verify", path, "--out", str(tmp_path / "out")]) == 1
+        assert main(["verify", path, "--out", str(tmp_path / "out"), "--threads", "1"]) == 1
         assert capsys.readouterr().err == err
         assert not (tmp_path / "out").exists() and keys == []
 
@@ -1543,6 +1563,137 @@ class TestSweepWorkers:
         assert proc.stdout.count("before") == 1 and proc.stdout.startswith("beforewrote ")
 
 
+def two_2d_checks():
+    """A 2D contraction and a coupled 2D N=2 sup-norm check: two runs of their own."""
+    contraction = unseeded(cell_base([16, 16], t_end=0.002, snapshot_every=8))
+    del contraction["initial"]
+    coupled = unseeded(cell_base([24, 24], t_end=0.001, snapshot_every=5, components=2,
+                                 system="coupled",
+                                 initial={"kind": "two_bump", "amplitude": 0.8}))
+    return [{"name": "contraction-2d", "kind": "contraction", "config": contraction,
+             "initial0": {"kind": "mode", "k": [1, 1], "amplitude": 0.5},
+             "initial1": {"kind": "bands", "kmax": 2, "amplitude": 0.4}},
+            {"name": "sup-coupled-2d", "kind": "sup-norm", "config": coupled}]
+
+
+def recording_fan_out(monkeypatch, started):
+    """The suite's fan_out, recording the check names of each job as it is handed over
+    and the worker count; the jobs still run in forked workers."""
+    real = checks.fan_out
+
+    def recording(fn, parts, workers):
+        started.append(([sorted(i for i in part) for part in parts], workers))
+        return real(fn, parts, workers)
+    monkeypatch.setattr(checks, "fan_out", recording)
+
+
+class TestVerifyWorkers:
+    """With --threads K > 1, each group of checks that share runs is a job in a forked
+    worker, the costliest first; the parent writes every file, so the tree is the same
+    for every K, and a worker that dies fails the checks of its group."""
+
+    @pytest.mark.parametrize("suite", [{**paper_core_suite(64), "name": "core"},
+                                       {"name": "tiny-2d", "seed": 7, "checks": two_2d_checks()}],
+                             ids=["paper-core-64", "tiny-2d"])
+    def test_the_tree_and_stdout_do_not_depend_on_the_thread_count(self, tmp_path, capsys,
+                                                                   monkeypatch, suite):
+        started = []
+        recording_fan_out(monkeypatch, started)
+        path, out = write_doc(tmp_path, suite, "suite.json"), {}
+        for k in ("1", "2"):
+            assert main(["verify", path, "--out", str(tmp_path / k), "--threads", k]) == 0
+            out[k] = capsys.readouterr().out
+        assert tree(tmp_path / "1") == tree(tmp_path / "2") and out["1"] == out["2"]
+        assert out["1"].endswith(f"{len(suite['checks'])}/{len(suite['checks'])} checks passed\n")
+        # --threads 1 ran the plan in this process; --threads 2 forked one job per group
+        [(parts, workers)] = started
+        assert workers == 2 and len(parts) == (7 if suite["name"] == "core" else 2)
+
+    def test_the_groups_start_costliest_first_and_the_reports_keep_check_order(
+            self, tmp_path, capsys, monkeypatch):
+        started = []
+        recording_fan_out(monkeypatch, started)
+        small, mid, big = (unseeded(cell_base([m], t_end=0.002)) for m in (16, 32, 64))
+        suite = {"name": "s", "checks": [
+            {"name": "small", "kind": "sup-norm", "config": small},
+            {"name": "big-a", "kind": "sup-norm", "config": big},
+            {"name": "mid", "kind": "sup-norm", "config": mid},
+            {"name": "big-b", "kind": "reverse-holder", "sizes": [64, 128], "R": 0.1,
+             "cylinders": 3, "config": big}]}
+        assert main(["verify", write_doc(tmp_path, suite, "suite.json"), "--out",
+                     str(tmp_path / "v"), "--threads", "5"]) == 0
+        # big-a and big-b share the 64-point run; a 64-point run costs 8 times a 32-point one
+        assert started == [([[1, 3], [2], [0]], 5)]
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "PASS small", "PASS big-a", "PASS mid", "PASS big-b"]
+        summary = read_csv(tmp_path / "v" / "s" / "summary.csv")
+        assert [row[0] for row in summary[1:]] == ["small", "big-a", "mid", "big-b"]
+
+    @pytest.mark.parametrize("threads, affinity, expected", [
+        ("0", {0, 1, 2}, 3), ("0", None, 7), ("3", {0}, 3)])
+    def test_zero_threads_means_the_usable_cpus(self, tmp_path, monkeypatch, threads,
+                                                affinity, expected):
+        started = []
+        recording_fan_out(monkeypatch, started)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        suite = {"name": "s", "checks": [small_check("a"), {**small_check("b"), "config": {
+            **small_check()["config"], "t_end": 0.002}}]}
+        assert main(["verify", write_doc(tmp_path, suite, "suite.json"), "--out",
+                     str(tmp_path / "v"), "--threads", threads]) == 0
+        assert [workers for _, workers in started] == [expected]
+
+    @pytest.mark.parametrize("threads", ["-1", "-2"])
+    def test_negative_thread_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     threads):
+        def no_workers(*args, **kwargs):
+            raise AssertionError("workers were started")
+
+        monkeypatch.setattr(checks, "fan_out", no_workers)
+        forbid_runs(monkeypatch)
+        suite = write_doc(tmp_path, {"name": "s", "checks": two_2d_checks()}, "suite.json")
+        assert main(["verify", suite, "--out", str(tmp_path / "v"), "--threads", threads]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: --threads must be 0 (the usable CPUs) or positive, got {threads}\n"
+        assert captured.out == "" and not (tmp_path / "v").exists()
+
+    def test_a_dead_worker_fails_exactly_the_checks_of_its_group(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        class Dying(checks._MorreyFold):   # made here, fed in the worker, which inherits it
+            def feed(self, snap):
+                os._exit(3)
+
+        monkeypatch.setattr(checks, "_MorreyFold", Dying)
+        shared = unseeded(cell_base([32], t_end=0.004))
+        suite = {"name": "s", "checks": [
+            {"name": "m", "kind": "morrey", "points": 2, "radii_h": [8, 4], "config": shared},
+            two_2d_checks()[1],
+            {"name": "s", "kind": "sup-norm", "config": {**shared, "name": "other"}},
+            two_2d_checks()[0]]}
+        fds = open_fds()
+        assert main(["verify", write_doc(tmp_path, suite, "suite.json"), "--out",
+                     str(tmp_path / "v"), "--threads", "2"]) == 1
+        assert multiprocessing.active_children() == [] and open_fds() == fds
+        died = "ChildProcessError: worker exited with code 3"
+        outdir = tmp_path / "v" / "s"
+        reports = {c["name"]: json.loads((outdir / f"{c['name']}.report.json").read_text())
+                   for c in suite["checks"]}
+        assert {name: (rep["passed"], rep["values"].get("error"))
+                for name, rep in reports.items()} == {
+            "m": (False, died), "sup-coupled-2d": (True, None), "s": (False, died),
+            "contraction-2d": (True, None)}
+        assert reports["m"]["values"]["traceback"] == died + "\n"
+        assert capsys.readouterr().out.splitlines()[-1] == "2/4 checks passed"
+        manifest = json.loads((outdir / "suite_manifest.json").read_text())
+        assert manifest["passed"] is False
+        assert sorted(manifest["files"] + ["suite_manifest.json"]) == \
+            sorted(p.name for p in outdir.iterdir())
+
+
 class TestOneTrajectoryFile:
     """A run directory, of `pelab run` or of a sweep cell, holds its manifest and one
     trajectory file, whose frame k is the run's snapshot k bit for bit."""
@@ -1811,7 +1962,7 @@ class TestUsage:
         ["entropy", "cosh", "--seed", "3", "--threads", "9"],
         ["entropy", "cosh", "--threads", "9"],
         ["run", "{dir}/cfg.json", "--threads", "2"],
-        ["verify", "paper-core", "--threads", "2"],
+        ["verify", "paper-core", "--table", "t.json"],
         ["report", "{dir}", "--out", "X", "--threads", "2"],
         ["report", "{dir}", "--out", "X"],
         ["report", "{dir}", "--seed", "1"],

@@ -694,6 +694,14 @@ class TestRun:
         with pytest.raises(ValueError, match="fractional"):
             with_resolution(self.base(grid=box), 80)
 
+    @pytest.mark.parametrize("boundary, size", [(PERIODIC, 0), (DIRICHLET, 0), (DIRICHLET, 1),
+                                                (PERIODIC, -3)])
+    def test_a_size_with_no_cells_is_named_before_any_division(self, boundary, size):
+        # it divided the extent by zero cells (ZeroDivisionError) before it was refused
+        grid = GridSpec(n=1, sizes=(65,), h=1.0 / 64, boundary=boundary)
+        with pytest.raises(ValueError, match=rf"^resolution {size} leaves axis 0 no cells$"):
+            with_resolution(self.base(grid=grid), size)
+
     def test_snapshot_count_and_spacing(self):
         traj = run(self.base(t_end=0.005, snapshot_every=4))
         steps = traj.meta["steps"]
