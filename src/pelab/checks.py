@@ -5,7 +5,9 @@ A suite is a run plan: each check subscribes observers, its monitors' folds, to 
 configs, and a judge gives its verdict on their trajectories.  Each distinct config
 is integrated once and every snapshot handed to all its observers; a negative
 control's plant wraps only its own check's observer.  No run is stored, so memory
-does not grow with the step count.
+does not grow with the step count.  Checks that share a run form one component of
+the plan; components can be judged in forked workers, and the files written do not
+depend on how many.
 """
 
 from __future__ import annotations

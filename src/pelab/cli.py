@@ -4,10 +4,11 @@ tables and report rendering.
 Subcommands: run, verify, sweep, entropy, report.  Configs and reports are JSON,
 series are CSV, trajectories use the binary format of the grid module.  Outputs
 are byte-identical for identical configs and seeds (no timestamps), so
-golden-file comparisons work.  `verify` runs a suite's plan (module `checks`).
-A sweep cell runs in a forked worker process, the costliest cells first, and
-writes each snapshot and feeds it to its monitors as `run` makes it, so memory
-does not grow with the step count.
+golden-file comparisons work.  `verify` runs a suite's plan (module `checks`),
+each group of checks that share runs in a forked worker process.  A sweep cell
+runs in a forked worker process too, and writes each snapshot and feeds it to its
+monitors as `run` makes it, so memory does not grow with the step count.  Both
+start their jobs costliest first, at most `--threads` at a time.
 
 Exit codes: 0 success / all checks passed, 1 usage or config error (including
 failed checks), 2 domain abort (range excursion, convexity or construction
