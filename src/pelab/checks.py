@@ -303,8 +303,11 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
     `workers` at a time, the costliest first (`_cost` of its runs); the reports come back
     and are written here in check order, so no file depends on `workers`.  A worker that
     dies fails each check of its component with its exit code.  Otherwise the whole plan
-    is one job in this process, and each check is written as it is judged.
+    is one job in this process, and each check is written as it is judged.  A `workers`
+    below 1 is a ValueError, raised before anything runs or is written.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be 1 or more, got {workers}")
     _check_keys("suite", ("", suite, _suite))
     checks = suite.get("checks", [])
     for check in checks:   # each with a plain name, before any name is compared

@@ -5,10 +5,11 @@ Subcommands: run, verify, sweep, entropy, report.  Configs and reports are JSON,
 series are CSV, trajectories use the binary format of the grid module.  Outputs
 are byte-identical for identical configs and seeds (no timestamps), so
 golden-file comparisons work.  `verify` runs a suite's plan (module `checks`),
-each group of checks that share runs in a forked worker process.  A sweep cell
-runs in a forked worker process too, and writes each snapshot and feeds it to its
-monitors as `run` makes it, so memory does not grow with the step count.  Both
-start their jobs costliest first, at most `--threads` at a time.
+each group of checks that share runs in a forked worker process, at most one per
+usable CPU.  A sweep cell runs in a forked worker process too, at most `--threads`
+at a time, and writes each snapshot and feeds it to its monitors as `run` makes
+it, so memory does not grow with the step count.  Both start their jobs
+costliest first.
 
 Exit codes: 0 success / all checks passed, 1 usage or config error (including
 failed checks), 2 domain abort (range excursion, convexity or construction
@@ -101,7 +102,8 @@ def cmd_run(args) -> int:
 
 
 def _workers(threads: int) -> int:
-    """The number of forked workers `--threads K` asks for: K, or the usable CPUs for 0."""
+    """The number of forked workers for K: K, or the usable CPUs for 0 (`verify`'s count
+    and `sweep`'s default)."""
     if threads < 0:
         raise UsageError(f"--threads must be 0 (the usable CPUs) or positive, got {threads}")
     return threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -109,13 +111,12 @@ def _workers(threads: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = _workers(args.threads)
     if args.suite in _BUILTIN_SUITES:
         suite = _BUILTIN_SUITES[args.suite]()
     else:
         suite = _load_json(args.suite)
     outdir = Path(args.out) / _path_name(suite.get("name", "suite"), "suite name")
-    reports = run_suite(suite, outdir, args.seed, workers)
+    reports = run_suite(suite, outdir, args.seed, _workers(0))
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {rep.name}")
@@ -361,9 +362,8 @@ def _build_parser() -> _Parser:
     out.add_argument("--out", default="out", help="output directory (default: out)")
     seed.add_argument("--seed", type=int, default=None, help="override the config seed")
     threads.add_argument("--threads", type=int, default=0, metavar="K",
-                         help="K forked worker processes (0 = the usable CPUs) run a "
-                              "sweep's cells, or a suite's groups of checks that share "
-                              "runs, costliest first")
+                         help="K forked worker processes (0 = the usable CPUs) run the "
+                              "sweep's cells, costliest first")
 
     parser = _Parser(prog="pelab",
                      description="diffusion-system laboratory: runs, checks, sweeps")
@@ -373,7 +373,7 @@ def _build_parser() -> _Parser:
                            help="integrate one configuration")
     p_run.add_argument("config", help="path to a run config JSON")
 
-    p_verify = sub.add_parser("verify", parents=[out, seed, threads],
+    p_verify = sub.add_parser("verify", parents=[out, seed],
                               help="run a verification suite")
     p_verify.add_argument("suite",
                           help=f"suite JSON path or one of {sorted(_BUILTIN_SUITES)}")

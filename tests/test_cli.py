@@ -505,8 +505,9 @@ class TestVerifyCommand:
     def test_a_malformed_checks_entry_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
                                                        entry, message):
         forbid_runs(monkeypatch)
+        verify_workers(monkeypatch)
         suite = write_doc(tmp_path, {"name": "s", "checks": [small_check(), entry]}, "s.json")
-        assert main(["verify", suite, "--out", str(tmp_path / "v"), "--threads", "1"]) == 1
+        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
         assert capsys.readouterr().err == message
         assert not (tmp_path / "v").exists()
 
@@ -529,11 +530,12 @@ class TestVerifyCommand:
             self, tmp_path, monkeypatch, kind):
         # both runs start from initial0 and initial1, so nothing would read it
         keys = counting_runs(monkeypatch)
+        verify_workers(monkeypatch)
         bump = {"kind": "bump", "amplitude": 0.9, "width": 0.05}
         checks = [{"name": "contr", "kind": kind, **CONTRACTION_KEYS,
                    "config": {**contraction_config(), "initial": bump}}]
         suite = write_doc(tmp_path, {"name": "s", "checks": checks}, "suite.json")
-        assert main(["verify", suite, "--out", str(tmp_path / "v"), "--threads", "1"]) == 1
+        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
         rep = json.loads((tmp_path / "v" / "s" / "contr.report.json").read_text())
         assert rep["passed"] is False and keys == []
         assert rep["values"]["error"] == ("UsageError: 'contr': a contraction config "
@@ -545,8 +547,9 @@ class TestVerifyCommand:
     def test_checks_that_are_not_a_list_are_a_usage_error(self, tmp_path, capsys,
                                                           monkeypatch, checks, kind):
         forbid_runs(monkeypatch)
+        verify_workers(monkeypatch)
         suite = write_doc(tmp_path, {"name": "x", "checks": checks}, "s.json")
-        assert main(["verify", suite, "--out", str(tmp_path / "v"), "--threads", "1"]) == 1
+        assert main(["verify", suite, "--out", str(tmp_path / "v")]) == 1
         assert capsys.readouterr().err == \
             f"error: bad suite: wrong type(s) ['checks: list[dict], not {kind}']\n"
         assert not (tmp_path / "v").exists()
@@ -556,6 +559,13 @@ def contraction_config():
     """A contraction check's config: both runs take their data from initial0 and initial1."""
     return {k: v for k, v in heat_doc(size=32, t_end=0.001).items()
             if k not in ("initial", "seed")}
+
+
+def verify_workers(monkeypatch, workers=1):
+    """Have `pelab verify` run its plan with `workers` workers, not one per usable CPU.
+    With 1 it runs in this process, so what a test patches or records here sees every
+    run."""
+    monkeypatch.setattr(cli, "_workers", lambda threads: workers)
 
 
 def counting_runs(monkeypatch):
@@ -871,15 +881,15 @@ class TestNamesThatBecomePaths:
 
     @pytest.mark.parametrize("name", BAD_NAMES)
     def test_suite_name(self, tmp_path, capsys, monkeypatch, name):
+        verify_workers(monkeypatch)
         suite = write_doc(tmp_path, {"name": name, "checks": [small_check()]}, "suite.json")
-        self.rejected(capsys, monkeypatch, ["verify", suite, "--threads", "1"], tmp_path,
-                      "suite name")
+        self.rejected(capsys, monkeypatch, ["verify", suite], tmp_path, "suite name")
 
     @pytest.mark.parametrize("name", BAD_NAMES)
     def test_check_name(self, tmp_path, capsys, monkeypatch, name):
+        verify_workers(monkeypatch)
         suite = write_doc(tmp_path, {"name": "s", "checks": [small_check(name)]}, "suite.json")
-        self.rejected(capsys, monkeypatch, ["verify", suite, "--threads", "1"], tmp_path,
-                      "check name")
+        self.rejected(capsys, monkeypatch, ["verify", suite], tmp_path, "check name")
 
     @pytest.mark.parametrize("name", BAD_NAMES)
     def test_sweep_name(self, tmp_path, capsys, monkeypatch, name):
@@ -911,8 +921,9 @@ class TestTopLevelKeys:
 
     def test_a_suite_typo_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         forbid_runs(monkeypatch)
+        verify_workers(monkeypatch)
         suite = write_doc(tmp_path, {"name": "s", "chekcs": [small_check()]}, "suite.json")
-        assert main(["verify", suite, "--out", str(tmp_path / "out"), "--threads", "1"]) == 1
+        assert main(["verify", suite, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: bad suite: unknown key(s) ['chekcs']\n"
         assert not (tmp_path / "out").exists()
 
@@ -942,8 +953,9 @@ class TestTopLevelKeys:
     def test_a_mistyped_or_missing_key_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
                                                         command, doc, named):
         forbid_runs(monkeypatch)
+        verify_workers(monkeypatch)
         path = write_doc(tmp_path, doc, "doc.json")
-        assert main([command, path, "--out", str(tmp_path / "out"), "--threads", "1"]) == 1
+        assert main([command, path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: bad {named}\n"
         assert not (tmp_path / "out").exists()
 
@@ -973,9 +985,10 @@ class TestDocumentsThatAreNotObjects:
     def test_a_usage_error_naming_the_file(self, tmp_path, capsys, monkeypatch, argv, doc,
                                            message):
         forbid_runs(monkeypatch)
+        if argv[0] == "verify":
+            verify_workers(monkeypatch)
         path = write_doc(tmp_path, doc, "doc.json")
-        threads = ["--threads", "1"] if argv[0] == "verify" else []
-        assert main(argv + [path, "--out", str(tmp_path / "out")] + threads) == 1
+        assert main(argv + [path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not (tmp_path / "out").exists()
 
@@ -1048,8 +1061,9 @@ class TestCheckKeys:
 
     def rejected(self, tmp_path, capsys, monkeypatch, suite, err):
         keys = counting_runs(monkeypatch)
+        verify_workers(monkeypatch)
         path = write_doc(tmp_path, suite, "suite.json")
-        assert main(["verify", path, "--out", str(tmp_path / "out"), "--threads", "1"]) == 1
+        assert main(["verify", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == err
         assert not (tmp_path / "out").exists() and keys == []
 
@@ -1588,9 +1602,10 @@ def recording_fan_out(monkeypatch, started):
 
 
 class TestVerifyWorkers:
-    """With --threads K > 1, each group of checks that share runs is a job in a forked
+    """With K > 1 workers, each group of checks that share runs is a job in a forked
     worker, the costliest first; the parent writes every file, so the tree is the same
-    for every K, and a worker that dies fails the checks of its group."""
+    for every K, and a worker that dies fails the checks of its group.  `pelab verify`
+    takes one worker per usable CPU."""
 
     @pytest.mark.parametrize("suite", [{**paper_core_suite(64), "name": "core"},
                                        {"name": "tiny-2d", "seed": 7, "checks": two_2d_checks()}],
@@ -1600,12 +1615,13 @@ class TestVerifyWorkers:
         started = []
         recording_fan_out(monkeypatch, started)
         path, out = write_doc(tmp_path, suite, "suite.json"), {}
-        for k in ("1", "2"):
-            assert main(["verify", path, "--out", str(tmp_path / k), "--threads", k]) == 0
+        for k in (1, 2):
+            verify_workers(monkeypatch, k)
+            assert main(["verify", path, "--out", str(tmp_path / str(k))]) == 0
             out[k] = capsys.readouterr().out
-        assert tree(tmp_path / "1") == tree(tmp_path / "2") and out["1"] == out["2"]
-        assert out["1"].endswith(f"{len(suite['checks'])}/{len(suite['checks'])} checks passed\n")
-        # --threads 1 ran the plan in this process; --threads 2 forked one job per group
+        assert tree(tmp_path / "1") == tree(tmp_path / "2") and out[1] == out[2]
+        assert out[1].endswith(f"{len(suite['checks'])}/{len(suite['checks'])} checks passed\n")
+        # 1 worker ran the plan in this process; 2 forked one job per group
         [(parts, workers)] = started
         assert workers == 2 and len(parts) == (7 if suite["name"] == "core" else 2)
 
@@ -1620,8 +1636,9 @@ class TestVerifyWorkers:
             {"name": "mid", "kind": "sup-norm", "config": mid},
             {"name": "big-b", "kind": "reverse-holder", "sizes": [64, 128], "R": 0.1,
              "cylinders": 3, "config": big}]}
+        verify_workers(monkeypatch, 5)
         assert main(["verify", write_doc(tmp_path, suite, "suite.json"), "--out",
-                     str(tmp_path / "v"), "--threads", "5"]) == 0
+                     str(tmp_path / "v")]) == 0
         # big-a and big-b share the 64-point run; a 64-point run costs 8 times a 32-point one
         assert started == [([[1, 3], [2], [0]], 5)]
         assert capsys.readouterr().out.splitlines()[:4] == [
@@ -1629,10 +1646,8 @@ class TestVerifyWorkers:
         summary = read_csv(tmp_path / "v" / "s" / "summary.csv")
         assert [row[0] for row in summary[1:]] == ["small", "big-a", "mid", "big-b"]
 
-    @pytest.mark.parametrize("threads, affinity, expected", [
-        ("0", {0, 1, 2}, 3), ("0", None, 7), ("3", {0}, 3)])
-    def test_zero_threads_means_the_usable_cpus(self, tmp_path, monkeypatch, threads,
-                                                affinity, expected):
+    @pytest.mark.parametrize("affinity, expected", [({0, 1, 2}, 3), (None, 7)])
+    def test_verify_takes_the_usable_cpus(self, tmp_path, monkeypatch, affinity, expected):
         started = []
         recording_fan_out(monkeypatch, started)
         if affinity is None:
@@ -1643,23 +1658,23 @@ class TestVerifyWorkers:
         suite = {"name": "s", "checks": [small_check("a"), {**small_check("b"), "config": {
             **small_check()["config"], "t_end": 0.002}}]}
         assert main(["verify", write_doc(tmp_path, suite, "suite.json"), "--out",
-                     str(tmp_path / "v"), "--threads", threads]) == 0
+                     str(tmp_path / "v")]) == 0
         assert [workers for _, workers in started] == [expected]
 
-    @pytest.mark.parametrize("threads", ["-1", "-2"])
-    def test_negative_thread_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
-                                                     threads):
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("entries", [two_2d_checks()[:1], two_2d_checks()],
+                             ids=["one-group", "two-groups"])
+    def test_fewer_than_one_worker_is_refused_before_anything_runs(self, tmp_path,
+                                                                   monkeypatch, workers,
+                                                                   entries):
         def no_workers(*args, **kwargs):
             raise AssertionError("workers were started")
 
         monkeypatch.setattr(checks, "fan_out", no_workers)
         forbid_runs(monkeypatch)
-        suite = write_doc(tmp_path, {"name": "s", "checks": two_2d_checks()}, "suite.json")
-        assert main(["verify", suite, "--out", str(tmp_path / "v"), "--threads", threads]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == \
-            f"error: --threads must be 0 (the usable CPUs) or positive, got {threads}\n"
-        assert captured.out == "" and not (tmp_path / "v").exists()
+        with pytest.raises(ValueError, match=f"^workers must be 1 or more, got {workers}$"):
+            run_suite({"name": "s", "checks": entries}, tmp_path / "v", workers=workers)
+        assert not (tmp_path / "v").exists()
 
     def test_a_dead_worker_fails_exactly_the_checks_of_its_group(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -1674,9 +1689,10 @@ class TestVerifyWorkers:
             two_2d_checks()[1],
             {"name": "s", "kind": "sup-norm", "config": {**shared, "name": "other"}},
             two_2d_checks()[0]]}
+        verify_workers(monkeypatch, 2)
         fds = open_fds()
         assert main(["verify", write_doc(tmp_path, suite, "suite.json"), "--out",
-                     str(tmp_path / "v"), "--threads", "2"]) == 1
+                     str(tmp_path / "v")]) == 1
         assert multiprocessing.active_children() == [] and open_fds() == fds
         died = "ChildProcessError: worker exited with code 3"
         outdir = tmp_path / "v" / "s"
@@ -1962,7 +1978,7 @@ class TestUsage:
         ["entropy", "cosh", "--seed", "3", "--threads", "9"],
         ["entropy", "cosh", "--threads", "9"],
         ["run", "{dir}/cfg.json", "--threads", "2"],
-        ["verify", "paper-core", "--table", "t.json"],
+        ["verify", "paper-core", "--threads", "2"],
         ["report", "{dir}", "--out", "X", "--threads", "2"],
         ["report", "{dir}", "--out", "X"],
         ["report", "{dir}", "--seed", "1"],
