@@ -419,8 +419,8 @@ def _coupled_fold(grid: GridSpec, cc: CoupledCoefficients, s: float, c: float) -
 
     def div_A_grad(v_now, snap, r, out, work):   # A in work[3]; the face arrays work[:3]
         A = np.add(np.asarray(cc.a(r), dtype=float), 0.0, out=work[3])
-        A += np.sum(np.asarray(cc.c(snap.values, r), dtype=float)
-                    * np.asarray(cc.H_z(snap.values, r), dtype=float), axis=0)
+        d = cc.c(snap.values, r)   # the directions once: H_z = H'(r) d
+        A += np.sum(d * (cc.dH_profile(r)[None] * d), axis=0)
         out.fill(0.0)
         return _face_divergence(A, v_now, None, None, grid, out, *work[:3], plans)
     return _ResidualFold(grid, cc.r_max, v, div_A_grad, c)

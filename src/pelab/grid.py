@@ -191,28 +191,25 @@ def _face_divergence(coef: np.ndarray, fields: np.ndarray,
     telescope, so means are conserved.  `flux` and `tmp` are C-contiguous
     arrays shaped like `fields`, `face` one shaped like a component (a strided
     buffer raises); none is read before it is written.  Forward and backward
-    differences are `_shifted` passes (over `plans` when given).  The order of
-    operations is the roll-based original's, except that the exact 0.5 of the
-    extra coefficient's face average multiplies the scalar difference of
-    `extra_field`, not the N-component sum.
+    differences are `_shifted` passes (over `plans` when given).  The face
+    average's 0.5 and both divisions by h fold into k = 0.5/h^2, which scales
+    the coefficient face sum and the `extra_field` difference; no pass divides.
+    Bitwise the roll-based original's where h is a power of two (scaling by k
+    is exact), equal to it to rounding elsewhere.
     """
-    h = grid.h
+    k = 0.5 / (grid.h * grid.h)
     for fwd, bwd in plans or _shift_plans(grid, (1, 0), (0, -1)):
         _shifted(np.subtract, fields, fwd, flux)   # flux[i] = f[i+1] - f[i]
-        flux /= h
         _shifted(np.add, coef, fwd, face)
-        face *= 0.5
+        face *= k
         flux *= face
         if extra_field is not None:
             _shifted(np.subtract, extra_field, fwd, face)
-            face /= h
-            face *= 0.5
+            face *= k
             _shifted(np.add, extra_coef, fwd, tmp)
             tmp *= face
             flux += tmp
-        _shifted(np.subtract, flux, bwd, tmp)      # tmp[i] = flux[i] - flux[i-1]
-        tmp /= h
-        out += tmp
+        out += _shifted(np.subtract, flux, bwd, tmp)   # flux[i] - flux[i-1]
     if not grid.periodic:
         _fill_ring(out, grid.n)
     return out

@@ -98,10 +98,10 @@ class CoupledCoefficients:
     on (N, ...) states; `c` and `H_z` optionally take the norm field as well.
     `H_profile`/`dH_profile` give H and its derivative as functions of the
     norm field r.
-    The coupled step fills its workspace through two buffered calls:
-    `c(values, r, out=)` and `H_profile(r, out=, work=, a_out=)`, where `work`
-    is four float scratch arrays shaped like r and `a_out`, when given,
-    receives a(r) from the same evaluation; left out, each buffer is fresh.
+    The coupled step fills its workspace through two buffered calls: `c(values,
+    r, out=, work=)`, `work` a float and a bool array shaped like r, and
+    `H_profile(r, out=, work=, a_out=)`, `work` four float arrays shaped like r
+    and `a_out`, when given, a(r) from the same evaluation; each left out is fresh.
     `bounds` carries sup norms over [0, r_max] plus the effective diffusivity
     used for time-step control.
     """
@@ -524,11 +524,12 @@ def _decompose(p: RadialPotential) -> CoupledCoefficients:
         r = np.asarray(r, dtype=float)
         return np.asarray(p.phi2(r), dtype=float) - radial_slope(p, r)
 
-    def c_dirs(values, r=None, out=None):
+    def c_dirs(values, r=None, out=None, work=None):
+        """u / max(r, EPS_ZERO), then 0 where r <= EPS_ZERO (the mask in `work`)."""
         r = vector_norm(values) if r is None else r
-        out = np.empty_like(values) if out is None else out
-        out.fill(0.0)
-        np.divide(values, r[None], out=out, where=(r > EPS_ZERO)[None])
+        floor, mask = work or (None, None)
+        out = np.divide(values, np.maximum(r, EPS_ZERO, out=floor)[None], out=out)
+        np.copyto(out, 0.0, where=np.less_equal(r, EPS_ZERO, out=mask)[None])
         return out
 
     def H_z_of_state(values, r=None):

@@ -80,17 +80,18 @@ def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec, shape: tuple) -> Right
     """The coupled right-hand side for states of `shape` over one workspace, made here.
 
     The face fluxes and their differences, the directions c and the output,
-    each shaped like the state, the face average, a(r), H(r) and the step
-    plan; the H table borrows `flux[0]`, `tmp[0]`, `c[0]` and the face field
-    as scratch before they are filled.  One per run, never shared.
+    each shaped like the state, the face average, a(r), H(r), a mask and the
+    step plan; the H table borrows `flux[0]`, `tmp[0]`, `c[0]` and the face
+    field as scratch before they are filled, the directions the face field.
+    One per run, never shared.
     """
     flux, tmp, c, out = (np.empty(shape) for _ in range(4))
-    face, a, H = (np.empty(shape[1:]) for _ in range(3))
+    face, a, H, mask = (np.empty(shape[1:], t) for t in (float, float, float, bool))
     plans = _shift_plans(grid, (1, 0), (0, -1))
 
     def rhs(u, r):
         cc.H_profile(r, out=H, work=(flux[0], tmp[0], c[0], face), a_out=a)
-        cc.c(u, r, out=c)
+        cc.c(u, r, out=c, work=(face, mask))
         out.fill(0.0)
         return _face_divergence(a, u, c, H, grid, out, flux, tmp, face, plans)
     return rhs
