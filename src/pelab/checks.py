@@ -6,8 +6,8 @@ configs, and a judge gives its verdict on their trajectories.  Each distinct con
 is integrated once and every snapshot handed to all its observers; a negative
 control's plant wraps only its own check's observer.  No run is stored, so memory
 does not grow with the step count.  Checks that share a run form one component of
-the plan; components can be judged in forked workers, and the files written do not
-depend on how many.
+the plan; components can be judged in forked workers, and one loop writes every
+report once all are judged, so the files written do not depend on how many.
 """
 
 from __future__ import annotations
@@ -295,16 +295,18 @@ def _crash(name: str, exc: BaseException) -> CheckReport:
 def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
               workers: int = 1) -> list[CheckReport]:
     """Plan every check, then integrate each distinct config (keyed by its description
-    without `name`) once, in the order first subscribed, handing each snapshot to its
-    observers; a check is judged, and its folds dropped, as soon as its last run has ended.
+    without `name`) once, handing each snapshot to its observers; a check is judged, and
+    its judge and observers dropped, as soon as its last run has ended.
 
-    Checks that share a run are in one component of the plan.  With `workers` > 1 and
-    more than one component, each component is a job in a forked worker process, at most
-    `workers` at a time, the costliest first (`_cost` of its runs); the reports come back
-    and are written here in check order, so no file depends on `workers`.  A worker that
-    dies fails each check of its component with its exit code.  Otherwise the whole plan
-    is one job in this process, and each check is written as it is judged.  A `workers`
-    below 1 is a ValueError, raised before anything runs or is written.
+    The plan is data that no job changes: each config's subscriptions and the components,
+    the groups of checks that share runs.  Each check's judge and observers go to the job
+    of its component, which takes them and returns its (check, report) pairs.  With
+    `workers` > 1 and more than one component, each component is a job in a forked
+    worker (`fan_out`, the costliest first by the `_cost` of its runs), and a worker that
+    dies fails each check of its component with its exit code.  Otherwise one job runs
+    every config in this process, in the order first subscribed.  One loop then writes
+    every report in check order, so no file depends on `workers`.  A `workers` below 1
+    is a ValueError, raised before anything runs or is written.
     """
     if workers < 1:
         raise ValueError(f"workers must be 1 or more, got {workers}")
@@ -318,99 +320,95 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
     bound = [_bind_check(c) for c in checks]   # every check, before any file or run
     seed = int(seed_override if seed_override is not None else suite.get("seed", 0))
     outdir.mkdir(parents=True, exist_ok=True)
-    reports, files = [None] * len(checks), []
-    plans, runs = {}, {}   # check -> (judge, its subscriptions); config key -> subscriptions
-
-    def write(i, rep):   # check i's report, and its series if it has one
-        reports[i] = rep
-        rpath = outdir / f"{rep.name}.report.json"
-        rpath.write_text(json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n")
-        files.append(rpath.name)
-        if rep.series is not None:
-            files.append(f"{rep.name}.series.csv")
-            _write_series_csv(outdir / files[-1], rep)
-
-    def runs_of(part):   # the runs that the checks of `part` subscribe to, in plan order
-        return [subs for subs in runs.values() if subs[0][0] in part]
-
-    def job(part, emit=lambda i, rep: None):   # part: checks that share no run with others
-        done = []
-
-        def finish(i, rep=None):   # without rep, in an except block: the crash report
-            for sub in plans.pop(i, (None, []))[1]:
-                sub.clear()   # the check's folds and trajectories are dropped
-            done.append((i, rep or _crash(names[i], sys.exc_info()[1])))
-            emit(*done[-1])
-
-        def settle(i):   # judges check i if every run it subscribes to has ended
-            if all(sub[3] is not None for sub in plans[i][1]):
-                try:
-                    rep = plans[i][0]([sub[3] for sub in plans[i][1]])
-                except Exception:
-                    return finish(i)
-                finish(i, rep)
-
-        def integrate(subs):   # one run; a subscription is [check, config, observer, trajectory]
-            def observe(snap):
-                for sub in filter(None, subs):
-                    try:
-                        sub[2](snap)
-                    except Exception:   # fails that check only
-                        finish(sub[0])
-                if not any(subs):   # every check on the run has failed: stop it
-                    raise RuntimeError("no observer left")
-            try:
-                traj = run(next(filter(None, subs))[1], observe) if any(subs) else None
-            except Exception:   # fails every check still on the run
-                return [finish(sub[0]) for sub in subs if sub]
-            for sub in filter(None, subs):   # the run under each config's meta; observers dropped
-                doc = sub[1].describe()
-                sub[2:] = None, replace(traj, meta={**traj.meta, "config": doc,
-                                                    "name": doc["name"],
-                                                    "config_hash": config_hash(doc)})
-                settle(sub[0])
-
-        for subs in runs_of(part):
-            integrate(subs)
-        for i in [i for i in plans if i in part]:   # a check that subscribes to no run
-            settle(i)
-        return done
-
+    reports = [None] * len(checks)
+    held, runs = {}, {}   # check -> (judge, observers); config key -> [(check, position, config)]
     for i, (fn, leading, keys) in enumerate(bound):
         try:
             subs, judge = fn(seed, *leading, **keys)
         except Exception as exc:   # crashes are recorded as failures, suite continues
-            write(i, _crash(names[i], exc))
+            reports[i] = _crash(names[i], exc)
             continue
-        plans[i] = (judge, [[i, cfg, observe, None] for cfg, observe in subs])
-        for sub in plans[i][1]:
-            runs.setdefault(config_hash({**sub[1].describe(), "name": None}), []).append(sub)
-    part_of = {i: {i} for i in plans}   # check -> the checks of its component
+        held[i] = judge, [observe for _, observe in subs]
+        for j, (cfg, _) in enumerate(subs):
+            runs.setdefault(config_hash({**cfg.describe(), "name": None}), []).append((i, j, cfg))
+    part_of = {i: {i} for i in held}   # check -> the checks of its component
     for subs in runs.values():
-        joined = set().union(*(part_of[sub[0]] for sub in subs))
+        joined = set().union(*(part_of[i] for i, _, _ in subs))
         for i in joined:
             part_of[i] = joined
     parts = [part for i, part in part_of.items() if i == min(part)]   # in check order
-    if workers == 1 or len(parts) < 2:
-        job(set(plans), write)
-    else:   # costliest first (longest processing time); ties in check order
-        started = sorted(parts, key=lambda part: -sum(_cost(subs[0][1])
-                                                      for subs in runs_of(part)))
-        for part, result in zip(started, fan_out(job, started, workers)):
-            if isinstance(result, Exception):   # a dead worker fails each check of its part
-                result = [(i, _crash(names[i], result)) for i in part]
-            for i, rep in result:
-                reports[i] = rep
-        for i in sorted(plans):
-            write(i, reports[i])
+
+    def runs_of(part):   # the runs that the checks of `part` subscribe to, in plan order
+        return [subs for subs in runs.values() if subs[0][0] in part]
+
+    def job(part):   # part: checks that share no run with others
+        mine = {i: held.pop(i) for i in part}   # check -> (judge, observers) until it reports
+        got, done = {i: {} for i in part}, []   # check -> position -> trajectory; reports
+
+        def finish(i, rep=None):   # without rep, in an except block: the crash report
+            del mine[i], got[i]   # the check's folds and trajectories are dropped
+            done.append((i, rep or _crash(names[i], sys.exc_info()[1])))
+
+        def settle(i):   # judges check i if every run it subscribes to has ended
+            if len(got[i]) == len(mine[i][1]):
+                try:
+                    rep = mine[i][0]([got[i][j] for j in sorted(got[i])])
+                except Exception:
+                    return finish(i)
+                finish(i, rep)
+
+        def integrate(subs):   # one run, handed to the observers of the checks still on it
+            def observe(snap):
+                for i, j, _ in subs:
+                    if i in mine:
+                        try:
+                            mine[i][1][j](snap)
+                        except Exception:   # fails that check only
+                            finish(i)
+                if not any(i in mine for i, _, _ in subs):   # every check on it failed: stop
+                    raise RuntimeError("no observer left")
+            live = [cfg for i, _, cfg in subs if i in mine]
+            try:
+                traj = run(live[0], observe) if live else None
+            except Exception:   # fails every check still on the run
+                return [finish(i) for i, _, _ in subs if i in mine]
+            for i, j, cfg in subs:   # the run under each config's meta
+                if i in mine:
+                    doc = cfg.describe()
+                    got[i][j] = replace(traj, meta={**traj.meta, "config": doc,
+                                                    "name": doc["name"],
+                                                    "config_hash": config_hash(doc)})
+                    settle(i)
+
+        for subs in runs_of(part):
+            integrate(subs)
+        for i in list(mine):   # a check that subscribes to no run
+            settle(i)
+        return done
+
+    if workers == 1 or len(parts) < 2:   # one job, here, of every config in plan order
+        parts = [set(held)]
+    results = [job(parts[0])] if len(parts) == 1 else fan_out(
+        job, parts, workers, lambda part: sum(_cost(subs[0][2]) for subs in runs_of(part)))
+    for part, result in zip(parts, results):
+        if isinstance(result, Exception):   # a dead worker fails each check of its part
+            result = [(i, _crash(names[i], result)) for i in part]
+        for i, rep in result:
+            reports[i] = rep
+    files = ["summary.csv"]
     with open(outdir / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["check", "passed", "tolerance", "provenance"])
-        for rep in reports:
+        for rep in reports:   # each report, and its series if it has one
             w.writerow([rep.name, rep.passed,
                         json.dumps(rep.tolerance) if rep.tolerance is not None else "",
                         rep.provenance])
-    files.append("summary.csv")
+            files.append(f"{rep.name}.report.json")
+            (outdir / files[-1]).write_text(
+                json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n")
+            if rep.series is not None:
+                files.append(f"{rep.name}.series.csv")
+                _write_series_csv(outdir / files[-1], rep)
     (outdir / "suite_manifest.json").write_text(json.dumps(
         {"kind": "suite", "name": suite.get("name", "suite"), "seed": seed,
          "files": sorted(files),

@@ -8,8 +8,8 @@ golden-file comparisons work.  `verify` runs a suite's plan (module `checks`),
 each group of checks that share runs in a forked worker process, at most one per
 usable CPU.  A sweep cell runs in a forked worker process too, at most `--threads`
 at a time, and writes each snapshot and feeds it to its monitors as `run` makes
-it, so memory does not grow with the step count.  Both start their jobs
-costliest first.
+it, so memory does not grow with the step count.  Both hand their jobs to
+`workers.fan_out` in input order, and it starts them costliest first.
 
 Exit codes: 0 success / all checks passed, 1 usage or config error (including
 failed checks), 2 domain abort (range excursion, convexity or construction
@@ -33,7 +33,7 @@ import numpy as np
 from .checks import _BUILTIN_SUITES, paper_core_suite, run_suite  # noqa: F401 (perfbench)
 from .diagnostics import _diffusion_fold, _MorreyFold
 from .documents import (UsageError, _check_keys, _keywords, _load_json, _path_name,
-                        _run_config, build_config, build_potential)
+                        _run_config, _table, build_config, build_potential)
 from .errors import DomainAbort
 from .grid import _write_frame, _write_header, vector_norm
 from .potentials import build_entropy, certify_window, coupled_decomposition
@@ -236,16 +236,12 @@ def cmd_sweep(args) -> int:
         except Exception as exc:
             return error_row(cell, exc)
 
-    # costliest first (longest processing time); ties, and the rows, in cell order
-    started = sorted(cells, key=lambda c: -_cost(configs[c["label"]]))
     try:
-        results = fan_out(work, started, workers)
+        results = fan_out(work, cells, workers, lambda c: _cost(configs[c["label"]]))
     finally:   # every worker has ended: a partial directory left is a dead worker's
         for c in cells:
             shutil.rmtree(_partial(outdir / c["label"]), ignore_errors=True)
-    done = {c["label"]: error_row(c, r) if isinstance(r, Exception) else r
-            for c, r in zip(started, results)}
-    rows = [done[c["label"]] for c in cells]
+    rows = [error_row(c, r) if isinstance(r, Exception) else r for c, r in zip(cells, results)]
 
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
@@ -268,8 +264,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_entropy(args) -> int:
     if args.table:
-        table = _load_json(args.table)
-        doc = {"table": table, "id": table.get("id", "table")}
+        table = _load_json(args.table)   # a potential.table section that also takes `id`
+        doc = {"id": table.pop("id", "table"), "table": table}
+        _check_keys(f"table {args.table}", ("", doc, build_potential), ("", table, _table))
     else:
         doc = {"id": args.potential}
     if args.r_max is not None:

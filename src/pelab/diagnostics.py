@@ -447,8 +447,7 @@ class _MorreyFold(_CylinderFold):
             if R < 4.0 * grid.h * (1.0 - 1e-12):
                 raise ValueError(f"radius {R} is below the 4h = {4 * grid.h} floor")
         super().__init__(grid, [(Cylinder(center=tuple(x0), t0=float(t0), R=float(R)), 1.0)
-                                for x0, t0 in points for R in self.radii],
-                         lambda k, snap: g(snap))
+                                for x0, t0 in points for R in self.radii], g)
 
     def profiles(self) -> list[list[tuple[float, float]]]:
         """The scaled integrals of the snapshots fed, one profile per point."""
@@ -491,7 +490,7 @@ class _ReverseHolderFold(_CylinderFold):
         plans = _shift_plans(grid, (1, -1))
         super().__init__(grid, [term for q in cylinders for term in (
             (Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R), 1.0), (q, 0.5 * p))],
-                         lambda k, snap: _gradient_sq(snap.values, grid, plans))
+                         lambda snap: _gradient_sq(snap.values, grid, plans))
         self.p = p
 
     def report(self, traj: Trajectory, reference: float | None = None, rel_change: float = 0.2,
@@ -533,11 +532,11 @@ class _EstimateFold:
         smalls, plans = [(small, 1.0) for small, _ in pairs], _shift_plans(grid, (1, -1))
         grad = self.grad = _CylinderFold(
             grid, [term for small, big in pairs for term in ((big, 1.0), (small, 2.0))],
-            lambda k, snap: _gradient_sq(snap.values, grid, plans))
+            lambda snap: _gradient_sq(snap.values, grid, plans))
         ahead = self.ahead = []   # the last snapshot fed; the |u_t|^2 fold's successor
-        self.ut = _CylinderFold(grid, smalls, lambda k, snap: np.sum(
+        self.ut = _CylinderFold(grid, smalls, lambda snap: np.sum(
             np.square((ahead[0].values - snap.values) / grad.spacing), axis=0))
-        self.hess = _CylinderFold(grid, smalls, lambda k, snap: hessian_sq(
+        self.hess = _CylinderFold(grid, smalls, lambda snap: hessian_sq(
             grad_Phi_field(p, snap.values), grid))
         self.pairs, self.sup_u = pairs, 0.0
 

@@ -2,10 +2,10 @@
 that a run config document builds.
 
 A document's sections are declared by the keyword-only parameters of one function
-each (a run config's top level, its grid and potential, a suite, a sweep, a check
-kind, an initial-data family): their names are the keys, their annotations the JSON
-types and their defaults the optional keys' values.  Every problem is a UsageError,
-which the command line maps to exit code 1.
+each (a run config's top level, its grid, its potential and the potential's table, a
+suite, a sweep, a check kind, an initial-data family): their names are the keys,
+their annotations the JSON types and their defaults the optional keys' values.
+Every problem is a UsageError, which the command line maps to exit code 1.
 """
 
 from __future__ import annotations
@@ -68,15 +68,23 @@ def _grid(*, sizes: list[int], h: float, boundary: str = "periodic") -> GridSpec
     return GridSpec(n=len(sizes), sizes=sizes, h=float(h), boundary=boundary)
 
 
+def _table(*, breakpoints: list[float], coeffs: list[list[float]],
+           r_max: float | None = None) -> tuple:
+    """A potential's `table` section: the knots of the pieces, one row of descending-power
+    coefficients of phi per piece, and the range (the last knot by default)."""
+    return breakpoints, coeffs, r_max
+
+
 def build_potential(*, id: str = "table", r_max: float | None = None,
                     table: dict | None = None):
-    """A built-in potential `id`, or a piecewise-polynomial `table` (breakpoints, coeffs
-    and r_max) named `id`; `r_max` beats the table's."""
+    """A built-in potential `id`, or a piecewise-polynomial `table` (`_table`) named `id`;
+    `r_max` beats the table's."""
     try:
         if table is None:
             return get_potential(id, r_max=r_max)
-        return from_piecewise_poly(table["breakpoints"], table["coeffs"], pid=id,
-                                   r_max=table.get("r_max") if r_max is None else r_max)
+        breakpoints, coeffs, table_r_max = _table(**table)
+        return from_piecewise_poly(breakpoints, coeffs, pid=id,
+                                   r_max=table_r_max if r_max is None else r_max)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad potential section: {exc}") from exc
 
@@ -104,9 +112,11 @@ def _path_name(name, what: str) -> str:
 
 def build_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     """The RunConfig of a run config document, every key checked first (`_run_config`,
-    `_grid`, `build_potential` and the family of `initial` declare them)."""
+    `_grid`, `build_potential`, `_table` and the family of `initial` declare them)."""
+    pot = doc.get("potential")
+    table = pot.get("table") if isinstance(pot, dict) else None
     sections = [("", doc, _run_config), ("grid.", doc.get("grid"), _grid),
-                ("potential.", doc.get("potential"), build_potential)]
+                ("potential.", pot, build_potential), ("potential.table.", table, _table)]
     try:
         if isinstance(doc.get("initial"), dict):   # without its kind, under its family's keys
             family, keys = _initial_family(doc["initial"])

@@ -25,9 +25,9 @@ Euclidean distance R of x0, crossed with the snapshot times t satisfying
 t0 - R^2 < t <= t0.  `_CylinderFold`, the one cylinder loop, is fed one
 snapshot at a time and reads each snapshot's field once for all its
 cylinders, with no memo; `_replay` feeds a fold a stored trajectory, as a run
-feeds it (the Trajectory-form cylinder monitors).  Trajectories are written
-as one header and one frame per snapshot (`_write_header`, `_write_frame`)
-and read back a frame at a time (`read_snapshot`).
+feeds it.  Trajectories are written as one header and one frame per snapshot
+(`_write_header`, `_write_frame`) and read back a frame at a time
+(`read_snapshot`).
 """
 
 from __future__ import annotations
@@ -447,14 +447,13 @@ class _CylinderFold:
 
     `result` is the point sum of field**power over each (cylinder, power)
     term, and its point count; an integral is a sum times h^n times
-    `spacing`, the time between the first two snapshots.  `field(k,
-    snapshot)` is evaluated once per snapshot that some window holds, k
-    counting the snapshots fed.  The balls are validated on construction,
-    the windows by `result`.
+    `spacing`, the time between the first two snapshots.  `field(snapshot)`
+    is evaluated once per snapshot that some window holds.  The balls are
+    validated on construction, the windows by `result`.
     """
 
     def __init__(self, grid: GridSpec, terms: Sequence[tuple[Cylinder, float]],
-                 field: Callable[[int, FieldState], np.ndarray]):
+                 field: Callable[[FieldState], np.ndarray]):
         self.grid, self.terms, self.field = grid, list(terms), field
         self.balls = [np.flatnonzero(_ball(grid, q)) for q, _ in self.terms]  # C-order gather
         self.windows = [_window(q) for q, _ in self.terms]
@@ -470,7 +469,7 @@ class _CylinderFold:
             self.spacing = t - self.t0
         inside = [i for i, (a, b) in enumerate(self.windows) if a < t <= b]
         if inside:
-            f = np.asarray(self.field(k, snap), dtype=float)
+            f = np.asarray(self.field(snap), dtype=float)
             if f.shape != self.grid.sizes:
                 raise ValueError("the field must evaluate to a scalar field on the grid")
             flat = f.ravel()

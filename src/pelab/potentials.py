@@ -93,11 +93,10 @@ class CoupledCoefficients:
     """Coefficients (a, c, H) of the strongly coupled form of a radial system.
 
     `a` maps the pointwise norm field r to the scalar coefficient (times the
-    identity in the space indices), `c` maps an (N, ...) state to unit radial
-    directions, `H_z` evaluates the gradient of the scalar coupling function
-    on (N, ...) states; `c` and `H_z` optionally take the norm field as well.
-    `H_profile`/`dH_profile` give H and its derivative as functions of the
-    norm field r.
+    identity in the space indices), `c` maps an (N, ...) state, and optionally
+    its norm field, to unit radial directions.  `H_profile`/`dH_profile` give the
+    scalar coupling function H and its derivative as functions of the norm field
+    r, so its gradient on a state u is H_z = dH_profile(r) c(u, r).
     The coupled step fills its workspace through two buffered calls: `c(values,
     r, out=, work=)`, `work` a float and a bool array shaped like r, and
     `H_profile(r, out=, work=, a_out=)`, `work` four float arrays shaped like r
@@ -108,7 +107,6 @@ class CoupledCoefficients:
 
     a: Callable[[np.ndarray], np.ndarray]
     c: Callable[..., np.ndarray]
-    H_z: Callable[..., np.ndarray]
     H_profile: Callable[..., np.ndarray]
     dH_profile: Callable[[np.ndarray], np.ndarray]
     bounds: dict
@@ -532,10 +530,6 @@ def _decompose(p: RadialPotential) -> CoupledCoefficients:
         np.copyto(out, 0.0, where=np.less_equal(r, EPS_ZERO, out=mask)[None])
         return out
 
-    def H_z_of_state(values, r=None):
-        r = vector_norm(values) if r is None else r
-        return dH_profile(r)[None] * c_dirs(values, r)
-
     rs = np.linspace(0.0, p.r_max, CERT_SAMPLES)
     a_s = radial_slope(p, rs)
     phi2_s = np.asarray(p.phi2(rs), dtype=float) + np.zeros_like(rs)
@@ -554,7 +548,7 @@ def _decompose(p: RadialPotential) -> CoupledCoefficients:
         "eff_Lambda": float((a_s + np.abs(deta)).max()),
     }
     return CoupledCoefficients(
-        a=lambda r: radial_slope(p, r), c=c_dirs, H_z=H_z_of_state,
+        a=lambda r: radial_slope(p, r), c=c_dirs,
         H_profile=H_profile, dH_profile=dH_profile,
         bounds=bounds, lam_a=float(a_s.min()), lam_A=window.lam, r_max=p.r_max,
         id=f"{p.id}-coupled")

@@ -288,6 +288,10 @@ class RunConfig:
             raise TypeError(f"initial must be an object, got {self.initial!r}")
         if not isinstance(self.name, str):
             raise TypeError(f"name must be a string, got {self.name!r}")
+        if self.boundary_values is not None and \
+                len(self.boundary_values) not in (1, self.n_components):
+            raise ValueError(f"boundary_values takes 1 entry or one per component "
+                             f"({self.n_components}), got {len(self.boundary_values)}")
         if not self.grid.periodic and self.boundary_values is None:
             object.__setattr__(self, "boundary_values", (0.0,) * self.n_components)
 

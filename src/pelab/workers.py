@@ -1,4 +1,4 @@
-"""Forked worker processes: fn(item) for each item of a list, at most K at a time.
+"""Forked worker processes: fn(item) for each item, costliest first, at most K at a time.
 
 Each call runs in a process forked for it (start method `fork`), so it inherits
 fn, its closures and whatever the caller has loaded or patched, and imports
@@ -15,10 +15,12 @@ def _work(fn, item, send) -> None:
     send.send(fn(item))
 
 
-def fan_out(fn, items: list, workers: int) -> list:
+def fan_out(fn, items: list, workers: int, cost) -> list:
     """[fn(item) for item in items], each call in a worker process of its own.
 
-    At most `workers` run at a time, started in the order of `items`.  A worker
+    At most `workers` run at a time, started costliest first (longest processing
+    time first, by `cost(item)`), equal costs in the order of `items`; the results
+    come back in the order of `items`, whatever the start order.  A worker
     that ends without sending its result (it raised, or exited) gives, in its
     place, a ChildProcessError naming its exit code.  stdout and stderr are
     flushed before each fork, so that no worker prints what the caller had
@@ -29,7 +31,8 @@ def fan_out(fn, items: list, workers: int) -> list:
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    results, queue, running = [None] * len(items), list(enumerate(items)), {}
+    results, running = [None] * len(items), {}
+    queue = sorted(enumerate(items), key=lambda pair: -cost(pair[1]))
     try:
         while queue or running:
             while queue and len(running) < workers:

@@ -54,8 +54,9 @@ def write_doc(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
-# case -> (initial-data kind or None, dotted key, mistyped value, its type): one case per
-# key of a run config's top level, grid, potential and initial-data families; the first
+# case -> (initial-data kind, "table" or None, dotted key, mistyped value, its type): one
+# case per key of a run config's top level, grid, potential, potential table and
+# initial-data families; the first
 # eleven are values that the run config coerced or accepted before its keys were typed
 RUN_WRONG_TYPES = {
     "components-float": (None, "components", 2.7, "int, not float"),
@@ -79,6 +80,11 @@ RUN_WRONG_TYPES = {
     "potential.id": (None, "potential.id", 3, "str, not int"),
     "potential.r_max": (None, "potential.r_max", "2", "float | None, not str"),
     "potential.table": (None, "potential.table", [[0.5]], "dict | None, not list"),
+    "table.breakpoints": ("table", "potential.table.breakpoints", [0.0, "2"],
+                          "list[float], not list"),
+    "table.coeffs": ("table", "potential.table.coeffs", [0.5, 0.0, 0.0],
+                     "list[list[float]], not list"),
+    "table.r_max": ("table", "potential.table.r_max", "2", "float | None, not str"),
     "constant.amplitude": ("constant", "initial.amplitude", None, "float, not NoneType"),
     "constant.value": ("constant", "initial.value", 0.5, "list[float] | None, not float"),
     "mode.k": ("mode", "initial.k", 1.5, "int | list[int], not float"),
@@ -102,18 +108,24 @@ RUN_WRONG_TYPES = {
 
 
 def mistyped(kind, key, value):
-    """heat_doc with `value` at the dotted `key`, its `initial` of `kind` when given."""
+    """heat_doc with `value` at the dotted `key`, its potential a table for kind "table"
+    and its `initial` of `kind` for any other kind given."""
     doc = heat_doc()
-    if kind is not None:
+    if kind == "table":
+        doc["potential"]["table"] = {"breakpoints": [0.0, 2.0], "coeffs": [[0.5, 0.0, 0.0]]}
+    elif kind is not None:
         doc["initial"] = {"kind": kind}
     *outer, last = key.split(".")
-    (doc[outer[0]] if outer else doc)[last] = value
+    section = doc
+    for k in outer:
+        section = section[k]
+    section[last] = value
     return doc
 
 
 class TestRunConfigKeys:
     """A run config's keys are the keyword-only parameters of `_run_config`, `_grid`,
-    `build_potential` and its initial-data family, typed by their annotations."""
+    `build_potential`, `_table` and its initial-data family, typed by their annotations."""
 
     @pytest.mark.parametrize("case", list(RUN_WRONG_TYPES))
     def test_a_mistyped_key_is_a_usage_error(self, tmp_path, capsys, monkeypatch, case):
@@ -127,10 +139,11 @@ class TestRunConfigKeys:
 
     def test_every_key_is_covered(self):
         from pelab.solver import _FAMILIES
-        sections = {"": documents._run_config, "grid.": documents._grid, "potential.": documents.build_potential}
+        sections = {"": documents._run_config, "grid.": documents._grid,
+                    "potential.": documents.build_potential, "potential.table.": documents._table}
         keys = {at + k for at, fn in sections.items() for k in documents._keywords(fn)}
         keys |= {f"{kind}.{k}" for kind, fn in _FAMILIES.items() for k in documents._keywords(fn)}
-        assert {key if kind is None else f"{kind}.{key.split('.')[1]}"
+        assert {key if kind in (None, "table") else f"{kind}.{key.split('.')[1]}"
                 for kind, key, *_ in RUN_WRONG_TYPES.values()} == keys
 
     def test_every_problem_of_every_section_is_named_at_once(self, tmp_path, capsys):
@@ -221,6 +234,20 @@ class TestRunCommand:
                        "['dt_override: float | None, not str']\n")
         assert not (tmp_path / "out").exists()
 
+    def test_boundary_values_of_the_wrong_length_are_a_usage_error(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # they ended in an IndexError traceback from the run's initial state
+        forbid_runs(monkeypatch)
+        doc = cell_base([33], "dirichlet", components=3, boundary_values=[0.0, 0.1])
+        message = ("bad run config: boundary_values takes 1 entry or one per component (3), "
+                   "got 2")
+        assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        [rep] = run_suite({"name": "s", "checks": [
+            {"name": "sup", "kind": "sup-norm", "config": unseeded(doc)}]}, tmp_path / "v")
+        assert (rep.passed, rep.values["error"]) == (False, f"UsageError: {message}")
+
     @pytest.mark.parametrize("key, value, message", [
         ("initial", 5, "wrong type(s) ['initial: dict, not int']"),
         ("initial", [1], "wrong type(s) ['initial: dict, not list']"),
@@ -238,10 +265,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("section, key, shown", [
         (None, "tend", "tend"), ("grid", "bogus", "grid.bogus"),
-        ("potential", "typo", "potential.typo")])
+        ("potential", "typo", "potential.typo"), ("table", "rmax", "potential.table.rmax")])
     def test_unknown_keys_are_usage_errors(self, tmp_path, capsys, section, key, shown):
-        doc = heat_doc()
-        (doc[section] if section else doc)[key] = 1
+        # a table's unknown key was dropped: "rmax" 0.5 ran with r_max 2.0, its last knot
+        doc = mistyped("table" if section == "table" else None, shown, 1)
         cfg = write_doc(tmp_path, doc)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -716,7 +743,8 @@ class TestSuiteMemo:
 
     def test_no_fold_outlives_the_check_that_made_it(self, tmp_path, monkeypatch):
         from pelab import diagnostics, grid
-        planning, made = [], []   # the check being planned; (its name, a fold) of every fold
+        planning, made, done = [], [], []   # the check being planned; (its name, a fold) of
+        # every fold; the checks judged
         for cls in (diagnostics._SupFold, diagnostics._ResidualFold, diagnostics._EstimateFold,
                     diagnostics._ContractionFold, grid._CylinderFold):
             def init(fold, *args, real=cls.__init__):
@@ -727,12 +755,13 @@ class TestSuiteMemo:
             @functools.wraps(check)   # the spy declares the keys its check declares
             def spy(seed, *lead, check=check, **keys):
                 planning.append(keys["name"])
-                return check(seed, *lead, **keys)
+                subs, judge = check(seed, *lead, **keys)
+                return subs, lambda trajs: (judge(trajs), done.append(keys["name"]))[0]
             monkeypatch.setitem(checks._CHECKS, kind, (spy, *leading))
         real, judged = checks.run, []
 
         def checked(cfg, observe=None):   # no gc: a fold is freed once nothing refers to it
-            judged.append(sorted(p.name.split(".")[0] for p in (tmp_path / "v").glob("*.json")))
+            judged.append(sorted(done))
             assert [name for name, fold in made if name in judged[-1] and fold()] == []
             return real(cfg, observe)
         monkeypatch.setattr(checks, "run", checked)
@@ -1396,13 +1425,7 @@ class TestStreamedSweepCells:
 
     def test_cells_start_costliest_first_and_rows_keep_cell_order(self, tmp_path,
                                                                   monkeypatch):
-        submitted = []
-
-        def in_order(fn, cells, workers):   # runs each cell, in this process, as it starts
-            submitted.extend(cell["label"] for cell in cells)
-            return [fn(cell) for cell in cells]
-
-        monkeypatch.setattr(cli, "fan_out", in_order)
+        calls = spy_fan_out(monkeypatch, cli, lambda cell: cell["label"])
         # 40 steps of 5e-5: within the CFL bound at 32 and 64 points, beyond it at 128
         doc = {"name": "sw", "base": cell_base([32], t_end=0.002, dt_override=5e-5),
                "axes": {"resolution": [32, 64, 128], "potential": ["quadratic", "cosh"]}}
@@ -1411,6 +1434,7 @@ class TestStreamedSweepCells:
         labels = [c["label"] for c in cli._sweep_cells(doc)]
         # 64 points cost twice 32 (equal steps); equal costs keep cell order, and a
         # cell whose run cannot be planned goes last
+        [(submitted, _)] = calls
         assert submitted == ["quadratic-n64", "cosh-n64", "quadratic-n32", "cosh-n32",
                              "quadratic-n128", "cosh-n128"]
         rows = read_csv(tmp_path / "s" / "sw" / "sweep.csv", csv.DictReader)
@@ -1422,13 +1446,7 @@ class TestStreamedSweepCells:
         ("0", {0, 1, 2}, 3), ("0", None, 7), ("5", {0, 1, 2}, 5)])
     def test_zero_threads_means_the_usable_cpus(self, tmp_path, monkeypatch, threads,
                                                 affinity, expected):
-        seen, fan_out = [], cli.fan_out
-
-        def recording(fn, cells, workers):
-            seen.append(workers)
-            return fan_out(fn, cells, workers)
-
-        monkeypatch.setattr(cli, "fan_out", recording)
+        calls = spy_fan_out(monkeypatch, cli, lambda cell: cell["label"])
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
@@ -1437,7 +1455,7 @@ class TestStreamedSweepCells:
         doc = {"name": "sw", "base": cell_base([16], t_end=0.001), "axes": {}}
         assert main(["sweep", write_doc(tmp_path, doc, "sweep.json"), "--out",
                      str(tmp_path / "s"), "--threads", threads]) == 0
-        assert seen == [expected]
+        assert [workers for _, workers in calls] == [expected]
 
     @staticmethod
     def failing_third_write(monkeypatch, cell_dir):
@@ -1590,15 +1608,24 @@ def two_2d_checks():
             {"name": "sup-coupled-2d", "kind": "sup-norm", "config": coupled}]
 
 
-def recording_fan_out(monkeypatch, started):
-    """The suite's fan_out, recording the check names of each job as it is handed over
-    and the worker count; the jobs still run in forked workers."""
-    real = checks.fan_out
+def spy_fan_out(monkeypatch, module, name):
+    """Wrap `module.fan_out` (of `sweep` or `verify`): each call records, with its worker
+    count, the name(item) of each item in the order `workers.fan_out` starts its worker.
+    The jobs still run in forked workers."""
+    calls, real, fork = [], module.fan_out, multiprocessing.get_context("fork")
+    process = fork.Process
 
-    def recording(fn, parts, workers):
-        started.append(([sorted(i for i in part) for part in parts], workers))
-        return real(fn, parts, workers)
-    monkeypatch.setattr(checks, "fan_out", recording)
+    def spy(fn, items, workers, cost):
+        calls.append(([], workers))
+
+        def starting(*args, **kwargs):   # fan_out's Process(target=_work, args=(fn, item, send))
+            calls[-1][0].append(name(kwargs["args"][1]))
+            return process(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(fork, "Process", starting)
+            return real(fn, items, workers, cost)
+    monkeypatch.setattr(module, "fan_out", spy)
+    return calls
 
 
 class TestVerifyWorkers:
@@ -1612,8 +1639,7 @@ class TestVerifyWorkers:
                              ids=["paper-core-64", "tiny-2d"])
     def test_the_tree_and_stdout_do_not_depend_on_the_thread_count(self, tmp_path, capsys,
                                                                    monkeypatch, suite):
-        started = []
-        recording_fan_out(monkeypatch, started)
+        started = spy_fan_out(monkeypatch, checks, sorted)
         path, out = write_doc(tmp_path, suite, "suite.json"), {}
         for k in (1, 2):
             verify_workers(monkeypatch, k)
@@ -1625,10 +1651,19 @@ class TestVerifyWorkers:
         [(parts, workers)] = started
         assert workers == 2 and len(parts) == (7 if suite["name"] == "core" else 2)
 
+    def test_the_jobs_of_every_group_run_in_one_process(self, tmp_path, monkeypatch):
+        # no job changes the plan: each group's job can run after another's in one process
+        suite = paper_core_suite(64)
+        run_suite(suite, tmp_path / "1", workers=1)
+        run_suite(suite, tmp_path / "2", workers=2)
+        monkeypatch.setattr(checks, "fan_out", lambda fn, items, *rest: [fn(x) for x in items])
+        reports = run_suite(suite, tmp_path / "inline", workers=2)
+        assert all(r.passed for r in reports)
+        assert tree(tmp_path / "inline") == tree(tmp_path / "1") == tree(tmp_path / "2")
+
     def test_the_groups_start_costliest_first_and_the_reports_keep_check_order(
             self, tmp_path, capsys, monkeypatch):
-        started = []
-        recording_fan_out(monkeypatch, started)
+        started = spy_fan_out(monkeypatch, checks, sorted)
         small, mid, big = (unseeded(cell_base([m], t_end=0.002)) for m in (16, 32, 64))
         suite = {"name": "s", "checks": [
             {"name": "small", "kind": "sup-norm", "config": small},
@@ -1648,8 +1683,7 @@ class TestVerifyWorkers:
 
     @pytest.mark.parametrize("affinity, expected", [({0, 1, 2}, 3), (None, 7)])
     def test_verify_takes_the_usable_cpus(self, tmp_path, monkeypatch, affinity, expected):
-        started = []
-        recording_fan_out(monkeypatch, started)
+        started = spy_fan_out(monkeypatch, checks, sorted)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
@@ -1928,6 +1962,17 @@ class TestEntropyCommand:
         }, "table.json")
         assert main(["entropy", "--table", table, "--out", str(tmp_path / "e")]) == 2
         assert "r =" in capsys.readouterr().err
+
+    def test_a_table_files_keys_are_those_of_a_potential_table_and_id(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        monkeypatch.setattr(cli, "certify_window", lambda p: pytest.fail("certified"))
+        table = write_doc(tmp_path, {**TABLE_QUAD["table"], "id": 5, "rmax": 0.5,
+                                     "coeffs": [0.5, 0.0, 0.0]}, "table.json")
+        assert main(["entropy", "--table", table, "--out", str(tmp_path / "e")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad table {table}: unknown key(s) ['rmax'], wrong type(s) "
+            "['coeffs: list[list[float]], not list', 'id: str, not int']\n")
+        assert not (tmp_path / "e").exists()
 
     def test_unknown_potential(self, tmp_path):
         assert main(["entropy", "unobtainium", "--out", str(tmp_path / "e")]) == 1

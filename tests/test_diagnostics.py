@@ -536,7 +536,8 @@ class TestResidualPassParity:
             def spatial(v_now, snap):
                 r = vector_norm(snap.values)
                 A = np.asarray(cc.a(r)) + np.zeros_like(r) + np.sum(
-                    cc.c(snap.values, r) * cc.H_z(snap.values, r), axis=0)
+                    cc.c(snap.values, r) * cc.dH_profile(r)[None] * cc.c(snap.values, r),
+                    axis=0)
                 return fresh_face_divergence(A, v_now[None], None, None, g)[0]
             res = frozen_residuals(
                 traj, lambda snap: np.exp(pars.s * (cc.H_profile(vector_norm(snap.values))
@@ -636,7 +637,7 @@ class TestChooseEntropyParams:
     def test_doubling_coupling_quadruples_constant(self):
         base = coupled_decomposition(cosh_potential(1.0))
         doubled = CoupledCoefficients(
-            a=base.a, c=base.c, H_z=base.H_z, H_profile=base.H_profile,
+            a=base.a, c=base.c, H_profile=base.H_profile,
             dH_profile=base.dH_profile,
             bounds={**base.bounds, "sup_c": 2.0}, lam_a=base.lam_a,
             lam_A=base.lam_A, r_max=base.r_max, id="x2")
@@ -927,20 +928,22 @@ class TestCylinderIntegralParity:
 
     @pytest.mark.parametrize("power", [1.0, 1.25, 2.0])
     def test_integral_matches_the_frozen_loops(self, traj, power):
-        def grad2(k):
-            return _gradient_sq(traj.snapshots[k].values, traj.grid)
+        def grad2(snap):
+            return _gradient_sq(snap.values, traj.grid)
+        at = lambda k: grad2(traj.snapshots[k])  # noqa: E731  (the frozen loops' field)
 
         cell = traj.grid.cell_volume() * (traj.times[1] - traj.times[0])
         for R in (0.0625, 0.125, 0.25):
             q = Cylinder(center=self.center(traj), t0=traj.times[-2], R=R)
             [(total, count)] = integrals(traj, [(q, power)], grad2)
-            assert total / count == reference_cyl_mean(traj, q, grad2, power)
-            assert total * cell == reference_integral(traj, q, grad2, power)
+            assert total / count == reference_cyl_mean(traj, q, at, power)
+            assert total * cell == reference_integral(traj, q, at, power)
 
     def test_one_multi_term_call_matches_the_frozen_loops(self, traj):
         # windows ending at three times, nested and disjoint balls, four powers
-        def grad2(k):
-            return _gradient_sq(traj.snapshots[k].values, traj.grid)
+        def grad2(snap):
+            return _gradient_sq(snap.values, traj.grid)
+        at = lambda k: grad2(traj.snapshots[k])  # noqa: E731  (the frozen loops' field)
 
         c = self.center(traj)
         mid = traj.times[len(traj.snapshots) // 2]
@@ -955,8 +958,8 @@ class TestCylinderIntegralParity:
         for (total, count), (q, power) in zip(got, terms):
             mask, idx = members(traj, q)
             assert count == mask.sum() * len(idx)
-            assert total / count == reference_cyl_mean(traj, q, grad2, power)
-            assert total * cell == reference_integral(traj, q, grad2, power)
+            assert total / count == reference_cyl_mean(traj, q, at, power)
+            assert total * cell == reference_integral(traj, q, at, power)
 
     def test_morrey_profile_matches_the_frozen_loop(self, traj):
         point = (self.center(traj), traj.times[-1])
@@ -1039,14 +1042,15 @@ class TestOnePassPerWindow:
         def spy(fold, grid, terms, field):
             read = []
             calls.append(([q for q, _ in terms], read))
-            real(fold, grid, terms, lambda k, snap: (read.append(int(k)), field(k, snap))[1])
+            real(fold, grid, terms, lambda snap: (read.append(snap.t), field(snap))[1])
 
         monkeypatch.setattr(_CylinderFold, "__init__", spy)
         return calls
 
     @staticmethod
     def union(traj, cylinders):
-        return sorted(set().union(*(members(traj, q)[1].tolist() for q in cylinders)))
+        return sorted(set().union(*(traj.times[members(traj, q)[1]].tolist()
+                                    for q in cylinders)))
 
     def test_morrey_evaluates_g_once_per_snapshot(self, traj):
         read = []
@@ -1080,8 +1084,8 @@ class TestOnePassPerWindow:
         [(cylinders, passed)] = passes
         assert len(cylinders) == len(points) * len(radii)
         window = self.union(traj, cylinders)
-        assert passed == window == list(range(71))   # one point alone reads 71
-        assert read == [traj.snapshots[k].t for k in window]
+        assert passed == window == traj.times[:71].tolist()   # one point alone reads 71
+        assert read == window
         grad = lambda s: _gradient_sq(s.values, s.grid)  # noqa: E731
         for (x0, t0), prof in zip(points, rep.values["profiles"]):
             ref = reference_morrey_profile(traj, (x0, t0), radii, grad, traj.grid.n)
@@ -1095,7 +1099,7 @@ class TestOnePassPerWindow:
         [(cylinders, read)] = passes
         bigs = [Cylinder(center=q.center, t0=q.t0, R=4 * q.R) for q in cyls]
         assert cylinders == [bigs[0], cyls[0], bigs[1], cyls[1]]
-        assert read == self.union(traj, cyls + bigs) == list(range(61))
+        assert read == self.union(traj, cyls + bigs) == traj.times[:61].tolist()
 
     def test_estimate_ratios_read_each_snapshot_once_per_field(self, traj, passes):
         pairs = [(Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.1),
@@ -1105,9 +1109,10 @@ class TestOnePassPerWindow:
         assert [c for c, _ in passes] == [[bigs[0], smalls[0], bigs[1], smalls[1]],
                                           smalls, smalls]   # |grad u|^2, |u_t|^2, hessian
         assert passes[0][1] == self.union(traj, bigs)
-        assert 0 < passes[0][1][0] and passes[0][1][-1] == 70
+        assert traj.times[0] < passes[0][1][0] and passes[0][1][-1] == traj.times[70]
         inner = self.union(traj, smalls)
-        assert len(inner) < inner[-1] - inner[0] + 1   # two disjoint windows
+        k = np.searchsorted(traj.times, inner)
+        assert len(k) < k[-1] - k[0] + 1   # two disjoint windows
         assert [read for _, read in passes[1:]] == [inner, inner]
 
     @pytest.fixture(scope="class")

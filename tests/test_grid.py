@@ -348,10 +348,10 @@ class TestHessianSq:
         assert np.abs(a[deep] - b[deep]).max() <= 1e-12 * np.abs(a[deep]).max()
 
 
-def integrals(traj, terms, field_at):
+def integrals(traj, terms, field):
     """The cylinder fold's (sum, point count) per (cylinder, power) term over a stored
-    trajectory, the field of snapshot k being field_at(k)."""
-    return _replay(traj, _CylinderFold(traj.grid, terms, lambda k, snap: field_at(k))).result()
+    trajectory, the field of a snapshot being field(snapshot)."""
+    return _replay(traj, _CylinderFold(traj.grid, terms, field)).result()
 
 
 def members(traj, q):
@@ -361,7 +361,7 @@ def members(traj, q):
 
 
 def cylinder_mean(traj, q, field):
-    [(total, count)] = integrals(traj, [(q, 1.0)], lambda k: field)
+    [(total, count)] = integrals(traj, [(q, 1.0)], lambda snap: field)
     return total / count
 
 
@@ -389,13 +389,13 @@ class TestCylinders:
         u = (x * (1 - x))[None]
         traj = stationary_trajectory(g, u, n_snaps=6, bv=(0.0,))
 
-        def g2(k):
-            return _gradient_sq(traj.snapshots[k].values, g)
+        def g2(snap):
+            return _gradient_sq(snap.values, g)
 
         for R in (0.1, 0.2):
             q = Cylinder(center=(0.5,), t0=traj.times[-1], R=R)
             mask, idx = members(traj, q)
-            field = g2(0)
+            field = g2(traj.snapshots[0])
             direct = 0.0
             for k in idx:
                 for j in np.nonzero(mask)[0]:
@@ -414,7 +414,7 @@ class TestCylinders:
         q = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
         mask, idx = members(traj, q)
         field = np.random.default_rng(8).uniform(0.0, 2.0, size=g.sizes)
-        [(total, _)] = integrals(traj, [(q, 1.5)], lambda k: field)
+        [(total, _)] = integrals(traj, [(q, 1.5)], lambda snap: field)
         assert total == pytest.approx(len(idx) * np.sum(field[mask] ** 1.5), rel=1e-14)
 
     def test_monotone_under_domination(self):
@@ -431,7 +431,7 @@ class TestCylinders:
         traj = stationary_trajectory(g, np.zeros((1, 32)), n_snaps=4)
         q = Cylinder(center=(0.3,), t0=traj.times[-1], R=0.11)
         with pytest.raises(ValueError, match="scalar field on the grid"):
-            integrals(traj, [(q, 1.0)], lambda k: np.zeros((1, 32)))
+            integrals(traj, [(q, 1.0)], lambda snap: np.zeros((1, 32)))
 
     def test_a_fed_fold_checks_the_windows_after_the_pass(self):
         # streamed snapshots have no times ahead: the balls are checked first, the
@@ -442,20 +442,21 @@ class TestCylinders:
         late = Cylinder(center=(0.25,), t0=traj.times[0], R=0.001)   # one snapshot
         with pytest.raises(ValueError, match="periodic extent"):
             _CylinderFold(g, [(good, 1.0), (Cylinder(center=(0.5,), t0=0.0, R=0.6), 1.0)],
-                          lambda k, snap: np.ones(g.sizes))
+                          lambda snap: np.ones(g.sizes))
         read = []
         fold = _CylinderFold(g, [(good, 1.0), (late, 1.0)],
-                             lambda k, snap: read.append(k) or np.ones(g.sizes))
+                             lambda snap: read.append(snap.t) or np.ones(g.sizes))
         for snap in traj.snapshots:
             fold.feed(snap)
-        assert read == [0, 1, 2, 3] and fold.spacing == traj.times[1] - traj.times[0]
+        assert read == traj.times.tolist() and fold.spacing == traj.times[1] - traj.times[0]
         with pytest.raises(ValueError, match="intersects only 1 snapshots"):
             fold.result()
-        fold = _CylinderFold(g, [(good, 1.0)], lambda k, snap: np.ones(g.sizes))
+        fold = _CylinderFold(g, [(good, 1.0)], lambda snap: np.ones(g.sizes))
         for snap in traj.snapshots:
             fold.feed(snap)
-        assert fold.result() == integrals(traj, [(good, 1.0)], lambda k: np.ones(g.sizes))
-        assert integrals(traj, [], lambda k: read.append(k)) == [] and read == [0, 1, 2, 3]
+        assert fold.result() == integrals(traj, [(good, 1.0)], lambda snap: np.ones(g.sizes))
+        assert integrals(traj, [], lambda snap: read.append(snap.t)) == [] and \
+            read == traj.times.tolist()
 
     def test_ball_wraps_around_periodic_boundary(self):
         g = periodic_grid(64)
@@ -477,14 +478,14 @@ class TestCylinders:
                 dy = min(abs(j / 32 - 0.5), 1 - abs(j / 32 - 0.5))
                 count += dx * dx + dy * dy <= 0.13 ** 2 * (1 + 1e-12)
         assert mask.sum() == count
-        assert integrals(traj, [(q, 1.0)], lambda k: np.ones(g.sizes))[0][1] == \
+        assert integrals(traj, [(q, 1.0)], lambda snap: np.ones(g.sizes))[0][1] == \
             count * len(idx)
         assert cylinder_mean(traj, q, np.ones(g.sizes)) == pytest.approx(1.0, abs=1e-15)
 
     def test_errors_name_the_failed_bound(self):
         g = dirichlet_grid(65)
         traj = stationary_trajectory(g, np.zeros((1, 65)), n_snaps=4, bv=(0.0,))
-        ones = lambda k: np.ones(g.sizes)  # noqa: E731
+        ones = lambda snap: np.ones(g.sizes)  # noqa: E731
         with pytest.raises(ValueError, match="interior"):
             integrals(traj, [(Cylinder(center=(0.02,), t0=traj.times[-1], R=0.1), 1.0)], ones)
         with pytest.raises(ValueError, match="snapshots"):

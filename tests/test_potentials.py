@@ -329,9 +329,9 @@ class TestCoupledDecomposition:
             for _ in range(30):
                 z = rng.uniform(-1, 1, 2)
                 z *= rng.uniform(0.05, p.r_max) / np.linalg.norm(z)
-                zf = z[:, None]
-                A = float(cc.a(np.linalg.norm(z))) * np.eye(2) \
-                    + np.outer(cc.c(zf)[:, 0], cc.H_z(zf)[:, 0])
+                zf, r = z[:, None], np.linalg.norm(z, keepdims=True)
+                H_z = cc.dH_profile(r)[None] * cc.c(zf, r)   # as `_coupled_fold` forms it
+                A = float(cc.a(r[0])) * np.eye(2) + np.outer(cc.c(zf)[:, 0], H_z[:, 0])
                 assert np.abs(A - hessian_Phi(p, z)).max() <= 1e-8
 
     def test_ellipticity_certificates(self):
@@ -347,7 +347,7 @@ class TestCoupledDecomposition:
         v[:, 0] = 0.0
         r = np.linalg.norm(v, axis=0)
         assert np.all(cc.H_profile(r) == 0.0) and np.all(cc.a(r) == 1.0)
-        assert np.all(cc.H_z(v) == 0.0)
+        assert np.all(cc.dH_profile(r)[None] * cc.c(v, r) == 0.0)
         assert cc.bounds["sup_Hzz"] == 0.0
 
 

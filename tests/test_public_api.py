@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import pelab
@@ -75,6 +76,8 @@ def test_the_removed_twins_stay_removed():
             assert [n for n in names if hasattr(pelab, n)] == []
     assert not hasattr(pelab.Trajectory, "snapshot_dt")
     assert not hasattr(pelab.diagnostics._ContractionFold(None), "mu")
+    # H_z is formed from dH_profile and c where it is used, as `_coupled_fold` does
+    assert "H_z" not in {f.name for f in dataclasses.fields(pelab.CoupledCoefficients)}
 
 
 def test_the_demos_import_no_private_name_of_pelab():
