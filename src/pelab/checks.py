@@ -4,8 +4,10 @@ suites and the run planner behind `pelab verify`.
 A suite is a run plan: each check subscribes observers, its monitors' folds, to run
 configs, and a judge gives its verdict on their trajectories.  Each distinct config
 is integrated once and every snapshot handed to all its observers; a negative
-control's plant wraps only its own check's observer.  No run is stored, so memory
-does not grow with the step count.  Checks that share a run form one component of
+control's plant wraps only its own check's observer.  The runs that have the same
+checks and the same planned step (a contraction check's two) are stepped in
+lockstep, as one stacked state.  No run is stored, so memory does not grow with the
+step count.  Checks that share a run form one component of
 the plan; components can be judged in forked workers, and one loop writes every
 report once all are judged, so the files written do not depend on how many.
 """
@@ -27,10 +29,10 @@ from .diagnostics import (CheckReport, _calibration, _ContractionFold, _coupled_
                           _diffusion_fold, _EstimateFold, _MorreyFold, _ReverseHolderFold,
                           _rungs_report, _SupFold, choose_entropy_params)
 from .documents import UsageError, _check_keys, _path_name, build_config
-from .grid import Cylinder, GridSpec
+from .grid import Cylinder, GridSpec, vector_norm
 from .potentials import build_entropy, certify_window, coupled_decomposition
-from .solver import (RunConfig, _cost, _planned, config_hash, run, step_diffusion,
-                     with_resolution)
+from .solver import (RunConfig, _cost, _lockstep, _planned, _step_key, config_hash,
+                     step_diffusion, with_resolution)
 from .workers import fan_out
 
 
@@ -139,11 +141,23 @@ def _check_estimate_ratios(seed, /, *, name: str, config: dict, r: float, R: flo
 # the negative controls' plants: plant(config, observe) -> the observer the run is handed
 
 def _inflate_final(cfg: RunConfig, observe):
-    """The final snapshot times 1.5: the sup-norm bound must fail."""
-    final, seen = _planned(cfg)[2] // cfg.snapshot_every, count()
+    """The final snapshot with its largest |u| off the Dirichlet ring raised, at that
+    one point, to 1.5 times the bound `_SupFold` checks: the initial sup, or the
+    running boundary sup if it is larger, tracked from the snapshots forwarded.  So the
+    sup-norm bound must fail, however far the run decays."""
+    final, seen, bound = _planned(cfg)[2] // cfg.snapshot_every, count(), [None, 0.0]
 
     def planted(snap):
-        observe(replace(snap, values=snap.values * 1.5) if next(seen) == final else snap)
+        r = vector_norm(snap.values)
+        bound[0] = float(r.max()) if bound[0] is None else bound[0]   # the initial sup
+        bound[1] = max(bound[1], snap.boundary_sup())
+        if next(seen) == final:
+            loc = (slice(None), *np.unravel_index(
+                int(np.where(cfg.grid.boundary_mask, -1.0, r).argmax()), r.shape))
+            values = snap.values.copy()
+            values[loc] *= 1.5 * max(bound) / r[loc[1:]]
+            snap = replace(snap, values=values)
+        observe(snap)
     return planted
 
 
@@ -300,7 +314,10 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
 
     The plan is data that no job changes: each config's subscriptions and the components,
     the groups of checks that share runs.  Each check's judge and observers go to the job
-    of its component, which takes them and returns its (check, report) pairs.  With
+    of its component, which takes them and returns its (check, report) pairs.  A job
+    steps the runs of its component that have the same checks and the same planned step
+    (`_step_key`) as one batch in lockstep (`_lockstep`), and an exception from the
+    batch fails every check on it.  With
     `workers` > 1 and more than one component, each component is a job in a forked
     worker (`fan_out`, the costliest first by the `_cost` of its runs), and a worker that
     dies fails each check of its component with its exit code.  Otherwise one job runs
@@ -357,7 +374,7 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
                     return finish(i)
                 finish(i, rep)
 
-        def integrate(subs):   # one run, handed to the observers of the checks still on it
+        def observer(subs):   # one run's snapshots, to the observers of the checks still on it
             def observe(snap):
                 for i, j, _ in subs:
                     if i in mine:
@@ -367,21 +384,31 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
                             finish(i)
                 if not any(i in mine for i, _, _ in subs):   # every check on it failed: stop
                     raise RuntimeError("no observer left")
-            live = [cfg for i, _, cfg in subs if i in mine]
-            try:
-                traj = run(live[0], observe) if live else None
-            except Exception:   # fails every check still on the run
-                return [finish(i) for i, _, _ in subs if i in mine]
-            for i, j, cfg in subs:   # the run under each config's meta
-                if i in mine:
-                    doc = cfg.describe()
-                    got[i][j] = replace(traj, meta={**traj.meta, "config": doc,
-                                                    "name": doc["name"],
-                                                    "config_hash": config_hash(doc)})
-                    settle(i)
+            return observe
 
+        def integrate(batch):   # runs with one set of checks and one planned step, in lockstep
+            live = [[cfg for i, _, cfg in subs if i in mine] for subs in batch]
+            if not live[0]:   # the checks share every run of the batch, so all or none live
+                return
+            try:
+                trajs = _lockstep([cfgs[0] for cfgs in live], [observer(subs) for subs in batch])
+            except Exception:   # fails every check still on the batch
+                return [finish(i) for i, _, _ in batch[0] if i in mine]
+            for subs, traj in zip(batch, trajs):   # each run under each config's meta
+                for i, j, cfg in subs:
+                    if i in mine:
+                        doc = cfg.describe()
+                        got[i][j] = replace(traj, meta={**traj.meta, "config": doc,
+                                                        "name": doc["name"],
+                                                        "config_hash": config_hash(doc)})
+                        settle(i)
+
+        batches = {}   # the runs of `part` by their checks and planned step, in plan order
         for subs in runs_of(part):
-            integrate(subs)
+            key = frozenset(i for i, _, _ in subs), _step_key(subs[0][2])
+            batches.setdefault(key, []).append(subs)
+        for batch in batches.values():
+            integrate(batch)
         for i in list(mine):   # a check that subscribes to no run
             settle(i)
         return done

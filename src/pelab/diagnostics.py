@@ -15,8 +15,9 @@ wrap-around provides); a Dirichlet grid sums over the odd extension of its
 interior, whose periodic modes are the type-I sine (DST-I) modes.
 
 Every monitor is a fold fed one snapshot at a time, whose `report` is the
-verdict on what it was fed: `_SupFold`, `_ContractionFold` (it stores the first
-of its two runs), `_ResidualFold`, and `_MorreyFold`, `_ReverseHolderFold` and
+verdict on what it was fed: `_SupFold`, `_ContractionFold` (it holds the unmatched
+snapshots of the run ahead: one when its two runs are fed in lockstep, as a suite
+feeds them), `_ResidualFold`, and `_MorreyFold`, `_ReverseHolderFold` and
 `_EstimateFold` on `grid._CylinderFold`, which evaluate a field once per snapshot
 in the union of their windows, with no memo.  `pelab verify` and a sweep cell
 feed each snapshot to the folds as their runs make it; the tests replay a stored
@@ -28,6 +29,7 @@ separation in the band, one integer offset at a time.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Sequence
@@ -136,31 +138,34 @@ def h_minus_one_norm(values: np.ndarray, grid: GridSpec) -> float:
 
 class _ContractionFold:
     """Monotone non-increase of the H^-1 distance d(t) between runs 0 and 1, fed as
-    feed(0 or 1, snapshot), one run after the other in either order: it stores the
-    first, and each snapshot of the other gives d, the H^-1 norm of run 1's minus run
-    0's snapshot of the same index; one it cannot match raises.  The verdict is plain
-    monotonicity within `rel_tol` relative per step; exp(2 lam t) d^2 and the best-fit
-    decay exponent are information only, and no sign of the exponent is asserted."""
+    feed(0 or 1, snapshot) in any interleaving: the k-th snapshot of one run meets
+    the k-th of the other, and gives d, the H^-1 norm of run 1's minus run 0's.  The
+    run ahead has its unmatched snapshots held, each dropped once its partner is fed:
+    fed in lockstep, at most one; fed one run after the other, the whole first run.
+    A pair it cannot match raises.  The verdict is plain monotonicity within
+    `rel_tol` relative per step; exp(2 lam t) d^2 and the best-fit decay exponent are
+    information only, and no sign of the exponent is asserted."""
 
     def __init__(self, window: EllipticityWindow, rel_tol: float = 1e-10):
         self.window, self.rel_tol = window, rel_tol
-        self.first, self.stored, self.d = None, [], []
+        self.ahead, self.held, self.times, self.d = None, deque(), [], []
 
     def feed(self, side: int, snap: FieldState) -> None:
-        if self.first in (None, side):
-            self.first = side
-            self.stored.append(snap)
+        if not self.held or self.ahead == side:
+            self.ahead = side
+            self.held.append(snap)
             return
-        ref, k = self.stored, len(self.d)
-        if snap.grid != ref[0].grid:
+        ref = self.held.popleft()
+        if snap.grid != ref.grid:
             raise ValueError("mismatched runs: grids differ")
-        if snap.n_components != ref[0].n_components:
+        if snap.n_components != ref.n_components:
             raise ValueError("mismatched runs: component counts differ")
-        if k >= len(ref) or abs(snap.t - ref[k].t) > 1e-9 * max(ref[-1].t, 1e-300):
+        if abs(snap.t - ref.t) > 1e-9 * max(abs(ref.t), 1e-300):
             raise ValueError("mismatched runs: snapshot times differ")
-        if k == 0 and not snap.grid.periodic and snap.boundary_values != ref[0].boundary_values:
+        if not self.d and not snap.grid.periodic and snap.boundary_values != ref.boundary_values:
             raise ValueError("mismatched runs: boundary data differ")
-        one, zero = (snap, ref[k]) if side == 1 else (ref[k], snap)
+        one, zero = (snap, ref) if side == 1 else (ref, snap)
+        self.times.append(ref.t)
         self.d.append(h_minus_one_norm(one.values - zero.values, snap.grid))
 
     def report(self, traj0: Trajectory, traj1: Trajectory, name: str,
@@ -170,9 +175,9 @@ class _ContractionFold:
         rel_tol, lam = self.rel_tol, self.window.lam
         if abs(traj0.dt - traj1.dt) > 1e-12 * max(traj0.dt, traj1.dt):
             raise ValueError("mismatched runs: time steps differ")
-        if len(self.d) != len(self.stored):
+        if self.held:   # one run made more snapshots than the other
             raise ValueError("mismatched runs: snapshot times differ")
-        times, d = np.array([s.t for s in self.stored]), np.array(self.d)
+        times, d = np.array(self.times), np.array(self.d)
 
         witness = None
         for k in range(len(d) - 1):
@@ -277,7 +282,7 @@ class _ResidualFold:
         r, spatial, grad, res = self.space[:4]
         work = self.space[4:]
         r = _abort_if_outside(vector_norm(snap.values, r, work[:snap.n_components]),
-                              self.r_max, snap.t)
+                              self.r_max, snap.t, None, None)
         q = self.at(snap, r)
         if self.last is not None:
             t_now, q_now = self.last

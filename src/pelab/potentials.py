@@ -361,15 +361,22 @@ def cumulative_simpson(f: Callable[[np.ndarray], np.ndarray], x_max: float,
     The panel count per segment doubles globally, at most 10 times, until
     the per-segment Richardson error estimate meets the budget tol/segments.
     Returns the cumulative values at the segment endpoints (length
-    segments + 1).
+    segments + 1).  f is called once per abscissa: the even points of a level
+    are the last level's points bit for bit (`linspace` over twice the
+    intervals, and halving the step is exact), so a level keeps their values
+    and evaluates f only on its odd points.
     """
     m = segments
     panels = 1
     prev = None
-    for _ in range(10):
+    fx = np.asarray(f(np.linspace(0.0, x_max, 2 * m + 1)), dtype=float) + np.zeros(2 * m + 1)
+    for level in range(10):
         pts = 2 * m * panels + 1
-        x = np.linspace(0.0, x_max, pts)
-        fx = np.asarray(f(x), dtype=float) + np.zeros(pts)
+        if level:
+            odd = np.linspace(0.0, x_max, pts)[1::2]
+            kept, fx = fx, np.empty(pts)
+            fx[::2] = kept
+            fx[1::2] = np.asarray(f(odd), dtype=float) + np.zeros(len(odd))
         step = x_max / (pts - 1)
         coef = np.ones(2 * panels + 1)
         coef[1:-1:2] = 4.0
@@ -420,23 +427,25 @@ def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
         out = np.empty_like(r) if out is None else out
         s, s2, term, index = work or [np.empty_like(r) for _ in range(4)]
         i, flag = index.view(np.intp), term.view(np.intp)
-        # table.take(i, out=, mode="clip") gathers; "raise" would buffer `out`
+        # table.take(i, out=, mode="wrap") gathers: after the clamp and the sentinel
+        # correction every i lies in [0, m - 1], so none wraps; "raise" would buffer
+        # `out`, and "wrap" costs less than "clip"
         np.divide(r, width, out=s)
         np.floor(s, out=s)
         np.fmin(s, m - 1, out=s)
         np.fmax(s, 0, out=s)
         np.copyto(i, s, casting="unsafe")
-        np.less(r, lo.take(i, out=s, mode="clip"), out=flag)
+        np.less(r, lo.take(i, out=s, mode="wrap"), out=flag)
         i -= flag
-        np.greater_equal(r, hi.take(i, out=s, mode="clip"), out=flag)
+        np.greater_equal(r, hi.take(i, out=s, mode="wrap"), out=flag)
         i += flag
-        np.subtract(r, x.take(i, out=s, mode="clip"), out=s)
+        np.subtract(r, x.take(i, out=s, mode="wrap"), out=s)
         np.multiply(s, s, out=s2)
-        c3.take(i, out=out, mode="clip")
-        out += np.multiply(c2.take(i, out=term, mode="clip"), s, out=term)
-        out += np.multiply(c1.take(i, out=term, mode="clip"), s2, out=term)
+        c3.take(i, out=out, mode="wrap")
+        out += np.multiply(c2.take(i, out=term, mode="wrap"), s, out=term)
+        out += np.multiply(c1.take(i, out=term, mode="wrap"), s2, out=term)
         s2 *= s
-        out += np.multiply(c0.take(i, out=term, mode="clip"), s2, out=term)
+        out += np.multiply(c0.take(i, out=term, mode="wrap"), s2, out=term)
         return out
 
     return evaluate

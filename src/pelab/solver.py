@@ -7,19 +7,26 @@ diffusion system (for N = 1, u_t = Lap(phi'(|u|) sgn u)) and
 averaged coefficients) for the coupled rewrite.  The body then computes the
 new norm field r = |u| once; its maximum is the step's one reduction, and
 one test of it serves both aborts (range and finiteness).  One CFL bound
-serves both systems, given the effective diffusivity.  `run` drives the body
-over plain arrays and validates a `FieldState` only for a stored snapshot;
-`step_diffusion` is one pass of it, state in, state out; an observer given to
-`run` receives each stored snapshot as it is made.  Each right-hand
-side is made for one state shape and builds its workspace with it, with the
-run's step plan and output buffer: grad Phi(u), a neighbour sum, the slope
-field and a mask for the diffusion system, face fluxes, directions and
+serves both systems, given the effective diffusivity.
+
+There is one time loop, `_lockstep`: it steps a stack (N, B, *sizes) of the
+states of B runs that share one planned step, the component axis first, so
+that every kernel takes the stack as it takes one state (a scalar field is
+(B, *sizes) and broadcasts over the components; the step plans count planes
+from the last axis).  Each member's snapshots are its solo run's bit for
+bit, and a range abort names the member's run.  `run` is its one-member
+case.  The loop drives the body over plain arrays and validates a
+`FieldState` of each member's slice only for a stored snapshot; an observer
+receives each stored snapshot as it is made.  `step_diffusion` is one pass
+of the body on a stack of one, state in, state out.  Each right-hand side is
+made for one stack shape and builds its workspace with it, with the run's
+step plan and output buffer: grad Phi(u), a neighbour sum, the slope field
+and a mask for the diffusion system, face fluxes, directions and
 coefficient fields for the coupled one.  A step then allocates only the new
 state and what the potential's evaluators return.  Range excursions abort,
 never clamp; clamping would silently invalidate every estimate checked
 downstream.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -51,20 +58,25 @@ def cfl_dt(grid: GridSpec, Lam: float, sigma: float = 1.0) -> float:
     return sigma * grid.h * grid.h / (2.0 * grid.n * Lam)
 
 
-def _abort_if_outside(r: np.ndarray, r_max: float, t: float,
-                      step: int | None = None) -> np.ndarray:
-    """The norm field r, once checked against r_max."""
+def _abort_if_outside(r: np.ndarray, r_max: float, t: float, step: int | None,
+                      run: str | None) -> np.ndarray:
+    """The norm field r of one state, once checked against r_max; the error names
+    the run (when it has one) that made the state."""
     worst = float(r.max())
     if worst > r_max * (1.0 + 1e-12):
         loc = tuple(int(i) for i in np.unravel_index(int(r.argmax()), r.shape))
         raise RangeExcursionError(
-            f"|u| = {worst} exceeds r_max = {r_max} at {loc}, t = {t}",
+            f"|u| = {worst} exceeds r_max = {r_max} at {loc}, t = {t}" + _of(run),
             location=loc, t=t, step=step)
     return r
 
 
+def _of(run: str | None) -> str:
+    return "" if run is None else f" in run '{run}'"
+
+
 def _diffusion_rhs(p: RadialPotential, grid: GridSpec, shape: tuple) -> RightHandSide:
-    """Lap(grad Phi(u)) for states of `shape` over one workspace, made here and
+    """Lap(grad Phi(u)) for stacks of `shape` over one workspace, made here and
     owned by the closure: grad Phi(u), the neighbour sum, the slope field, one
     mask, the output and the step plan."""
     g, nb, out = (np.empty(shape) for _ in range(3))
@@ -77,7 +89,7 @@ def _diffusion_rhs(p: RadialPotential, grid: GridSpec, shape: tuple) -> RightHan
 
 
 def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec, shape: tuple) -> RightHandSide:
-    """The coupled right-hand side for states of `shape` over one workspace, made here.
+    """The coupled right-hand side for stacks of `shape` over one workspace, made here.
 
     The face fluxes and their differences, the directions c and the output,
     each shaped like the state, the face average, a(r), H(r), a mask and the
@@ -98,38 +110,45 @@ def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec, shape: tuple) -> Right
 
 
 def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float,
-           r_max: float, step: int | None = None, steps: int | None = None) -> np.ndarray:
-    """The loop body: new = u + dt L(u, r), then r = |new| (squared in L's buffer).
+           r_max: float, runs: list, step: int | None = None,
+           steps: int | None = None) -> np.ndarray:
+    """The loop body on a stack u (N, B, *sizes) of the B runs named in `runs`: new =
+    u + dt L(u, r), then r = |new| (B norm fields, squared in L's buffer).
 
-    max r is a step's one reduction: NaN or inf in new makes it NaN or inf, so
-    one test serves both aborts, told apart only when it fails.  A non-finite
-    value is stamped with this step; an excursion, raised only in a run of
-    `steps` steps, with the next (or the last).  A lone step checks u first.
+    max r over the stack is a step's one reduction: NaN or inf in new makes it NaN
+    or inf, so one test serves both aborts, told apart, member by member, only when
+    it fails; the error names the run of the first member that fails.  A non-finite
+    value is stamped with this step; an excursion, raised only in a run of `steps`
+    steps, with the next (or the last).  A lone step checks u first.
     """
     if steps is None:
-        _abort_if_outside(r, r_max, t, step)
+        for b, name in enumerate(runs):
+            _abort_if_outside(r[b], r_max, t, step, name)
     L = rhs(u, r)
     L *= dt
     new = np.add(L, u)
     worst = vector_norm(new, r, L).max()
     if not worst < math.inf or worst > r_max * (1.0 + 1e-12):
-        # u is finite, so non-finite values can only be born here
-        if not np.isfinite(new).all():
-            loc = tuple(int(i) for i in np.unravel_index(
-                int((~np.isfinite(new)).argmax()), new.shape))
-            raise RangeExcursionError(
-                f"step produced a non-finite value at component {loc[0]}, point "
-                f"{loc[1:]}, t = {t + dt}", location=loc[1:], t=t + dt, step=step)
-        if steps is not None:
-            _abort_if_outside(r, r_max, t + dt, min(step + 1, steps))
+        for b, name in enumerate(runs):
+            member = new[:, b]   # u is finite, so non-finite values can only be born here
+            if not np.isfinite(member).all():
+                loc = tuple(int(i) for i in np.unravel_index(
+                    int((~np.isfinite(member)).argmax()), member.shape))
+                raise RangeExcursionError(
+                    f"step produced a non-finite value at component {loc[0]}, point "
+                    f"{loc[1:]}, t = {t + dt}" + _of(name), location=loc[1:], t=t + dt,
+                    step=step)
+            if steps is not None:
+                _abort_if_outside(r[b], r_max, t + dt, min(step + 1, steps), name)
     return new
 
 
 def step_diffusion(state: FieldState, p: RadialPotential, dt: float) -> FieldState:
-    """One forward-Euler step of u_t = Lap(grad Phi(u))."""
-    new = _euler(_diffusion_rhs(p, state.grid, state.values.shape), state.values,
-                 vector_norm(state.values), state.t, dt, p.r_max)
-    return FieldState(grid=state.grid, values=new, t=state.t + dt,
+    """One forward-Euler step of u_t = Lap(grad Phi(u)): the loop body on a stack of one."""
+    u = state.values[:, None]
+    new = _euler(_diffusion_rhs(p, state.grid, u.shape), u, vector_norm(u), state.t,
+                 dt, p.r_max, [None])
+    return FieldState(grid=state.grid, values=new[:, 0], t=state.t + dt,
                       boundary_values=state.boundary_values)
 
 
@@ -372,6 +391,14 @@ def _initial_state(config: RunConfig) -> np.ndarray:
     return values
 
 
+def _step_key(config: RunConfig) -> str:
+    """The content hash of a run's planned step: its description without the keys that
+    only its state depends on (`initial`, `seed`, `boundary_values`) and its `name`.
+    Runs with one key can be stepped in lockstep."""
+    return config_hash({**config.describe(), "initial": None, "seed": None,
+                        "boundary_values": None, "name": None})
+
+
 def run(config: RunConfig,
         observe: Callable[[FieldState], None] | None = None) -> Trajectory:
     """Integrate to t_end, storing a snapshot every `snapshot_every` steps.
@@ -380,44 +407,62 @@ def run(config: RunConfig,
     only the final one is kept; without it all are, for the tests and the demos' direct
     runs (`demos/heat_oracle.py` reads every one).  Deterministic given the seed; `meta`
     records the potential, its certified window, dt and the configuration's content hash.
+    The one-member case of `_lockstep`.
     """
-    p = config.potential
-    window, cc, steps, dt = _planned(config)
-    shape = (config.n_components, *config.grid.sizes)
-    rhs = (_diffusion_rhs(p, config.grid, shape) if cc is None
-           else _coupled_rhs(cc, config.grid, shape))
+    return _lockstep([config], [observe])[0]
 
-    values = _initial_state(config)
-    snaps = []
-    keep = snaps.append if observe is None else observe
-    snap = FieldState(grid=config.grid, values=values, t=0.0,
-                      boundary_values=config.boundary_values)
-    # plain arrays from here on; a FieldState is built only for a snapshot
-    u, t = snap.values, 0.0
-    r = _abort_if_outside(vector_norm(u), p.r_max, t)
-    keep(snap)
+
+def _lockstep(configs: list[RunConfig], observers: list) -> list[Trajectory]:
+    """`run` of each config, stepped together as one stack (N, B, *sizes) of B states.
+
+    The configs must share one planned step (`_step_key`); each member starts from its
+    own initial state and Dirichlet ring.  After each stored step every member's
+    observer (None: keep every snapshot) gets a `FieldState` of its slice, members in
+    order.  Each member's snapshots and meta are those of its solo run, bit for bit:
+    every kernel of the step works point by point, and the one reduction over
+    components sums each point's components in the same order.  A range abort names
+    the first member that leaves the range.
+    """
+    first = configs[0]
+    if any(_step_key(c) != _step_key(first) for c in configs[1:]):
+        raise ValueError("runs stepped in lockstep must share one planned step")
+    p, grid, every = first.potential, first.grid, first.snapshot_every
+    window, cc, steps, dt = _planned(first)
+    u = np.stack([_initial_state(c) for c in configs], axis=1)
+    rhs = (_diffusion_rhs(p, grid, u.shape) if cc is None
+           else _coupled_rhs(cc, grid, u.shape))
+    names = [c.name for c in configs]
+    kept = [[] for _ in configs]
+    keep = [k.append if obs is None else obs for k, obs in zip(kept, observers)]
+
+    def snapshot(u, t):   # a FieldState of each member's slice
+        return [FieldState(grid=grid, values=u[:, b], t=t, boundary_values=c.boundary_values)
+                for b, c in enumerate(configs)]
+
+    def feed(snaps):   # each member's snapshot to its observer, members in order
+        for give, snap in zip(keep, snaps):
+            give(snap)
+        return snaps
+
+    # plain arrays from here on; FieldStates are built only for a snapshot
+    last, r, t = snapshot(u, 0.0), vector_norm(u), 0.0
+    for b, name in enumerate(names):
+        _abort_if_outside(r[b], p.r_max, t, None, name)
+    feed(last)
     for k in range(1, steps + 1):   # each step checks the state it makes
-        u = _euler(rhs, u, r, t, dt, p.r_max, k, steps)
+        u = _euler(rhs, u, r, t, dt, p.r_max, names, k, steps)
         t += dt
-        if k % config.snapshot_every == 0:
-            snap = FieldState(grid=config.grid, values=u, t=t,
-                              boundary_values=config.boundary_values)
-            keep(snap)
+        if k % every == 0:
+            last = feed(snapshot(u, t))
+    window_doc = {"lam": window.lam, "Lam": window.Lam, "r_max": window.r_max}
 
-    doc = config.describe()
-    meta = {
-        "config": doc,
-        "config_hash": config_hash(doc),
-        "potential_id": p.id,
-        "window": {"lam": window.lam, "Lam": window.Lam, "r_max": window.r_max},
-        "dt": dt,
-        "steps": steps,
-        "snapshot_every": config.snapshot_every,
-        "seed": config.seed,
-        "system": config.system,
-        "name": config.name,
-    }
-    return Trajectory(snapshots=tuple(snaps) or (snap,), dt=dt, meta=meta)
+    def meta(config):
+        doc = config.describe()
+        return {"config": doc, "config_hash": config_hash(doc), "potential_id": p.id,
+                "window": window_doc, "dt": dt, "steps": steps, "snapshot_every": every,
+                "seed": config.seed, "system": config.system, "name": config.name}
+    return [Trajectory(snapshots=tuple(k) or (s,), dt=dt, meta=meta(c))
+            for k, s, c in zip(kept, last, configs)]
 
 
 def with_resolution(config: RunConfig, size: int) -> RunConfig:

@@ -596,13 +596,14 @@ def verify_workers(monkeypatch, workers=1):
 
 
 def counting_runs(monkeypatch):
-    """Record the name-free hash of every config `checks.run` integrates."""
-    keys, real = [], checks.run
+    """Record the name-free hash of every config `checks._lockstep` integrates, the
+    members of a batch in order."""
+    keys, real = [], checks._lockstep
 
-    def counted(cfg, observe=None):
-        keys.append(config_hash({**cfg.describe(), "name": None}))
-        return real(cfg, observe)
-    monkeypatch.setattr(checks, "run", counted)
+    def counted(cfgs, observers):
+        keys.extend(config_hash({**cfg.describe(), "name": None}) for cfg in cfgs)
+        return real(cfgs, observers)
+    monkeypatch.setattr(checks, "_lockstep", counted)
     return keys
 
 
@@ -624,6 +625,93 @@ def assert_each_reports_as_alone(tmp_path, suite, seed=3):
         assert files and all((alone / f).read_bytes() == (tmp_path / "all" / f).read_bytes()
                              for f in files)
         assert read_csv(alone / "summary.csv")[1] == summary[i + 1]
+
+
+def recording_batches(monkeypatch):
+    """Record the run names of every batch `checks._lockstep` steps, members in order."""
+    batches, real = [], checks._lockstep
+
+    def recorded(cfgs, observers):
+        batches.append([cfg.name for cfg in cfgs])
+        return real(cfgs, observers)
+    monkeypatch.setattr(checks, "_lockstep", recorded)
+    return batches
+
+
+class TestLockstepBatches:
+    """A suite steps the runs of a component that share their checks and their planned
+    step as one batch; every report is the one it makes alone."""
+
+    def test_paper_core_batches_exactly_its_contraction_pairs(self, tmp_path, monkeypatch):
+        batches = recording_batches(monkeypatch)
+        reports = run_suite(paper_core_suite(64), tmp_path / "all", 3)
+        assert all(rep.passed for rep in reports)
+        assert [b for b in batches if len(b) > 1] == [
+            ["contraction-cosh-a", "contraction-cosh-b"],
+            ["contraction-heat-a", "contraction-heat-b"]]
+        assert sum(map(len, batches)) == 14 and len(batches) == 12
+
+    def test_the_contraction_fold_holds_at_most_one_snapshot(self, tmp_path, monkeypatch):
+        from pelab.diagnostics import _ContractionFold
+        held, feed = [], _ContractionFold.feed
+
+        def spied(fold, side, snap):
+            feed(fold, side, snap)
+            held.append(len(fold.held))
+        monkeypatch.setattr(_ContractionFold, "feed", spied)
+        config = {**contraction_config(), "t_end": 0.005, "snapshot_every": 2}
+        suite = {"name": "s", "checks": [
+            {"name": "c", "kind": "contraction", "config": config, **CONTRACTION_KEYS},
+            {"name": "t", "kind": "tampered-contraction", "config": config,
+             **CONTRACTION_KEYS}]}
+        assert [rep.passed for rep in run_suite(suite, tmp_path / "all", 3)] == [True, False]
+        # each fold holds run a's snapshot until run b's of the same step is fed: the
+        # two folds (c's, t's) take a's, then b's
+        assert len(held) > 8 and held == [1, 1, 0, 0] * (len(held) // 4)
+        assert_each_reports_as_alone(tmp_path, suite)
+
+    def test_runs_that_other_checks_share_are_not_batched(self, tmp_path, monkeypatch):
+        # the sup-norm check shares the contraction's first run only, so the two runs
+        # have different checks; a run of another step is never in the batch
+        batches = recording_batches(monkeypatch)
+        bare = contraction_config()
+        first = {**bare, "initial": CONTRACTION_KEYS["initial0"], "name": "first"}
+        suite = {"name": "s", "checks": [
+            {"name": "c", "kind": "contraction", "config": bare, **CONTRACTION_KEYS},
+            {"name": "s", "kind": "sup-norm", "config": first},
+            {"name": "d", "kind": "contraction", "config": {**bare, "t_end": 0.002},
+             **CONTRACTION_KEYS}]}
+        run_suite(suite, tmp_path / "all", 3)
+        assert batches == [["heat-sin-a"], ["heat-sin-b"], ["heat-sin-a", "heat-sin-b"]]
+        assert_each_reports_as_alone(tmp_path, suite)
+
+    def test_a_raising_observer_fails_only_the_checks_that_subscribe_to_it(
+            self, tmp_path, monkeypatch):
+        # c and t share both runs, one batch; t's plant breaks, c is judged on every
+        # snapshot; alone, t fails with the same error
+        fed = []
+
+        def broken(cfg, observe):
+            def planted(snap):
+                fed.append(snap.t)
+                if snap.t > 0.0:
+                    raise RuntimeError("plant broke")
+                observe(snap)
+            return planted
+        monkeypatch.setitem(checks._CHECKS, "tampered-contraction",
+                            (checks._check_contraction, broken))
+        batches = recording_batches(monkeypatch)
+        config = {**contraction_config(), "t_end": 0.005, "snapshot_every": 2}
+        suite = {"name": "s", "checks": [
+            {"name": "c", "kind": "contraction", "config": config, **CONTRACTION_KEYS},
+            {"name": "t", "kind": "tampered-contraction", "config": config,
+             **CONTRACTION_KEYS}]}
+        reports = run_suite(suite, tmp_path / "all", 3)
+        assert [(r.name, r.passed, r.values.get("error")) for r in reports] == [
+            ("c", True, None), ("t", False, "RuntimeError: plant broke")]
+        assert batches == [["heat-sin-a", "heat-sin-b"]] and len(fed) == 2
+        assert len(reports[0].values["d"]) > 2
+        assert_each_reports_as_alone(tmp_path, suite)
 
 
 class TestSuiteMemo:
@@ -689,7 +777,7 @@ class TestSuiteMemo:
 
     def test_a_raising_fold_fails_only_its_check_and_an_idle_run_stops(self, tmp_path,
                                                                        monkeypatch):
-        fed, real = [], checks.run
+        fed, real = [], checks._lockstep
 
         class Raising(checks._MorreyFold):
             def feed(self, snap):
@@ -697,10 +785,12 @@ class TestSuiteMemo:
                     raise RuntimeError("fold broke")
                 super().feed(snap)
 
-        def counted(cfg, observe=None):
-            return real(cfg, lambda snap: (fed.append(cfg.name), observe(snap)))
+        def counted(cfgs, observers):
+            return real(cfgs, [lambda snap, cfg=cfg, observe=observe:
+                               (fed.append(cfg.name), observe(snap))
+                               for cfg, observe in zip(cfgs, observers)])
         monkeypatch.setattr(checks, "_MorreyFold", Raising)
-        monkeypatch.setattr(checks, "run", counted)
+        monkeypatch.setattr(checks, "_lockstep", counted)
         a, b = (unseeded(cell_base([32], t_end=0.004)),
                 unseeded(cell_base([32], t_end=0.002, name="b")))
         morrey = {"kind": "morrey", "points": 2, "radii_h": [8, 4]}
@@ -718,13 +808,13 @@ class TestSuiteMemo:
 
     def test_a_raising_run_fails_every_check_on_it(self, tmp_path, monkeypatch):
         keys = counting_runs(monkeypatch)
-        real = checks.run
+        real = checks._lockstep
 
-        def flaky(cfg, observe=None):
-            if cfg.t_end == 0.002:
+        def flaky(cfgs, observers):
+            if cfgs[0].t_end == 0.002:
                 raise RuntimeError("run broke")
-            return real(cfg, observe)
-        monkeypatch.setattr(checks, "run", flaky)
+            return real(cfgs, observers)
+        monkeypatch.setattr(checks, "_lockstep", flaky)
         a, b = unseeded(cell_base([32], t_end=0.004)), unseeded(cell_base([32], t_end=0.002))
         suite = {"name": "s", "checks": [
             {"name": "s", "kind": "sup-norm", "config": b},
@@ -758,13 +848,13 @@ class TestSuiteMemo:
                 subs, judge = check(seed, *lead, **keys)
                 return subs, lambda trajs: (judge(trajs), done.append(keys["name"]))[0]
             monkeypatch.setitem(checks._CHECKS, kind, (spy, *leading))
-        real, judged = checks.run, []
+        real, judged = checks._lockstep, []
 
-        def checked(cfg, observe=None):   # no gc: a fold is freed once nothing refers to it
+        def checked(cfgs, observers):   # no gc: a fold is freed once nothing refers to it
             judged.append(sorted(done))
             assert [name for name, fold in made if name in judged[-1] and fold()] == []
-            return real(cfg, observe)
-        monkeypatch.setattr(checks, "run", checked)
+            return real(cfgs, observers)
+        monkeypatch.setattr(checks, "_lockstep", checked)
         two = unseeded(cell_base([32, 32], t_end=0.002, snapshot_every=4))
         one = unseeded(cell_base([32], t_end=0.004))
         run_suite({"name": "v", "checks": [
@@ -779,9 +869,10 @@ class TestSuiteMemo:
              "cylinders": 3, "config": one},
             {"name": "x", "kind": "estimate-ratios", "sizes": [32, 64], "r": 0.05, "R": 0.1,
              "t0": 0.003, "cylinders": 2, "config": one}]}, tmp_path / "v", 3)
-        # the contraction's stored run is freed before the sup-norm run starts; the entropy
-        # check's fine rung is the 32-point run of the three cylinder checks
-        assert judged == [[], [], ["c"], ["c", "s"], ["c", "s"], ["c", "s"],
+        # the contraction's two runs are one batch, judged and freed before the sup-norm
+        # run starts; the entropy check's fine rung is the 32-point run of the three
+        # cylinder checks
+        assert judged == [[], ["c"], ["c", "s"], ["c", "s"], ["c", "s"],
                           ["c", "e", "m", "s"]]
         assert len(made) == 1 + 1 + 3 + 1 + 2 + 2 * 4 and all(f() is None for _, f in made)
 
@@ -884,8 +975,8 @@ TABLE_QUAD = {"id": "tab-quad", "r_max": 2.0,
 def forbid_runs(monkeypatch):
     def no_run(cfg, observe=None):
         raise AssertionError(f"run '{cfg.name}' started")
-    for module in (cli, checks):   # `pelab run` and sweep cells; suites
-        monkeypatch.setattr(module, "run", no_run)
+    monkeypatch.setattr(cli, "run", no_run)   # `pelab run` and sweep cells
+    monkeypatch.setattr(checks, "_lockstep", lambda cfgs, observers: no_run(cfgs[0]))
 
 
 def small_check(name="sup"):
@@ -1790,12 +1881,22 @@ class TestPlantedControls:
         reports = run_suite(checks.negative_control_suite(), tmp_path / "v")
         assert [(rep.name, rep.passed) for rep in reports] == [
             ("injected-sup-growth", False), ("injected-contraction-growth", False)]
+        # the final sup raised to 1.5 x the bound (the initial sup) at the largest |u|
         assert reports[0].to_json()["witness"] == {
-            "snapshot": 18, "t": 0.004999999999999994, "sup": 0.5370786701110297,
+            "snapshot": 18, "t": 0.004999999999999994, "sup": 0.7394766048457729,
             "bound": 0.4929844032305154, "location": [29]}
         assert reports[1].to_json()["witness"] == {
             "step": 14, "t": 0.009999999999999981, "d_prev": 0.10702541310743577,
             "d_next": 0.10709459864855937}
+
+    def test_both_controls_fail_at_every_seed(self, tmp_path):
+        # the sup control's plant scales against the bound, not the decayed final state
+        # (which passed at 27 of seeds 1-40); the contraction control runs as a
+        # lockstep pair
+        for seed in range(1, 21):
+            reports = run_suite(checks.negative_control_suite(), tmp_path / str(seed), seed)
+            assert [(rep.passed, rep.witness is None) for rep in reports] == \
+                [(False, False)] * 2, seed
 
     def test_a_plant_leaves_the_run_it_is_given_alone(self):
         # a plant wraps the observer: one snapshot changes on its way to the monitor,
@@ -1827,8 +1928,18 @@ class TestPlantedControls:
 
 
 def frozen_inflate_final(traj):
-    """The tampered-sup plant as it was when plants transformed stored trajectories."""
-    bad = replace(traj.final, values=traj.final.values * 1.5)
+    """The tampered-sup plant over a stored trajectory: the final snapshot's largest
+    |u| off the ring scaled, at that point, to 1.5 x max(initial sup, boundary sups)."""
+    from pelab import vector_norm
+    final = traj.final
+    bound = max([float(vector_norm(traj.snapshots[0].values).max())]
+                + [s.boundary_sup() for s in traj.snapshots])
+    r = vector_norm(final.values)
+    r[final.grid.boundary_mask] = -1.0
+    k = int(r.argmax())
+    values = final.values.reshape(final.n_components, -1).copy()
+    values[:, k] = values[:, k] * (1.5 * bound / r.ravel()[k])
+    bad = replace(final, values=values.reshape(final.values.shape))
     return replace(traj, snapshots=traj.snapshots[:-1] + (bad,))
 
 

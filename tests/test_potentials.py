@@ -271,6 +271,49 @@ class TestBuildEntropy:
             build_entropy(bad)
 
 
+def frozen_cumulative_simpson(f, x_max, segments, tol):
+    """The earlier construction: every level evaluates f on all of its points."""
+    m, panels, prev = segments, 1, None
+    for _ in range(10):
+        pts = 2 * m * panels + 1
+        x = np.linspace(0.0, x_max, pts)
+        fx = np.asarray(f(x), dtype=float) + np.zeros(pts)
+        coef = np.ones(2 * panels + 1)
+        coef[1:-1:2] = 4.0
+        coef[2:-1:2] = 2.0
+        ids = np.arange(m)[:, None] * (2 * panels) + np.arange(2 * panels + 1)[None, :]
+        seg = fx[ids] @ coef * (x_max / (pts - 1) / 3.0)
+        if prev is not None and np.abs(seg - prev).max() / 15.0 <= tol / m:
+            return np.concatenate([[0.0], np.cumsum(seg + (seg - prev) / 15.0)])
+        prev, panels = seg, 2 * panels
+    raise AssertionError("no convergence")
+
+
+TABLE_POTENTIAL = from_piecewise_poly([0.0, 1.0], [[0.25, 0.0, 0.5, 0.0, 0.0]],
+                                      pid="table-quartic")
+
+
+class TestCumulativeSimpson:
+    """Each level evaluates f only at its new points, and the tables stay bitwise."""
+
+    @pytest.mark.parametrize("p", ALL_BUILTINS + [TABLE_POTENTIAL], ids=lambda p: p.id)
+    def test_tables_equal_the_old_construction_and_f_sees_each_abscissa_once(self, p):
+        z_max = float(p.phi(p.r_max))
+        for integrand, x_max in ((lambda z: p.phi2(invert_phi(p, z)), z_max),   # gamma
+                                 (lambda s: radial_slope(p, s), p.r_max)):      # H
+            seen = []
+            got = cumulative_simpson(lambda x: (seen.append(x), integrand(x))[1],
+                                     x_max, 4096, 1e-10)
+            assert_bitwise(got, frozen_cumulative_simpson(integrand, x_max, 4096, 1e-10))
+            xs = np.concatenate(seen)
+            assert len(seen) >= 2 and len(np.unique(xs)) == len(xs)
+            # the abscissas of the finest level reached, each once
+            assert_bitwise(np.sort(xs), np.linspace(0.0, x_max, len(xs)))
+        e = build_entropy(p)   # the built table is the one checked above
+        assert_bitwise(e.table[1], frozen_cumulative_simpson(
+            lambda z: p.phi2(invert_phi(p, z)), z_max, 4096, 1e-10))
+
+
 class TestInvertPhi:
     def test_bisection_tolerance(self):
         for p in ALL_BUILTINS:

@@ -33,10 +33,12 @@ def pgrid(size, n=1):
 
 
 def coupled_step(state, cc, dt):
-    """One coupled step, state in, state out: the loop body over a fresh workspace."""
-    new = _euler(_coupled_rhs(cc, state.grid, state.values.shape), state.values,
-                 vector_norm(state.values), state.t, dt, cc.r_max)
-    return FieldState(grid=state.grid, values=new, t=state.t + dt,
+    """One coupled step, state in, state out: the loop body over a fresh workspace,
+    on a stack of one."""
+    u = state.values[:, None]
+    new = _euler(_coupled_rhs(cc, state.grid, u.shape), u, vector_norm(u), state.t, dt,
+                 cc.r_max, [None])
+    return FieldState(grid=state.grid, values=new[:, 0], t=state.t + dt,
                       boundary_values=state.boundary_values)
 
 
@@ -337,12 +339,12 @@ class TestSteps:
     def test_nan_production_aborts(self):
         # an absurd dt overflows the update into non-finite territory
         g = pgrid(32)
-        u = initial_field(g, 1, {"kind": "mode", "amplitude": 1.0}, 0)
+        u = initial_field(g, 1, {"kind": "mode", "amplitude": 1.0}, 0)[:, None]
         rhs = lambda u, r: _laplacian(u * 1e150, g)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RangeExcursionError, match="non-finite"):
                 for _ in range(400):
-                    u = _euler(rhs, u, vector_norm(u), 0.0, 1e3, math.inf)
+                    u = _euler(rhs, u, vector_norm(u), 0.0, 1e3, math.inf, [None])
 
 
 class TestInitialData:
@@ -882,7 +884,8 @@ class TestRunParity:
                 integrate(cfg)
             e = exc.value
             witnesses.append((str(e), e.location, e.t, e.step))
-        assert witnesses[0] == witnesses[1]
+        # the frozen loop's error, naming the run that left the range
+        assert witnesses[0] == (witnesses[1][0] + " in run 'run'", *witnesses[1][1:])
         message, location, t, step = witnesses[0]
         assert "exceeds r_max" in message
         assert step is not None and 1 < step
@@ -974,21 +977,22 @@ class TestCoupledWorkspace:
     def test_warm_step_allocates_less_than_three_states(self):
         p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
         cc = coupled_decomposition(p)
-        rhs = _coupled_rhs(cc, state.grid, state.values.shape)
+        u = state.values[:, None]   # a stack of one
+        rhs = _coupled_rhs(cc, state.grid, u.shape)
         dt = cfl_dt(state.grid, cc.bounds["eff_Lambda"], 0.9)
-        u = _euler(rhs, state.values, vector_norm(state.values), 0.0, dt, cc.r_max)
+        u = _euler(rhs, u, vector_norm(u), 0.0, dt, cc.r_max, [None])
         r = vector_norm(u)
         tracemalloc.start()
         try:
-            new = _euler(rhs, u, r, dt, dt, cc.r_max)
+            new = _euler(rhs, u, r, dt, dt, cc.r_max, [None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the new state, phi'(r) and numpy's own iteration buffers; the
         # one-pass step before the workspace peaked at 8.5 states
         assert peak <= 3 * u.nbytes
-        ref = reference_step_coupled(FieldState(grid=state.grid, values=u, t=dt), cc, dt)
-        assert np.array_equal(new, ref.values)
+        ref = reference_step_coupled(FieldState(grid=state.grid, values=u[:, 0], t=dt), cc, dt)
+        assert np.array_equal(new[:, 0], ref.values)
 
     def test_concurrent_runs_match_sequential_runs(self):
         # two different configs at once, then each config twice at once
@@ -1049,21 +1053,22 @@ class TestDiffusionWorkspace:
 
     def test_warm_step_allocates_little_more_than_the_new_state(self):
         p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
-        rhs = _diffusion_rhs(p, state.grid, state.values.shape)
+        u = state.values[:, None]   # a stack of one
+        rhs = _diffusion_rhs(p, state.grid, u.shape)
         dt = cfl_dt(state.grid, certify_window(p).Lam, 0.9)
-        u = _euler(rhs, state.values, vector_norm(state.values), 0.0, dt, p.r_max)
+        u = _euler(rhs, u, vector_norm(u), 0.0, dt, p.r_max, [None])
         r = vector_norm(u)
         tracemalloc.start()
         try:
-            new = _euler(rhs, u, r, dt, dt, p.r_max)
+            new = _euler(rhs, u, r, dt, dt, p.r_max, [None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the new state, phi'(r) (half a state here) and the finiteness mask;
         # the step before the workspace peaked at 3.04 states
         assert peak <= 1.5 * u.nbytes
-        ref = reference_step_diffusion(FieldState(grid=state.grid, values=u, t=dt), p, dt)
-        assert np.array_equal(new, ref.values)
+        ref = reference_step_diffusion(FieldState(grid=state.grid, values=u[:, 0], t=dt), p, dt)
+        assert np.array_equal(new[:, 0], ref.values)
 
     @pytest.mark.parametrize("system", ["diffusion", "coupled"])
     def test_the_workspace_is_made_with_the_right_hand_side(self, system):
@@ -1113,8 +1118,9 @@ class TestDiffusionWorkspace:
             assert vector_norm(traj.final.values)[0] == 0.0
 
 
-def tamper(monkeypatch, system, value, at_call=5, where=(1, 7)):
-    """Make the run's right-hand side write `value` at `where` on its `at_call`-th call."""
+def tamper(monkeypatch, system, value, at_call=5, where=(1, 0, 7)):
+    """Make the run's right-hand side write `value` at `where` (component, member,
+    point) of the stack on its `at_call`-th call."""
     name = "_coupled_rhs" if system == "coupled" else "_diffusion_rhs"
     make = getattr(solver, name)
 
@@ -1137,9 +1143,11 @@ class TestStepAborts:
 
     @pytest.mark.parametrize("system, witness", [
         ("diffusion", ("|u| = 1.0171272198485186 exceeds r_max = 1.0 at (27,), "
-                       "t = 0.0010218978102189782", (27,), 0.0010218978102189782, 15)),
+                       "t = 0.0010218978102189782 in run 'run'", (27,),
+                       0.0010218978102189782, 15)),
         ("coupled", ("|u| = 1.0137644467496127 exceeds r_max = 1.0 at (28,), "
-                     "t = 0.004342629482071713", (28,), 0.004342629482071713, 110)),
+                     "t = 0.004342629482071713 in run 'run'", (28,),
+                     0.004342629482071713, 110)),
     ])
     def test_range_excursion_is_pinned(self, system, witness):
         cfg = RunConfig(grid=pgrid(32), n_components=1, potential=unstable_potential(),
@@ -1169,7 +1177,8 @@ class TestStepAborts:
             t += dt
         e = exc.value
         assert type(e) is RangeExcursionError
-        assert str(e) == f"step produced a non-finite value at component 1, point (7,), t = {t}"
+        assert str(e) == (f"step produced a non-finite value at component 1, point (7,), "
+                          f"t = {t} in run 'run'")
         assert (e.location, e.t, e.step) == ((7,), t, 5)
 
     def test_a_single_step_checks_its_input_and_not_its_range_after(self):
@@ -1223,3 +1232,164 @@ class TestStepPlans:
         # the Laplacian's neighbour sum, or the face divergence's forward and
         # backward differences, for the whole run
         assert made == [pairs]
+
+
+def batch_members(cfg, B):
+    """B configs with cfg's planned step and their own seed, initial data, name and,
+    on Dirichlet grids, boundary values."""
+    members = []
+    for b in range(B):
+        bv = cfg.boundary_values and tuple(v + 0.05 * b for v in cfg.boundary_values)
+        initial = {**cfg.initial, "amplitude": cfg.initial["amplitude"] * (1.0 - 0.1 * b)}
+        members.append(replace(cfg, seed=cfg.seed + b, name=f"m{b}", initial=initial,
+                               boundary_values=bv))
+    return members
+
+
+# (potential, boundary, sizes, components): 1D, 2D and 3D, both boundary kinds
+LOCKSTEP_CASES = [("cosh", PERIODIC, (64,), 1), ("quartic", DIRICHLET, (33,), 3),
+                  ("porous", PERIODIC, (16, 24), 2), ("cosh", DIRICHLET, (17, 17), 2),
+                  ("quartic", PERIODIC, (8, 12, 10), 2), ("porous", DIRICHLET, (9, 13, 11), 1)]
+
+
+class TestLockstep:
+    """Runs of one planned step, stepped as one stack, each equal to its solo run."""
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    @pytest.mark.parametrize("system", ["diffusion", "coupled"])
+    @pytest.mark.parametrize("pid,boundary,sizes,nc", LOCKSTEP_CASES)
+    def test_each_member_is_its_solo_run_bit_for_bit(self, pid, boundary, sizes, nc,
+                                                     system, B):
+        members = batch_members(parity_config(system, pid, boundary, sizes, nc), B)
+        observed = [[] for _ in members]
+        batch = solver._lockstep(members, [seen.append for seen in observed])
+        stored = solver._lockstep(members, [None] * B)
+        for cfg, seen, traj, kept in zip(members, observed, batch, stored):
+            solo = run(cfg)
+            assert len(seen) == len(kept.snapshots) == len(solo.snapshots) >= 3
+            for snaps in (seen, kept.snapshots):
+                for got, want in zip(snaps, solo.snapshots):
+                    assert got.t == want.t and got.boundary_values == want.boundary_values
+                    assert np.array_equal(got.values, want.values)
+            assert traj.meta == kept.meta == solo.meta and traj.dt == solo.dt
+            assert np.array_equal(traj.final.values, solo.final.values)
+        if B > 1:   # the members differ
+            assert not np.array_equal(batch[0].final.values, batch[1].final.values)
+
+    def test_runs_of_different_planned_steps_are_refused(self):
+        cfg = parity_config("diffusion", "cosh", PERIODIC, (64,), 1)
+        for other in (replace(cfg, t_end=2 * cfg.t_end), replace(cfg, system="coupled"),
+                      replace(cfg, snapshot_every=1)):
+            with pytest.raises(ValueError, match="one planned step"):
+                solver._lockstep([cfg, other], [None, None])
+
+    @pytest.mark.parametrize("system", ["diffusion", "coupled"])
+    def test_a_member_that_leaves_the_range_aborts_naming_its_run(self, system):
+        unstable = {"kind": "bands", "kmax": 3, "amplitude": 0.05, "offset": [0.9]}
+        cfg = RunConfig(grid=pgrid(32), n_components=1, potential=unstable_potential(),
+                        t_end=0.01, system=system, snapshot_every=1,
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.05}, seed=2)
+        members = [replace(cfg, name="calm"), replace(cfg, name="wild", initial=unstable)]
+        errors = []
+        for integrate in (lambda: solver._lockstep(members, [None, None]),
+                          lambda: run(members[1])):
+            with pytest.raises(RangeExcursionError) as exc:
+                integrate()
+            e = exc.value
+            errors.append((str(e), e.location, e.t, e.step))
+        assert errors[0] == errors[1]
+        assert "exceeds r_max" in errors[0][0] and errors[0][0].endswith(" in run 'wild'")
+
+    @pytest.mark.parametrize("system", ["diffusion", "coupled"])
+    def test_a_non_finite_member_aborts_naming_its_run(self, monkeypatch, system):
+        tamper(monkeypatch, system, np.nan, where=(0, 1, 7))
+        p = cosh_potential()
+        dt = 0.5 * cfl_dt(pgrid(32), certify_window(p).Lam, 0.9)
+        cfg = RunConfig(grid=pgrid(32), n_components=2, potential=p, t_end=10 * dt,
+                        dt_override=dt, system=system, snapshot_every=1,
+                        initial={"kind": "bands", "kmax": 3, "amplitude": 0.5}, seed=3)
+        with pytest.raises(RangeExcursionError, match="non-finite") as exc:
+            solver._lockstep(batch_members(cfg, 2), [None, None])
+        assert str(exc.value).endswith(" in run 'm1'")
+        assert (exc.value.location, exc.value.step) == ((7,), 5)
+
+    def test_member_slices_are_fed_as_views_of_the_stack(self):
+        # one component: each member's slice of the (1, B, *sizes) stack is contiguous
+        members = batch_members(parity_config("diffusion", "cosh", PERIODIC, (16, 16), 1), 2)
+        seen = [[], []]
+        solver._lockstep(members, [s.append for s in seen])
+        for a, b in zip(*seen):
+            assert a.values.base is not None and a.values.base is b.values.base
+
+
+class TestLockstepProperties:
+    """Properties of the loop that hold for any datum, for one run and for a batch."""
+
+    @staticmethod
+    def bands_config(n, nc, sizes, seed, amplitude, kmax, **keys):
+        g = GridSpec(n=n, sizes=sizes, h=1.0 / sizes[0], boundary=PERIODIC)
+        return RunConfig(grid=g, n_components=nc, potential=cosh_potential(), t_end=0.0,
+                         initial={"kind": "bands", "kmax": kmax, "amplitude": amplitude},
+                         seed=seed, **keys)
+
+    draws = dict(n=st.integers(1, 2), nc=st.integers(1, 3), data=st.data(),
+                 seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.05, 0.9),
+                 kmax=st.integers(1, 3))
+
+    @staticmethod
+    def draw_sizes(data, n):
+        return tuple(data.draw(st.lists(st.integers(4, 24), min_size=n, max_size=n)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(**draws, dirichlet=st.booleans())
+    def test_a_written_frame_reads_back_bit_for_bit(self, n, nc, data, seed, amplitude,
+                                                     kmax, dirichlet):
+        import tempfile
+        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax)
+        if dirichlet:
+            cfg = replace(cfg, grid=replace(cfg.grid, boundary=DIRICHLET))
+        cfg = replace(cfg, t_end=3 * cfl_dt(cfg.grid, certify_window(cfg.potential).Lam))
+        trajs = solver._lockstep(batch_members(cfg, 2), [None, None])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.pelb"
+            with open(path, "wb") as fh:
+                grid_module._write_header(fh, cfg.grid, nc)
+                for traj in trajs:
+                    for snap in traj.snapshots:
+                        grid_module._write_frame(fh, snap)
+            k = 0
+            for traj in trajs:
+                for snap in traj.snapshots:
+                    back = grid_module.read_snapshot(path, k)
+                    k += 1
+                    assert back.t == snap.t and back.boundary_values == snap.boundary_values
+                    assert np.array_equal(back.values.view(np.int64),
+                                          snap.values.view(np.int64))
+
+    @settings(max_examples=30, deadline=None)
+    @given(**draws)
+    def test_one_diffusion_step_keeps_the_mean_and_does_not_raise_the_sup(
+            self, n, nc, data, seed, amplitude, kmax):
+        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax)
+        dt = cfl_dt(cfg.grid, certify_window(cfg.potential).Lam, cfg.cfl_sigma)
+        cfg = replace(cfg, t_end=dt)   # one step of run's own CFL dt
+        for members in ([cfg], batch_members(cfg, 2)):
+            for traj in solver._lockstep(members, [None] * len(members)):
+                assert traj.meta["steps"] == 1
+                before, after = (s.values for s in traj.snapshots)
+                for c in range(nc):
+                    drift = math.fsum(after[c].ravel()) - math.fsum(before[c].ravel())
+                    assert abs(drift) <= 64 * np.finfo(float).eps * \
+                        math.fsum(np.abs(before[c]).ravel())
+                assert vector_norm(after).max() <= vector_norm(before).max() * (1 + 1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**draws, factor=st.floats(1.001, 10.0))
+    def test_a_dt_override_above_the_cfl_bound_is_refused(self, n, nc, data, seed,
+                                                           amplitude, kmax, factor):
+        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax)
+        dt = factor * cfl_dt(cfg.grid, certify_window(cfg.potential).Lam, cfg.cfl_sigma)
+        cfg = replace(cfg, t_end=4 * dt, dt_override=dt)
+        for members in ([cfg], batch_members(cfg, 2)):
+            with pytest.raises(ValueError, match="violates the CFL bound"):
+                solver._lockstep(members, [None] * len(members))
