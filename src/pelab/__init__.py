@@ -15,8 +15,8 @@ from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, builtin_ids,
                          certify_window, coupled_decomposition,
                          cosh_potential, from_piecewise_poly, get_potential,
-                         grad_Phi, grad_Phi_field, hessian_Phi, invert_phi,
-                         quadratic, quartic, radial_slope, smoothed_porous)
+                         grad_Phi, grad_Phi_field, hessian_Phi, quadratic,
+                         quartic, smoothed_porous)
 from .solver import (RunConfig, cfl_dt, config_hash, initial_field, run,
                      step_diffusion, with_resolution)
 from .diagnostics import (CheckReport, CoupledEntropyParams, choose_entropy_params,

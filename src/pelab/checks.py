@@ -7,9 +7,11 @@ is integrated once and every snapshot handed to all its observers; a negative
 control's plant wraps only its own check's observer.  The runs that have the same
 checks and the same planned step (a contraction check's two) are stepped in
 lockstep, as one stacked state.  No run is stored, so memory does not grow with the
-step count.  Checks that share a run form one component of
-the plan; components can be judged in forked workers, and one loop writes every
-report once all are judged, so the files written do not depend on how many.
+step count.  A check's provenance, the config hash of each of its subscriptions,
+is worked out when it is planned and stamped on its report, judged or crashed.
+Checks that share a run form one component of the plan; components can be judged in
+forked workers, and one loop writes every report once all are judged, so the files
+written do not depend on how many.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _check_contraction(seed, plant=lambda cfg, obs: obs, /, *, name: str, config
 def _check_sup_norm(seed, plant=lambda cfg, obs: obs, /, *, name: str, config: dict):
     cfg = build_config(config, seed)
     fold = _SupFold()
-    return [(cfg, plant(cfg, fold.feed))], lambda trajs: fold.report(trajs[0], name)
+    return [(cfg, plant(cfg, fold.feed))], lambda _: fold.report(name)
 
 
 def _check_entropy(seed, coupled: bool, /, *, name: str, config: dict,
@@ -88,7 +90,7 @@ def _check_entropy(seed, coupled: bool, /, *, name: str, config: dict,
     rungs = [with_resolution(base, size) for size in sizes]
     folds = [residual(cfg.grid) for cfg in rungs]
     return subs + [(cfg, fold.feed) for cfg, fold in zip(rungs, folds)], lambda trajs: \
-        _rungs_report(folds, trajs[len(trajs) - len(sizes):], sizes,
+        _rungs_report(folds, trajs[len(trajs) - len(sizes):],
                       fit(trajs[0].dt) if K is None else K, name, **extra)
 
 
@@ -98,7 +100,7 @@ def _check_morrey(seed, /, *, name: str, config: dict, t0: float | None = None,
     t0 = cfg.t_end if t0 is None else t0
     pts = [(xy, t0) for xy in _seeded_points(cfg.grid, points, seed + 1)]
     fold = _MorreyFold(cfg.grid, pts, [m * cfg.grid.h for m in radii_h])
-    return [(cfg, fold.feed)], lambda trajs: fold.report(trajs[0], name=name)
+    return [(cfg, fold.feed)], lambda _: fold.report(name=name)
 
 
 def _refinement(name: str, config: dict, seed: int, sizes, key: str, fold_on):
@@ -110,9 +112,9 @@ def _refinement(name: str, config: dict, seed: int, sizes, key: str, fold_on):
     rungs = [with_resolution(base, size) for size in sizes]
     coarse, fine = (fold_on(rungs[0].grid, cfg) for cfg in rungs)
 
-    def judge(trajs):
-        ref = coarse.report(trajs[0]).values[key]
-        rep = fine.report(trajs[1], reference=ref, name=name)
+    def judge(_):
+        ref = coarse.report().values[key]
+        rep = fine.report(reference=ref, name=name)
         rep.values[f"{key}_coarse"] = ref
         rep.values["sizes"] = sizes
         return rep
@@ -142,20 +144,18 @@ def _check_estimate_ratios(seed, /, *, name: str, config: dict, r: float, R: flo
 
 def _inflate_final(cfg: RunConfig, observe):
     """The final snapshot with its largest |u| off the Dirichlet ring raised, at that
-    one point, to 1.5 times the bound `_SupFold` checks: the initial sup, or the
-    running boundary sup if it is larger, tracked from the snapshots forwarded.  So the
-    sup-norm bound must fail, however far the run decays."""
-    final, seen, bound = _planned(cfg)[2] // cfg.snapshot_every, count(), [None, 0.0]
+    one point, to 1.5 times the last bound of a `_SupFold` of its own, fed the
+    snapshots unplanted.  So the sup-norm bound must fail, however far the run decays."""
+    final, seen, fold = _planned(cfg)[2] // cfg.snapshot_every, count(), _SupFold()
 
     def planted(snap):
-        r = vector_norm(snap.values)
-        bound[0] = float(r.max()) if bound[0] is None else bound[0]   # the initial sup
-        bound[1] = max(bound[1], snap.boundary_sup())
+        fold.feed(snap)
         if next(seen) == final:
+            r = vector_norm(snap.values)
             loc = (slice(None), *np.unravel_index(
                 int(np.where(cfg.grid.boundary_mask, -1.0, r).argmax()), r.shape))
             values = snap.values.copy()
-            values[loc] *= 1.5 * max(bound) / r[loc[1:]]
+            values[loc] *= 1.5 * fold.bounds[-1] / r[loc[1:]]
             snap = replace(snap, values=values)
         observe(snap)
     return planted
@@ -176,7 +176,7 @@ def _anti_diffuse_middle(cfg: RunConfig, observe):
 
 # check kind -> (function, *leading); function(seed, *leading, **keys) makes the check's
 # plan and runs nothing: its subscriptions, (RunConfig, observer) pairs, and judge, which
-# gets one final-snapshot Trajectory per subscription, in order, under its config's meta.
+# gets one final-snapshot Trajectory per subscription, in order.
 # The keyword-only parameters declare the kind's keys, their JSON types (annotations) and
 # defaults, and the leading ones hold what a suite cannot set.
 _CHECKS = {
@@ -310,7 +310,9 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
               workers: int = 1) -> list[CheckReport]:
     """Plan every check, then integrate each distinct config (keyed by its description
     without `name`) once, handing each snapshot to its observers; a check is judged, and
-    its judge and observers dropped, as soon as its last run has ended.
+    its judge and observers dropped, as soon as its last run has ended.  Each planned
+    check's report, judged or crashed, carries its provenance: the first 16 hex digits
+    of `config_hash(cfg.describe())` of each subscription, in order, joined by "+".
 
     The plan is data that no job changes: each config's subscriptions and the components,
     the groups of checks that share runs.  Each check's judge and observers go to the job
@@ -337,11 +339,12 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
     bound = [_bind_check(c) for c in checks]   # every check, before any file or run
     seed = int(seed_override if seed_override is not None else suite.get("seed", 0))
     outdir.mkdir(parents=True, exist_ok=True)
-    reports = [None] * len(checks)
+    reports, provenance = [None] * len(checks), {}   # check -> its subscriptions' hashes
     held, runs = {}, {}   # check -> (judge, observers); config key -> [(check, position, config)]
     for i, (fn, leading, keys) in enumerate(bound):
         try:
             subs, judge = fn(seed, *leading, **keys)
+            provenance[i] = "+".join(config_hash(cfg.describe())[:16] for cfg, _ in subs)
         except Exception as exc:   # crashes are recorded as failures, suite continues
             reports[i] = _crash(names[i], exc)
             continue
@@ -394,13 +397,10 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
                 trajs = _lockstep([cfgs[0] for cfgs in live], [observer(subs) for subs in batch])
             except Exception:   # fails every check still on the batch
                 return [finish(i) for i, _, _ in batch[0] if i in mine]
-            for subs, traj in zip(batch, trajs):   # each run under each config's meta
-                for i, j, cfg in subs:
+            for subs, traj in zip(batch, trajs):
+                for i, j, _ in subs:
                     if i in mine:
-                        doc = cfg.describe()
-                        got[i][j] = replace(traj, meta={**traj.meta, "config": doc,
-                                                        "name": doc["name"],
-                                                        "config_hash": config_hash(doc)})
+                        got[i][j] = traj
                         settle(i)
 
         batches = {}   # the runs of `part` by their checks and planned step, in plan order
@@ -421,7 +421,7 @@ def run_suite(suite: dict, outdir: Path, seed_override: int | None = None,
         if isinstance(result, Exception):   # a dead worker fails each check of its part
             result = [(i, _crash(names[i], result)) for i in part]
         for i, rep in result:
-            reports[i] = rep
+            rep.provenance, reports[i] = provenance[i], rep
     files = ["summary.csv"]
     with open(outdir / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)

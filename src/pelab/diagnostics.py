@@ -15,15 +15,16 @@ wrap-around provides); a Dirichlet grid sums over the odd extension of its
 interior, whose periodic modes are the type-I sine (DST-I) modes.
 
 Every monitor is a fold fed one snapshot at a time, whose `report` is the
-verdict on what it was fed: `_SupFold`, `_ContractionFold` (it holds the unmatched
+verdict on what it was fed (the suite runner, which planned the runs, stamps its
+provenance): `_SupFold`, `_ContractionFold` (it holds the unmatched
 snapshots of the run ahead: one when its two runs are fed in lockstep, as a suite
 feeds them), `_ResidualFold`, and `_MorreyFold`, `_ReverseHolderFold` and
 `_EstimateFold` on `grid._CylinderFold`, which evaluate a field once per snapshot
 in the union of their windows, with no memo.  `pelab verify` and a sweep cell
 feed each snapshot to the folds as their runs make it; the tests replay a stored
-run into one with `grid._replay`.  Their |grad u|^2 is the unchecked `_gradient_sq`,
-over one plan per fold.  The Hoelder seminorm is exact: every point pair with
-separation in the band, one integer offset at a time.
+run into one with `grid._replay`.  Their |grad u|^2 is the unchecked `_gradient_sq`
+of each snapshot, over the step plans its grid keeps.  The Hoelder seminorm is
+exact: every point pair with separation in the band, one integer offset at a time.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import (Cylinder, FieldState, GridSpec, Trajectory, _as_components,
-                   _CylinderFold, _face_divergence, _gradient_sq, _laplacian, _shift_plans,
-                   hessian_sq, vector_norm)
+                   _CylinderFold, _face_divergence, _gradient_sq, _laplacian, hessian_sq,
+                   vector_norm)
 from .potentials import (CoupledCoefficients, EllipticityWindow, EntropyData,
                          RadialPotential, build_entropy, certify_window,
                          grad_Phi_field, quadratic)
@@ -77,10 +78,6 @@ class CheckReport:
             "provenance": self.provenance,
             "witness": conv(self.witness),
         }
-
-
-def _provenance(*trajs: Trajectory) -> str:
-    return "+".join(t.meta.get("config_hash", "")[:16] for t in trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +167,8 @@ class _ContractionFold:
 
     def report(self, traj0: Trajectory, traj1: Trajectory, name: str,
                decay_ratio_target: float | None = None, rtol: float = 0.02) -> CheckReport:
-        """The verdict on the snapshots fed, of runs 0 and 1 (their dt and provenance),
-        and with a target, of the decay ratio d(T)/d(0) within `rtol` relative."""
+        """The verdict on the snapshots fed, of runs 0 and 1 (their dt), and with a
+        target, of the decay ratio d(T)/d(0) within `rtol` relative."""
         rel_tol, lam = self.rel_tol, self.window.lam
         if abs(traj0.dt - traj1.dt) > 1e-12 * max(traj0.dt, traj1.dt):
             raise ValueError("mismatched runs: time steps differ")
@@ -196,8 +193,7 @@ class _ContractionFold:
             rate = float(np.polyfit(times[alive], np.log(d[alive]), 1)[0])
 
         rep = CheckReport(
-            name=name, passed=monotone, tolerance=rel_tol,
-            provenance=_provenance(traj0, traj1), witness=witness,
+            name=name, passed=monotone, tolerance=rel_tol, witness=witness,
             values={"times": times, "d": d, "monotone": monotone,
                     "weighted_monotone": weighted_monotone,
                     "lam": lam, "rate_fit": rate},
@@ -236,11 +232,10 @@ class _SupFold:
         self.sups.append(s)
         self.bounds.append(bound)
 
-    def report(self, traj: Trajectory, name: str) -> CheckReport:
-        """The verdict on the snapshots fed, of the run `traj` (its provenance)."""
+    def report(self, name: str) -> CheckReport:
+        """The verdict on the snapshots fed."""
         times = np.array(self.times)
         return CheckReport(name=name, passed=self.witness is None, tolerance=self.tol,
-                           provenance=_provenance(traj),
                            values={"times": times, "sup": np.array(self.sups),
                                    "bound": np.array(self.bounds)}, witness=self.witness,
                            series=("t,sup,bound", list(zip(times, self.sups, self.bounds))))
@@ -270,7 +265,6 @@ class _ResidualFold:
                  at: Callable[[FieldState, np.ndarray], np.ndarray],
                  spatial: Callable[..., np.ndarray], coef: float):
         self.grid, self.r_max, self.at, self.spatial, self.coef = grid, r_max, at, spatial, coef
-        self.plans = _shift_plans(grid, (1, -1))   # validated snapshots: unchecked kernels
         self.max_pos = self.max_abs = 0.0
         self.witness, self.last, self.pairs, self.spacing = None, None, 0, None
         self.space = self.grad = None
@@ -301,7 +295,7 @@ class _ResidualFold:
             self.max_abs = max(self.max_abs, float(np.abs(res, out=res).max()))
             self.pairs += 1
         self.spatial(q, snap, r, spatial, work)
-        _gradient_sq(snap.values, self.grid, self.plans, grad, work[0])
+        _gradient_sq(snap.values, self.grid, grad, work[0])   # validated: unchecked
         self.last = (snap.t, q)
 
     def stats(self) -> dict:
@@ -316,20 +310,21 @@ class _ResidualFold:
                              "(snapshot_every = 1 over the checked span)")
         stats = {**self.stats(), "h": traj.grid.h, "dt": traj.dt, "tau": tau}
         passed = True if tau is None else self.max_pos <= tau
-        return CheckReport(name=name, passed=passed, tolerance=tau,
-                           provenance=_provenance(traj), values=stats,
+        return CheckReport(name=name, passed=passed, tolerance=tau, values=stats,
                            witness=None if passed else self.witness)
 
 
-def _rungs_report(folds: Sequence[_ResidualFold], trajs: Sequence[Trajectory], sizes,
-                  K: float, name: str, **extra) -> CheckReport:
-    """The entropy checks' verdict on the residual folds of their rungs, coarse to fine:
-    each positive part at most tau = K (h^2 + dt), and each at most half the last
-    rung's, unless below the rounding floor (identically zero parts pass vacuously)."""
+def _rungs_report(folds: Sequence[_ResidualFold], trajs: Sequence[Trajectory], K: float,
+                  name: str, **extra) -> CheckReport:
+    """The entropy checks' verdict on the residual folds of their rungs, coarse to fine
+    (each rung's size read from its grid's first axis): each positive part at most
+    tau = K (h^2 + dt), and each at most half the last rung's, unless below the
+    rounding floor (identically zero parts pass vacuously)."""
     per_size, passed, witness, prev_pos = [], True, None, None
-    for size, fold, traj in zip(sizes, folds, trajs):
+    for fold, traj in zip(folds, trajs):
         rep = fold.report(traj, K * (traj.grid.h ** 2 + traj.dt), name)
-        per_size.append({"size": size, **{k: v for k, v in rep.values.items() if k != "pairs"}})
+        per_size.append({"size": traj.grid.sizes[0],
+                         **{k: v for k, v in rep.values.items() if k != "pairs"}})
         passed, witness = passed and rep.passed, witness or rep.witness
         floor = 1e-12 * max(1.0, fold.max_abs)
         if prev_pos is not None and not fold.max_pos <= max(0.5 * prev_pos, floor):
@@ -345,10 +340,8 @@ def _diffusion_fold(grid: GridSpec, p: RadialPotential, ent: EntropyData,
     """The fold of D_t phi(|u|) - Lap gamma(phi(|u|)) + lam^2 |grad u|^2: nonpositive in
     the continuum, so its discrete positive part is pure scheme error, which must stay
     below tau = K (h^2 + dt) and shrink under refinement."""
-    plans = _shift_plans(grid, (-1, 1))
-
     def lap_gamma(q, snap, r, out, work):   # gamma(q) into work[4]; the rest scratch
-        return _laplacian(ent.gamma(q, work[4], list(work[:4])), grid, work[0], plans, out)
+        return _laplacian(ent.gamma(q, work[4], list(work[:4])), grid, work[0], out)
     return _ResidualFold(grid, p.r_max, lambda snap, r: np.asarray(p.phi(r), dtype=float),
                          lap_gamma, window.lam * window.lam)
 
@@ -417,7 +410,6 @@ def _coupled_fold(grid: GridSpec, cc: CoupledCoefficients, s: float, c: float) -
     non-constant data without the vanishing flux term)."""
     if cc.bounds["sup_Hzz"] == 0.0:
         raise ValueError("H vanishes identically; use the diffusion entropy check")
-    plans = _shift_plans(grid, (1, 0), (0, -1))
 
     def v(snap: FieldState, r: np.ndarray) -> np.ndarray:
         return np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
@@ -427,12 +419,17 @@ def _coupled_fold(grid: GridSpec, cc: CoupledCoefficients, s: float, c: float) -
         d = cc.c(snap.values, r)   # the directions once: H_z = H'(r) d
         A += np.sum(d * (cc.dH_profile(r)[None] * d), axis=0)
         out.fill(0.0)
-        return _face_divergence(A, v_now, None, None, grid, out, *work[:3], plans)
+        return _face_divergence(A, v_now, None, None, grid, out, *work[:3])
     return _ResidualFold(grid, cc.r_max, v, div_A_grad, c)
 
 
 # ---------------------------------------------------------------------------
 # Morrey decay
+
+def _grad_sq(snap: FieldState) -> np.ndarray:
+    """|grad u|^2 of a validated snapshot, by the unchecked kernel."""
+    return _gradient_sq(snap.values, snap.grid)
+
 
 class _MorreyFold(_CylinderFold):
     """Scaled cylinder integrals R^-exponent iint_{Q(x0,t0,R)} g, largest R first: one
@@ -443,16 +440,13 @@ class _MorreyFold(_CylinderFold):
     def __init__(self, grid: GridSpec, points: Sequence[tuple], radii: Sequence[float],
                  g: Callable[[FieldState], np.ndarray] | None = None,
                  exponent: float | None = None):
-        if g is None:
-            plans = _shift_plans(grid, (1, -1))
-            g = lambda snap: _gradient_sq(snap.values, grid, plans)
         self.points, self.radii = points, sorted(radii, reverse=True)
         self.expo = grid.n if exponent is None else float(exponent)
         for R in self.radii:
             if R < 4.0 * grid.h * (1.0 - 1e-12):
                 raise ValueError(f"radius {R} is below the 4h = {4 * grid.h} floor")
         super().__init__(grid, [(Cylinder(center=tuple(x0), t0=float(t0), R=float(R)), 1.0)
-                                for x0, t0 in points for R in self.radii], g)
+                                for x0, t0 in points for R in self.radii], g or _grad_sq)
 
     def profiles(self) -> list[list[tuple[float, float]]]:
         """The scaled integrals of the snapshots fed, one profile per point."""
@@ -461,10 +455,9 @@ class _MorreyFold(_CylinderFold):
                  for R, (total, _) in zip(self.radii, sums[i * m:(i + 1) * m])]
                 for i in range(len(self.points))]
 
-    def report(self, traj: Trajectory, decay_factor: float = 0.5,
-               name: str = "morrey") -> CheckReport:
-        """The decay verdict on the snapshots fed, of the run `traj` (its provenance): the
-        smallest-R quotient is at most `decay_factor` times the largest-R one."""
+    def report(self, decay_factor: float = 0.5, name: str = "morrey") -> CheckReport:
+        """The decay verdict on the snapshots fed: the smallest-R quotient is at most
+        `decay_factor` times the largest-R one."""
         profiles, rows, witness, passed = [], [], None, True
         for pt, prof in zip(self.points, self.profiles()):
             profiles.append({"point": list(pt[0]), "t0": pt[1],
@@ -478,7 +471,7 @@ class _MorreyFold(_CylinderFold):
                 witness = {"point": list(pt[0]), "t0": pt[1],
                            "value_smallest_R": smallest, "value_largest_R": largest}
         return CheckReport(name=name, passed=passed, tolerance=decay_factor,
-                           provenance=_provenance(traj), values={"profiles": profiles},
+                           values={"profiles": profiles},
                            witness=witness, series=("t0,R,quotient", rows))
 
 
@@ -492,16 +485,14 @@ class _ReverseHolderFold(_CylinderFold):
     def __init__(self, grid: GridSpec, cylinders: Sequence[Cylinder], p: float):
         if p <= 2.0:
             raise ValueError("the exponent must exceed 2")
-        plans = _shift_plans(grid, (1, -1))
         super().__init__(grid, [term for q in cylinders for term in (
-            (Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R), 1.0), (q, 0.5 * p))],
-                         lambda snap: _gradient_sq(snap.values, grid, plans))
+            (Cylinder(center=q.center, t0=q.t0, R=4.0 * q.R), 1.0), (q, 0.5 * p))], _grad_sq)
         self.p = p
 
-    def report(self, traj: Trajectory, reference: float | None = None, rel_change: float = 0.2,
+    def report(self, reference: float | None = None, rel_change: float = 0.2,
                name: str = "reverse-holder") -> CheckReport:
-        """The verdict on the snapshots fed, of the run `traj`: informational, or with a
-        `reference` max ratio, whether the max is within `rel_change` of it relatively."""
+        """The verdict on the snapshots fed: informational, or with a `reference` max
+        ratio, whether the max is within `rel_change` of it relatively."""
         sums, p = self.result(), self.p
         ratios, skipped = [], 0
         for (total4, count4), (total, count) in zip(sums[::2], sums[1::2]):
@@ -515,7 +506,6 @@ class _ReverseHolderFold(_CylinderFold):
                                        and abs(max_ratio - reference) <= rel_change * reference)
         witness = None if passed else {"max_ratio": max_ratio, "reference": reference}
         return CheckReport(name=name, passed=passed, tolerance=rel_change,
-                           provenance=_provenance(traj),
                            values={"ratios": np.array(ratios), "max_ratio": max_ratio,
                                    "skipped": skipped, "p": p, "reference": reference},
                            witness=witness)
@@ -534,10 +524,9 @@ class _EstimateFold:
                  pairs: Sequence[tuple[Cylinder, Cylinder]]):
         if any(small.R >= big.R for small, big in pairs):
             raise ValueError("nested pairs need r < R")
-        smalls, plans = [(small, 1.0) for small, _ in pairs], _shift_plans(grid, (1, -1))
+        smalls = [(small, 1.0) for small, _ in pairs]
         grad = self.grad = _CylinderFold(
-            grid, [term for small, big in pairs for term in ((big, 1.0), (small, 2.0))],
-            lambda snap: _gradient_sq(snap.values, grid, plans))
+            grid, [term for small, big in pairs for term in ((big, 1.0), (small, 2.0))], _grad_sq)
         ahead = self.ahead = []   # the last snapshot fed; the |u_t|^2 fold's successor
         self.ut = _CylinderFold(grid, smalls, lambda snap: np.sum(
             np.square((ahead[0].values - snap.values) / grad.spacing), axis=0))
@@ -553,16 +542,16 @@ class _EstimateFold:
         if len(self.ahead) == 2:   # the last snapshot, now that its successor has come
             self.ut.feed(self.ahead.pop(0))
 
-    def report(self, traj: Trajectory, reference: dict | None = None, rel_change: float = 0.3,
+    def report(self, reference: dict | None = None, rel_change: float = 0.3,
                name: str = "estimate-ratios") -> CheckReport:
-        """The verdict on the snapshots fed, of the run `traj`: finite ratios, each within
-        `rel_change` relatively of a `reference` measurement's if one is given."""
+        """The verdict on the snapshots fed: finite ratios, each within `rel_change`
+        relatively of a `reference` measurement's if one is given."""
         grad = self.grad.result()
         if self.ahead and any(a < self.ahead[0].t <= b for a, b in self.ut.windows):
             raise ValueError("u_t forward difference needs a successor snapshot; "
                              "place the small cylinder before the final time")
         ut, hess = self.ut.result(), self.hess.result()
-        cell, sup_u = traj.grid.cell_volume() * self.grad.spacing, self.sup_u
+        cell, sup_u = self.grad.grid.cell_volume() * self.grad.spacing, self.sup_u
         per_pair = []
         for j, (small, big) in enumerate(self.pairs):
             gap2 = (big.R - small.R) ** 2
@@ -593,7 +582,6 @@ class _EstimateFold:
             bad = next(k for k, v in maxima.items() if not math.isfinite(v))
             witness = {"ratio": bad, "value": maxima[bad]}
         return CheckReport(name=name, passed=passed, tolerance=rel_change,
-                           provenance=_provenance(traj),
                            values={"pairs": per_pair, "maxima": maxima,
                                    "sup_u": sup_u, "reference": reference},
                            witness=witness)
@@ -606,10 +594,11 @@ def holder_seminorm(snap: FieldState, alpha: float, band: tuple[float, float]) -
     """Max of |u(x) - u(y)| / |x - y|^alpha over all point pairs with |x-y| in the band.
 
     Exact: one vectorised pass per integer offset k (one of each pair +-k)
-    with |k| h in the band, by `np.roll` when periodic and over the pairs
-    inside the box when Dirichlet.  All pairs of one offset share the
-    distance |k| h, so band membership does not depend on coordinate
-    rounding (the band's ends take its validation's relative slack 1e-12).
+    with |k| h in the band, u(x + k) - u(x) by `np.roll`, kept on a Dirichlet
+    grid only at the x whose x + k lies inside the box.  All pairs of one
+    offset share the distance |k| h, so band membership does not depend on
+    coordinate rounding (the band's ends take its validation's relative slack
+    1e-12).
     The cost grows with (offsets in the band) x points: about
     (pi/2) (band[1]/h)^2 offsets in 2D, (2 pi/3) (band[1]/h)^3 in 3D.
     Used comparatively across resolutions: a bounded seminorm under
@@ -630,11 +619,9 @@ def holder_seminorm(snap: FieldState, alpha: float, band: tuple[float, float]) -
         dist = grid.h * math.sqrt(sum(c * c for c in k))
         if k < (0,) * grid.n or not lo * (1.0 - 1e-12) <= dist <= hi * (1.0 + 1e-12):
             continue
-        if grid.periodic:   # u(x + k) - u(x), wrapping
-            du = np.roll(u, [-c for c in k], axis=axes) - u
-        else:               # the pairs x, x + k that both lie in the box
-            ahead = tuple(slice(max(c, 0), m + min(c, 0)) for c, m in zip(k, grid.sizes))
-            behind = tuple(slice(max(-c, 0), m + min(-c, 0)) for c, m in zip(k, grid.sizes))
-            du = u[(slice(None), *ahead)] - u[(slice(None), *behind)]
+        du = np.roll(u, [-c for c in k], axis=axes) - u   # u(x + k) - u(x), wrapping
+        if not grid.periodic:   # the pairs x, x + k that both lie in the box
+            du = du[(slice(None), *(slice(max(-c, 0), m + min(-c, 0))
+                                    for c, m in zip(k, grid.sizes)))]
         best = max(best, float(np.sqrt(np.sum(du * du, axis=0)).max()) / dist ** alpha)
     return best

@@ -5,18 +5,19 @@ boundaries.  Dirichlet grids carry a one-cell-thick boundary layer.  Each
 stencil has one code path for both boundary kinds: a neighbour along an axis
 is read by one primitive, `_shifted`, a contiguous pass over the flattened
 array with the wrapped planes written by one more call, over a step plan
-(`_shift_plans`: per axis and shift, the index arithmetic worked out once,
-for any component count; a run makes its plans once).  The diagonal
-neighbours of `hessian_sq`'s mixed differences are shifts of shifts.  One
-boundary rule serves every stencil (`_laplacian`, `_gradient_sq`,
-`hessian_sq` and `_face_divergence`): on Dirichlet grids the ring, the only
-points that read across the wrap, is set to zero afterwards by `_fill_ring`,
-so stencil outputs are meaningful on the interior only.  Each stencil has
-one entry point.  `hessian_sq`, which the estimate monitor calls on fields
-it makes, checks its input; the kernels `_laplacian`, `_face_divergence` and
+(`_shift_plans`: per axis and shift, the index arithmetic worked out once
+per grid object and kept on it, for any component count; each kernel looks
+up the plans of its own neighbour pairs).  The diagonal neighbours of
+`hessian_sq`'s mixed differences are shifts of shifts.  One boundary rule
+serves every stencil (`_laplacian`, `_gradient_sq`, `hessian_sq` and
+`_face_divergence`): on Dirichlet grids the ring, the only points that read
+across the wrap, is set to zero afterwards by `_fill_ring`, so stencil
+outputs are meaningful on the interior only.  Each stencil has one entry
+point.  `hessian_sq`, which the estimate monitor calls on fields it makes,
+checks its input; the kernels `_laplacian`, `_face_divergence` and
 `_gradient_sq`, fed by the time loop and the monitors, skip the checks and
-take their caller's plans and buffers.  All reductions go through numpy,
-whose float sums use pairwise (tree) summation, which bounds rounding drift
+take their caller's buffers.  All reductions go through numpy, whose float
+sums use pairwise (tree) summation, which bounds rounding drift
 deterministically.  `_dist2`, the minimal-image squared distance to a point,
 serves both the cylinder balls and the bump initial data.
 
@@ -121,11 +122,17 @@ def _fill_ring(out: np.ndarray, n: int, value=0.0) -> None:
         out[(slice(None),) * a + (slice(None, None, out.shape[a] - 1),)] = value
 
 
-def _shift_plans(grid: GridSpec, *pairs: tuple[int, int]) -> list[tuple]:
+def _shift_plans(grid: GridSpec, *pairs: tuple[int, int]) -> tuple:
     """Per grid axis, the plan of `_shifted` for each (k1, k2) of `pairs`: the
     bulk pass's flat offsets and the count of entries it leaves to the wrapped
     planes, then those planes' indices counted from the last axis, so that one
-    plan serves a field and any stack of components on the grid."""
+    plan serves a field and any stack of components on the grid.  Built once per
+    grid object and pair set and kept on the grid, as its `boundary_mask` is."""
+    try:
+        return grid.__dict__["_plans"][pairs]
+    except KeyError:   # the first call on this grid, or a new pair set
+        pass
+
     def plan(axis, k1, k2):
         m, s = grid.sizes[axis], math.prod(grid.sizes[axis + 1:])   # s: one step, flattened
         lo, hi = int(k1 < 0 or k2 < 0), int(k1 > 0 or k2 > 0)
@@ -139,7 +146,9 @@ def _shift_plans(grid: GridSpec, *pairs: tuple[int, int]) -> list[tuple]:
         post = (slice(None),) * (grid.n - 1 - axis)
         return ((lo + k1) * s, (lo + k2) * s, lo * s, (lo + hi) * s,
                 *((..., p) + post for p in planes))
-    return [tuple(plan(a, k1, k2) for k1, k2 in pairs) for a in range(grid.n)]
+    plans = tuple(tuple(plan(a, k1, k2) for k1, k2 in pairs) for a in range(grid.n))
+    grid.__dict__.setdefault("_plans", {})[pairs] = plans
+    return plans
 
 
 def _shifted(op, f: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
@@ -159,17 +168,17 @@ def _shifted(op, f: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
 
 
 def _laplacian(f: np.ndarray, grid: GridSpec, work: np.ndarray | None = None,
-               plans: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None) -> np.ndarray:
     """Unchecked 2n+1-point Laplacian of each component of an (N, *sizes) array.
 
     Per axis the neighbour sum f[i-1] + f[i+1] (`_shifted` into `work`) is
     added to -2n f (in `out`); the sum is divided by h^2 last.  Dirichlet
     grids zero the ring, the only points that read across the wrap.  Buffers
-    (C-contiguous, shaped like f) and `plans` left out are made here.
+    (C-contiguous, shaped like f) left out are made here.
     """
     out = np.multiply(f, -2.0 * grid.n, out=out)
     nb = np.empty(f.shape) if work is None else work
-    for (plan,) in plans or _shift_plans(grid, (-1, 1)):
+    for (plan,) in _shift_plans(grid, (-1, 1)):
         out += _shifted(np.add, f, plan, nb)
     out /= grid.h * grid.h
     if not grid.periodic:
@@ -180,7 +189,7 @@ def _laplacian(f: np.ndarray, grid: GridSpec, work: np.ndarray | None = None,
 def _face_divergence(coef: np.ndarray, fields: np.ndarray,
                      extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
                      grid: GridSpec, out: np.ndarray, flux: np.ndarray,
-                     tmp: np.ndarray, face: np.ndarray, plans: list | None = None) -> np.ndarray:
+                     tmp: np.ndarray, face: np.ndarray) -> np.ndarray:
     """Divergence of (avg coef * D fields + avg extra_coef * D extra_field) over
     faces, unchecked, added to `out`, in the caller's buffers.
 
@@ -191,14 +200,14 @@ def _face_divergence(coef: np.ndarray, fields: np.ndarray,
     telescope, so means are conserved.  `flux` and `tmp` are C-contiguous
     arrays shaped like `fields`, `face` one shaped like a component (a strided
     buffer raises); none is read before it is written.  Forward and backward
-    differences are `_shifted` passes (over `plans` when given).  The face
-    average's 0.5 and both divisions by h fold into k = 0.5/h^2, which scales
-    the coefficient face sum and the `extra_field` difference; no pass divides.
+    differences are `_shifted` passes.  The face average's 0.5 and both
+    divisions by h fold into k = 0.5/h^2, which scales the coefficient face
+    sum and the `extra_field` difference; no pass divides.
     Bitwise the roll-based original's where h is a power of two (scaling by k
     is exact), equal to it to rounding elsewhere.
     """
     k = 0.5 / (grid.h * grid.h)
-    for fwd, bwd in plans or _shift_plans(grid, (1, 0), (0, -1)):
+    for fwd, bwd in _shift_plans(grid, (1, 0), (0, -1)):
         _shifted(np.subtract, fields, fwd, flux)   # flux[i] = f[i+1] - f[i]
         _shifted(np.add, coef, fwd, face)
         face *= k
@@ -215,19 +224,18 @@ def _face_divergence(coef: np.ndarray, fields: np.ndarray,
     return out
 
 
-def _gradient_sq(comps: np.ndarray, grid: GridSpec, plans: list | None = None,
-                 out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+def _gradient_sq(comps: np.ndarray, grid: GridSpec, out: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
     """|grad u|^2 of an (N, *sizes) array, unchecked: the sum over components and
-    axes of squared central differences (f[i+1] - f[i-1]) / 2h (over `plans` when
-    given), wrapping on periodic grids; Dirichlet grids zero the ring.  Buffers
-    (C-contiguous, shaped like a component) for the sum (`out`) and each difference
-    (`work`) that are left out are made here."""
-    plans = plans or _shift_plans(grid, (1, -1))
+    axes of squared central differences (f[i+1] - f[i-1]) / 2h, wrapping on
+    periodic grids; Dirichlet grids zero the ring.  Buffers (C-contiguous, shaped
+    like a component) for the sum (`out`) and each difference (`work`) that are
+    left out are made here."""
     out = np.empty(grid.sizes) if out is None else out
     out.fill(0.0)
     d = np.empty(grid.sizes) if work is None else work
     for f in comps:
-        for (plan,) in plans:
+        for (plan,) in _shift_plans(grid, (1, -1)):
             _shifted(np.subtract, f, plan, d)
             d /= 2.0 * grid.h
             out += np.multiply(d, d, out=d)

@@ -19,13 +19,13 @@ case.  The loop drives the body over plain arrays and validates a
 `FieldState` of each member's slice only for a stored snapshot; an observer
 receives each stored snapshot as it is made.  `step_diffusion` is one pass
 of the body on a stack of one, state in, state out.  Each right-hand side is
-made for one stack shape and builds its workspace with it, with the run's
-step plan and output buffer: grad Phi(u), a neighbour sum, the slope field
-and a mask for the diffusion system, face fluxes, directions and
-coefficient fields for the coupled one.  A step then allocates only the new
-state and what the potential's evaluators return.  Range excursions abort,
-never clamp; clamping would silently invalidate every estimate checked
-downstream.
+made for one stack shape and builds its workspace with it, with its output
+buffer: grad Phi(u), a neighbour sum, the slope field and a mask for the
+diffusion system, face fluxes, directions and coefficient fields for the
+coupled one; the kernels look up their step plans on the grid, which builds
+each once.  A step then allocates only the new state and what the
+potential's evaluators return.  Range excursions abort, never clamp;
+clamping would silently invalidate every estimate checked downstream.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import RangeExcursionError
 from .grid import (FieldState, GridSpec, Trajectory, _dist2, _face_divergence,
-                   _laplacian, _shift_plans, vector_norm)
+                   _laplacian, vector_norm)
 from .potentials import (CoupledCoefficients, RadialPotential, certify_window,
                          coupled_decomposition, grad_Phi_field)
 
@@ -78,13 +78,12 @@ def _of(run: str | None) -> str:
 def _diffusion_rhs(p: RadialPotential, grid: GridSpec, shape: tuple) -> RightHandSide:
     """Lap(grad Phi(u)) for stacks of `shape` over one workspace, made here and
     owned by the closure: grad Phi(u), the neighbour sum, the slope field, one
-    mask, the output and the step plan."""
+    mask and the output."""
     g, nb, out = (np.empty(shape) for _ in range(3))
     slope, mask = np.empty(shape[1:]), np.empty(shape[1:], bool)
-    plans = _shift_plans(grid, (-1, 1))
 
     def rhs(u, r):
-        return _laplacian(grad_Phi_field(p, u, r, g, (slope, mask)), grid, nb, plans, out)
+        return _laplacian(grad_Phi_field(p, u, r, g, (slope, mask)), grid, nb, out)
     return rhs
 
 
@@ -92,20 +91,19 @@ def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec, shape: tuple) -> Right
     """The coupled right-hand side for stacks of `shape` over one workspace, made here.
 
     The face fluxes and their differences, the directions c and the output,
-    each shaped like the state, the face average, a(r), H(r), a mask and the
-    step plan; the H table borrows `flux[0]`, `tmp[0]`, `c[0]` and the face
+    each shaped like the state, the face average, a(r), H(r) and a mask; the
+    H table borrows `flux[0]`, `tmp[0]`, `c[0]` and the face
     field as scratch before they are filled, the directions the face field.
     One per run, never shared.
     """
     flux, tmp, c, out = (np.empty(shape) for _ in range(4))
     face, a, H, mask = (np.empty(shape[1:], t) for t in (float, float, float, bool))
-    plans = _shift_plans(grid, (1, 0), (0, -1))
 
     def rhs(u, r):
         cc.H_profile(r, out=H, work=(flux[0], tmp[0], c[0], face), a_out=a)
         cc.c(u, r, out=c, work=(face, mask))
         out.fill(0.0)
-        return _face_divergence(a, u, c, H, grid, out, flux, tmp, face, plans)
+        return _face_divergence(a, u, c, H, grid, out, flux, tmp, face)
     return rhs
 
 

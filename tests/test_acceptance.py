@@ -118,7 +118,7 @@ def test_04_max_principle():
         traj = run(RunConfig(grid=pgrid(128), n_components=2, potential=COSH,
                              t_end=0.01, cfl_sigma=0.9, snapshot_every=8,
                              initial=init, seed=2))
-        rep = _replay(traj, _SupFold(tol=1e-10)).report(traj, "sup-norm")
+        rep = _replay(traj, _SupFold(tol=1e-10)).report("sup-norm")
         assert rep.passed, label
         sups[label] = (rep.values["sup"][0], rep.values["sup"][-1])
     report(f"4 PASS max principle: sup series {sups}")
@@ -200,9 +200,9 @@ def test_07_reverse_holder_stability():
     cyls = [Cylinder(center=(float(rng.uniform(0, 1)),), t0=0.02, R=0.032)
             for _ in range(20)]
     t128, t256 = _cosh_run(128), _cosh_run(256)
-    coarse = _replay(t128, _ReverseHolderFold(t128.grid, cyls, 2.5)).report(t128)
+    coarse = _replay(t128, _ReverseHolderFold(t128.grid, cyls, 2.5)).report()
     fine = _replay(t256, _ReverseHolderFold(t256.grid, cyls, 2.5)).report(
-        t256, reference=coarse.values["max_ratio"], rel_change=0.2)
+        reference=coarse.values["max_ratio"], rel_change=0.2)
     assert fine.passed
     change = abs(fine.values["max_ratio"] - coarse.values["max_ratio"]) \
         / coarse.values["max_ratio"]
@@ -220,9 +220,9 @@ def test_08_estimate_ratio_stability():
         pairs.append((Cylinder(center=(x0,), t0=0.018, R=0.05),
                       Cylinder(center=(x0,), t0=0.018, R=0.1)))
     t128, t256 = _cosh_run(128), _cosh_run(256)
-    coarse = _replay(t128, _EstimateFold(t128.grid, COSH, pairs)).report(t128)
+    coarse = _replay(t128, _EstimateFold(t128.grid, COSH, pairs)).report()
     fine = _replay(t256, _EstimateFold(t256.grid, COSH, pairs)).report(
-        t256, reference=coarse.values["maxima"], rel_change=0.3)
+        reference=coarse.values["maxima"], rel_change=0.3)
     assert fine.passed
     changes = {k: abs(fine.values["maxima"][k] - coarse.values["maxima"][k])
                / coarse.values["maxima"][k] for k in coarse.values["maxima"]}

@@ -2011,7 +2011,10 @@ class TestStreamedVerify:
         from pelab.diagnostics import _ContractionFold, _SupFold
         from pelab.grid import _replay
 
-        def same(got, want):
+        def same(got, want, *runs):   # the provenance is the runner's: its runs' hashes
+            assert got.provenance == "+".join(t.meta["config_hash"][:16] for t in runs)
+            assert want.provenance == ""
+            want.provenance = got.provenance
             assert json.dumps(got.to_json(), sort_keys=True) == \
                 json.dumps(want.to_json(), sort_keys=True)
             assert got.series == want.series
@@ -2028,7 +2031,7 @@ class TestStreamedVerify:
         for kind, plant in (("sup-norm", None), ("tampered-sup", frozen_inflate_final)):
             got = alone(kind, config=config)
             fed = plant(stored) if plant else stored
-            same(got, _replay(fed, _SupFold()).report(fed, "c"))
+            same(got, _replay(fed, _SupFold()).report("c"), stored)
             assert got.passed is (plant is None) and (got.witness is None) is got.passed
 
         keys = {"initial0": mode, "initial1": {"kind": "bands", "kmax": 2, "amplitude": 0.4}}
@@ -2042,7 +2045,7 @@ class TestStreamedVerify:
             got = alone(kind, config=bare, **keys)
             fed = plant(run1) if plant else run1
             fold = _replay(fed, _replay(run0, _ContractionFold(window), 0), 1)
-            same(got, fold.report(run0, fed, "c"))
+            same(got, fold.report(run0, fed, "c"), run0, run1)
             assert got.passed is (plant is None) and (got.witness is None) is got.passed
 
 
@@ -2087,6 +2090,50 @@ class TestEntropyCommand:
 
     def test_unknown_potential(self, tmp_path):
         assert main(["entropy", "unobtainium", "--out", str(tmp_path / "e")]) == 1
+
+
+class TestProvenance:
+    """Each report names the config hash of every run its check subscribed to, in
+    subscription order (an entropy check's K calibration first), judged or crashed."""
+
+    RUNS = {"contraction-cosh": 2, "contraction-heat-rate": 2, "boundedness-bump": 1,
+            "boundedness-bands": 1, "entropy-diffusion": 3, "entropy-coupled": 3,
+            "morrey": 1, "reverse-holder": 2, "estimate-ratios": 2,
+            "injected-sup-growth": 1, "injected-contraction-growth": 2}
+
+    @pytest.mark.parametrize("suite", [paper_core_suite(64), checks.negative_control_suite()],
+                             ids=["paper-core", "negative-control"])
+    def test_every_report_names_each_planned_run(self, tmp_path, suite):
+        reports = run_suite(suite, tmp_path / "v")
+        for check, rep in zip(suite["checks"], reports):
+            fn, leading, keys = checks._bind_check(check)
+            subs, _ = fn(suite["seed"], *leading, **keys)
+            want = [config_hash(cfg.describe())[:16] for cfg, _ in subs]
+            assert len(want) == self.RUNS[check["name"]]
+            assert rep.provenance.split("+") == want, check["name"]
+            if check["kind"].startswith("entropy"):   # the calibration run, then the rungs
+                assert subs[0][0].potential.id == "quadratic"
+                assert [cfg.grid.sizes[0] for cfg, _ in subs[1:]] == check["sizes"]
+        summary = read_csv(tmp_path / "v" / "summary.csv", csv.DictReader)
+        assert [row["provenance"] for row in summary] == [rep.provenance for rep in reports]
+        assert main(["report", str(tmp_path / "v")]) == 0
+        rows = read_csv(tmp_path / "v" / "report_summary.csv", csv.DictReader)
+        got = {r["name"]: r["config_hash"] for r in rows if r["kind"] == "check"}
+        assert got == {rep.name: rep.provenance for rep in reports}
+        assert all(got.values())
+
+    def test_a_check_that_crashes_in_its_run_keeps_it_and_one_unplanned_has_none(
+            self, tmp_path):
+        outside = unseeded(heat_doc(size=32, t_end=0.002))
+        outside["initial"] = {"kind": "constant", "amplitude": 3.0}   # beyond r_max = 2
+        unknown = {**outside, "potential": {"id": "nope"}}
+        reports = run_suite({"name": "s", "checks": [
+            {"name": "aborts", "kind": "sup-norm", "config": outside},
+            {"name": "unplanned", "kind": "sup-norm", "config": unknown}]}, tmp_path / "v")
+        assert [(rep.passed, "error" in rep.values) for rep in reports] == [(False, True)] * 2
+        assert "RangeExcursionError" in reports[0].values["error"]
+        cfg = documents.build_config(outside, 0)
+        assert [rep.provenance for rep in reports] == [config_hash(cfg.describe())[:16], ""]
 
 
 class TestReportCommand:

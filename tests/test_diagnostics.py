@@ -1,7 +1,5 @@
 import functools
 import math
-import sys
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +20,8 @@ from pelab.diagnostics import (_calibration, _ContractionFold, _coupled_fold,
                                _ReverseHolderFold, _SupFold)
 from pelab.grid import _gradient_sq, _laplacian, _replay
 from pelab.potentials import CoupledCoefficients
-from test_grid import fresh_face_divergence, integrals, members, reference_gradient_sq
+from test_grid import (count_plan_builds, fresh_face_divergence, integrals, members,
+                       reference_gradient_sq)
 
 
 def dgrid(size=128, n=1):
@@ -252,7 +251,7 @@ def test_the_calibration_range_covers_the_runs_initial_state(boundary, initial, 
 
 def morrey_verdict(traj, points, radii, g=None, decay_factor=0.5):
     """The morrey check's verdict on a stored trajectory."""
-    return _replay(traj, _MorreyFold(traj.grid, points, radii, g)).report(traj, decay_factor)
+    return _replay(traj, _MorreyFold(traj.grid, points, radii, g)).report(decay_factor)
 
 
 def dirichlet_run(pot, size, init, t_end=0.02, every=10, seed=1):
@@ -346,7 +345,7 @@ class TestSupNorm:
     def test_constant_state_equality(self):
         g = pgrid(32)
         traj = stationary(g, np.full((1, 32), 0.7))
-        rep = _replay(traj, _SupFold()).report(traj, "sup-norm")
+        rep = _replay(traj, _SupFold()).report("sup-norm")
         assert rep.passed
         assert np.all(rep.values["sup"] == rep.values["bound"])
 
@@ -356,7 +355,7 @@ class TestSupNorm:
         snaps = [FieldState(grid=g, values=vals, t=0.0),
                  FieldState(grid=g, values=1.2 * vals, t=1e-4)]
         traj = Trajectory(snapshots=tuple(snaps), dt=1e-4)
-        rep = _replay(traj, _SupFold()).report(traj, "sup-norm")
+        rep = _replay(traj, _SupFold()).report("sup-norm")
         assert not rep.passed
         assert rep.witness["snapshot"] == 1
         assert "location" in rep.witness
@@ -751,7 +750,7 @@ class TestReverseHolder:
         g = pgrid(64)
         traj = stationary(g, np.full((1, 64), 0.3), n_snaps=30)
         cyl = [Cylinder(center=(0.5,), t0=traj.times[-1], R=4 * g.h)]
-        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyl, 2.5)).report(traj)
+        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyl, 2.5)).report()
         assert rep.passed
         assert rep.values["skipped"] == 1
 
@@ -763,7 +762,7 @@ class TestReverseHolder:
         u = (2.5 * np.minimum(x, 1.0 - x))[None]
         traj = stationary(g, u, n_snaps=30)
         cyl = [Cylinder(center=(0.25,), t0=traj.times[-1], R=5 * g.h)]
-        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyl, 2.5)).report(traj)
+        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyl, 2.5)).report()
         assert rep.values["ratios"][0] == pytest.approx(1.0, rel=1e-12)
 
     def test_stability_against_reference(self):
@@ -779,9 +778,9 @@ class TestReverseHolder:
         cyls = [Cylinder(center=(float(rng.uniform(0, 1)),), t0=0.02, R=0.032)
                 for _ in range(20)]
         t128, t256 = mk(128), mk(256)
-        coarse = _replay(t128, _ReverseHolderFold(t128.grid, cyls, 2.5)).report(t128)
+        coarse = _replay(t128, _ReverseHolderFold(t128.grid, cyls, 2.5)).report()
         fine = _replay(t256, _ReverseHolderFold(t256.grid, cyls, 2.5)).report(
-            t256, reference=coarse.values["max_ratio"])
+            reference=coarse.values["max_ratio"])
         assert fine.passed
         assert abs(fine.values["max_ratio"] - coarse.values["max_ratio"]) \
             <= 0.2 * coarse.values["max_ratio"]
@@ -790,7 +789,7 @@ class TestReverseHolder:
         g = pgrid(64)
         traj = stationary(g, np.zeros((1, 64)), n_snaps=10)
         with pytest.raises(ValueError, match="exceed 2"):
-            _replay(traj, _ReverseHolderFold(traj.grid, [], 2.0)).report(traj)
+            _replay(traj, _ReverseHolderFold(traj.grid, [], 2.0)).report()
 
 
 class TestEstimateRatios:
@@ -800,7 +799,7 @@ class TestEstimateRatios:
         p = cosh_potential(1.0)
         pairs = [(Cylinder(center=(0.5,), t0=traj.times[-2], R=8 * g.h),
                   Cylinder(center=(0.5,), t0=traj.times[-2], R=16 * g.h))]
-        rep = _replay(traj, _EstimateFold(traj.grid, p, pairs)).report(traj)
+        rep = _replay(traj, _EstimateFold(traj.grid, p, pairs)).report()
         assert rep.passed
         assert all(v == 0.0 for v in rep.values["maxima"].values())
 
@@ -814,7 +813,7 @@ class TestEstimateRatios:
         g = traj.grid
         small = Cylinder(center=(0.5,), t0=0.008, R=0.05)
         big = Cylinder(center=(0.5,), t0=0.008, R=0.1)
-        rep = _replay(traj, _EstimateFold(traj.grid, q, [(small, big)])).report(traj)
+        rep = _replay(traj, _EstimateFold(traj.grid, q, [(small, big)])).report()
 
         from pelab import grad_Phi_field, hessian_sq
         spacing = traj.times[1] - traj.times[0]
@@ -857,9 +856,9 @@ class TestEstimateRatios:
         pairs = [(Cylinder(center=(0.45,), t0=0.018, R=0.05),
                   Cylinder(center=(0.45,), t0=0.018, R=0.1))]
         t128, t256 = mk(128), mk(256)
-        coarse = _replay(t128, _EstimateFold(t128.grid, p, pairs)).report(t128)
+        coarse = _replay(t128, _EstimateFold(t128.grid, p, pairs)).report()
         fine = _replay(t256, _EstimateFold(t256.grid, p, pairs)).report(
-            t256, reference=coarse.values["maxima"])
+            reference=coarse.values["maxima"])
         assert fine.passed
 
     def test_final_time_cylinder_rejected(self):
@@ -869,7 +868,7 @@ class TestEstimateRatios:
         pairs = [(Cylinder(center=(0.5,), t0=traj.times[-1], R=8 * g.h),
                   Cylinder(center=(0.5,), t0=traj.times[-1], R=16 * g.h))]
         with pytest.raises(ValueError, match="successor"):
-            _replay(traj, _EstimateFold(traj.grid, p, pairs)).report(traj)
+            _replay(traj, _EstimateFold(traj.grid, p, pairs)).report()
 
 
 # Frozen copies of the cylinder loops that the cylinder fold replaced: the
@@ -986,7 +985,7 @@ class TestCylinderIntegralParity:
             rhs2 = reference_cyl_mean(traj, big, grad2)
             lhs = reference_cyl_mean(traj, q, grad2, power=0.5 * p) ** (1.0 / p)
             expected.append(lhs / math.sqrt(rhs2))
-        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyls, p)).report(traj)
+        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyls, p)).report()
         assert np.array_equal(rep.values["ratios"], np.array(expected))
 
     def test_estimate_ratios_match_the_frozen_integral(self, traj):
@@ -994,7 +993,7 @@ class TestCylinderIntegralParity:
         p = cosh_potential(1.0)
         small = Cylinder(center=self.center(traj), t0=traj.times[-2], R=0.125)
         big = Cylinder(center=self.center(traj), t0=traj.times[-2], R=0.25)
-        rep = _replay(traj, _EstimateFold(traj.grid, p, [(small, big)])).report(traj)
+        rep = _replay(traj, _EstimateFold(traj.grid, p, [(small, big)])).report()
         spacing = traj.times[1] - traj.times[0]
 
         def grad2(k):
@@ -1094,7 +1093,7 @@ class TestOnePassPerWindow:
 
     def test_reverse_holder_reads_each_snapshot_once(self, traj, passes):
         cyls = [Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.1) for k in (40, 60)]
-        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyls, 2.5)).report(traj)
+        rep = _replay(traj, _ReverseHolderFold(traj.grid, cyls, 2.5)).report()
         assert len(rep.values["ratios"]) == 2
         [(cylinders, read)] = passes
         bigs = [Cylinder(center=q.center, t0=q.t0, R=4 * q.R) for q in cyls]
@@ -1104,7 +1103,7 @@ class TestOnePassPerWindow:
     def test_estimate_ratios_read_each_snapshot_once_per_field(self, traj, passes):
         pairs = [(Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.1),
                   Cylinder(center=(0.5, 0.5), t0=traj.times[k], R=0.2)) for k in (70, 50)]
-        _replay(traj, _EstimateFold(traj.grid, cosh_potential(1.0), pairs)).report(traj)
+        _replay(traj, _EstimateFold(traj.grid, cosh_potential(1.0), pairs)).report()
         smalls, bigs = [s for s, _ in pairs], [b for _, b in pairs]
         assert [c for c, _ in passes] == [[bigs[0], smalls[0], bigs[1], smalls[1]],
                                           smalls, smalls]   # |grad u|^2, |u_t|^2, hessian
@@ -1134,10 +1133,10 @@ class TestOnePassPerWindow:
         def report(traj):
             if monitor == "reverse-holder":
                 fold = _ReverseHolderFold(traj.grid, [Cylinder((0.5, 0.5), t0, 0.1)], 2.5)
-                return _replay(traj, fold).report(traj)
+                return _replay(traj, fold).report()
             pairs = [(Cylinder((0.5, 0.5), t0, 0.1), Cylinder((0.5, 0.5), t0, 0.2))]
             fold = _EstimateFold(traj.grid, cosh_potential(1.0), pairs)
-            return _replay(traj, fold).report(traj)
+            return _replay(traj, fold).report()
 
         peaks = []
         for traj in runs:
@@ -1326,34 +1325,20 @@ class TestHolderSeminorm:
 
 
 class TestOneGradientPath:
-    """The cylinder monitors take |grad u|^2 from the one kernel, over one step plan
-    per fold."""
+    """The cylinder monitors take |grad u|^2 from the one kernel, over the step plans
+    the grid keeps."""
 
-    def test_paper_core_makes_one_plan_per_report(self, tmp_path, monkeypatch):
-        import pelab.grid as grid_module
-        from pelab import diagnostics
+    def test_paper_core_builds_each_plan_once(self, tmp_path, monkeypatch):
         from pelab.cli import paper_core_suite, run_suite
-        plans = {diagnostics: Counter(), grid_module: Counter()}
-        real_plans = grid_module._shift_plans
-
-        def counting_plans(module):
-            def counted(grid, *pairs):
-                if pairs == ((1, -1),):
-                    plans[module][sys._getframe(1).f_code.co_qualname] += 1
-                return real_plans(grid, *pairs)
-            return counted
-
-        for module in (diagnostics, grid_module):
-            monkeypatch.setattr(module, "_shift_plans", counting_plans(module))
+        built, callers = count_plan_builds(monkeypatch)
         reports = run_suite(paper_core_suite(64), tmp_path / "v", 11)
         assert all(rep.passed for rep in reports)
-        assert plans[grid_module] == {}   # no kernel call makes its own
-        # morrey: one report; reverse-holder and estimate-ratios: coarse and fine;
-        # the entropy residual folds: two rungs and one calibration per check
-        assert plans[diagnostics] == {"_MorreyFold.__init__": 1,
-                                      "_ReverseHolderFold.__init__": 2,
-                                      "_EstimateFold.__init__": 2,
-                                      "_ResidualFold.__init__": 6}
+        # every step, run and fold on one grid object shares its plan of each pair set:
+        # the Laplacian's, |grad u|^2's, the face divergence's and the hessian's
+        assert all(len(grids) == 1 for grids in built.values()), built
+        assert {pairs for _, pairs in built} == {((-1, 1),), ((1, -1),), ((1, 0), (0, -1)),
+                                                 ((1, 1), (-1, -1))}
+        assert callers == {"pelab.grid"}   # no other module builds or passes a plan
 
     def test_dirichlet_balls_never_read_the_ring(self):
         # the kernel zeroes the Dirichlet ring; a validated ball stays h inside it,

@@ -1,6 +1,10 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import pelab.grid as grid_module
 from pelab import (DIRICHLET, PERIODIC, Cylinder, FieldState, GridSpec,
                    Trajectory, hessian_sq, read_snapshot, vector_norm)
 from pelab.grid import (_ball, _CylinderFold, _face_divergence, _gradient_sq, _laplacian,
@@ -23,10 +27,25 @@ def stationary_trajectory(grid, values, n_snaps=5, dt=1e-4, bv=None):
 
 
 def fresh_face_divergence(coef, fields, extra_coef, extra_field, grid):
-    """The face divergence kernel over buffers and plans made for this one call."""
+    """The face divergence kernel over buffers made for this one call."""
     shape = np.shape(fields)
     return _face_divergence(coef, fields, extra_coef, extra_field, grid, np.zeros(shape),
                             np.empty(shape), np.empty(shape), np.empty(shape[1:]))
+
+
+def count_plan_builds(monkeypatch):
+    """From here on, the plans `_shift_plans` builds, {(id(grid), pairs): [grid, ...]}
+    with one entry per build (the grids kept, so no id is reused), and the modules that
+    ask it for plans."""
+    real, built, callers = grid_module._shift_plans, {}, set()
+
+    def counted(grid, *pairs):
+        callers.add(sys._getframe(1).f_globals["__name__"])
+        if pairs not in grid.__dict__.get("_plans", {}):
+            built.setdefault((id(grid), pairs), []).append(grid)
+        return real(grid, *pairs)
+    monkeypatch.setattr(grid_module, "_shift_plans", counted)
+    return built, callers
 
 
 # Frozen copies of the earlier stencil twins, np.roll on periodic grids and
@@ -175,28 +194,30 @@ class TestStencilParity:
                     assert np.array_equal(out, want), (axis, k1, k2)
 
     @pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.boundary}-{g.sizes}")
-    def test_a_plan_reused_across_calls_equals_the_plan_free_result(self, g):
-        # plans built once, buffers reused, ten fresh fields: every call equals the
-        # kernel's call with no plans or buffers given, which makes its own
+    def test_kept_plans_and_reused_buffers_equal_a_fresh_grid(self, g):
+        # the plans the grid keeps and buffers reused, ten fresh fields: every call
+        # equals the kernel's call on a new equal grid, which builds its own plans,
+        # with no buffers given
         rng = np.random.default_rng(sum(g.sizes) + 3)
         shape = (2, *g.sizes)
-        lap_plans, grad_plans = _shift_plans(g, (-1, 1)), _shift_plans(g, (1, -1))
-        face_plans = _shift_plans(g, (1, 0), (0, -1))
-        pair = grad_plans[-1][0]
+        fresh = lambda: replace(g)   # noqa: E731  (a grid object with no plans kept)
+        pair = _shift_plans(g, (1, -1))[-1][0]
         work, out, shifted = np.empty(shape), np.empty(shape), np.empty(shape)
         flux, tmp, face = np.empty(shape), np.empty(shape), np.empty(g.sizes)
+        grad, diff = np.empty(g.sizes), np.empty(g.sizes)
         for _ in range(10):
             u = rng.standard_normal(shape)
             a, c, H = rng.uniform(0.5, 2.0, g.sizes), rng.standard_normal(shape), \
                 rng.standard_normal(g.sizes)
-            assert np.array_equal(_laplacian(u, g, work, lap_plans, out), _laplacian(u, g))
+            assert np.array_equal(_laplacian(u, g, work, out), _laplacian(u, fresh()))
             # one plan serves a single field as well as the stack
-            assert np.array_equal(_laplacian(u[0], g, plans=lap_plans), _laplacian(u[0], g))
-            assert np.array_equal(_gradient_sq(u, g, grad_plans), _gradient_sq(u, g))
-            got = _face_divergence(a, u, c, H, g, np.zeros(shape), flux, tmp, face, face_plans)
-            assert np.array_equal(got, fresh_face_divergence(a, u, c, H, g))
+            assert np.array_equal(_laplacian(u[0], g), _laplacian(u[0], fresh()))
+            assert np.array_equal(_gradient_sq(u, g, grad, diff), _gradient_sq(u, fresh()))
+            got = _face_divergence(a, u, c, H, g, np.zeros(shape), flux, tmp, face)
+            assert np.array_equal(got, fresh_face_divergence(a, u, c, H, fresh()))
             want = np.roll(u, -1, axis=g.n) - np.roll(u, 1, axis=g.n)
             assert np.array_equal(_shifted(np.subtract, u, pair, shifted), want)
+        assert _shift_plans(g, (1, -1))[-1][0] is pair   # kept on the grid, not rebuilt
 
     def test_hessian_sq_checks_its_input(self):
         g = periodic_grid(16, n=2)

@@ -9,10 +9,9 @@ from pelab import (ConstructionError, ConvexityError, RadialPotential,
                    RangeExcursionError, build_entropy, builtin_ids,
                    certify_window, coupled_decomposition, cosh_potential,
                    from_piecewise_poly, get_potential, grad_Phi, grad_Phi_field,
-                   hessian_Phi, invert_phi, quadratic, quartic,
-                   smoothed_porous)
+                   hessian_Phi, quadratic, quartic, smoothed_porous)
 from pelab.potentials import (EPS_TAYLOR, EPS_ZERO, _slope, _uniform_knot_evaluator,
-                              cumulative_simpson, radial_slope)
+                              cumulative_simpson, invert_phi, radial_slope)
 
 ALL_BUILTINS = [quadratic(2.0), cosh_potential(1.0), quartic(1.0), smoothed_porous()]
 

@@ -21,10 +21,10 @@ from pelab import (DIRICHLET, PERIODIC, FieldState, GridSpec,
                    vector_norm, with_resolution)
 import pelab.grid as grid_module
 import pelab.solver as solver
-from pelab.grid import _dist2, _laplacian, _shift_plans
+from pelab.grid import _dist2, _laplacian
 from pelab.potentials import EPS_ZERO, RadialPotential
 from pelab.solver import _coupled_rhs, _diffusion_rhs, _euler, _plan_steps
-from test_grid import fresh_face_divergence, reference_laplacian
+from test_grid import count_plan_builds, fresh_face_divergence, reference_laplacian
 from test_potentials import reference_radial_slope
 
 
@@ -1222,16 +1222,14 @@ class TestStepPlans:
 
     @pytest.mark.parametrize("system, pairs", [("diffusion", ((-1, 1),)),
                                                ("coupled", ((1, 0), (0, -1)))])
-    def test_plans_are_made_once_per_run(self, monkeypatch, system, pairs):
-        made = []
-        counted = lambda *args: made.append(args[1:]) or _shift_plans(*args)
-        for module in (grid_module, solver):
-            monkeypatch.setattr(module, "_shift_plans", counted)
-        traj = run(parity_config(system, "cosh", DIRICHLET, (9, 13, 11), 2))
-        assert traj.meta["steps"] > 1
+    def test_plans_are_built_once_per_grid(self, monkeypatch, system, pairs):
+        built, callers = count_plan_builds(monkeypatch)
+        cfg = parity_config(system, "cosh", DIRICHLET, (9, 13, 11), 2)
+        assert [run(c).meta["steps"] for c in (cfg, replace(cfg, seed=6))] == [63, 63]
         # the Laplacian's neighbour sum, or the face divergence's forward and
-        # backward differences, for the whole run
-        assert made == [pairs]
+        # backward differences: built once for every step of both runs, kept on the
+        # grid, and asked for by the kernels only
+        assert built == {(id(cfg.grid), pairs): [cfg.grid]} and callers == {"pelab.grid"}
 
 
 def batch_members(cfg, B):
