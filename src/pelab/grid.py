@@ -128,10 +128,9 @@ def _shift_plans(grid: GridSpec, *pairs: tuple[int, int]) -> tuple:
     planes, then those planes' indices counted from the last axis, so that one
     plan serves a field and any stack of components on the grid.  Built once per
     grid object and pair set and kept on the grid, as its `boundary_mask` is."""
-    try:
-        return grid.__dict__["_plans"][pairs]
-    except KeyError:   # the first call on this grid, or a new pair set
-        pass
+    kept = grid.__dict__.setdefault("_plans", {})
+    if pairs in kept:
+        return kept[pairs]
 
     def plan(axis, k1, k2):
         m, s = grid.sizes[axis], math.prod(grid.sizes[axis + 1:])   # s: one step, flattened
@@ -146,9 +145,8 @@ def _shift_plans(grid: GridSpec, *pairs: tuple[int, int]) -> tuple:
         post = (slice(None),) * (grid.n - 1 - axis)
         return ((lo + k1) * s, (lo + k2) * s, lo * s, (lo + hi) * s,
                 *((..., p) + post for p in planes))
-    plans = tuple(tuple(plan(a, k1, k2) for k1, k2 in pairs) for a in range(grid.n))
-    grid.__dict__.setdefault("_plans", {})[pairs] = plans
-    return plans
+    kept[pairs] = tuple(tuple(plan(a, k1, k2) for k1, k2 in pairs) for a in range(grid.n))
+    return kept[pairs]
 
 
 def _shifted(op, f: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
