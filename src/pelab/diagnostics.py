@@ -248,17 +248,18 @@ class _ResidualFold:
     """The one residual loop, fed snapshots in time order.
 
     Per consecutive pair, the positive part of (q_next - q_now)/spacing -
-    spatial(q_now) + coef |grad u|^2 with q = at(snapshot, r), spatial(q,
+    spatial(q_now) + coef |grad u|^2 with q = at(snapshot, r, work), spatial(q,
     snapshot, r, out, work) and |grad u|^2 (`grad`) taken at the earlier
     snapshot, r = |u| computed once per snapshot and spacing that of the first
     pair.  A snapshot with |u| beyond r_max aborts with the location and time
     of the first offender.  Each snapshot's spatial term and |grad u|^2 are
     made when it is fed, so `grad` is the last snapshot's, for a cylinder fold
     to read.  The fold owns one workspace, made at its first snapshot: the norm,
-    the spatial term, `grad`, the residual and scratch slabs (at least five, and
-    one per component), in which the residual is assembled in place.  It holds
-    the last snapshot's q and two running maxima, so its memory does not grow
-    with the pair count; `stats` raises if fewer than two snapshots were fed.
+    the spatial term, `grad`, the residual and scratch slabs (at least four, and
+    one per component; `at` may use them, but q is its own array), in which the
+    residual is assembled in place.  It holds the last snapshot's q and two
+    running maxima, so its memory does not grow with the pair count; `stats`
+    raises if fewer than two snapshots were fed.
     """
 
     def __init__(self, grid: GridSpec, r_max: float,
@@ -271,13 +272,13 @@ class _ResidualFold:
 
     def feed(self, snap: FieldState) -> None:
         if self.space is None:
-            self.space = np.empty((4 + max(5, snap.n_components), *self.grid.sizes))
+            self.space = np.empty((4 + max(4, snap.n_components), *self.grid.sizes))
             self.grad = self.space[2]
         r, spatial, grad, res = self.space[:4]
         work = self.space[4:]
         r = _abort_if_outside(vector_norm(snap.values, r, work[:snap.n_components]),
                               self.r_max, snap.t, None, None)
-        q = self.at(snap, r)
+        q = self.at(snap, r, work)
         if self.last is not None:
             t_now, q_now = self.last
             if self.pairs == 0:
@@ -340,9 +341,9 @@ def _diffusion_fold(grid: GridSpec, p: RadialPotential, ent: EntropyData,
     """The fold of D_t phi(|u|) - Lap gamma(phi(|u|)) + lam^2 |grad u|^2: nonpositive in
     the continuum, so its discrete positive part is pure scheme error, which must stay
     below tau = K (h^2 + dt) and shrink under refinement."""
-    def lap_gamma(q, snap, r, out, work):   # gamma(q) into work[4]; the rest scratch
-        return _laplacian(ent.gamma(q, work[4], list(work[:4])), grid, work[0], out)
-    return _ResidualFold(grid, p.r_max, lambda snap, r: np.asarray(p.phi(r), dtype=float),
+    def lap_gamma(q, snap, r, out, work):   # gamma(q) into work[3]; the rest scratch
+        return _laplacian(ent.gamma(q, work[3], list(work[:3])), grid, work[0], out)
+    return _ResidualFold(grid, p.r_max, lambda snap, r, _: np.asarray(p.phi(r), dtype=float),
                          lap_gamma, window.lam * window.lam)
 
 
@@ -411,14 +412,15 @@ def _coupled_fold(grid: GridSpec, cc: CoupledCoefficients, s: float, c: float) -
     if cc.bounds["sup_Hzz"] == 0.0:
         raise ValueError("H vanishes identically; use the diffusion entropy check")
 
-    def v(snap: FieldState, r: np.ndarray) -> np.ndarray:
-        return np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
+    def v(snap: FieldState, r: np.ndarray, work) -> np.ndarray:   # H in work[0]
+        H = cc.H_profile(r, out=work[0], work=list(work[1:4]))
+        return np.exp(np.multiply(H, s, out=H))
 
     def div_A_grad(v_now, snap, r, out, work):   # A in work[3]; the face arrays work[:3]
         A = np.add(np.asarray(cc.a(r), dtype=float), 0.0, out=work[3])
         d = cc.c(snap.values, r)   # the directions once: H_z = H'(r) d
         A += np.sum(d * (cc.dH_profile(r)[None] * d), axis=0)
-        out.fill(0.0)
+        A *= 0.5 / (grid.h * grid.h)   # the face divergence's pre-scaled coefficient
         return _face_divergence(A, v_now, None, None, grid, out, *work[:3])
     return _ResidualFold(grid, cc.r_max, v, div_A_grad, c)
 

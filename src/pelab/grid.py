@@ -188,35 +188,33 @@ def _face_divergence(coef: np.ndarray, fields: np.ndarray,
                      extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
                      grid: GridSpec, out: np.ndarray, flux: np.ndarray,
                      tmp: np.ndarray, face: np.ndarray) -> np.ndarray:
-    """Divergence of (avg coef * D fields + avg extra_coef * D extra_field) over
-    faces, unchecked, added to `out`, in the caller's buffers.
+    """Divergence of (coef face sum * D fields + extra_coef face sum * D extra_field)
+    over faces, unchecked, written into `out`, in the caller's buffers.
 
     `fields` is (N, *sizes); `extra_coef` is (N, *sizes) paired with the
-    scalar `extra_field`, and both may be None.  Face i lies between points i
-    and i+1, the last one wraps to point 0; Dirichlet grids zero the ring, the
-    only points reading that face.  Conservative: periodic flux differences
-    telescope, so means are conserved.  `flux` and `tmp` are C-contiguous
-    arrays shaped like `fields`, `face` one shaped like a component (a strided
-    buffer raises); none is read before it is written.  Forward and backward
-    differences are `_shifted` passes.  The face average's 0.5 and both
-    divisions by h fold into k = 0.5/h^2, which scales the coefficient face
-    sum and the `extra_field` difference; no pass divides.
-    Bitwise the roll-based original's where h is a power of two (scaling by k
-    is exact), equal to it to rounding elsewhere.
+    scalar `extra_field`, and both may be None.  `coef` and `extra_field` come
+    pre-scaled by the caller's 0.5/h^2 (the face average's half and both
+    divisions by h; times dt in the coupled step), so no pass here scales or
+    divides.  Face i lies between points i and i+1, the last one wraps to point
+    0; Dirichlet grids zero the ring, the only points reading that face.
+    Conservative: periodic flux differences telescope, so means are conserved.
+    `out`, `flux` and `tmp` are C-contiguous arrays shaped like `fields`, `face`
+    one shaped like a component (a strided buffer raises); none is read before
+    it is written (the first axis's flux difference goes into `out`, the others
+    are added).  Equal to the roll-based original to rounding, bitwise where the
+    factor is a power of two.
     """
-    k = 0.5 / (grid.h * grid.h)
-    for fwd, bwd in _shift_plans(grid, (1, 0), (0, -1)):
+    for a, (fwd, bwd) in enumerate(_shift_plans(grid, (1, 0), (0, -1))):
         _shifted(np.subtract, fields, fwd, flux)   # flux[i] = f[i+1] - f[i]
-        _shifted(np.add, coef, fwd, face)
-        face *= k
-        flux *= face
+        flux *= _shifted(np.add, coef, fwd, face)
         if extra_field is not None:
             _shifted(np.subtract, extra_field, fwd, face)
-            face *= k
             _shifted(np.add, extra_coef, fwd, tmp)
             tmp *= face
             flux += tmp
-        out += _shifted(np.subtract, flux, bwd, tmp)   # flux[i] - flux[i-1]
+        diff = _shifted(np.subtract, flux, bwd, tmp if a else out)   # flux[i] - flux[i-1]
+        if a:
+            out += diff
     if not grid.periodic:
         _fill_ring(out, grid.n)
     return out

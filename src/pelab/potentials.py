@@ -99,8 +99,10 @@ class CoupledCoefficients:
     r, so its gradient on a state u is H_z = dH_profile(r) c(u, r).
     The coupled step fills its workspace through two buffered calls: `c(values,
     r, out=, work=)`, `work` a float and a bool array shaped like r, and
-    `H_profile(r, out=, work=, a_out=)`, `work` four float arrays shaped like r
-    and `a_out`, when given, a(r) from the same evaluation; each left out is fresh.
+    `H_profile(r, out=, work=, a_out=)`, `work` three float arrays shaped like r
+    and `a_out`, when given, a(r) from the same evaluation; each left out is
+    fresh.  H's table is Horner's (`_uniform_knot_evaluator`): H equals earlier
+    releases' to rounding, not bit for bit.
     `bounds` carries sup norms over [0, r_max] plus the effective diffusivity
     used for time-step control.
     """
@@ -400,52 +402,42 @@ def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
     """Cubic Hermite table through (x, y) with nodal slopes dydx, for knots
     x = np.linspace(0, x_max, m + 1).
 
-    The coefficients are `scipy.interpolate.CubicHermiteSpline`'s, and the
-    result is its `__call__` bit for bit: the interval is floor(r / width)
-    corrected by one against the real knots, end polynomials extrapolate, and
-    the sum runs in PPoly's order 0.0 + c3 + c2 s + c1 s^2 + c0 s^3 (so no
-    -0.0 survives).
+    Horner's rule, ((b0 t + b1) t + b2) t + b3, in t = r m / x_max - i on the
+    interval i = floor(r m / x_max) clamped to [0, m - 1] (the end polynomials
+    extrapolate), over `scipy.interpolate.CubicHermiteSpline`'s coefficients
+    scaled by the knot width w^k once, here.  Within 4 ulp of the table's largest
+    |value| of that spline on [0, x_max] (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, s. 5.1), but not its bits: no interval
+    is corrected against the real knots.  NaN gives NaN, +-inf a non-finite value.
 
-    `evaluate(r, out=None, work=None)` writes into `out` and uses `work`, four
-    float arrays shaped like r, as scratch (two of them reinterpreted as
-    intp); buffers left out are allocated, so both calls run the same code.
+    `evaluate(r, out=None, work=None)` writes into `out` and uses `work`, three
+    float arrays shaped like r, as scratch (the last reinterpreted as intp);
+    buffers left out are allocated, so both calls run the same code.
     """
     m = len(x) - 1
-    width = x[-1] / m
-    lo = np.concatenate([[-np.inf], x[1:-1]])   # no step down from the first interval
-    hi = np.concatenate([x[1:-1], [np.inf]])    # nor up from the last
-    dx = np.diff(x)
+    scale, w, dx = m / x[-1], x[-1] / m, np.diff(x)
     slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    c0 = t / dx + 0.0
-    c1 = (slope - dydx[:-1]) / dx - t + 0.0
-    c2 = dydx[:-1] + 0.0
-    c3 = y[:-1] + 0.0
+    tt = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    b = (tt / dx * w ** 3, ((slope - dydx[:-1]) / dx - tt) * w ** 2, dydx[:-1] * w, y[:-1])
 
     def evaluate(r, out=None, work=None):
         r = np.asarray(r, dtype=float)
         out = np.empty_like(r) if out is None else out
-        s, s2, term, index = work or [np.empty_like(r) for _ in range(4)]
-        i, flag = index.view(np.intp), term.view(np.intp)
-        # table.take(i, out=, mode="wrap") gathers: after the clamp and the sentinel
-        # correction every i lies in [0, m - 1], so none wraps; "raise" would buffer
-        # `out`, and "wrap" costs less than "clip"
-        np.divide(r, width, out=s)
-        np.floor(s, out=s)
-        np.fmin(s, m - 1, out=s)
-        np.fmax(s, 0, out=s)
-        np.copyto(i, s, casting="unsafe")
-        np.less(r, lo.take(i, out=s, mode="wrap"), out=flag)
-        i -= flag
-        np.greater_equal(r, hi.take(i, out=s, mode="wrap"), out=flag)
-        i += flag
-        np.subtract(r, x.take(i, out=s, mode="wrap"), out=s)
-        np.multiply(s, s, out=s2)
-        c3.take(i, out=out, mode="wrap")
-        out += np.multiply(c2.take(i, out=term, mode="wrap"), s, out=term)
-        out += np.multiply(c1.take(i, out=term, mode="wrap"), s2, out=term)
-        s2 *= s
-        out += np.multiply(c0.take(i, out=term, mode="wrap"), s2, out=term)
+        t, term, index = work or [np.empty_like(r) for _ in range(3)]
+        i = index.view(np.intp)
+        # the NaN-ignoring clamp leaves no NaN for the cast; `take` with
+        # mode="wrap" never wraps an i in [0, m - 1], and "raise" would buffer `out`
+        np.multiply(r, scale, out=t)
+        np.floor(t, out=term)
+        np.fmin(term, m - 1, out=term)
+        np.fmax(term, 0, out=term)
+        np.copyto(i, term, casting="unsafe")
+        t -= term
+        b[0].take(i, out=out, mode="wrap")
+        with np.errstate(invalid="ignore"):   # 0 * inf at an infinite r: NaN
+            for c in b[1:]:
+                out *= t
+                out += c.take(i, out=term, mode="wrap")
         return out
 
     return evaluate

@@ -19,13 +19,15 @@ case.  The loop drives the body over plain arrays and validates a
 `FieldState` of each member's slice only for a stored snapshot; an observer
 receives each stored snapshot as it is made.  `step_diffusion` is one pass
 of the body on a stack of one, state in, state out.  Each right-hand side is
-made for one stack shape and builds its workspace with it, with its output
-buffer: grad Phi(u), a neighbour sum, the slope field and a mask for the
-diffusion system, face fluxes, directions and coefficient fields for the
-coupled one; the kernels look up their step plans on the grid, which builds
-each once.  A step then allocates only the new state and what the
-potential's evaluators return.  Range excursions abort, never clamp;
-clamping would silently invalidate every estimate checked downstream.
+made for one dt and one stack shape, returns dt L (the diffusion one scales
+its Laplacian, the coupled one its coefficients a and H, once a step) and
+builds its workspace when made, with its output buffer: grad Phi(u), a
+neighbour sum, the slope field and a mask for the diffusion system, face
+fluxes, directions and coefficient fields for the coupled one; the kernels
+look up their step plans on the grid, which builds each once.  A step then
+allocates only the new state and what the potential's evaluators return.
+Range excursions abort, never clamp; clamping would silently invalidate
+every estimate checked downstream.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ from .grid import (FieldState, GridSpec, Trajectory, _dist2, _face_divergence,
 from .potentials import (CoupledCoefficients, RadialPotential, certify_window,
                          coupled_decomposition, grad_Phi_field)
 
-# L(u, r): the time derivative of u given u and its norm field r = |u|
+# dt L(u, r): the step's increment of u given u and its norm field r = |u|
 RightHandSide = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -75,34 +77,40 @@ def _of(run: str | None) -> str:
     return "" if run is None else f" in run '{run}'"
 
 
-def _diffusion_rhs(p: RadialPotential, grid: GridSpec, shape: tuple) -> RightHandSide:
-    """Lap(grad Phi(u)) for stacks of `shape` over one workspace, made here and
+def _diffusion_rhs(p: RadialPotential, grid: GridSpec, shape: tuple,
+                   dt: float) -> RightHandSide:
+    """dt Lap(grad Phi(u)) for stacks of `shape` over one workspace, made here and
     owned by the closure: grad Phi(u), the neighbour sum, the slope field, one
     mask and the output."""
     g, nb, out = (np.empty(shape) for _ in range(3))
     slope, mask = np.empty(shape[1:]), np.empty(shape[1:], bool)
 
     def rhs(u, r):
-        return _laplacian(grad_Phi_field(p, u, r, g, (slope, mask)), grid, nb, out)
+        L = _laplacian(grad_Phi_field(p, u, r, g, (slope, mask)), grid, nb, out)
+        return np.multiply(L, dt, out=L)
     return rhs
 
 
-def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec, shape: tuple) -> RightHandSide:
-    """The coupled right-hand side for stacks of `shape` over one workspace, made here.
+def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec, shape: tuple,
+                 dt: float) -> RightHandSide:
+    """dt L of the coupled system for stacks of `shape`, over one workspace made here.
 
     The face fluxes and their differences, the directions c and the output,
     each shaped like the state, the face average, a(r), H(r) and a mask; the
-    H table borrows `flux[0]`, `tmp[0]`, `c[0]` and the face
-    field as scratch before they are filled, the directions the face field.
-    One per run, never shared.
+    H table borrows `flux[0]`, `tmp[0]` and the face field as scratch before
+    they are filled, the directions the face field.  a and H are scaled once by
+    k = 0.5 dt/h^2 (the face average's half, both divisions by h and the step),
+    as `_face_divergence` takes them.  One per run, never shared.
     """
     flux, tmp, c, out = (np.empty(shape) for _ in range(4))
     face, a, H, mask = (np.empty(shape[1:], t) for t in (float, float, float, bool))
+    k = 0.5 * dt / (grid.h * grid.h)
 
     def rhs(u, r):
-        cc.H_profile(r, out=H, work=(flux[0], tmp[0], c[0], face), a_out=a)
+        cc.H_profile(r, out=H, work=(flux[0], tmp[0], face), a_out=a)
+        np.multiply(a, k, out=a)
+        np.multiply(H, k, out=H)
         cc.c(u, r, out=c, work=(face, mask))
-        out.fill(0.0)
         return _face_divergence(a, u, c, H, grid, out, flux, tmp, face)
     return rhs
 
@@ -111,7 +119,8 @@ def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float
            r_max: float, runs: list, step: int | None = None,
            steps: int | None = None) -> np.ndarray:
     """The loop body on a stack u (N, B, *sizes) of the B runs named in `runs`: new =
-    u + dt L(u, r), then r = |new| (B norm fields, squared in L's buffer).
+    u + rhs(u, r), rhs made for this dt, then r = |new| (B norm fields, squared in
+    rhs's buffer).
 
     max r over the stack is a step's one reduction: NaN or inf in new makes it NaN
     or inf, so one test serves both aborts, told apart, member by member, only when
@@ -123,7 +132,6 @@ def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float
         for b, name in enumerate(runs):
             _abort_if_outside(r[b], r_max, t, step, name)
     L = rhs(u, r)
-    L *= dt
     new = np.add(L, u)
     worst = vector_norm(new, r, L).max()
     if not worst < math.inf or worst > r_max * (1.0 + 1e-12):
@@ -144,7 +152,7 @@ def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float
 def step_diffusion(state: FieldState, p: RadialPotential, dt: float) -> FieldState:
     """One forward-Euler step of u_t = Lap(grad Phi(u)): the loop body on a stack of one."""
     u = state.values[:, None]
-    new = _euler(_diffusion_rhs(p, state.grid, u.shape), u, vector_norm(u), state.t,
+    new = _euler(_diffusion_rhs(p, state.grid, u.shape, dt), u, vector_norm(u), state.t,
                  dt, p.r_max, [None])
     return FieldState(grid=state.grid, values=new[:, 0], t=state.t + dt,
                       boundary_values=state.boundary_values)
@@ -427,8 +435,8 @@ def _lockstep(configs: list[RunConfig], observers: list) -> list[Trajectory]:
     p, grid, every = first.potential, first.grid, first.snapshot_every
     window, cc, steps, dt = _planned(first)
     u = np.stack([_initial_state(c) for c in configs], axis=1)
-    rhs = (_diffusion_rhs(p, grid, u.shape) if cc is None
-           else _coupled_rhs(cc, grid, u.shape))
+    rhs = (_diffusion_rhs(p, grid, u.shape, dt) if cc is None
+           else _coupled_rhs(cc, grid, u.shape, dt))
     names = [c.name for c in configs]
     kept = [[] for _ in configs]
     keep = [k.append if obs is None else obs for k, obs in zip(kept, observers)]

@@ -626,6 +626,35 @@ class TestResidualFoldMemory:
         assert fold.stats() == reference.stats() and fold.witness == reference.witness
 
 
+    def test_coupled_v_evaluates_H_in_the_fold_scratch(self):
+        # v = exp(s H(|u|)) takes H into the scratch slabs the fold lends it, so a
+        # snapshot's v allocates phi'(r), freed before exp, and its own q; evaluating
+        # H into fresh arrays added H's output and the table's three scratch fields
+        import tracemalloc
+        g, p = pgrid(128, n=2), cosh_potential(1.0)
+        cc = coupled_decomposition(p)
+        s = choose_entropy_params(cc, g.n, 2).s
+        fold = _coupled_fold(g, cc, s, choose_entropy_params(cc, g.n, 2).c)
+        u = initial_field(g, 2, {"kind": "bands", "kmax": 3, "amplitude": 0.6}, 7)
+        snap, r, work = FieldState(grid=g, values=u, t=0.0), vector_norm(u), np.empty((4, 128, 128))
+
+        def fresh_v():   # the fold's v before it borrowed the scratch
+            return np.exp(s * (np.asarray(cc.H_profile(r), dtype=float) + np.zeros_like(r)))
+
+        peaks, values = [], []
+        for v in (lambda: fold.at(snap, r, work), fresh_v):
+            v()   # warm
+            tracemalloc.start()
+            try:
+                values.append(v())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        field = r.nbytes   # 128 KiB
+        assert peaks[0] < 1.1 * field and peaks[1] - peaks[0] > 3.9 * field, peaks
+        assert np.array_equal(values[0], values[1])
+
+
 class TestChooseEntropyParams:
     def test_trivial_H(self):
         pars = choose_entropy_params(coupled_decomposition(quadratic()), 2, 3)

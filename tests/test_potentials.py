@@ -473,28 +473,110 @@ def gamma_table(p, e):
     return nodes, gamma_nodes, np.asarray(p.phi2(invert_phi(p, nodes)), dtype=float)
 
 
+def frozen_uniform_knot_evaluator(x, y, dydx):
+    """The table evaluator before Horner's rule, frozen: CubicHermiteSpline's
+    coefficients and its __call__ bit for bit (interval floor(r / width) corrected
+    by one against the real knots, the sum 0.0 + c3 + c2 s + c1 s^2 + c0 s^3)."""
+    m = len(x) - 1
+    width = x[-1] / m
+    lo = np.concatenate([[-np.inf], x[1:-1]])
+    hi = np.concatenate([x[1:-1], [np.inf]])
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c0, c1 = t / dx + 0.0, (slope - dydx[:-1]) / dx - t + 0.0
+    c2, c3 = dydx[:-1] + 0.0, y[:-1] + 0.0
+
+    def evaluate(r):
+        r = np.asarray(r, dtype=float)
+        s, s2, term, index = (np.empty_like(r) for _ in range(4))
+        i, flag = index.view(np.intp), term.view(np.intp)
+        with np.errstate(invalid="ignore"):   # a NaN radius's index
+            np.fmax(np.fmin(np.floor(np.divide(r, width, out=s), out=s), m - 1, out=s),
+                    0, out=s)
+            np.copyto(i, s, casting="unsafe")
+        np.less(r, lo.take(i, out=s, mode="wrap"), out=flag)
+        i -= flag
+        np.greater_equal(r, hi.take(i, out=s, mode="wrap"), out=flag)
+        i += flag
+        np.subtract(r, x.take(i, out=s, mode="wrap"), out=s)
+        np.multiply(s, s, out=s2)
+        out = c3.take(i, mode="wrap")
+        out += np.multiply(c2.take(i, out=term, mode="wrap"), s, out=term)
+        out += np.multiply(c1.take(i, out=term, mode="wrap"), s2, out=term)
+        s2 *= s
+        out += np.multiply(c0.take(i, out=term, mode="wrap"), s2, out=term)
+        return out
+
+    return evaluate
+
+
+def assert_within_table_bounds(got, want, x_max, r, top, ulps=4):
+    """The Horner table's parity bounds against the spline `want` (one value per
+    probe r): on [0, x_max] at most `ulps` ulp of `top`, the table's largest |value|
+    there; beyond it, at most 1e-15 max|want| over the finite outside probes;
+    NaN in gives NaN out, and +-inf a non-finite value."""
+    got, want, r = (np.asarray(v, dtype=float).ravel() for v in (got, want, r))
+    inside = (r >= 0.0) & (r <= x_max)
+    outside = np.isfinite(r) & ~inside
+    assert np.abs(got[inside] - want[inside]).max() <= ulps * np.spacing(top)
+    if outside.any():
+        err = np.abs(got[outside] - want[outside]).max()
+        assert err <= 1e-15 * np.abs(want[outside]).max()
+    assert np.all(np.isnan(got[np.isnan(r)]))
+    assert not np.isfinite(got[np.isinf(r)]).any()
+
+
+def table_top(spline, knots, x_max):
+    """The table's largest |value| on [0, x_max], over its knots and 10^5 points."""
+    return np.abs(spline(np.concatenate([knots, np.linspace(0.0, x_max, 100_001)]))).max()
+
+
+def check_table(x, y, dydx, seed=0, ulps=4):
+    """One table's evaluator against CubicHermiteSpline on `spline_probes` and the
+    non-finite probes, within the parity bounds."""
+    spline, table = CubicHermiteSpline(x, y, dydx), _uniform_knot_evaluator(x, y, dydx)
+    r = np.concatenate([spline_probes(x, x[-1], seed), [np.nan, np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):   # the spline's own NaN index
+        want = spline(r)
+    assert_within_table_bounds(table(r), want, x[-1], r, table_top(spline, x, x[-1]), ulps)
+    return spline, table
+
+
 class TestUniformKnotEvaluator:
-    """The table evaluator reproduces CubicHermiteSpline.__call__ bit for bit."""
+    """The Horner table agrees with CubicHermiteSpline.__call__ to a few ulp on
+    [0, x_max] and to 1e-15 relatively where it extrapolates; the frozen evaluator
+    it replaces is the spline bit for bit."""
 
     @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
     def test_coupled_H_table(self, p):
         nodes, y, dydx = h_table(p)
-        spline = CubicHermiteSpline(nodes, y, dydx)
-        table = _uniform_knot_evaluator(nodes, y, dydx)
+        spline, table = check_table(nodes, y, dydx)
         r = spline_probes(nodes, p.r_max)
-        assert_bitwise(table(r), spline(r))
         inside = r[(r >= 0.0) & (r <= p.r_max)]
         assert_bitwise(coupled_decomposition(p).H_profile(inside),
-                       np.asarray(p.phi1(inside), dtype=float) - spline(inside))
+                       np.asarray(p.phi1(inside), dtype=float) - table(inside))
+        top = table_top(spline, nodes, p.r_max)
         for x in (0.0, p.r_max, -1.0, 2.0 * p.r_max):
-            assert_bitwise(table(x), spline(x))
+            assert_bitwise(table(x), table(np.array([x]))[0])
+            assert abs(float(table(x)) - float(spline(x))) <= 4 * np.spacing(top) * max(
+                1.0, abs(float(spline(x))) / top)
 
     @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
     def test_entropy_gamma_table(self, p):
         e = build_entropy(p)
-        spline = CubicHermiteSpline(*gamma_table(p, e))
-        z = spline_probes(e.table[0], e.z_max, seed=1)
-        assert_bitwise(e.gamma(z), spline(z))
+        x, y, dydx = gamma_table(p, e)
+        check_table(x, y, dydx, seed=1)
+        z = np.random.default_rng(1).uniform(0.0, e.z_max, 1000)
+        assert_bitwise(e.gamma(z), _uniform_knot_evaluator(x, y, dydx)(z))
+
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_the_frozen_evaluator_is_the_spline_bit_for_bit(self, p):
+        e = build_entropy(p)
+        for (x, y, dydx), top in ((h_table(p), p.r_max), (gamma_table(p, e), e.z_max)):
+            r = spline_probes(x, top, seed=2)
+            assert_bitwise(frozen_uniform_knot_evaluator(x, y, dydx)(r),
+                           CubicHermiteSpline(x, y, dydx)(r))
 
     @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
     def test_matches_the_clamped_spline_tables(self, p):
@@ -507,28 +589,30 @@ class TestUniformKnotEvaluator:
             assert np.abs(_uniform_knot_evaluator(x, y, dydx)(probes) - old).max() <= 1e-14
 
     def test_random_tables_and_sizes(self):
+        # slopes drawn apart from the values make the coefficients of a piece larger
+        # than its values, so rounding in them weighs more: 8 ulp (5 measured, at
+        # m = 4), where the built-in tables' exact slopes keep 4 (3 measured)
         rng = np.random.default_rng(3)
         for m in (4, 7, 128, 1000):
             for x_max in (0.37, 1.0, 2.0, 3.7):
                 knots = np.linspace(0.0, x_max, m + 1)
                 y = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, m))])
-                dydx = rng.uniform(-1.0, 2.0, m + 1)
-                r = spline_probes(knots, x_max, seed=m)
-                assert_bitwise(_uniform_knot_evaluator(knots, y, dydx)(r),
-                               CubicHermiteSpline(knots, y, dydx)(r))
+                check_table(knots, y, rng.uniform(-1.0, 2.0, m + 1), seed=m, ulps=8)
 
     def test_negative_zero_table_value(self):
-        # the sum starts from 0.0, so a -0.0 knot value evaluates to +0.0
+        # a -0.0 knot value evaluates to zero, of either sign
         knots = np.linspace(0.0, 1.0, 5)
         y = np.array([-0.0, -1.0, -2.0, -3.0, -4.0])
-        dydx = np.full(5, -0.0)
-        r = np.array([-0.0, 0.0])
-        assert_bitwise(_uniform_knot_evaluator(knots, y, dydx)(r),
-                       CubicHermiteSpline(knots, y, dydx)(r))
+        table = _uniform_knot_evaluator(knots, y, np.full(5, -0.0))
+        assert np.all(table(np.array([-0.0, 0.0])) == 0.0)
 
 
 def fresh_work(shape):
-    return [np.empty(shape) for _ in range(4)]
+    return [np.empty(shape) for _ in range(3)]
+
+
+# negative, beyond x_max, NaN and +-inf: the probes that leave the table
+HYGIENE_PROBES = [-1e-300, -0.5, 1.5, 40.0, np.nan, np.inf, -np.inf]
 
 
 class TestBufferedEvaluator:
@@ -543,34 +627,36 @@ class TestBufferedEvaluator:
         probes = spline_probes(nodes, p.r_max, seed=len(shape))
         r = probes[np.random.default_rng(7).integers(0, len(probes), math.prod(shape))]
         r = r.reshape(shape)
-        r.flat[:4] = [0.0, nodes[17], -0.25 * p.r_max, 3.0 * p.r_max]  # origin, knot, outside
-        out = np.empty(shape)
+        r.flat[:6] = [0.0, nodes[17], -0.25 * p.r_max, 3.0 * p.r_max, np.nan, np.inf]
+        out = np.full(shape, np.nan)
         got = table(r, out=out, work=fresh_work(shape))
         assert got is out
-        assert_bitwise(out, spline(r))
-        assert_bitwise(table(r), spline(r))   # the allocating call
+        with np.errstate(invalid="ignore"):
+            want = spline(r)
+        assert_within_table_bounds(out, want, p.r_max, r, table_top(spline, nodes, p.r_max))
+        assert_bitwise(table(r), out)   # the allocating call
 
     def test_buffers_reused_across_calls(self):
         p = cosh_potential(1.0)
         nodes, y, dydx = h_table(p)
         spline = CubicHermiteSpline(nodes, y, dydx)
-        table = _uniform_knot_evaluator(nodes, y, dydx)
+        table, top = _uniform_knot_evaluator(nodes, y, dydx), table_top(spline, nodes, 1.0)
         rng = np.random.default_rng(11)
         out, work = np.full((32, 24), np.nan), fresh_work((32, 24))
         for r in (rng.uniform(0.0, 1.0, (32, 24)), np.zeros((32, 24)),
                   np.broadcast_to(nodes[:24], (32, 24)).copy(),
                   rng.uniform(-1.0, 2.0, (32, 24))):
             table(r, out=out, work=work)
-            assert_bitwise(out, spline(r))
+            assert_bitwise(out, table(r))
+            assert_within_table_bounds(out, spline(r), 1.0, r, top)
 
     def test_scalar_inputs(self):
         nodes, y, dydx = h_table(quartic(1.0))
-        spline = CubicHermiteSpline(nodes, y, dydx)
         table = _uniform_knot_evaluator(nodes, y, dydx)
         for x in (0.0, nodes[5], 1.0, -0.5, 4.0):
-            assert_bitwise(table(x), spline(x))
-            assert_bitwise(table(np.float64(x), out=np.empty(()), work=fresh_work(())),
-                           spline(x))
+            want = table(np.array([x]))[0]
+            assert_bitwise(table(x), want)
+            assert_bitwise(table(np.float64(x), out=np.empty(()), work=fresh_work(())), want)
 
     @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
     def test_H_profile_fills_H_and_a_from_one_call(self, p):
@@ -592,6 +678,29 @@ class TestBufferedEvaluator:
         assert cc.c(u, r, out=c) is c
         assert_bitwise(c, cc.c(u, r))
         assert np.all(c[:, 3, 4] == 0.0)
+
+    @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
+    def test_the_buffered_call_allocates_nothing_and_warns_of_nothing(self, p):
+        import tracemalloc
+        import warnings
+        nodes, y, dydx = h_table(p)
+        table = _uniform_knot_evaluator(nodes, y, dydx)
+        r = np.random.default_rng(9).uniform(0.0, p.r_max, (128, 128))
+        r.flat[:len(HYGIENE_PROBES)] = np.array(HYGIENE_PROBES) * p.r_max
+        out, work = np.empty_like(r), fresh_work(r.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table(r, out=out, work=work)   # warm
+            tracemalloc.start()
+            try:
+                table(r, out=out, work=work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            table(np.array(HYGIENE_PROBES))
+        assert peak < 1024, peak   # a field here is 128 KiB
+        assert np.isnan(out.flat[4]) and not np.isfinite(out.flat[5:7]).any()
+        assert np.isfinite(out.flat[:4]).all()
 
 
 # Frozen copies of the three phi'(r)/r sequences as they stood before the one
@@ -666,8 +775,7 @@ class TestOneSlopeKernel:
         cc = coupled_decomposition(p)
         r = np.array([0.0, 5e-7, 1e-6, p.r_max, np.nan])
         a = np.full_like(r, 7.0)
-        with np.errstate(invalid="ignore"):   # the NaN radius's table index
-            cc.H_profile(r, a_out=a)
+        cc.H_profile(r, a_out=a)
         assert np.array_equal(bits(a), bits(frozen_a_out(p, r)))
 
     @pytest.mark.parametrize("p", SLOPE_POTENTIALS[:-1], ids=lambda p: p.id)

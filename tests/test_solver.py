@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import re
@@ -25,7 +26,7 @@ from pelab.grid import _dist2, _laplacian
 from pelab.potentials import EPS_ZERO, RadialPotential
 from pelab.solver import _coupled_rhs, _diffusion_rhs, _euler, _plan_steps
 from test_grid import count_plan_builds, fresh_face_divergence, reference_laplacian
-from test_potentials import reference_radial_slope
+from test_potentials import frozen_uniform_knot_evaluator, h_table, reference_radial_slope
 
 
 def pgrid(size, n=1):
@@ -36,14 +37,24 @@ def coupled_step(state, cc, dt):
     """One coupled step, state in, state out: the loop body over a fresh workspace,
     on a stack of one."""
     u = state.values[:, None]
-    new = _euler(_coupled_rhs(cc, state.grid, u.shape), u, vector_norm(u), state.t, dt,
+    new = _euler(_coupled_rhs(cc, state.grid, u.shape, dt), u, vector_norm(u), state.t, dt,
                  cc.r_max, [None])
     return FieldState(grid=state.grid, values=new[:, 0], t=state.t + dt,
                       boundary_values=state.boundary_values)
 
 
-# Frozen copies of the earlier roll-based face divergence and coupled step:
-# the oracle that the one-pass versions must reproduce bit for bit.
+@functools.cache
+def frozen_decomposition(p):
+    """`coupled_decomposition(p)` with its H table evaluated by the frozen evaluator:
+    the coefficients of the coupled step before Horner's rule."""
+    islope = frozen_uniform_knot_evaluator(*h_table(p))
+    return replace(coupled_decomposition(p),
+                   H_profile=lambda r: np.asarray(p.phi1(r), dtype=float) - islope(r))
+
+
+# Frozen copies of the earlier roll-based face divergence and coupled step: the
+# oracle that the one-pass versions reproduce, the step to rounding (`frozen_run`'s
+# coupled runs take the frozen H table from `frozen_decomposition`).
 
 def reference_face_divergence(scalar_coef, fields, extra_coef, extra_field, grid):
     h = grid.h
@@ -153,7 +164,7 @@ def reference_run(config, lap=reference_laplacian):
     """Snapshots of the earlier `run` loop over the frozen steps."""
     p = config.potential
     if config.system == "coupled":
-        cc = coupled_decomposition(p)
+        cc = frozen_decomposition(p)
         dt_max = cfl_dt(config.grid, cc.bounds["eff_Lambda"], config.cfl_sigma)
     else:
         dt_max = cfl_dt(config.grid, certify_window(p).Lam, config.cfl_sigma)
@@ -200,13 +211,20 @@ PARITY_CASES = [
 
 
 def assert_coupled_parity(got, old, h):
-    """The coupled kernel scales its face fields by 0.5/h^2 where the frozen one
+    """The face divergence takes coefficients scaled by 0.5/h^2 where the frozen one
     divides by h twice and halves: bitwise equal where h is a power of two (an
     exact rescaling), else within 1e-13 max|old|."""
     if math.frexp(h)[0] == 0.5:
         assert np.array_equal(got, old)
     else:
-        assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max()
+        assert_within_rounding(got, old)
+
+
+def assert_within_rounding(got, old):
+    """A coupled step scales a and H by 0.5 dt/h^2 once, where the frozen one scales
+    the divergence by dt, and its H table is Horner's: within 1e-13 max|old|, at
+    any h."""
+    assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max()
 
 
 def parity_state(pid, boundary, sizes, nc, seed=4):
@@ -340,7 +358,7 @@ class TestSteps:
         # an absurd dt overflows the update into non-finite territory
         g = pgrid(32)
         u = initial_field(g, 1, {"kind": "mode", "amplitude": 1.0}, 0)[:, None]
-        rhs = lambda u, r: _laplacian(u * 1e150, g)
+        rhs = lambda u, r: _laplacian(u * 1e150, g) * 1e3   # dt L
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RangeExcursionError, match="non-finite"):
                 for _ in range(400):
@@ -754,18 +772,20 @@ class TestRun:
 
 
 class TestCoupledParity:
-    """The one-pass coupled step reproduces the roll-based step, bit for bit
-    where h is a power of two."""
+    """The one-pass coupled step reproduces the roll-based step over the frozen H
+    table to rounding, and its face divergence the roll-based one bit for bit where
+    h is a power of two."""
 
     @pytest.mark.parametrize("pid,boundary,sizes,nc", PARITY_CASES)
-    def test_multi_step_runs_are_bit_identical(self, pid, boundary, sizes, nc):
+    def test_multi_step_runs_match_to_rounding(self, pid, boundary, sizes, nc):
         p, state = parity_state(pid, boundary, sizes, nc)
         cc = coupled_decomposition(p)
         dt = cfl_dt(state.grid, cc.bounds["eff_Lambda"], 0.9)
         new = old = state
         for _ in range(25):
-            new, old = coupled_step(new, cc, dt), reference_step_coupled(old, cc, dt)
-            assert_coupled_parity(new.values, old.values, state.grid.h)
+            new = coupled_step(new, cc, dt)
+            old = reference_step_coupled(old, frozen_decomposition(p), dt)
+            assert_within_rounding(new.values, old.values)
         assert np.abs(new.values - state.values).max() > 0.0
 
     @pytest.mark.parametrize("pid,boundary,sizes,nc", PARITY_CASES)
@@ -787,10 +807,10 @@ class TestCoupledParity:
     @pytest.mark.parametrize("sizes", [(20, 12), (16, 12)])
     def test_quadratic_coupled_step_matches_the_frozen_step(self, sizes):
         _, state = parity_state("cosh", PERIODIC, sizes, 2)
-        cc = coupled_decomposition(quadratic())
-        got = coupled_step(state, cc, 1e-5)
-        assert_coupled_parity(got.values, reference_step_coupled(state, cc, 1e-5).values,
-                              state.grid.h)
+        p = quadratic()
+        got = coupled_step(state, coupled_decomposition(p), 1e-5)
+        assert_within_rounding(
+            got.values, reference_step_coupled(state, frozen_decomposition(p), 1e-5).values)
 
     def test_range_witness_is_unchanged(self):
         p, state = parity_state("cosh", PERIODIC, (16, 16), 2)
@@ -828,7 +848,8 @@ def unstable_potential():
 
 
 class TestRunParity:
-    """`run` over plain arrays reproduces the earlier per-step FieldState loop."""
+    """`run` over plain arrays reproduces the earlier per-step FieldState loop:
+    diffusion bit for bit (periodic), coupled to rounding."""
 
     @pytest.mark.parametrize("system", ["diffusion", "coupled"])
     @pytest.mark.parametrize("pid,boundary,sizes,nc", PARITY_CASES)
@@ -840,7 +861,7 @@ class TestRunParity:
             assert got.t == old.t
             assert got.boundary_values == old.boundary_values
             if system == "coupled":
-                assert_coupled_parity(got.values, old.values, cfg.grid.h)
+                assert_within_rounding(got.values, old.values)
             elif boundary == PERIODIC:
                 assert np.array_equal(got.values, old.values)
             else:  # only the Dirichlet Laplacian changed its summation order
@@ -857,7 +878,7 @@ class TestRunParity:
         assert traj.meta["steps"] >= 6 and len(traj.snapshots) == len(ref)
         for got, old in zip(traj.snapshots, ref):
             assert got.t == old.t
-            assert np.array_equal(got.values, old.values)
+            assert_within_rounding(got.values, old.values)
         assert np.abs(traj.final.values - traj.snapshots[0].values).max() > 0.0
 
     def test_one_field_state_per_snapshot(self, monkeypatch):
@@ -884,9 +905,15 @@ class TestRunParity:
                 integrate(cfg)
             e = exc.value
             witnesses.append((str(e), e.location, e.t, e.step))
-        # the frozen loop's error, naming the run that left the range
-        assert witnesses[0] == (witnesses[1][0] + " in run 'run'", *witnesses[1][1:])
-        message, location, t, step = witnesses[0]
+        # the frozen loop's error, naming the run that left the range; the coupled
+        # |u| to rounding, which this unstable run amplifies (7e-11 relative measured)
+        (message, *rest), (old_message, *old_rest) = witnesses
+        number = re.compile(r"\|u\| = (\S+)")
+        got_u, old_u = (float(number.match(m).group(1)) for m in (message, old_message))
+        assert number.sub("", message) == number.sub("", old_message) + " in run 'run'"
+        assert rest == old_rest
+        assert got_u == old_u if system == "diffusion" else abs(got_u - old_u) <= 1e-9 * old_u
+        location, t, step = rest
         assert "exceeds r_max" in message
         assert step is not None and 1 < step
         assert t > 0.0 and len(location) == 1
@@ -948,7 +975,7 @@ class TestCoupledProperties:
         z = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=nc, max_size=nc))
         u = np.broadcast_to(np.reshape(z, (nc,) + (1,) * n), (nc, *g.sizes)).copy()
         cc = coupled_decomposition(get_potential(pid))
-        L = _coupled_rhs(cc, g, u.shape)(u, vector_norm(u))
+        L = _coupled_rhs(cc, g, u.shape, 1.0)(u, vector_norm(u))
         assert np.all(L == 0.0)
 
     @settings(max_examples=40, deadline=None)
@@ -978,8 +1005,8 @@ class TestCoupledWorkspace:
         p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
         cc = coupled_decomposition(p)
         u = state.values[:, None]   # a stack of one
-        rhs = _coupled_rhs(cc, state.grid, u.shape)
         dt = cfl_dt(state.grid, cc.bounds["eff_Lambda"], 0.9)
+        rhs = _coupled_rhs(cc, state.grid, u.shape, dt)
         u = _euler(rhs, u, vector_norm(u), 0.0, dt, cc.r_max, [None])
         r = vector_norm(u)
         tracemalloc.start()
@@ -991,8 +1018,9 @@ class TestCoupledWorkspace:
         # the new state, phi'(r) and numpy's own iteration buffers; the
         # one-pass step before the workspace peaked at 8.5 states
         assert peak <= 3 * u.nbytes
-        ref = reference_step_coupled(FieldState(grid=state.grid, values=u[:, 0], t=dt), cc, dt)
-        assert np.array_equal(new[:, 0], ref.values)
+        ref = reference_step_coupled(FieldState(grid=state.grid, values=u[:, 0], t=dt),
+                                     frozen_decomposition(p), dt)
+        assert_within_rounding(new[:, 0], ref.values)
 
     def test_concurrent_runs_match_sequential_runs(self):
         # two different configs at once, then each config twice at once
@@ -1054,8 +1082,8 @@ class TestDiffusionWorkspace:
     def test_warm_step_allocates_little_more_than_the_new_state(self):
         p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
         u = state.values[:, None]   # a stack of one
-        rhs = _diffusion_rhs(p, state.grid, u.shape)
         dt = cfl_dt(state.grid, certify_window(p).Lam, 0.9)
+        rhs = _diffusion_rhs(p, state.grid, u.shape, dt)
         u = _euler(rhs, u, vector_norm(u), 0.0, dt, p.r_max, [None])
         r = vector_norm(u)
         tracemalloc.start()
@@ -1076,8 +1104,8 @@ class TestDiffusionWorkspace:
         # where building the workspace in it took 4.6 and 6.6 states
         p, state = parity_state("cosh", PERIODIC, (64, 64), 2)
         shape = state.values.shape
-        rhs = (_diffusion_rhs(p, state.grid, shape) if system == "diffusion"
-               else _coupled_rhs(coupled_decomposition(p), state.grid, shape))
+        rhs = (_diffusion_rhs(p, state.grid, shape, 1e-5) if system == "diffusion"
+               else _coupled_rhs(coupled_decomposition(p), state.grid, shape, 1e-5))
         r = vector_norm(state.values)
         tracemalloc.start()
         try:
@@ -1124,8 +1152,8 @@ def tamper(monkeypatch, system, value, at_call=5, where=(1, 0, 7)):
     name = "_coupled_rhs" if system == "coupled" else "_diffusion_rhs"
     make = getattr(solver, name)
 
-    def factory(coefficients, grid, shape):
-        rhs, calls = make(coefficients, grid, shape), []
+    def factory(coefficients, grid, shape, dt):
+        rhs, calls = make(coefficients, grid, shape, dt), []
 
         def tampered(u, r):
             L = rhs(u, r)
@@ -1145,7 +1173,7 @@ class TestStepAborts:
         ("diffusion", ("|u| = 1.0171272198485186 exceeds r_max = 1.0 at (27,), "
                        "t = 0.0010218978102189782 in run 'run'", (27,),
                        0.0010218978102189782, 15)),
-        ("coupled", ("|u| = 1.0137644467496127 exceeds r_max = 1.0 at (28,), "
+        ("coupled", ("|u| = 1.0137644468208804 exceeds r_max = 1.0 at (28,), "
                      "t = 0.004342629482071713 in run 'run'", (28,),
                      0.004342629482071713, 110)),
     ])
@@ -1201,8 +1229,8 @@ SMALL_AXES = [((4,), 1), ((4,), 2), ((4, 6), 2), ((7, 4), 1), ((4, 4, 4), 2), ((
 
 
 class TestStepPlans:
-    """Plans made once per run leave every snapshot the frozen loop's: bitwise,
-    but for the coupled kernel's rounding where h is not a power of two."""
+    """Plans made once per run leave every snapshot the frozen loop's: bitwise for
+    diffusion, to rounding for the coupled step."""
 
     @pytest.mark.parametrize("system", ["diffusion", "coupled"])
     @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
@@ -1215,7 +1243,7 @@ class TestStepPlans:
         for got, old in zip(traj.snapshots, ref):
             assert got.t == old.t
             if system == "coupled":
-                assert_coupled_parity(got.values, old.values, cfg.grid.h)
+                assert_within_rounding(got.values, old.values)
             else:
                 assert np.array_equal(got.values, old.values)
         assert np.abs(traj.final.values - traj.snapshots[0].values).max() > 0.0
@@ -1321,18 +1349,21 @@ class TestLockstep:
 
 
 class TestLockstepProperties:
-    """Properties of the loop that hold for any datum, for one run and for a batch."""
+    """Properties of the loop that hold for any datum and built-in potential, for one
+    run and for a batch; they also guard the dt each right-hand side is made with."""
 
     @staticmethod
-    def bands_config(n, nc, sizes, seed, amplitude, kmax, **keys):
+    def bands_config(n, nc, sizes, seed, amplitude, kmax, pid="cosh", **keys):
         g = GridSpec(n=n, sizes=sizes, h=1.0 / sizes[0], boundary=PERIODIC)
-        return RunConfig(grid=g, n_components=nc, potential=cosh_potential(), t_end=0.0,
-                         initial={"kind": "bands", "kmax": kmax, "amplitude": amplitude},
-                         seed=seed, **keys)
+        p = get_potential(pid)
+        return RunConfig(grid=g, n_components=nc, potential=p, t_end=0.0,
+                         initial={"kind": "bands", "kmax": kmax,
+                                  "amplitude": amplitude * p.r_max}, seed=seed, **keys)
 
     draws = dict(n=st.integers(1, 2), nc=st.integers(1, 3), data=st.data(),
                  seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.05, 0.9),
-                 kmax=st.integers(1, 3))
+                 kmax=st.integers(1, 3),
+                 pid=st.sampled_from(["quadratic", "cosh", "quartic", "porous"]))
 
     @staticmethod
     def draw_sizes(data, n):
@@ -1341,9 +1372,9 @@ class TestLockstepProperties:
     @settings(max_examples=30, deadline=None)
     @given(**draws, dirichlet=st.booleans())
     def test_a_written_frame_reads_back_bit_for_bit(self, n, nc, data, seed, amplitude,
-                                                     kmax, dirichlet):
+                                                     kmax, pid, dirichlet):
         import tempfile
-        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax)
+        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax, pid)
         if dirichlet:
             cfg = replace(cfg, grid=replace(cfg.grid, boundary=DIRICHLET))
         cfg = replace(cfg, t_end=3 * cfl_dt(cfg.grid, certify_window(cfg.potential).Lam))
@@ -1367,8 +1398,8 @@ class TestLockstepProperties:
     @settings(max_examples=30, deadline=None)
     @given(**draws)
     def test_one_diffusion_step_keeps_the_mean_and_does_not_raise_the_sup(
-            self, n, nc, data, seed, amplitude, kmax):
-        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax)
+            self, n, nc, data, seed, amplitude, kmax, pid):
+        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax, pid)
         dt = cfl_dt(cfg.grid, certify_window(cfg.potential).Lam, cfg.cfl_sigma)
         cfg = replace(cfg, t_end=dt)   # one step of run's own CFL dt
         for members in ([cfg], batch_members(cfg, 2)):
@@ -1384,10 +1415,27 @@ class TestLockstepProperties:
     @settings(max_examples=30, deadline=None)
     @given(**draws, factor=st.floats(1.001, 10.0))
     def test_a_dt_override_above_the_cfl_bound_is_refused(self, n, nc, data, seed,
-                                                           amplitude, kmax, factor):
-        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax)
+                                                           amplitude, kmax, pid, factor):
+        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax, pid)
         dt = factor * cfl_dt(cfg.grid, certify_window(cfg.potential).Lam, cfg.cfl_sigma)
         cfg = replace(cfg, t_end=4 * dt, dt_override=dt)
         for members in ([cfg], batch_members(cfg, 2)):
             with pytest.raises(ValueError, match="violates the CFL bound"):
                 solver._lockstep(members, [None] * len(members))
+
+    @settings(max_examples=30, deadline=None)
+    @given(**draws, dt=st.floats(1e-7, 1e-2))
+    def test_a_right_hand_side_made_for_dt_returns_dt_L(self, n, nc, data, seed, amplitude,
+                                                        kmax, pid, dt):
+        # diffusion scales L by dt last, bit for bit dt times the rhs made for dt = 1;
+        # coupled scales a and H by 0.5 dt/h^2 first, so to rounding of the flux scale
+        cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax, pid)
+        u = solver._initial_state(cfg)[:, None]
+        r, p, g = vector_norm(u), cfg.potential, cfg.grid
+        L1 = _diffusion_rhs(p, g, u.shape, 1.0)(u, r)
+        assert np.array_equal(_diffusion_rhs(p, g, u.shape, dt)(u, r), dt * L1)
+        cc = coupled_decomposition(p)
+        L1 = _coupled_rhs(cc, g, u.shape, 1.0)(u, r)
+        flux = 2.0 * cc.bounds["eff_Lambda"] * np.abs(u).max() / (g.h * g.h)
+        assert np.abs(_coupled_rhs(cc, g, u.shape, dt)(u, r) - dt * L1).max() <= \
+            1e-14 * dt * flux
