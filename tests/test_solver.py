@@ -53,7 +53,7 @@ def frozen_decomposition(p):
 
 
 # Frozen copies of the earlier roll-based face divergence and coupled step: the
-# oracle that the one-pass versions reproduce, the step to rounding (`frozen_run`'s
+# oracle that the one-pass versions reproduce, the step to rounding (`reference_run`'s
 # coupled runs take the frozen H table from `frozen_decomposition`).
 
 def reference_face_divergence(scalar_coef, fields, extra_coef, extra_field, grid):
