@@ -420,8 +420,7 @@ def _coupled_fold(grid: GridSpec, cc: CoupledCoefficients, s: float, c: float) -
         A = np.add(np.asarray(cc.a(r), dtype=float), 0.0, out=work[3])
         d = cc.c(snap.values, r)   # the directions once: H_z = H'(r) d
         A += np.sum(d * (cc.dH_profile(r)[None] * d), axis=0)
-        A *= 0.5 / (grid.h * grid.h)   # the face divergence's pre-scaled coefficient
-        return _face_divergence(A, v_now, None, None, grid, out, *work[:3])
+        return _face_divergence(A, v_now, None, None, grid, 1.0, out, *work[:3])
     return _ResidualFold(grid, cc.r_max, v, div_A_grad, c)
 
 

@@ -186,24 +186,27 @@ def _laplacian(f: np.ndarray, grid: GridSpec, work: np.ndarray | None = None,
 
 def _face_divergence(coef: np.ndarray, fields: np.ndarray,
                      extra_coef: np.ndarray | None, extra_field: np.ndarray | None,
-                     grid: GridSpec, out: np.ndarray, flux: np.ndarray,
+                     grid: GridSpec, scale: float, out: np.ndarray, flux: np.ndarray,
                      tmp: np.ndarray, face: np.ndarray) -> np.ndarray:
-    """Divergence of (coef face sum * D fields + extra_coef face sum * D extra_field)
-    over faces, unchecked, written into `out`, in the caller's buffers.
+    """`scale` times the divergence of (avg coef * D fields + avg extra_coef * D
+    extra_field) over faces, unchecked, written into `out`, in the caller's buffers.
 
-    `fields` is (N, *sizes); `extra_coef` is (N, *sizes) paired with the
-    scalar `extra_field`, and both may be None.  `coef` and `extra_field` come
-    pre-scaled by the caller's 0.5/h^2 (the face average's half and both
-    divisions by h; times dt in the coupled step), so no pass here scales or
-    divides.  Face i lies between points i and i+1, the last one wraps to point
-    0; Dirichlet grids zero the ring, the only points reading that face.
-    Conservative: periodic flux differences telescope, so means are conserved.
-    `out`, `flux` and `tmp` are C-contiguous arrays shaped like `fields`, `face`
-    one shaped like a component (a strided buffer raises); none is read before
-    it is written (the first axis's flux difference goes into `out`, the others
-    are added).  Equal to the roll-based original to rounding, bitwise where the
-    factor is a power of two.
+    `fields` is (N, *sizes); `extra_coef` is (N, *sizes) paired with the scalar
+    `extra_field`, and both may be None.  `coef` and `extra_field` are the
+    caller's workspace: one pass each scales them in place, at entry, by k = 0.5
+    scale/h^2 (the face average's half, both divisions by h and the caller's
+    factor, dt in the time step); no other pass scales or divides.  Face i lies
+    between points i and i+1, the last one wraps to point 0; Dirichlet grids
+    zero the ring, the only points reading that face.  Conservative: periodic
+    flux differences telescope, so means are conserved.  `out`, `flux` and
+    `tmp` are C-contiguous arrays shaped like `fields`, `face` one shaped like a
+    component (a strided buffer raises); none is read before it is written (the
+    first axis's flux difference goes into `out`, the others are added).  Equal
+    to the roll-based original to rounding, bitwise where k is a power of two.
     """
+    coef *= (k := 0.5 * scale / (grid.h * grid.h))
+    if extra_field is not None:
+        extra_field *= k
     for a, (fwd, bwd) in enumerate(_shift_plans(grid, (1, 0), (0, -1))):
         _shifted(np.subtract, fields, fwd, flux)   # flux[i] = f[i+1] - f[i]
         flux *= _shifted(np.add, coef, fwd, face)

@@ -405,10 +405,11 @@ def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
     Horner's rule, ((b0 t + b1) t + b2) t + b3, in t = r m / x_max - i on the
     interval i = floor(r m / x_max) clamped to [0, m - 1] (the end polynomials
     extrapolate), over `scipy.interpolate.CubicHermiteSpline`'s coefficients
-    scaled by the knot width w^k once, here.  Within 4 ulp of the table's largest
-    |value| of that spline on [0, x_max] (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, s. 5.1), but not its bits: no interval
-    is corrected against the real knots.  NaN gives NaN, +-inf a non-finite value.
+    scaled by the knot width w^k once, here.  On [0, x_max] that spline's value
+    to rounding, not its bits: within 8 eps (sum |c_k| |s|^k + |r| sum k |c_k| |s|^(k-1))
+    at r, s = r - x_i (Horner's bound, Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, s. 5.1, and t's rounding), 4 ulp of the largest
+    |value| for the built-in tables.  NaN gives NaN, +-inf a non-finite value.
 
     `evaluate(r, out=None, work=None)` writes into `out` and uses `work`, three
     float arrays shaped like r, as scratch (the last reinterpreted as intp);
@@ -418,7 +419,7 @@ def _uniform_knot_evaluator(x: np.ndarray, y: np.ndarray,
     scale, w, dx = m / x[-1], x[-1] / m, np.diff(x)
     slope = np.diff(y) / dx
     tt = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    b = (tt / dx * w ** 3, ((slope - dydx[:-1]) / dx - tt) * w ** 2, dydx[:-1] * w, y[:-1])
+    b = (tt / dx * w ** 3, ((slope - dydx[:-1]) / dx - tt) * w ** 2, dydx[:-1] * w, y[:-1] + 0.0)
 
     def evaluate(r, out=None, work=None):
         r = np.asarray(r, dtype=float)

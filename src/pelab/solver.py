@@ -19,9 +19,9 @@ case.  The loop drives the body over plain arrays and validates a
 `FieldState` of each member's slice only for a stored snapshot; an observer
 receives each stored snapshot as it is made.  `step_diffusion` is one pass
 of the body on a stack of one, state in, state out.  Each right-hand side is
-made for one dt and one stack shape, returns dt L (the diffusion one scales
-its Laplacian, the coupled one its coefficients a and H, once a step) and
-builds its workspace when made, with its output buffer: grad Phi(u), a
+made for one dt, which it carries as `dt`, and one stack shape, returns dt L
+(the diffusion one scales its Laplacian, the coupled one a and H, once a
+step) and builds its workspace when made, with its output buffer: grad Phi(u), a
 neighbour sum, the slope field and a mask for the diffusion system, face
 fluxes, directions and coefficient fields for the coupled one; the kernels
 look up their step plans on the grid, which builds each once.  A step then
@@ -45,7 +45,7 @@ from .grid import (FieldState, GridSpec, Trajectory, _dist2, _face_divergence,
 from .potentials import (CoupledCoefficients, RadialPotential, certify_window,
                          coupled_decomposition, grad_Phi_field)
 
-# dt L(u, r): the step's increment of u given u and its norm field r = |u|
+# dt L(u, r), u's increment in a step given r = |u|, made for one dt, carried as `.dt`
 RightHandSide = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -88,6 +88,7 @@ def _diffusion_rhs(p: RadialPotential, grid: GridSpec, shape: tuple,
     def rhs(u, r):
         L = _laplacian(grad_Phi_field(p, u, r, g, (slope, mask)), grid, nb, out)
         return np.multiply(L, dt, out=L)
+    rhs.dt = dt
     return rhs
 
 
@@ -98,29 +99,25 @@ def _coupled_rhs(cc: CoupledCoefficients, grid: GridSpec, shape: tuple,
     The face fluxes and their differences, the directions c and the output,
     each shaped like the state, the face average, a(r), H(r) and a mask; the
     H table borrows `flux[0]`, `tmp[0]` and the face field as scratch before
-    they are filled, the directions the face field.  a and H are scaled once by
-    k = 0.5 dt/h^2 (the face average's half, both divisions by h and the step),
-    as `_face_divergence` takes them.  One per run, never shared.
+    they are filled, the directions the face field.  `_face_divergence` scales
+    a and H in place by 0.5 dt/h^2, once a step.  One per run, never shared.
     """
     flux, tmp, c, out = (np.empty(shape) for _ in range(4))
     face, a, H, mask = (np.empty(shape[1:], t) for t in (float, float, float, bool))
-    k = 0.5 * dt / (grid.h * grid.h)
 
     def rhs(u, r):
         cc.H_profile(r, out=H, work=(flux[0], tmp[0], face), a_out=a)
-        np.multiply(a, k, out=a)
-        np.multiply(H, k, out=H)
         cc.c(u, r, out=c, work=(face, mask))
-        return _face_divergence(a, u, c, H, grid, out, flux, tmp, face)
+        return _face_divergence(a, u, c, H, grid, dt, out, flux, tmp, face)
+    rhs.dt = dt
     return rhs
 
 
-def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float,
-           r_max: float, runs: list, step: int | None = None,
-           steps: int | None = None) -> np.ndarray:
+def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, r_max: float,
+           runs: list, step: int | None = None, steps: int | None = None) -> np.ndarray:
     """The loop body on a stack u (N, B, *sizes) of the B runs named in `runs`: new =
-    u + rhs(u, r), rhs made for this dt, then r = |new| (B norm fields, squared in
-    rhs's buffer).
+    u + rhs(u, r), rhs made for one step dt = rhs.dt, then r = |new| (B norm fields,
+    squared in rhs's buffer).
 
     max r over the stack is a step's one reduction: NaN or inf in new makes it NaN
     or inf, so one test serves both aborts, told apart, member by member, only when
@@ -131,7 +128,7 @@ def _euler(rhs: RightHandSide, u: np.ndarray, r: np.ndarray, t: float, dt: float
     if steps is None:
         for b, name in enumerate(runs):
             _abort_if_outside(r[b], r_max, t, step, name)
-    L = rhs(u, r)
+    dt, L = rhs.dt, rhs(u, r)
     new = np.add(L, u)
     worst = vector_norm(new, r, L).max()
     if not worst < math.inf or worst > r_max * (1.0 + 1e-12):
@@ -153,7 +150,7 @@ def step_diffusion(state: FieldState, p: RadialPotential, dt: float) -> FieldSta
     """One forward-Euler step of u_t = Lap(grad Phi(u)): the loop body on a stack of one."""
     u = state.values[:, None]
     new = _euler(_diffusion_rhs(p, state.grid, u.shape, dt), u, vector_norm(u), state.t,
-                 dt, p.r_max, [None])
+                 p.r_max, [None])
     return FieldState(grid=state.grid, values=new[:, 0], t=state.t + dt,
                       boundary_values=state.boundary_values)
 
@@ -456,7 +453,7 @@ def _lockstep(configs: list[RunConfig], observers: list) -> list[Trajectory]:
         _abort_if_outside(r[b], p.r_max, t, None, name)
     feed(last)
     for k in range(1, steps + 1):   # each step checks the state it makes
-        u = _euler(rhs, u, r, t, dt, p.r_max, names, k, steps)
+        u = _euler(rhs, u, r, t, p.r_max, names, k, steps)
         t += dt
         if k % every == 0:
             last = feed(snapshot(u, t))

@@ -27,13 +27,13 @@ def stationary_trajectory(grid, values, n_snaps=5, dt=1e-4, bv=None):
 
 
 def fresh_face_divergence(coef, fields, extra_coef, extra_field, grid):
-    """The face divergence kernel over buffers made for this one call (`out` filled
-    with NaN, which the kernel overwrites), `coef` and `extra_field` scaled by
-    0.5/h^2 as its callers scale them."""
-    shape, k = np.shape(fields), 0.5 / (grid.h * grid.h)
-    return _face_divergence(coef * k, fields, extra_coef,
-                            None if extra_field is None else extra_field * k, grid,
-                            np.full(shape, np.nan), np.empty(shape), np.empty(shape),
+    """The face divergence kernel at scale 1 over buffers made for this one call
+    (`out` filled with NaN, which the kernel overwrites) and copies of `coef` and
+    `extra_field`, which it scales in place."""
+    shape = np.shape(fields)
+    return _face_divergence(np.copy(coef), fields, extra_coef,
+                            None if extra_field is None else np.copy(extra_field), grid,
+                            1.0, np.full(shape, np.nan), np.empty(shape), np.empty(shape),
                             np.empty(shape[1:]))
 
 
@@ -217,9 +217,9 @@ class TestStencilParity:
             # one plan serves a single field as well as the stack
             assert np.array_equal(_laplacian(u[0], g), _laplacian(u[0], fresh()))
             assert np.array_equal(_gradient_sq(u, g, grad, diff), _gradient_sq(u, fresh()))
-            k = 0.5 / (g.h * g.h)
-            got = _face_divergence(a * k, u, c, H * k, g, out, flux, tmp, face)
-            assert np.array_equal(got, fresh_face_divergence(a, u, c, H, fresh()))
+            want = fresh_face_divergence(a, u, c, H, fresh())
+            assert np.array_equal(_face_divergence(a, u, c, H, g, 1.0, out, flux, tmp, face),
+                                  want)
             want = np.roll(u, -1, axis=g.n) - np.roll(u, 1, axis=g.n)
             assert np.array_equal(_shifted(np.subtract, u, pair, shifted), want)
         assert _shift_plans(g, (1, -1))[-1][0] is pair   # kept on the grid, not rebuilt

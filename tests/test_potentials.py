@@ -511,15 +511,39 @@ def frozen_uniform_knot_evaluator(x, y, dydx):
     return evaluate
 
 
-def assert_within_table_bounds(got, want, x_max, r, top, ulps=4):
-    """The Horner table's parity bounds against the spline `want` (one value per
-    probe r): on [0, x_max] at most `ulps` ulp of `top`, the table's largest |value|
-    there; beyond it, at most 1e-15 max|want| over the finite outside probes;
-    NaN in gives NaN out, and +-inf a non-finite value."""
-    got, want, r = (np.asarray(v, dtype=float).ravel() for v in (got, want, r))
-    inside = (r >= 0.0) & (r <= x_max)
+def horner_bound(spline, r):
+    """The rounding bound of the Horner table at each r against `spline`: 8 eps
+    times the evaluation's condition sum_k |c_k| |s|^k + |r| sum_k k |c_k| |s|^(k-1)
+    (s = r - x_i on the spline's piece i), plus 8 subnormal units for underflow.
+    Horner's rule loses at most 6u times the first sum in each of the two
+    evaluations (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, s. 5.1) and scaling the coefficients by w^k at most 3u more; the local
+    coordinate and the knots' own rounding move the argument by at most 3u |r|,
+    which the second sum weighs.  With u = eps/2 the total is under 8 eps."""
+    x, c = spline.x, np.abs(spline.c)
+    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
+    s, (c3, c2, c1, c0) = np.abs(r - x[i]), c[:, i]
+    value = ((c3 * s + c2) * s + c1) * s + c0
+    slope = (3 * c3 * s + 2 * c2) * s + c1
+    eps = np.finfo(float).eps
+    return 8 * (eps * (value + np.abs(r) * slope) + np.finfo(float).smallest_subnormal)
+
+
+def assert_within_table_bounds(got, spline, r, top=None):
+    """The Horner table's parity bounds against `spline`, one value per probe r:
+    on [0, x_max] within `horner_bound` at each r and, for a built-in table (`top`,
+    its largest |value| there), within 4 ulp of `top`; beyond it, at most 1e-15
+    max|spline| over the finite outside probes; NaN in gives NaN out, and +-inf a
+    non-finite value."""
+    got, r = (np.asarray(v, dtype=float).ravel() for v in (got, r))
+    with np.errstate(invalid="ignore"):   # the spline's own NaN index
+        want = spline(r)
+    inside = (r >= 0.0) & (r <= spline.x[-1])
     outside = np.isfinite(r) & ~inside
-    assert np.abs(got[inside] - want[inside]).max() <= ulps * np.spacing(top)
+    err = np.abs(got[inside] - want[inside])
+    assert np.all(err <= horner_bound(spline, r[inside]))
+    if top is not None:
+        assert err.max() <= 4 * np.spacing(top)
     if outside.any():
         err = np.abs(got[outside] - want[outside]).max()
         assert err <= 1e-15 * np.abs(want[outside]).max()
@@ -532,20 +556,21 @@ def table_top(spline, knots, x_max):
     return np.abs(spline(np.concatenate([knots, np.linspace(0.0, x_max, 100_001)]))).max()
 
 
-def check_table(x, y, dydx, seed=0, ulps=4):
+def check_table(x, y, dydx, seed=0, builtin=True):
     """One table's evaluator against CubicHermiteSpline on `spline_probes` and the
-    non-finite probes, within the parity bounds."""
+    non-finite probes, within the parity bounds (4 ulp of the largest |value| for
+    a built-in table)."""
     spline, table = CubicHermiteSpline(x, y, dydx), _uniform_knot_evaluator(x, y, dydx)
     r = np.concatenate([spline_probes(x, x[-1], seed), [np.nan, np.inf, -np.inf]])
-    with np.errstate(invalid="ignore"):   # the spline's own NaN index
-        want = spline(r)
-    assert_within_table_bounds(table(r), want, x[-1], r, table_top(spline, x, x[-1]), ulps)
+    assert_within_table_bounds(table(r), spline, r,
+                               table_top(spline, x, x[-1]) if builtin else None)
     return spline, table
 
 
 class TestUniformKnotEvaluator:
-    """The Horner table agrees with CubicHermiteSpline.__call__ to a few ulp on
-    [0, x_max] and to 1e-15 relatively where it extrapolates; the frozen evaluator
+    """The Horner table agrees with CubicHermiteSpline.__call__ within its rounding
+    bound on [0, x_max] (4 ulp for the built-in tables) and to 1e-15 relatively
+    where it extrapolates; the frozen evaluator
     it replaces is the spline bit for bit."""
 
     @pytest.mark.parametrize("p", ALL_BUILTINS, ids=lambda p: p.id)
@@ -589,22 +614,24 @@ class TestUniformKnotEvaluator:
             assert np.abs(_uniform_knot_evaluator(x, y, dydx)(probes) - old).max() <= 1e-14
 
     def test_random_tables_and_sizes(self):
-        # slopes drawn apart from the values make the coefficients of a piece larger
-        # than its values, so rounding in them weighs more: 8 ulp (5 measured, at
-        # m = 4), where the built-in tables' exact slopes keep 4 (3 measured)
+        # slopes drawn apart from the values can make a piece's coefficients larger
+        # than its values, so these are held to the per-point Horner bound alone
         rng = np.random.default_rng(3)
         for m in (4, 7, 128, 1000):
             for x_max in (0.37, 1.0, 2.0, 3.7):
                 knots = np.linspace(0.0, x_max, m + 1)
                 y = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, m))])
-                check_table(knots, y, rng.uniform(-1.0, 2.0, m + 1), seed=m, ulps=8)
+                check_table(knots, y, rng.uniform(-1.0, 2.0, m + 1), seed=m, builtin=False)
 
     def test_negative_zero_table_value(self):
-        # a -0.0 knot value evaluates to zero, of either sign
+        # the constant term is y + 0.0, added last, so a -0.0 knot value evaluates
+        # to +0.0, as the spline's sum from 0.0 does
         knots = np.linspace(0.0, 1.0, 5)
         y = np.array([-0.0, -1.0, -2.0, -3.0, -4.0])
-        table = _uniform_knot_evaluator(knots, y, np.full(5, -0.0))
-        assert np.all(table(np.array([-0.0, 0.0])) == 0.0)
+        dydx = np.full(5, -0.0)
+        r = np.array([-0.0, 0.0])
+        assert_bitwise(_uniform_knot_evaluator(knots, y, dydx)(r),
+                       CubicHermiteSpline(knots, y, dydx)(r))
 
 
 def fresh_work(shape):
@@ -631,9 +658,7 @@ class TestBufferedEvaluator:
         out = np.full(shape, np.nan)
         got = table(r, out=out, work=fresh_work(shape))
         assert got is out
-        with np.errstate(invalid="ignore"):
-            want = spline(r)
-        assert_within_table_bounds(out, want, p.r_max, r, table_top(spline, nodes, p.r_max))
+        assert_within_table_bounds(out, spline, r, table_top(spline, nodes, p.r_max))
         assert_bitwise(table(r), out)   # the allocating call
 
     def test_buffers_reused_across_calls(self):
@@ -648,7 +673,7 @@ class TestBufferedEvaluator:
                   rng.uniform(-1.0, 2.0, (32, 24))):
             table(r, out=out, work=work)
             assert_bitwise(out, table(r))
-            assert_within_table_bounds(out, spline(r), 1.0, r, top)
+            assert_within_table_bounds(out, spline, r, top)
 
     def test_scalar_inputs(self):
         nodes, y, dydx = h_table(quartic(1.0))

@@ -49,8 +49,8 @@ INTERNAL = {"cumulative_simpson", "invert_phi", "radial_slope"}   # of `pelab.po
 KERNELS = {
     "_laplacian": ("f", "grid", "work", "out"),
     "_gradient_sq": ("comps", "grid", "out", "work"),
-    "_face_divergence": ("coef", "fields", "extra_coef", "extra_field", "grid", "out",
-                         "flux", "tmp", "face"),
+    "_face_divergence": ("coef", "fields", "extra_coef", "extra_field", "grid", "scale",
+                         "out", "flux", "tmp", "face"),
 }
 
 

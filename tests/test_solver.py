@@ -37,7 +37,7 @@ def coupled_step(state, cc, dt):
     """One coupled step, state in, state out: the loop body over a fresh workspace,
     on a stack of one."""
     u = state.values[:, None]
-    new = _euler(_coupled_rhs(cc, state.grid, u.shape, dt), u, vector_norm(u), state.t, dt,
+    new = _euler(_coupled_rhs(cc, state.grid, u.shape, dt), u, vector_norm(u), state.t,
                  cc.r_max, [None])
     return FieldState(grid=state.grid, values=new[:, 0], t=state.t + dt,
                       boundary_values=state.boundary_values)
@@ -359,10 +359,11 @@ class TestSteps:
         g = pgrid(32)
         u = initial_field(g, 1, {"kind": "mode", "amplitude": 1.0}, 0)[:, None]
         rhs = lambda u, r: _laplacian(u * 1e150, g) * 1e3   # dt L
+        rhs.dt = 1e3
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RangeExcursionError, match="non-finite"):
                 for _ in range(400):
-                    u = _euler(rhs, u, vector_norm(u), 0.0, 1e3, math.inf, [None])
+                    u = _euler(rhs, u, vector_norm(u), 0.0, math.inf, [None])
 
 
 class TestInitialData:
@@ -1007,11 +1008,11 @@ class TestCoupledWorkspace:
         u = state.values[:, None]   # a stack of one
         dt = cfl_dt(state.grid, cc.bounds["eff_Lambda"], 0.9)
         rhs = _coupled_rhs(cc, state.grid, u.shape, dt)
-        u = _euler(rhs, u, vector_norm(u), 0.0, dt, cc.r_max, [None])
+        u = _euler(rhs, u, vector_norm(u), 0.0, cc.r_max, [None])
         r = vector_norm(u)
         tracemalloc.start()
         try:
-            new = _euler(rhs, u, r, dt, dt, cc.r_max, [None])
+            new = _euler(rhs, u, r, dt, cc.r_max, [None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1084,11 +1085,11 @@ class TestDiffusionWorkspace:
         u = state.values[:, None]   # a stack of one
         dt = cfl_dt(state.grid, certify_window(p).Lam, 0.9)
         rhs = _diffusion_rhs(p, state.grid, u.shape, dt)
-        u = _euler(rhs, u, vector_norm(u), 0.0, dt, p.r_max, [None])
+        u = _euler(rhs, u, vector_norm(u), 0.0, p.r_max, [None])
         r = vector_norm(u)
         tracemalloc.start()
         try:
-            new = _euler(rhs, u, r, dt, dt, p.r_max, [None])
+            new = _euler(rhs, u, r, dt, p.r_max, [None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1161,6 +1162,7 @@ def tamper(monkeypatch, system, value, at_call=5, where=(1, 0, 7)):
             if len(calls) == at_call:
                 L[where] = value
             return L
+        tampered.dt = rhs.dt
         return tampered
     monkeypatch.setattr(solver, name, factory)
 
@@ -1432,8 +1434,8 @@ class TestLockstepProperties:
         cfg = self.bands_config(n, nc, self.draw_sizes(data, n), seed, amplitude, kmax, pid)
         u = solver._initial_state(cfg)[:, None]
         r, p, g = vector_norm(u), cfg.potential, cfg.grid
-        L1 = _diffusion_rhs(p, g, u.shape, 1.0)(u, r)
-        assert np.array_equal(_diffusion_rhs(p, g, u.shape, dt)(u, r), dt * L1)
+        L1, rhs = _diffusion_rhs(p, g, u.shape, 1.0)(u, r), _diffusion_rhs(p, g, u.shape, dt)
+        assert rhs.dt == dt and np.array_equal(rhs(u, r), dt * L1)
         cc = coupled_decomposition(p)
         L1 = _coupled_rhs(cc, g, u.shape, 1.0)(u, r)
         flux = 2.0 * cc.bounds["eff_Lambda"] * np.abs(u).max() / (g.h * g.h)
